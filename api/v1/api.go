@@ -83,35 +83,23 @@ type DesignSpec struct {
 	PerCUTLBEntries *int `json:"per_cu_tlb_entries,omitempty"`
 }
 
-// presets maps wire names to the design constructors. The canonical names
-// match cmd/vcsim's -design values; a few historical aliases are accepted
-// on input but never listed.
-var presets = map[string]func() core.Config{
-	"ideal":              core.DesignIdeal,
-	"baseline-512":       core.DesignBaseline512,
-	"baseline-16k":       core.DesignBaseline16K,
-	"baseline-large-tlb": core.DesignBaselineLargePerCU,
-	"vc":                 core.DesignVC,
-	"vc-opt":             core.DesignVCOpt,
-	"vc-opt-dsr":         core.DesignVCOptDSR,
-	"l1-only-vc-32":      func() core.Config { return core.DesignL1OnlyVC(32) },
-	"l1-only-vc-128":     func() core.Config { return core.DesignL1OnlyVC(128) },
-}
-
+// presetAliases are historical spellings accepted on input but never
+// listed; canonical names come from core.Designs (vcsim's -design values).
 var presetAliases = map[string]string{
 	"baseline512": "baseline-512",
 	"baseline16k": "baseline-16k",
 	"vcopt":       "vc-opt",
 }
 
-// presetOrder is the listing order (paper order, matching vcsim -list).
-var presetOrder = []string{
-	"ideal", "baseline-512", "baseline-16k", "baseline-large-tlb",
-	"vc", "vc-opt", "vc-opt-dsr", "l1-only-vc-32", "l1-only-vc-128",
+// Presets returns the named design presets in their canonical (paper)
+// order.
+func Presets() []string {
+	names := make([]string, len(core.Designs))
+	for i, d := range core.Designs {
+		names[i] = d.Name
+	}
+	return names
 }
-
-// Presets returns the named design presets in their canonical order.
-func Presets() []string { return append([]string(nil), presetOrder...) }
 
 // PresetConfig resolves a preset name (case-insensitively, accepting the
 // historical aliases) to its design configuration.
@@ -120,11 +108,7 @@ func PresetConfig(name string) (core.Config, bool) {
 	if canon, ok := presetAliases[n]; ok {
 		n = canon
 	}
-	f, ok := presets[n]
-	if !ok {
-		return core.Config{}, false
-	}
-	return f(), true
+	return core.DesignByName(n)
 }
 
 // SpecError reports an invalid JobSpec: which part is wrong and why. It is

@@ -3,6 +3,7 @@ package apiv1
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -81,6 +82,11 @@ func TestDecodeJobSpecSizeLimit(t *testing.T) {
 }
 
 func TestPresetsResolve(t *testing.T) {
+	want := []string{"ideal", "baseline-512", "baseline-16k", "baseline-large-tlb", "baseline-2level",
+		"vc", "vc-opt", "vc-opt-dsr", "l1-only-vc-32", "l1-only-vc-128"}
+	if got := Presets(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Presets() = %v, want %v", got, want)
+	}
 	for _, name := range Presets() {
 		cfg, ok := PresetConfig(name)
 		if !ok {

@@ -88,7 +88,6 @@ var apiGolden = []string{
 	"var DesignVCOpt",
 	"var DesignVCOptDSR",
 	"var ProgressWriter",
-	"var WithBatchedTranslation",
 	"var WithEventTrace",
 	"var WithIntraParallelism",
 	"var WithMetricsInterval",

@@ -14,23 +14,11 @@ import (
 	"os"
 	"strings"
 
+	apiv1 "vcache/api/v1"
 	"vcache/internal/core"
 	"vcache/internal/report"
 	"vcache/internal/workloads"
 )
-
-var designs = map[string]func() core.Config{
-	"ideal":              core.DesignIdeal,
-	"baseline-512":       core.DesignBaseline512,
-	"baseline-16k":       core.DesignBaseline16K,
-	"baseline-large-tlb": core.DesignBaselineLargePerCU,
-	"baseline-2level":    core.DesignBaselineTwoLevelTLB,
-	"vc":                 core.DesignVC,
-	"vc-opt":             core.DesignVCOpt,
-	"vc-opt-dsr":         core.DesignVCOptDSR,
-	"l1-only-vc-32":      func() core.Config { return core.DesignL1OnlyVC(32) },
-	"l1-only-vc-128":     func() core.Config { return core.DesignL1OnlyVC(128) },
-}
 
 func main() {
 	wl := flag.String("workload", "pagerank", "workload name")
@@ -56,12 +44,12 @@ func main() {
 	var results []core.Results
 	var base *core.Results
 	for _, name := range strings.Split(*list, ",") {
-		mk, ok := designs[strings.TrimSpace(name)]
+		cfg, ok := apiv1.PresetConfig(name)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown design %q (have: %s)\n", name, keys())
+			fmt.Fprintf(os.Stderr, "unknown design %q (have: %s)\n", name, strings.Join(apiv1.Presets(), ", "))
 			os.Exit(1)
 		}
-		r := core.MustRun(mk(), tr)
+		r := core.MustRun(cfg, tr)
 		results = append(results, r)
 		if r.Kind == core.IdealMMU && base == nil {
 			base = &r
@@ -95,12 +83,4 @@ func main() {
 			fmt.Printf("  %-22s %s\n", r.Design, report.Sparkline(report.Downsample(r.IOMMUSamples, 60)))
 		}
 	}
-}
-
-func keys() string {
-	var ks []string
-	for k := range designs {
-		ks = append(ks, k)
-	}
-	return strings.Join(ks, ", ")
 }

@@ -47,6 +47,7 @@ import (
 	"sync"
 	"time"
 
+	apiv1 "vcache/api/v1"
 	"vcache/internal/artifact"
 	"vcache/internal/core"
 	"vcache/internal/obs"
@@ -56,41 +57,11 @@ import (
 	"vcache/internal/workloads"
 )
 
-func designByName(name string) (core.Config, bool) {
-	switch strings.ToLower(name) {
-	case "ideal":
-		return core.DesignIdeal(), true
-	case "baseline-512", "baseline512":
-		return core.DesignBaseline512(), true
-	case "baseline-16k", "baseline16k":
-		return core.DesignBaseline16K(), true
-	case "baseline-large-tlb":
-		return core.DesignBaselineLargePerCU(), true
-	case "vc":
-		return core.DesignVC(), true
-	case "vc-opt", "vcopt":
-		return core.DesignVCOpt(), true
-	case "vc-opt-dsr":
-		return core.DesignVCOptDSR(), true
-	case "l1-only-vc-32":
-		return core.DesignL1OnlyVC(32), true
-	case "l1-only-vc-128":
-		return core.DesignL1OnlyVC(128), true
-	default:
-		return core.Config{}, false
-	}
-}
-
-var designNames = []string{
-	"ideal", "baseline-512", "baseline-16k", "baseline-large-tlb",
-	"vc", "vc-opt", "vc-opt-dsr", "l1-only-vc-32", "l1-only-vc-128",
-}
-
 func main() {
 	wl := flag.String("workload", "pagerank", "workload name")
 	traceFile := flag.String("tracefile", "", "replay a saved trace instead of generating one")
 	design := flag.String("design", "baseline-512",
-		"MMU design(s), comma-separated or 'all': "+strings.Join(designNames, ", "))
+		"MMU design(s), comma-separated or 'all': "+strings.Join(apiv1.Presets(), ", "))
 	scale := flag.Int("scale", 1, "workload input scale factor")
 	seed := flag.Uint64("seed", 42, "synthetic input seed")
 	cus := flag.Int("cus", 16, "number of compute units")
@@ -100,7 +71,7 @@ func main() {
 	iommubw := flag.Int("iommubw", -1, "override IOMMU lookups/cycle (0 = unlimited)")
 	largePages := flag.Bool("largepages", false, "back the workload with 2MB pages")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "concurrent simulations when several designs are given")
-	intraParallel := flag.Int("intra-parallel", 1, "partitioned-engine worker threads inside each simulation (results are byte-identical at any value)")
+	intraParallel := flag.Int("intra-parallel", 1, "partitioned-engine worker threads inside each simulation (< 1 means 1; results are byte-identical at any value)")
 	stream := flag.Bool("stream", false, "generate and replay the workload as a chunked (v4) stream: peak memory stays bounded by the chunk budget instead of the trace size; results are byte-identical")
 	chunkBudget := flag.Int("chunk-budget", 0, "chunk byte budget for -stream (0 = default 4MB)")
 	batched := flag.Bool("batched-translation", false, "warp-level batched translation front-end: page-chunk dedup, inline TLB hit peeling, bulk IOMMU miss submission (deterministic; no-op for designs without per-CU TLBs)")
@@ -130,7 +101,7 @@ func main() {
 			fmt.Printf("  %-14s (%s)%s\n", g.Name, g.Suite, hb)
 		}
 		fmt.Println("designs:")
-		for _, d := range designNames {
+		for _, d := range apiv1.Presets() {
 			fmt.Printf("  %s\n", d)
 		}
 		return
@@ -138,11 +109,11 @@ func main() {
 
 	names := strings.Split(*design, ",")
 	if strings.ToLower(strings.TrimSpace(*design)) == "all" {
-		names = designNames
+		names = apiv1.Presets()
 	}
 	var cfgs []core.Config
 	for _, n := range names {
-		cfg, ok := designByName(strings.TrimSpace(n))
+		cfg, ok := apiv1.PresetConfig(n)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown design %q (try -list)\n", n)
 			os.Exit(1)
@@ -421,9 +392,9 @@ func chunkedStreamPath(cache *artifact.Cache, g workloads.Generator, p workloads
 }
 
 // printSimSummary emits the one-line completion summary for the
-// simulations that ran live on the partitioned engine (cached results and
-// legacy -intra-parallel 0 runs report nothing). Written to stderr so
-// stdout stays byte-identical across worker counts and cache states.
+// simulations that ran live (cached results report nothing). Written to
+// stderr so stdout stays byte-identical across worker counts and cache
+// states.
 func printSimSummary(w io.Writer, results []core.Results, infos []core.IntraInfo, live []bool, wall time.Duration) {
 	var cycles, events uint64
 	n := 0

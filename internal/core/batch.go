@@ -6,8 +6,8 @@ import (
 	"vcache/internal/noc"
 )
 
-// Batched translation front-end (Config.BatchedTranslation /
-// WithBatchedTranslation): a warp's whole coalesced line set enters the
+// Batched translation front-end (Config.BatchedTranslation): a warp's
+// whole coalesced line set enters the
 // memory system in one AccessLines call instead of per-line Access calls.
 // The set is grouped into page chunks (dedup within the warp), the per-CU
 // TLB is probed once per distinct (ASID, VPN) via LookupSpan, hits are
@@ -20,7 +20,7 @@ import (
 // backend reads a frame's miss list inside TranslateBulk, strictly before
 // the responses that let the CU recycle the frame), and recycle through the
 // pool so steady-state batching allocates nothing. The schedule is
-// deterministic but deliberately different from the legacy per-line path —
+// deterministic but deliberately different from the per-line path —
 // per-line TLB lookups and IOMMU arrivals land on different cycles — so the
 // mode is opt-in and owned by SimVersion; see DESIGN.md.
 
@@ -101,15 +101,11 @@ type batchPool struct {
 // the flag is a documented no-op: VirtualHierarchy translates after L2
 // misses (line-granular by design) and IdealMMU has no translation to
 // batch, so both keep the per-line issue path and stay bit-identical to
-// legacy runs. Idempotent; must run before Launch.
+// unbatched runs. Called from New.
 func (s *System) enableBatching() {
-	if s.batch != nil {
-		return
-	}
 	if s.cfg.Kind != PhysicalBaseline && s.cfg.Kind != L1OnlyVirtual {
 		return
 	}
-	s.cfg.BatchedTranslation = true
 	s.batch = make([]batchPool, s.cfg.GPU.NumCUs)
 	s.gpu.EnableBatchedIssue()
 }
@@ -244,8 +240,8 @@ func (s *System) batchTLB2(cu int, f *batchFrame) {
 }
 
 // submitMisses merges each unresolved chunk with any outstanding same-page
-// request (chunk-granular TLB-miss MSHRs, same tlbPending map as the legacy
-// path) and bulk-submits the pages this frame is first requester for: one
+// request (chunk-granular TLB-miss MSHRs, same tlbPending map as the
+// per-line path) and bulk-submits the pages this frame is first requester for: one
 // CU→IOMMU message carries the whole deduplicated miss set, and the IOMMU
 // shares one walk per distinct page across everything in flight.
 func (s *System) submitMisses(cu int, f *batchFrame) {

@@ -17,10 +17,10 @@ import (
 // snapshot.
 func batchedRun(t *testing.T, cfg Config, tr *trace.Trace, workers int) (Results, obs.Snapshot) {
 	t.Helper()
+	cfg.BatchedTranslation = true
 	sys := MustNew(cfg)
 	var last obs.Snapshot
 	res, err := sys.RunContext(context.Background(), tr,
-		WithBatchedTranslation(),
 		WithIntraParallelism(workers),
 		WithMetricsSnapshot(func(s obs.Snapshot) { last = s }))
 	if err != nil {
@@ -162,16 +162,16 @@ func TestBatchedConservation(t *testing.T) {
 }
 
 // TestGoldenBatchedSingleLine: for a one-line instruction the batched
-// composition degenerates to the legacy one — port slot, +PerCUTLB probe,
-// one CU→IOMMU round trip, one walk, then the physical path — so the
-// legacy golden cycle counts hold exactly (946 cold, +202 for the
+// composition degenerates to the per-line one — port slot, +PerCUTLB
+// probe, one CU→IOMMU round trip, one walk, then the physical path — so
+// the per-line golden cycle counts hold exactly (956 cold, 1158 with the
 // warm-TLB second line; see TestGoldenBaselineColdLoad).
 func TestGoldenBatchedSingleLine(t *testing.T) {
 	cfg := goldenCfg(DesignBaseline512())
 	cfg.BatchedTranslation = true
 	r := MustRun(cfg, oneLoad(0x4000))
-	if r.Cycles != 946 {
-		t.Fatalf("cold batched baseline load = %d cycles, want 946", r.Cycles)
+	if r.Cycles != 956 {
+		t.Fatalf("cold batched baseline load = %d cycles, want 956", r.Cycles)
 	}
 	if r.Batch.Calls != 1 || r.Batch.Chunks != 1 || r.IOMMU.BulkMisses != 1 {
 		t.Fatalf("batch stats: %+v, bulk misses %d", r.Batch, r.IOMMU.BulkMisses)
@@ -180,8 +180,8 @@ func TestGoldenBatchedSingleLine(t *testing.T) {
 	b := trace.NewBuilder("golden", 1, 1, 1)
 	b.Warp().Load(0x4000).Load(0x4080)
 	r = MustRun(cfg, b.Build())
-	if r.Cycles != 1148 {
-		t.Fatalf("warm-TLB batched load = %d cycles, want 1148", r.Cycles)
+	if r.Cycles != 1158 {
+		t.Fatalf("warm-TLB batched load = %d cycles, want 1158", r.Cycles)
 	}
 	if r.Batch.InlineHits != 1 {
 		t.Fatalf("warm second line should peel inline: %+v", r.Batch)
@@ -206,8 +206,8 @@ func TestGoldenBatchedMultiLine(t *testing.T) {
 	if r.IOMMU.Walks != 1 || r.IOMMU.BulkCalls != 1 || r.IOMMU.BulkMisses != 1 {
 		t.Fatalf("IOMMU stats: %+v", r.IOMMU)
 	}
-	if r.Cycles != 947 {
-		t.Fatalf("two-line batched load = %d cycles, want 947 (946 + 1 port slot)", r.Cycles)
+	if r.Cycles != 957 {
+		t.Fatalf("two-line batched load = %d cycles, want 957 (956 + 1 port slot)", r.Cycles)
 	}
 }
 
@@ -255,11 +255,10 @@ func TestTranslateLinesZeroAlloc(t *testing.T) {
 // frames made than batches processed.
 func TestBatchedScratchReuseAcrossPartitions(t *testing.T) {
 	cfg := smallCfg(DesignBaseline512())
+	cfg.BatchedTranslation = true
 	tr := divergentTrace("scratch", 1500, 64)
 	sys := MustNew(cfg)
-	res, err := sys.RunContext(context.Background(), tr,
-		WithBatchedTranslation(),
-		WithIntraParallelism(4))
+	res, err := sys.RunContext(context.Background(), tr, WithIntraParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,8 +286,7 @@ func TestBatchedScratchReuseAcrossPartitions(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			s2 := MustNew(cfg)
-			if _, err := s2.RunContext(context.Background(), tr,
-				WithBatchedTranslation(), WithIntraParallelism(2)); err != nil {
+			if _, err := s2.RunContext(context.Background(), tr, WithIntraParallelism(2)); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -27,7 +27,15 @@ const (
 	// v3: batched translation front-end (Config.BatchedTranslation). The
 	// default per-line path is schedule-identical to v2, but Config and
 	// Results grew fields, so every fingerprint moves.
-	SimVersion = 3
+	//
+	// v4: one schedule. Every run executes the partitioned schedule, which
+	// the CLI, figure suite and daemon already ran; library runs
+	// (System.Run, RunContext without options, the facade) move onto it.
+	// Back-to-back kernels on one System now start each kernel's CU
+	// engines at the backend clock instead of cycle 0, so multi-kernel
+	// results (tenant churn, context switches) change. Single-kernel
+	// results of the canonical path are unchanged.
+	SimVersion = 4
 
 	// resultsCodecVersion is the wire-format version of EncodeResults.
 	resultsCodecVersion = 1

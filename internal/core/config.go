@@ -146,9 +146,9 @@ type Config struct {
 	// translation (TranslateLines): one per-CU TLB probe per distinct page
 	// of a warp's coalesced line set, hits peeled inline, and the residual
 	// miss set bulk-submitted to the IOMMU. A deliberately different — but
-	// equally deterministic — event schedule than the per-line legacy
-	// path, owned by SimVersion; see DESIGN.md. No-op for VirtualHierarchy
-	// and IdealMMU, whose designs have nothing to batch.
+	// equally deterministic — event schedule than the per-line path, owned
+	// by SimVersion; see DESIGN.md. No-op for VirtualHierarchy and
+	// IdealMMU, whose designs have nothing to batch.
 	BatchedTranslation bool
 	// EagerFlush restores scan-based bulk invalidation in the TLBs, caches,
 	// and FBT: every InvalidateAll/InvalidateASID/FlushAll walks the
@@ -272,6 +272,38 @@ func DesignL1OnlyVC(tlbEntries int) Config {
 	return c
 }
 
+// Design is one named entry of the design registry.
+type Design struct {
+	Name string        // CLI and wire name, e.g. "vc-opt"
+	New  func() Config // the preset's constructor
+}
+
+// Designs is the design registry: every named preset, in paper order.
+// vcsim, vcdiff and the api/v1 job schema all resolve design names
+// through it.
+var Designs = []Design{
+	{"ideal", DesignIdeal},
+	{"baseline-512", DesignBaseline512},
+	{"baseline-16k", DesignBaseline16K},
+	{"baseline-large-tlb", DesignBaselineLargePerCU},
+	{"baseline-2level", DesignBaselineTwoLevelTLB},
+	{"vc", DesignVC},
+	{"vc-opt", DesignVCOpt},
+	{"vc-opt-dsr", DesignVCOptDSR},
+	{"l1-only-vc-32", func() Config { return DesignL1OnlyVC(32) }},
+	{"l1-only-vc-128", func() Config { return DesignL1OnlyVC(128) }},
+}
+
+// DesignByName returns the registered preset with exactly this name.
+func DesignByName(name string) (Config, bool) {
+	for _, d := range Designs {
+		if d.Name == name {
+			return d.New(), true
+		}
+	}
+	return Config{}, false
+}
+
 // WithPerCUTLB returns cfg with the per-CU TLB entry count replaced
 // (0 = infinite), used by the Figure 2 sweep.
 func (c Config) WithPerCUTLB(entries int) Config {
@@ -306,8 +338,8 @@ func (e *ConfigError) Error() string {
 // Validate checks internal consistency. The returned error, when non-nil,
 // is a *ConfigError.
 func (c Config) Validate() error {
-	if c.GPU.NumCUs <= 0 {
-		return &ConfigError{Field: "GPU.NumCUs", Reason: fmt.Sprintf("must be positive, got %d", c.GPU.NumCUs)}
+	if c.GPU.NumCUs <= 0 || c.GPU.NumCUs >= 1<<cuArgBits {
+		return &ConfigError{Field: "GPU.NumCUs", Reason: fmt.Sprintf("must be in [1, %d), got %d", 1<<cuArgBits, c.GPU.NumCUs)}
 	}
 	if c.L1.LineBytes != c.L2.LineBytes {
 		return &ConfigError{Field: "L1.LineBytes", Reason: fmt.Sprintf("L1 line %dB != L2 line %dB", c.L1.LineBytes, c.L2.LineBytes)}

@@ -1,33 +1,33 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
+	"vcache/internal/memory"
 	"vcache/internal/noc"
 	"vcache/internal/sim"
 )
 
-// Intra-run parallelism: the partitioned event engine.
+// The partitioned event schedule — the only schedule a System runs.
 //
-// WithIntraParallelism splits a system into NumCUs+1 partitions — one per
-// CU front end (warps, coalescer, L1, per-CU TLBs, invalidation filter,
-// remap table) plus one shared back end (L2 and banks, IOMMU, FBT, page
-// walker, DRAM, the NoC servers, and the GPU's warp-global coordinator) —
-// each with its own calendar-queue engine, driven through conservative
-// cycle windows by sim.Partitioned. The window width (lookahead) is the
-// minimum latency of the two routes that cross the partition boundary,
-// CU<->L2 and CU<->IOMMU, so no cross-partition message can land inside
-// the window it was sent from.
+// New splits a system into NumCUs+1 partitions — one per CU front end
+// (warps, coalescer, L1, per-CU TLBs, invalidation filter, remap table)
+// plus one shared back end (L2 and banks, IOMMU, FBT, page walker, DRAM,
+// the NoC servers, and the GPU's warp-global coordinator) — each with its
+// own calendar-queue engine, driven through conservative cycle windows by
+// sim.Partitioned. The window width (lookahead) is the minimum latency of
+// the two routes that cross the partition boundary, CU<->L2 and
+// CU<->IOMMU, so no cross-partition message can land inside the window it
+// was sent from. The partitions live as long as the System: each launch
+// first advances every CU engine to the backend clock, so a kernel that
+// follows earlier runs starts its front end where the back end stands.
 //
-// Cross-partition traffic goes through sendToBackend/sendToCU, which
-// degrade to plain noc sends in legacy mode; Link message counts are
-// accumulated per partition and folded into the shared Link structs only
-// at barriers, so snapshots see the usual NoC totals without the workers
-// ever sharing a counter. The resulting schedule is a pure function of
-// the configuration: byte-identical results and metrics for every worker
-// count, including one. It is, however, a different (window-granular)
-// schedule than the legacy single-engine run, which remains the default.
+// Cross-partition traffic goes through sendToBackend/sendToCU; Link
+// message counts are accumulated per partition and folded into the shared
+// Link structs only at barriers, so snapshots see the usual NoC totals
+// without the workers ever sharing a counter. The schedule is a pure
+// function of the configuration: byte-identical results and metrics for
+// every worker count, including one.
 type intraState struct {
 	part    *sim.Partitioned
 	engines []*sim.Engine // engines[0] == System.eng (the shared backend)
@@ -37,8 +37,14 @@ type intraState struct {
 	// into the Link structs between windows.
 	routeMsgs [][2]uint64
 
-	// serialReason is non-empty when the configuration cannot be executed
-	// on more than one worker (the canonical schedule still runs).
+	// running is true while the windows execute. Between runs there is no
+	// window to carry a message, so backend operations that reach CU
+	// state (a shootdown's L1 flushes) apply it before they return.
+	running bool
+	ran     bool // at least one run started
+
+	// serialReason is non-empty when the last run's configuration could
+	// not be executed on more than one worker (the schedule is unchanged).
 	serialReason string
 }
 
@@ -52,10 +58,10 @@ func routeIdx(r noc.Route) int {
 	return 0
 }
 
-// IntraInfo describes a partitioned run (System.IntraInfo).
+// IntraInfo describes the partitioned engine (System.IntraInfo).
 type IntraInfo struct {
 	Partitions int    // partition count (CUs + shared backend)
-	Workers    int    // resolved worker threads
+	Workers    int    // resolved worker threads of the last run
 	Window     uint64 // conservative window width in cycles (the lookahead)
 	Windows    uint64 // synchronization windows executed
 	Crossings  uint64 // cross-partition messages delivered
@@ -65,13 +71,10 @@ type IntraInfo struct {
 	SerialReason string
 }
 
-// IntraInfo reports the partitioned-engine statistics of the last
-// WithIntraParallelism run; ok is false for legacy (single-engine) runs.
+// IntraInfo reports the partitioned-engine statistics, accumulated over
+// every run of the System; ok is false before its first run.
 func (s *System) IntraInfo() (info IntraInfo, ok bool) {
-	st := s.intra
-	if st == nil {
-		return IntraInfo{}, false
-	}
+	st := &s.intra
 	return IntraInfo{
 		Partitions:   len(st.engines),
 		Workers:      st.part.Workers(),
@@ -80,66 +83,113 @@ func (s *System) IntraInfo() (info IntraInfo, ok bool) {
 		Crossings:    st.part.Crossings(),
 		Events:       s.totalFired(),
 		SerialReason: st.serialReason,
-	}, true
+	}, st.ran
 }
 
-// cuEng returns the engine that owns cu's front-end events: the CU's
-// partition engine in a partitioned run, the global engine otherwise.
-func (s *System) cuEng(cu int) *sim.Engine {
-	if s.intra == nil {
-		return s.eng
+// partition builds the System's engines — the backend engine plus one per
+// CU front end — and the window runner with the NoC-derived lookahead.
+// Called once, from New, after the network and before any component
+// binds a clock.
+func (s *System) partition() {
+	n := s.cfg.GPU.NumCUs + 1
+	engines := make([]*sim.Engine, n)
+	engines[0] = s.eng
+	for i := 1; i < n; i++ {
+		engines[i] = sim.New()
 	}
-	return s.intra.engines[cu+1]
+	s.intra = intraState{
+		part:      sim.NewPartitioned(engines, s.net.MinLatency(intraRoutes[:]...), 1),
+		engines:   engines,
+		routeMsgs: make([][2]uint64, n),
+	}
 }
+
+// startRun readies the partitions for a launch. Every CU engine catches
+// up to the backend clock — a CU engine never moves backwards, and one
+// left behind by an earlier kernel would start this kernel's front end in
+// the back end's past, compressing its service time — and the run's
+// worker count resolves.
+func (s *System) startRun(workers int, traced bool) {
+	now := s.eng.Now()
+	for _, e := range s.intra.engines[1:] {
+		e.RunUntil(now)
+	}
+	reason := s.intraSerialReason(s.net.MinLatency(intraRoutes[:]...), traced)
+	if reason != "" {
+		workers = 1
+	}
+	s.intra.part.SetWorkers(workers)
+	s.intra.serialReason = reason
+	s.intra.ran = true
+}
+
+// runWindows executes the launched kernel's windows to completion (or
+// until onWindow stops them) and folds the NoC counts in.
+func (s *System) runWindows(onWindow func(limit uint64) bool) {
+	s.intra.running = true
+	defer func() { s.intra.running = false }()
+	s.intra.part.Run(onWindow)
+	s.flushRouteCounts()
+}
+
+// cuEng returns the engine that owns cu's front-end events.
+func (s *System) cuEng(cu int) *sim.Engine { return s.intra.engines[cu+1] }
 
 // sendToBackend delivers fn on the backend partition after the route's
-// latency. Legacy mode degrades to a plain NoC send. Must be called from
-// the CU's own partition.
+// latency. Must be called from the CU's own partition.
 func (s *System) sendToBackend(cu int, r noc.Route, fn func()) {
-	st := s.intra
-	if st == nil {
-		s.net.Send(r, fn)
-		return
-	}
-	st.routeMsgs[cu+1][routeIdx(r)]++
-	st.part.Send(cu+1, 0, s.net.Latency(r), fn)
+	s.intra.routeMsgs[cu+1][routeIdx(r)]++
+	s.intra.part.Send(cu+1, 0, s.net.Latency(r), fn)
 }
 
-// sendToCU delivers fn on cu's partition after the route's latency.
-// Legacy mode degrades to a plain NoC send. Must be called from the
-// backend partition.
+// sendToCU delivers fn on cu's partition after the route's latency. Must
+// be called from the backend partition.
 func (s *System) sendToCU(cu int, r noc.Route, fn func()) {
-	st := s.intra
-	if st == nil {
-		s.net.Send(r, fn)
-		return
-	}
-	st.routeMsgs[0][routeIdx(r)]++
-	st.part.Send(0, cu+1, s.net.Latency(r), fn)
+	s.intra.routeMsgs[0][routeIdx(r)]++
+	s.intra.part.Send(0, cu+1, s.net.Latency(r), fn)
 }
 
-// completeAtCU runs fn on cu's partition from backend code that in the
-// legacy engine completed synchronously (e.g. a permission fault detected
-// at the L2): direct call in legacy mode, a response message over the GPU
-// network in a partitioned run.
-func (s *System) completeAtCU(cu int, fn func()) {
-	st := s.intra
-	if st == nil {
-		fn()
-		return
-	}
-	st.routeMsgs[0][0]++
-	st.part.Send(0, cu+1, s.net.Latency(noc.CUToL2), fn)
+// cuArgBits is the width of the CU index packed into a backend -> CU
+// event argument; the leading VPN fills the bits above it.
+const cuArgBits = 20
+
+// l1Inval is the backend -> CU half of an FBT eviction (sim.Handler): the
+// argument packs the CU and the evicted entry's leading VPN, so the
+// message allocates nothing.
+type l1Inval System
+
+func (h *l1Inval) Handle(arg uint64) {
+	(*System)(h).invalidateL1(int(arg&(1<<cuArgBits-1)), memory.VPN(arg>>cuArgBits))
+}
+
+// sendL1Inval delivers an FBT eviction's L1 invalidation to cu over the
+// GPU network.
+func (s *System) sendL1Inval(cu int, lvpn memory.VPN) {
+	s.intra.routeMsgs[0][routeIdx(noc.CUToL2)]++
+	s.intra.part.SendEvent(0, cu+1, s.net.Latency(noc.CUToL2), (*l1Inval)(s), uint64(lvpn)<<cuArgBits|uint64(cu))
+}
+
+// gpuFabric places the GPU front end on the System's partitions: CU i on
+// engine i+1, the coordinator on the backend, and coordination messages
+// over the CU<->L2 network latency (not counted as NoC data messages).
+type gpuFabric System
+
+func (f *gpuFabric) CUEngine(cu int) *sim.Engine { return f.intra.engines[cu+1] }
+func (f *gpuFabric) CoordEngine() *sim.Engine    { return f.eng }
+
+func (f *gpuFabric) ToCoord(cu int, h sim.Handler, arg uint64) {
+	f.intra.part.SendEvent(cu+1, 0, f.net.Latency(noc.CUToL2), h, arg)
+}
+
+func (f *gpuFabric) ToCU(cu int, h sim.Handler, arg uint64) {
+	f.intra.part.SendEvent(0, cu+1, f.net.Latency(noc.CUToL2), h, arg)
 }
 
 // flushRouteCounts folds the deferred per-partition NoC message counts
 // into the shared Link structs. Called at window barriers and at end of
 // run, where all workers are quiescent.
 func (s *System) flushRouteCounts() {
-	st := s.intra
-	if st == nil {
-		return
-	}
+	st := &s.intra
 	for p := range st.routeMsgs {
 		for ri := range st.routeMsgs[p] {
 			n := st.routeMsgs[p][ri]
@@ -154,10 +204,10 @@ func (s *System) flushRouteCounts() {
 	}
 }
 
-// intraSerialReason reports why this run must execute its canonical
-// schedule on a single worker ("" = parallel-safe). These paths read or
-// write state across the partition boundary synchronously, which is
-// deterministic on one worker but racy on several.
+// intraSerialReason reports why this run must execute its schedule on a
+// single worker ("" = parallel-safe). These paths read or write state
+// across the partition boundary synchronously, which is deterministic on
+// one worker but racy on several.
 func (s *System) intraSerialReason(lookahead uint64, traced bool) string {
 	switch {
 	case s.cfg.ProbeResidency:
@@ -172,128 +222,13 @@ func (s *System) intraSerialReason(lookahead uint64, traced bool) string {
 	return ""
 }
 
-// enableIntra partitions the system for a WithIntraParallelism run: one
-// engine per CU front end plus the existing engine as the shared backend,
-// clocks rebound, the GPU's coordinator protocol switched to messages,
-// and the partition runner built with the NoC-derived lookahead.
-func (s *System) enableIntra(req int, traced bool) {
-	n := s.cfg.GPU.NumCUs + 1
-	engines := make([]*sim.Engine, n)
-	engines[0] = s.eng
-	for i := 1; i < n; i++ {
-		engines[i] = sim.New()
+// registerPartitionGauges exports the window runner's counters.
+func (s *System) registerPartitionGauges() {
+	st := &s.intra
+	s.reg.Gauge("sim.windows", func() float64 { return float64(st.part.Windows()) })
+	s.reg.Gauge("sim.mailbox.crossings", func() float64 { return float64(st.part.Crossings()) })
+	for i, e := range st.engines {
+		e := e
+		s.reg.Gauge(fmt.Sprintf("sim.partition.p%d.fired", i), func() float64 { return float64(e.Fired()) })
 	}
-	lookahead := s.net.MinLatency(noc.CUToL2, noc.CUToIOMMU)
-	reason := s.intraSerialReason(lookahead, traced)
-	workers := req
-	if reason != "" {
-		workers = 1
-	}
-	part := sim.NewPartitioned(engines, lookahead, workers)
-	s.intra = &intraState{
-		part:         part,
-		engines:      engines,
-		routeMsgs:    make([][2]uint64, n),
-		serialReason: reason,
-	}
-
-	// Front-end components now tell time by their partition's clock.
-	for cu := range s.l1s {
-		e := engines[cu+1]
-		s.l1s[cu].Clock = e.Now
-		s.cuTLBs[cu].Clock = e.Now
-		if len(s.cuTLB2s) > 0 {
-			s.cuTLB2s[cu].Clock = e.Now
-		}
-	}
-
-	// Warp-global coordination (barrier rendezvous, retirement) stays on
-	// the backend engine and is reached over the GPU network.
-	coordLat := s.net.Latency(noc.CUToL2)
-	s.gpu.Partition(
-		func(cu int) *sim.Engine { return engines[cu+1] },
-		func(cu int, fn func()) { part.Send(cu+1, 0, coordLat, fn) },
-		func(cu int, fn func()) { part.Send(0, cu+1, coordLat, fn) },
-	)
-
-	// Gauges register once per System and read through s.intra, so a
-	// system that runs several partitioned kernels back to back (tenant
-	// churn) reports the latest run without re-registering.
-	if !s.intraGauges {
-		s.intraGauges = true
-		s.reg.Gauge("sim.windows", func() float64 { return float64(s.intra.part.Windows()) })
-		s.reg.Gauge("sim.mailbox.crossings", func() float64 { return float64(s.intra.part.Crossings()) })
-		for i := range engines {
-			i := i
-			s.reg.Gauge(fmt.Sprintf("sim.partition.p%d.fired", i), func() float64 {
-				return float64(s.intra.engines[i].Fired())
-			})
-		}
-	}
-}
-
-// runIntra is RunContext's partitioned-engine body: identical
-// preparation, but execution proceeds in conservative windows with
-// cancellation, metrics snapshots, and progress serviced at barriers. A
-// streamed input's cursor is shared by all partition workers (its segment
-// hand-off is mutex-guarded), and refills are host work, so the windowed
-// schedule is unchanged.
-func (s *System) runIntra(ctx context.Context, in traceInput, o *options) (Results, error) {
-	s.contextSwitch(in.inASID())
-	in.prepare(s)
-	s.enableIntra(o.intra, o.events != nil)
-	if o.events != nil {
-		// Re-attach so each emitter stamps with its partition's clock.
-		s.AttachTrace(o.events)
-	}
-	completed := false
-	in.launch(s, func() {
-		completed = true
-		s.finishCycle = s.eng.Now()
-	})
-
-	interval := o.metricsInterval
-	if interval == 0 {
-		interval = defaultMetricsInterval
-	}
-	nextSnap := interval
-	var lastProgress uint64
-	var err error
-	onWindow := func(limit uint64) bool {
-		if e := ctx.Err(); e != nil {
-			err = e
-			return false
-		}
-		if o.wantsMetrics() && limit >= nextSnap {
-			s.flushRouteCounts()
-			s.emitSnapshot(o)
-			for nextSnap <= limit {
-				nextSnap += interval
-			}
-		}
-		if o.progress != nil {
-			if f := s.totalFired(); f-lastProgress >= 1<<16 {
-				lastProgress = f
-				o.progress(Progress{Cycle: limit, Events: f})
-			}
-		}
-		return true
-	}
-	s.intra.part.Run(onWindow)
-	s.flushRouteCounts()
-	if err != nil {
-		return Results{}, err
-	}
-	if e := in.finishErr(); e != nil {
-		return Results{}, e
-	}
-	if !completed {
-		return Results{}, ErrDeadlock
-	}
-	s.io.ExtendSampling()
-	res := s.results(in.name())
-	if o.wantsMetrics() {
-		s.emitSnapshot(o)
-	}
-	return res, o.sinkErr
 }

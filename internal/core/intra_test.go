@@ -4,8 +4,10 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
+	"vcache/internal/memory"
 	"vcache/internal/obs"
 	"vcache/internal/trace"
 	"vcache/internal/workloads"
@@ -81,12 +83,15 @@ func TestIntraInfoReporting(t *testing.T) {
 	cfg := DesignVCOpt()
 
 	sys := MustNew(cfg)
+	if _, ok := sys.IntraInfo(); ok {
+		t.Error("IntraInfo reported before the first run")
+	}
 	if _, err := sys.RunContext(context.Background(), tr, WithIntraParallelism(1)); err != nil {
 		t.Fatal(err)
 	}
 	info1, ok := sys.IntraInfo()
 	if !ok {
-		t.Fatal("IntraInfo not available after WithIntraParallelism run")
+		t.Fatal("IntraInfo not available after a run")
 	}
 	if info1.Partitions != cfg.GPU.NumCUs+1 {
 		t.Errorf("partitions = %d, want %d", info1.Partitions, cfg.GPU.NumCUs+1)
@@ -107,13 +112,13 @@ func TestIntraInfoReporting(t *testing.T) {
 		t.Errorf("schedule statistics depend on worker count: %+v vs %+v", info1, info4)
 	}
 
-	// Legacy runs report no partitioned state.
-	legacy := MustNew(cfg)
-	if _, err := legacy.RunContext(context.Background(), tr); err != nil {
+	// A run without options executes the same partitioned schedule.
+	plain := MustNew(cfg)
+	if _, err := plain.RunContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := legacy.IntraInfo(); ok {
-		t.Error("legacy run unexpectedly reports IntraInfo")
+	if infoP, ok := plain.IntraInfo(); !ok || infoP != info1 {
+		t.Errorf("run without options: %+v (ok=%v), want %+v", infoP, ok, info1)
 	}
 
 	// Probe-residency configurations read shared caches from CU paths and
@@ -148,5 +153,64 @@ func TestIntraCancellation(t *testing.T) {
 	sys := MustNew(DesignVCOpt())
 	if _, err := sys.RunContext(ctx, tr, WithIntraParallelism(4)); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestBackToBackKernelsKeepServiceTime: kernels launched one after another
+// on one System each get their full front-end time. Each kernel computes
+// for 5,000 cycles after its load, so its service time (the backend
+// clock's advance across the run) can never be shorter, at any worker
+// count.
+func TestBackToBackKernelsKeepServiceTime(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		sys := MustNew(smallCfg(DesignBaseline512()))
+		for k := 0; k < 3; k++ {
+			b := trace.NewBuilder("kernel", 1, 4, 2)
+			b.Warp().Load(0x4000).Compute(5000)
+			start := sys.Engine().Now()
+			if _, err := sys.RunContext(context.Background(), b.Build(), WithIntraParallelism(workers)); err != nil {
+				t.Fatal(err)
+			}
+			if service := sys.Engine().Now() - start; service < 5000 {
+				t.Errorf("workers=%d kernel %d: service %d cycles, want >= 5000", workers, k, service)
+			}
+		}
+	}
+}
+
+// TestLaunchAlignsCUClocks: no per-CU clock runs behind the backend clock
+// when a kernel launches. Per-CU TLB events are stamped with their CU's
+// partition clock (which the CU's L1 shares), so every TLB miss a kernel
+// traces must carry a cycle at or after the backend clock at its launch.
+func TestLaunchAlignsCUClocks(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		sys := MustNew(smallCfg(DesignBaseline512()))
+		var events obs.Buffer
+		for k := 0; k < 3; k++ {
+			b := trace.NewBuilder("kernel", 1, 4, 2)
+			for i := 0; i < 4; i++ { // one warp per CU, each on a fresh page
+				b.Warp().Load(memory.VAddr((4*k + i + 1) * memory.PageSize)).Compute(5000)
+			}
+			start := sys.Engine().Now()
+			events.Events = events.Events[:0]
+			if _, err := sys.RunContext(context.Background(), b.Build(),
+				WithIntraParallelism(workers), WithEventTrace(&events)); err != nil {
+				t.Fatal(err)
+			}
+			misses := 0
+			for _, e := range events.Events {
+				if !strings.HasPrefix(e.Comp, "tlb.cu") {
+					continue
+				}
+				misses++
+				if e.Cycle < start {
+					t.Errorf("workers=%d kernel %d: %s %s at cycle %d, before the launch at %d",
+						workers, k, e.Comp, e.Name, e.Cycle, start)
+				}
+			}
+			if misses != 4 {
+				t.Fatalf("workers=%d kernel %d: %d per-CU TLB misses traced, want 4", workers, k, misses)
+			}
+		}
 	}
 }

@@ -15,12 +15,12 @@ import (
 // same event order, same clock, same measurements.
 func TestRunContextMatchesRun(t *testing.T) {
 	cfg := smallCfg(DesignVCOpt())
-	legacy := MustNew(cfg).Run(divergentTrace("eq", 400, 64))
+	want := MustNew(cfg).Run(divergentTrace("eq", 400, 64))
 	got, err := RunContext(context.Background(), cfg, divergentTrace("eq", 400, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(legacy, got) {
+	if !reflect.DeepEqual(want, got) {
 		t.Fatal("RunContext results differ from Run")
 	}
 }
@@ -191,7 +191,7 @@ func TestMetricsReconcileWithResults(t *testing.T) {
 	check("core.line_merges", value("core.line_merges"), res.LineMerges)
 	check("core.faults.page", value("core.faults.page"), res.Faults.PageFaults)
 
-	// Batched counters must register (and read zero) on a legacy run.
+	// Batched counters must register (and read zero) on a per-line run.
 	check("tlb.batch.calls", value("tlb.batch.calls"), 0)
 	check("iommu.batch.bulk_misses", value("iommu.batch.bulk_misses"), 0)
 }
@@ -201,9 +201,10 @@ func TestMetricsReconcileWithResults(t *testing.T) {
 // Results.IOMMU exactly, and actually move on a batched run.
 func TestBatchedMetricsReconcileWithResults(t *testing.T) {
 	var final obs.Snapshot
-	res, err := RunContext(context.Background(), smallCfg(DesignBaseline512()),
+	cfg := smallCfg(DesignBaseline512())
+	cfg.BatchedTranslation = true
+	res, err := RunContext(context.Background(), cfg,
 		divergentTrace("brecon", 1200, 256),
-		WithBatchedTranslation(),
 		WithMetricsSnapshot(func(s obs.Snapshot) { final = s }))
 	if err != nil {
 		t.Fatal(err)

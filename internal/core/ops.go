@@ -7,8 +7,8 @@ import (
 // Shootdown performs a single-entry TLB shootdown for va's page across the
 // GPU: per-CU TLBs, the shared IOMMU TLB, and — in the virtual-cache
 // designs — the FBT (whose eviction path invalidates the page's cached
-// data) or the virtual L1s directly. Call between runs or from an engine
-// event.
+// data) or the virtual L1s directly. Call between runs: every effect,
+// the L1 flushes included, has landed when it returns.
 func (s *System) Shootdown(va memory.VAddr) {
 	vpn := va.Page()
 	for _, t := range s.cuTLBs {
@@ -38,11 +38,9 @@ func (s *System) Shootdown(va memory.VAddr) {
 }
 
 // FlushGPU performs an all-entry shootdown: every TLB is flushed and, for
-// the virtual hierarchy, the FBT is drained (flushing all cached data).
-// With epoch-based invalidation (the default) the drain is a generation
-// bump plus aggregate accounting; with Config.EagerFlush the FBT scan
-// fires the per-entry eviction path, which the differential tests pin
-// byte-identical to the lazy form.
+// the virtual hierarchy, the FBT is drained through its per-entry eviction
+// path, which invalidates each entry's L2 lines and the L1s whose
+// invalidation filters match (onFBTEvict). Call between runs.
 func (s *System) FlushGPU() {
 	for _, t := range s.cuTLBs {
 		t.InvalidateAll()
@@ -54,36 +52,10 @@ func (s *System) FlushGPU() {
 	if s.fbt == nil {
 		return
 	}
-	if s.fbt.Eager {
-		s.fbt.FlushAll()
-		return
-	}
-	if s.intra != nil {
-		// A partitioned run is still wired: the per-entry eviction path owns
-		// the cross-partition L1-flush messages, so scan eagerly.
-		s.fbt.Eager = true
-		s.fbt.FlushAll()
-		s.fbt.Eager = false
-		return
-	}
-	// Lazy: one epoch bump retires the FBT and the whole L2, reproducing
-	// the per-entry path's accounting in aggregate. BT inclusivity makes
-	// the bit-vector line count exactly the L2 residency; each dirty line
-	// writes back twice on the eager path (once from the L2 eviction, once
-	// from the FBT entry's own dirty check); and any CU with a non-empty L1
-	// would have matched a dying entry's invalidation filter, so each
-	// non-empty L1 flushes whole exactly once.
-	lines := s.l2.Resident()
-	dirty := s.l2.DirtyLines()
+	eager := s.fbt.Eager
+	s.fbt.Eager = true
 	s.fbt.FlushAll()
-	s.l2.InvalidateAll()
-	s.fbtInvalLines += uint64(lines)
-	for i := 0; i < 2*dirty; i++ {
-		s.mem.Access(true, func() {})
-	}
-	for cu := range s.l1s {
-		s.flushL1(cu)
-	}
+	s.fbt.Eager = eager
 }
 
 // RetireASID retires an address-space slot (tenant kernel rollover): every

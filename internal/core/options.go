@@ -23,8 +23,7 @@ type options struct {
 	snapshot        func(obs.Snapshot)
 	events          obs.EventSink
 	progress        func(Progress)
-	intra           int  // partitioned-engine worker request (0 = legacy engine)
-	batched         bool // batched translation front-end request
+	workers         int // partition worker threads (< 1 means 1)
 
 	sinkErr error // first metrics-sink write failure
 }
@@ -34,9 +33,9 @@ func (o *options) wantsMetrics() bool {
 	return o.metricsSink != nil || o.snapshot != nil
 }
 
-// Option customizes a RunContext invocation. Options only add observers;
-// the simulation itself is unaffected, so a run with no options is
-// cycle-for-cycle identical to System.Run.
+// Option customizes a RunContext invocation. Options only add observers
+// or worker threads; the simulation itself is unaffected, so a run with
+// any options is cycle-for-cycle identical to System.Run.
 type Option func(*options)
 
 // WithMetricsSink streams interval snapshots of the system's metrics
@@ -68,41 +67,22 @@ func WithEventTrace(sink obs.EventSink) Option {
 	return func(o *options) { o.events = sink }
 }
 
-// WithProgress invokes fn after every engine chunk (about 65k events),
-// with the current cycle and cumulative event count. Useful for liveness
+// WithProgress invokes fn at the first window barrier after every ~65k
+// events, with the current cycle and cumulative event count. Useful for liveness
 // reporting on long runs; the callback must not mutate the system.
 func WithProgress(fn func(Progress)) Option {
 	return func(o *options) { o.progress = fn }
 }
 
-// WithIntraParallelism runs the simulation on the partitioned event
-// engine with up to n worker threads: each CU's front end (warps,
-// coalescer, L1, per-CU TLBs) becomes its own partition, the shared
-// back end (L2, IOMMU, FBT, page walker, DRAM) another, synchronized at
-// conservative cycle windows sized by the minimum cross-partition NoC
-// latency. The partitioned schedule is a pure function of the
-// configuration: results and metrics are byte-identical for every n >= 1,
-// so n only trades wall-clock time. n is clamped to the partition count
-// and GOMAXPROCS; configurations the partitioner cannot split safely
-// (see System.IntraInfo) run the same schedule on one worker.
-//
-// n = 1 selects the partitioned schedule serially; 0 (the default, i.e.
-// the option absent) keeps the legacy single-engine schedule, which
-// remains cycle-for-cycle identical to System.Run.
+// WithIntraParallelism runs the System's partitions on up to n worker
+// threads: each CU's front end (warps, coalescer, L1, per-CU TLBs) is its
+// own partition, the shared back end (L2, IOMMU, FBT, page walker, DRAM)
+// another, synchronized at conservative cycle windows sized by the minimum
+// cross-partition NoC latency. Every run executes that one schedule; n
+// only trades wall-clock time, and results and metrics are byte-identical
+// for every n. n < 1 means 1; n is clamped to the partition count and
+// GOMAXPROCS, and configurations the partitioner cannot split safely (see
+// System.IntraInfo) run on one worker.
 func WithIntraParallelism(n int) Option {
-	return func(o *options) { o.intra = n }
-}
-
-// WithBatchedTranslation enables the batched translation front-end for this
-// run (equivalent to Config.BatchedTranslation): each warp memory
-// instruction's coalesced line set is translated as one TranslateLines
-// batch — one per-CU TLB probe per distinct page, hits peeled inline, the
-// residual miss set bulk-submitted to the IOMMU. The schedule is
-// deterministic (and byte-identical across WithIntraParallelism worker
-// counts) but intentionally different from the legacy per-line path; use
-// Config.BatchedTranslation instead when results feed the artifact cache,
-// so the flag participates in the cache key. No-op for designs without a
-// per-CU-TLB front end (VirtualHierarchy, IdealMMU).
-func WithBatchedTranslation() Option {
-	return func(o *options) { o.batched = true }
+	return func(o *options) { o.workers = n }
 }

@@ -351,7 +351,7 @@ func (s *System) vcL2Read(cu int, line memory.VAddr, done func()) {
 			if !l.Perm.Allows(false) {
 				s.fault("perm", &s.faults.PermFaults)
 				// done touches warp state: complete it on the CU side.
-				s.completeAtCU(cu, done)
+				s.sendToCU(cu, noc.CUToL2, done)
 				return
 			}
 			s.sendToCU(cu, noc.CUToL2, func() {
@@ -432,16 +432,11 @@ func (s *System) vcMissResolve(cu int, line memory.VAddr, write bool) {
 				case fbt.Synonym:
 					s.synonymReplays++
 					if s.cfg.DynamicSynonymRemap {
-						if s.intra != nil {
-							// The remap table is front-end state; the
-							// update rides a message back to the CU.
-							vpn := line.Page()
-							s.sendToCU(cu, noc.CUToL2, func() {
-								s.remaps[cu].put(vpn, view.LVPN)
-							})
-						} else {
-							s.remaps[cu].put(line.Page(), view.LVPN)
-						}
+						// The remap table is front-end state; the update
+						// rides a message back to the CU.
+						s.sendToCU(cu, noc.CUToL2, func() {
+							s.remaps[cu].put(vpn, view.LVPN)
+						})
 					}
 					lline := view.LVPN.Base() + memory.VAddr(line.Offset())
 					s.replaySynonym(lline, view, key)

@@ -56,8 +56,7 @@ type Results struct {
 	TLBMerges      uint64 // per-CU TLB misses merged into outstanding requests
 	LineMerges     uint64 // cache misses merged into outstanding line fills
 	// Batch aggregates the batched translation front-end's activity
-	// (Config.BatchedTranslation / WithBatchedTranslation); all-zero when
-	// the legacy per-line path ran. In batched mode TLBMerges counts
+	// (Config.BatchedTranslation); all-zero when the per-line path ran. In batched mode TLBMerges counts
 	// page-chunk merges rather than per-line merges.
 	Batch BatchStats
 	// L2DistinctPages is the peak count of distinct 4KB pages with data

@@ -33,11 +33,8 @@ func chunkWorkload(t *testing.T, g workloads.Generator, p workloads.Params) []by
 func runMaterialized(t *testing.T, cfg Config, tr *trace.Trace, workers int) (Results, obs.Snapshot) {
 	t.Helper()
 	var last obs.Snapshot
-	opts := []Option{WithMetricsSnapshot(func(s obs.Snapshot) { last = s })}
-	if workers > 1 {
-		opts = append(opts, WithIntraParallelism(workers))
-	}
-	res, err := RunContext(context.Background(), cfg, tr, opts...)
+	res, err := RunContext(context.Background(), cfg, tr,
+		WithIntraParallelism(workers), WithMetricsSnapshot(func(s obs.Snapshot) { last = s }))
 	if err != nil {
 		t.Fatalf("RunContext(workers=%d): %v", workers, err)
 	}
@@ -52,11 +49,8 @@ func runStreamed(t *testing.T, cfg Config, raw []byte, workers int) (Results, ob
 	}
 	defer c.Close()
 	var last obs.Snapshot
-	opts := []Option{WithMetricsSnapshot(func(s obs.Snapshot) { last = s })}
-	if workers > 1 {
-		opts = append(opts, WithIntraParallelism(workers))
-	}
-	res, err := RunCursor(context.Background(), cfg, c, opts...)
+	res, err := RunCursor(context.Background(), cfg, c,
+		WithIntraParallelism(workers), WithMetricsSnapshot(func(s obs.Snapshot) { last = s }))
 	if err != nil {
 		t.Fatalf("RunCursor(workers=%d): %v", workers, err)
 	}
@@ -67,8 +61,7 @@ func runStreamed(t *testing.T, cfg Config, raw []byte, workers int) (Results, ob
 // the streaming front end: for every workload in the catalog, replaying
 // the chunked stream must produce byte-identical Results (EncodeResults)
 // and identical final metrics snapshots as simulating the fully
-// materialized trace, on both the legacy engine and the partitioned
-// engine at 4 workers.
+// materialized trace, at 1 and 4 partition workers.
 func TestStreamedRunMatchesMaterialized(t *testing.T) {
 	p := streamTestParams()
 	cfg := DesignVCOpt()

@@ -85,9 +85,8 @@ type System struct {
 	lifetimes *Lifetimes  // backend L2 CDF during the run; merged in results()
 
 	// cuStats holds every counter a CU front end increments on its own:
-	// one slot per CU so a partitioned run never shares a counter (or a
-	// waiter-list pool) between workers. Legacy runs use the same slots
-	// and sum them at results time, so totals are unchanged.
+	// one slot per CU so the partition workers never share a counter (or
+	// a waiter-list pool); results sum the slots in CU order.
 	cuStats []cuCounters
 
 	// tlbPending merges concurrent same-page TLB misses per CU; l2Pending
@@ -100,7 +99,7 @@ type System struct {
 	lineMerges uint64
 
 	// batch holds the per-CU frame pools of the batched translation
-	// front-end; nil while the legacy per-line path is in use.
+	// front-end; nil while the per-line path is in use.
 	batch []batchPool
 
 	synonymReplays uint64
@@ -109,8 +108,7 @@ type System struct {
 	fillsSincePage int
 	finishCycle    uint64 // cycle the last warp retired
 
-	intra       *intraState // non-nil once enableIntra has partitioned the run
-	intraGauges bool        // partition gauges registered (once per System)
+	intra intraState // the System's partitions (see intra.go)
 
 	reg *obs.Registry
 }
@@ -143,6 +141,7 @@ func New(cfg Config) (*System, error) {
 	s.net.AddLink(noc.CUToL2, cfg.Lat.CUToL2, 0)
 	s.net.AddLink(noc.CUToIOMMU, cfg.Lat.CUToIOMMU, 0)
 	s.net.AddLink(noc.L2ToIOMMU, cfg.Lat.L2ToIOMMU, 0)
+	s.partition()
 
 	s.mem = dram.New(eng, cfg.DRAM)
 	s.alloc = memory.NewFrameAlloc(1 << 20)
@@ -168,8 +167,9 @@ func New(cfg Config) (*System, error) {
 	s.l2Pending = make(map[uint64][]lineWaiter)
 	s.cuStats = make([]cuCounters, cfg.GPU.NumCUs)
 	for i := 0; i < cfg.GPU.NumCUs; i++ {
+		cuEng := s.cuEng(i)
 		l1 := cache.New(cfg.L1)
-		l1.Clock = eng.Now
+		l1.Clock = cuEng.Now
 		s.l1s = append(s.l1s, l1)
 		s.filters = append(s.filters, make(map[memory.VPN]int))
 		s.tlbPending = append(s.tlbPending, make(map[memory.VPN][]func(memory.PTE, bool)))
@@ -177,11 +177,11 @@ func New(cfg Config) (*System, error) {
 			s.remaps = append(s.remaps, newRemapTable(cfg.RemapEntries))
 		}
 		t := tlb.New(cfg.PerCUTLB)
-		t.Clock = eng.Now
+		t.Clock = cuEng.Now
 		s.cuTLBs = append(s.cuTLBs, t)
 		if cfg.PerCUTLB2 != (tlb.Config{}) {
 			t2 := tlb.New(cfg.PerCUTLB2)
-			t2.Clock = eng.Now
+			t2.Clock = cuEng.Now
 			s.cuTLB2s = append(s.cuTLB2s, t2)
 		}
 	}
@@ -231,11 +231,12 @@ func New(cfg Config) (*System, error) {
 		}
 	}
 
-	s.gpu = gpu.New(eng, cfg.GPU, s)
+	s.gpu = gpu.New(cfg.GPU, s, (*gpuFabric)(s))
 	if cfg.BatchedTranslation {
 		s.enableBatching()
 	}
 	s.buildRegistry()
+	s.registerPartitionGauges()
 	return s, nil
 }
 
@@ -328,13 +329,9 @@ func (s *System) buildRegistry() {
 	})
 }
 
-// simNow returns the simulation clock: the legacy engine's clock, or in a
-// partitioned run the furthest-ahead partition (at window barriers all
-// partitions agree).
+// simNow returns the simulation clock: the furthest-ahead partition (at
+// window barriers all partitions agree).
 func (s *System) simNow() uint64 {
-	if s.intra == nil {
-		return s.eng.Now()
-	}
 	var max uint64
 	for _, e := range s.intra.engines {
 		if n := e.Now(); n > max {
@@ -346,9 +343,6 @@ func (s *System) simNow() uint64 {
 
 // totalFired returns events executed across all engines.
 func (s *System) totalFired() uint64 {
-	if s.intra == nil {
-		return s.eng.Fired()
-	}
 	var t uint64
 	for _, e := range s.intra.engines {
 		t += e.Fired()
@@ -359,9 +353,6 @@ func (s *System) totalFired() uint64 {
 // totalPending returns queued events across all engines (cross-partition
 // messages still in mailboxes are not counted).
 func (s *System) totalPending() int {
-	if s.intra == nil {
-		return s.eng.Pending()
-	}
 	t := 0
 	for _, e := range s.intra.engines {
 		t += e.Pending()
@@ -374,9 +365,9 @@ func (s *System) totalPending() int {
 func (s *System) Metrics() *obs.Registry { return s.reg }
 
 // AttachTrace points every component event emitter at sink, stamping
-// events with the owning engine's clock (the per-CU partition clocks in a
-// partitioned run). Passing nil detaches them, restoring the free
-// disabled path.
+// events with the owning engine's clock (the backend clock, or the CU's
+// partition clock for per-CU TLBs). Passing nil detaches them, restoring
+// the free disabled path.
 func (s *System) AttachTrace(sink obs.EventSink) {
 	emitter := func(comp string, clock func() uint64) *obs.Emitter {
 		if sink == nil {
@@ -398,8 +389,9 @@ func (s *System) AttachTrace(sink obs.EventSink) {
 	}
 }
 
-// Engine exposes the event engine (examples and tests drive it directly
-// for coherence/shootdown scenarios).
+// Engine exposes the backend partition's event engine, whose clock is the
+// System's clock between runs (examples and tests schedule coherence
+// probes on it and drive it directly).
 func (s *System) Engine() *sim.Engine { return s.eng }
 
 // Space exposes the current address space so callers can install synonym
@@ -556,31 +548,19 @@ func (ci cursorInput) finishErr() error              { return ci.c.Err() }
 // It panics on a modeling deadlock; RunContext is the error-returning,
 // cancellable, observable form.
 func (s *System) Run(tr *trace.Trace) Results {
-	s.contextSwitch(tr.ASID)
-	s.Prepare(tr)
-	completed := false
-	s.gpu.Launch(tr, func() {
-		completed = true
-		s.finishCycle = s.eng.Now()
-	})
-	s.eng.Run() // drains trailing store/writeback events past finishCycle
-	if !completed {
-		panic(ErrDeadlock)
+	res, err := s.RunContext(context.Background(), tr)
+	if err != nil {
+		panic(err)
 	}
-	s.io.ExtendSampling()
-	return s.results(tr.Name)
+	return res
 }
 
 // RunContext prepares and executes the trace to completion, honouring ctx
-// and the given options. Cancellation is checked between event chunks
-// (~65k events), so a cancelled run stops mid-simulation and returns
-// ctx.Err(). With no options the simulation is cycle-for-cycle identical
-// to Run: events execute one Step at a time in the same order, and the
-// clock never advances past the last real event.
-//
-// WithIntraParallelism selects the partitioned engine instead: a
-// different but equally deterministic schedule, byte-identical for every
-// worker count (see intra.go).
+// and the given options. Execution proceeds in conservative windows over
+// the System's partitions (see intra.go); cancellation, metrics snapshots
+// and progress are serviced at window barriers, so a cancelled run stops
+// mid-simulation and returns ctx.Err(). The schedule is a pure function
+// of the configuration: options only add observers or workers.
 func (s *System) RunContext(ctx context.Context, tr *trace.Trace, opts ...Option) (Results, error) {
 	return s.runInput(ctx, materializedInput{tr}, opts)
 }
@@ -591,6 +571,9 @@ func (s *System) RunContext(ctx context.Context, tr *trace.Trace, opts ...Option
 // is. The event schedule — and therefore Results, at any parallelism — is
 // byte-identical to RunContext over the materialized equivalent. A stream
 // that fails mid-run (truncation, corruption) returns the cursor's error.
+// The cursor is shared by all partition workers (its segment hand-off is
+// mutex-guarded), and refills are host work, so the schedule is
+// unchanged.
 func (s *System) RunCursor(ctx context.Context, c *trace.Cursor, opts ...Option) (Results, error) {
 	return s.runInput(ctx, cursorInput{c}, opts)
 }
@@ -603,42 +586,48 @@ func (s *System) runInput(ctx context.Context, in traceInput, opts []Option) (Re
 	if o.events != nil {
 		s.AttachTrace(o.events)
 	}
-	if o.batched {
-		s.enableBatching()
-	}
-	if o.intra > 0 {
-		return s.runIntra(ctx, in, &o)
-	}
-
 	s.contextSwitch(in.inASID())
 	in.prepare(s)
+	s.startRun(o.workers, o.events != nil)
 	completed := false
 	in.launch(s, func() {
 		completed = true
 		s.finishCycle = s.eng.Now()
 	})
-	if o.wantsMetrics() {
-		s.scheduleSnapshots(&o)
-	}
 
-	const chunk = 1 << 16
-	for {
-		if err := ctx.Err(); err != nil {
-			return Results{}, err
-		}
-		n := 0
-		for n < chunk && s.eng.Step() {
-			n++
-		}
-		if o.progress != nil && n > 0 {
-			o.progress(Progress{Cycle: s.eng.Now(), Events: s.eng.Fired()})
-		}
-		if n < chunk {
-			break // queue drained
-		}
+	interval := o.metricsInterval
+	if interval == 0 {
+		interval = defaultMetricsInterval
 	}
-	if err := in.finishErr(); err != nil {
+	nextSnap := s.eng.Now() + interval
+	var lastProgress uint64
+	var err error
+	onWindow := func(limit uint64) bool {
+		if e := ctx.Err(); e != nil {
+			err = e
+			return false
+		}
+		if o.wantsMetrics() && limit >= nextSnap {
+			s.flushRouteCounts()
+			s.emitSnapshot(&o)
+			for nextSnap <= limit {
+				nextSnap += interval
+			}
+		}
+		if o.progress != nil {
+			if f := s.totalFired(); f-lastProgress >= 1<<16 {
+				lastProgress = f
+				o.progress(Progress{Cycle: limit, Events: f})
+			}
+		}
+		return true
+	}
+	s.runWindows(onWindow)
+	if err != nil {
 		return Results{}, err
+	}
+	if e := in.finishErr(); e != nil {
+		return Results{}, e
 	}
 	if !completed {
 		return Results{}, ErrDeadlock
@@ -649,25 +638,6 @@ func (s *System) runInput(ctx context.Context, in traceInput, opts []Option) (Re
 		s.emitSnapshot(&o) // final totals at the end-of-run cycle
 	}
 	return res, o.sinkErr
-}
-
-// scheduleSnapshots starts the interval-snapshot tick: a self-rescheduling
-// engine event that emits one snapshot per interval and stops once the
-// event queue would otherwise be empty, so it never keeps the run alive.
-func (s *System) scheduleSnapshots(o *options) {
-	interval := o.metricsInterval
-	if interval == 0 {
-		interval = defaultMetricsInterval
-	}
-	var tick func()
-	tick = func() {
-		if s.eng.Pending() == 0 {
-			return // simulation over; RunContext emits the final snapshot
-		}
-		s.emitSnapshot(o)
-		s.eng.Schedule(interval, tick)
-	}
-	s.eng.Schedule(interval, tick)
 }
 
 // emitSnapshot reads the registry once and feeds every attached consumer.
@@ -747,31 +717,25 @@ func (s *System) onFBTEvict(v fbt.View) {
 			}
 		}
 	}
-	if s.intra != nil {
-		// Partitioned run: filters and L1s are front-end state, so the
-		// flush decision and the flush itself travel to each CU as a
-		// cross-partition message over the GPU network.
-		for cu := range s.l1s {
-			cu := cu
-			s.sendToCU(cu, noc.CUToL2, func() {
-				if !s.cfg.InvFilter || s.filters[cu][v.LVPN] > 0 {
-					s.flushL1(cu)
-				}
-			})
-		}
-		return
-	}
-	if !s.cfg.InvFilter {
-		// Without filters every L1 must flush.
-		for cu := range s.l1s {
-			s.flushL1(cu)
-		}
-		return
-	}
+	// Filters and L1s are front-end state: during a run the flush decision
+	// and the flush itself travel to each CU as a message over the GPU
+	// network; between runs (a shootdown or flush from the host) they take
+	// effect before the operation returns.
 	for cu := range s.l1s {
-		if s.filters[cu][v.LVPN] > 0 {
-			s.flushL1(cu)
+		if s.intra.running {
+			s.sendL1Inval(cu, v.LVPN)
+		} else {
+			s.invalidateL1(cu, v.LVPN)
 		}
+	}
+}
+
+// invalidateL1 applies an FBT eviction of page lvpn at cu: the CU flushes
+// its whole L1 when its invalidation filter matches the page, and always
+// without filters.
+func (s *System) invalidateL1(cu int, lvpn memory.VPN) {
+	if !s.cfg.InvFilter || s.filters[cu][lvpn] > 0 {
+		s.flushL1(cu)
 	}
 }
 

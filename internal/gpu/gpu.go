@@ -8,6 +8,10 @@
 // Scratchpad accesses complete locally without touching TLBs or caches, as
 // in the baseline system.
 //
+// The GPU always runs on a partitioned simulation (see Fabric): each CU's
+// warps and issue port live on that CU's engine, and the warp-global
+// coordinator on another, reached only by messages.
+//
 // Warp stepping is allocation-free: each warp implements sim.Handler and
 // re-schedules itself with an action argument (step / advance / issue line
 // i), and coalesced lines land in a per-warp buffer reused across
@@ -59,6 +63,20 @@ type StreamSource interface {
 	NextSegment(cu, warp int) (trace.Segment, bool)
 }
 
+// Fabric places the GPU on a partitioned simulation. Each CU front end
+// runs on its own engine; the warp-global coordinator — live-warp count,
+// barrier rendezvous, run completion — runs on CoordEngine and is reached
+// only through ToCoord (CU -> coordinator), with barrier releases flowing
+// back through ToCU (coordinator -> CU), so no warp state is ever touched
+// across partitions. Both deliver h.Handle(arg) on the destination's
+// engine; neither may allocate per message.
+type Fabric interface {
+	CUEngine(cu int) *sim.Engine
+	CoordEngine() *sim.Engine
+	ToCoord(cu int, h sim.Handler, arg uint64)
+	ToCU(cu int, h sim.Handler, arg uint64)
+}
+
 // Config describes the GPU front-end.
 type Config struct {
 	// NumCUs is the compute unit count (paper: 16).
@@ -90,27 +108,14 @@ type Stats struct {
 	Barriers      uint64
 }
 
-// GPU executes a trace against a MemoryPath.
-//
-// By default every CU schedules on the engine the GPU was built with. In
-// a partitioned simulation (see Partition) each CU owns its own engine,
-// and the warp-global coordination state — the live-warp count, the
-// barrier rendezvous, run completion — lives with the coordinator on the
-// construction engine; CUs reach it only through the toCoord message
-// hook, and it releases barriers back through toCU, so no warp state is
-// ever touched across partitions.
+// GPU executes a trace against a MemoryPath, on the partitions its Fabric
+// provides.
 type GPU struct {
-	eng     *sim.Engine
+	fab     Fabric
 	cfg     Config
 	path    MemoryPath
 	batched BatchedPath // non-nil once EnableBatchedIssue ran
 	cus     []*cu
-
-	// Partitioned-mode hooks (nil = direct synchronous calls). toCoord
-	// carries the sending CU so the partition runner can stamp the
-	// message with the source engine's clock.
-	toCoord func(cu int, fn func())
-	toCU    func(cu int, fn func())
 
 	liveWarps  int
 	atBarrier  int
@@ -124,6 +129,12 @@ type cu struct {
 	warps []*warp
 	st    Stats
 }
+
+// Coordinator message arguments (GPU.Handle).
+const (
+	coordBarrier = 0 // a warp arrived at the barrier
+	coordRetire  = 1 // a warp retired its last instruction
+)
 
 // Warp event arguments (sim.Handler). Values >= warpIssue0 issue the
 // coalesced line at index arg-warpIssue0 of the warp's line buffer.
@@ -152,13 +163,15 @@ type warp struct {
 	lineDone func()         // completion callback, created once per warp
 }
 
-// New builds a GPU front-end over the given memory path.
-func New(eng *sim.Engine, cfg Config, path MemoryPath) *GPU {
+// New builds a GPU front-end over the given memory path, placing each CU
+// on its fabric engine.
+func New(cfg Config, path MemoryPath, fab Fabric) *GPU {
 	if cfg.NumCUs <= 0 || cfg.Lanes <= 0 {
 		panic("gpu: invalid config")
 	}
-	g := &GPU{eng: eng, cfg: cfg, path: path}
+	g := &GPU{fab: fab, cfg: cfg, path: path}
 	for i := 0; i < cfg.NumCUs; i++ {
+		eng := fab.CUEngine(i)
 		g.cus = append(g.cus, &cu{id: i, eng: eng, port: sim.NewBandwidthServer(eng, cfg.IssuePerCycle)})
 	}
 	return g
@@ -176,20 +189,6 @@ func (g *GPU) EnableBatchedIssue() {
 		panic("gpu: memory path does not implement BatchedPath")
 	}
 	g.batched = bp
-}
-
-// Partition rebinds every CU to its own engine for a partitioned run:
-// warp events and the issue port move to cuEng(id), and the coordinator
-// state stays on the construction engine, reached via toCoord (CU ->
-// coordinator) with barrier releases flowing back via toCU (coordinator
-// -> CU). Both hooks must deliver the closure on the destination
-// partition's engine. Call before Launch.
-func (g *GPU) Partition(cuEng func(cu int) *sim.Engine, toCoord func(cu int, fn func()), toCU func(cu int, fn func())) {
-	g.toCoord, g.toCU = toCoord, toCU
-	for _, c := range g.cus {
-		c.eng = cuEng(c.id)
-		c.port = sim.NewBandwidthServer(c.eng, g.cfg.IssuePerCycle)
-	}
 }
 
 // Stats returns the counters summed over CUs (each CU counts its own
@@ -230,7 +229,7 @@ func (g *GPU) Launch(tr *trace.Trace, onComplete func()) {
 		}
 	}
 	if g.liveWarps == 0 {
-		g.eng.Schedule(0, g.complete)
+		g.fab.CoordEngine().Schedule(0, g.complete)
 		return
 	}
 	for _, c := range g.cus {
@@ -264,7 +263,7 @@ func (g *GPU) LaunchStream(src StreamSource, onComplete func()) {
 		}
 	}
 	if g.liveWarps == 0 {
-		g.eng.Schedule(0, g.complete)
+		g.fab.CoordEngine().Schedule(0, g.complete)
 		return
 	}
 	for _, c := range g.cus {
@@ -329,19 +328,18 @@ func (w *warp) step() {
 	case trace.Barrier:
 		c.st.Barriers++
 		w.waiting = true
-		if g.toCoord != nil {
-			g.toCoord(c.id, g.barrierArrive)
-		} else {
-			g.barrierArrive()
-		}
+		g.fab.ToCoord(c.id, g, coordBarrier)
 	default:
 		panic(fmt.Sprintf("gpu: unknown instruction kind %v", in.Kind))
 	}
 }
 
-// barrierArrive runs at the coordinator: one more warp reached the
-// barrier.
-func (g *GPU) barrierArrive() {
+// Handle runs a coordinator message (sim.Handler).
+func (g *GPU) Handle(arg uint64) {
+	if arg == coordRetire {
+		g.finishOne()
+		return
+	}
 	g.atBarrier++
 	g.checkBarrier()
 }
@@ -370,11 +368,7 @@ func (w *warp) finish() {
 		return
 	}
 	w.done = true
-	if w.g.toCoord != nil {
-		w.g.toCoord(w.cu.id, w.g.finishOne)
-		return
-	}
-	w.g.finishOne()
+	w.g.fab.ToCoord(w.cu.id, w.g, coordRetire)
 }
 
 // finishOne runs at the coordinator: a warp retired its last instruction.
@@ -390,24 +384,20 @@ func (g *GPU) finishOne() {
 
 // checkBarrier releases all waiting warps once every live warp waits. The
 // coordinator only counts arrivals; the per-warp waiting flags are CU
-// state, so in partitioned mode the release is broadcast and each CU
-// wakes its own warps.
+// state, so the release is broadcast and each CU wakes its own warps.
 func (g *GPU) checkBarrier() {
 	if g.atBarrier == 0 || g.atBarrier < g.liveWarps {
 		return
 	}
 	g.atBarrier = 0
 	for _, c := range g.cus {
-		if g.toCU != nil {
-			g.toCU(c.id, c.release)
-		} else {
-			c.release()
-		}
+		g.fab.ToCU(c.id, c, 0)
 	}
 }
 
-// release wakes the CU's barrier-waiting warps.
-func (c *cu) release() {
+// Handle runs the coordinator's barrier release on the CU (sim.Handler):
+// wake the CU's barrier-waiting warps.
+func (c *cu) Handle(uint64) {
 	for _, w := range c.warps {
 		if w.waiting {
 			w.waiting = false

@@ -62,8 +62,8 @@ func TestHTTPServedResultMatchesLocalRun(t *testing.T) {
 		t.Fatal("wait-mode response did not inline the result")
 	}
 
-	// The acceptance bar: bytes fetched over HTTP must equal a local
-	// canonical-schedule run of the same spec.
+	// The acceptance bar: bytes fetched over HTTP must equal a plain local
+	// library run of the same spec, with no options.
 	_, raw, err := client.Result(ctx, info.ID)
 	if err != nil {
 		t.Fatalf("Result: %v", err)
@@ -73,7 +73,7 @@ func TestHTTPServedResultMatchesLocalRun(t *testing.T) {
 		t.Fatalf("Resolve: %v", err)
 	}
 	g, _ := workloads.ByName("nw")
-	local, err := core.RunContext(ctx, cfg, g.Build(p), core.WithIntraParallelism(1))
+	local, err := core.RunContext(ctx, cfg, g.Build(p))
 	if err != nil {
 		t.Fatalf("local run: %v", err)
 	}

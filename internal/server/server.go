@@ -14,11 +14,10 @@
 //     canonical apiv1 encoding, so two jobs with one fingerprint return
 //     literally the same bytes.
 //
-// Runs execute on the canonical partitioned schedule
-// (core.WithIntraParallelism, n >= 1), the same schedule the experiments
-// suite and artifact cache use — so a result computed by the daemon is
-// byte-identical to one computed locally or found in a cache shared with
-// vcsim/vcfigs.
+// Runs execute the simulator's one (partitioned) schedule, on
+// Options.Intra worker threads — so a result computed by the daemon is
+// byte-identical to one computed by the library, vcsim or the figure
+// suite, or found in a cache shared with them.
 //
 // The HTTP surface (http.go) is a thin translation of this engine into
 // the api/v1 wire schema.
@@ -97,7 +96,7 @@ type runner interface {
 }
 
 // simRunner is the real thing: trace via the artifact cache (generated on
-// miss), then a canonical-schedule RunContext.
+// miss), then a RunContext.
 type simRunner struct {
 	cache *artifact.Cache
 	intra int
@@ -121,11 +120,7 @@ func (r simRunner) run(ctx context.Context, workload string, p workloads.Params,
 	if err != nil {
 		return core.Results{}, nil, err
 	}
-	intra := r.intra
-	if intra < 1 {
-		intra = 1
-	}
-	opts := []core.Option{core.WithIntraParallelism(intra)}
+	opts := []core.Option{core.WithIntraParallelism(r.intra)}
 	if progress != nil {
 		opts = append(opts, core.WithProgress(progress))
 	}

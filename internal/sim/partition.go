@@ -51,19 +51,14 @@ type Partitioned struct {
 	stop    atomic.Bool
 	arrived atomic.Int64
 
-	panics  []any // per-worker captured panic values
-	started bool
-	done    chan struct{}
+	panics []any // per-worker captured panic values
+	done   chan struct{}
 }
 
 // NewPartitioned builds a runner over the given engines. lookahead is the
 // minimum cross-partition message delay in cycles (clamped to >= 1).
-// workers bounds the OS-thread parallelism; it is clamped to
-// [1, min(len(engines), GOMAXPROCS)]. Worker 0 always owns partition 0
-// (by convention the shared backend); the remaining partitions are
-// assigned round-robin over workers 1..workers-1, or all to worker 0 when
-// workers == 1. The executed schedule is identical for every worker
-// count.
+// workers bounds the OS-thread parallelism (see SetWorkers). The executed
+// schedule is identical for every worker count.
 func NewPartitioned(engines []*Engine, lookahead uint64, workers int) *Partitioned {
 	if len(engines) == 0 {
 		panic("sim: NewPartitioned with no engines")
@@ -71,22 +66,32 @@ func NewPartitioned(engines []*Engine, lookahead uint64, workers int) *Partition
 	if lookahead == 0 {
 		lookahead = 1
 	}
+	p := &Partitioned{
+		engines:   engines,
+		lookahead: lookahead,
+		outbox:    make([][]crossMsg, len(engines)),
+		owner:     make([]int, len(engines)),
+	}
+	p.SetWorkers(workers)
+	return p
+}
+
+// SetWorkers sets the OS-thread parallelism of the next Run, clamped to
+// [1, min(len(engines), GOMAXPROCS)]. Worker 0 always owns partition 0
+// (by convention the shared backend); the remaining partitions are
+// assigned round-robin over workers 1..workers-1, or all to worker 0 when
+// workers == 1. Call between runs only.
+func (p *Partitioned) SetWorkers(workers int) {
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > len(engines) {
-		workers = len(engines)
+	if workers > len(p.engines) {
+		workers = len(p.engines)
 	}
 	if max := runtime.GOMAXPROCS(0); workers > max {
 		workers = max
 	}
-	p := &Partitioned{
-		engines:   engines,
-		lookahead: lookahead,
-		workers:   workers,
-		outbox:    make([][]crossMsg, len(engines)),
-		owner:     make([]int, len(engines)),
-	}
+	p.workers = workers
 	for i := range p.owner {
 		if i == 0 || workers == 1 {
 			p.owner[i] = 0
@@ -94,7 +99,6 @@ func NewPartitioned(engines []*Engine, lookahead uint64, workers int) *Partition
 			p.owner[i] = (i-1)%(workers-1) + 1
 		}
 	}
-	return p
 }
 
 // Lookahead returns the window width in cycles.
@@ -167,8 +171,9 @@ func (p *Partitioned) nextWindow() (uint64, bool) {
 // Run executes windows until every engine drains or onWindow returns
 // false. onWindow (optional) runs at each barrier — workers quiescent,
 // all engines advanced to the window limit — and may inspect any
-// partition state; returning false stops the run. Run may be called once
-// per Partitioned.
+// partition state; returning false stops the run. Run may be called again
+// once it returns (e.g. after scheduling more events); Windows and
+// Crossings accumulate across runs.
 func (p *Partitioned) Run(onWindow func(limit uint64) bool) {
 	if p.workers <= 1 {
 		p.runSerial(onWindow)
@@ -200,10 +205,11 @@ func (p *Partitioned) runSerial(onWindow func(limit uint64) bool) {
 // barrier. Atomics provide the happens-before edges, so the runner is
 // race-detector clean.
 func (p *Partitioned) runParallel(onWindow func(limit uint64) bool) {
-	if p.started {
-		panic("sim: Partitioned.Run called twice")
-	}
-	p.started = true
+	// Reset the barrier before any worker starts: a fresh worker treats
+	// every epoch other than zero as an open window.
+	p.epoch.Store(0)
+	p.stop.Store(false)
+	p.arrived.Store(0)
 	p.panics = make([]any, p.workers)
 	p.done = make(chan struct{})
 	var finished atomic.Int64

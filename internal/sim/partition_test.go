@@ -162,3 +162,31 @@ func TestPartitionedWorkerPanicPropagates(t *testing.T) {
 		}()
 	}
 }
+
+// TestPartitionedRerun: one runner drives several runs back to back, each
+// at its own worker count, and every run resumes from the clocks the
+// previous one left behind.
+func TestPartitionedRerun(t *testing.T) {
+	engines := []*Engine{New(), New(), New()}
+	p := NewPartitioned(engines, 10, 1)
+	var arrivals []uint64
+	var windows uint64
+	for _, workers := range []int{1, 3, 2} {
+		p.SetWorkers(workers)
+		start := engines[0].Now()
+		engines[0].Schedule(0, func() {
+			p.Send(0, 2, 10, func() { arrivals = append(arrivals, engines[2].Now()) })
+		})
+		p.Run(nil)
+		if n := len(arrivals); n == 0 || arrivals[n-1] != start+10 {
+			t.Fatalf("workers=%d: arrivals %v, want last at %d", workers, arrivals, start+10)
+		}
+		if p.Windows() <= windows {
+			t.Fatalf("workers=%d: window count did not accumulate", workers)
+		}
+		windows = p.Windows()
+	}
+	if p.Crossings() != 3 {
+		t.Fatalf("crossings = %d, want 3", p.Crossings())
+	}
+}

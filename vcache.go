@@ -202,8 +202,8 @@ func NewTraceBuilderASID(name string, asid ASID, numCUs, warpsPerCU int) *TraceB
 // LoadTrace reads a trace saved by Trace.Save (or cmd/tracegen -o).
 func LoadTrace(path string) (*Trace, error) { return trace.LoadFile(path) }
 
-// RunContext options. Each attaches an observer to the run; none perturbs
-// the simulated timing.
+// RunContext options. Each attaches an observer (or worker threads) to the
+// run; none perturbs the simulated timing.
 var (
 	// WithMetricsSink streams interval metrics snapshots to a writer as
 	// JSONL.
@@ -217,15 +217,10 @@ var (
 	WithEventTrace = core.WithEventTrace
 	// WithProgress reports liveness during long runs.
 	WithProgress = core.WithProgress
-	// WithIntraParallelism runs the simulation on n worker threads using
-	// the partitioned event engine with conservative cycle windows; results
-	// are byte-identical at any n.
+	// WithIntraParallelism runs the simulation's partitions on up to n
+	// worker threads (n < 1 means 1). Every run executes the same
+	// partitioned schedule, so results are byte-identical at any n.
 	WithIntraParallelism = core.WithIntraParallelism
-	// WithBatchedTranslation enables the batched translation front-end
-	// (warp-level TranslateLines with page-chunk dedup and bulk IOMMU miss
-	// submission); deterministic but a different schedule than the default
-	// per-line path. Prefer Config.BatchedTranslation for cached runs.
-	WithBatchedTranslation = core.WithBatchedTranslation
 )
 
 // NewSystem assembles a system; use it instead of Run when you need to
