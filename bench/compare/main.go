@@ -42,7 +42,7 @@ type snapshot struct {
 // perf work bounds, plus the synthetic speedup entries derived from them.
 const defaultFilter = `BenchmarkTranslateLines|BenchmarkChurn|BenchmarkFlatMap|` +
 	`BenchmarkLookup|BenchmarkInfiniteLookup|BenchmarkInsertEvict|BenchmarkAccess|` +
-	`ChurnFlushSpeedup|FlatMapSpeedup`
+	`FlatMapSpeedup`
 
 func main() {
 	baseline := flag.String("baseline", "", "baseline snapshot (default: latest bench/BENCH_*.json)")

@@ -93,16 +93,14 @@ func main() {
 	}
 
 	// Tenant churn: the flush-dominated rollover microbench, timed at a
-	// fixed iteration count (its lazy arm is microseconds per op; the
-	// default benchtime would spend minutes in untimed population). The
-	// lazy/eager ratio lands in the snapshot as ChurnFlushSpeedup.
+	// fixed iteration count (each rollover is microseconds; the default
+	// benchtime would spend minutes in untimed population).
 	if err := runBench(&snap, []string{
 		"test", "-run", "^$", "-bench", "BenchmarkChurn",
 		"-benchtime", "500x", "-benchmem", "./internal/experiments",
 	}); err != nil {
 		fatal(err)
 	}
-	recordChurnSpeedup(&snap)
 
 	// Serving layer: jobs/s and latency quantiles through a real vcsimd
 	// subprocess for the three canonical mixes (cold simulations,
@@ -152,31 +150,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "bench:", err)
 	os.Exit(1)
-}
-
-// recordChurnSpeedup folds the BenchmarkChurn arms into one synthetic
-// entry carrying the lazy-over-eager per-rollover speedup — the number
-// the epoch-invalidation acceptance criteria bound (>= 10x).
-func recordChurnSpeedup(snap *Snapshot) {
-	var lazy, eager float64
-	for _, b := range snap.Benchmarks {
-		switch {
-		case strings.HasSuffix(b.Name, "BenchmarkChurn/flush=lazy"), b.Name == "BenchmarkChurn/flush=lazy":
-			lazy = b.Metrics["ns/op"]
-		case strings.HasSuffix(b.Name, "BenchmarkChurn/flush=eager"), b.Name == "BenchmarkChurn/flush=eager":
-			eager = b.Metrics["ns/op"]
-		}
-	}
-	if lazy <= 0 || eager <= 0 {
-		return
-	}
-	speedup := eager / lazy
-	fmt.Fprintf(os.Stderr, "churn flush: lazy %.1fus, eager %.1fus (%.1fx)\n",
-		lazy/1e3, eager/1e3, speedup)
-	snap.Benchmarks = append(snap.Benchmarks, Benchmark{
-		Name: "ChurnFlushSpeedup", Package: "vcache/bench", Iterations: 1,
-		Metrics: map[string]float64{"speedup": speedup},
-	})
 }
 
 // recordFlatMapSpeedup folds the BenchmarkFlatMap arms into synthetic

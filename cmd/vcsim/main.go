@@ -13,7 +13,10 @@
 // With several designs (comma-separated, or "all"), the simulations run
 // concurrently on a worker pool (-parallel, default NumCPU) over the one
 // shared immutable trace; each simulation is single-threaded and
-// deterministic, and results print in the order the designs were named.
+// deterministic, and results print in the order the designs were named,
+// followed by a side-by-side comparison table: cycles relative to the
+// first ideal-MMU run (else the first design), translation traffic and
+// hit ratios.
 //
 // Observability: -metrics FILE streams each run's interval metrics
 // snapshots (per-component counter registry) as labeled JSONL, and
@@ -344,6 +347,10 @@ func main() {
 		}
 		printResults(r, *probe)
 	}
+	if !*asJSON && len(results) > 1 {
+		fmt.Println()
+		fmt.Println(comparison(results))
+	}
 	if *cacheStats && cache != nil {
 		fmt.Fprintf(os.Stderr, "cache %s: %s\n", cache.Dir(), cache.Stats())
 	}
@@ -445,6 +452,35 @@ func writeMetrics(path, workload string, cfgs []core.Config, snaps [][]obs.Snaps
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d metrics snapshots to %s\n", n, path)
 	return nil
+}
+
+// comparison renders the designs side by side, with cycles relative to
+// the first ideal-MMU run, or to the first design when none is ideal.
+func comparison(results []core.Results) string {
+	base := results[0]
+	for _, r := range results {
+		if r.Kind == core.IdealMMU {
+			base = r
+			break
+		}
+	}
+	t := &report.Table{
+		Headers: []string{"design", "cycles", "vs " + base.Design, "IOMMU reqs", "acc/cy",
+			"walks", "q-delay p95", "L1 hit", "L2 hit", "DRAM rd"},
+	}
+	for _, r := range results {
+		t.AddRow(r.Design,
+			fmt.Sprintf("%d", r.Cycles),
+			fmt.Sprintf("%.2fx", r.RelativeTime(base)),
+			fmt.Sprintf("%d", r.IOMMU.Requests),
+			fmt.Sprintf("%.3f", r.IOMMURate.Mean),
+			fmt.Sprintf("%d", r.IOMMU.Walks),
+			fmt.Sprintf("%.0f", r.IOMMUDelayP95),
+			report.Pct(r.L1.HitRatio()),
+			report.Pct(r.L2.HitRatio()),
+			fmt.Sprintf("%d", r.DRAM.Reads))
+	}
+	return t.Render()
 }
 
 func printResults(r core.Results, probe bool) {

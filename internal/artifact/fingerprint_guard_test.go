@@ -59,7 +59,6 @@ var configShapeGolden = []string{
 	"Config.DRAM.Latency uint64",
 	"Config.DRAM.LinesPerCycle int",
 	"Config.DynamicSynonymRemap bool",
-	"Config.EagerFlush bool",
 	"Config.FBT.Assoc int",
 	"Config.FBT.Entries int",
 	"Config.Faults core.FaultPolicy",

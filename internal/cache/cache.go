@@ -5,15 +5,14 @@
 // invalidation supports FBT-entry eviction and TLB shootdown. Addresses are
 // opaque uint64s; the owner decides whether they are virtual or physical.
 //
-// Bulk invalidation (InvalidateAll / InvalidateASID) is epoch-based by
-// default: a generation bump retires every targeted line at once and dead
-// lines are reclaimed when their slot is next touched. Residency and dirty
-// counts are maintained incrementally so Resident() and the flush
-// accounting stay exact without scans. The eager scan paths survive behind
-// the Eager flag; only eager bulk invalidation fires OnEvict per line, so
-// owners that must observe individual lines during a bulk flush (lifetime
-// tracking, per-line writeback modeling) set Eager and owners on the lazy
-// path account for writebacks in aggregate.
+// Bulk invalidation (InvalidateAll / InvalidateASID) is epoch-based: a
+// generation bump retires every targeted line at once and dead lines are
+// reclaimed when their slot is next touched. Residency and dirty counts are
+// maintained incrementally so Resident() and the flush accounting stay
+// exact without scans. Bulk invalidations never fire OnEvict: owners
+// account for the writebacks they owe in aggregate (DirtyLines /
+// ASIDResident) before flushing. The scan they replace survives only as
+// the reference model of the package's differential tests.
 package cache
 
 import (
@@ -123,7 +122,7 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits()) / float64(a)
 }
 
-// asidCnt tracks one address space's live lines so lazy InvalidateASID can
+// asidCnt tracks one address space's live lines so InvalidateASID can
 // account for them without a scan.
 type asidCnt struct {
 	n     int // live lines
@@ -148,18 +147,11 @@ type Cache struct {
 	perASID  flatmap.Map[asidCnt]  // keyed by uint64(asid)
 	pages    flatmap.Map[struct{}] // reusable DistinctPages scratch
 
-	// Eager restores scan-based bulk invalidation: InvalidateAll and
-	// InvalidateASID walk every line and fire OnEvict per line. Lazy bulk
-	// invalidation (the default) updates the same counters but never fires
-	// OnEvict — owners account for writebacks in aggregate via DirtyLines /
-	// ASIDResident before flushing.
-	Eager bool
-
 	// Clock, if set, supplies the current cycle for lifetime tracking.
 	Clock func() uint64
-	// OnEvict, if set, observes every line leaving the cache (capacity
-	// eviction or invalidation). Dirty lines need writing back by the
-	// owner. Lazy bulk invalidations (Eager == false) skip it.
+	// OnEvict, if set, observes every line leaving the cache by capacity
+	// eviction or line/page invalidation. Dirty lines need writing back by
+	// the owner. Bulk invalidations retire lines without it.
 	OnEvict func(l Line)
 }
 
@@ -418,24 +410,11 @@ func (c *Cache) InvalidatePage(pageAddr uint64) int {
 	return n
 }
 
-// InvalidateAll flushes the cache, returning the number of lines dropped.
-// Lazy unless Eager is set: one generation bump retires every line, with
-// stats (Invalidated, Evictions, Writebacks) accounted in aggregate and no
-// per-line OnEvict.
+// InvalidateAll flushes the cache, returning the number of lines dropped:
+// one generation bump retires every line, with stats (Invalidated,
+// Evictions, Writebacks) accounted in aggregate and no per-line OnEvict.
 func (c *Cache) InvalidateAll() int {
 	n := c.resident
-	if c.Eager {
-		for si := range c.sets {
-			set := c.sets[si]
-			for i := range set {
-				if set[i].Valid && c.live(&set[i]) {
-					c.stats.Invalidated++
-					c.evict(&set[i])
-				}
-			}
-		}
-		return n
-	}
 	if n == 0 {
 		return 0
 	}
@@ -450,28 +429,15 @@ func (c *Cache) InvalidateAll() int {
 }
 
 // InvalidateASID removes every line belonging to one address space (ASID
-// rollover on a virtually-tagged cache), returning the number dropped.
-// Lazy unless Eager is set.
+// rollover on a virtually-tagged cache), returning the number dropped: one
+// generation mark on the address space retires them, accounted like
+// InvalidateAll.
 func (c *Cache) InvalidateASID(asid memory.ASID) int {
-	n, nDirty := 0, 0
-	if ac := c.perASID.Ref(uint64(asid)); ac != nil {
-		n, nDirty = ac.n, ac.dirty
-	}
-	if c.Eager {
-		for si := range c.sets {
-			set := c.sets[si]
-			for i := range set {
-				if set[i].Valid && set[i].ASID == asid && c.live(&set[i]) {
-					c.stats.Invalidated++
-					c.evict(&set[i])
-				}
-			}
-		}
-		return n
-	}
-	if n == 0 {
+	ac := c.perASID.Ref(uint64(asid))
+	if ac == nil {
 		return 0
 	}
+	n, nDirty := ac.n, ac.dirty
 	c.stats.Invalidated += uint64(n)
 	c.stats.Evictions += uint64(n)
 	c.stats.Writebacks += uint64(nDirty)
@@ -479,20 +445,6 @@ func (c *Cache) InvalidateASID(asid memory.ASID) int {
 	c.dirty -= nDirty
 	c.perASID.Delete(uint64(asid))
 	c.ep.MarkDeadASID(uint16(asid), c.bumpGen())
-	return n
-}
-
-// LinesInPage counts resident lines belonging to pageAddr's page.
-func (c *Cache) LinesInPage(pageAddr uint64) int {
-	base := pageAddr &^ uint64(memory.PageSize-1)
-	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].Valid && set[i].Addr&^uint64(memory.PageSize-1) == base && c.live(&set[i]) {
-				n++
-			}
-		}
-	}
 	return n
 }
 

@@ -98,8 +98,8 @@ func TestInvalidatePageSelective(t *testing.T) {
 		c.Fill(uint64(0x10000+i*128), memory.PermRead, 1, false)
 	}
 	c.Fill(0x20000, memory.PermRead, 1, false) // other page
-	if got := c.LinesInPage(0x10000); got != memory.LinesPerPage {
-		t.Fatalf("LinesInPage = %d, want %d", got, memory.LinesPerPage)
+	if got := c.Resident(); got != memory.LinesPerPage+1 {
+		t.Fatalf("Resident = %d, want %d", got, memory.LinesPerPage+1)
 	}
 	n := c.InvalidatePage(0x10234) // any addr in the page
 	if n != memory.LinesPerPage {
@@ -127,13 +127,24 @@ func TestInvalidateLineReportsDirty(t *testing.T) {
 
 func TestInvalidateAll(t *testing.T) {
 	c := smallCache(WriteBack)
+	fired := 0
+	c.OnEvict = func(Line) { fired++ }
 	c.Fill(0x0, memory.PermRead, 1, false)
-	c.Fill(0x1000, memory.PermRead, 1, false)
+	c.Fill(0x1000, memory.PermRead, 1, true)
+	c.Fill(0x80, memory.PermRead, 2, true)
+	if n := c.InvalidateASID(2); n != 1 {
+		t.Fatalf("InvalidateASID = %d, want 1", n)
+	}
 	if n := c.InvalidateAll(); n != 2 {
 		t.Fatalf("InvalidateAll = %d, want 2", n)
 	}
 	if c.Resident() != 0 {
 		t.Fatal("lines survived full invalidation")
+	}
+	// Bulk invalidation never fires OnEvict, yet accounts the writebacks
+	// the dirty lines owe.
+	if st := c.Stats(); fired != 0 || st.Invalidated != 3 || st.Writebacks != 2 {
+		t.Fatalf("OnEvict fired %d times, stats %+v; want 0, 3 invalidated, 2 writebacks", fired, st)
 	}
 }
 

@@ -137,7 +137,11 @@ type Config struct {
 	// and the FBT tracks large pages at 4KB-subpage granularity.
 	LargePages bool
 	// TrackLifetimes records TLB-entry and cache-line lifetime CDFs
-	// (appendix figure); costs some memory.
+	// (appendix figure); costs some memory. It only observes: the CDFs
+	// sample capacity evictions and line or page invalidations, and leave
+	// out entries retired by a bulk invalidation (FlushGPU, RetireASID,
+	// context switches), as they leave out entries still resident at the
+	// end of a run.
 	TrackLifetimes bool
 	// ProbeResidency classifies each per-CU TLB miss by where the data
 	// currently resides (L1/L2/memory) — Figure 2's breakdown.
@@ -150,15 +154,6 @@ type Config struct {
 	// by SimVersion; see DESIGN.md. No-op for VirtualHierarchy and
 	// IdealMMU, whose designs have nothing to batch.
 	BatchedTranslation bool
-	// EagerFlush restores scan-based bulk invalidation in the TLBs, caches,
-	// and FBT: every InvalidateAll/InvalidateASID/FlushAll walks the
-	// structure and fires per-entry eviction hooks, instead of the default
-	// O(1)-amortized epoch retirement with aggregate accounting. The two
-	// modes are pinned byte-identical (Results and metrics snapshots) by
-	// differential tests; the flag exists for that pin and for lifetime
-	// tracking, which needs per-entry hooks and forces it on. See DESIGN.md
-	// "Bulk invalidation & tenant churn".
-	EagerFlush bool
 }
 
 // DefaultConfig returns the Table 1 baseline system (Baseline 512).
@@ -279,8 +274,8 @@ type Design struct {
 }
 
 // Designs is the design registry: every named preset, in paper order.
-// vcsim, vcdiff and the api/v1 job schema all resolve design names
-// through it.
+// vcsim (including its multi-design comparison, vcsim -design a,b,c) and
+// the api/v1 job schema resolve design names through it.
 var Designs = []Design{
 	{"ideal", DesignIdeal},
 	{"baseline-512", DesignBaseline512},

@@ -178,6 +178,33 @@ func TestBackToBackKernelsKeepServiceTime(t *testing.T) {
 	}
 }
 
+// TestRelaunchFiresOnlyNewWarps: a launch steps only its own kernel's
+// warps. Identical kernels on one System, with caches and TLBs warm after
+// the first, fire the same number of events per launch; re-stepping every
+// earlier kernel's retired warps would add one event per old warp.
+func TestRelaunchFiresOnlyNewWarps(t *testing.T) {
+	sys := MustNew(smallCfg(DesignBaseline512()))
+	var fired []uint64
+	var prev uint64
+	for k := 0; k < 4; k++ {
+		b := trace.NewBuilder("kernel", 1, 4, 2)
+		for w := 0; w < 8; w++ {
+			b.Warp().Load(memory.VAddr(w * memory.LineSize)).Compute(100)
+		}
+		if _, err := sys.RunContext(context.Background(), b.Build()); err != nil {
+			t.Fatal(err)
+		}
+		info, _ := sys.IntraInfo()
+		fired = append(fired, info.Events-prev)
+		prev = info.Events
+	}
+	for k := 2; k < len(fired); k++ {
+		if fired[k] != fired[1] {
+			t.Fatalf("events per launch %v: warm launches differ", fired)
+		}
+	}
+}
+
 // TestLaunchAlignsCUClocks: no per-CU clock runs behind the backend clock
 // when a kernel launches. Per-CU TLB events are stamped with their CU's
 // partition clock (which the CU's L1 shares), so every TLB miss a kernel

@@ -49,13 +49,9 @@ func (s *System) FlushGPU() {
 		t.InvalidateAll()
 	}
 	s.io.ShootdownAll()
-	if s.fbt == nil {
-		return
+	if s.fbt != nil {
+		s.fbt.FlushAll()
 	}
-	eager := s.fbt.Eager
-	s.fbt.Eager = true
-	s.fbt.FlushAll()
-	s.fbt.Eager = eager
 }
 
 // RetireASID retires an address-space slot (tenant kernel rollover): every
@@ -67,10 +63,10 @@ func (s *System) FlushGPU() {
 // designs any L1 holding the space's lines conservatively flushes whole
 // (the same rule the FBT-eviction path applies); physically-tagged L1s
 // invalidate selectively. The ASID-batched form invalidates the L2
-// directly rather than entry-by-entry through BT bit vectors, so it is
-// mode-symmetric by construction: the per-entry FBT eviction hook is
-// suppressed and the aggregate accounting below stands in for it in both
-// lazy and eager modes. Call between runs (with the engine drained).
+// directly rather than entry-by-entry through BT bit vectors: the FBT's
+// ASID flush retires its entries without the per-entry eviction hook, and
+// the L2's ASID flush owes its dirty lines' writebacks, issued here in
+// aggregate. Call between runs (with the engine drained).
 func (s *System) RetireASID(asid memory.ASID) RetireStats {
 	var rs RetireStats
 	for _, t := range s.cuTLBs {
@@ -81,19 +77,13 @@ func (s *System) RetireASID(asid memory.ASID) RetireStats {
 	}
 	rs.SharedTLBEntries = s.io.ShootdownASID(asid)
 	if s.fbt != nil {
-		save := s.fbt.OnEvict
-		s.fbt.OnEvict = nil
 		rs.FBTEntries = s.fbt.FlushASID(asid)
-		s.fbt.OnEvict = save
 	}
-	// The L2 invalidates selectively; dirty lines write back once. In eager
-	// mode the cache's own eviction hook performs the writebacks.
+	// The L2 invalidates selectively; dirty lines write back once.
 	_, dirty := s.l2.ASIDResident(asid)
 	rs.L2Lines = s.l2.InvalidateASID(asid)
-	if !s.l2.Eager {
-		for i := 0; i < dirty; i++ {
-			s.mem.Access(true, func() {})
-		}
+	for i := 0; i < dirty; i++ {
+		s.mem.Access(true, func() {})
 	}
 	virtual := s.cfg.Kind == VirtualHierarchy || s.cfg.Kind == L1OnlyVirtual
 	for cu, l1 := range s.l1s {

@@ -211,26 +211,6 @@ func New(cfg Config) (*System, error) {
 		}
 	}
 
-	// Bulk-invalidation mode: epoch-based (lazy) by default. Lifetime
-	// tracking needs per-entry eviction hooks on bulk flushes, so it forces
-	// the eager scans back on.
-	if cfg.EagerFlush || cfg.TrackLifetimes {
-		s.l2.Eager = true
-		for _, l1 := range s.l1s {
-			l1.Eager = true
-		}
-		for _, t := range s.cuTLBs {
-			t.Eager = true
-		}
-		for _, t := range s.cuTLB2s {
-			t.Eager = true
-		}
-		s.io.TLB().Eager = true
-		if s.fbt != nil {
-			s.fbt.Eager = true
-		}
-	}
-
 	s.gpu = gpu.New(cfg.GPU, s, (*gpuFabric)(s))
 	if cfg.BatchedTranslation {
 		s.enableBatching()

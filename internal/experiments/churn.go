@@ -177,9 +177,6 @@ func (s *Suite) Churn() ([]ChurnPoint, string) {
 				if s.BatchedTranslation {
 					c.BatchedTranslation = true
 				}
-				if s.EagerFlush {
-					c.EagerFlush = true
-				}
 				jobs = append(jobs, job{cfg: c, p: s.churnParams(t)})
 			}
 		}

@@ -40,26 +40,6 @@ func TestRunChurnShape(t *testing.T) {
 	}
 }
 
-// TestChurnLazyEagerParity is the experiment-level differential gate:
-// RunChurn with Config.EagerFlush toggled must produce the identical grid
-// point. Everything ChurnPoint reports — service cycles, retired counts,
-// residency at retirement, shootdowns, queue delays — is mode-invariant.
-func TestChurnLazyEagerParity(t *testing.T) {
-	p := smallChurn(42)
-	for _, base := range []core.Config{
-		core.DesignBaseline512(), core.DesignVCOpt(), core.DesignVCOptDSR(),
-	} {
-		lazyCfg, eagerCfg := base, base
-		eagerCfg.EagerFlush = true
-		lazy := RunChurn(lazyCfg, p)
-		eager := RunChurn(eagerCfg, p)
-		if !reflect.DeepEqual(lazy, eager) {
-			t.Errorf("%s: churn point diverges between lazy and eager flush\nlazy:  %+v\neager: %+v",
-				base.Name, lazy, eager)
-		}
-	}
-}
-
 // TestChurnFigureDeterministicAcrossWorkers pins the figure's rendering:
 // the suite worker pool must not change a byte of the table or the CSV.
 func TestChurnFigureDeterministicAcrossWorkers(t *testing.T) {

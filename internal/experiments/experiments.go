@@ -105,13 +105,6 @@ type Suite struct {
 	// Config before the run, so it participates in artifact-cache keys.
 	// Designs without a per-CU-TLB front end are unaffected.
 	BatchedTranslation bool
-	// EagerFlush runs every simulation with per-entry eager bulk
-	// invalidation (core.Config.EagerFlush) instead of the default
-	// epoch-based lazy form: applied to each design's Config before the
-	// run, so it participates in artifact-cache keys. Results are
-	// byte-identical either way (the differential tests pin this); the
-	// flag exists for cross-checking and the flush-cost benchmarks.
-	EagerFlush bool
 	// ChurnTenants overrides the tenant-count axis of the tenant-churn
 	// figure (empty = {2, 8, 24}).
 	ChurnTenants []int
@@ -373,9 +366,6 @@ func (s *Suite) run(wl string, cfg core.Config, intra int) core.Results {
 		// Mutate before the cache key is derived so batched and legacy
 		// results never collide in the artifact cache.
 		cfg.BatchedTranslation = true
-	}
-	if s.EagerFlush {
-		cfg.EagerFlush = true // ditto: eager and lazy keys never collide
 	}
 	key := runKey(wl, cfg.Name)
 	s.mu.Lock()

@@ -16,12 +16,14 @@
 //
 // The FT is a flat open-addressing table from packed (asid, vpn) keys to
 // BT way indices — no per-entry heap allocation, and inserts into a
-// presized table never allocate. Bulk flushes (FlushAll / FlushASID) are
-// epoch-based by default: a generation bump retires every targeted entry at
-// once, and dead entries — in the BT and the FT alike — are reclaimed when
-// next touched by a probe. The eager scan paths survive behind the Eager
-// flag; only eager flushes fire OnEvict per entry, so the owner on the lazy
-// path performs the cache invalidations in aggregate.
+// presized table never allocate. Each bulk flush has the one form its
+// owner needs. FlushAll drains the table entry by entry through OnEvict,
+// so the owner invalidates every page's cached data. FlushASID is
+// epoch-based: a generation mark on the address space retires its entries
+// at once without OnEvict (the owner drops that space's cached data
+// itself), and dead entries — in the BT and the FT alike — are reclaimed
+// when next touched by a probe. The scan form of FlushASID survives only
+// as the reference model of the package's differential tests.
 package fbt
 
 import (
@@ -129,16 +131,10 @@ type FBT struct {
 	live    int              // live entries (maintained, so Len is O(1))
 	perASID flatmap.Map[int] // keyed by uint64(asid)
 
-	// Eager restores scan-based bulk flushes: FlushAll and FlushASID walk
-	// the table and fire OnEvict per entry. Lazy flushes (the default)
-	// update the same counters but never fire OnEvict — the owner
-	// invalidates cached data in aggregate instead.
-	Eager bool
-
-	// OnEvict observes entries leaving the BT (capacity eviction or
-	// shootdown). The owner must invalidate the page's data in the virtual
-	// caches: L2 lines per the bit vector, L1s via the invalidation
-	// filters. Lazy bulk flushes (Eager == false) skip it.
+	// OnEvict observes entries leaving the BT (capacity eviction,
+	// shootdown or FlushAll). The owner must invalidate the page's data in
+	// the virtual caches: L2 lines per the bit vector, L1s via the
+	// invalidation filters. FlushASID retires entries without it.
 	OnEvict func(v View)
 
 	// Trace, if set, receives cycle-stamped "probe.forwarded" and
@@ -391,14 +387,6 @@ func (f *FBT) ClearLine(asid memory.ASID, vpn memory.VPN, idx int) bool {
 	return false
 }
 
-// MarkWritten records that ppn's page has been written (stores observed at
-// the L2 / directory boundary).
-func (f *FBT) MarkWritten(ppn memory.PPN) {
-	if e := f.findPPN(ppn); e != nil {
-		e.Written = true
-	}
-}
-
 // MarkWrittenVPN records a write observed at the L2 under a leading
 // virtual page (L2 write hits carry no physical address; the FT resolves
 // them).
@@ -465,58 +453,31 @@ func (f *FBT) FilterProbe(pa memory.PAddr) (memory.VAddr, memory.ASID, bool) {
 	return va, e.ASID, true
 }
 
-// FlushAll evicts every entry (all-entry shootdown: full cache flush),
-// returning the live count dropped. Lazy unless Eager is set: one
-// generation bump plus an FT reset retires the whole table at once.
+// FlushAll evicts every entry (all-entry shootdown: full cache flush) one
+// by one through OnEvict, returning the live count dropped.
 func (f *FBT) FlushAll() int {
 	n := f.live
-	if f.Eager {
-		for si := range f.sets {
-			set := f.sets[si]
-			for i := range set {
-				if set[i].valid && f.liveE(&set[i]) {
-					f.evict(&set[i])
-				}
+	for si := range f.sets {
+		set := f.sets[si]
+		for i := range set {
+			if set[i].valid && f.liveE(&set[i]) {
+				f.evict(&set[i])
 			}
 		}
-		return n
 	}
-	if n == 0 && f.ft.Len() == 0 {
-		return 0
-	}
-	f.st.Evictions += uint64(n)
-	f.ft.Reset()
-	if n > 0 {
-		f.ep.MarkDeadAll(f.bumpGen())
-	}
-	f.live = 0
-	f.perASID.Reset()
 	return n
 }
 
-// FlushASID evicts every entry belonging to one address space (ASID
-// rollover), returning the count dropped. Lazy unless Eager is set; the
-// dead entries — BT slots and FT residue alike — are reclaimed when a
-// probe next walks over them.
+// FlushASID retires every entry belonging to one address space (ASID
+// rollover), returning the count dropped. One generation mark retires
+// them without OnEvict; the dead entries — BT slots and FT residue alike —
+// are reclaimed when a probe next walks over them.
 func (f *FBT) FlushASID(asid memory.ASID) int {
-	n := 0
-	if p := f.perASID.Ref(uint64(asid)); p != nil {
-		n = *p
-	}
-	if f.Eager {
-		for si := range f.sets {
-			set := f.sets[si]
-			for i := range set {
-				if set[i].valid && set[i].ASID == asid && f.liveE(&set[i]) {
-					f.evict(&set[i])
-				}
-			}
-		}
-		return n
-	}
-	if n == 0 {
+	p := f.perASID.Ref(uint64(asid))
+	if p == nil {
 		return 0
 	}
+	n := *p
 	f.st.Evictions += uint64(n)
 	f.live -= n
 	f.perASID.Delete(uint64(asid))

@@ -180,16 +180,29 @@ func TestCoherenceFilter(t *testing.T) {
 	}
 }
 
+// TestFlushAll: FlushASID retires an address space without OnEvict, and
+// FlushAll evicts each remaining live entry through it exactly once, so
+// the owner can invalidate every page's cached data.
 func TestFlushAll(t *testing.T) {
 	f := small()
-	for i := 0; i < 5; i++ {
-		f.Allocate(memory.PPN(i), 1, memory.VPN(i+100), memory.PermRead, false)
+	evicted := map[memory.PPN]int{}
+	f.OnEvict = func(v View) { evicted[v.PPN]++ }
+	for i := 0; i < 6; i++ {
+		f.Allocate(memory.PPN(i), memory.ASID(1+i%2), memory.VPN(i+100), memory.PermRead, false)
 	}
-	if n := f.FlushAll(); n != 5 {
-		t.Fatalf("FlushAll = %d", n)
+	if n := f.FlushASID(1); n != 3 || len(evicted) != 0 {
+		t.Fatalf("FlushASID = %d with %d OnEvict calls, want 3 and none", n, len(evicted))
+	}
+	if n := f.FlushAll(); n != 3 {
+		t.Fatalf("FlushAll = %d, want 3", n)
 	}
 	if f.Len() != 0 {
 		t.Fatal("entries survived flush")
+	}
+	for i := 0; i < 6; i++ {
+		if got, want := evicted[memory.PPN(i)], i%2; got != want { // asid 2's entries were live
+			t.Errorf("ppn %d: OnEvict fired %d times, want %d", i, got, want)
+		}
 	}
 }
 

@@ -28,8 +28,7 @@ import "math/bits"
 const KeyASIDShift = 48
 
 // Key packs (asid, vpn) into one uint64. Ascending uint64 order of packed
-// keys equals lexicographic (asid, vpn) order, which is what deterministic
-// eager-flush iteration sorts by.
+// keys equals lexicographic (asid, vpn) order.
 func Key(asid uint16, vpn uint64) uint64 { return uint64(asid)<<KeyASIDShift | vpn }
 
 // KeyASID extracts the address-space tag from a packed key.

@@ -209,13 +209,15 @@ func (g *GPU) Stats() Stats {
 
 // Launch binds the trace's warp streams to CU contexts and schedules them
 // to begin at the current cycle. onComplete fires when every warp has
-// retired its last instruction. Launch panics if the trace has more CUs
-// than the GPU.
+// retired its last instruction. A launch starts only after every earlier
+// warp has retired, so it drops the earlier kernels' warps first. Launch
+// panics if the trace has more CUs than the GPU.
 func (g *GPU) Launch(tr *trace.Trace, onComplete func()) {
 	if len(tr.CUs) > len(g.cus) {
 		panic(fmt.Sprintf("gpu: trace wants %d CUs, GPU has %d", len(tr.CUs), len(g.cus)))
 	}
 	g.onComplete = onComplete
+	g.dropRetiredWarps()
 	for ci := range tr.CUs {
 		c := g.cus[ci]
 		for _, ws := range tr.CUs[ci].Warps {
@@ -250,6 +252,7 @@ func (g *GPU) LaunchStream(src StreamSource, onComplete func()) {
 		panic(fmt.Sprintf("gpu: trace wants %d CUs, GPU has %d", src.NumCUs(), len(g.cus)))
 	}
 	g.onComplete = onComplete
+	g.dropRetiredWarps()
 	for ci := 0; ci < src.NumCUs(); ci++ {
 		c := g.cus[ci]
 		for wi := 0; wi < src.NumWarps(ci); wi++ {
@@ -270,6 +273,16 @@ func (g *GPU) LaunchStream(src StreamSource, onComplete func()) {
 		for _, w := range c.warps {
 			c.eng.ScheduleEvent(0, w, warpStep)
 		}
+	}
+}
+
+// dropRetiredWarps empties every CU's warp list, so a launch steps (and a
+// barrier release walks) only the new kernel's warps, and earlier traces
+// become unreachable.
+func (g *GPU) dropRetiredWarps() {
+	for _, c := range g.cus {
+		clear(c.warps)
+		c.warps = c.warps[:0]
 	}
 }
 

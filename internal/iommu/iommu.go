@@ -275,14 +275,6 @@ func (io *IOMMU) Shootdown(asid memory.ASID, vpn memory.VPN) {
 	io.tlb.InvalidatePage(asid, vpn)
 }
 
-// ShootdownPages invalidates a batch of pages belonging to one address
-// space as a single shootdown message, returning the number of entries
-// dropped. The batch counts once toward the TLB's shootdown statistics
-// regardless of length.
-func (io *IOMMU) ShootdownPages(asid memory.ASID, vpns []memory.VPN) int {
-	return io.tlb.InvalidatePages(asid, vpns)
-}
-
 // ShootdownASID invalidates every shared-TLB entry belonging to one
 // address space (ASID rollover) as a single message, returning the number
 // of entries dropped.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"vcache/internal/flatmap"
 	"vcache/internal/memory"
 )
 
@@ -104,27 +105,52 @@ func TestGenerationWraparound(t *testing.T) {
 	}
 }
 
-// TestLazyEagerTLBParityFuzz drives an identical random op stream into a
-// lazy TLB and an eager one and requires the observable surface — Len,
-// lookups, stats — to stay equal throughout. This is the component-level
-// form of the system differential tests.
+// scanInvalidate is the reference model of the epoch-based bulk
+// invalidations: it walks the structure and evicts every live entry of asid
+// (every live entry when all is set) one by one through OnEvict, counting
+// what it drops instead of trusting the residency counters.
+func scanInvalidate(tb *TLB, asid memory.ASID, all bool) int {
+	tb.stats.Shootdowns++
+	n := 0
+	for _, m := range []*flatmap.Map[Entry]{&tb.inf, &tb.infLarge} {
+		for _, k := range m.AppendKeys(nil) {
+			if all || flatmap.KeyASID(k) == uint16(asid) {
+				tb.dropInf(m, k)
+				n++
+			}
+		}
+	}
+	for _, set := range tb.sets {
+		for i := range set {
+			if set[i].valid && tb.live(&set[i]) && (all || set[i].ASID == asid) {
+				tb.evict(&set[i])
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestLazyEagerTLBParityFuzz drives one random op stream into two TLBs:
+// the lazy one bulk-invalidates through the epoch path, the eager one
+// through the scan reference model. The observable surface — Len, lookups,
+// stats — must stay equal throughout.
 func TestLazyEagerTLBParityFuzz(t *testing.T) {
 	for _, entries := range []int{0, 64} {
 		lazy := New(Config{Entries: entries, Assoc: 4})
 		eager := New(Config{Entries: entries, Assoc: 4})
-		eager.Eager = true
 		rng := rand.New(rand.NewSource(7))
 		for op := 0; op < 4000; op++ {
 			asid := memory.ASID(1 + rng.Intn(3))
 			vpn := memory.VPN(rng.Intn(96))
 			switch rng.Intn(10) {
 			case 0:
-				if l, e := lazy.InvalidateASID(asid), eager.InvalidateASID(asid); l != e {
+				if l, e := lazy.InvalidateASID(asid), scanInvalidate(eager, asid, false); l != e {
 					t.Fatalf("entries=%d op %d: InvalidateASID %d vs %d", entries, op, l, e)
 				}
 			case 1:
 				if op%3 == 0 { // full flushes rarer than ASID flushes
-					if l, e := lazy.InvalidateAll(), eager.InvalidateAll(); l != e {
+					if l, e := lazy.InvalidateAll(), scanInvalidate(eager, 0, true); l != e {
 						t.Fatalf("entries=%d op %d: InvalidateAll %d vs %d", entries, op, l, e)
 					}
 				}
@@ -171,8 +197,9 @@ func TestLazyEagerTLBParityFuzz(t *testing.T) {
 					}
 				}
 			}
-			if lazy.Len() != eager.Len() {
-				t.Fatalf("entries=%d op %d: Len %d vs %d", entries, op, lazy.Len(), eager.Len())
+			if lazy.Len() != eager.Len() || lazy.large != eager.large {
+				t.Fatalf("entries=%d op %d: Len %d vs %d, large %d vs %d",
+					entries, op, lazy.Len(), eager.Len(), lazy.large, eager.large)
 			}
 		}
 		// Evictions can only diverge transiently in finite mode (lazy
@@ -181,44 +208,6 @@ func TestLazyEagerTLBParityFuzz(t *testing.T) {
 		// totals must match too).
 		if lazy.Stats() != eager.Stats() {
 			t.Fatalf("entries=%d: stats diverged\nlazy:  %+v\neager: %+v", entries, lazy.Stats(), eager.Stats())
-		}
-	}
-}
-
-// TestEagerInfiniteFlushOrderDeterministic pins satellite work from the
-// epoch-invalidation change: eager bulk flushes of the infinite-mode maps
-// must fire OnEvict in sorted (asid, vpn) order, never Go map order, so
-// lifetime-tracking runs are reproducible.
-func TestEagerInfiniteFlushOrderDeterministic(t *testing.T) {
-	flushOrder := func() []Entry {
-		tb := New(Config{})
-		tb.Eager = true
-		// Insert in a scrambled order to give map iteration every chance
-		// to differ.
-		for _, i := range []int{13, 2, 31, 7, 23, 5, 29, 0, 17, 11} {
-			tb.Insert(memory.ASID(1+i%3), memory.VPN(i), memory.PPN(100+i), memory.PermRead)
-		}
-		var order []Entry
-		tb.OnEvict = func(e Entry, _ uint64) { order = append(order, e) }
-		tb.InvalidateAll()
-		return order
-	}
-	first := flushOrder()
-	if len(first) != 10 {
-		t.Fatalf("flushed %d entries, want 10", len(first))
-	}
-	for i := 1; i < len(first); i++ {
-		a, b := first[i-1], first[i]
-		if a.ASID > b.ASID || (a.ASID == b.ASID && a.VPN >= b.VPN) {
-			t.Fatalf("flush order not sorted at %d: %+v then %+v", i, a, b)
-		}
-	}
-	for trial := 0; trial < 20; trial++ {
-		got := flushOrder()
-		for i := range first {
-			if got[i].ASID != first[i].ASID || got[i].VPN != first[i].VPN {
-				t.Fatalf("trial %d: flush order diverged at %d: %+v vs %+v", trial, i, got[i], first[i])
-			}
 		}
 	}
 }

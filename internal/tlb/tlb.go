@@ -5,21 +5,20 @@
 // the appendix figure comparing TLB-entry residence against cache-line
 // residence.
 //
-// Bulk invalidation (InvalidateAll / InvalidateASID) is epoch-based by
-// default: each entry records the generation it was inserted under, a bulk
-// invalidation bumps a generation counter and defers the physical work, and
-// dead entries are skipped or reclaimed on next touch. Residency counts are
+// Bulk invalidation (InvalidateAll / InvalidateASID) is epoch-based: each
+// entry records the generation it was inserted under, a bulk invalidation
+// bumps a generation counter and defers the physical work, and dead
+// entries are skipped or reclaimed on next touch. Residency counts are
 // maintained incrementally so Len() and the obs gauge stay exact without
 // scanning. The infinite-mode maps are flatmap tables that reclaim dead
 // slots on the probe path, so steady-state lookups and inserts are
-// allocation-free. The eager scan paths survive behind the Eager flag for
-// differential testing and for owners that need per-entry OnEvict
-// observation during bulk flushes.
+// allocation-free. Bulk invalidations retire entries without firing
+// OnEvict; the scan they replace survives only as the reference model of
+// the package's differential tests.
 package tlb
 
 import (
 	"fmt"
-	"slices"
 
 	"vcache/internal/flatmap"
 	"vcache/internal/memory"
@@ -82,8 +81,8 @@ func (s Stats) MissRatio() float64 {
 	return float64(s.Misses) / float64(a)
 }
 
-// asidCnt tracks one address space's live entries so lazy InvalidateASID
-// can account for them without a scan.
+// asidCnt tracks one address space's live entries so InvalidateASID can
+// account for them without a scan.
 type asidCnt struct {
 	n     int // live entries
 	large int // of which 2MB entries
@@ -101,7 +100,7 @@ type TLB struct {
 	stats    Stats
 
 	// Epoch invalidation state. An entry is live iff its born generation
-	// survives every death mark in ep. Generations only advance on lazy bulk
+	// survives every death mark in ep. Generations only advance on bulk
 	// invalidations; normalize() rewinds everything before the uint32
 	// counter can wrap. The infinite-mode maps share ep, so they reclaim
 	// their own dead slots during probes.
@@ -109,18 +108,11 @@ type TLB struct {
 	resident int                  // live entries (maintained, so Len is O(1))
 	perASID  flatmap.Map[asidCnt] // keyed by uint64(asid)
 
-	// Eager restores scan-based bulk invalidation: InvalidateAll and
-	// InvalidateASID walk the structure and fire OnEvict per entry (in
-	// deterministic sorted order for infinite maps). Lazy bulk invalidation
-	// never fires OnEvict, so owners that observe individual evictions
-	// (lifetime tracking) must set Eager.
-	Eager bool
-
 	// Clock, if set, supplies the current cycle for lifetime tracking.
 	Clock func() uint64
 	// OnEvict, if set, is called when a valid entry leaves the TLB
-	// (replacement or invalidation) with the entry and its residence time
-	// in cycles. Lazy bulk invalidations (Eager == false) skip it.
+	// (replacement or page invalidation) with the entry and its residence
+	// time in cycles. Bulk invalidations retire entries without it.
 	OnEvict func(e Entry, lifetime uint64)
 	// Trace, if set, receives a cycle-stamped "miss" event for every
 	// lookup miss, with the missing VPN as the argument. A nil emitter
@@ -457,24 +449,6 @@ func (t *TLB) dropInf(m *flatmap.Map[Entry], k uint64) bool {
 // Used for single-entry TLB shootdowns.
 func (t *TLB) InvalidatePage(asid memory.ASID, vpn memory.VPN) bool {
 	t.stats.Shootdowns++
-	return t.dropPage(asid, vpn)
-}
-
-// InvalidatePages drops a batch of pages for one address space as a single
-// shootdown message (one Shootdowns count regardless of batch length),
-// returning the number of entries dropped.
-func (t *TLB) InvalidatePages(asid memory.ASID, vpns []memory.VPN) int {
-	t.stats.Shootdowns++
-	n := 0
-	for _, vpn := range vpns {
-		if t.dropPage(asid, vpn) {
-			n++
-		}
-	}
-	return n
-}
-
-func (t *TLB) dropPage(asid memory.ASID, vpn memory.VPN) bool {
 	hit := false
 	if t.isInf {
 		if t.dropInf(&t.inf, infKey(asid, vpn)) {
@@ -498,49 +472,12 @@ func (t *TLB) dropPage(asid memory.ASID, vpn memory.VPN) bool {
 	return hit
 }
 
-// sortedLiveKeys returns m's live keys in ascending packed order — which is
-// (asid, vpn) order — so eager infinite-mode flushes evict deterministically
-// instead of in table-slot order.
-func sortedLiveKeys(m *flatmap.Map[Entry], asid memory.ASID, all bool) []uint64 {
-	ks := m.AppendKeys(nil)
-	if !all {
-		kept := ks[:0]
-		for _, k := range ks {
-			if flatmap.KeyASID(k) == uint16(asid) {
-				kept = append(kept, k)
-			}
-		}
-		ks = kept
-	}
-	slices.Sort(ks)
-	return ks
-}
-
 // InvalidateAll flushes every entry (all-entry shootdown), returning how
-// many live entries were dropped. Lazy unless Eager is set: one generation
-// bump (or a table reset in infinite mode) retires everything at once.
+// many live entries were dropped: one generation bump (or a table reset in
+// infinite mode) retires everything at once.
 func (t *TLB) InvalidateAll() int {
 	t.stats.Shootdowns++
 	n := t.resident
-	if t.Eager {
-		if t.isInf {
-			for _, k := range sortedLiveKeys(&t.inf, 0, true) {
-				t.dropInf(&t.inf, k)
-			}
-			for _, k := range sortedLiveKeys(&t.infLarge, 0, true) {
-				t.dropInf(&t.infLarge, k)
-			}
-			return n
-		}
-		for _, set := range t.sets {
-			for i := range set {
-				if set[i].valid && t.live(&set[i]) {
-					t.evict(&set[i])
-				}
-			}
-		}
-		return n
-	}
 	if t.isInf {
 		t.inf.Reset()
 		t.infLarge.Reset()
@@ -558,35 +495,15 @@ func (t *TLB) InvalidateAll() int {
 }
 
 // InvalidateASID flushes all entries belonging to one address space,
-// returning how many were dropped. Lazy unless Eager is set.
+// returning how many were dropped: one generation mark on the address
+// space retires them at once.
 func (t *TLB) InvalidateASID(asid memory.ASID) int {
 	t.stats.Shootdowns++
-	n, nLarge := 0, 0
-	if c := t.perASID.Ref(uint64(asid)); c != nil {
-		n, nLarge = c.n, c.large
-	}
-	if t.Eager {
-		if t.isInf {
-			for _, k := range sortedLiveKeys(&t.inf, asid, false) {
-				t.dropInf(&t.inf, k)
-			}
-			for _, k := range sortedLiveKeys(&t.infLarge, asid, false) {
-				t.dropInf(&t.infLarge, k)
-			}
-			return n
-		}
-		for _, set := range t.sets {
-			for i := range set {
-				if set[i].valid && set[i].ASID == asid && t.live(&set[i]) {
-					t.evict(&set[i])
-				}
-			}
-		}
-		return n
-	}
-	if n == 0 {
+	c := t.perASID.Ref(uint64(asid))
+	if c == nil {
 		return 0
 	}
+	n, nLarge := c.n, c.large
 	t.stats.Evictions += uint64(n)
 	t.resident -= n
 	if !t.isInf {

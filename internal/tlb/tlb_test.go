@@ -101,6 +101,8 @@ func TestInvalidatePage(t *testing.T) {
 func TestInvalidateAllAndASID(t *testing.T) {
 	for _, entries := range []int{0, 16} {
 		tb := New(Config{Entries: entries})
+		fired := 0
+		tb.OnEvict = func(Entry, uint64) { fired++ }
 		for i := 0; i < 4; i++ {
 			tb.Insert(1, memory.VPN(i), memory.PPN(i), memory.PermRead)
 			tb.Insert(2, memory.VPN(i), memory.PPN(i), memory.PermRead)
@@ -112,6 +114,9 @@ func TestInvalidateAllAndASID(t *testing.T) {
 		tb.InvalidateAll()
 		if tb.Len() != 0 {
 			t.Fatalf("Len after full flush = %d, want 0", tb.Len())
+		}
+		if fired != 0 {
+			t.Fatalf("entries=%d: bulk invalidation fired OnEvict %d times, want 0", entries, fired)
 		}
 	}
 }
