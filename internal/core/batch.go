@@ -3,7 +3,7 @@ package core
 import (
 	"vcache/internal/iommu"
 	"vcache/internal/memory"
-	"vcache/internal/noc"
+	"vcache/internal/sim"
 )
 
 // Batched translation front-end (Config.BatchedTranslation): a warp's
@@ -259,11 +259,11 @@ func (s *System) submitMisses(cu int, f *batchFrame) {
 			}
 		}
 		ci := ci
-		k := func(pte memory.PTE, fault bool) {
+		k := chunkWaiter(func(r iommu.Result) {
 			ch := &f.chunks[ci]
-			ch.pte, ch.fault = pte, fault
+			ch.pte, ch.fault = r.PTE, r.Fault
 			s.resolveChunk(cu, f, ci)
-		}
+		})
 		list, outstanding := s.tlbPending[cu][c.vpn]
 		if outstanding {
 			st.tlbMerges++
@@ -271,28 +271,28 @@ func (s *System) submitMisses(cu int, f *batchFrame) {
 			f.miss = append(f.miss, c.vpn)
 		}
 		if list == nil {
-			if n := len(st.waitPool); n > 0 {
-				list = st.waitPool[n-1]
-				st.waitPool = st.waitPool[:n-1]
-			} else {
-				list = make([]func(memory.PTE, bool), 0, 8)
-			}
+			list = st.waitList()
 		}
 		s.tlbPending[cu][c.vpn] = append(list, k)
 	}
 	if len(f.miss) == 0 {
 		return
 	}
-	s.sendToBackend(cu, noc.CUToIOMMU, func() {
+	s.sendToBackend(cu, routeIOMMU, sim.Func(func() {
 		s.io.TranslateBulk(s.asid, f.miss, func(i int, r iommu.Result) {
 			// f.miss is only read here, on the backend, strictly before
 			// the response message that lets the CU retire (and recycle)
 			// the frame — the mailbox ordering makes that safe.
 			vpn := f.miss[i]
-			s.sendToCU(cu, noc.CUToIOMMU, func() { s.batchMissReturn(cu, vpn, r) })
+			s.sendToCU(cu, routeIOMMU, sim.Func(func() { s.batchMissReturn(cu, vpn, r) }), 0)
 		})
-	})
+	}), 0)
 }
+
+// chunkWaiter adapts a batched chunk's continuation to tlbWaiter.
+type chunkWaiter func(iommu.Result)
+
+func (k chunkWaiter) resolved(r iommu.Result) { k(r) }
 
 // batchMissReturn lands one page's bulk-translation result back at the CU:
 // install the translation in the per-CU TLB(s), then resolve every chunk
@@ -316,12 +316,10 @@ func (s *System) batchMissReturn(cu int, vpn memory.VPN, r iommu.Result) {
 	waiters := s.tlbPending[cu][vpn]
 	delete(s.tlbPending[cu], vpn)
 	for _, w := range waiters {
-		w(r.PTE, r.Fault)
+		w.resolved(r)
 	}
 	if waiters != nil {
-		for i := range waiters {
-			waiters[i] = nil
-		}
+		clear(waiters)
 		st := &s.cuStats[cu]
 		st.waitPool = append(st.waitPool, waiters[:0])
 	}
@@ -352,14 +350,14 @@ func (s *System) resolveChunk(cu int, f *batchFrame, ci int) {
 				continue
 			}
 			pa := base + memory.PAddr(la.Offset())
-			s.physCacheAccess(cu, pa.Line(), f.write, f.done)
+			s.newRequest(cu, la, f.write, f.done).physCacheAccess(pa.Line())
 		}
 	default: // L1OnlyVirtual: lines proceed to the physical L2
 		for _, la := range f.lines {
 			if la.Page() != c.vpn {
 				continue
 			}
-			s.l1onlyBackend(cu, la, f.write, c.pte, f.done)
+			s.newRequest(cu, la, f.write, f.done).l1onlyBackend(c.pte)
 		}
 	}
 	s.releaseChunk(cu, f)

@@ -32,8 +32,12 @@ type intraState struct {
 	part    *sim.Partitioned
 	engines []*sim.Engine // engines[0] == System.eng (the shared backend)
 
+	// routeLat holds the two boundary routes' latencies, indexed like
+	// intraRoutes, resolved once at partition time.
+	routeLat [2]uint64
+
 	// routeMsgs defers per-partition NoC message counts for the two
-	// boundary routes ([partition][routeIdx]); flushRouteCounts folds them
+	// boundary routes ([partition][route]); flushRouteCounts folds them
 	// into the Link structs between windows.
 	routeMsgs [][2]uint64
 
@@ -48,15 +52,14 @@ type intraState struct {
 	serialReason string
 }
 
-// intraRoutes are the partition-boundary routes, indexed by routeIdx.
+// intraRoutes are the partition-boundary routes, indexed by routeL2 and
+// routeIOMMU.
 var intraRoutes = [2]noc.Route{noc.CUToL2, noc.CUToIOMMU}
 
-func routeIdx(r noc.Route) int {
-	if r == noc.CUToIOMMU {
-		return 1
-	}
-	return 0
-}
+const (
+	routeL2    = 0 // noc.CUToL2: the GPU network between the CUs and the L2
+	routeIOMMU = 1 // noc.CUToIOMMU: per-CU TLB misses to the IOMMU
+)
 
 // IntraInfo describes the partitioned engine (System.IntraInfo).
 type IntraInfo struct {
@@ -102,6 +105,9 @@ func (s *System) partition() {
 		engines:   engines,
 		routeMsgs: make([][2]uint64, n),
 	}
+	for i, r := range intraRoutes {
+		s.intra.routeLat[i] = s.net.Latency(r)
+	}
 }
 
 // startRun readies the partitions for a launch. Every CU engine catches
@@ -124,29 +130,36 @@ func (s *System) startRun(workers int, traced bool) {
 }
 
 // runWindows executes the launched kernel's windows to completion (or
-// until onWindow stops them) and folds the NoC counts in.
+// until onWindow stops them) and folds the NoC counts in. Every barrier
+// first returns the records of requests that completed on the backend to
+// their CUs' pools.
 func (s *System) runWindows(onWindow func(limit uint64) bool) {
 	s.intra.running = true
 	defer func() { s.intra.running = false }()
-	s.intra.part.Run(onWindow)
+	s.intra.part.Run(func(limit uint64) bool {
+		s.recycleRetired()
+		return onWindow(limit)
+	})
+	s.recycleRetired()
 	s.flushRouteCounts()
 }
 
 // cuEng returns the engine that owns cu's front-end events.
 func (s *System) cuEng(cu int) *sim.Engine { return s.intra.engines[cu+1] }
 
-// sendToBackend delivers fn on the backend partition after the route's
-// latency. Must be called from the CU's own partition.
-func (s *System) sendToBackend(cu int, r noc.Route, fn func()) {
-	s.intra.routeMsgs[cu+1][routeIdx(r)]++
-	s.intra.part.Send(cu+1, 0, s.net.Latency(r), fn)
+// sendToBackend delivers h.Handle(arg) on the backend partition after the
+// boundary route's latency (routeL2 or routeIOMMU). Must be called from
+// the CU's own partition.
+func (s *System) sendToBackend(cu, route int, h sim.Handler, arg uint64) {
+	s.intra.routeMsgs[cu+1][route]++
+	s.intra.part.SendEvent(cu+1, 0, s.intra.routeLat[route], h, arg)
 }
 
-// sendToCU delivers fn on cu's partition after the route's latency. Must
-// be called from the backend partition.
-func (s *System) sendToCU(cu int, r noc.Route, fn func()) {
-	s.intra.routeMsgs[0][routeIdx(r)]++
-	s.intra.part.Send(0, cu+1, s.net.Latency(r), fn)
+// sendToCU delivers h.Handle(arg) on cu's partition after the boundary
+// route's latency. Must be called from the backend partition.
+func (s *System) sendToCU(cu, route int, h sim.Handler, arg uint64) {
+	s.intra.routeMsgs[0][route]++
+	s.intra.part.SendEvent(0, cu+1, s.intra.routeLat[route], h, arg)
 }
 
 // cuArgBits is the width of the CU index packed into a backend -> CU
@@ -165,8 +178,7 @@ func (h *l1Inval) Handle(arg uint64) {
 // sendL1Inval delivers an FBT eviction's L1 invalidation to cu over the
 // GPU network.
 func (s *System) sendL1Inval(cu int, lvpn memory.VPN) {
-	s.intra.routeMsgs[0][routeIdx(noc.CUToL2)]++
-	s.intra.part.SendEvent(0, cu+1, s.net.Latency(noc.CUToL2), (*l1Inval)(s), uint64(lvpn)<<cuArgBits|uint64(cu))
+	s.sendToCU(cu, routeL2, (*l1Inval)(s), uint64(lvpn)<<cuArgBits|uint64(cu))
 }
 
 // gpuFabric places the GPU front end on the System's partitions: CU i on
@@ -178,11 +190,11 @@ func (f *gpuFabric) CUEngine(cu int) *sim.Engine { return f.intra.engines[cu+1] 
 func (f *gpuFabric) CoordEngine() *sim.Engine    { return f.eng }
 
 func (f *gpuFabric) ToCoord(cu int, h sim.Handler, arg uint64) {
-	f.intra.part.SendEvent(cu+1, 0, f.net.Latency(noc.CUToL2), h, arg)
+	f.intra.part.SendEvent(cu+1, 0, f.intra.routeLat[routeL2], h, arg)
 }
 
 func (f *gpuFabric) ToCU(cu int, h sim.Handler, arg uint64) {
-	f.intra.part.SendEvent(0, cu+1, f.net.Latency(noc.CUToL2), h, arg)
+	f.intra.part.SendEvent(0, cu+1, f.intra.routeLat[routeL2], h, arg)
 }
 
 // flushRouteCounts folds the deferred per-partition NoC message counts

@@ -83,7 +83,7 @@ func (s *System) RetireASID(asid memory.ASID) RetireStats {
 	_, dirty := s.l2.ASIDResident(asid)
 	rs.L2Lines = s.l2.InvalidateASID(asid)
 	for i := 0; i < dirty; i++ {
-		s.mem.Access(true, func() {})
+		s.mem.Access(true, writeback, 0)
 	}
 	virtual := s.cfg.Kind == VirtualHierarchy || s.cfg.Kind == L1OnlyVirtual
 	for cu, l1 := range s.l1s {

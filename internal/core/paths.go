@@ -5,183 +5,241 @@ import (
 	"vcache/internal/iommu"
 	"vcache/internal/memory"
 	"vcache/internal/noc"
+	"vcache/internal/sim"
 )
 
 // Access implements gpu.MemoryPath, dispatching on the MMU design. addr is
-// a coalesced 128B-line virtual address.
+// a coalesced 128B-line virtual address. Every design but the ideal MMU
+// carries the access as one pooled request record (request.go); the
+// methods below are its stages.
 func (s *System) Access(cu int, addr memory.VAddr, write bool, done func()) {
 	switch s.cfg.Kind {
 	case IdealMMU:
 		s.accessIdeal(cu, addr, write, done)
 	case PhysicalBaseline:
-		s.accessPhysical(cu, addr, write, done)
+		s.cuEng(cu).ScheduleEvent(s.cfg.Lat.PerCUTLB, s.newRequest(cu, addr, write, done), stTLB)
 	case VirtualHierarchy:
-		s.accessVirtual(cu, addr, write, done)
+		s.newRequest(cu, addr.Line(), write, done).accessVirtual()
 	case L1OnlyVirtual:
-		s.accessL1Only(cu, addr, write, done)
+		s.cuEng(cu).ScheduleEvent(s.cfg.Lat.L1Hit, s.newRequest(cu, addr.Line(), write, done), stVirtL1)
 	default:
 		panic("core: unknown MMU kind")
 	}
 }
 
+// physPerm is the permission of a physically-tagged cache line: physical
+// caches hold no page permissions.
+const physPerm = memory.PermRead | memory.PermWrite
+
 // ---------------------------------------------------------------------------
 // Miss-merging infrastructure. Concurrent misses to the same cache line
 // (or, for translations, the same page) merge into one outstanding request,
 // as hardware MSHRs do; without this, the wide GPU front-end floods the
-// IOMMU and DRAM with duplicates.
+// IOMMU and DRAM with duplicates. Each merged request keeps its own record,
+// so its permission intent travels with it.
 
-// lineWaiter is the continuation of a request that joined an outstanding
-// line fill. filled=false means the line was not installed under the
-// requested address (fault, or synonym resolved under the leading address).
-type lineWaiter func(perm memory.Perm, filled bool)
-
-// fetchLine coalesces misses on key (a line address). The first requester
-// runs fetch, which must eventually call lineReady(key, ...) exactly once;
-// later requesters just queue their waiter. Waiter lists come from a pool
-// refilled by lineReady, so merging allocates nothing at steady state.
-func (s *System) fetchLine(key uint64, w lineWaiter, fetch func()) {
+// fetchLine coalesces misses on key (a line address): r joins the
+// outstanding fill of key, or starts a new one and reports that it leads
+// it. The leader must start the fill, which must eventually call
+// lineReady(key, ...) exactly once. Waiter lists come from a pool refilled
+// by lineReady, so merging allocates nothing at steady state.
+func (s *System) fetchLine(key uint64, r *request) (lead bool) {
 	if list, outstanding := s.l2Pending[key]; outstanding {
 		s.lineMerges++
-		s.l2Pending[key] = append(list, w)
-		return
+		s.l2Pending[key] = append(list, r)
+		return false
 	}
-	var list []lineWaiter
+	var list []*request
 	if n := len(s.linePool); n > 0 {
 		list = s.linePool[n-1]
 		s.linePool = s.linePool[:n-1]
 	} else {
-		list = make([]lineWaiter, 0, 8)
+		list = make([]*request, 0, 8)
 	}
-	s.l2Pending[key] = append(list, w)
-	fetch()
+	s.l2Pending[key] = append(list, r)
+	return true
 }
 
-// lineReady resolves all waiters for key and recycles their list. Waiters
+// lineReady resolves all waiters for key and recycles their list.
+// filled=false means the line was not installed under the requested
+// address (fault, or synonym resolved under the leading address). Waiters
 // may re-enter fetchLine; the list returns to the pool only after the last
 // one ran, so reentrant fetches never see it.
 func (s *System) lineReady(key uint64, perm memory.Perm, filled bool) {
 	list := s.l2Pending[key]
 	delete(s.l2Pending, key)
 	for _, w := range list {
-		w(perm, filled)
+		w.lineFilled(perm, filled)
 	}
-	for i := range list {
-		list[i] = nil // release closure references
-	}
+	clear(list) // release the records
 	s.linePool = append(s.linePool, list[:0])
 }
 
-// translatePerCU runs the per-CU TLB, falling back to the IOMMU over the
-// interconnect on a miss (both directions pay the CU-IOMMU latency).
-// Concurrent misses from the same CU to the same page merge into one
-// outstanding request. The continuation receives the PTE or fault=true.
-func (s *System) translatePerCU(cu int, va memory.VAddr, write bool, k func(pte memory.PTE, fault bool)) {
-	vpn := va.Page()
-	s.cuEng(cu).Schedule(s.cfg.Lat.PerCUTLB, func() {
-		if e, ok := s.cuTLBs[cu].Lookup(s.asid, vpn); ok {
-			if !e.Perm.Allows(write) {
-				s.fault("perm", &s.cuStats[cu].faults.PermFaults)
-				k(memory.PTE{}, true)
-				return
+// lineFilled continues a request that waited on a line fill, on the
+// backend.
+func (r *request) lineFilled(perm memory.Perm, filled bool) {
+	s := r.s
+	switch {
+	case s.cfg.Kind != VirtualHierarchy:
+		if r.write {
+			s.l2.Access(r.addr, true) // write-allocate: install dirty
+			r.retire()
+			return
+		}
+		s.sendToCU(r.cu, routeL2, r, stL1Fill)
+	case r.write:
+		if filled {
+			if perm.Allows(true) {
+				s.l2.Access(r.addr, true) // dirty the installed line
+				s.fbt.MarkWrittenVPN(s.asid, r.line.Page())
+			} else {
+				// A store merged behind a load of a read-only page.
+				s.fault("perm", &s.faults.PermFaults)
 			}
-			k(memory.PTE{PPN: e.Frame(vpn), Perm: e.Perm, Valid: true, Large: e.Large}, false)
+		}
+		r.retire()
+	default:
+		r.perm, r.filled = perm, filled
+		s.sendToCU(r.cu, routeL2, r, stVCDeliver)
+	}
+}
+
+// lookupTLB runs the per-CU TLB, Lat.PerCUTLB after the access reached it,
+// falling back to the optional private second-level TLB and then to the
+// IOMMU over the interconnect (both directions pay the CU-IOMMU latency).
+func (r *request) lookupTLB() {
+	s, vpn := r.s, r.line.Page()
+	if e, ok := s.cuTLBs[r.cu].Lookup(s.asid, vpn); ok {
+		if !e.Perm.Allows(r.write) {
+			r.permFault()
 			return
 		}
-		// Optional private second-level TLB (§3.2 multi-level alternative).
-		if len(s.cuTLB2s) > 0 {
-			s.cuEng(cu).Schedule(s.cfg.PerCUTLB2Latency, func() {
-				if e, ok := s.cuTLB2s[cu].Lookup(s.asid, vpn); ok {
-					if !e.Perm.Allows(write) {
-						s.fault("perm", &s.cuStats[cu].faults.PermFaults)
-						k(memory.PTE{}, true)
-						return
-					}
-					if e.Large {
-						s.cuTLBs[cu].InsertLarge(s.asid, e.VPN, e.PPN, e.Perm)
-					} else {
-						s.cuTLBs[cu].Insert(s.asid, vpn, e.PPN, e.Perm)
-					}
-					k(memory.PTE{PPN: e.Frame(vpn), Perm: e.Perm, Valid: true, Large: e.Large}, false)
-					return
-				}
-				s.missToIOMMU(cu, va, vpn, write, k)
-			})
-			return
-		}
-		s.missToIOMMU(cu, va, vpn, write, k)
-	})
+		r.translated(memory.PTE{PPN: e.Frame(vpn), Perm: e.Perm, Valid: true, Large: e.Large})
+		return
+	}
+	// Optional private second-level TLB (§3.2 multi-level alternative).
+	if len(s.cuTLB2s) > 0 {
+		s.cuEng(r.cu).ScheduleEvent(s.cfg.PerCUTLB2Latency, r, stTLB2)
+		return
+	}
+	r.missToIOMMU()
+}
+
+func (r *request) lookupTLB2() {
+	s, cu, vpn := r.s, r.cu, r.line.Page()
+	e, ok := s.cuTLB2s[cu].Lookup(s.asid, vpn)
+	if !ok {
+		r.missToIOMMU()
+		return
+	}
+	if !e.Perm.Allows(r.write) {
+		r.permFault()
+		return
+	}
+	if e.Large {
+		s.cuTLBs[cu].InsertLarge(s.asid, e.VPN, e.PPN, e.Perm)
+	} else {
+		s.cuTLBs[cu].Insert(s.asid, vpn, e.PPN, e.Perm)
+	}
+	r.translated(memory.PTE{PPN: e.Frame(vpn), Perm: e.Perm, Valid: true, Large: e.Large})
 }
 
 // missToIOMMU handles a fully-private TLB miss: classify it for Figure 2,
 // merge with an outstanding same-page request, or send it to the IOMMU.
-func (s *System) missToIOMMU(cu int, va memory.VAddr, vpn memory.VPN, write bool, k func(memory.PTE, bool)) {
+func (r *request) missToIOMMU() {
+	s, cu, vpn := r.s, r.cu, r.line.Page()
 	if s.cfg.ProbeResidency {
-		s.classifyTLBMiss(cu, va)
+		s.classifyTLBMiss(cu, r.line)
 	}
-	if list, outstanding := s.tlbPending[cu][vpn]; outstanding {
+	pending := s.tlbPending[cu]
+	if list, outstanding := pending[vpn]; outstanding {
 		st := &s.cuStats[cu]
 		st.tlbMerges++
 		if list == nil {
-			if n := len(st.waitPool); n > 0 {
-				list = st.waitPool[n-1]
-				st.waitPool = st.waitPool[:n-1]
-			} else {
-				list = make([]func(memory.PTE, bool), 0, 8)
-			}
+			list = st.waitList()
 		}
-		s.tlbPending[cu][vpn] = append(list, k)
+		pending[vpn] = append(list, r)
 		return
 	}
-	s.tlbPending[cu][vpn] = nil
-	s.sendToBackend(cu, noc.CUToIOMMU, func() {
-		s.io.Translate(s.asid, vpn, func(r iommu.Result) {
-			s.sendToCU(cu, noc.CUToIOMMU, func() {
-				if !r.Fault {
-					if r.PTE.Large {
-						bv, bp := memory.LargeBase(vpn, r.PTE.PPN)
-						s.cuTLBs[cu].InsertLarge(s.asid, bv, bp, r.PTE.Perm)
-						if len(s.cuTLB2s) > 0 {
-							s.cuTLB2s[cu].InsertLarge(s.asid, bv, bp, r.PTE.Perm)
-						}
-					} else {
-						s.cuTLBs[cu].Insert(s.asid, vpn, r.PTE.PPN, r.PTE.Perm)
-						if len(s.cuTLB2s) > 0 {
-							s.cuTLB2s[cu].Insert(s.asid, vpn, r.PTE.PPN, r.PTE.Perm)
-						}
-					}
-				}
-				waiters := s.tlbPending[cu][vpn]
-				delete(s.tlbPending[cu], vpn)
-				s.deliverTranslation(cu, r, write, k)
-				for _, w := range waiters {
-					// Merged requests are loads/stores of the same
-					// page; permission intent travels with each.
-					s.deliverTranslation(cu, r, write, w)
-				}
-				if waiters != nil {
-					for i := range waiters {
-						waiters[i] = nil
-					}
-					st := &s.cuStats[cu]
-					st.waitPool = append(st.waitPool, waiters[:0])
-				}
-			})
-		})
-	})
+	pending[vpn] = nil
+	s.sendToBackend(cu, routeIOMMU, r, stIOMMU)
 }
 
-func (s *System) deliverTranslation(cu int, r iommu.Result, write bool, k func(memory.PTE, bool)) {
-	if r.Fault {
-		s.fault("page", &s.cuStats[cu].faults.PageFaults)
-		k(memory.PTE{}, true)
+// Translated receives the IOMMU's answer on the backend (iommu.Client):
+// per-CU TLB misses carry it back to the CU; a virtual L2 miss goes on to
+// the FBT.
+func (r *request) Translated(res iommu.Result) {
+	if r.s.cfg.Kind == VirtualHierarchy {
+		r.vcTranslated(res)
 		return
 	}
-	if !r.PTE.Perm.Allows(write) {
-		s.fault("perm", &s.cuStats[cu].faults.PermFaults)
-		k(memory.PTE{}, true)
+	r.pte, r.fault = res.PTE, res.Fault
+	r.s.sendToCU(r.cu, routeIOMMU, r, stTLBFill)
+}
+
+// fillTLB lands an IOMMU answer at the CU: install it in the per-CU
+// TLB(s), then resolve the request and every request merged behind it,
+// each against its own permission intent.
+func (r *request) fillTLB() {
+	s, cu, vpn := r.s, r.cu, r.line.Page()
+	res := iommu.Result{PTE: r.pte, Fault: r.fault}
+	if !res.Fault {
+		if res.PTE.Large {
+			bv, bp := memory.LargeBase(vpn, res.PTE.PPN)
+			s.cuTLBs[cu].InsertLarge(s.asid, bv, bp, res.PTE.Perm)
+			if len(s.cuTLB2s) > 0 {
+				s.cuTLB2s[cu].InsertLarge(s.asid, bv, bp, res.PTE.Perm)
+			}
+		} else {
+			s.cuTLBs[cu].Insert(s.asid, vpn, res.PTE.PPN, res.PTE.Perm)
+			if len(s.cuTLB2s) > 0 {
+				s.cuTLB2s[cu].Insert(s.asid, vpn, res.PTE.PPN, res.PTE.Perm)
+			}
+		}
+	}
+	waiters := s.tlbPending[cu][vpn]
+	delete(s.tlbPending[cu], vpn)
+	r.resolved(res)
+	for _, w := range waiters {
+		w.resolved(res)
+	}
+	if waiters != nil {
+		clear(waiters)
+		st := &s.cuStats[cu]
+		st.waitPool = append(st.waitPool, waiters[:0])
+	}
+}
+
+// resolved continues a request whose per-CU TLB miss was answered
+// (tlbWaiter).
+func (r *request) resolved(res iommu.Result) {
+	if res.Fault {
+		r.s.fault("page", &r.s.cuStats[r.cu].faults.PageFaults)
+		r.finish()
 		return
 	}
-	k(r.PTE, false)
+	if !res.PTE.Perm.Allows(r.write) {
+		r.permFault()
+		return
+	}
+	r.translated(res.PTE)
+}
+
+// permFault ends a request that violated its page's permissions at the CU.
+func (r *request) permFault() {
+	r.s.fault("perm", &r.s.cuStats[r.cu].faults.PermFaults)
+	r.finish()
+}
+
+// translated continues a permitted access with its translation: into the
+// physical L1 (physical baseline) or on to the physical L2 (L1-only).
+func (r *request) translated(pte memory.PTE) {
+	if r.s.cfg.Kind == L1OnlyVirtual {
+		r.l1onlyBackend(pte)
+		return
+	}
+	pa := pte.PPN.Base() + memory.PAddr(r.line.Offset())
+	r.physCacheAccess(pa.Line())
 }
 
 // classifyTLBMiss records where the missing translation's data currently
@@ -208,10 +266,10 @@ func (s *System) classifyTLBMiss(cu int, va memory.VAddr) {
 }
 
 // l2Bank serializes an access through the addressed L2 bank and applies the
-// bank access latency.
-func (s *System) l2Bank(addr uint64, fn func()) {
+// bank access latency before h.Handle(arg) fires.
+func (s *System) l2Bank(addr uint64, h sim.Handler, arg uint64) {
 	slot := s.l2banks[s.l2.Bank(addr)].Admit()
-	s.eng.At(slot+s.cfg.Lat.L2Hit, fn)
+	s.eng.AtEvent(slot+s.cfg.Lat.L2Hit, h, arg)
 }
 
 // ---------------------------------------------------------------------------
@@ -229,80 +287,70 @@ func (s *System) accessIdeal(cu int, va memory.VAddr, write bool, done func()) {
 		done()
 		return
 	}
-	s.physCacheAccess(cu, pa.Line(), write, done)
+	s.newRequest(cu, va, write, done).physCacheAccess(pa.Line())
 }
 
 // ---------------------------------------------------------------------------
-// Physical baseline: per-CU TLB before the (physical) L1.
+// Physical caches (ideal MMU and physical baseline): L1 -> L2 -> DRAM.
 
-func (s *System) accessPhysical(cu int, va memory.VAddr, write bool, done func()) {
-	s.translatePerCU(cu, va, write, func(pte memory.PTE, fault bool) {
-		if fault {
-			done()
-			return
-		}
-		pa := pte.PPN.Base() + memory.PAddr(va.Offset())
-		s.physCacheAccess(cu, pa.Line(), write, done)
-	})
+// physCacheAccess runs a physically-addressed request through the L1.
+func (r *request) physCacheAccess(pa memory.PAddr) {
+	r.addr = uint64(pa)
+	r.s.cuEng(r.cu).ScheduleEvent(r.s.cfg.Lat.L1Hit, r, stPhysL1)
 }
 
-// physCacheAccess runs a physically-addressed request through L1 -> L2 ->
-// DRAM (ideal MMU and physical baseline designs).
-func (s *System) physCacheAccess(cu int, pa memory.PAddr, write bool, done func()) {
-	addr := uint64(pa)
-	const physPerm = memory.PermRead | memory.PermWrite
-	s.cuEng(cu).Schedule(s.cfg.Lat.L1Hit, func() {
-		l1 := s.l1s[cu]
-		if write {
-			l1.Access(addr, true) // update on hit; write-through, no allocate
-			s.sendToBackend(cu, noc.CUToL2, func() {
-				s.l2Bank(addr, func() {
-					if _, hit := s.l2.Access(addr, true); hit {
-						done()
-						return
-					}
-					// Write-allocate: fetch the line, install dirty;
-					// concurrent misses merge.
-					s.fetchLine(addr, func(memory.Perm, bool) {
-						s.l2.Access(addr, true)
-						done()
-					}, func() {
-						s.mem.Access(false, func() {
-							s.l2.Fill(addr, physPerm, s.asid, false)
-							s.sampleL2Pages()
-							s.lineReady(addr, physPerm, true)
-						})
-					})
-				})
-			})
-			return
+func (r *request) physL1() {
+	s := r.s
+	l1 := s.l1s[r.cu]
+	if r.write {
+		l1.Access(r.addr, true) // update on hit; write-through, no allocate
+		s.sendToBackend(r.cu, routeL2, r, stL2)
+		return
+	}
+	if _, hit := l1.Access(r.addr, false); hit {
+		r.finish()
+		return
+	}
+	s.sendToBackend(r.cu, routeL2, r, stL2)
+}
+
+// physL2 serves a physically-addressed request at its L2 bank (physical
+// designs and the L1-only design's physical L2). A store that hits
+// completes here; a load's data returns to the CU. Misses merge per line:
+// write-allocate stores install the fetched line dirty.
+func (r *request) physL2() {
+	s := r.s
+	if _, hit := s.l2.Access(r.addr, r.write); hit {
+		if r.write {
+			r.retire()
+		} else {
+			s.sendToCU(r.cu, routeL2, r, stL1Fill)
 		}
-		if _, hit := l1.Access(addr, false); hit {
-			done()
-			return
-		}
-		deliver := func(memory.Perm, bool) {
-			s.sendToCU(cu, noc.CUToL2, func() {
-				l1.Fill(addr, physPerm, s.asid, false)
-				done()
-			})
-		}
-		s.sendToBackend(cu, noc.CUToL2, func() {
-			s.l2Bank(addr, func() {
-				if _, hit := s.l2.Access(addr, false); hit {
-					deliver(physPerm, true)
-					return
-				}
-				s.fetchLine(addr, deliver, func() {
-					s.mem.Access(false, func() {
-						s.l2.Fill(addr, physPerm, s.asid, false)
-						s.sampleL2Pages()
-						s.lineReady(addr, physPerm, true)
-					})
-				})
-			})
-		})
-	})
+		return
+	}
+	if s.fetchLine(r.addr, r) {
+		s.mem.Access(false, r, stFill)
+	}
+}
+
+// physFill installs a fetched physical line and resolves its waiters.
+func (r *request) physFill() {
+	s := r.s
+	s.l2.Fill(r.addr, physPerm, s.asid, false)
+	s.sampleL2Pages()
+	s.lineReady(r.addr, physPerm, true)
+}
+
+// l1Fill lands a physical line's data at the CU: the physical L1, or the
+// L1-only design's virtual L1 under the line's virtual address.
+func (r *request) l1Fill() {
+	s := r.s
+	if s.cfg.Kind == L1OnlyVirtual {
+		s.fillL1(r.cu, r.line, r.pte.Perm)
+	} else {
+		s.l1s[r.cu].Fill(r.addr, physPerm, s.asid, false)
+	}
+	r.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -310,184 +358,186 @@ func (s *System) physCacheAccess(cu int, pa memory.PAddr, write bool, done func(
 // virtually indexed and tagged; translation and the FBT synonym check
 // happen only after an L2 miss.
 
-func (s *System) accessVirtual(cu int, va memory.VAddr, write bool, done func()) {
-	line := va.Line()
+func (r *request) accessVirtual() {
+	s, cu := r.s, r.cu
 	// Dynamic synonym remapping (§4.3): redirect known synonym pages to
 	// their leading page before the L1 lookup, in parallel with the
 	// access (no latency cost).
 	if s.cfg.DynamicSynonymRemap {
-		if lead, ok := s.remaps[cu].get(line.Page()); ok {
+		if lead, ok := s.remaps[cu].get(r.line.Page()); ok {
 			s.cuStats[cu].remapHits++
-			line = lead.Base() + memory.VAddr(line.Offset())
+			r.line = lead.Base() + memory.VAddr(r.line.Offset())
 		}
 	}
-	s.cuEng(cu).Schedule(s.cfg.Lat.L1Hit, func() {
-		l1 := s.l1s[cu]
-		if write {
-			if l, hit := l1.Access(s.vkey(line), true); hit && !l.Perm.Allows(true) {
-				s.fault("perm", &s.cuStats[cu].faults.PermFaults)
-				done()
-				return
-			}
-			// Write-through: the store always proceeds to the L2.
-			s.sendToBackend(cu, noc.CUToL2, func() { s.vcL2Write(cu, line, done) })
+	s.cuEng(cu).ScheduleEvent(s.cfg.Lat.L1Hit, r, stVirtL1)
+}
+
+// virtL1 runs the virtual L1 of the virtual hierarchy and the L1-only
+// design. Loads that hit complete; everything else — misses, and stores,
+// which write through — continues to the L2 (virtual hierarchy) or to the
+// per-CU TLB (L1-only).
+func (r *request) virtL1() {
+	s, cu := r.s, r.cu
+	r.addr = s.vkey(r.line)
+	if l, hit := s.l1s[cu].Access(r.addr, r.write); hit {
+		if !l.Perm.Allows(r.write) {
+			r.permFault()
 			return
 		}
-		if l, hit := l1.Access(s.vkey(line), false); hit {
-			if !l.Perm.Allows(false) {
-				s.fault("perm", &s.cuStats[cu].faults.PermFaults)
-			}
-			done()
+		if !r.write {
+			r.finish()
 			return
 		}
-		s.sendToBackend(cu, noc.CUToL2, func() { s.vcL2Read(cu, line, done) })
-	})
+	}
+	if s.cfg.Kind == L1OnlyVirtual {
+		s.cuEng(cu).ScheduleEvent(s.cfg.Lat.PerCUTLB, r, stTLB)
+		return
+	}
+	s.sendToBackend(cu, routeL2, r, stL2)
 }
 
-func (s *System) vcL2Read(cu int, line memory.VAddr, done func()) {
-	key := s.vkey(line)
-	s.l2Bank(key, func() {
-		if l, hit := s.l2.Access(key, false); hit {
-			if !l.Perm.Allows(false) {
-				s.fault("perm", &s.faults.PermFaults)
-				// done touches warp state: complete it on the CU side.
-				s.sendToCU(cu, noc.CUToL2, done)
-				return
-			}
-			s.sendToCU(cu, noc.CUToL2, func() {
-				s.fillL1(cu, line, l.Perm)
-				done()
-			})
+// vcL2 serves a request at its virtual L2 bank. A load's hit returns to
+// the CU; a store's hit completes here, marking the page written for
+// read-write synonym detection. The first miss on a line resolves it for
+// every request merged behind it.
+func (r *request) vcL2() {
+	s := r.s
+	l, hit := s.l2.Access(r.addr, r.write)
+	switch {
+	case hit && r.write:
+		if !l.Perm.Allows(true) {
+			s.fault("perm", &s.faults.PermFaults)
+		} else {
+			// An L2 hit under this address means it is the page's
+			// leading VPN.
+			s.fbt.MarkWrittenVPN(s.asid, r.line.Page())
+		}
+		r.retire()
+	case hit:
+		r.perm, r.filled = l.Perm, true
+		if !l.Perm.Allows(false) {
+			s.fault("perm", &s.faults.PermFaults)
+			r.filled = false // the CU completes the load without the data
+		}
+		s.sendToCU(r.cu, routeL2, r, stVCDeliver)
+	default:
+		if s.fetchLine(r.addr, r) {
+			s.net.Send(noc.L2ToIOMMU, r, stIOMMU)
+		}
+	}
+}
+
+// vcTranslated continues a virtual L2 miss with its translation (the IOMMU
+// consulted its shared TLB, the optional FBT second level, and the PTW):
+// check the leader's permission, then the FBT after its latency.
+func (r *request) vcTranslated(res iommu.Result) {
+	s := r.s
+	if res.Fault {
+		s.fault("page", &s.faults.PageFaults)
+		s.lineReady(r.addr, 0, false)
+		return
+	}
+	if !res.PTE.Perm.Allows(r.write) {
+		s.fault("perm", &s.faults.PermFaults)
+		s.lineReady(r.addr, 0, false)
+		return
+	}
+	r.pte = res.PTE
+	s.eng.ScheduleEvent(s.cfg.IOMMU.FBTLatency, r, stFBTCheck)
+}
+
+// fbtCheck runs the BT synonym check: fetch the line under this address,
+// replay a synonym under its leading address, or fault a read-write
+// synonym.
+func (r *request) fbtCheck() {
+	s, vpn := r.s, r.line.Page()
+	outcome, view := s.fbt.Check(r.pte.PPN, s.asid, vpn, r.write)
+	switch outcome {
+	case fbt.Miss:
+		s.fbt.Allocate(r.pte.PPN, s.asid, vpn, r.pte.Perm, r.write)
+		r.perm = r.pte.Perm
+		s.mem.Access(false, r, stVCFill)
+	case fbt.Leading:
+		// Page tracked under this VPN but the line missed in the L2:
+		// fetch it.
+		r.perm = view.Perm
+		s.mem.Access(false, r, stVCFill)
+	case fbt.Synonym:
+		s.synonymReplays++
+		if s.cfg.DynamicSynonymRemap {
+			// The remap table is front-end state; the update rides a
+			// message back to the CU.
+			s.sendRemap(r.cu, vpn, view.LVPN)
+		}
+		r.view = view
+		s.net.Send(noc.L2ToIOMMU, r, stSynBank) // response travels back to the L2
+	case fbt.RWFault:
+		s.fault("rw-synonym", &s.faults.RWSynonym)
+		s.lineReady(r.addr, 0, false)
+	}
+}
+
+// vcFill installs a fetched line in the virtual L2 under this request's
+// address, updates the BT bit vector, and resolves the waiters.
+func (r *request) vcFill() {
+	s, key, perm := r.s, r.addr, r.perm
+	if !s.l2.Probe(key) {
+		s.l2.Fill(key, perm, s.asid, false)
+		s.fbt.SetLine(r.pte.PPN, r.line.LineIndex())
+		s.sampleL2Pages()
+	}
+	s.lineReady(key, perm, true)
+}
+
+// A synonym replay re-runs a read under the page's leading virtual
+// address. Per §4.1, only addresses the bit vector says will hit are
+// replayed into the L2; otherwise the directory/memory is accessed and the
+// data is cached under the leading address. The original (non-leading)
+// requesters complete with filled=false: the data lives only under the
+// leading address.
+
+// synLine is the replay's line under the leading virtual address.
+func (r *request) synLine() memory.VAddr {
+	return r.view.LVPN.Base() + memory.VAddr(r.line.Offset())
+}
+
+func (r *request) synKey() uint64 { return r.s.vkeyFor(r.synLine(), r.view.ASID) }
+
+func (r *request) synL2() {
+	s, lline := r.s, r.synLine()
+	if r.view.BitVec&(1<<uint(lline.LineIndex())) != 0 {
+		if _, hit := s.l2.Access(r.synKey(), false); hit {
+			s.net.Send(noc.CUToL2, r, stSynHit)
 			return
 		}
-		s.fetchLine(key, func(perm memory.Perm, filled bool) {
-			s.sendToCU(cu, noc.CUToL2, func() {
-				if filled {
-					s.fillL1(cu, line, perm)
-				}
-				done()
-			})
-		}, func() {
-			s.vcMissResolve(cu, line, false)
-		})
-	})
+	}
+	s.mem.Access(false, r, stSynFill)
 }
 
-func (s *System) vcL2Write(cu int, line memory.VAddr, done func()) {
-	key := s.vkey(line)
-	s.l2Bank(key, func() {
-		if l, hit := s.l2.Access(key, true); hit {
-			if !l.Perm.Allows(true) {
-				s.fault("perm", &s.faults.PermFaults)
-				done()
-				return
-			}
-			// Track writes for read-write synonym detection: an L2 hit
-			// under this address means it is the page's leading VPN.
-			s.fbt.MarkWrittenVPN(s.asid, line.Page())
-			done()
-			return
-		}
-		s.fetchLine(key, func(perm memory.Perm, filled bool) {
-			if filled {
-				s.l2.Access(key, true) // dirty the installed line
-				s.fbt.MarkWrittenVPN(s.asid, line.Page())
-			}
-			done()
-		}, func() {
-			s.vcMissResolve(cu, line, true)
-		})
-	})
+func (r *request) synFill() {
+	s, lline, lkey := r.s, r.synLine(), r.synKey()
+	if !s.l2.Probe(lkey) {
+		s.l2.Fill(lkey, r.view.Perm, r.view.ASID, false)
+		s.fbt.SetLine(r.view.PPN, lline.LineIndex())
+		s.sampleL2Pages()
+	}
+	s.lineReady(r.addr, r.view.Perm, false)
 }
 
-// vcMissResolve handles an L2 virtual-cache miss for the first requester
-// of a line: translate at the IOMMU (shared TLB -> optional FBT second
-// level -> PTW), run the BT synonym check, fetch the data, and resolve all
-// merged waiters via lineReady.
-func (s *System) vcMissResolve(cu int, line memory.VAddr, write bool) {
-	vpn := line.Page()
-	key := s.vkey(line)
-	s.net.Send(noc.L2ToIOMMU, func() {
-		s.io.Translate(s.asid, vpn, func(r iommu.Result) {
-			if r.Fault {
-				s.fault("page", &s.faults.PageFaults)
-				s.lineReady(key, 0, false)
-				return
-			}
-			if !r.PTE.Perm.Allows(write) {
-				s.fault("perm", &s.faults.PermFaults)
-				s.lineReady(key, 0, false)
-				return
-			}
-			s.eng.Schedule(s.cfg.IOMMU.FBTLatency, func() {
-				outcome, view := s.fbt.Check(r.PTE.PPN, s.asid, vpn, write)
-				switch outcome {
-				case fbt.Miss:
-					s.fbt.Allocate(r.PTE.PPN, s.asid, vpn, r.PTE.Perm, write)
-					s.fetchFillVC(line, r.PTE.PPN, r.PTE.Perm, key)
-				case fbt.Leading:
-					// Page tracked under this VPN but the line missed in
-					// the L2: fetch it.
-					s.fetchFillVC(line, r.PTE.PPN, view.Perm, key)
-				case fbt.Synonym:
-					s.synonymReplays++
-					if s.cfg.DynamicSynonymRemap {
-						// The remap table is front-end state; the update
-						// rides a message back to the CU.
-						s.sendToCU(cu, noc.CUToL2, func() {
-							s.remaps[cu].put(vpn, view.LVPN)
-						})
-					}
-					lline := view.LVPN.Base() + memory.VAddr(line.Offset())
-					s.replaySynonym(lline, view, key)
-				case fbt.RWFault:
-					s.fault("rw-synonym", &s.faults.RWSynonym)
-					s.lineReady(key, 0, false)
-				}
-			})
-		})
-	})
+// remapUpdate is the backend -> CU half of a dynamic synonym remap
+// (sim.Handler). It can land after the request that caused it has retired
+// and its record was reused, so it carries its own state.
+type remapUpdate struct {
+	s         *System
+	cu        int
+	vpn, lvpn memory.VPN
 }
 
-// replaySynonym re-runs a read under the page's leading virtual address.
-// Per §4.1, only addresses the bit vector says will hit are replayed into
-// the L2; otherwise the directory/memory is accessed and the data is cached
-// under the leading address. The original (non-leading) requesters complete
-// with filled=false: the data lives only under the leading address.
-func (s *System) replaySynonym(lline memory.VAddr, view fbt.View, key uint64) {
-	lkey := s.vkeyFor(lline, view.ASID)
-	s.net.Send(noc.L2ToIOMMU, func() { // response travels back to the L2
-		s.l2Bank(lkey, func() {
-			if view.BitVec&(1<<uint(lline.LineIndex())) != 0 {
-				if _, hit := s.l2.Access(lkey, false); hit {
-					s.net.Send(noc.CUToL2, func() { s.lineReady(key, view.Perm, false) })
-					return
-				}
-			}
-			s.mem.Access(false, func() {
-				if !s.l2.Probe(lkey) {
-					s.l2.Fill(lkey, view.Perm, view.ASID, false)
-					s.fbt.SetLine(view.PPN, lline.LineIndex())
-					s.sampleL2Pages()
-				}
-				s.lineReady(key, view.Perm, false)
-			})
-		})
-	})
-}
+func (m *remapUpdate) Handle(uint64) { m.s.remaps[m.cu].put(m.vpn, m.lvpn) }
 
-// fetchFillVC fetches a line from memory, installs it in the virtual L2
-// under the leading virtual address line, updates the BT bit vector, and
-// resolves the waiters.
-func (s *System) fetchFillVC(line memory.VAddr, ppn memory.PPN, perm memory.Perm, key uint64) {
-	s.mem.Access(false, func() {
-		if !s.l2.Probe(key) {
-			s.l2.Fill(key, perm, s.asid, false)
-			s.fbt.SetLine(ppn, line.LineIndex())
-			s.sampleL2Pages()
-		}
-		s.lineReady(key, perm, true)
-	})
+// sendRemap tells cu to redirect vpn to its leading page lvpn.
+func (s *System) sendRemap(cu int, vpn, lvpn memory.VPN) {
+	s.sendToCU(cu, routeL2, &remapUpdate{s: s, cu: cu, vpn: vpn, lvpn: lvpn}, 0)
 }
 
 // fillL1 installs a line into a CU's L1 and maintains its invalidation
@@ -499,91 +549,15 @@ func (s *System) fillL1(cu int, line memory.VAddr, perm memory.Perm) {
 
 // ---------------------------------------------------------------------------
 // L1-only virtual caches: translation moves between the (virtual) L1 and
-// the (physical) L2, through per-CU TLBs.
+// the (physical) L2, through per-CU TLBs. The L1 stage is virtL1; a miss
+// or store translates like the physical baseline, then continues here.
 
-func (s *System) accessL1Only(cu int, va memory.VAddr, write bool, done func()) {
-	line := va.Line()
-	s.cuEng(cu).Schedule(s.cfg.Lat.L1Hit, func() {
-		l1 := s.l1s[cu]
-		if write {
-			if l, hit := l1.Access(s.vkey(line), true); hit && !l.Perm.Allows(true) {
-				s.fault("perm", &s.cuStats[cu].faults.PermFaults)
-				done()
-				return
-			}
-			s.translatePerCU(cu, line, true, func(pte memory.PTE, fault bool) {
-				if fault {
-					done()
-					return
-				}
-				s.l1onlyBackend(cu, line, true, pte, done)
-			})
-			return
-		}
-		if l, hit := l1.Access(s.vkey(line), false); hit {
-			if !l.Perm.Allows(false) {
-				s.fault("perm", &s.cuStats[cu].faults.PermFaults)
-			}
-			done()
-			return
-		}
-		s.translatePerCU(cu, line, false, func(pte memory.PTE, fault bool) {
-			if fault {
-				done()
-				return
-			}
-			s.l1onlyBackend(cu, line, false, pte, done)
-		})
-	})
-}
-
-// l1onlyBackend runs the physical-L2 half of an L1-only-virtual access,
-// once translation has produced the PTE: write-through/write-allocate
-// stores, or a read whose fill is delivered back into the (virtual) L1.
-// Shared by the per-line path above and the batched chunk fan-out.
-func (s *System) l1onlyBackend(cu int, line memory.VAddr, write bool, pte memory.PTE, done func()) {
-	const physPerm = memory.PermRead | memory.PermWrite
-	pa := uint64(pte.PPN.Base() + memory.PAddr(line.Offset()))
-	if write {
-		s.sendToBackend(cu, noc.CUToL2, func() {
-			s.l2Bank(pa, func() {
-				if _, hit := s.l2.Access(pa, true); hit {
-					done()
-					return
-				}
-				s.fetchLine(pa, func(memory.Perm, bool) {
-					s.l2.Access(pa, true)
-					done()
-				}, func() {
-					s.mem.Access(false, func() {
-						s.l2.Fill(pa, physPerm, s.asid, false)
-						s.sampleL2Pages()
-						s.lineReady(pa, physPerm, true)
-					})
-				})
-			})
-		})
-		return
-	}
-	deliver := func(memory.Perm, bool) {
-		s.sendToCU(cu, noc.CUToL2, func() {
-			s.fillL1(cu, line, pte.Perm)
-			done()
-		})
-	}
-	s.sendToBackend(cu, noc.CUToL2, func() {
-		s.l2Bank(pa, func() {
-			if _, hit := s.l2.Access(pa, false); hit {
-				deliver(pte.Perm, true)
-				return
-			}
-			s.fetchLine(pa, deliver, func() {
-				s.mem.Access(false, func() {
-					s.l2.Fill(pa, physPerm, s.asid, false)
-					s.sampleL2Pages()
-					s.lineReady(pa, physPerm, true)
-				})
-			})
-		})
-	})
+// l1onlyBackend sends a translated L1-only access to the physical L2:
+// write-through/write-allocate stores, or a read whose fill is delivered
+// back into the (virtual) L1. Shared by the per-line path and the batched
+// chunk fan-out.
+func (r *request) l1onlyBackend(pte memory.PTE) {
+	r.pte = pte
+	r.addr = uint64(pte.PPN.Base() + memory.PAddr(r.line.Offset()))
+	r.s.sendToBackend(r.cu, routeL2, r, stL2)
 }

@@ -1,0 +1,87 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"vcache/internal/memory"
+	"vcache/internal/trace"
+)
+
+// TestRequestPathAllocs pins the allocation cost of whole runs. Once a
+// System's request records, lookup records, waiter lists and engine slabs
+// have warmed up, carrying a coalesced line through any design's memory
+// path allocates nothing, so a second run of the same trace on the same
+// System stays under 0.1 allocations per line. The trace spans more pages
+// than the per-CU TLBs and the L2 hold, so the second run still misses to
+// the IOMMU and, in the baseline, still walks.
+func TestRequestPathAllocs(t *testing.T) {
+	tr := divergentTrace("allocs", 1500, 3000)
+	for _, name := range []string{"ideal", "baseline-512", "vc-opt", "vc-opt-dsr", "l1-only-vc-32"} {
+		t.Run(name, func(t *testing.T) {
+			cfg, ok := DesignByName(name)
+			if !ok {
+				t.Fatalf("unknown design %q", name)
+			}
+			sys := MustNew(smallCfg(cfg))
+			first := sys.Run(tr)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			second := sys.Run(tr)
+			runtime.ReadMemStats(&after)
+
+			lines := second.GPU.CoalescedReqs - first.GPU.CoalescedReqs
+			if lines == 0 {
+				t.Fatal("second run issued no lines")
+			}
+			perLine := float64(after.Mallocs-before.Mallocs) / float64(lines)
+			t.Logf("%d lines, %.3f allocs/line", lines, perLine)
+			if perLine > 0.1 {
+				t.Errorf("second run allocates %.3f objects per line, want <= 0.1", perLine)
+			}
+			if cfg.Kind != IdealMMU && second.IOMMU.Requests == first.IOMMU.Requests {
+				t.Error("second run sent no IOMMU requests: the trace no longer exercises translation")
+			}
+			if name == "baseline-512" && second.IOMMU.Walks == first.IOMMU.Walks {
+				t.Error("second run walked no page tables")
+			}
+		})
+	}
+}
+
+// TestMergedAccessKeepsItsIntent: a load and a store to the same line of a
+// read-only page, issued one cycle apart by two warps of one CU, merge
+// into one outstanding miss (per-CU TLB miss or L2 line fill). Each is
+// still checked against its own intent, so exactly the store faults,
+// whichever comes first.
+func TestMergedAccessKeepsItsIntent(t *testing.T) {
+	const va = memory.VAddr(0x40000)
+	for _, d := range Designs {
+		for _, storeFirst := range []bool{false, true} {
+			order := "load-then-store"
+			if storeFirst {
+				order = "store-then-load"
+			}
+			t.Run(d.Name+"/"+order, func(t *testing.T) {
+				sys := MustNew(d.New())
+				sys.Space().EnsureMapped(va)
+				if !sys.Space().Protect(va, memory.PermRead) {
+					t.Fatal("Protect failed")
+				}
+				b := trace.NewBuilder("intent", 1, 1, 2)
+				first, second := b.Warp(), b.Warp()
+				if storeFirst {
+					first.Store(va)
+					second.Compute(1).Load(va)
+				} else {
+					first.Load(va)
+					second.Compute(1).Store(va)
+				}
+				res := sys.Run(b.Build())
+				if res.Faults.PermFaults != 1 || res.Faults.PageFaults != 0 {
+					t.Errorf("faults = %+v, want exactly 1 PermFault", res.Faults)
+				}
+			})
+		}
+	}
+}

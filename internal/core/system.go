@@ -93,10 +93,15 @@ type System struct {
 	// merges concurrent misses to the same line (MSHR behaviour). The
 	// pools recycle drained waiter lists so steady-state miss merging does
 	// not allocate.
-	tlbPending []map[memory.VPN][]func(memory.PTE, bool)
-	l2Pending  map[uint64][]lineWaiter
-	linePool   [][]lineWaiter
+	tlbPending []map[memory.VPN][]tlbWaiter
+	l2Pending  map[uint64][]*request
+	linePool   [][]*request
 	lineMerges uint64
+
+	// retired holds the records of requests that completed on the backend
+	// during the current window, until the barrier returns them to their
+	// CUs' pools (request.retire).
+	retired []*request
 
 	// batch holds the per-CU frame pools of the batched translation
 	// front-end; nil while the per-line path is in use.
@@ -114,9 +119,10 @@ type System struct {
 }
 
 // cuCounters is the per-CU slice of formerly-global bookkeeping: faults,
-// miss-merge and remap counters, lifetime CDFs, and the TLB waiter-list
-// pool. Everything here is touched only by the owning CU's front end, so
-// in a partitioned run each slot belongs to exactly one worker.
+// miss-merge and remap counters, lifetime CDFs, the TLB waiter-list pool
+// and the request-record pool. Everything here is touched only by the
+// owning CU's front end (and, for reqs, by window barriers), so in a
+// partitioned run each slot belongs to exactly one worker.
 type cuCounters struct {
 	faults        FaultCounts
 	tlbMerges     uint64
@@ -125,7 +131,24 @@ type cuCounters struct {
 	batch         BatchStats // batched translation front-end activity
 	tlbLife       stats.CDF  // per-CU TLB entry residence (TrackLifetimes)
 	l1Life        stats.CDF  // L1 line active lifetime (TrackLifetimes)
-	waitPool      [][]func(memory.PTE, bool)
+	waitPool      [][]tlbWaiter
+	reqs          []*request // free request records (request.go)
+}
+
+// tlbWaiter is a request merged behind an outstanding per-CU TLB miss: a
+// per-line request record, or a batched chunk.
+type tlbWaiter interface {
+	resolved(r iommu.Result)
+}
+
+// waitList pops (or grows) a TLB waiter list from the CU's pool.
+func (st *cuCounters) waitList() []tlbWaiter {
+	if n := len(st.waitPool); n > 0 {
+		list := st.waitPool[n-1]
+		st.waitPool = st.waitPool[:n-1]
+		return list
+	}
+	return make([]tlbWaiter, 0, 8)
 }
 
 // New assembles a system from cfg. An invalid configuration returns a
@@ -164,7 +187,7 @@ func New(cfg Config) (*System, error) {
 	}
 
 	// Per-CU L1s, TLBs, invalidation filters, and TLB-miss MSHRs.
-	s.l2Pending = make(map[uint64][]lineWaiter)
+	s.l2Pending = make(map[uint64][]*request)
 	s.cuStats = make([]cuCounters, cfg.GPU.NumCUs)
 	for i := 0; i < cfg.GPU.NumCUs; i++ {
 		cuEng := s.cuEng(i)
@@ -172,7 +195,7 @@ func New(cfg Config) (*System, error) {
 		l1.Clock = cuEng.Now
 		s.l1s = append(s.l1s, l1)
 		s.filters = append(s.filters, make(map[memory.VPN]int))
-		s.tlbPending = append(s.tlbPending, make(map[memory.VPN][]func(memory.PTE, bool)))
+		s.tlbPending = append(s.tlbPending, make(map[memory.VPN][]tlbWaiter))
 		if cfg.DynamicSynonymRemap {
 			s.remaps = append(s.remaps, newRemapTable(cfg.RemapEntries))
 		}
@@ -662,7 +685,7 @@ func (s *System) onVirtualL2Evict(l cache.Line) {
 	va := vunkey(l.Addr)
 	s.fbt.ClearLine(l.ASID, va.Page(), va.LineIndex())
 	if l.Dirty {
-		s.mem.Access(true, func() {})
+		s.mem.Access(true, writeback, 0)
 	}
 	if s.lifetimes != nil {
 		s.lifetimes.L2Data.Add(float64(l.ActiveLifetime()))
@@ -672,7 +695,7 @@ func (s *System) onVirtualL2Evict(l cache.Line) {
 // onPhysicalL2Evict writes back dirty lines.
 func (s *System) onPhysicalL2Evict(l cache.Line) {
 	if l.Dirty {
-		s.mem.Access(true, func() {})
+		s.mem.Access(true, writeback, 0)
 	}
 	if s.lifetimes != nil {
 		s.lifetimes.L2Data.Add(float64(l.ActiveLifetime()))
@@ -693,7 +716,7 @@ func (s *System) onFBTEvict(v fbt.View) {
 		if dirty, was := s.l2.InvalidateLine(addr); was {
 			s.fbtInvalLines++
 			if dirty {
-				s.mem.Access(true, func() {})
+				s.mem.Access(true, writeback, 0)
 			}
 		}
 	}
@@ -727,6 +750,9 @@ func (s *System) flushL1(cu int) {
 	s.l1s[cu].InvalidateAll()
 	s.filters[cu] = make(map[memory.VPN]int)
 }
+
+// writeback completes a dirty line's write to DRAM: nothing waits on it.
+var writeback = sim.Func(func() {})
 
 // fault records an exceptional event per the configured policy.
 func (s *System) fault(kind string, c *uint64) {

@@ -52,23 +52,16 @@ func (d *DRAM) Stats() Stats { return d.stats }
 // QueueDelay returns total cycles requests waited for bandwidth.
 func (d *DRAM) QueueDelay() uint64 { return d.server.QueueDelay }
 
-// Access performs one line transfer; done fires when the data is available
-// (reads) or accepted (writes).
-func (d *DRAM) Access(write bool, done func()) {
+// Access performs one line transfer; h.Handle(arg) fires when the data is
+// available (reads) or accepted (writes).
+func (d *DRAM) Access(write bool, h sim.Handler, arg uint64) {
 	if write {
 		d.stats.Writes++
 	} else {
 		d.stats.Reads++
 	}
 	start := d.server.Admit()
-	d.eng.At(start+d.cfg.Latency, done)
-}
-
-// AccessAfter is Access with an additional fixed delay before the request
-// reaches the device (e.g. interconnect traversal already accounted
-// separately by the caller can pass 0).
-func (d *DRAM) AccessAfter(delay uint64, write bool, done func()) {
-	d.eng.Schedule(delay, func() { d.Access(write, done) })
+	d.eng.AtEvent(start+d.cfg.Latency, h, arg)
 }
 
 func (d *DRAM) String() string {

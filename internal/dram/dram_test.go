@@ -10,7 +10,7 @@ func TestAccessLatency(t *testing.T) {
 	eng := sim.New()
 	d := New(eng, Config{Latency: 160, LinesPerCycle: 2})
 	var done uint64
-	d.Access(false, func() { done = eng.Now() })
+	d.Access(false, sim.Func(func() { done = eng.Now() }), 0)
 	eng.Run()
 	if done != 160 {
 		t.Fatalf("read completed at %d, want 160", done)
@@ -25,7 +25,7 @@ func TestBandwidthContention(t *testing.T) {
 	d := New(eng, Config{Latency: 100, LinesPerCycle: 2})
 	var finishes []uint64
 	for i := 0; i < 6; i++ {
-		d.Access(i%2 == 0, func() { finishes = append(finishes, eng.Now()) })
+		d.Access(i%2 == 0, sim.Func(func() { finishes = append(finishes, eng.Now()) }), 0)
 	}
 	eng.Run()
 	// 2 lines/cycle: pairs complete at 100, 101, 102.
@@ -41,17 +41,6 @@ func TestBandwidthContention(t *testing.T) {
 	s := d.Stats()
 	if s.Reads != 3 || s.Writes != 3 || s.Accesses() != 6 {
 		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestAccessAfter(t *testing.T) {
-	eng := sim.New()
-	d := New(eng, Config{Latency: 50, LinesPerCycle: 0})
-	var done uint64
-	d.AccessAfter(30, false, func() { done = eng.Now() })
-	eng.Run()
-	if done != 80 {
-		t.Fatalf("completed at %d, want 80", done)
 	}
 }
 

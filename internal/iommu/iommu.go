@@ -77,6 +77,19 @@ type Result struct {
 	Fault bool
 }
 
+// Client receives a completed translation (Translate). A client is usually
+// the requester's own pooled record, so a translation allocates nothing.
+type Client interface {
+	Translated(r Result)
+}
+
+// ClientFunc adapts a plain callback to Client. Func values are pointers,
+// so the conversion does not allocate.
+type ClientFunc func(Result)
+
+// Translated runs f.
+func (f ClientFunc) Translated(r Result) { f(r) }
+
 // IOMMU is the shared translation unit.
 type IOMMU struct {
 	eng     *sim.Engine
@@ -98,11 +111,13 @@ type IOMMU struct {
 	Trace *obs.Emitter
 
 	// pending merges concurrent misses to the same page into one walk,
-	// like the walker's MSHRs: duplicates attach to the outstanding walk.
-	// Drained waiter lists recycle through waitPool so merging stays
-	// allocation-free at steady state.
-	pending  map[pendKey][]func(Result)
-	waitPool [][]func(Result)
+	// like the walker's MSHRs: duplicates attach their clients to the
+	// outstanding walk. Drained waiter lists recycle through waitPool and
+	// lookup records through free, so steady-state translation allocates
+	// nothing.
+	pending  map[pendKey][]Client
+	waitPool [][]Client
+	free     []*lookup
 }
 
 type pendKey struct {
@@ -125,7 +140,7 @@ func New(eng *sim.Engine, cfg Config, walker *ptw.Walker) *IOMMU {
 		tlb:     tlb.New(cfg.TLB),
 		walker:  walker,
 		sampler: stats.NewIntervalSampler(cfg.SampleWindow),
-		pending: make(map[pendKey][]func(Result)),
+		pending: make(map[pendKey][]Client),
 	}
 	for i := 0; i < cfg.Banks; i++ {
 		io.ports = append(io.ports, sim.NewBandwidthServer(eng, cfg.LookupsPerCycle))
@@ -166,39 +181,91 @@ func (io *IOMMU) bank(vpn memory.VPN) *sim.BandwidthServer {
 	return io.ports[(uint64(vpn)>>6)%uint64(len(io.ports))]
 }
 
-// Translate requests a translation of (asid, vpn); done fires with the
-// result after the request is serialized through the lookup port, the
+// lookup carries one Translate request through the lookup port, the
+// shared TLB, the optional FBT and a walk (sim.Handler: the event argument
+// is its stage). Lookups live and die on the IOMMU's engine: one returns
+// to IOMMU.free before its client runs, or when it merges behind an
+// outstanding walk of the same page.
+type lookup struct {
+	io   *IOMMU
+	asid memory.ASID
+	vpn  memory.VPN
+	c    Client
+	ppn  memory.PPN // FBT second-level hit, held across its latency
+	perm memory.Perm
+}
+
+// Lookup stages (lookup.Handle).
+const (
+	lookupGranted = iota // the lookup port granted the request: consult the shared TLB
+	lookupFBTHit         // an FBT second-level hit's latency elapsed
+	lookupFBTMiss        // an FBT miss's latency elapsed: walk
+)
+
+// Translate requests a translation of (asid, vpn); c.Translated fires with
+// the result after the request is serialized through the lookup port, the
 // shared TLB (and optionally the FBT) is consulted, and — on a miss — a
 // page-table walk completes.
-func (io *IOMMU) Translate(asid memory.ASID, vpn memory.VPN, done func(Result)) {
+func (io *IOMMU) Translate(asid memory.ASID, vpn memory.VPN, c Client) {
 	io.st.Requests++
 	io.sampler.Record(io.eng.Now())
 	io.Trace.Emit("enqueue", uint64(vpn))
 	slot := io.bank(vpn).Admit()
 	io.delays.Add(float64(slot - io.eng.Now()))
-	io.eng.At(slot+io.cfg.LookupLatency, func() {
-		io.Trace.Emit("dequeue", uint64(vpn))
-		if e, ok := io.tlb.Lookup(asid, vpn); ok {
+	var l *lookup
+	if n := len(io.free); n > 0 {
+		l = io.free[n-1]
+		io.free = io.free[:n-1]
+	} else {
+		l = &lookup{io: io}
+	}
+	l.asid, l.vpn, l.c = asid, vpn, c
+	io.eng.AtEvent(slot+io.cfg.LookupLatency, l, lookupGranted)
+}
+
+// Handle advances the lookup to its next stage (sim.Handler).
+func (l *lookup) Handle(stage uint64) {
+	io := l.io
+	switch stage {
+	case lookupGranted:
+		io.Trace.Emit("dequeue", uint64(l.vpn))
+		if e, ok := io.tlb.Lookup(l.asid, l.vpn); ok {
 			io.st.TLBHits++
-			done(Result{PTE: memory.PTE{PPN: e.Frame(vpn), Perm: e.Perm, Valid: true, Large: e.Large}})
+			io.deliver(l, Result{PTE: memory.PTE{PPN: e.Frame(l.vpn), Perm: e.Perm, Valid: true, Large: e.Large}})
 			return
 		}
 		io.st.TLBMisses++
 		if io.SecondLevel != nil {
-			if ppn, perm, ok := io.SecondLevel.TranslateVPN(asid, vpn); ok {
+			if ppn, perm, ok := io.SecondLevel.TranslateVPN(l.asid, l.vpn); ok {
 				io.st.FBTHits++
-				io.eng.Schedule(io.cfg.FBTLatency, func() {
-					io.tlb.Insert(asid, vpn, ppn, perm)
-					done(Result{PTE: memory.PTE{PPN: ppn, Perm: perm, Valid: true}})
-				})
+				l.ppn, l.perm = ppn, perm
+				io.eng.ScheduleEvent(io.cfg.FBTLatency, l, lookupFBTHit)
 				return
 			}
 			// FBT miss costs its lookup latency before the walk begins.
-			io.eng.Schedule(io.cfg.FBTLatency, func() { io.walk(asid, vpn, done) })
+			io.eng.ScheduleEvent(io.cfg.FBTLatency, l, lookupFBTMiss)
 			return
 		}
-		io.walk(asid, vpn, done)
-	})
+		io.walk(l)
+	case lookupFBTHit:
+		io.tlb.Insert(l.asid, l.vpn, l.ppn, l.perm)
+		io.deliver(l, Result{PTE: memory.PTE{PPN: l.ppn, Perm: l.perm, Valid: true}})
+	case lookupFBTMiss:
+		io.walk(l)
+	}
+}
+
+// deliver recycles l, then hands r to its client: the client may issue a
+// new Translate that reuses the record.
+func (io *IOMMU) deliver(l *lookup, r Result) {
+	c := l.c
+	io.release(l)
+	c.Translated(r)
+}
+
+func (io *IOMMU) release(l *lookup) {
+	l.c = nil
+	io.free = append(io.free, l)
 }
 
 // TranslateBulk enqueues one warp batch's residual miss set — vpns, already
@@ -213,7 +280,7 @@ func (io *IOMMU) TranslateBulk(asid memory.ASID, vpns []memory.VPN, done func(i 
 	io.st.BulkMisses += uint64(len(vpns))
 	for i, vpn := range vpns {
 		i := i
-		io.Translate(asid, vpn, func(r Result) { done(i, r) })
+		io.Translate(asid, vpn, ClientFunc(func(r Result) { done(i, r) }))
 	}
 }
 
@@ -228,8 +295,10 @@ func (io *IOMMU) insertTLB(asid memory.ASID, vpn memory.VPN, pte memory.PTE) {
 	io.tlb.Insert(asid, vpn, pte.PPN, pte.Perm)
 }
 
-func (io *IOMMU) walk(asid memory.ASID, vpn memory.VPN, done func(Result)) {
-	k := pendKey{asid, vpn}
+// walk resolves a shared-TLB miss: l leads a page-table walk, or its client
+// attaches to the outstanding walk of the same page.
+func (io *IOMMU) walk(l *lookup) {
+	k := pendKey{l.asid, l.vpn}
 	if list, outstanding := io.pending[k]; outstanding {
 		// A walk for this page is already in flight: attach to it.
 		io.st.MergedWalks++
@@ -238,36 +307,41 @@ func (io *IOMMU) walk(asid memory.ASID, vpn memory.VPN, done func(Result)) {
 				list = io.waitPool[n-1]
 				io.waitPool = io.waitPool[:n-1]
 			} else {
-				list = make([]func(Result), 0, 8)
+				list = make([]Client, 0, 8)
 			}
 		}
-		io.pending[k] = append(list, done)
+		io.pending[k] = append(list, l.c)
+		io.release(l)
 		return
 	}
 	io.pending[k] = nil
 	io.st.Walks++
-	io.walker.Walk(vpn, func(r ptw.Result) {
-		var res Result
-		if r.Fault {
-			io.st.Faults++
-			res = Result{Fault: true}
-		} else {
-			io.insertTLB(asid, vpn, r.PTE)
-			res = Result{PTE: r.PTE}
-		}
-		waiters := io.pending[k]
-		delete(io.pending, k)
-		done(res)
-		for _, w := range waiters {
-			w(res)
-		}
-		if waiters != nil {
-			for i := range waiters {
-				waiters[i] = nil
-			}
-			io.waitPool = append(io.waitPool, waiters[:0])
-		}
-	})
+	io.walker.Walk(l.vpn, l)
+}
+
+// Walked completes the walk l leads (ptw.Client): install the translation,
+// then deliver it to l's client and every client merged behind it.
+func (l *lookup) Walked(r ptw.Result) {
+	io := l.io
+	var res Result
+	if r.Fault {
+		io.st.Faults++
+		res = Result{Fault: true}
+	} else {
+		io.insertTLB(l.asid, l.vpn, r.PTE)
+		res = Result{PTE: r.PTE}
+	}
+	k := pendKey{l.asid, l.vpn}
+	waiters := io.pending[k]
+	delete(io.pending, k)
+	io.deliver(l, res)
+	for _, c := range waiters {
+		c.Translated(res)
+	}
+	if waiters != nil {
+		clear(waiters)
+		io.waitPool = append(io.waitPool, waiters[:0])
+	}
 }
 
 // Shootdown invalidates (asid, vpn) in the shared TLB.

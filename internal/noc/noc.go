@@ -66,21 +66,18 @@ func (n *Network) Latency(r Route) uint64 {
 	return 0
 }
 
-// Send delivers a message over route r, invoking done when it arrives.
-// Unknown routes deliver with zero delay.
-func (n *Network) Send(r Route, done func()) {
+// Send delivers a message over route r: h.Handle(arg) fires when it
+// arrives. Unknown routes deliver with zero delay.
+func (n *Network) Send(r Route, h sim.Handler, arg uint64) {
 	l := n.links[r]
 	if l == nil {
-		n.eng.Schedule(0, done)
+		n.eng.ScheduleEvent(0, h, arg)
 		return
 	}
 	l.Messages++
 	start := l.server.Admit()
-	n.eng.At(start+l.Latency, done)
+	n.eng.AtEvent(start+l.Latency, h, arg)
 }
-
-// RoundTrip returns latency for a request-response pair on r (2x one-way).
-func (n *Network) RoundTrip(r Route) uint64 { return 2 * n.Latency(r) }
 
 // MinLatency returns the smallest configured latency among the given
 // routes — the conservative lookahead of a partitioned simulation whose

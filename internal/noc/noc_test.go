@@ -11,7 +11,7 @@ func TestSendLatency(t *testing.T) {
 	n := New(eng)
 	n.AddLink(CUToL2, 10, 0)
 	var arrived uint64
-	n.Send(CUToL2, func() { arrived = eng.Now() })
+	n.Send(CUToL2, sim.Func(func() { arrived = eng.Now() }), 0)
 	eng.Run()
 	if arrived != 10 {
 		t.Fatalf("arrival = %d, want 10", arrived)
@@ -25,7 +25,7 @@ func TestUnknownRouteZeroLatency(t *testing.T) {
 	eng := sim.New()
 	n := New(eng)
 	delivered := false
-	n.Send(Route("nowhere"), func() { delivered = true })
+	n.Send(Route("nowhere"), sim.Func(func() { delivered = true }), 0)
 	eng.Run()
 	if !delivered || eng.Now() != 0 {
 		t.Fatalf("unknown route: delivered=%v at %d", delivered, eng.Now())
@@ -41,7 +41,7 @@ func TestBandwidthLimitedLink(t *testing.T) {
 	n.AddLink(L2ToIOMMU, 5, 1)
 	var arrivals []uint64
 	for i := 0; i < 3; i++ {
-		n.Send(L2ToIOMMU, func() { arrivals = append(arrivals, eng.Now()) })
+		n.Send(L2ToIOMMU, sim.Func(func() { arrivals = append(arrivals, eng.Now()) }), 0)
 	}
 	eng.Run()
 	want := []uint64{5, 6, 7}
@@ -49,14 +49,5 @@ func TestBandwidthLimitedLink(t *testing.T) {
 		if arrivals[i] != w {
 			t.Fatalf("arrivals = %v, want %v", arrivals, want)
 		}
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	eng := sim.New()
-	n := New(eng)
-	n.AddLink(CPUToGPU, 25, 0)
-	if n.RoundTrip(CPUToGPU) != 50 {
-		t.Fatalf("RoundTrip = %d, want 50", n.RoundTrip(CPUToGPU))
 	}
 }

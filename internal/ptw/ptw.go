@@ -56,6 +56,12 @@ type Result struct {
 	Fault bool // no valid translation
 }
 
+// Client receives a completed walk (Walk). A client is usually the
+// requester's own pooled record, so a walk allocates nothing.
+type Client interface {
+	Walked(r Result)
+}
+
 // Walker is the multi-threaded page table walker.
 type Walker struct {
 	eng   *sim.Engine
@@ -64,7 +70,8 @@ type Walker struct {
 	mem   *dram.DRAM
 	pwc   *cache.Cache
 	busy  int
-	queue []pending
+	queue []pending    // walks waiting for a thread, FIFO from qhead
+	qhead int          // index of the oldest waiting walk
 	free  []*walkState // recycled walk threads; steady state allocates nothing
 	stats Stats
 
@@ -76,13 +83,19 @@ type Walker struct {
 type pending struct {
 	vpn      memory.VPN
 	enqueued uint64
-	done     func(Result)
+	c        Client
 }
 
-// walkState is one in-flight walk thread. It implements sim.Handler (PWC
-// hits re-schedule it directly) and carries a method-value callback for
-// DRAM completions, so advancing a walk level allocates nothing; states
-// recycle through Walker.free across walks.
+// Walk-thread event arguments (walkState.Handle).
+const (
+	walkPWCHit  = 0 // a PWC hit's latency elapsed
+	walkMemRead = 1 // a DRAM read of a page-table entry returned
+)
+
+// walkState is one in-flight walk thread. It implements sim.Handler — PWC
+// hits and DRAM reads both re-schedule it directly, the argument telling
+// which — so advancing a walk level allocates nothing; states recycle
+// through Walker.free across walks.
 type walkState struct {
 	w         *Walker
 	vpn       memory.VPN
@@ -93,8 +106,7 @@ type walkState struct {
 	began     uint64
 	fill      uint64 // PWC fill address of the in-flight memory read
 	cacheable bool
-	done      func(Result)
-	resume    func() // == memDone, bound once when the state is created
+	c         Client
 }
 
 // New builds a walker over the given page table, using mem for PT entry
@@ -125,20 +137,44 @@ func (w *Walker) SetTable(pt *memory.PageTable) { w.pt = pt }
 func (w *Walker) Busy() int { return w.busy }
 
 // QueueLen returns the number of walks waiting for a thread.
-func (w *Walker) QueueLen() int { return len(w.queue) }
+func (w *Walker) QueueLen() int { return len(w.queue) - w.qhead }
 
-// Walk requests a translation for vpn; done fires when the walk completes.
-func (w *Walker) Walk(vpn memory.VPN, done func(Result)) {
+// Walk requests a translation for vpn; c.Walked fires when the walk
+// completes.
+func (w *Walker) Walk(vpn memory.VPN, c Client) {
 	w.stats.Walks++
 	if w.busy >= w.cfg.Threads {
 		w.stats.QueuedWalks++
-		w.queue = append(w.queue, pending{vpn: vpn, enqueued: w.eng.Now(), done: done})
+		w.enqueue(pending{vpn: vpn, enqueued: w.eng.Now(), c: c})
 		return
 	}
-	w.start(vpn, done)
+	w.start(vpn, c)
 }
 
-func (w *Walker) start(vpn memory.VPN, done func(Result)) {
+// enqueue appends a walk to the wait queue, moving the waiting walks to
+// the front of the buffer before it would grow, so a queue that keeps
+// cycling through the same depth allocates nothing.
+func (w *Walker) enqueue(p pending) {
+	if len(w.queue) == cap(w.queue) && w.qhead > 0 {
+		n := copy(w.queue, w.queue[w.qhead:])
+		clear(w.queue[n:])
+		w.queue, w.qhead = w.queue[:n], 0
+	}
+	w.queue = append(w.queue, p)
+}
+
+// dequeue pops the oldest waiting walk.
+func (w *Walker) dequeue() pending {
+	p := w.queue[w.qhead]
+	w.queue[w.qhead] = pending{} // release the client
+	w.qhead++
+	if w.qhead == len(w.queue) {
+		w.queue, w.qhead = w.queue[:0], 0
+	}
+	return p
+}
+
+func (w *Walker) start(vpn memory.VPN, c Client) {
 	w.busy++
 	var ws *walkState
 	if n := len(w.free); n > 0 {
@@ -146,26 +182,20 @@ func (w *Walker) start(vpn memory.VPN, done func(Result)) {
 		w.free = w.free[:n-1]
 	} else {
 		ws = &walkState{w: w}
-		ws.resume = ws.memDone
 	}
 	w.Trace.Emit("walk.start", uint64(vpn))
 	ws.began = w.eng.Now()
 	ws.vpn = vpn
 	ws.pte, ws.tr, ws.levels = w.pt.Walk(vpn)
 	ws.level = 0
-	ws.done = done
+	ws.c = c
 	ws.step()
 }
 
-// Handle advances the walk after a scheduled PWC-hit latency (sim.Handler).
-func (ws *walkState) Handle(uint64) {
-	ws.level++
-	ws.step()
-}
-
-// memDone advances the walk after a DRAM read of a page-table entry.
-func (ws *walkState) memDone() {
-	if ws.cacheable {
+// Handle advances the walk after a PWC hit's latency or a DRAM read of a
+// page-table entry (sim.Handler).
+func (ws *walkState) Handle(arg uint64) {
+	if arg == walkMemRead && ws.cacheable {
 		ws.w.pwc.Fill(ws.fill, memory.PermRead, 0, false)
 	}
 	ws.level++
@@ -184,16 +214,16 @@ func (ws *walkState) step() {
 	if cacheable {
 		if _, hit := w.pwc.Access(addr, false); hit {
 			w.stats.PWCHits++
-			w.eng.ScheduleEvent(w.cfg.PWCHitLatency, ws, 0)
+			w.eng.ScheduleEvent(w.cfg.PWCHitLatency, ws, walkPWCHit)
 			return
 		}
 		w.stats.PWCMisses++
 	}
 	// At most one memory read is in flight per walk thread, so fill and
-	// cacheable stay stable until resume fires.
+	// cacheable stay stable until the read returns.
 	ws.fill = addr
 	ws.cacheable = cacheable
-	w.mem.Access(false, ws.resume)
+	w.mem.Access(false, ws, walkMemRead)
 }
 
 func (w *Walker) finish(ws *walkState) {
@@ -206,21 +236,20 @@ func (w *Walker) finish(ws *walkState) {
 		w.stats.Faults++
 	}
 	w.busy--
-	done := ws.done
-	ws.done = nil // release the continuation before pooling
+	c := ws.c
+	ws.c = nil // release the client before pooling
 	w.free = append(w.free, ws)
 	// Start a queued walk, if any, before delivering the result so the
 	// pool stays saturated.
-	if len(w.queue) > 0 {
-		next := w.queue[0]
-		w.queue = w.queue[1:]
+	if w.QueueLen() > 0 {
+		next := w.dequeue()
 		w.stats.QueueDelay += w.eng.Now() - next.enqueued
-		w.start(next.vpn, next.done)
+		w.start(next.vpn, next.c)
 	}
-	done(res)
+	c.Walked(res)
 }
 
 func (w *Walker) String() string {
 	return fmt.Sprintf("ptw{threads: %d, busy: %d, queued: %d, walks: %d}",
-		w.cfg.Threads, w.busy, len(w.queue), w.stats.Walks)
+		w.cfg.Threads, w.busy, w.QueueLen(), w.stats.Walks)
 }

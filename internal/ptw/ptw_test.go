@@ -24,7 +24,7 @@ func TestWalkSuccess(t *testing.T) {
 	pt.Map(0x42, 0x999, memory.PermRead)
 	var got Result
 	done := false
-	w.Walk(0x42, func(r Result) { got = r; done = true })
+	w.Walk(0x42, walkFunc(func(r Result) { got = r; done = true }))
 	eng.Run()
 	if !done {
 		t.Fatal("walk never completed")
@@ -48,10 +48,10 @@ func TestPWCAcceleratesSecondWalk(t *testing.T) {
 	pt.Map(0x100, 1, memory.PermRead)
 	pt.Map(0x101, 2, memory.PermRead) // same upper levels
 	var t1, t2 uint64
-	w.Walk(0x100, func(Result) {
+	w.Walk(0x100, walkFunc(func(Result) {
 		t1 = eng.Now()
-		w.Walk(0x101, func(Result) { t2 = eng.Now() })
-	})
+		w.Walk(0x101, walkFunc(func(Result) { t2 = eng.Now() }))
+	}))
 	eng.Run()
 	first := t1
 	second := t2 - t1
@@ -80,10 +80,10 @@ func TestUncachedLeafConfig(t *testing.T) {
 	pt.Map(0x100, 1, memory.PermRead)
 	pt.Map(0x101, 2, memory.PermRead)
 	var t1, t2 uint64
-	w.Walk(0x100, func(Result) {
+	w.Walk(0x100, walkFunc(func(Result) {
 		t1 = eng.Now()
-		w.Walk(0x101, func(Result) { t2 = eng.Now() })
-	})
+		w.Walk(0x101, walkFunc(func(Result) { t2 = eng.Now() }))
+	}))
 	eng.Run()
 	// Second walk: 3 PWC hits (2cy) + mandatory leaf DRAM access (100cy).
 	if t2-t1 != 106 {
@@ -94,7 +94,7 @@ func TestUncachedLeafConfig(t *testing.T) {
 func TestWalkFault(t *testing.T) {
 	eng, _, w, _ := setup(16)
 	var got Result
-	w.Walk(0xdead, func(r Result) { got = r })
+	w.Walk(0xdead, walkFunc(func(r Result) { got = r }))
 	eng.Run()
 	if !got.Fault {
 		t.Fatal("walk of unmapped page did not fault")
@@ -112,12 +112,12 @@ func TestThreadPoolLimitsAndQueues(t *testing.T) {
 	completed := 0
 	for i := 0; i < 6; i++ {
 		vpn := memory.VPN(0x1000 + i*0x40000)
-		w.Walk(vpn, func(r Result) {
+		w.Walk(vpn, walkFunc(func(r Result) {
 			if r.Fault {
 				t.Errorf("walk %v faulted", vpn)
 			}
 			completed++
-		})
+		}))
 	}
 	if w.Busy() != 2 || w.QueueLen() != 4 {
 		t.Fatalf("busy=%d queued=%d, want 2/4", w.Busy(), w.QueueLen())
@@ -144,7 +144,7 @@ func TestConcurrencyOverlapsLatency(t *testing.T) {
 	}
 	n := 0
 	for i := 0; i < 16; i++ {
-		w.Walk(memory.VPN(i*0x40000+5), func(Result) { n++ })
+		w.Walk(memory.VPN(i*0x40000+5), walkFunc(func(Result) { n++ }))
 	}
 	end := eng.Run()
 	if n != 16 {
@@ -152,5 +152,47 @@ func TestConcurrencyOverlapsLatency(t *testing.T) {
 	}
 	if end != 400 { // all overlap perfectly
 		t.Fatalf("16 concurrent walks took %d cycles, want 400", end)
+	}
+}
+
+// walkFunc adapts a test callback to Client.
+type walkFunc func(Result)
+
+func (f walkFunc) Walked(r Result) { f(r) }
+
+// walkCount is a Client that counts completed walks.
+type walkCount int
+
+func (n *walkCount) Walked(Result) { *n++ }
+
+// TestWalkZeroAlloc pins steady-state walks at 0 allocs/op: walk threads
+// recycle, DRAM reads re-schedule the thread itself, and the wait queue
+// reuses its buffer, so walking — queueing included — allocates nothing
+// once warm.
+func TestWalkZeroAlloc(t *testing.T) {
+	eng, pt, w, _ := setup(2)
+	var vpns []memory.VPN
+	for i := 0; i < 5; i++ {
+		vpn := memory.VPN(0x1000 + i*0x40000) // distinct upper levels
+		pt.Map(vpn, memory.PPN(i+1), memory.PermRead)
+		vpns = append(vpns, vpn)
+	}
+	var n walkCount
+	op := func() {
+		for _, vpn := range vpns {
+			w.Walk(vpn, &n)
+		}
+		eng.Run()
+	}
+	// Warm up, long enough for the clock to lap the engine's calendar so
+	// every bucket slab exists.
+	for i := 0; i < 100; i++ {
+		op()
+	}
+	if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
+		t.Fatalf("steady-state walks allocate %.1f/op, want 0", allocs)
+	}
+	if s := w.Stats(); n != walkCount(s.Walks) || s.QueuedWalks == 0 {
+		t.Fatalf("completed %d of %d walks, %d queued", n, s.Walks, s.QueuedWalks)
 	}
 }

@@ -26,11 +26,12 @@ type Handler interface {
 	Handle(arg uint64)
 }
 
-// funcHandler adapts a plain callback to Handler. Func values are pointers,
-// so the interface conversion does not allocate.
-type funcHandler func()
+// Func adapts a plain callback to Handler, ignoring the event argument.
+// Func values are pointers, so the interface conversion does not allocate.
+type Func func()
 
-func (f funcHandler) Handle(uint64) { f() }
+// Handle runs f.
+func (f Func) Handle(uint64) { f() }
 
 // Tracer observes engine activity: Fired is called for every event, with
 // the cycle it fires at, the handler receiving it, and its argument, just
@@ -105,13 +106,13 @@ func (e *Engine) Pending() int { return e.bucketed + len(e.overflow) }
 // fn later in the current cycle (after all previously scheduled events for
 // this cycle).
 func (e *Engine) Schedule(delay uint64, fn func()) {
-	e.at(e.now+delay, funcHandler(fn), 0)
+	e.at(e.now+delay, Func(fn), 0)
 }
 
 // At enqueues fn to run at the absolute cycle when. Scheduling in the past
 // is clamped to the current cycle.
 func (e *Engine) At(when uint64, fn func()) {
-	e.at(when, funcHandler(fn), 0)
+	e.at(when, Func(fn), 0)
 }
 
 // ScheduleEvent enqueues h.Handle(arg) to run delay cycles from now

@@ -116,17 +116,12 @@ func (p *Partitioned) Crossings() uint64 { return p.crossings }
 // Engine returns the partition's engine.
 func (p *Partitioned) Engine(part int) *Engine { return p.engines[part] }
 
-// Send buffers fn for the dst partition, delay cycles after the src
-// partition's current cycle. It must be called from src's executing
-// event (or between windows); delivery happens at the next window
-// barrier. For correctness under workers > 1, delay must be >= the
+// SendEvent buffers h.Handle(arg) for the dst partition, delay cycles
+// after the src partition's current cycle. It must be called from src's
+// executing event (or between windows); delivery happens at the next
+// window barrier. For correctness under workers > 1, delay must be >= the
 // lookahead; smaller delays are still delivered deterministically but
 // clamp to the barrier cycle.
-func (p *Partitioned) Send(src, dst int, delay uint64, fn func()) {
-	p.SendEvent(src, dst, delay, funcHandler(fn), 0)
-}
-
-// SendEvent is Send without the closure: h.Handle(arg) fires on dst.
 func (p *Partitioned) SendEvent(src, dst int, delay uint64, h Handler, arg uint64) {
 	p.outbox[src] = append(p.outbox[src], crossMsg{
 		when: p.engines[src].now + delay,
@@ -210,10 +205,13 @@ func (p *Partitioned) runParallel(onWindow func(limit uint64) bool) {
 	p.epoch.Store(0)
 	p.stop.Store(false)
 	p.arrived.Store(0)
-	p.panics = make([]any, p.workers)
+	// The worker count is read once, here: a worker's exit path must not
+	// read p.workers, which the next run's SetWorkers may be rewriting.
+	workers := p.workers
+	p.panics = make([]any, workers)
 	p.done = make(chan struct{})
 	var finished atomic.Int64
-	for w := 1; w < p.workers; w++ {
+	for w := 1; w < workers; w++ {
 		go func(w int) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -222,7 +220,7 @@ func (p *Partitioned) runParallel(onWindow func(limit uint64) bool) {
 					// The leader is joining this window; unblock it.
 					p.arrived.Add(1)
 				}
-				if finished.Add(1) == int64(p.workers-1) {
+				if finished.Add(1) == int64(workers-1) {
 					close(p.done)
 				}
 			}()
@@ -262,7 +260,7 @@ func (p *Partitioned) runParallel(onWindow func(limit uint64) bool) {
 		// and its still-healthy peers may observe it and exit without
 		// arriving; abort() below waits for every worker to return before
 		// the leader proceeds.
-		for p.arrived.Load() != int64(p.workers-1) && !p.stop.Load() {
+		for p.arrived.Load() != int64(workers-1) && !p.stop.Load() {
 			runtime.Gosched()
 		}
 		if p.stop.Load() {

@@ -91,8 +91,8 @@ func TestPartitionedWindowAccounting(t *testing.T) {
 	p := NewPartitioned(engines, 10, 1)
 	delivered := 0
 	engines[0].Schedule(0, func() {
-		p.Send(0, 1, 10, func() { delivered++ })
-		p.Send(0, 1, 15, func() { delivered++ })
+		p.SendEvent(0, 1, 10, Func(func() { delivered++ }), 0)
+		p.SendEvent(0, 1, 15, Func(func() { delivered++ }), 0)
 	})
 	p.Run(nil)
 	if delivered != 2 || p.Crossings() != 2 {
@@ -175,7 +175,7 @@ func TestPartitionedRerun(t *testing.T) {
 		p.SetWorkers(workers)
 		start := engines[0].Now()
 		engines[0].Schedule(0, func() {
-			p.Send(0, 2, 10, func() { arrivals = append(arrivals, engines[2].Now()) })
+			p.SendEvent(0, 2, 10, Func(func() { arrivals = append(arrivals, engines[2].Now()) }), 0)
 		})
 		p.Run(nil)
 		if n := len(arrivals); n == 0 || arrivals[n-1] != start+10 {
