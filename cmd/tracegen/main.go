@@ -5,8 +5,15 @@
 //
 // Usage:
 //
-//	tracegen                    # summarize all 15 workloads
-//	tracegen -workload fw -v    # per-kind breakdown for one workload
+//	tracegen                                       # summarize all 15 workloads
+//	tracegen -workload fw -v                       # per-CU stream lengths for one workload
+//	tracegen -workload pagerank -scale 100 -o pr100.trace
+//
+// -o saves the trace as a v4 stream, the one trace file format: chunks are
+// written as the generator emits instructions, so the trace is never
+// materialized and peak memory stays bounded by -chunk-budget at any
+// -scale. vcsim -tracefile replays the file; vcache.LoadTrace reads it
+// whole.
 package main
 
 import (
@@ -26,16 +33,10 @@ func main() {
 	cus := flag.Int("cus", 16, "number of compute units")
 	warps := flag.Int("warps", 8, "warp contexts per CU")
 	verbose := flag.Bool("v", false, "per-CU warp stream lengths")
-	out := flag.String("o", "", "save the generated trace(s) to this file (single workload) or directory")
-	chunked := flag.Bool("chunked", false, "save as a chunked (v4) stream: chunks are written as the generator emits them, so peak memory stays bounded by -chunk-budget even at large -scale")
-	chunkBudget := flag.Int("chunk-budget", 0, "chunk byte budget for -chunked (0 = default 4MB)")
-	compress := flag.Bool("compress", false, "flate-compress chunk payloads (-chunked only)")
+	out := flag.String("o", "", "save the generated trace(s) to this file (single workload) or directory, streamed chunk by chunk")
+	chunkBudget := flag.Int("chunk-budget", 0, "chunk byte budget for -o (0 = default 4MB)")
+	compress := flag.Bool("compress", false, "flate-compress the chunk payloads of -o files")
 	flag.Parse()
-
-	if *chunked && *out == "" {
-		fmt.Fprintln(os.Stderr, "-chunked requires -o")
-		os.Exit(1)
-	}
 
 	p := workloads.Params{Scale: *scale, NumCUs: *cus, WarpsPerCU: *warps, Seed: *seed}
 	gens := workloads.All()
@@ -48,52 +49,43 @@ func main() {
 		gens = []workloads.Generator{g}
 	}
 	for _, g := range gens {
-		if *chunked {
-			// Stream straight to disk: the trace is never materialized, so
-			// -scale 100 runs generate in chunk-budget-bounded memory.
-			path := *out
-			if len(gens) > 1 {
-				path = filepath.Join(*out, g.Name+".ctrace")
-			}
-			if err := saveChunked(g, p, path, *chunkBudget, *compress); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+		if *out == "" {
+			tr := g.Build(p)
+			fmt.Println(workloads.DescribeSummary(g, tr.Summarize()))
+			if *verbose {
+				dump(len(tr.CUs), func(cu int) (int, uint64) {
+					n := uint64(0)
+					for _, w := range tr.CUs[cu].Warps {
+						n += uint64(len(w))
+					}
+					return len(tr.CUs[cu].Warps), n
+				})
 			}
 			continue
 		}
-		fmt.Println(workloads.Describe(g, p))
-		tr := g.Build(p)
-		if *verbose {
-			dump(tr)
+		path := *out
+		if len(gens) > 1 {
+			path = filepath.Join(*out, g.Name+".trace")
 		}
-		if *out != "" {
-			path := *out
-			if len(gens) > 1 {
-				path = filepath.Join(*out, g.Name+".trace")
-			}
-			if err := tr.Save(path); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("    saved %s\n", path)
+		if err := save(g, p, path, trace.ChunkOptions{Budget: *chunkBudget, Compress: *compress}, *verbose); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 	}
 }
 
-// saveChunked streams one workload into a chunked (v4) trace file and
-// prints the same characteristics line Describe would, computed from the
-// incremental summary instead of a materialized trace.
-func saveChunked(g workloads.Generator, p workloads.Params, path string, budget int, compress bool) error {
+// save streams one workload into a trace file and prints the same
+// characteristics line as the in-memory path, computed from the writer's
+// incremental summary; verbose reads the per-CU lengths back from the
+// file's footer.
+func save(g workloads.Generator, p workloads.Params, path string, opts trace.ChunkOptions, verbose bool) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	chunks := 0
-	sum, err := g.BuildChunked(p, f, trace.ChunkOptions{
-		Budget:   budget,
-		Compress: compress,
-		OnChunk:  func(index, storedBytes int) { chunks = index + 1 },
-	})
+	opts.OnChunk = func(index, storedBytes int) { chunks = index + 1 }
+	sum, err := g.BuildChunked(p, f, opts)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -102,6 +94,20 @@ func saveChunked(g workloads.Generator, p workloads.Params, path string, budget 
 		return err
 	}
 	fmt.Println(workloads.DescribeSummary(g, sum))
+	if verbose {
+		c, err := trace.OpenCursorFile(path)
+		if err != nil {
+			return err
+		}
+		dump(c.NumCUs(), func(cu int) (int, uint64) {
+			n := uint64(0)
+			for w := 0; w < c.NumWarps(cu); w++ {
+				n += c.WarpLen(cu, w)
+			}
+			return c.NumWarps(cu), n
+		})
+		c.Close()
+	}
 	st, err := os.Stat(path)
 	if err != nil {
 		return err
@@ -110,12 +116,10 @@ func saveChunked(g workloads.Generator, p workloads.Params, path string, budget 
 	return nil
 }
 
-func dump(tr *trace.Trace) {
-	for ci, cu := range tr.CUs {
-		total := 0
-		for _, w := range cu.Warps {
-			total += len(w)
-		}
-		fmt.Printf("    cu %2d: %d warp contexts, %d instructions total\n", ci, len(cu.Warps), total)
+// dump prints each CU's warp-context count and instruction total.
+func dump(numCUs int, cu func(i int) (warps int, insts uint64)) {
+	for i := 0; i < numCUs; i++ {
+		warps, insts := cu(i)
+		fmt.Printf("    cu %2d: %d warp contexts, %d instructions total\n", i, warps, insts)
 	}
 }

@@ -33,9 +33,8 @@
 // -stream replays the workload from a chunked (v4) trace stream instead
 // of a materialized trace: per-run memory stays bounded by -chunk-budget
 // (default 4MB) at any -scale, and results are byte-identical to the
-// materialized path. -tracefile accepts both materialized (v3) and
-// chunked (v4) files, auto-detected; write the latter with
-// tracegen -chunked.
+// materialized path. -tracefile streams a saved trace file the same way;
+// write one with tracegen -o.
 package main
 
 import (
@@ -144,9 +143,9 @@ func main() {
 	}
 
 	// Trace acquisition. Two front ends feed the simulations: a fully
-	// materialized *trace.Trace, or — for -stream runs and chunked (v4)
-	// trace files — a path that each simulation opens its own streaming
-	// cursor over, so the whole trace is never resident.
+	// materialized *trace.Trace, or — for -stream runs and trace files —
+	// a path that each simulation opens its own streaming cursor over, so
+	// the whole trace is never resident.
 	var tr *trace.Trace
 	var streamPath string
 	var s trace.Summary
@@ -155,31 +154,15 @@ func main() {
 	switch {
 	case *traceFile != "":
 		// An explicit trace file has no derivable cache identity; replay it
-		// as given and compute results live. The format is sniffed: v3
-		// loads fully, v4 streams.
-		chunked, err := trace.IsChunkedFile(*traceFile)
+		// as given, streamed, and compute results live.
+		streamPath = *traceFile
+		cur, err := trace.OpenCursorFile(streamPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if chunked {
-			streamPath = *traceFile
-			cur, err := trace.OpenCursorFile(streamPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			s = cur.Summary()
-			cur.Close()
-		} else {
-			var err error
-			tr, err = trace.LoadFile(*traceFile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			s = tr.Summarize()
-		}
+		s = cur.Summary()
+		cur.Close()
 	case *stream:
 		g, ok := workloads.ByName(*wl)
 		if !ok {
@@ -357,15 +340,15 @@ func main() {
 }
 
 // chunkedStreamPath materializes the workload's chunked (v4) stream on
-// disk and returns its path. With a cache the stream lives in (and is
-// reused from) the ctrace artifact kind; without one it is generated into
-// a temp file, returned as temp for the caller to remove. Generation
-// writes chunks as the generator emits instructions, so even 100x-scale
-// workloads never hold the whole trace in memory.
+// disk and returns its path. With a cache the stream is the workload's
+// cached trace entry, shared with materialized runs; without one it is
+// generated into a temp file, returned as temp for the caller to remove.
+// Generation writes chunks as the generator emits instructions, so even
+// 100x-scale workloads never hold the whole trace in memory.
 func chunkedStreamPath(cache *artifact.Cache, g workloads.Generator, p workloads.Params, budget int) (path, temp string, s trace.Summary, err error) {
 	opts := trace.ChunkOptions{Budget: budget}
 	if cache != nil {
-		key := artifact.ChunkedTraceKey(g.Name, p)
+		key := artifact.TraceKey(g.Name, p)
 		if path, ok := cache.ChunkedTracePath(key); ok {
 			cur, err := trace.OpenCursorFile(path)
 			if err != nil {

@@ -8,7 +8,7 @@
 // determines an artifact's bytes:
 //
 //   - a trace is keyed by workload name + normalized workloads.Params +
-//     trace.FormatVersion + workloads.GeneratorVersion;
+//     trace.ChunkFormatVersion + workloads.GeneratorVersion;
 //   - a result is keyed by the trace's key + core.ConfigFingerprint (which
 //     covers every exported Config field plus core.SimVersion).
 //
@@ -17,18 +17,19 @@
 // explicit invalidation step exists or is needed. Stale files are garbage
 // that a `rm -r` of the cache directory clears.
 //
-// Entries are stored one file per artifact under <dir>/trace/ and
-// <dir>/result/, named by the key's hex digest, wrapped in a checksummed
-// envelope. Reads validate the envelope and payload before use: a corrupt,
-// truncated or version-mismatched entry counts as a miss (and is noted in
-// Stats.Corrupt), never an error — the caller recomputes and overwrites it.
-// Writes go through a temp file in the same directory followed by an atomic
-// rename, so concurrent processes sharing a cache directory never observe
-// partial entries.
+// Entries are stored one file per artifact, named by the key's hex
+// digest. A trace is a raw v4 stream under <dir>/ctrace/, one file for
+// materialized readers (GetTrace) and streaming ones (ChunkedTracePath)
+// alike; the format carries its own checksums. A result sits under
+// <dir>/result/ in a checksummed envelope. Reads validate an entry before
+// use: a corrupt, truncated or version-mismatched entry counts as a miss
+// (and is noted in Stats.Corrupt), never an error — the caller recomputes
+// and overwrites it. Writes go through a temp file in the same directory
+// followed by an atomic rename, so concurrent processes sharing a cache
+// directory never observe partial entries.
 package artifact
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -53,10 +54,10 @@ type Fingerprint = fingerprint.Sum
 // directory.
 const EnvDir = "VCACHE_DIR"
 
-// envelope format: magic, version, payload length, payload checksum,
-// payload. The envelope guards the file plumbing (truncation, bit rot,
-// foreign files); the payload codecs additionally carry their own format
-// versions and schema hashes.
+// Result envelope format: magic, version, payload length, payload
+// checksum, payload. The envelope guards the file plumbing (truncation,
+// bit rot, foreign files); the results codec additionally carries its own
+// schema hash.
 const (
 	envMagic   = "vcacheaf"
 	envVersion = 1
@@ -136,7 +137,7 @@ func Open(dir string) (*Cache, error) {
 	if dir == "" {
 		dir = DefaultDir()
 	}
-	for _, sub := range []string{"trace", "result", "ctrace"} {
+	for _, sub := range []string{"ctrace", "result"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o777); err != nil {
 			return nil, fmt.Errorf("artifact: opening cache: %w", err)
 		}
@@ -193,18 +194,12 @@ func (c *Cache) Observe(sc obs.Scope) {
 
 // TraceKey fingerprints everything that determines a generated trace:
 // workload identity, normalized generation parameters, the on-disk trace
-// format, and the generator implementation version.
+// format, and the generator implementation version. The chunk budget is
+// deliberately absent: chunk geometry is a storage detail that never
+// changes simulation results (the streaming differential tests pin this),
+// so streams cut at different budgets are interchangeable.
 func TraceKey(workload string, p workloads.Params) Fingerprint {
 	return fingerprint.Hash("vcache/trace", workload, p.Normalized(),
-		trace.FormatVersion, workloads.GeneratorVersion)
-}
-
-// ChunkedTraceKey fingerprints a chunked (v4) trace stream. The chunk
-// budget is deliberately absent: chunk geometry is a storage detail that
-// never changes simulation results (the streaming differential tests pin
-// this), so streams cut at different budgets are interchangeable.
-func ChunkedTraceKey(workload string, p workloads.Params) Fingerprint {
-	return fingerprint.Hash("vcache/ctrace", workload, p.Normalized(),
 		trace.ChunkFormatVersion, workloads.GeneratorVersion)
 }
 
@@ -220,48 +215,58 @@ func ResultKey(traceKey Fingerprint, cfg core.Config) Fingerprint {
 // ---------------------------------------------------------------------------
 // Typed entry points
 
-// GetTrace loads the trace cached under key, or nil on any miss.
+// GetTrace loads the trace cached under key by reading its stream to the
+// end, or returns nil on any miss.
 func (c *Cache) GetTrace(key Fingerprint) *trace.Trace {
-	if c == nil {
+	cur, path := c.openTrace(key)
+	if cur == nil {
 		return nil
 	}
-	payload := c.get("trace", key)
-	if payload != nil {
-		tr, err := trace.Read(bytes.NewReader(payload))
-		if err == nil {
-			c.traceHits.Add(1)
-			return tr
-		}
+	defer cur.Close()
+	tr, err := cur.Materialize()
+	if err != nil {
 		c.corrupt.Add(1)
+		c.traceMisses.Add(1)
+		return nil
 	}
-	c.traceMisses.Add(1)
-	return nil
+	if st, err := os.Stat(path); err == nil {
+		c.bytesRead.Add(uint64(st.Size()))
+	}
+	c.traceHits.Add(1)
+	return tr
 }
 
 // PutTrace stores tr under key. Errors are counted, not returned: a failed
 // write only costs a future recomputation.
 func (c *Cache) PutTrace(key Fingerprint, tr *trace.Trace) {
-	if c == nil {
-		return
-	}
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		c.errors.Add(1)
-		return
-	}
-	c.put("trace", key, buf.Bytes())
+	c.PutChunkedTrace(key, func(w io.Writer) error {
+		return tr.WriteChunked(w, trace.ChunkOptions{})
+	})
 }
 
-// ChunkedTracePath returns the on-disk path of the chunked trace stream
-// cached under key, validating it first (header, footer, and chunk-frame
+// ChunkedTracePath returns the on-disk path of the trace stream cached
+// under key, validating it first (header, footer, and chunk-frame
 // structure — an O(chunks) scan, no payload pass). Unlike GetTrace the
 // entry is not loaded into memory: callers open cursors straight off the
 // file, which is the whole point of the chunked format. A corrupt entry
 // counts as a miss; payload damage beyond the structural scan is still
 // caught by the cursor's per-chunk checksums at replay time.
 func (c *Cache) ChunkedTracePath(key Fingerprint) (string, bool) {
-	if c == nil {
+	cur, path := c.openTrace(key)
+	if cur == nil {
 		return "", false
+	}
+	cur.Close()
+	c.traceHits.Add(1)
+	return path, true
+}
+
+// openTrace opens a cursor on key's trace entry, or returns a nil cursor
+// after counting the miss (and, for an entry that exists but fails to
+// open, the corruption). The caller counts the hit.
+func (c *Cache) openTrace(key Fingerprint) (*trace.Cursor, string) {
+	if c == nil {
+		return nil, ""
 	}
 	path := c.path("ctrace", key)
 	cur, err := trace.OpenCursorFile(path)
@@ -270,20 +275,18 @@ func (c *Cache) ChunkedTracePath(key Fingerprint) (string, bool) {
 			c.corrupt.Add(1)
 		}
 		c.traceMisses.Add(1)
-		return "", false
+		return nil, ""
 	}
-	cur.Close()
-	c.traceHits.Add(1)
-	return path, true
+	return cur, path
 }
 
-// PutChunkedTrace streams a freshly generated chunked trace into the
-// cache: gen writes the v4 stream directly to a temp file in the cache
-// directory, which is atomically renamed into place on success. Returns
-// the final path. Raw v4 bytes are stored without the artifact envelope —
-// the format carries its own per-chunk and footer checksums, and wrapping
-// would force cursor opens through a copy. Errors are counted, not
-// returned ("", false): the caller regenerates in memory instead.
+// PutChunkedTrace streams a trace into the cache: gen writes the v4
+// stream directly to a temp file in the cache directory, which is
+// atomically renamed into place on success. Returns the final path. Raw
+// v4 bytes are stored without the result envelope — the format carries
+// its own per-chunk and footer checksums, and wrapping would force cursor
+// opens through a copy. Errors are counted, not returned ("", false): the
+// caller regenerates in memory instead.
 func (c *Cache) PutChunkedTrace(key Fingerprint, gen func(io.Writer) error) (string, bool) {
 	if c == nil {
 		return "", false
@@ -317,7 +320,7 @@ func (c *Cache) GetResults(key Fingerprint) (core.Results, bool) {
 	if c == nil {
 		return core.Results{}, false
 	}
-	payload := c.get("result", key)
+	payload := c.get(key)
 	if payload != nil {
 		res, err := core.DecodeResults(payload)
 		if err == nil {
@@ -335,7 +338,7 @@ func (c *Cache) PutResults(key Fingerprint, res core.Results) {
 	if c == nil {
 		return
 	}
-	c.put("result", key, core.EncodeResults(res))
+	c.put(key, core.EncodeResults(res))
 }
 
 // HasResult reports whether a result entry exists for key without reading
@@ -410,11 +413,12 @@ func (c *Cache) path(kind string, key Fingerprint) string {
 	return filepath.Join(c.dir, kind, key.String())
 }
 
-// get reads and validates the envelope for key, returning the payload or
-// nil on any miss (absent, unreadable, or malformed — malformed also counts
-// as corrupt). Kind-specific hit/miss counters are the caller's job.
-func (c *Cache) get(kind string, key Fingerprint) []byte {
-	data, err := os.ReadFile(c.path(kind, key))
+// get reads and validates the envelope of key's result entry, returning
+// the payload or nil on any miss (absent, unreadable, or malformed —
+// malformed also counts as corrupt). Hit/miss counters are the caller's
+// job.
+func (c *Cache) get(key Fingerprint) []byte {
+	data, err := os.ReadFile(c.path("result", key))
 	if err != nil {
 		return nil
 	}
@@ -449,11 +453,11 @@ func openEnvelope(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// put writes payload for key atomically: temp file in the destination
-// directory, then rename. Failures bump the error counter and leave any
-// existing entry untouched.
-func (c *Cache) put(kind string, key Fingerprint, payload []byte) {
-	dst := c.path(kind, key)
+// put writes payload as key's result entry atomically: temp file in the
+// destination directory, then rename. Failures bump the error counter and
+// leave any existing entry untouched.
+func (c *Cache) put(key Fingerprint, payload []byte) {
+	dst := c.path("result", key)
 	var hdr [envHeader]byte
 	copy(hdr[:8], envMagic)
 	binary.LittleEndian.PutUint32(hdr[8:], envVersion)

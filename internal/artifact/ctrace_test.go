@@ -1,9 +1,9 @@
 package artifact
 
 import (
-	"bytes"
 	"io"
 	"os"
+	"reflect"
 	"testing"
 
 	"vcache/internal/trace"
@@ -15,7 +15,7 @@ func TestChunkedTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := ChunkedTraceKey("t", workloads.Params{})
+	key := TraceKey("t", workloads.Params{})
 	if _, ok := c.ChunkedTracePath(key); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -39,14 +39,7 @@ func TestChunkedTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want, have bytes.Buffer
-	if err := tr.Write(&want); err != nil {
-		t.Fatal(err)
-	}
-	if err := mat.Write(&have); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), have.Bytes()) {
+	if !reflect.DeepEqual(tr, mat) {
 		t.Fatal("cached chunked stream does not materialize to the original trace")
 	}
 	st := c.Stats()
@@ -55,12 +48,29 @@ func TestChunkedTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGetTraceReturnsEveryGeneratorExactly: whatever a generator builds
+// comes back from the cache reflect.DeepEqual, arena order included.
+func TestGetTraceReturnsEveryGeneratorExactly(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := workloads.Params{Scale: 1, NumCUs: 4, WarpsPerCU: 2, Seed: 7}
+	for _, g := range workloads.All() {
+		key := TraceKey(g.Name, p)
+		c.PutTrace(key, g.Build(p))
+		if got := c.GetTrace(key); !reflect.DeepEqual(g.Build(p), got) {
+			t.Errorf("%s: cached trace differs from the built one", g.Name)
+		}
+	}
+}
+
 func TestChunkedTraceCorruptEntryMisses(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := ChunkedTraceKey("t", workloads.Params{})
+	key := TraceKey("t", workloads.Params{})
 	tr := testTrace()
 	path, ok := c.PutChunkedTrace(key, func(w io.Writer) error {
 		return tr.WriteChunked(w, trace.ChunkOptions{})
@@ -75,26 +85,26 @@ func TestChunkedTraceCorruptEntryMisses(t *testing.T) {
 	if _, ok := c.ChunkedTracePath(key); ok {
 		t.Fatal("hit on truncated entry")
 	}
-	if st := c.Stats(); st.Corrupt == 0 {
-		t.Fatalf("stats = %+v; want corrupt > 0", st)
+	if c.GetTrace(key) != nil {
+		t.Fatal("GetTrace hit on truncated entry")
+	}
+	if st := c.Stats(); st.Corrupt != 2 || st.TraceMisses != 2 {
+		t.Fatalf("stats = %+v; want 2 corrupt misses", st)
 	}
 }
 
-func TestChunkedTraceKeyIgnoresBudget(t *testing.T) {
+func TestTraceKeyIgnoresBudget(t *testing.T) {
 	// Chunk geometry is a storage detail: the key depends only on workload
 	// identity, params and format/generator versions.
-	a := ChunkedTraceKey("t", workloads.Params{Scale: 2})
-	b := ChunkedTraceKey("t", workloads.Params{Scale: 2})
+	a := TraceKey("t", workloads.Params{Scale: 2})
+	b := TraceKey("t", workloads.Params{Scale: 2})
 	if a != b {
 		t.Fatal("key not deterministic")
 	}
-	if a == ChunkedTraceKey("t", workloads.Params{Scale: 3}) {
+	if a == TraceKey("t", workloads.Params{Scale: 3}) {
 		t.Fatal("key ignores params")
 	}
-	if a == TraceKey("t", workloads.Params{Scale: 2}) {
-		t.Fatal("chunked and materialized trace keys collide")
-	}
-	if a == ChunkedTraceKey("u", workloads.Params{Scale: 2}) {
+	if a == TraceKey("u", workloads.Params{Scale: 2}) {
 		t.Fatal("key ignores workload name")
 	}
 }

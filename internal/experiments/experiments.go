@@ -272,7 +272,7 @@ func (s *Suite) chunkedStream(name string) (*ctraceCall, error) {
 	s.mu.Unlock()
 	defer close(c.done)
 
-	key := artifact.ChunkedTraceKey(name, s.Params)
+	key := artifact.TraceKey(name, s.Params)
 	if path, ok := s.Cache.ChunkedTracePath(key); ok {
 		c.path = path
 		var size int64

@@ -85,6 +85,47 @@ func TestHTTPServedResultMatchesLocalRun(t *testing.T) {
 	}
 }
 
+// TestSecondDesignReadsCachedTrace: a job with the same workload and
+// params as an earlier one but another design reads the trace the first
+// job stored, and still serves the bytes a plain library run computes.
+func TestSecondDesignReadsCachedTrace(t *testing.T) {
+	client, s := newHTTPServer(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	if _, err := client.SubmitWait(ctx, nwSpec()); err != nil {
+		t.Fatalf("first SubmitWait: %v", err)
+	}
+	spec := nwSpec()
+	spec.Design.Preset = "baseline-512"
+	info, err := client.SubmitWait(ctx, spec)
+	if err != nil {
+		t.Fatalf("second SubmitWait: %v", err)
+	}
+	if info.State != apiv1.JobDone || info.CacheHit {
+		t.Fatalf("second job state %s (%s), cache_hit=%v; want a simulated run", info.State, info.Error, info.CacheHit)
+	}
+	if st := s.cache.Stats(); st.TraceHits != 1 || st.TraceMisses != 1 {
+		t.Fatalf("cache stats %+v; want the second job to read the first job's trace", st)
+	}
+	_, raw, err := client.Result(ctx, info.ID)
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	cfg, p, err := spec.Resolve()
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
+	g, _ := workloads.ByName("nw")
+	local, err := core.RunContext(ctx, cfg, g.Build(p))
+	if err != nil {
+		t.Fatalf("local run: %v", err)
+	}
+	if string(raw) != string(apiv1.EncodeResults(local)) {
+		t.Error("result over a cached trace differs from a local run")
+	}
+}
+
 func TestHTTPWarmCacheHitIsByteIdentical(t *testing.T) {
 	client, _ := newHTTPServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

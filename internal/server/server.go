@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -442,9 +443,7 @@ func (s *Server) worker() {
 		s.mu.Unlock()
 
 		started := time.Now()
-		res, metricsJSON, err := s.runner.run(r.ctx, r.workload, r.params, r.cfg, func(p core.Progress) {
-			s.fanoutProgress(r, p)
-		})
+		res, metricsJSON, err := s.execute(r)
 
 		s.mu.Lock()
 		s.busy--
@@ -470,6 +469,22 @@ func (s *Server) worker() {
 		}
 		s.mu.Unlock()
 	}
+}
+
+// execute runs r on the runner. A panic anywhere in the run becomes the
+// run's error, carrying the panic value and stack, so one bad job fails
+// alone instead of taking down the daemon and every job in flight.
+// Partition workers re-raise their panics on this goroutine
+// (sim.Partitioned), so intra-parallel runs are covered too.
+func (s *Server) execute(r *run) (res core.Results, metricsJSON []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("server: run panicked: %v\n%s", p, debug.Stack())
+		}
+	}()
+	return s.runner.run(r.ctx, r.workload, r.params, r.cfg, func(p core.Progress) {
+		s.fanoutProgress(r, p)
+	})
 }
 
 // fanoutProgress fans a core.Progress report out to every attached job's

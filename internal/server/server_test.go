@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -527,5 +528,49 @@ func TestCloseCancelsEverything(t *testing.T) {
 	}
 	if _, err := s.Submit(spec(3, 0)); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit after close: %v, want ErrClosed", err)
+	}
+}
+
+// panicRunner panics on seed 1 and completes every other run at once.
+type panicRunner struct{}
+
+func (panicRunner) run(ctx context.Context, wl string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error) {
+	if p.Seed == 1 {
+		panic("modelling invariant broken")
+	}
+	return core.Results{Workload: wl, Design: cfg.Name, Cycles: 1000 + p.Seed}, []byte(`{"cycle":1,"metrics":{}}`), nil
+}
+
+// TestPanickingRunFailsAlone: a run that panics fails its job, carrying
+// the panic value and stack, and the daemon keeps serving.
+func TestPanickingRunFailsAlone(t *testing.T) {
+	s := New(Options{Workers: 1, QueueCap: 16})
+	s.runner = panicRunner{}
+	bad, err := s.Submit(spec(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := waitTerminal(t, s, bad.ID)
+	if info.State != apiv1.JobFailed {
+		t.Fatalf("panicking job state %s, want failed", info.State)
+	}
+	if !strings.Contains(info.Error, "modelling invariant broken") || !strings.Contains(info.Error, "panicRunner") {
+		t.Errorf("failure lacks the panic value or its stack: %q", info.Error)
+	}
+	good, err := s.Submit(spec(2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := waitTerminal(t, s, good.ID); info.State != apiv1.JobDone {
+		t.Fatalf("job after the panic: state %s (%s), want done", info.State, info.Error)
+	}
+	snap := s.MetricsSnapshot()
+	if v, _ := snap.Value("server.jobs.failed"); v != 1 {
+		t.Errorf("server.jobs.failed = %v, want 1", v)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Fatalf("close after a panicked run: %v", err)
 	}
 }

@@ -9,14 +9,18 @@ import (
 	"hash/crc64"
 	"io"
 	"math"
+	"math/bits"
 	"os"
+	"slices"
 	"sort"
 
 	"vcache/internal/memory"
 )
 
-// File format v4: a chunked streaming encoding of the same trace model as
-// v3, replayable in bounded memory.
+// File format v4: the one on-disk encoding of a trace, a chunked stream
+// replayable in bounded memory. Trace.Save, the artifact cache and
+// cmd/tracegen -o all write it; a materialized trace is a v4 stream read
+// to the end (Cursor.Materialize).
 //
 //	header    magic [8]byte "VCTRACE" + 4
 //	          flags uvarint (bit 0: chunk payloads are flate-compressed)
@@ -29,7 +33,8 @@ import (
 //	          payload (possibly compressed); decoded payload:
 //	            numSegments uvarint
 //	            per segment: cu uvarint, warp uvarint, numInsts uvarint,
-//	                         numInsts fixed 15-byte records (as v3)
+//	                         numInsts fixed 15-byte records
+//	                         (kind u8, lanes u16le, off u32le, cycles u64le)
 //	            arenaLen uvarint, 8-byte little-endian VAddrs
 //	          crc64 (8 bytes) over the stored payload bytes
 //	footer    marker byte 0xF4, then (all crc'd):
@@ -54,13 +59,32 @@ import (
 // trailer makes it discoverable, which is why a Cursor requires a
 // seekable input. Everything header-declared is capped before allocation
 // and every payload is checksummed, so a corrupt or truncated file fails
-// decoding cleanly instead of misdecoding (see FuzzChunkRoundTrip).
+// decoding cleanly instead of misdecoding (see FuzzChunkRoundTrip). The
+// encoding is deterministic: identical writer input gives identical
+// bytes. Versions 1 (per-instruction slices), 2 (gob) and 3 (one
+// whole-file record) are rejected; regenerate old files with tracegen -o.
 const ChunkFormatVersion = 4
 
 var (
 	chunkFileMagic    = [8]byte{'V', 'C', 'T', 'R', 'A', 'C', 'E', ChunkFormatVersion}
 	chunkTrailerMagic = [8]byte{'V', 'C', 'T', 'R', 'A', 'I', 'L', ChunkFormatVersion}
 )
+
+// Decoder caps. Counts beyond these are rejected outright; counts under
+// them still only allocate as fast as real data arrives.
+const (
+	maxNameLen      = 1 << 16
+	maxCUs          = 1 << 16
+	maxWarpsPerCU   = 1 << 16
+	maxTotalWarps   = 1 << 22
+	maxInstsPerWarp = 1 << 30
+	maxLanes        = 1 << 12
+	maxArenaLen     = 1 << 32
+
+	instBytes = 15 // one encoded instruction record
+)
+
+var crcTable = crc64.MakeTable(crc64.ECMA)
 
 const (
 	chunkMarker  = 0xC4
@@ -81,6 +105,10 @@ const (
 	// framing is noise, small enough that a handful of resident chunks
 	// stay far under any materialized trace worth streaming.
 	DefaultChunkBudget = 4 << 20
+
+	// pieceBytes sizes the buffer a chunk payload is encoded through on
+	// its way out, so no chunk is ever staged whole in encoded form.
+	pieceBytes = 64 << 10
 )
 
 // ChunkOptions configures a ChunkWriter.
@@ -126,6 +154,13 @@ func (a pagePos) less(b pagePos) bool {
 // totals, summary) incrementally, and never holds more than one chunk's
 // worth of instruction data in memory.
 //
+// Two producers feed the one chunk encoder (flush), and only their
+// staging differs. Append copies each instruction and its lane addresses
+// into the writer. WriteChunked, encoding a trace already built in
+// memory, stages views: the chunk's segments and arena are slices of the
+// trace itself, and arenaBase, the trace arena offset the chunk starts
+// at, is subtracted from every access's Off on encode.
+//
 // Errors are sticky: after a write error every method is a no-op and
 // Close returns the first error.
 type ChunkWriter struct {
@@ -137,10 +172,12 @@ type ChunkWriter struct {
 	warps  []int // per-CU warp counts
 	wPerCU int
 
-	// Current-chunk accumulation, indexed by global warp (cu*wPerCU+warp).
-	segs     [][]Inst
-	arena    []memory.VAddr
-	curBytes int
+	// Current chunk, indexed by global warp (cu*wPerCU+warp).
+	segs      [][]Inst
+	arena     []memory.VAddr
+	arenaBase uint32
+	views     bool // segs and arena are views into a built trace
+	curBytes  int
 
 	// Footer accumulation.
 	totals    []uint64 // per global warp
@@ -152,7 +189,12 @@ type ChunkWriter struct {
 
 	scratchLines []memory.VAddr
 	scratchPages []memory.VPN
-	encBuf       []byte
+
+	// Encoding: a raw payload streams through piece into the output; a
+	// compressed one is staged in zbuf, because its frame header leads
+	// with the compressed size.
+	piece []byte
+	zbuf  bytes.Buffer
 
 	started bool
 	closed  bool
@@ -181,6 +223,7 @@ func NewChunkWriter(w io.Writer, name string, asid memory.ASID, numCUs, warpsPer
 		segs:   make([][]Inst, numCUs*warpsPerCU),
 		totals: make([]uint64, numCUs*warpsPerCU),
 		premap: make(map[memory.VPN]pagePos),
+		piece:  make([]byte, 0, pieceBytes),
 	}
 	cw.cnt.w = w
 	cw.w = bufio.NewWriter(&cw.cnt)
@@ -241,6 +284,12 @@ func (cw *ChunkWriter) writeHeader() {
 	}
 }
 
+func writeUvarint(w io.Writer, x uint64) {
+	var buf [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(buf[:], x)
+	w.Write(buf[:n])
+}
+
 func (cw *ChunkWriter) fail(err error) {
 	if cw.err == nil {
 		cw.err = err
@@ -260,7 +309,6 @@ func (cw *ChunkWriter) Append(cu, warp int, in Inst, addrs []memory.VAddr) {
 		return
 	}
 	g := cw.gw(cu, warp)
-	instIdx := cw.totals[g]
 	if in.Kind == Load || in.Kind == Store {
 		if len(addrs) == 0 {
 			return // mirror WarpEmitter: empty accesses are dropped
@@ -276,12 +324,54 @@ func (cw *ChunkWriter) Append(cu, warp int, in Inst, addrs []memory.VAddr) {
 		in.Off = uint32(len(cw.arena))
 		in.Lanes = uint16(len(addrs))
 		cw.arena = append(cw.arena, addrs...)
+	}
+	cw.segs[g] = append(cw.segs[g], in)
+	cw.add(g, in, addrs)
+}
+
+// appendView is Append for instruction i of warp g's stream in a built
+// trace whose accesses reach this point in arena order: the chunk's
+// segment for g and its arena grow as views of the trace, nothing is
+// copied.
+func (cw *ChunkWriter) appendView(g int, warp WarpTrace, i int, arena []memory.VAddr) {
+	in := warp[i]
+	cw.segs[g] = warp[i-len(cw.segs[g]) : i+1]
+	var addrs []memory.VAddr
+	if in.Kind == Load || in.Kind == Store {
+		end := uint64(in.Off) + uint64(in.Lanes)
+		addrs = arena[in.Off:end]
+		cw.arena = arena[cw.arenaBase:end]
+	}
+	cw.add(g, in, addrs)
+}
+
+// ownChunk turns the current chunk's views into copies that Append can
+// extend, rebasing every access's Off onto the chunk's own arena.
+func (cw *ChunkWriter) ownChunk() {
+	for g, s := range cw.segs {
+		s = append([]Inst(nil), s...)
+		for i := range s {
+			if s[i].Kind == Load || s[i].Kind == Store {
+				s[i].Off -= cw.arenaBase
+			}
+		}
+		cw.segs[g] = s
+	}
+	cw.arena = append([]memory.VAddr(nil), cw.arena...)
+	cw.arenaBase = 0
+	cw.views = false
+}
+
+// add folds a staged instruction into the chunk size and the footer, and
+// cuts the chunk once it reaches the budget.
+func (cw *ChunkWriter) add(g int, in Inst, addrs []memory.VAddr) {
+	instIdx := cw.totals[g]
+	if in.Kind == Load || in.Kind == Store {
 		cw.curBytes += 8 * len(addrs)
 		cw.observeMem(g, instIdx, addrs)
 	} else {
 		cw.observeCtl(in)
 	}
-	cw.segs[g] = append(cw.segs[g], in)
 	cw.totals[g] = instIdx + 1
 	cw.curBytes += instBytes
 	if cw.curBytes >= cw.opts.Budget {
@@ -299,19 +389,14 @@ func (cw *ChunkWriter) observeMem(g int, instIdx uint64, addrs []memory.VAddr) {
 	cw.scratchPages = cw.scratchPages[:0]
 	for lane, a := range addrs {
 		p := a.Page()
+		if slices.Contains(cw.scratchPages, p) {
+			continue
+		}
+		cw.scratchPages = append(cw.scratchPages, p)
+		// A page's first lane is its earliest touch by this instruction.
 		pos := pagePos{gw: uint32(g), pos: instIdx<<16 | uint64(lane)}
 		if prev, ok := cw.premap[p]; !ok || pos.less(prev) {
 			cw.premap[p] = pos
-		}
-		dup := false
-		for _, sp := range cw.scratchPages {
-			if sp == p {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			cw.scratchPages = append(cw.scratchPages, p)
 		}
 	}
 	cw.pageTouch += uint64(len(cw.scratchPages))
@@ -347,15 +432,8 @@ func (cw *ChunkWriter) Barrier() {
 	}
 }
 
-// Flush force-cuts the current chunk (no-op when empty).
-func (cw *ChunkWriter) Flush() {
-	if cw.err != nil || cw.closed {
-		return
-	}
-	cw.flush()
-}
-
-// flush encodes and writes the accumulated chunk.
+// flush is the chunk encoder: it writes the current chunk as one frame,
+// whichever producer staged it, and empties the chunk.
 func (cw *ChunkWriter) flush() {
 	if cw.curBytes == 0 {
 		return
@@ -364,15 +442,65 @@ func (cw *ChunkWriter) flush() {
 	if cw.err != nil {
 		return
 	}
-	// Encode the decoded payload: segments in cu-major warp order.
-	buf := cw.encBuf[:0]
-	nseg := 0
-	for _, s := range cw.segs {
-		if len(s) > 0 {
-			nseg++
+	raw, nseg := cw.payloadLen()
+	stored := raw
+	var err error
+	if cw.opts.Compress {
+		stored, err = cw.writeCompressed(raw, nseg)
+	} else {
+		cw.writeFrameHeader(raw, raw)
+		crc := crc64.New(crcTable)
+		if err = cw.encodePayload(io.MultiWriter(cw.w, crc), nseg); err == nil {
+			err = cw.writeFrameCRC(crc.Sum64())
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(nseg))
+	if err != nil {
+		cw.fail(fmt.Errorf("trace: writing chunk: %w", err))
+		return
+	}
+	cw.chunks++
+	if cw.opts.OnChunk != nil {
+		cw.opts.OnChunk(cw.chunks-1, stored)
+	}
+	if cw.views {
+		// Views are dropped, never appended to: they alias the trace.
+		clear(cw.segs)
+		cw.arenaBase += uint32(len(cw.arena))
+		cw.arena = nil
+	} else {
+		for g := range cw.segs {
+			cw.segs[g] = cw.segs[g][:0]
+		}
+		cw.arena = cw.arena[:0]
+	}
+	cw.curBytes = 0
+}
+
+// payloadLen returns the decoded size of the current chunk's payload and
+// its segment count. Knowing the size up front lets the frame header
+// precede a payload that is encoded straight into the output.
+func (cw *ChunkWriter) payloadLen() (n, nseg int) {
+	for g, s := range cw.segs {
+		if len(s) > 0 {
+			nseg++
+			n += uvarintLen(uint64(g/cw.wPerCU)) + uvarintLen(uint64(g%cw.wPerCU)) +
+				uvarintLen(uint64(len(s))) + instBytes*len(s)
+		}
+	}
+	n += uvarintLen(uint64(nseg)) + uvarintLen(uint64(len(cw.arena))) + 8*len(cw.arena)
+	return n, nseg
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// encodePayload encodes the current chunk's payload into w, a piece
+// buffer at a time: segments in cu-major warp order, then the arena.
+func (cw *ChunkWriter) encodePayload(w io.Writer, nseg int) error {
+	// Spilling whenever less than this headroom is left keeps every
+	// append between checks inside the buffer's capacity.
+	const headroom = 64
+	var err error
+	buf := binary.AppendUvarint(cw.piece[:0], uint64(nseg))
 	for g, s := range cw.segs {
 		if len(s) == 0 {
 			continue
@@ -381,68 +509,76 @@ func (cw *ChunkWriter) flush() {
 		buf = binary.AppendUvarint(buf, uint64(g%cw.wPerCU))
 		buf = binary.AppendUvarint(buf, uint64(len(s)))
 		for _, in := range s {
-			var rec [instBytes]byte
-			rec[0] = byte(in.Kind)
-			binary.LittleEndian.PutUint16(rec[1:], in.Lanes)
-			binary.LittleEndian.PutUint32(rec[3:], in.Off)
-			binary.LittleEndian.PutUint64(rec[7:], in.Cycles)
-			buf = append(buf, rec[:]...)
+			if in.Kind == Load || in.Kind == Store {
+				in.Off -= cw.arenaBase
+			}
+			buf = append(buf, byte(in.Kind))
+			buf = binary.LittleEndian.AppendUint16(buf, in.Lanes)
+			buf = binary.LittleEndian.AppendUint32(buf, in.Off)
+			buf = binary.LittleEndian.AppendUint64(buf, in.Cycles)
+			if len(buf) > pieceBytes-headroom {
+				buf, err = spill(w, buf, err)
+			}
 		}
-		cw.segs[g] = s[:0]
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(cw.arena)))
 	for _, a := range cw.arena {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(a))
-	}
-	cw.encBuf = buf
-	rawLen := len(buf)
-
-	stored := buf
-	if cw.opts.Compress {
-		var cbuf bytes.Buffer
-		fw, err := flate.NewWriter(&cbuf, flate.BestSpeed)
-		if err == nil {
-			_, err = fw.Write(buf)
+		if len(buf) > pieceBytes-headroom {
+			buf, err = spill(w, buf, err)
 		}
-		if err == nil {
-			err = fw.Close()
-		}
-		if err != nil {
-			cw.fail(fmt.Errorf("trace: compressing chunk: %w", err))
-			return
-		}
-		stored = cbuf.Bytes()
 	}
-
-	if err := cw.writeChunkFrame(stored, rawLen); err != nil {
-		cw.fail(err)
-		return
-	}
-	cw.chunks++
-	if cw.opts.OnChunk != nil {
-		cw.opts.OnChunk(cw.chunks-1, len(stored))
-	}
-	cw.arena = cw.arena[:0]
-	cw.curBytes = 0
+	_, err = spill(w, buf, err)
+	return err
 }
 
-func (cw *ChunkWriter) writeChunkFrame(stored []byte, rawLen int) error {
-	if err := cw.w.WriteByte(chunkMarker); err != nil {
-		return fmt.Errorf("trace: writing chunk: %w", err)
+// spill passes a piece on to w unless an earlier spill failed, and
+// returns the buffer emptied.
+func spill(w io.Writer, buf []byte, err error) ([]byte, error) {
+	if err == nil {
+		_, err = w.Write(buf)
 	}
-	writeUvarint(cw.w, uint64(len(stored)))
-	writeUvarint(cw.w, uint64(rawLen))
-	if _, err := cw.w.Write(stored); err != nil {
-		return fmt.Errorf("trace: writing chunk: %w", err)
+	return buf[:0], err
+}
+
+// writeCompressed writes the current chunk as a frame with a
+// flate-compressed payload and returns the stored size. The frame header
+// leads with that size, so the compressed bytes are staged; the raw
+// payload streams into the compressor.
+func (cw *ChunkWriter) writeCompressed(raw, nseg int) (int, error) {
+	cw.zbuf.Reset()
+	zw, err := flate.NewWriter(&cw.zbuf, flate.BestSpeed)
+	if err == nil {
+		err = cw.encodePayload(zw, nseg)
 	}
+	if err == nil {
+		err = zw.Close()
+	}
+	if err != nil {
+		return 0, err
+	}
+	stored := cw.zbuf.Bytes()
+	cw.writeFrameHeader(len(stored), raw)
+	cw.w.Write(stored) // a failure sticks to cw.w and surfaces below
+	return len(stored), cw.writeFrameCRC(crc64.Checksum(stored, crcTable))
+}
+
+// writeFrameHeader starts a chunk frame. Write errors stick to the
+// bufio.Writer and surface at the frame's last write.
+func (cw *ChunkWriter) writeFrameHeader(stored, raw int) {
+	cw.w.WriteByte(chunkMarker)
+	writeUvarint(cw.w, uint64(stored))
+	writeUvarint(cw.w, uint64(raw))
+}
+
+// writeFrameCRC ends a frame with its payload crc; its write reports any
+// failure in the frame.
+func (cw *ChunkWriter) writeFrameCRC(crc uint64) error {
 	var sum [8]byte
-	crc := crc64.Checksum(stored, crcTable)
 	binary.LittleEndian.PutUint64(sum[:], crc)
-	if _, err := cw.w.Write(sum[:]); err != nil {
-		return fmt.Errorf("trace: writing chunk: %w", err)
-	}
 	cw.rollup = crc64.Update(cw.rollup, crcTable, sum[:])
-	return nil
+	_, err := cw.w.Write(sum[:])
+	return err
 }
 
 // Summary returns the incrementally-computed trace summary; complete only
@@ -548,28 +684,27 @@ func (cw *ChunkWriter) sticky(err error) error {
 	return cw.err
 }
 
-// WriteChunked re-encodes a materialized trace as a v4 chunked stream.
-// Warp streams are interleaved round-robin so every chunk carries a
-// near-synchronous slice of all warps; replaying the result therefore
-// holds only O(budget) bytes resident, and produces byte-identical
-// simulation results (per-warp streams are preserved exactly, and the
-// footer premap reproduces the materialized frame-assignment order
-// regardless of interleaving).
+// WriteChunked encodes a built trace as a v4 stream through the same
+// chunk encoder a streaming Builder feeds. Instructions go out in arena
+// order (see arenaWalk). For a trace whose arena holds exactly its
+// accesses' lanes in emission order, as every Builder-made trace does,
+// that is the order the generator emitted them in: each chunk's arena is
+// a contiguous slice of t.Arena and each segment a contiguous slice of a
+// warp stream, so chunks are encoded straight from the trace without
+// staging copies, and Materialize returns a trace reflect.DeepEqual to t.
+// From the first access that breaks arena order on, the rest of the
+// trace is staged through copies like a streamed one: its replay is
+// unchanged, and its materialized arena is packed in stream order.
+// Ragged warp shapes are rejected.
 func (t *Trace) WriteChunked(w io.Writer, opts ChunkOptions) error {
 	if len(t.CUs) == 0 {
 		return fmt.Errorf("trace: cannot chunk a trace with no CUs")
 	}
 	wPerCU := len(t.CUs[0].Warps)
-	maxLen := 0
 	for c, cu := range t.CUs {
 		if len(cu.Warps) != wPerCU {
 			return fmt.Errorf("trace: cannot chunk ragged warp shape (cu 0 has %d warps, cu %d has %d)",
 				wPerCU, c, len(cu.Warps))
-		}
-		for _, warp := range cu.Warps {
-			if len(warp) > maxLen {
-				maxLen = len(warp)
-			}
 		}
 	}
 	if wPerCU == 0 {
@@ -579,31 +714,123 @@ func (t *Trace) WriteChunked(w io.Writer, opts ChunkOptions) error {
 		return err
 	}
 	cw := NewChunkWriter(w, t.Name, t.ASID, len(t.CUs), wPerCU, opts)
-	for idx := 0; idx < maxLen; idx++ {
-		for c := range t.CUs {
-			for wi, warp := range t.CUs[c].Warps {
-				if idx >= len(warp) {
-					continue
-				}
-				in := warp[idx]
-				var addrs []memory.VAddr
-				if in.Kind == Load || in.Kind == Store {
-					addrs = t.Arena[in.Off : uint64(in.Off)+uint64(in.Lanes)]
-				}
-				cw.Append(c, wi, in, addrs)
+	cw.views = true
+	walk := newArenaWalk(t)
+	for cw.err == nil {
+		g, lo, hi, ok := walk.next()
+		if !ok {
+			break
+		}
+		warp := walk.warps[g]
+		for i := lo; i < hi; i++ {
+			in := warp[i]
+			mem := in.Kind == Load || in.Kind == Store
+			if cw.views && mem && in.Off != cw.arenaBase+uint32(len(cw.arena)) {
+				cw.ownChunk()
+			}
+			switch {
+			case cw.views:
+				cw.appendView(g, warp, i, t.Arena)
+			case mem:
+				cw.Append(g/wPerCU, g%wPerCU, in, t.Addrs(in))
+			default:
+				cw.Append(g/wPerCU, g%wPerCU, in, nil)
 			}
 		}
 	}
 	return cw.Close()
 }
 
-// SaveChunked writes the trace to path in the v4 chunked format.
-func (t *Trace) SaveChunked(path string, opts ChunkOptions) error {
+// arenaWalk orders a built trace's instructions for WriteChunked. First
+// come each warp's instructions before its first access, warp by warp.
+// Then warps take turns in the order of their next access's arena
+// offset, each turn covering that access and the warp's instructions up
+// to its next one. Every warp's own stream keeps its order.
+type arenaWalk struct {
+	warps []WarpTrace // by global warp index
+	acc   []int       // per warp: index of its next access, len(warp) when none is left
+	heap  []int       // warps with an access left, ordered by that access's Off
+	head  int         // warps whose leading instructions have been walked
+}
+
+func newArenaWalk(t *Trace) *arenaWalk {
+	a := &arenaWalk{}
+	for _, cu := range t.CUs {
+		a.warps = append(a.warps, cu.Warps...)
+	}
+	a.acc = make([]int, len(a.warps))
+	for g := range a.warps {
+		if a.acc[g] = a.nextAccess(g, 0); a.acc[g] < len(a.warps[g]) {
+			a.heap = append(a.heap, g)
+		}
+	}
+	for i := len(a.heap)/2 - 1; i >= 0; i-- {
+		a.down(i)
+	}
+	return a
+}
+
+// next returns the next turn: instructions [lo, hi) of warp g. ok is
+// false once every instruction has been walked.
+func (a *arenaWalk) next() (g, lo, hi int, ok bool) {
+	for a.head < len(a.warps) {
+		g, a.head = a.head, a.head+1
+		if a.acc[g] > 0 {
+			return g, 0, a.acc[g], true
+		}
+	}
+	if len(a.heap) == 0 {
+		return 0, 0, 0, false
+	}
+	g, lo = a.heap[0], a.acc[a.heap[0]]
+	hi = a.nextAccess(g, lo+1)
+	if a.acc[g] = hi; hi == len(a.warps[g]) {
+		last := len(a.heap) - 1
+		a.heap[0] = a.heap[last]
+		a.heap = a.heap[:last]
+	}
+	a.down(0)
+	return g, lo, hi, true
+}
+
+func (a *arenaWalk) nextAccess(g, from int) int {
+	w := a.warps[g]
+	for from < len(w) && w[from].Kind != Load && w[from].Kind != Store {
+		from++
+	}
+	return from
+}
+
+func (a *arenaWalk) less(i, j int) bool {
+	gi, gj := a.heap[i], a.heap[j]
+	oi, oj := a.warps[gi][a.acc[gi]].Off, a.warps[gj][a.acc[gj]].Off
+	return oi < oj || oi == oj && gi < gj
+}
+
+func (a *arenaWalk) down(i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(a.heap) {
+			return
+		}
+		if r := m + 1; r < len(a.heap) && a.less(r, m) {
+			m = r
+		}
+		if !a.less(m, i) {
+			return
+		}
+		a.heap[i], a.heap[m] = a.heap[m], a.heap[i]
+		i = m
+	}
+}
+
+// Save writes the trace to path as a v4 stream.
+func (t *Trace) Save(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := t.WriteChunked(f, opts); err != nil {
+	if err := t.WriteChunked(f, ChunkOptions{}); err != nil {
 		f.Close()
 		return err
 	}

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"vcache/internal/memory"
@@ -197,8 +201,7 @@ func TestChunkedMultiChunkAndProgress(t *testing.T) {
 func TestStreamingBuilderMatchesMaterialized(t *testing.T) {
 	// The same generator body run through a streaming builder must
 	// reproduce the materialized trace exactly, including arena order
-	// (generation order == emission order), so Materialize round-trips to
-	// identical v3 bytes.
+	// (generation order == emission order).
 	mat := NewBuilder("chunktest", 7, 4, 3)
 	emitTestTrace(mat, 5, 40)
 	want := mat.Build()
@@ -223,36 +226,28 @@ func TestStreamingBuilderMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Materialize: %v", err)
 	}
-	var wantBytes, gotBytes bytes.Buffer
-	if err := want.Write(&wantBytes); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Write(&gotBytes); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantBytes.Bytes(), gotBytes.Bytes()) {
-		t.Fatal("streamed trace materializes to different v3 bytes than direct generation")
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("streamed trace materializes differently from direct generation")
 	}
 	if s := cw.Summary(); !reflect.DeepEqual(s, want.Summarize()) {
 		t.Fatalf("writer summary\n got %+v\nwant %+v", s, want.Summarize())
 	}
 }
 
+// TestChunkedVersionMismatchErrors: files in a retired format fail at
+// open with an error naming their version and the way to regenerate them.
 func TestChunkedVersionMismatchErrors(t *testing.T) {
-	tr := buildTestTrace(t, 2, 2, 2, 8)
-	var v4 bytes.Buffer
-	if err := tr.WriteChunked(&v4, ChunkOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(bytes.NewReader(v4.Bytes())); err == nil {
-		t.Fatal("v3 reader accepted a v4 chunked stream")
-	}
-	var v3 bytes.Buffer
-	if err := tr.Write(&v3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewCursor(bytes.NewReader(v3.Bytes())); err == nil {
-		t.Fatal("cursor accepted a v3 whole-file trace")
+	v3 := append([]byte("VCTRACE\x03"), uvs(6)...) // a v3 whole-file header
+	v3 = append(v3, "sample"...)
+	for version, data := range map[int][]byte{3: v3, 2: []byte("VCTRACE\x02garbage")} {
+		_, err := NewCursor(bytes.NewReader(data))
+		if err == nil {
+			t.Fatalf("cursor accepted a v%d trace", version)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, fmt.Sprintf("version %d", version)) || !strings.Contains(msg, "tracegen -o") {
+			t.Fatalf("v%d rejection does not name the version and tracegen -o: %v", version, err)
+		}
 	}
 }
 
@@ -266,7 +261,7 @@ func TestChunkedCorruptionDetected(t *testing.T) {
 
 	// Truncation at any prefix must fail at open or during streaming.
 	for _, n := range []int{0, 7, 8, len(orig) / 3, len(orig) / 2, len(orig) - 1} {
-		if streamOK(t, orig[:n]) {
+		if decode(orig[:n]) == nil {
 			t.Fatalf("truncation to %d bytes decoded without error", n)
 		}
 	}
@@ -280,25 +275,10 @@ func TestChunkedCorruptionDetected(t *testing.T) {
 		if bytes.Equal(mut, orig) {
 			continue
 		}
-		if streamOK(t, mut) {
+		if decode(mut) == nil {
 			t.Fatalf("bit flip at offset %d decoded without error", pos)
 		}
 	}
-}
-
-// streamOK reports whether data opens and fully streams as a valid
-// chunked trace with no error.
-func streamOK(t *testing.T, data []byte) bool {
-	t.Helper()
-	c, err := NewCursor(bytes.NewReader(data))
-	if err != nil {
-		return false
-	}
-	defer c.Close()
-	if _, err := c.Materialize(); err != nil {
-		return false
-	}
-	return c.Err() == nil
 }
 
 func TestChunkedEmptyishTrace(t *testing.T) {
@@ -316,30 +296,154 @@ func TestChunkedEmptyishTrace(t *testing.T) {
 	}
 }
 
+// TestIsChunkedFile: Save writes a chunked (v4) file, whatever the trace,
+// and that file opens for streaming with its footer summary intact.
 func TestIsChunkedFile(t *testing.T) {
 	tr := buildTestTrace(t, 2, 2, 2, 6)
-	dir := t.TempDir()
-	v3 := dir + "/v3.trace"
-	v4 := dir + "/v4.trace"
-	if err := tr.Save(v3); err != nil {
+	path := filepath.Join(t.TempDir(), "v4.trace")
+	if err := tr.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.SaveChunked(v4, ChunkOptions{}); err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := IsChunkedFile(v3); err != nil || got {
-		t.Fatalf("IsChunkedFile(v3) = %v, %v", got, err)
+	if !bytes.HasPrefix(data, chunkFileMagic[:]) {
+		t.Fatalf("saved file starts %q, want the v4 magic %q", data[:8], chunkFileMagic[:])
 	}
-	if got, err := IsChunkedFile(v4); err != nil || !got {
-		t.Fatalf("IsChunkedFile(v4) = %v, %v", got, err)
-	}
-	c, err := OpenCursorFile(v4)
+	c, err := OpenCursorFile(path)
 	if err != nil {
 		t.Fatalf("OpenCursorFile: %v", err)
+	}
+	if c.Summary() != tr.Summarize() {
+		t.Fatal("saved footer summary differs from the trace's")
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestWriteChunkedViewsMatchCopies pins that a built trace has no encoder
+// of its own: chunked through views of the trace, it encodes to the same
+// bytes as the same instructions appended to a ChunkWriter as copies.
+func TestWriteChunkedViewsMatchCopies(t *testing.T) {
+	tr := buildTestTrace(t, 4, 3, 5, 40)
+	for _, opts := range []ChunkOptions{{}, {Budget: 1 << 10}, {Budget: 1 << 10, Compress: true}} {
+		var views, copies bytes.Buffer
+		if err := tr.WriteChunked(&views, opts); err != nil {
+			t.Fatal(err)
+		}
+		cw := NewChunkWriter(&copies, tr.Name, tr.ASID, len(tr.CUs), len(tr.CUs[0].Warps), opts)
+		walk := newArenaWalk(tr)
+		for {
+			g, lo, hi, ok := walk.next()
+			if !ok {
+				break
+			}
+			for _, in := range walk.warps[g][lo:hi] {
+				var addrs []memory.VAddr
+				if in.Kind == Load || in.Kind == Store {
+					addrs = tr.Addrs(in)
+				}
+				cw.Append(g/cw.WarpsPerCU(), g%cw.WarpsPerCU(), in, addrs)
+			}
+		}
+		if err := cw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(views.Bytes(), copies.Bytes()) {
+			t.Fatalf("%+v: views and copies encode differently", opts)
+		}
+	}
+}
+
+// TestWriteChunkedOutOfOrderArena covers traces whose arena is not in
+// emission order: a junk prefix no access references, and an access that
+// re-reads an earlier access's lanes. Both still encode, replay the same
+// instructions on the same addresses, and come back with the arena packed
+// in stream order, which a second round trip keeps exactly.
+func TestWriteChunkedOutOfOrderArena(t *testing.T) {
+	junk := buildTestTrace(t, 4, 3, 5, 40)
+	junk.Arena = append([]memory.VAddr{0xdead000, 0xbeef000}, junk.Arena...)
+	shared := buildTestTrace(t, 4, 3, 5, 40)
+	for _, tr := range []*Trace{junk, shared} {
+		for c := range tr.CUs {
+			for w, warp := range tr.CUs[c].Warps {
+				for i := range warp {
+					in := &tr.CUs[c].Warps[w][i]
+					if in.Kind != Load && in.Kind != Store {
+						continue
+					}
+					if tr == junk {
+						in.Off += 2
+					} else if c == 2 && w == 1 && i > len(warp)/2 {
+						in.Off, in.Lanes = 0, 1 // the trace's first lane address
+					}
+				}
+			}
+		}
+	}
+	for name, tr := range map[string]*Trace{"junk prefix": junk, "shared lanes": shared} {
+		got := roundTrip(t, tr, ChunkOptions{Budget: 1 << 10})
+		if !sameReplay(tr, got) {
+			t.Fatalf("%s: round trip changed what the trace replays", name)
+		}
+		if reflect.DeepEqual(tr.Arena, got.Arena) {
+			t.Fatalf("%s: arena kept its out-of-order layout", name)
+		}
+		if again := roundTrip(t, got, ChunkOptions{Budget: 1 << 10}); !reflect.DeepEqual(got, again) {
+			t.Fatalf("%s: second round trip is not exact", name)
+		}
+	}
+}
+
+// roundTrip writes tr with WriteChunked and materializes the stream.
+func roundTrip(t testing.TB, tr *Trace, opts ChunkOptions) *Trace {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteChunked(&buf, opts); err != nil {
+		t.Fatalf("WriteChunked: %v", err)
+	}
+	c, err := NewCursor(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("NewCursor: %v", err)
+	}
+	defer c.Close()
+	got, err := c.Materialize()
+	if err != nil {
+		t.Fatalf("Materialize: %v", err)
+	}
+	return got
+}
+
+// sameReplay reports whether a and b replay identically: same identity
+// and shape, and warp by warp the same instructions on the same lane
+// addresses, wherever those sit in the arena.
+func sameReplay(a, b *Trace) bool {
+	if a.Name != b.Name || a.ASID != b.ASID || len(a.CUs) != len(b.CUs) {
+		return false
+	}
+	for c := range a.CUs {
+		if len(a.CUs[c].Warps) != len(b.CUs[c].Warps) {
+			return false
+		}
+		for w, wa := range a.CUs[c].Warps {
+			wb := b.CUs[c].Warps[w]
+			if len(wa) != len(wb) {
+				return false
+			}
+			for i, in := range wa {
+				o := wb[i]
+				if in.Kind != o.Kind || in.Lanes != o.Lanes || in.Cycles != o.Cycles {
+					return false
+				}
+				if (in.Kind == Load || in.Kind == Store) && !slices.Equal(a.Addrs(in), b.Addrs(o)) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 func FuzzChunkRoundTrip(f *testing.F) {
@@ -371,29 +475,14 @@ func FuzzChunkRoundTrip(f *testing.F) {
 			return // mid-stream corruption surfaced as an error: success
 		}
 		// Anything the cursor fully accepts must be a valid, replayable
-		// trace that re-chunks and re-streams to the same materialization.
+		// trace that re-chunks and re-streams to the same replay, and
+		// whose materialization then round-trips exactly.
 		tr.Summarize()
-		var buf bytes.Buffer
-		if err := tr.WriteChunked(&buf, ChunkOptions{Budget: 1 << 10}); err != nil {
-			t.Fatalf("re-chunking accepted trace failed: %v", err)
+		tr2 := roundTrip(t, tr, ChunkOptions{Budget: 1 << 10})
+		if !sameReplay(tr, tr2) {
+			t.Fatal("chunked round trip changed an accepted trace's replay")
 		}
-		c2, err := NewCursor(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("re-opening re-chunked trace failed: %v", err)
-		}
-		defer c2.Close()
-		tr2, err := c2.Materialize()
-		if err != nil {
-			t.Fatalf("re-materializing failed: %v", err)
-		}
-		var b1, b2 bytes.Buffer
-		if err := tr.Write(&b1); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr2.Write(&b2); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+		if tr3 := roundTrip(t, tr2, ChunkOptions{Budget: 1 << 10}); !reflect.DeepEqual(tr2, tr3) {
 			t.Fatal("chunked round trip is not stable")
 		}
 	})

@@ -117,10 +117,10 @@ func (c *Cursor) readHeader() error {
 	}
 	if magic != chunkFileMagic {
 		if string(magic[:7]) == "VCTRACE" {
-			return fmt.Errorf("trace: format version %d is not chunked (want %d); use trace.Read for v%d files",
-				magic[7], ChunkFormatVersion, FormatVersion)
+			return fmt.Errorf("trace: unsupported format version %d (want %d); regenerate the file with tracegen -o",
+				magic[7], ChunkFormatVersion)
 		}
-		return fmt.Errorf("trace: bad magic %q (not a v%d chunked trace)", magic[:], ChunkFormatVersion)
+		return fmt.Errorf("trace: bad magic %q (not a v%d trace file)", magic[:], ChunkFormatVersion)
 	}
 	// The header is tiny; read it byte-exactly (no bufio readahead) so the
 	// consumed count doubles as the first chunk frame's file offset.
@@ -729,10 +729,10 @@ func (c *Cursor) Close() error {
 	return nil
 }
 
-// Materialize reads the remaining stream into a whole-trace structure:
-// the degenerate non-streaming path, used by tools and equivalence tests.
-// For a trace written by a streaming Builder the result is byte-identical
-// (under Write) to the materialized Builder's trace.
+// Materialize reads the rest of the stream into a whole trace: a
+// materialized trace is a v4 stream read to the end. For a stream written
+// by a streaming Builder, or by WriteChunked from a Builder-made trace,
+// the result is reflect.DeepEqual to the Builder's trace.
 func (c *Cursor) Materialize() (*Trace, error) {
 	t := &Trace{Name: c.name, ASID: c.asid, CUs: make([]CUTrace, len(c.warps))}
 	for i := range t.CUs {
@@ -790,17 +790,12 @@ func (c *Cursor) cuWarp(gw int) (int, int) {
 	panic("trace: global warp index out of range")
 }
 
-// IsChunkedFile sniffs path's magic: true for v4 chunked traces, false
-// for anything else (including v3 whole-file traces).
-func IsChunkedFile(path string) (bool, error) {
-	f, err := os.Open(path)
+// LoadFile reads the trace saved at path.
+func LoadFile(path string) (*Trace, error) {
+	c, err := OpenCursorFile(path)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	defer f.Close()
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return false, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	return magic == chunkFileMagic, nil
+	defer c.Close()
+	return c.Materialize()
 }

@@ -1,0 +1,245 @@
+package trace
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc64"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
+	"vcache/internal/memory"
+)
+
+func sampleTrace() *Trace {
+	b := NewBuilder("sample", 3, 2, 2)
+	b.Warp().Load(0x1000, 0x2000).Compute(5)
+	b.Warp().Store(0x3000).ScratchLoad(2)
+	b.Barrier()
+	b.Warp().Load(0x4000)
+	return b.Build()
+}
+
+func TestWriteReadRoundTrip(t *testing.T) {
+	for _, tr := range []*Trace{sampleTrace(), buildTestTrace(t, 4, 3, 5, 40)} {
+		for _, opts := range []ChunkOptions{{}, {Budget: 1 << 10}, {Budget: 1 << 10, Compress: true}} {
+			got := roundTrip(t, tr, opts)
+			if !reflect.DeepEqual(tr, got) {
+				t.Fatalf("%s %+v: round trip changed the trace", tr.Name, opts)
+			}
+			if got.Summarize() != tr.Summarize() {
+				t.Fatalf("%s %+v: summaries differ", tr.Name, opts)
+			}
+		}
+	}
+}
+
+func TestWriteDeterministic(t *testing.T) {
+	var a, b bytes.Buffer
+	if err := sampleTrace().WriteChunked(&a, ChunkOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sampleTrace().WriteChunked(&b, ChunkOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("identical traces encoded to different bytes")
+	}
+}
+
+func TestSaveLoad(t *testing.T) {
+	tr := sampleTrace()
+	path := filepath.Join(t.TempDir(), "x.trace")
+	if err := tr.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tr, got) {
+		t.Fatal("save/load changed the trace")
+	}
+	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Fatal("loading missing file succeeded")
+	}
+}
+
+// decode opens data as a v4 stream and reads it to the end.
+func decode(data []byte) error {
+	c, err := NewCursor(bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	_, err = c.Materialize()
+	return err
+}
+
+func encoded(t *testing.T, opts ChunkOptions) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sampleTrace().WriteChunked(&buf, opts); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestReadRejectsGarbage(t *testing.T) {
+	if err := decode([]byte("not a trace")); err == nil {
+		t.Fatal("garbage accepted")
+	}
+	bad := encoded(t, ChunkOptions{})
+	bad[0] = 'X' // magic
+	if err := decode(bad); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("bad magic not reported as such: %v", err)
+	}
+}
+
+func TestReadRejectsCorruption(t *testing.T) {
+	for _, opts := range []ChunkOptions{{}, {Compress: true}} {
+		data := encoded(t, opts)
+		if err := decode(data); err != nil {
+			t.Fatalf("%+v: intact stream rejected: %v", opts, err)
+		}
+		// Flip every byte in turn: each corruption must be caught (by a
+		// structural check or a checksum), never panic, never pass.
+		for i := range data {
+			bad := append([]byte(nil), data...)
+			bad[i] ^= 0xff
+			if decode(bad) == nil {
+				t.Fatalf("%+v: corruption at byte %d/%d accepted", opts, i, len(data))
+			}
+		}
+		// Every truncation must fail too.
+		for n := 0; n < len(data); n++ {
+			if decode(data[:n]) == nil {
+				t.Fatalf("%+v: truncation to %d/%d bytes accepted", opts, n, len(data))
+			}
+		}
+	}
+}
+
+// The helpers below hand-assemble v4 streams with valid checksums, so a
+// test can declare anything and the decoder's structural checks, not its
+// crcs, must do the rejecting.
+
+// uvs encodes xs as consecutive uvarints.
+func uvs(xs ...uint64) []byte {
+	var b []byte
+	for _, x := range xs {
+		b = binary.AppendUvarint(b, x)
+	}
+	return b
+}
+
+// oneWarp is the header after the magic for name "h", ASID 1 and one CU
+// with one warp, uncompressed.
+var oneWarp = append(append(uvs(0, 1), 'h'), uvs(1, 1, 1)...)
+
+// handFile frames a header (the fields after the magic) and chunk frames
+// into a v4 stream whose footer declares len(frames) chunks, no premap
+// pages, the given per-warp totals and an empty summary.
+func handFile(header []byte, frames [][]byte, totals ...uint64) []byte {
+	b := append(chunkFileMagic[:len(chunkFileMagic):len(chunkFileMagic)], header...)
+	b = binary.LittleEndian.AppendUint64(b, crc64.Checksum(b, crcTable))
+	var rollup uint64
+	for _, f := range frames {
+		b = append(b, f...)
+		rollup = crc64.Update(rollup, crcTable, f[len(f)-8:])
+	}
+	footer := len(b)
+	body := binary.LittleEndian.AppendUint64(uvs(uint64(len(frames))), rollup)
+	body = append(body, uvs(0)...)
+	body = append(body, uvs(totals...)...)
+	body = append(body, uvs(0, 0, 0, 0, 0, 0, 0)...)
+	body = append(body, make([]byte, 16)...)
+	b = append(b, footerMarker)
+	b = append(b, body...)
+	b = binary.LittleEndian.AppendUint64(b, crc64.Checksum(body, crcTable))
+	b = binary.LittleEndian.AppendUint64(b, uint64(footer))
+	return append(b, chunkTrailerMagic[:]...)
+}
+
+// handFrame frames a decoded chunk payload, uncompressed.
+func handFrame(payload []byte) []byte {
+	b := append([]byte{chunkMarker}, uvs(uint64(len(payload)), uint64(len(payload)))...)
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint64(b, crc64.Checksum(payload, crcTable))
+}
+
+// handChunk is the payload of a one-segment chunk for (cu 0, warp 0)
+// holding insts, followed by an arena of the given addresses.
+func handChunk(insts []Inst, arena ...memory.VAddr) []byte {
+	b := uvs(1, 0, 0, uint64(len(insts)))
+	for _, in := range insts {
+		b = append(b, byte(in.Kind))
+		b = binary.LittleEndian.AppendUint16(b, in.Lanes)
+		b = binary.LittleEndian.AppendUint32(b, in.Off)
+		b = binary.LittleEndian.AppendUint64(b, in.Cycles)
+	}
+	b = append(b, uvs(uint64(len(arena)))...)
+	for _, a := range arena {
+		b = binary.LittleEndian.AppendUint64(b, uint64(a))
+	}
+	return b
+}
+
+func TestReadCapsDeclaredSizes(t *testing.T) {
+	valid := handFile(oneWarp, [][]byte{handFrame(handChunk([]Inst{{Kind: Load, Lanes: 1}}, 0x1000))}, 1)
+	if err := decode(valid); err != nil {
+		t.Fatalf("hand-made stream rejected: %v", err)
+	}
+	cases := map[string][]byte{
+		"name length":    handFile(uvs(0, 1<<40), nil),
+		"CU count":       handFile(uvs(0, 0, 1, 1<<63), nil),
+		"warp count":     handFile(uvs(0, 0, 1, 1, 1<<40), nil),
+		"chunk length":   handFile(oneWarp, [][]byte{append([]byte{chunkMarker}, uvs(1<<40, 1<<40)...)}, 0),
+		"segment length": handFile(oneWarp, [][]byte{handFrame(uvs(1, 0, 0, 1<<62))}, 0),
+		"arena length":   handFile(oneWarp, [][]byte{handFrame(uvs(0, 1<<40))}, 0),
+		// Declared sizes under the caps but far beyond the data that
+		// follows must fail on the missing data, not allocate first.
+		"segment over a short payload": handFile(oneWarp, [][]byte{handFrame(uvs(1, 0, 0, maxInstsPerWarp-1))}, 0),
+		"arena over a short payload":   handFile(oneWarp, [][]byte{handFrame(uvs(0, maxArenaLen-1))}, 0),
+	}
+	for name, data := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: absurd declared size accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+			t.Errorf("%s: decoding allocated %d bytes before failing", name, grew)
+		}
+	}
+}
+
+func TestReadValidatesArenaRefs(t *testing.T) {
+	past := handFile(oneWarp, [][]byte{handFrame(handChunk([]Inst{{Kind: Load, Lanes: 2, Off: 1}}, 0x1000, 0x2000))}, 1)
+	if err := decode(past); err == nil || !strings.Contains(err.Error(), "arena") {
+		t.Fatalf("lane range past the chunk arena not reported as such: %v", err)
+	}
+	zero := handFile(oneWarp, [][]byte{handFrame(handChunk([]Inst{{Kind: Load}}, 0x1000))}, 1)
+	if err := decode(zero); err == nil {
+		t.Fatal("zero-lane load accepted")
+	}
+
+	// The writer refuses to encode what the decoder would reject.
+	tr := sampleTrace()
+	tr.CUs[0].Warps[0][0].Off = uint32(len(tr.Arena)) // now out of bounds
+	if err := tr.WriteChunked(&bytes.Buffer{}, ChunkOptions{}); err == nil || !strings.Contains(err.Error(), "arena") {
+		t.Fatalf("out-of-arena lane reference encoded: %v", err)
+	}
+	wide := NewBuilder("wide", 1, 1, 1)
+	wide.Warp().Load(make([]memory.VAddr, maxLanes+1)...)
+	if err := wide.Build().WriteChunked(&bytes.Buffer{}, ChunkOptions{}); err == nil {
+		t.Fatalf("load of %d lanes encoded", maxLanes+1)
+	}
+	if err := sampleTrace().Validate(); err != nil {
+		t.Fatalf("valid trace failed validation: %v", err)
+	}
+}

@@ -139,6 +139,33 @@ func (t *Trace) Summarize() Summary {
 	return s
 }
 
+// Validate checks the trace's structural invariants: every Load/Store
+// carries 1 to maxLanes lanes, and its lane-arena reference lies inside
+// the arena. Materialize calls it on every decoded trace, so a corrupt
+// file can never provoke an out-of-bounds access during replay, and
+// WriteChunked calls it before encoding.
+func (t *Trace) Validate() error {
+	arena := uint64(len(t.Arena))
+	for c := range t.CUs {
+		for w, warp := range t.CUs[c].Warps {
+			for i, in := range warp {
+				if in.Kind != Load && in.Kind != Store {
+					continue
+				}
+				if in.Lanes == 0 || in.Lanes > maxLanes {
+					return fmt.Errorf("trace: cu %d warp %d inst %d: %v with %d lanes (want 1 to %d)",
+						c, w, i, in.Kind, in.Lanes, maxLanes)
+				}
+				if uint64(in.Off)+uint64(in.Lanes) > arena {
+					return fmt.Errorf("trace: cu %d warp %d inst %d: lane reference [%d, %d) outside arena of %d",
+						c, w, i, in.Off, uint64(in.Off)+uint64(in.Lanes), arena)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // FirstTouchVPNs returns the trace's distinct 4KB pages in the order
 // System.Prepare first touches them (cu-major, warp-major, instruction
 // order, lane order) — the order that pins physical frame assignment.

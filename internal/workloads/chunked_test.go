@@ -2,25 +2,18 @@ package workloads
 
 import (
 	"bytes"
+	"io"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"vcache/internal/trace"
 )
 
-// traceBytes serializes tr in the v3 format for byte-level comparison.
-func traceBytes(t *testing.T, tr *trace.Trace) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	return buf.Bytes()
-}
-
 // TestBuildChunkedMatchesBuild streams every generator through the v4
-// chunk writer, materializes the cursor, and demands v3-byte identity
-// with the directly built trace — the invariant the streaming front end
-// relies on for byte-identical simulation results.
+// chunk writer, materializes the cursor, and demands it equal the
+// directly built trace — the invariant the streaming front end relies on
+// for byte-identical simulation results.
 func TestBuildChunkedMatchesBuild(t *testing.T) {
 	p := smallParams()
 	for _, g := range All() {
@@ -28,7 +21,6 @@ func TestBuildChunkedMatchesBuild(t *testing.T) {
 		t.Run(g.Name, func(t *testing.T) {
 			t.Parallel()
 			want := g.Build(p)
-			wantBytes := traceBytes(t, want)
 
 			var buf bytes.Buffer
 			// Small budget so every workload exercises multi-chunk streaming.
@@ -49,7 +41,7 @@ func TestBuildChunkedMatchesBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Materialize: %v", err)
 			}
-			if !bytes.Equal(traceBytes(t, got), wantBytes) {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: materialized streamed trace differs from direct build", g.Name)
 			}
 		})
@@ -87,4 +79,33 @@ func TestBuildChunkedPremapMatchesFirstTouch(t *testing.T) {
 		}
 		c.Close()
 	}
+}
+
+// TestWriteChunkedAllocatesLessThanStream pins the cost of storing a
+// built trace, which every cold daemon job pays: chunks are encoded
+// straight from the trace, so writing one allocates less than the stream
+// it produces.
+func TestWriteChunkedAllocatesLessThanStream(t *testing.T) {
+	g, _ := ByName("hotspot")
+	tr := g.Build(Params{Scale: 1, NumCUs: 8, WarpsPerCU: 4})
+	var stream countingDiscard
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := tr.WriteChunked(&stream, trace.ChunkOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("allocated %d bytes for a %d-byte stream", allocated, stream.n)
+	if allocated >= stream.n {
+		t.Fatalf("writing a %d-byte stream allocated %d bytes", stream.n, allocated)
+	}
+}
+
+// countingDiscard is io.Discard that counts what it drops.
+type countingDiscard struct{ n uint64 }
+
+func (c *countingDiscard) Write(p []byte) (int, error) {
+	c.n += uint64(len(p))
+	return io.Discard.Write(p)
 }

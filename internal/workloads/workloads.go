@@ -407,15 +407,9 @@ func sortedCopy(xs []int32) []int32 {
 	return out
 }
 
-// Describe returns a one-line summary of a generated trace (used by
-// cmd/tracegen).
-func Describe(g Generator, p Params) string {
-	return DescribeSummary(g, g.Build(p).Summarize())
-}
-
-// DescribeSummary formats Describe's line from an already-computed
-// summary — what cmd/tracegen's streaming path uses, since a chunked
-// generation yields a Summary without ever materializing the trace.
+// DescribeSummary returns cmd/tracegen's one-line description of a
+// generated trace from its summary, which a chunked generation yields
+// without ever materializing the trace.
 func DescribeSummary(g Generator, s trace.Summary) string {
 	return fmt.Sprintf("%-14s %-8s memInsts=%-7d lanes=%-8d lines=%-8d div=%.2f pages=%-6d scratch=%-6d barriers=%d",
 		g.Name, g.Suite, s.MemInsts, s.LaneAccesses, s.CoalescedLines, s.Divergence, s.DistinctPages, s.ScratchOps, s.Barriers)

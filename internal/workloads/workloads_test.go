@@ -266,7 +266,7 @@ func TestRNGDeterministic(t *testing.T) {
 
 func TestDescribe(t *testing.T) {
 	g, _ := ByName("kmeans")
-	if Describe(g, smallParams()) == "" {
+	if DescribeSummary(g, g.Build(smallParams()).Summarize()) == "" {
 		t.Fatal("empty description")
 	}
 }

@@ -1,9 +1,12 @@
 package vcache_test
 
 import (
+	"bytes"
+	"os"
 	"testing"
 
 	"vcache"
+	apiv1 "vcache/api/v1"
 )
 
 // The public API is exercised from an external test package, the way a
@@ -164,15 +167,29 @@ func TestPublicSynonymMapping(t *testing.T) {
 }
 
 func TestPublicTraceSaveLoad(t *testing.T) {
-	b := vcache.NewTraceBuilder("io", 2, 1)
-	b.Warp().Load(0x1000)
+	// Enough 32-lane loads that the saved stream spans several chunks.
+	b := vcache.NewTraceBuilder("io", 2, 2)
+	lanes := make([]vcache.VAddr, 32)
+	for i := 0; i < 20000; i++ {
+		for l := range lanes {
+			lanes[l] = vcache.VAddr(0x100000 + i*128 + l*4)
+		}
+		b.Warp().Load(lanes...).Compute(2)
+	}
 	tr := b.Build()
 	path := t.TempDir() + "/t.trace"
 	if err := tr.Save(path); err != nil {
 		t.Fatal(err)
 	}
+	if st, err := os.Stat(path); err != nil || st.Size() <= 4<<20 {
+		t.Fatalf("saved trace should span more than one 4MB chunk: %v %v", st.Size(), err)
+	}
 	got, err := vcache.LoadTrace(path)
 	if err != nil || got.Name != "io" {
 		t.Fatalf("LoadTrace: %v %v", got, err)
+	}
+	cfg := vcache.DesignVCOpt()
+	if want, have := apiv1.EncodeResults(vcache.Run(cfg, tr)), apiv1.EncodeResults(vcache.Run(cfg, got)); !bytes.Equal(want, have) {
+		t.Fatal("loaded trace simulates differently from the saved one")
 	}
 }
