@@ -74,9 +74,8 @@ type DesignSpec struct {
 	Config *core.Config `json:"config,omitempty"`
 
 	// Overrides, applied after the preset/config resolves.
-	ProbeResidency     bool `json:"probe_residency,omitempty"`
-	LargePages         bool `json:"large_pages,omitempty"`
-	BatchedTranslation bool `json:"batched_translation,omitempty"`
+	ProbeResidency bool `json:"probe_residency,omitempty"`
+	LargePages     bool `json:"large_pages,omitempty"`
 	// IOMMULookupsPerCycle overrides shared-TLB bandwidth (0 = unlimited).
 	IOMMULookupsPerCycle *int `json:"iommu_lookups_per_cycle,omitempty"`
 	// PerCUTLBEntries overrides the per-CU TLB entry count (0 = infinite).
@@ -175,7 +174,6 @@ func (s JobSpec) Resolve() (core.Config, workloads.Params, error) {
 
 	cfg.ProbeResidency = cfg.ProbeResidency || s.Design.ProbeResidency
 	cfg.LargePages = cfg.LargePages || s.Design.LargePages
-	cfg.BatchedTranslation = cfg.BatchedTranslation || s.Design.BatchedTranslation
 	if v := s.Design.IOMMULookupsPerCycle; v != nil {
 		if *v < 0 {
 			return zero, workloads.Params{}, &SpecError{Field: "design.iommu_lookups_per_cycle", Reason: fmt.Sprintf("must be >= 0 (0 = unlimited), got %d", *v)}

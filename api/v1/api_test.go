@@ -39,6 +39,15 @@ func TestDecodeJobSpecValid(t *testing.T) {
 }
 
 func TestDecodeJobSpecRejects(t *testing.T) {
+	// An otherwise valid inline config that still carries the removed
+	// batched-translation switch: an old client's batched job must fail,
+	// not silently run per-line.
+	preset, err := json.Marshal(core.DesignBaseline512())
+	if err != nil {
+		t.Fatal(err)
+	}
+	removedConfigField := `{"api_version":"v1","workload":{"name":"bfs"},"design":{"config":{"BatchedTranslation":true,` +
+		string(preset[1:]) + `}}`
 	cases := []struct {
 		name string
 		body string
@@ -59,6 +68,8 @@ func TestDecodeJobSpecRejects(t *testing.T) {
 		{"invalid inline config", `{"api_version":"v1","workload":{"name":"bfs"},"design":{"config":{}}}`, "design.config"},
 		{"bad mmu kind", `{"api_version":"v1","workload":{"name":"bfs"},"design":{"config":{"Kind":"telepathic"}}}`, "telepathic"},
 		{"negative override", `{"api_version":"v1","workload":{"name":"bfs"},"design":{"preset":"vc","iommu_lookups_per_cycle":-1}}`, "iommu_lookups_per_cycle"},
+		{"removed batched override", `{"api_version":"v1","workload":{"name":"bfs"},"design":{"preset":"baseline-512","batched_translation":true}}`, `unknown field "batched_translation"`},
+		{"removed batched config field", removedConfigField, `unknown field "BatchedTranslation"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,7 +125,6 @@ func TestDesignOverrides(t *testing.T) {
 			Preset:               "baseline-512",
 			ProbeResidency:       true,
 			LargePages:           true,
-			BatchedTranslation:   true,
 			IOMMULookupsPerCycle: &lookups,
 			PerCUTLBEntries:      &entries,
 		},
@@ -123,7 +133,7 @@ func TestDesignOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
-	if !cfg.ProbeResidency || !cfg.LargePages || !cfg.BatchedTranslation {
+	if !cfg.ProbeResidency || !cfg.LargePages {
 		t.Errorf("boolean overrides not applied: %+v", cfg)
 	}
 	if cfg.IOMMU.LookupsPerCycle != lookups {

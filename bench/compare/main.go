@@ -40,7 +40,7 @@ type snapshot struct {
 
 // defaultFilter tracks the translation hot-path benchmarks this repo's
 // perf work bounds, plus the synthetic speedup entries derived from them.
-const defaultFilter = `BenchmarkTranslateLines|BenchmarkChurn|BenchmarkFlatMap|` +
+const defaultFilter = `BenchmarkChurn|BenchmarkFlatMap|` +
 	`BenchmarkLookup|BenchmarkInfiniteLookup|BenchmarkInsertEvict|BenchmarkAccess|` +
 	`FlatMapSpeedup`
 

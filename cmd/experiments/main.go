@@ -54,7 +54,6 @@ func main() {
 	wl := flag.String("workloads", "", "comma-separated workload subset (default: all 15)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "concurrent simulations (1 = serial; results are identical either way)")
 	intraParallel := flag.Int("intra-parallel", 0, "partitioned-engine worker threads inside each simulation (0 = auto split with -parallel; results are byte-identical at any value)")
-	batched := flag.Bool("batched-translation", false, "warp-level batched translation front-end for every run (cached separately from legacy results; no-op for designs without per-CU TLBs)")
 	tenantsFlag := flag.String("tenants", "", "comma-separated tenant counts for the churn figure (default 2,8,24)")
 	quiet := flag.Bool("q", false, "suppress per-run progress on stderr")
 	csvOut := flag.String("csv", "", "also dump every simulated run's metrics to this CSV file")
@@ -87,7 +86,6 @@ func main() {
 	}
 	suite.Workers = *parallel
 	suite.IntraWorkers = *intraParallel
-	suite.BatchedTranslation = *batched
 	if *tenantsFlag != "" {
 		for _, s := range strings.Split(*tenantsFlag, ",") {
 			var n int

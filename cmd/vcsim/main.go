@@ -76,7 +76,6 @@ func main() {
 	intraParallel := flag.Int("intra-parallel", 1, "partitioned-engine worker threads inside each simulation (< 1 means 1; results are byte-identical at any value)")
 	stream := flag.Bool("stream", false, "generate and replay the workload as a chunked (v4) stream: peak memory stays bounded by the chunk budget instead of the trace size; results are byte-identical")
 	chunkBudget := flag.Int("chunk-budget", 0, "chunk byte budget for -stream (0 = default 4MB)")
-	batched := flag.Bool("batched-translation", false, "warp-level batched translation front-end: page-chunk dedup, inline TLB hit peeling, bulk IOMMU miss submission (deterministic; no-op for designs without per-CU TLBs)")
 	asJSON := flag.Bool("json", false, "emit the full Results struct as JSON (one document per design)")
 	metricsOut := flag.String("metrics", "", "stream interval metrics-registry snapshots to this JSONL file (one labeled record per interval per design)")
 	eventsOut := flag.String("events", "", "write cycle-stamped component events to this Chrome-trace file (one process per design)")
@@ -122,7 +121,6 @@ func main() {
 		}
 		cfg.ProbeResidency = *probe
 		cfg.LargePages = *largePages
-		cfg.BatchedTranslation = *batched
 		if *tlbEntries >= 0 {
 			cfg = cfg.WithPerCUTLB(*tlbEntries)
 		}

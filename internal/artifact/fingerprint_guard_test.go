@@ -55,7 +55,6 @@ func TestFingerprintCoversEveryParamsField(t *testing.T) {
 
 var configShapeGolden = []string{
 	"Config.ASIDTags bool",
-	"Config.BatchedTranslation bool",
 	"Config.DRAM.Latency uint64",
 	"Config.DRAM.LinesPerCycle int",
 	"Config.DynamicSynonymRemap bool",

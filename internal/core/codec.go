@@ -24,9 +24,9 @@ const (
 	// identical (trace, Config) pair — it is part of every result cache
 	// key, so stale entries stop matching.
 	//
-	// v3: batched translation front-end (Config.BatchedTranslation). The
-	// default per-line path is schedule-identical to v2, but Config and
-	// Results grew fields, so every fingerprint moves.
+	// v3: an opt-in warp-batched translation front end. The default
+	// per-line path is schedule-identical to v2, but Config and Results
+	// grew fields, so every fingerprint moves.
 	//
 	// v4: one schedule. Every run executes the partitioned schedule, which
 	// the CLI, figure suite and daemon already ran; library runs
@@ -35,7 +35,10 @@ const (
 	// engines at the backend clock instead of cycle 0, so multi-kernel
 	// results (tenant churn, context switches) change. Single-kernel
 	// results of the canonical path are unchanged.
-	SimVersion = 4
+	//
+	// v5: the batched front end's Config and Results fields are gone;
+	// every surviving field keeps its v4 value.
+	SimVersion = 5
 
 	// resultsCodecVersion is the wire-format version of EncodeResults.
 	resultsCodecVersion = 1

@@ -127,11 +127,6 @@ func TestResultsCodecRejectsCorruption(t *testing.T) {
 // field is covered by the reflective codec and that the changed shape hash
 // has invalidated existing cache entries.
 var resultsShapeGolden = []string{
-	"Results.Batch.Calls uint64",
-	"Results.Batch.Chunks uint64",
-	"Results.Batch.HitChunks uint64",
-	"Results.Batch.InlineHits uint64",
-	"Results.Batch.Lines uint64",
 	"Results.Cycles uint64",
 	"Results.DRAM.Reads uint64",
 	"Results.DRAM.Writes uint64",
@@ -159,8 +154,6 @@ var resultsShapeGolden = []string{
 	"Results.GPU.LaneAccesses uint64",
 	"Results.GPU.MemInsts uint64",
 	"Results.GPU.ScratchOps uint64",
-	"Results.IOMMU.BulkCalls uint64",
-	"Results.IOMMU.BulkMisses uint64",
 	"Results.IOMMU.FBTHits uint64",
 	"Results.IOMMU.Faults uint64",
 	"Results.IOMMU.MaxDelay uint64",

@@ -146,14 +146,6 @@ type Config struct {
 	// ProbeResidency classifies each per-CU TLB miss by where the data
 	// currently resides (L1/L2/memory) — Figure 2's breakdown.
 	ProbeResidency bool
-	// BatchedTranslation switches the front end to warp-level batched
-	// translation (TranslateLines): one per-CU TLB probe per distinct page
-	// of a warp's coalesced line set, hits peeled inline, and the residual
-	// miss set bulk-submitted to the IOMMU. A deliberately different — but
-	// equally deterministic — event schedule than the per-line path, owned
-	// by SimVersion; see DESIGN.md. No-op for VirtualHierarchy and
-	// IdealMMU, whose designs have nothing to batch.
-	BatchedTranslation bool
 }
 
 // DefaultConfig returns the Table 1 baseline system (Baseline 512).

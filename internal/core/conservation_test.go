@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
 	"vcache/internal/memory"
+	"vcache/internal/obs"
 	"vcache/internal/trace"
 )
 
@@ -43,11 +45,18 @@ func randomTrace(seed uint64, insts int) *trace.Trace {
 }
 
 func TestRequestConservationProperty(t *testing.T) {
-	makers := []func() Config{DesignIdeal, DesignBaseline512, DesignVCOpt, designL1OnlyVC32}
+	makers := []func() Config{DesignIdeal, DesignBaseline512, DesignBaselineTwoLevelTLB, DesignVCOpt, designL1OnlyVC32}
+	var tlb2Hits uint64
 	f := func(seed uint64) bool {
 		tr := randomTrace(seed, 120)
 		for _, mk := range makers {
-			r := MustRun(smallCfg(mk()), tr)
+			var final obs.Snapshot
+			r, err := RunContext(context.Background(), smallCfg(mk()), tr,
+				WithMetricsSnapshot(func(s obs.Snapshot) { final = s }))
+			if err != nil {
+				t.Log(err)
+				return false
+			}
 			// 1. L1 sees every coalesced request exactly once.
 			if r.L1.Accesses() != r.GPU.CoalescedReqs {
 				t.Logf("%s: L1 accesses %d != coalesced %d", r.Design, r.L1.Accesses(), r.GPU.CoalescedReqs)
@@ -73,11 +82,27 @@ func TestRequestConservationProperty(t *testing.T) {
 				t.Logf("%s: faults %+v", r.Design, r.Faults)
 				return false
 			}
+			// 4. Every per-CU TLB miss is answered exactly once: by the
+			// private second-level TLB, by its own IOMMU request, or by
+			// merging behind an outstanding request for the same page.
+			// Results has no TLB2 field; the metrics registry does.
+			if r.Kind == PhysicalBaseline || r.Kind == L1OnlyVirtual {
+				hits2 := uint64(final.Sum("tlb2.cu", ".hits"))
+				tlb2Hits += hits2
+				if r.PerCUTLB.Misses != hits2+r.IOMMU.Requests+r.TLBMerges {
+					t.Logf("%s: per-CU TLB misses %d != TLB2 hits %d + IOMMU requests %d + merges %d",
+						r.Design, r.PerCUTLB.Misses, hits2, r.IOMMU.Requests, r.TLBMerges)
+					return false
+				}
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
+	}
+	if tlb2Hits == 0 {
+		t.Fatal("no second-level TLB hits: law 4 never exercised the private TLB2")
 	}
 }
 

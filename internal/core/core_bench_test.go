@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"vcache/internal/trace"
+	"vcache/internal/workloads"
 )
 
 // End-to-end simulator throughput: one small system processing a
@@ -29,16 +31,25 @@ func BenchmarkRunBaseline512(b *testing.B) { benchRun(b, DesignBaseline512()) }
 func BenchmarkRunVCOpt(b *testing.B)       { benchRun(b, DesignVCOpt()) }
 func BenchmarkRunL1OnlyVC(b *testing.B)    { benchRun(b, DesignL1OnlyVC(32)) }
 
-// Batched-translation variants of the designs the front-end applies to,
-// for direct comparison against their per-line rows above.
-func BenchmarkRunBaseline512Batched(b *testing.B) {
-	cfg := DesignBaseline512()
-	cfg.BatchedTranslation = true
-	benchRun(b, cfg)
+// Real-workload end-to-end throughput: bfs under the baseline design.
+// ns/op is the wall-clock per full simulation; events/s the engine's
+// event throughput.
+func benchWorkloadRun(b *testing.B, cfg Config) {
+	g, ok := workloads.ByName("bfs")
+	if !ok {
+		b.Fatal("bfs workload missing")
+	}
+	tr := g.Build(workloads.DefaultParams())
+	var events uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys := MustNew(cfg)
+		if _, err := sys.RunContext(context.Background(), tr); err != nil {
+			b.Fatal(err)
+		}
+		events += sys.Engine().Fired()
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
-func BenchmarkRunL1OnlyVCBatched(b *testing.B) {
-	cfg := DesignL1OnlyVC(32)
-	cfg.BatchedTranslation = true
-	benchRun(b, cfg)
-}
+func BenchmarkRunBFSBaseline(b *testing.B) { benchWorkloadRun(b, DesignBaseline512()) }

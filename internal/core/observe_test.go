@@ -190,55 +190,4 @@ func TestMetricsReconcileWithResults(t *testing.T) {
 	check("core.tlb_merges", value("core.tlb_merges"), res.TLBMerges)
 	check("core.line_merges", value("core.line_merges"), res.LineMerges)
 	check("core.faults.page", value("core.faults.page"), res.Faults.PageFaults)
-
-	// Batched counters must register (and read zero) on a per-line run.
-	check("tlb.batch.calls", value("tlb.batch.calls"), 0)
-	check("iommu.batch.bulk_misses", value("iommu.batch.bulk_misses"), 0)
-}
-
-// Same reconciliation for the batched front-end's own counters: the
-// tlb.batch.* and iommu.batch.* metrics must match Results.Batch and
-// Results.IOMMU exactly, and actually move on a batched run.
-func TestBatchedMetricsReconcileWithResults(t *testing.T) {
-	var final obs.Snapshot
-	cfg := smallCfg(DesignBaseline512())
-	cfg.BatchedTranslation = true
-	res, err := RunContext(context.Background(), cfg,
-		divergentTrace("brecon", 1200, 256),
-		WithMetricsSnapshot(func(s obs.Snapshot) { final = s }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Batch.Calls == 0 || res.IOMMU.BulkMisses == 0 {
-		t.Fatalf("batched path idle: %+v, bulk misses %d", res.Batch, res.IOMMU.BulkMisses)
-	}
-
-	check := func(name string, want uint64) {
-		t.Helper()
-		v, ok := final.Value(name)
-		if !ok {
-			t.Fatalf("metric %q not registered", name)
-		}
-		if v != float64(want) {
-			t.Errorf("%s = %v, Results says %d", name, v, want)
-		}
-	}
-	check("tlb.batch.calls", res.Batch.Calls)
-	check("tlb.batch.lines", res.Batch.Lines)
-	check("tlb.batch.chunks", res.Batch.Chunks)
-	check("tlb.batch.hit_chunks", res.Batch.HitChunks)
-	check("tlb.batch.inline_hits", res.Batch.InlineHits)
-	check("iommu.batch.calls", res.IOMMU.BulkCalls)
-	check("iommu.batch.bulk_misses", res.IOMMU.BulkMisses)
-
-	ratio, ok := final.Value("tlb.batch.dedup_ratio")
-	if !ok {
-		t.Fatal("metric tlb.batch.dedup_ratio not registered")
-	}
-	if want := res.Batch.DedupRatio(); ratio != want {
-		t.Errorf("tlb.batch.dedup_ratio = %v, Results says %v", ratio, want)
-	}
-	if ratio <= 0 {
-		t.Errorf("expected positive dedup on a multi-line trace, got %v", ratio)
-	}
 }

@@ -38,6 +38,31 @@ const physPerm = memory.PermRead | memory.PermWrite
 // IOMMU and DRAM with duplicates. Each merged request keeps its own record,
 // so its permission intent travels with it.
 
+// waitPool recycles the waiter lists of merged misses. The owner of the
+// merge map owns its pool: each CU pools its TLB lists, the backend its
+// line lists.
+type waitPool [][]*request
+
+// get pops a list from the pool, or makes one.
+func (p *waitPool) get() []*request {
+	if n := len(*p); n > 0 {
+		list := (*p)[n-1]
+		*p = (*p)[:n-1]
+		return list
+	}
+	return make([]*request, 0, 8)
+}
+
+// put returns a drained list to the pool, releasing its records. A nil
+// list (a miss nothing merged behind) is not pooled.
+func (p *waitPool) put(list []*request) {
+	if list == nil {
+		return
+	}
+	clear(list)
+	*p = append(*p, list[:0])
+}
+
 // fetchLine coalesces misses on key (a line address): r joins the
 // outstanding fill of key, or starts a new one and reports that it leads
 // it. The leader must start the fill, which must eventually call
@@ -49,14 +74,7 @@ func (s *System) fetchLine(key uint64, r *request) (lead bool) {
 		s.l2Pending[key] = append(list, r)
 		return false
 	}
-	var list []*request
-	if n := len(s.linePool); n > 0 {
-		list = s.linePool[n-1]
-		s.linePool = s.linePool[:n-1]
-	} else {
-		list = make([]*request, 0, 8)
-	}
-	s.l2Pending[key] = append(list, r)
+	s.l2Pending[key] = append(s.linePool.get(), r)
 	return true
 }
 
@@ -71,8 +89,7 @@ func (s *System) lineReady(key uint64, perm memory.Perm, filled bool) {
 	for _, w := range list {
 		w.lineFilled(perm, filled)
 	}
-	clear(list) // release the records
-	s.linePool = append(s.linePool, list[:0])
+	s.linePool.put(list)
 }
 
 // lineFilled continues a request that waited on a line fill, on the
@@ -156,7 +173,7 @@ func (r *request) missToIOMMU() {
 		st := &s.cuStats[cu]
 		st.tlbMerges++
 		if list == nil {
-			list = st.waitList()
+			list = st.tlbLists.get()
 		}
 		pending[vpn] = append(list, r)
 		return
@@ -203,15 +220,11 @@ func (r *request) fillTLB() {
 	for _, w := range waiters {
 		w.resolved(res)
 	}
-	if waiters != nil {
-		clear(waiters)
-		st := &s.cuStats[cu]
-		st.waitPool = append(st.waitPool, waiters[:0])
-	}
+	s.cuStats[cu].tlbLists.put(waiters)
 }
 
-// resolved continues a request whose per-CU TLB miss was answered
-// (tlbWaiter).
+// resolved continues a request whose per-CU TLB miss was answered, the
+// one that sent it or one merged behind it.
 func (r *request) resolved(res iommu.Result) {
 	if res.Fault {
 		r.s.fault("page", &r.s.cuStats[r.cu].faults.PageFaults)
@@ -554,8 +567,7 @@ func (s *System) fillL1(cu int, line memory.VAddr, perm memory.Perm) {
 
 // l1onlyBackend sends a translated L1-only access to the physical L2:
 // write-through/write-allocate stores, or a read whose fill is delivered
-// back into the (virtual) L1. Shared by the per-line path and the batched
-// chunk fan-out.
+// back into the (virtual) L1.
 func (r *request) l1onlyBackend(pte memory.PTE) {
 	r.pte = pte
 	r.addr = uint64(pte.PPN.Base() + memory.PAddr(r.line.Offset()))

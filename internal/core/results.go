@@ -55,10 +55,6 @@ type Results struct {
 	FBTInvalLines  uint64
 	TLBMerges      uint64 // per-CU TLB misses merged into outstanding requests
 	LineMerges     uint64 // cache misses merged into outstanding line fills
-	// Batch aggregates the batched translation front-end's activity
-	// (Config.BatchedTranslation); all-zero when the per-line path ran. In batched mode TLBMerges counts
-	// page-chunk merges rather than per-line merges.
-	Batch BatchStats
 	// L2DistinctPages is the peak count of distinct 4KB pages with data
 	// resident in the L2 (sampled; the paper reports ~6000).
 	L2DistinctPages int
@@ -120,11 +116,6 @@ func (s *System) results(workload string) Results {
 		r.RemapHits += st.remapHits
 		r.L1FullFlushes += st.l1FullFlushes
 		r.TLBMerges += st.tlbMerges
-		r.Batch.Calls += st.batch.Calls
-		r.Batch.Lines += st.batch.Lines
-		r.Batch.Chunks += st.batch.Chunks
-		r.Batch.HitChunks += st.batch.HitChunks
-		r.Batch.InlineHits += st.batch.InlineHits
 	}
 	if s.lifetimes != nil {
 		for i := range s.cuStats {

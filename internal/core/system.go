@@ -93,19 +93,15 @@ type System struct {
 	// merges concurrent misses to the same line (MSHR behaviour). The
 	// pools recycle drained waiter lists so steady-state miss merging does
 	// not allocate.
-	tlbPending []map[memory.VPN][]tlbWaiter
+	tlbPending []map[memory.VPN][]*request
 	l2Pending  map[uint64][]*request
-	linePool   [][]*request
+	linePool   waitPool
 	lineMerges uint64
 
 	// retired holds the records of requests that completed on the backend
 	// during the current window, until the barrier returns them to their
 	// CUs' pools (request.retire).
 	retired []*request
-
-	// batch holds the per-CU frame pools of the batched translation
-	// front-end; nil while the per-line path is in use.
-	batch []batchPool
 
 	synonymReplays uint64
 	fbtInvalLines  uint64 // L2 lines invalidated on FBT eviction/shootdown
@@ -128,27 +124,10 @@ type cuCounters struct {
 	tlbMerges     uint64
 	remapHits     uint64
 	l1FullFlushes uint64
-	batch         BatchStats // batched translation front-end activity
 	tlbLife       stats.CDF  // per-CU TLB entry residence (TrackLifetimes)
 	l1Life        stats.CDF  // L1 line active lifetime (TrackLifetimes)
-	waitPool      [][]tlbWaiter
+	tlbLists      waitPool   // drained tlbPending lists
 	reqs          []*request // free request records (request.go)
-}
-
-// tlbWaiter is a request merged behind an outstanding per-CU TLB miss: a
-// per-line request record, or a batched chunk.
-type tlbWaiter interface {
-	resolved(r iommu.Result)
-}
-
-// waitList pops (or grows) a TLB waiter list from the CU's pool.
-func (st *cuCounters) waitList() []tlbWaiter {
-	if n := len(st.waitPool); n > 0 {
-		list := st.waitPool[n-1]
-		st.waitPool = st.waitPool[:n-1]
-		return list
-	}
-	return make([]tlbWaiter, 0, 8)
 }
 
 // New assembles a system from cfg. An invalid configuration returns a
@@ -195,7 +174,7 @@ func New(cfg Config) (*System, error) {
 		l1.Clock = cuEng.Now
 		s.l1s = append(s.l1s, l1)
 		s.filters = append(s.filters, make(map[memory.VPN]int))
-		s.tlbPending = append(s.tlbPending, make(map[memory.VPN][]tlbWaiter))
+		s.tlbPending = append(s.tlbPending, make(map[memory.VPN][]*request))
 		if cfg.DynamicSynonymRemap {
 			s.remaps = append(s.remaps, newRemapTable(cfg.RemapEntries))
 		}
@@ -235,9 +214,6 @@ func New(cfg Config) (*System, error) {
 	}
 
 	s.gpu = gpu.New(cfg.GPU, s, (*gpuFabric)(s))
-	if cfg.BatchedTranslation {
-		s.enableBatching()
-	}
 	s.buildRegistry()
 	s.registerPartitionGauges()
 	return s, nil
@@ -297,23 +273,6 @@ func (s *System) buildRegistry() {
 			return float64(t)
 		}
 	}
-	// Batched translation front-end counters (zero unless the batched path
-	// is enabled). Chunks-vs-lines gives the within-warp page dedup.
-	tb := r.Scope("tlb.batch")
-	tb.Gauge("calls", sumCU(func(c *cuCounters) uint64 { return c.batch.Calls }))
-	tb.Gauge("lines", sumCU(func(c *cuCounters) uint64 { return c.batch.Lines }))
-	tb.Gauge("chunks", sumCU(func(c *cuCounters) uint64 { return c.batch.Chunks }))
-	tb.Gauge("hit_chunks", sumCU(func(c *cuCounters) uint64 { return c.batch.HitChunks }))
-	tb.Gauge("inline_hits", sumCU(func(c *cuCounters) uint64 { return c.batch.InlineHits }))
-	tb.Gauge("dedup_ratio", func() float64 {
-		var b BatchStats
-		for i := range s.cuStats {
-			b.Lines += s.cuStats[i].batch.Lines
-			b.Chunks += s.cuStats[i].batch.Chunks
-		}
-		return b.DedupRatio()
-	})
-
 	c := r.Scope("core")
 	c.Counter("synonym_replays", &s.synonymReplays)
 	c.Gauge("remap_hits", sumCU(func(c *cuCounters) uint64 { return c.remapHits }))

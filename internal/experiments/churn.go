@@ -174,9 +174,6 @@ func (s *Suite) Churn() ([]ChurnPoint, string) {
 				if bw != 1 {
 					c.Name = fmt.Sprintf("%s (bw %d)", cfg.Name, bw)
 				}
-				if s.BatchedTranslation {
-					c.BatchedTranslation = true
-				}
 				jobs = append(jobs, job{cfg: c, p: s.churnParams(t)})
 			}
 		}

@@ -100,11 +100,6 @@ type Suite struct {
 	// spare threads. Results are byte-identical at any setting — every
 	// suite simulation uses the canonical partitioned schedule.
 	IntraWorkers int
-	// BatchedTranslation runs every simulation with the batched translation
-	// front-end (core.Config.BatchedTranslation): applied to each design's
-	// Config before the run, so it participates in artifact-cache keys.
-	// Designs without a per-CU-TLB front end are unaffected.
-	BatchedTranslation bool
 	// ChurnTenants overrides the tenant-count axis of the tenant-churn
 	// figure (empty = {2, 8, 24}).
 	ChurnTenants []int
@@ -361,11 +356,6 @@ func (s *Suite) intraDefault() int {
 func (s *Suite) run(wl string, cfg core.Config, intra int) core.Results {
 	if _, ok := s.generator(wl); !ok {
 		panic(fmt.Errorf("experiments: workload %q not in suite", wl))
-	}
-	if s.BatchedTranslation {
-		// Mutate before the cache key is derived so batched and legacy
-		// results never collide in the artifact cache.
-		cfg.BatchedTranslation = true
 	}
 	key := runKey(wl, cfg.Name)
 	s.mu.Lock()

@@ -35,18 +35,6 @@ type MemoryPath interface {
 	Access(cu int, addr memory.VAddr, write bool, done func())
 }
 
-// BatchedPath extends MemoryPath with a warp-granular entry point: the
-// whole coalesced line set of one memory instruction arrives in a single
-// call, letting the path dedup translation work across the warp's lines.
-// done must fire exactly once per line, with the same semantics as the
-// per-line Access callback. lines is the warp's reused coalescing buffer:
-// the path must copy anything it needs beyond the call, because the warp
-// may overwrite it as soon as the current cycle's events finish.
-type BatchedPath interface {
-	MemoryPath
-	AccessLines(cu int, lines []memory.VAddr, write bool, done func())
-}
-
 // StreamSource feeds warp instruction streams incrementally, so a trace
 // far larger than memory can replay in bounded space (trace.Cursor is the
 // canonical implementation). NextSegment returns the next contiguous
@@ -111,11 +99,10 @@ type Stats struct {
 // GPU executes a trace against a MemoryPath, on the partitions its Fabric
 // provides.
 type GPU struct {
-	fab     Fabric
-	cfg     Config
-	path    MemoryPath
-	batched BatchedPath // non-nil once EnableBatchedIssue ran
-	cus     []*cu
+	fab  Fabric
+	cfg  Config
+	path MemoryPath
+	cus  []*cu
 
 	liveWarps  int
 	atBarrier  int
@@ -141,8 +128,7 @@ const (
 const (
 	warpStep   = 0 // execute the instruction at pc
 	warpNext   = 1 // advance pc, then execute
-	warpBatch  = 2 // hand the whole coalesced line set to the batched path
-	warpIssue0 = 3
+	warpIssue0 = 2
 )
 
 type warp struct {
@@ -175,20 +161,6 @@ func New(cfg Config, path MemoryPath, fab Fabric) *GPU {
 		g.cus = append(g.cus, &cu{id: i, eng: eng, port: sim.NewBandwidthServer(eng, cfg.IssuePerCycle)})
 	}
 	return g
-}
-
-// EnableBatchedIssue switches memory instructions from per-line issue
-// events to one warp-level AccessLines call per instruction. The path the
-// GPU was built with must implement BatchedPath (it panics otherwise). The
-// CU issue port still admits one slot per coalesced line — issue bandwidth
-// is modeled identically — but the batch is handed over in a single event
-// at the last line's slot. Call before Launch.
-func (g *GPU) EnableBatchedIssue() {
-	bp, ok := g.path.(BatchedPath)
-	if !ok {
-		panic("gpu: memory path does not implement BatchedPath")
-	}
-	g.batched = bp
 }
 
 // Stats returns the counters summed over CUs (each CU counts its own
@@ -304,8 +276,6 @@ func (w *warp) Handle(arg uint64) {
 		w.step()
 	case warpNext:
 		w.next()
-	case warpBatch:
-		w.issueBatch()
 	default:
 		w.issueLine(int(arg - warpIssue0))
 	}
@@ -443,15 +413,7 @@ func (w *warp) issueMemory(in trace.Inst) {
 		if slot > lastSlot {
 			lastSlot = slot
 		}
-		if g.batched == nil {
-			c.eng.AtEvent(slot, w, warpIssue0+uint64(i))
-		}
-	}
-	if g.batched != nil {
-		// Batched issue: the port slots above charge the same issue
-		// bandwidth, and the whole line set crosses into the memory path
-		// in one event once the last line could have issued.
-		c.eng.AtEvent(lastSlot, w, warpBatch)
+		c.eng.AtEvent(slot, w, warpIssue0+uint64(i))
 	}
 	if !w.blocking {
 		// Non-blocking store: the warp advances once the requests have
@@ -474,18 +436,6 @@ func (w *warp) issueLine(i int) {
 		done = nopDone
 	}
 	w.g.path.Access(w.cu.id, w.lines[i], w.write, done)
-}
-
-// issueBatch hands the current instruction's whole line set to the
-// batched path. Same stability argument as issueLine: the batch event
-// fires at the last issue slot, before the warp can advance, so
-// w.lines/w.write/w.blocking are still the current instruction's.
-func (w *warp) issueBatch() {
-	done := w.lineDone
-	if !w.blocking {
-		done = nopDone
-	}
-	w.g.batched.AccessLines(w.cu.id, w.lines, w.write, done)
 }
 
 // onLineDone retires one outstanding line of a blocking instruction.

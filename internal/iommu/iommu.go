@@ -64,8 +64,6 @@ type Stats struct {
 	FBTHits     uint64 // shared-TLB misses resolved by the FBT (VC With OPT)
 	Walks       uint64
 	MergedWalks uint64 // misses that joined an outstanding walk (MSHR)
-	BulkCalls   uint64 // TranslateBulk invocations (batched front-end miss sets)
-	BulkMisses  uint64 // translations submitted through TranslateBulk
 	Faults      uint64
 	QueueDelay  uint64 // serialization cycles at the lookup port
 	MaxDelay    uint64
@@ -266,22 +264,6 @@ func (io *IOMMU) deliver(l *lookup, r Result) {
 func (io *IOMMU) release(l *lookup) {
 	l.c = nil
 	io.free = append(io.free, l)
-}
-
-// TranslateBulk enqueues one warp batch's residual miss set — vpns, already
-// deduplicated by the front end's page chunking — in a single call. Each
-// page still pays its own lookup-port slot (the bandwidth model is
-// unchanged; the batch arrives together but serializes through the shared
-// TLB), and concurrent same-page walks merge through the same pending-map
-// MSHRs as Translate, so one walk serves every requester of a page. done
-// fires once per index with that page's result.
-func (io *IOMMU) TranslateBulk(asid memory.ASID, vpns []memory.VPN, done func(i int, r Result)) {
-	io.st.BulkCalls++
-	io.st.BulkMisses += uint64(len(vpns))
-	for i, vpn := range vpns {
-		i := i
-		io.Translate(asid, vpn, ClientFunc(func(r Result) { done(i, r) }))
-	}
 }
 
 // insertTLB installs a walked translation, as a 2MB entry when the walk

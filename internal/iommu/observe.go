@@ -13,10 +13,6 @@ func (io *IOMMU) Observe(sc obs.Scope) {
 	sc.Counter("faults", &io.st.Faults)
 	sc.Sampler("rate", io.sampler)
 
-	b := sc.Scope("batch")
-	b.Counter("calls", &io.st.BulkCalls)
-	b.Counter("bulk_misses", &io.st.BulkMisses)
-
 	q := sc.Scope("queue")
 	q.Gauge("depth", func() float64 {
 		var worst uint64

@@ -176,14 +176,6 @@ func TestLazyEagerTLBParityFuzz(t *testing.T) {
 				if l, e := lazy.Probe(asid, vpn), eager.Probe(asid, vpn); l != e {
 					t.Fatalf("entries=%d op %d: Probe(%d,%d) %v vs %v", entries, op, asid, vpn, l, e)
 				}
-			case 6:
-				n := uint64(1 + rng.Intn(8))
-				le, lok := lazy.LookupSpan(asid, vpn, n)
-				ee, eok := eager.LookupSpan(asid, vpn, n)
-				if lok != eok || (lok && le.Frame(vpn) != ee.Frame(vpn)) {
-					t.Fatalf("entries=%d op %d: LookupSpan(%d,%d,%d) diverged: %v/%v vs %v/%v",
-						entries, op, asid, vpn, n, le, lok, ee, eok)
-				}
 			default:
 				if rng.Intn(2) == 0 {
 					lazy.Insert(asid, vpn, memory.PPN(vpn)+100, memory.PermRead)

@@ -290,49 +290,6 @@ func (t *TLB) Lookup(asid memory.ASID, vpn memory.VPN) (Entry, bool) {
 	return Entry{}, false
 }
 
-// LookupSpan is the batched front-end's probe: one associative search for
-// (asid, vpn) on behalf of n coalesced same-page lookups. Counters and the
-// LRU clock advance exactly as n consecutive Lookup calls would — the span
-// counts as n hits or n misses and leaves the entry most-recently-used at
-// the same tick — but the set is searched once. A miss emits a single
-// "miss" trace event for the whole span.
-func (t *TLB) LookupSpan(asid memory.ASID, vpn memory.VPN, n uint64) (Entry, bool) {
-	if n == 0 {
-		return Entry{}, false
-	}
-	t.tick += n
-	if t.isInf {
-		if e, ok := t.inf.Get(infKey(asid, vpn)); ok {
-			t.stats.Hits += n
-			return e, true
-		}
-		if t.infLarge.Len() > 0 {
-			if e, ok := t.infLarge.Get(infKey(asid, largeBase(vpn))); ok {
-				t.stats.Hits += n
-				return e, true
-			}
-		}
-		t.stats.Misses += n
-		t.Trace.Emit("miss", uint64(vpn))
-		return Entry{}, false
-	}
-	if e := t.find(asid, vpn, false); e != nil {
-		e.lru = t.tick
-		t.stats.Hits += n
-		return *e, true
-	}
-	if t.large > 0 {
-		if e := t.find(asid, largeBase(vpn), true); e != nil {
-			e.lru = t.tick
-			t.stats.Hits += n
-			return *e, true
-		}
-	}
-	t.stats.Misses += n
-	t.Trace.Emit("miss", uint64(vpn))
-	return Entry{}, false
-}
-
 // Probe reports whether a translation for (asid, vpn) is resident (4KB or
 // covering 2MB entry) without disturbing LRU or counters.
 func (t *TLB) Probe(asid memory.ASID, vpn memory.VPN) bool {
