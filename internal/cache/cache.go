@@ -9,10 +9,13 @@
 // generation bump retires every targeted line at once and dead lines are
 // reclaimed when their slot is next touched. Residency and dirty counts are
 // maintained incrementally so Resident() and the flush accounting stay
-// exact without scans. Bulk invalidations never fire OnEvict: owners
-// account for the writebacks they owe in aggregate (DirtyLines /
-// ASIDResident) before flushing. The scan they replace survives only as
-// the reference model of the package's differential tests.
+// exact without scans. A cache that opts in with TrackPages also keeps
+// per-page live-line counts, so DistinctPages is O(1) and a bulk
+// invalidation settles only the pages it retires. Bulk invalidations never
+// fire OnEvict: owners account for the writebacks they owe in aggregate
+// (DirtyLines / ASIDResident) before flushing. The scans they replace
+// survive only as the reference models of the package's differential
+// tests.
 package cache
 
 import (
@@ -125,8 +128,9 @@ func (s Stats) HitRatio() float64 {
 // asidCnt tracks one address space's live lines so InvalidateASID can
 // account for them without a scan.
 type asidCnt struct {
-	n     int // live lines
-	dirty int // of which dirty
+	n     int                 // live lines
+	dirty int                 // of which dirty
+	pages *flatmap.Map[int32] // page -> this space's live lines (TrackPages)
 }
 
 // Cache is a set-associative cache.
@@ -142,10 +146,18 @@ type Cache struct {
 	// survives every death mark in ep. normalize() rewinds the generations
 	// before the counter can wrap.
 	ep       flatmap.Epoch
-	resident int                   // live lines (maintained, so Resident is O(1))
-	dirty    int                   // live dirty lines
-	perASID  flatmap.Map[asidCnt]  // keyed by uint64(asid)
-	pages    flatmap.Map[struct{}] // reusable DistinctPages scratch
+	resident int                  // live lines (maintained, so Resident is O(1))
+	dirty    int                  // live dirty lines
+	perASID  flatmap.Map[asidCnt] // keyed by uint64(asid)
+
+	// Page counts (TrackPages): live lines per 4KB page, over every
+	// address space and per space (asidCnt.pages), since one physical page
+	// can hold lines of several spaces. Emptied per-space maps recycle
+	// through pageMaps, so a fresh ASID reuses a warm table.
+	trackPages bool
+	pageLines  flatmap.Map[int32] // page -> live lines
+	pageMaps   []*flatmap.Map[int32]
+	keys       []uint64 // reused key buffer for settling
 
 	// Clock, if set, supplies the current cycle for lifetime tracking.
 	Clock func() uint64
@@ -209,7 +221,7 @@ func (c *Cache) live(l *Line) bool {
 	return c.ep.Live(uint16(l.ASID), l.born)
 }
 
-func (c *Cache) incCount(asid memory.ASID, dirty bool) {
+func (c *Cache) incCount(asid memory.ASID, addr uint64, dirty bool) {
 	c.resident++
 	ac := c.perASID.Upsert(uint64(asid))
 	ac.n++
@@ -217,9 +229,17 @@ func (c *Cache) incCount(asid memory.ASID, dirty bool) {
 		c.dirty++
 		ac.dirty++
 	}
+	if c.trackPages {
+		if ac.pages == nil {
+			ac.pages = c.pageMap()
+		}
+		page := addr >> memory.PageShift
+		*ac.pages.Upsert(page)++
+		*c.pageLines.Upsert(page)++
+	}
 }
 
-func (c *Cache) decCount(asid memory.ASID, dirty bool) {
+func (c *Cache) decCount(asid memory.ASID, addr uint64, dirty bool) {
 	c.resident--
 	ac := c.perASID.Ref(uint64(asid))
 	ac.n--
@@ -227,9 +247,53 @@ func (c *Cache) decCount(asid memory.ASID, dirty bool) {
 		c.dirty--
 		ac.dirty--
 	}
+	if c.trackPages {
+		page := addr >> memory.PageShift
+		dropLines(ac.pages, page, 1)
+		dropLines(&c.pageLines, page, 1)
+	}
 	if ac.n == 0 {
+		if ac.pages != nil {
+			c.releasePageMap(ac.pages)
+		}
 		c.perASID.Delete(uint64(asid))
 	}
+}
+
+// dropLines takes n live lines off page's count in m, deleting the page at
+// zero.
+func dropLines(m *flatmap.Map[int32], page uint64, n int32) {
+	p := m.Ref(page)
+	if *p -= n; *p == 0 {
+		m.Delete(page)
+	}
+}
+
+// pageMap returns an empty per-space page map, recycled when one is free.
+func (c *Cache) pageMap() *flatmap.Map[int32] {
+	if n := len(c.pageMaps); n > 0 {
+		m := c.pageMaps[n-1]
+		c.pageMaps = c.pageMaps[:n-1]
+		return m
+	}
+	return new(flatmap.Map[int32])
+}
+
+// releasePageMap empties a per-space page map and keeps it for reuse.
+func (c *Cache) releasePageMap(m *flatmap.Map[int32]) {
+	m.Reset()
+	c.pageMaps = append(c.pageMaps, m)
+}
+
+// settlePages takes a retired space's lines off the page counts and
+// recycles its page map: O(pages the space held).
+func (c *Cache) settlePages(m *flatmap.Map[int32]) {
+	c.keys = m.AppendKeys(c.keys[:0])
+	for _, page := range c.keys {
+		n, _ := m.Get(page)
+		dropLines(&c.pageLines, page, n)
+	}
+	c.releasePageMap(m)
 }
 
 // markDirty records a clean-to-dirty transition on a live line.
@@ -362,7 +426,7 @@ func (c *Cache) Fill(addr uint64, perm memory.Perm, asid memory.ASID, dirty bool
 	}
 	now := c.now()
 	set[victim] = Line{Addr: la, Valid: true, Dirty: dirty, Perm: perm, ASID: asid, lru: c.tick, insertedAt: now, lastAccess: now, born: c.ep.Gen()}
-	c.incCount(asid, dirty)
+	c.incCount(asid, la, dirty)
 	return evicted, evictedValid
 }
 
@@ -375,7 +439,7 @@ func (c *Cache) evict(l *Line) {
 		c.OnEvict(*l)
 	}
 	l.Valid = false
-	c.decCount(l.ASID, l.Dirty)
+	c.decCount(l.ASID, l.Addr, l.Dirty)
 }
 
 // InvalidateLine removes addr's line if resident, reporting (wasDirty,
@@ -424,6 +488,15 @@ func (c *Cache) InvalidateAll() int {
 	c.ep.MarkDeadAll(c.bumpGen())
 	c.resident = 0
 	c.dirty = 0
+	if c.trackPages {
+		c.keys = c.perASID.AppendKeys(c.keys[:0])
+		for _, k := range c.keys {
+			if m := c.perASID.Ref(k).pages; m != nil {
+				c.releasePageMap(m)
+			}
+		}
+		c.pageLines.Reset()
+	}
 	c.perASID.Reset()
 	return n
 }
@@ -443,25 +516,33 @@ func (c *Cache) InvalidateASID(asid memory.ASID) int {
 	c.stats.Writebacks += uint64(nDirty)
 	c.resident -= n
 	c.dirty -= nDirty
+	if ac.pages != nil {
+		c.settlePages(ac.pages)
+	}
 	c.perASID.Delete(uint64(asid))
 	c.ep.MarkDeadASID(uint16(asid), c.bumpGen())
 	return n
 }
 
-// DistinctPages counts the distinct 4KB pages with at least one resident
-// line (the paper reports ~6000 for a 2MB L2). The scratch set is reused
-// across calls, so the figure/metrics loops that poll it per interval stop
-// allocating once it has warmed up.
-func (c *Cache) DistinctPages() int {
-	c.pages.Reset()
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].Valid && c.live(&set[i]) {
-				c.pages.Put(set[i].Addr>>memory.PageShift, struct{}{})
-			}
-		}
+// TrackPages makes the cache keep per-page live-line counts, so
+// DistinctPages is O(1). Each fill and eviction then pays two map updates,
+// so only a cache that is polled for DistinctPages should track. Call it
+// before the first Fill.
+func (c *Cache) TrackPages() {
+	if c.resident != 0 {
+		panic("cache: TrackPages on a cache that already holds lines")
 	}
-	return c.pages.Len()
+	c.trackPages = true
+}
+
+// DistinctPages returns the number of distinct 4KB pages with at least one
+// resident line (the paper reports ~6000 for a 2MB L2), in O(1). The cache
+// must track pages (TrackPages).
+func (c *Cache) DistinctPages() int {
+	if !c.trackPages {
+		panic("cache: DistinctPages without TrackPages")
+	}
+	return c.pageLines.Len()
 }
 
 // Resident returns the number of valid lines.

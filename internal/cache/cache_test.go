@@ -94,6 +94,7 @@ func TestRefillExistingLine(t *testing.T) {
 
 func TestInvalidatePageSelective(t *testing.T) {
 	c := New(Config{SizeBytes: 64 * 1024, LineBytes: 128, Assoc: 8, Policy: WriteBack})
+	c.TrackPages()
 	for i := 0; i < memory.LinesPerPage; i++ {
 		c.Fill(uint64(0x10000+i*128), memory.PermRead, 1, false)
 	}

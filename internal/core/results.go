@@ -36,7 +36,9 @@ type Results struct {
 	// windows), for timelines and custom analyses.
 	IOMMUSamples []float64
 	// IOMMUDelayP50/P95/P99 are per-request serialization-delay quantiles
-	// at the shared-TLB port, in cycles.
+	// at the shared-TLB port, in cycles, over every request since the
+	// System was built. They are exact: delays are whole cycles kept in a
+	// 1-cycle counting histogram, read with stats.CDF's rank rule.
 	IOMMUDelayP50 float64
 	IOMMUDelayP95 float64
 	IOMMUDelayP99 float64
@@ -56,9 +58,14 @@ type Results struct {
 	TLBMerges      uint64 // per-CU TLB misses merged into outstanding requests
 	LineMerges     uint64 // cache misses merged into outstanding line fills
 	// L2DistinctPages is the peak count of distinct 4KB pages with data
-	// resident in the L2 (sampled; the paper reports ~6000).
+	// resident in the L2 (the paper reports ~6000), sampled every 2048 L2
+	// fills and when results are collected. The L2 maintains the count as
+	// lines come and go, so each sample is O(1).
 	L2DistinctPages int
 
+	// Lifetimes is the System's cumulative lifetime record (TrackLifetimes),
+	// shared by every Results the System returns: a later run on the same
+	// System adds to it.
 	Lifetimes *Lifetimes
 }
 
@@ -118,19 +125,26 @@ func (s *System) results(workload string) Results {
 		r.TLBMerges += st.tlbMerges
 	}
 	if s.lifetimes != nil {
+		// Drain the per-CU records into the System's cumulative one, so
+		// each observation is added once however many runs collect.
 		for i := range s.cuStats {
-			for _, v := range s.cuStats[i].tlbLife.Values() {
+			st := &s.cuStats[i]
+			for _, v := range st.tlbLife.Values() {
 				s.lifetimes.TLBEntries.Add(v)
 			}
-			for _, v := range s.cuStats[i].l1Life.Values() {
+			for _, v := range st.l1Life.Values() {
 				s.lifetimes.L1Data.Add(v)
 			}
+			st.tlbLife.Reset()
+			st.l1Life.Reset()
 		}
 		r.Lifetimes = s.lifetimes
 	}
-	r.IOMMURate = s.io.Sampler().Summary()
-	r.IOMMUFracAbove1 = s.io.Sampler().FractionAbove(1)
+	// The rate series is the one O(windows) step: Results carries it whole,
+	// and the summary's StdDev is two-pass over it.
 	r.IOMMUSamples = s.io.Sampler().Samples()
+	r.IOMMURate = stats.Summarize(r.IOMMUSamples)
+	r.IOMMUFracAbove1 = stats.FractionAbove(r.IOMMUSamples, 1)
 	r.IOMMUDelayP50 = s.io.DelayQuantile(0.50)
 	r.IOMMUDelayP95 = s.io.DelayQuantile(0.95)
 	r.IOMMUDelayP99 = s.io.DelayQuantile(0.99)

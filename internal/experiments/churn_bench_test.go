@@ -11,10 +11,12 @@ import (
 // invalidation scheme: each iteration populates one tenant's footprint
 // (shared-TLB and per-CU TLB entries, L2 lines) untimed, then times the
 // GPU-wide ASID retirement alone. Each retirement is a generation bump
-// plus aggregate accounting — the only O(footprint) residue is the
-// amortized stale-map compaction, independent of structure capacity (the
-// L2 alone is 32K slots against a 128-line footprint). This is the
-// per-rollover cost the tenant-churn figure pays.
+// plus aggregate accounting, independent of structure capacity (the L2
+// alone is 16K lines against a 128-line footprint). The O(footprint)
+// residue is the amortized stale-map compaction and the L2 settling the
+// tenant's page counts: one map entry per page it held (4 here), so
+// DistinctPages stays O(1). This is the per-rollover cost the
+// tenant-churn figure pays.
 func BenchmarkChurn(b *testing.B) {
 	const (
 		slots = 64  // ASID rotation depth

@@ -76,7 +76,7 @@ func (r *Registry) Gauge(name string, f func() float64) {
 // per-cycle rate over its windows.
 func (r *Registry) Sampler(name string, s *stats.IntervalSampler) {
 	r.add(name+".total", func() float64 { return float64(s.Total()) })
-	r.add(name+".mean", func() float64 { return s.Summary().Mean })
+	r.add(name+".mean", s.Mean)
 }
 
 // Histogram registers a histogram's observation count under "<name>.count".

@@ -54,10 +54,12 @@ func (s Summary) String() string {
 // cycles in any order; Samples() returns events-per-cycle for every window
 // from cycle 0 through the last window that saw an event (or through an
 // explicit Extend horizon), including empty windows, matching how the paper
-// reports per-microsecond access rates.
+// reports per-microsecond access rates. Counts live in a dense slice
+// indexed by window, so Record is O(1) and the series is one pass.
 type IntervalSampler struct {
 	window  uint64
-	counts  map[uint64]uint64
+	counts  []uint64 // events per window, up to the last window recorded
+	total   uint64
 	horizon uint64 // max cycle observed
 }
 
@@ -67,12 +69,17 @@ func NewIntervalSampler(window uint64) *IntervalSampler {
 	if window == 0 {
 		panic("stats: zero sampler window")
 	}
-	return &IntervalSampler{window: window, counts: make(map[uint64]uint64)}
+	return &IntervalSampler{window: window}
 }
 
 // Record counts one event at the given cycle.
 func (s *IntervalSampler) Record(cycle uint64) {
-	s.counts[cycle/s.window]++
+	w := cycle / s.window
+	for uint64(len(s.counts)) <= w {
+		s.counts = append(s.counts, 0)
+	}
+	s.counts[w]++
+	s.total++
 	if cycle > s.horizon {
 		s.horizon = cycle
 	}
@@ -87,36 +94,50 @@ func (s *IntervalSampler) Extend(cycle uint64) {
 }
 
 // Total returns the total number of recorded events.
-func (s *IntervalSampler) Total() uint64 {
-	var t uint64
-	for _, c := range s.counts {
-		t += c
+func (s *IntervalSampler) Total() uint64 { return s.total }
+
+// windows returns the number of windows in [0, horizon], or 0 before the
+// first Record or Extend past cycle 0.
+func (s *IntervalSampler) windows() uint64 {
+	if s.horizon == 0 && len(s.counts) == 0 {
+		return 0
 	}
-	return t
+	return s.horizon/s.window + 1
 }
 
 // Samples returns the per-window event rate (events per cycle) for every
 // window in [0, horizon].
 func (s *IntervalSampler) Samples() []float64 {
-	if s.horizon == 0 && len(s.counts) == 0 {
+	n := s.windows()
+	if n == 0 {
 		return nil
 	}
-	n := s.horizon/s.window + 1
 	out := make([]float64, n)
 	for w, c := range s.counts {
-		if w < n {
-			out[w] = float64(c) / float64(s.window)
-		}
+		out[w] = float64(c) / float64(s.window)
 	}
 	return out
 }
 
-// Summary summarizes the per-window rates.
-func (s *IntervalSampler) Summary() Summary { return Summarize(s.Samples()) }
+// Mean returns the mean per-window rate without building the series: the
+// same sum, in the same order, as Summarize(Samples()).Mean (empty windows
+// add +0, which leaves the sum unchanged), so the two are bit-equal.
+func (s *IntervalSampler) Mean() float64 {
+	n := s.windows()
+	if n == 0 {
+		return 0
+	}
+	var sum float64
+	for _, c := range s.counts {
+		sum += float64(c) / float64(s.window)
+	}
+	return sum / float64(n)
+}
 
-// FractionAbove returns the fraction of windows whose rate exceeds limit.
-func (s *IntervalSampler) FractionAbove(limit float64) float64 {
-	xs := s.Samples()
+// FractionAbove returns the fraction of xs that exceed limit (0 for an
+// empty slice): for a sampler's series, the share of windows whose rate
+// exceeds limit.
+func FractionAbove(xs []float64, limit float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -143,6 +164,12 @@ func (c *CDF) Add(x float64) {
 
 // N returns the number of observations.
 func (c *CDF) N() int { return len(c.xs) }
+
+// Reset drops every observation, keeping the storage for reuse.
+func (c *CDF) Reset() {
+	c.xs = c.xs[:0]
+	c.sorted = false
+}
 
 // Values returns the recorded observations. The order is unspecified (a
 // query may have sorted them); At and Quantile depend only on the
@@ -187,7 +214,10 @@ func (c *CDF) Quantile(q float64) float64 {
 	return c.xs[i]
 }
 
-// Histogram counts values in fixed-width buckets starting at 0.
+// Histogram counts values in fixed-width buckets starting at 0. With width
+// 1 and whole-number observations it is an exact counting histogram: every
+// bucket holds one value, so Quantile returns exactly the element a sorted
+// array of the observations would, in O(buckets) rather than a sort.
 type Histogram struct {
 	Width   float64
 	Buckets []uint64
@@ -213,6 +243,33 @@ func (h *Histogram) Add(x float64) {
 	}
 	h.Buckets[b]++
 	h.Count++
+}
+
+// Quantile returns the q-th quantile under CDF.Quantile's rank rule: the
+// element of rank int(q*(n-1)) in sorted order, with q <= 0 giving the
+// minimum and q >= 1 the maximum (0 when empty). An observation reads back
+// as its bucket's lower bound, so the result equals CDF.Quantile's when
+// every observation is a non-negative whole multiple of Width.
+func (h *Histogram) Quantile(q float64) float64 {
+	if h.Count == 0 {
+		return 0
+	}
+	var rank uint64 // q <= 0: the minimum
+	switch {
+	case q <= 0:
+	case q >= 1:
+		rank = h.Count - 1
+	default:
+		rank = uint64(int(q * float64(h.Count-1)))
+	}
+	var seen uint64
+	for b, c := range h.Buckets {
+		seen += c
+		if seen > rank {
+			return float64(b) * h.Width
+		}
+	}
+	panic("stats: histogram bucket counts disagree with Count")
 }
 
 // Ratio returns a/b, or 0 when b is zero. Handy for miss ratios.

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -42,7 +44,7 @@ func TestIntervalSampler(t *testing.T) {
 	if len(s.Samples()) != 10 {
 		t.Fatalf("windows after extend = %d, want 10", len(s.Samples()))
 	}
-	if got := s.FractionAbove(0.2); !almostEqual(got, 0.1) {
+	if got := FractionAbove(s.Samples(), 0.2); !almostEqual(got, 0.1) {
 		t.Fatalf("FractionAbove = %v, want 0.1", got)
 	}
 }
@@ -52,8 +54,8 @@ func TestIntervalSamplerEmpty(t *testing.T) {
 	if s.Samples() != nil {
 		t.Fatal("empty sampler returned windows")
 	}
-	if s.Summary().N != 0 {
-		t.Fatal("empty sampler summary non-empty")
+	if s.Mean() != 0 || s.Total() != 0 || FractionAbove(s.Samples(), 0) != 0 {
+		t.Fatal("empty sampler has a non-zero mean, total or fraction")
 	}
 }
 
@@ -159,5 +161,148 @@ func TestSamplerConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mapSampler is the reference model of IntervalSampler: the map-keyed
+// implementation the dense slice replaced.
+type mapSampler struct {
+	window  uint64
+	counts  map[uint64]uint64
+	horizon uint64
+}
+
+func (s *mapSampler) record(cycle uint64) {
+	s.counts[cycle/s.window]++
+	if cycle > s.horizon {
+		s.horizon = cycle
+	}
+}
+
+func (s *mapSampler) extend(cycle uint64) {
+	if cycle > s.horizon {
+		s.horizon = cycle
+	}
+}
+
+func (s *mapSampler) samples() []float64 {
+	if s.horizon == 0 && len(s.counts) == 0 {
+		return nil
+	}
+	n := s.horizon/s.window + 1
+	out := make([]float64, n)
+	for w, c := range s.counts {
+		if w < n {
+			out[w] = float64(c) / float64(s.window)
+		}
+	}
+	return out
+}
+
+// TestSamplerMatchesMapReference drives the dense sampler and the map
+// reference with the same out-of-order Record and Extend stream: the
+// series (bit for bit, nil when empty) and the total must agree after
+// every operation, from the empty sampler on, and Mean must be bit-equal
+// to Summarize(Samples()).Mean.
+func TestSamplerMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 50; trial++ {
+		window := uint64(1 + rng.Intn(100))
+		got := NewIntervalSampler(window)
+		ref := &mapSampler{window: window, counts: map[uint64]uint64{}}
+		var recorded uint64
+		for op := 0; op < 200; op++ {
+			cycle := uint64(rng.Intn(5000))
+			switch rng.Intn(4) {
+			case 0:
+				got.Extend(cycle)
+				ref.extend(cycle)
+			case 1:
+				got.Extend(0) // a no-op, also on an empty sampler
+				ref.extend(0)
+			default:
+				got.Record(cycle)
+				ref.record(cycle)
+				recorded++
+			}
+			want := ref.samples()
+			xs := got.Samples()
+			if (xs == nil) != (want == nil) || !slices.Equal(xs, want) {
+				t.Fatalf("trial %d op %d: samples %v, want %v", trial, op, xs, want)
+			}
+			if got.Total() != recorded {
+				t.Fatalf("trial %d op %d: total %d, want %d", trial, op, got.Total(), recorded)
+			}
+			if m, w := got.Mean(), Summarize(want).Mean; math.Float64bits(m) != math.Float64bits(w) {
+				t.Fatalf("trial %d op %d: mean %v, want %v", trial, op, m, w)
+			}
+		}
+	}
+}
+
+// TestSamplerRecordAllocs pins the dense sampler's steady state: recording
+// into windows that already exist allocates nothing.
+func TestSamplerRecordAllocs(t *testing.T) {
+	s := NewIntervalSampler(700)
+	s.Record(700 * 1000)
+	cycle := uint64(0)
+	if n := testing.AllocsPerRun(1000, func() { s.Record(cycle); cycle += 13 }); n != 0 {
+		t.Fatalf("Record: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = s.Mean() }); n != 0 {
+		t.Fatalf("Mean: %v allocs/op, want 0", n)
+	}
+}
+
+// TestHistogramQuantileMatchesCDF checks the width-1 histogram against
+// the sorting CDF on random integer multisets, at the quantiles Results
+// reports, the extremes, out-of-range q and random q, including n = 0 and
+// n = 1.
+func TestHistogramQuantileMatchesCDF(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		n := trial % 40
+		if trial >= 200 {
+			n = rng.Intn(5000)
+		}
+		maxV := 1 + rng.Intn(4000)
+		h := NewHistogram(1)
+		var c CDF
+		for i := 0; i < n; i++ {
+			v := float64(rng.Intn(maxV))
+			if rng.Intn(4) == 0 {
+				v = float64(rng.Intn(3)) // ties at the bottom
+			}
+			h.Add(v)
+			c.Add(v)
+		}
+		qs := []float64{0, 0.5, 0.95, 0.99, 1, -0.5, 1.5}
+		for i := 0; i < 20; i++ {
+			qs = append(qs, rng.Float64())
+		}
+		for _, q := range qs {
+			if got, want := h.Quantile(q), c.Quantile(q); got != want {
+				t.Fatalf("trial %d (n=%d): Quantile(%v) = %v, CDF says %v", trial, n, q, got, want)
+			}
+		}
+		if h.Count != uint64(c.N()) {
+			t.Fatalf("trial %d: count %d, want %d", trial, h.Count, c.N())
+		}
+	}
+}
+
+func TestCDFReset(t *testing.T) {
+	var c CDF
+	c.Add(3)
+	c.Add(1)
+	_ = c.Quantile(0.5)
+	c.Reset()
+	if c.N() != 0 || c.Quantile(0.5) != 0 {
+		t.Fatalf("reset CDF holds %d observations", c.N())
+	}
+	c.Add(2)
+	c.Add(1)
+	if c.Quantile(0) != 1 || c.Quantile(1) != 2 {
+		t.Fatal("reset CDF did not re-sort new observations")
 	}
 }
