@@ -32,8 +32,8 @@ func BenchmarkRunVCOpt(b *testing.B)       { benchRun(b, DesignVCOpt()) }
 func BenchmarkRunL1OnlyVC(b *testing.B)    { benchRun(b, DesignL1OnlyVC(32)) }
 
 // Real-workload end-to-end throughput: bfs under the baseline design.
-// ns/op is the wall-clock per full simulation; events/s the engine's
-// event throughput.
+// ns/op is the wall-clock per full simulation; events/s the event
+// throughput summed over every partition engine.
 func benchWorkloadRun(b *testing.B, cfg Config) {
 	g, ok := workloads.ByName("bfs")
 	if !ok {
@@ -47,7 +47,8 @@ func benchWorkloadRun(b *testing.B, cfg Config) {
 		if _, err := sys.RunContext(context.Background(), tr); err != nil {
 			b.Fatal(err)
 		}
-		events += sys.Engine().Fired()
+		info, _ := sys.IntraInfo()
+		events += info.Events
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }

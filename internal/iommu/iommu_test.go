@@ -231,8 +231,8 @@ func TestTranslateZeroAlloc(t *testing.T) {
 		io.Translate(1, 6, &n)
 		eng.Run()
 	}
-	// Warm up, long enough for the clock to lap the engine's calendar so
-	// every bucket slab exists.
+	// Warm up, long enough for the clock to lap the engine's calendar and
+	// the node pool to reach the peak pending count.
 	for i := 0; i < 100; i++ {
 		op()
 	}

@@ -34,8 +34,13 @@ func (a *vpnArena) alloc(cls uint8) int32 {
 			return off
 		}
 	}
+	// Grow in place rather than appending a fresh block: a temporary
+	// block is only optimized away outside race builds, and the arena
+	// must not allocate per mapped page in either.
 	off := int32(len(a.buf))
-	a.buf = append(a.buf, make([]VPN, 1<<cls)...)
+	n := 1 << cls
+	a.buf = slices.Grow(a.buf, n)[:int(off)+n]
+	clear(a.buf[off:])
 	return off
 }
 

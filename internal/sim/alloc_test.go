@@ -7,13 +7,15 @@ type countHandler struct{ n uint64 }
 func (h *countHandler) Handle(arg uint64) { h.n += arg }
 
 // TestScheduleSteadyStateZeroAlloc asserts that once the calendar queue's
-// bucket slabs have grown to working-set size, scheduling and firing events
-// allocates nothing — for both the Handler form and the plain func form.
+// node pool has grown to the peak pending count, scheduling and firing
+// events allocates nothing: a fired event's node goes on the free list and
+// the next schedule takes it back. This holds for both the Handler form
+// and the plain func form, and for the overflow heap.
 func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 	e := New()
 	h := &countHandler{}
 
-	// Warm up: grow bucket slabs and the overflow heap to steady state.
+	// Warm up: grow the node pool and the overflow heap to steady state.
 	for i := 0; i < 4096; i++ {
 		e.ScheduleEvent(uint64(i%300), h, 1)
 		e.ScheduleEvent(uint64(1500+i%2000), h, 1) // overflow path
@@ -40,6 +42,26 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 		e.Step()
 	}); avg != 0 {
 		t.Fatalf("ScheduleEvent overflow steady state: %v allocs/op, want 0", avg)
+	}
+}
+
+// TestFreshEngineAllocsLogarithmic: a fresh engine's queue grows one node
+// pool geometrically, so filling it with n pending events spread over
+// every cycle of the calendar window costs O(log n) allocations, not one
+// per per-cycle list.
+func TestFreshEngineAllocsLogarithmic(t *testing.T) {
+	h := &countHandler{}
+	avg := testing.AllocsPerRun(20, func() {
+		var e Engine
+		for i := 0; i < 8192; i++ {
+			e.ScheduleEvent(uint64(i%numBuckets), h, 1)
+		}
+		e.RunUntil(numBuckets)
+	})
+	// append grows a large slice by at least 1.25x, so 8192 nodes take
+	// about a dozen growths; one allocation per list would be over 1024.
+	if avg > 32 {
+		t.Fatalf("a fresh engine with 8192 pending events allocated %v times, want <= 32", avg)
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -76,6 +77,13 @@ func (e *refEngine) RunUntil(limit uint64) uint64 {
 		e.now = limit
 	}
 	return e.now
+}
+
+func (e *refEngine) NextEvent() (uint64, bool) {
+	if len(e.pq) == 0 {
+		return 0, false
+	}
+	return e.pq.peekWhen(), true
 }
 
 // firing records one observed event execution.
@@ -256,4 +264,218 @@ func TestDifferentialRunUntil(t *testing.T) {
 			t.Fatalf("RunUntil(%d): Fired() = %d, reference %d", limit, eng.Fired(), ref.Fired())
 		}
 	}
+}
+
+// engineAPI is the surface the differential harnesses drive on both the
+// calendar-queue Engine and refEngine.
+type engineAPI interface {
+	Schedule(delay uint64, fn func())
+	At(when uint64, fn func())
+	Step() bool
+	Run() uint64
+	RunUntil(limit uint64) uint64
+	Now() uint64
+	Pending() int
+	Fired() uint64
+	NextEvent() (uint64, bool)
+}
+
+// splitmix is the SplitMix64 finalizer: a stateless hash that gives every
+// event its own deterministic child plan.
+func splitmix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// fuzzDelay maps two input bytes onto the delay classes the calendar queue
+// treats differently: zero (same cycle, appended while its list drains),
+// near, in-window, the window edge, the overflow heap and the far future.
+func fuzzDelay(class, v byte) uint64 {
+	switch class % 8 {
+	case 0:
+		return 0
+	case 1, 2:
+		return uint64(v % 8)
+	case 3, 4:
+		return uint64(v) * 4
+	case 5:
+		return numBuckets - 4 + uint64(v%8)
+	case 6:
+		return numBuckets + uint64(v)*37
+	default:
+		return uint64(v) << 12
+	}
+}
+
+// fuzzSide is one engine under FuzzEngineDifferential and the log of the
+// events it fired. Ids are handed out in scheduling order, so two engines
+// that schedule and fire alike hand out the same ids.
+type fuzzSide struct {
+	eng  engineAPI
+	seed uint64
+	ids  int
+	log  []firing
+}
+
+// fuzzEventBudget bounds the events one input may create, and
+// fuzzMaxOps the ops it may apply, so every input runs in milliseconds.
+const (
+	fuzzEventBudget = 4000
+	fuzzMaxOps      = 2000
+)
+
+// add returns a fresh event: when it fires it logs itself and schedules
+// up to two children, drawn from a hash of its id, to depth 3.
+func (s *fuzzSide) add(depth int) func() {
+	id := s.ids
+	s.ids++
+	return func() {
+		s.log = append(s.log, firing{id: id, cycle: s.eng.Now()})
+		r := splitmix(s.seed ^ uint64(id))
+		kids := int(r % 3)
+		if depth >= 3 {
+			kids = 0
+		}
+		for k := 0; k < kids && s.ids < fuzzEventBudget; k++ {
+			r = splitmix(r)
+			s.eng.Schedule(fuzzDelay(byte(r>>8), byte(r>>16)), s.add(depth+1))
+		}
+	}
+}
+
+// runEngineOps applies the op stream in data to a zero-value Engine and to
+// refEngine in lockstep. Every 3 bytes are one op; after each op the
+// firing logs, Now, Pending, Fired and the next event must agree.
+func runEngineOps(t *testing.T, data []byte) {
+	var eng Engine
+	var seed uint64
+	if len(data) > 0 {
+		seed = uint64(data[0])
+	}
+	sides := [2]*fuzzSide{{eng: &eng, seed: seed}, {eng: &refEngine{}, seed: seed}}
+	ref := sides[1].eng
+	logged := 0 // firings already compared
+	if len(data) > 3*fuzzMaxOps {
+		data = data[:3*fuzzMaxOps]
+	}
+	for pos := 0; pos+2 < len(data); pos += 3 {
+		op, a, b := data[pos], data[pos+1], data[pos+2]
+		now := ref.Now()
+		past := now - min(now, uint64(b)) // at or before now
+		var res [2]uint64
+		for k, s := range sides {
+			e := s.eng
+			switch op % 7 {
+			case 0:
+				if s.ids < fuzzEventBudget {
+					e.Schedule(fuzzDelay(a, b), s.add(0))
+				}
+			case 1:
+				when := now + fuzzDelay(a>>1, b)
+				if a&1 == 0 {
+					when = past // clamps to now
+				}
+				if s.ids < fuzzEventBudget {
+					e.At(when, s.add(0))
+				}
+			case 2:
+				for i := 0; i <= int(b%4); i++ {
+					if e.Step() {
+						res[k]++
+					}
+				}
+			case 3:
+				var limit uint64
+				switch a % 4 {
+				case 0:
+					limit = past // includes limit < now
+				case 1:
+					limit = now + fuzzDelay(a>>2, b)
+				case 2: // on or beside the next event
+					if next, ok := ref.NextEvent(); ok {
+						limit = next + uint64(b%3) - 1
+					}
+				default:
+					limit = now + numBuckets*uint64(b%8) + uint64(b)
+				}
+				res[k] = e.RunUntil(limit)
+			case 4:
+				next, ok := e.NextEvent()
+				if ok {
+					res[k] = next + 1
+				}
+			case 5:
+				if a%4 == 0 {
+					res[k] = e.Run()
+				}
+			default:
+				// A handler that schedules at the current cycle while its
+				// own list drains.
+				if s.ids < fuzzEventBudget {
+					e.Schedule(uint64(b%2), func() {
+						s.log = append(s.log, firing{id: -1, cycle: s.eng.Now()})
+						if s.ids < fuzzEventBudget {
+							s.eng.Schedule(0, s.add(1))
+						}
+					})
+				}
+			}
+		}
+		step := func() string { return fmt.Sprintf("op %d (%d %d %d)", pos/3, op%7, a, b) }
+		if res[0] != res[1] {
+			t.Fatalf("%s: result %d, reference %d", step(), res[0], res[1])
+		}
+		got, want := sides[0].log, sides[1].log
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d events fired, reference %d", step(), len(got), len(want))
+		}
+		for ; logged < len(got); logged++ {
+			if got[logged] != want[logged] {
+				t.Fatalf("%s: firing %d is %v, reference %v", step(), logged, got[logged], want[logged])
+			}
+		}
+		checkAgainstRef(t, step, &eng, ref)
+	}
+}
+
+// checkAgainstRef compares the engine's observable state with the
+// reference's. The next event is read without caching it, so the fuzz op
+// stream alone decides when the engine's hint is valid; a hint that claims
+// to be valid must be exact.
+func checkAgainstRef(t *testing.T, step func() string, eng *Engine, ref engineAPI) {
+	t.Helper()
+	if eng.Now() != ref.Now() || eng.Pending() != ref.Pending() || eng.Fired() != ref.Fired() {
+		t.Fatalf("%s: now/pending/fired = %d/%d/%d, reference %d/%d/%d", step(),
+			eng.Now(), eng.Pending(), eng.Fired(), ref.Now(), ref.Pending(), ref.Fired())
+	}
+	want, ok := ref.NextEvent()
+	if !ok {
+		return
+	}
+	if got := eng.scan(); got != want {
+		t.Fatalf("%s: next event %d, reference %d", step(), got, want)
+	}
+	if eng.hinted && eng.hint != want {
+		t.Fatalf("%s: hint %d, reference next event %d", step(), eng.hint, want)
+	}
+}
+
+// FuzzEngineDifferential drives a zero-value Engine and refEngine through
+// one random op stream: Schedule and At (past clamping, the window edge,
+// overflow-range and far-future delays), Step, Run, RunUntil at arbitrary
+// horizons (limit < now, exactly at the next event, far jumps), NextEvent,
+// and handlers that schedule children, some at delay zero.
+func FuzzEngineDifferential(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{7, 0, 0, 3, 3, 200, 4, 0, 0})
+	f.Add([]byte{1, 6, 9, 0, 7, 3, 3, 1, 5, 3, 0, 0, 2, 0, 3, 3, 2, 1})
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 24; i++ {
+		b := make([]byte, 3*(20+rng.Intn(200)))
+		rng.Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(runEngineOps)
 }

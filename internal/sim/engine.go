@@ -7,13 +7,16 @@
 //
 // Internally the engine is a hierarchical calendar queue specialized for
 // the near-monotonic cycle deltas a cycle-level simulator produces: events
-// within a fixed window of the clock land in per-cycle buckets (append =
-// O(1), no comparisons), a bitmap over the buckets finds the next occupied
-// cycle with a handful of word scans, and the rare far-future event goes to
-// a typed overflow heap that drains into the window as the clock advances.
-// Bucket slabs are reused across cycles, so steady-state scheduling
-// performs no allocations and no interface boxing — the costs that
-// dominated the previous container/heap implementation.
+// within a fixed window of the clock go on per-cycle FIFO lists threaded
+// through one node pool (append = O(1), no comparisons), a bitmap over the
+// lists finds the next occupied cycle with a handful of word scans, and the
+// rare far-future event goes to a typed overflow heap that drains into the
+// window as the clock advances. A fired event's node returns to a LIFO free
+// list, so steady-state scheduling performs no allocations and no interface
+// boxing, and the next schedule writes the cache line the last event just
+// vacated. Each engine also keeps an exact hint of its next event's cycle,
+// so the partitioned runner opens a window and skips an engine with nothing
+// due without scanning it.
 package sim
 
 import "math/bits"
@@ -43,12 +46,14 @@ type Tracer interface {
 	Fired(cycle uint64, h Handler, arg uint64)
 }
 
-// bucketEvent is an in-window queue entry. Its cycle is implied by the
-// bucket holding it and its FIFO rank by its position, so only the handler
-// and argument are stored — 24 bytes moved per schedule/fire.
-type bucketEvent struct {
-	h   Handler
-	arg uint64
+// node is one in-window event: a link in its cycle's FIFO list. Its cycle
+// is implied by the list holding it and its FIFO rank by its position, so
+// only the handler, the argument and the next link are stored. Index 0 of
+// the pool is a sentinel, so a zero link ends a list.
+type node struct {
+	h    Handler
+	arg  uint64
+	next int32
 }
 
 // event is an overflow-heap entry: a far-future event that needs its
@@ -69,26 +74,39 @@ const (
 	numBuckets = 1 << windowBits
 	bucketMask = numBuckets - 1
 	wordCount  = numBuckets / 64
+
+	// noEvent is the hint of an empty queue: every schedule lowers it.
+	noEvent = ^uint64(0)
 )
 
 // Engine is a discrete-event simulator clocked in cycles.
 // The zero value is ready to use.
 type Engine struct {
-	buckets  [numBuckets][]bucketEvent // per-cycle FIFO slabs for [now, now+numBuckets)
-	occupied [wordCount]uint64         // bit i set <=> buckets[i] holds unconsumed events
-	cur      int                       // read cursor into the current cycle's bucket
-	bucketed int                       // unconsumed events resident in buckets
-	overflow []event                   // min-heap on (when, seq) for events past the window
+	head     [numBuckets]int32 // first node of each cycle's list in [now, now+numBuckets); 0 = empty
+	tail     [numBuckets]int32 // last node of each non-empty list
+	occupied [wordCount]uint64 // bit i set <=> list i is non-empty
+	pool     []node            // every in-window node; pool[0] is the sentinel, allocated lazily
+	free     int32             // LIFO free list threaded through node.next; 0 = empty
+	bucketed int               // events resident in the lists
+	overflow []event           // min-heap on (when, seq) for events past the window
 
 	now   uint64
 	seq   uint64
 	fired uint64
 
+	// hint is the exact cycle of the earliest pending event (noEvent when
+	// none) while hinted is set: at lowers it, RunUntil sets it on exit,
+	// Step clears hinted, and NextEvent re-derives it with a scan only
+	// then. It is engine state like the queue: only the engine's owner
+	// touches it.
+	hint   uint64
+	hinted bool
+
 	tracer Tracer
 }
 
 // New returns a fresh engine at cycle 0.
-func New() *Engine { return &Engine{} }
+func New() *Engine { return &Engine{hint: noEvent, hinted: true} }
 
 // Now returns the current simulation cycle.
 func (e *Engine) Now() uint64 { return e.now }
@@ -132,68 +150,103 @@ func (e *Engine) at(when uint64, h Handler, arg uint64) {
 	if when < e.now {
 		when = e.now
 	}
-	if when-e.now < numBuckets {
-		i := int(when & bucketMask)
-		e.buckets[i] = append(e.buckets[i], bucketEvent{h: h, arg: arg})
-		e.occupied[i>>6] |= 1 << uint(i&63)
-		e.bucketed++
+	if when < e.hint {
+		e.hint = when
+	}
+	if when-e.now >= numBuckets {
+		// seq is only assigned on the overflow path: listed events get
+		// their FIFO rank from append order, and pullOverflow drains the
+		// heap before any same-cycle direct append can happen, so relative
+		// order among overflow entries is all the tie-break must preserve.
+		e.pushOverflow(event{h: h, arg: arg, when: when, seq: e.seq})
+		e.seq++
 		return
 	}
-	// seq is only assigned on the overflow path: bucketed events get their
-	// FIFO rank from append order, and pullOverflow drains the heap before
-	// any same-cycle direct append can happen, so relative order among
-	// overflow entries is all the tie-break must preserve.
-	e.pushOverflow(event{h: h, arg: arg, when: when, seq: e.seq})
-	e.seq++
+	// Append to the cycle's list, in the node the last fired event vacated
+	// if there is one.
+	n := e.free
+	if n != 0 {
+		e.free = e.pool[n].next
+		e.pool[n] = node{h: h, arg: arg}
+	} else {
+		n = e.grow(h, arg)
+	}
+	i := int(when & bucketMask)
+	if e.head[i] == 0 {
+		e.head[i] = n
+		e.occupied[i>>6] |= 1 << uint(i&63)
+	} else {
+		e.pool[e.tail[i]].next = n
+	}
+	e.tail[i] = n
+	e.bucketed++
+}
+
+// grow appends a node to the pool, creating the sentinel on first use.
+func (e *Engine) grow(h Handler, arg uint64) int32 {
+	if len(e.pool) == 0 {
+		e.pool = make([]node, 1, 64)
+	}
+	e.pool = append(e.pool, node{h: h, arg: arg})
+	return int32(len(e.pool) - 1)
+}
+
+// pop unlinks the head of list i and returns its event. The node goes on
+// the free list with its handler dropped (so the GC can reclaim it) before
+// the caller runs the event, so a handler that schedules reuses it at once.
+// The caller clears list i's occupancy bit once the list is empty.
+func (e *Engine) pop(i int) (Handler, uint64) {
+	n := e.head[i]
+	nd := &e.pool[n]
+	h, arg := nd.h, nd.arg
+	e.head[i] = nd.next
+	*nd = node{next: e.free}
+	e.free = n
+	e.bucketed--
+	e.fired++
+	return h, arg
 }
 
 // Step runs the single next event, advancing the clock to its cycle.
 // It reports whether an event was run.
 func (e *Engine) Step() bool {
+	e.hinted = false
 	i := int(e.now & bucketMask)
-	b := &e.buckets[i]
-	if e.cur >= len(*b) {
-		// Current cycle fully consumed: recycle its slab and move on.
-		*b = (*b)[:0]
-		e.cur = 0
-		e.occupied[i>>6] &^= 1 << uint(i&63)
-		if e.bucketed == 0 && len(e.overflow) == 0 {
+	if e.head[i] == 0 {
+		if e.Pending() == 0 {
 			return false
 		}
-		e.advance()
+		e.now = e.later()
+		e.pullOverflow()
 		i = int(e.now & bucketMask)
-		b = &e.buckets[i]
 	}
-	ev := (*b)[e.cur]
-	(*b)[e.cur] = bucketEvent{} // release the handler for GC
-	e.cur++
-	e.bucketed--
-	e.fired++
+	h, arg := e.pop(i)
+	if e.head[i] == 0 {
+		e.occupied[i>>6] &^= 1 << uint(i&63)
+	}
 	if e.tracer != nil {
-		e.tracer.Fired(e.now, ev.h, ev.arg)
+		e.tracer.Fired(e.now, h, arg)
 	}
-	ev.h.Handle(ev.arg)
+	h.Handle(arg)
 	return true
 }
 
-// advance moves the clock to the next cycle holding an event and refills
-// the window from the overflow heap. Callers guarantee at least one event
-// is pending and the current bucket is drained.
-func (e *Engine) advance() {
+// later returns the cycle of the earliest pending event once the current
+// cycle's list is empty. Callers guarantee at least one event is pending.
+func (e *Engine) later() uint64 {
 	if e.bucketed > 0 {
-		e.now += e.nextOccupiedDelta()
-	} else {
-		// All in-window buckets are empty, so the earliest event sits at
-		// the top of the overflow heap (its when is >= now+numBuckets).
-		e.now = e.overflow[0].when
+		return e.now + e.nextOccupiedDelta()
 	}
-	e.pullOverflow()
+	// All in-window lists are empty, so the earliest event sits at the
+	// top of the overflow heap (its when is >= now+numBuckets).
+	return e.overflow[0].when
 }
 
 // nextOccupiedDelta returns the distance in cycles from now to the nearest
-// occupied bucket, scanning the occupancy bitmap circularly. Bucketed
-// events always lie within (now, now+numBuckets), so the circular distance
-// is exact, never ambiguous.
+// occupied list, scanning the occupancy bitmap circularly. Listed events
+// always lie within [now, now+numBuckets) and the current cycle's bit is
+// clear once its list is, so the circular distance is exact, never
+// ambiguous.
 func (e *Engine) nextOccupiedDelta() uint64 {
 	start := int((e.now + 1) & bucketMask)
 	w := start >> 6
@@ -210,36 +263,39 @@ func (e *Engine) nextOccupiedDelta() uint64 {
 }
 
 // pullOverflow moves overflow events that now fall inside the calendar
-// window into their buckets. The heap pops in (when, seq) order and any
-// event scheduled directly into a window bucket carries a later seq, so
-// bucket append order remains global (when, seq) order.
+// window onto their lists. The heap pops in (when, seq) order and any
+// event scheduled directly into a window list carries a later seq, so
+// list append order remains global (when, seq) order.
 func (e *Engine) pullOverflow() {
 	for len(e.overflow) > 0 && e.overflow[0].when-e.now < numBuckets {
 		ev := e.popOverflow()
-		i := int(ev.when & bucketMask)
-		e.buckets[i] = append(e.buckets[i], bucketEvent{h: ev.h, arg: ev.arg})
-		e.occupied[i>>6] |= 1 << uint(i&63)
-		e.bucketed++
+		e.at(ev.when, ev.h, ev.arg)
 	}
 }
 
 // NextEvent returns the cycle of the earliest pending event and whether
 // one exists. The partitioned runner uses it to compute the global lower
-// bound that opens each conservative window.
-func (e *Engine) NextEvent() (uint64, bool) { return e.next() }
+// bound that opens each conservative window. It returns the engine's
+// hint, scanning (and re-caching the hint) only after a Step, so like
+// scheduling it writes engine state: in a partitioned run only the leader
+// calls it, at a barrier.
+func (e *Engine) NextEvent() (uint64, bool) {
+	if e.Pending() == 0 {
+		return 0, false
+	}
+	if !e.hinted {
+		e.hint, e.hinted = e.scan(), true
+	}
+	return e.hint, true
+}
 
-// next returns the cycle of the earliest pending event.
-func (e *Engine) next() (uint64, bool) {
-	if e.cur < len(e.buckets[e.now&bucketMask]) {
-		return e.now, true
+// scan finds the earliest pending event without the hint. At least one
+// event is pending.
+func (e *Engine) scan() uint64 {
+	if e.head[e.now&bucketMask] != 0 {
+		return e.now
 	}
-	if e.bucketed > 0 {
-		return e.now + e.nextOccupiedDelta(), true
-	}
-	if len(e.overflow) > 0 {
-		return e.overflow[0].when, true
-	}
-	return 0, false
+	return e.later()
 }
 
 // Run executes events until the queue is empty and returns the final cycle.
@@ -251,27 +307,53 @@ func (e *Engine) Run() uint64 {
 
 // RunUntil executes events with when <= limit. Events beyond the limit stay
 // queued. It returns the engine's clock, which is advanced to limit if the
-// queue drained or the next event is past the limit.
+// queue drained or the next event is past the limit. When the hint already
+// places the next event past the limit, it moves the clock without a scan.
 func (e *Engine) RunUntil(limit uint64) uint64 {
-	for {
-		when, ok := e.next()
-		if !ok || when > limit {
-			break
-		}
-		e.Step()
+	if limit < e.now {
+		return e.now
+	}
+	if !e.hinted || e.hint <= limit {
+		e.hinted = false // a panicking handler leaves no stale hint behind
+		e.hint = e.drain(limit)
+		e.hinted = true
 	}
 	if e.now < limit {
-		// Jumping the clock moves the calendar window: retire the current
-		// (fully consumed) bucket's cursor and refill from overflow so the
-		// window invariant holds at the new time.
-		i := int(e.now & bucketMask)
-		e.buckets[i] = e.buckets[i][:0]
-		e.cur = 0
-		e.occupied[i>>6] &^= 1 << uint(i&63)
+		// Jumping the clock moves the calendar window: the current cycle's
+		// list is empty, so only the overflow heap must refill the window
+		// for the invariant to hold at the new time.
 		e.now = limit
 		e.pullOverflow()
 	}
 	return e.now
+}
+
+// drain fires every event due at or before limit (>= now), one cycle's
+// list at a time, with one occupancy scan per clock advance, and returns
+// the cycle of the next pending event (noEvent if none). The clock stops
+// at the last cycle drained. A zero-delay event scheduled while its list
+// drains is appended to the same list and fires in the same pass.
+func (e *Engine) drain(limit uint64) uint64 {
+	for {
+		i := int(e.now & bucketMask)
+		for e.head[i] != 0 {
+			h, arg := e.pop(i)
+			if e.tracer != nil {
+				e.tracer.Fired(e.now, h, arg)
+			}
+			h.Handle(arg)
+		}
+		e.occupied[i>>6] &^= 1 << uint(i&63)
+		if e.Pending() == 0 {
+			return noEvent
+		}
+		next := e.later()
+		if next > limit {
+			return next
+		}
+		e.now = next
+		e.pullOverflow()
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -139,8 +139,10 @@ func (p *Partitioned) SendEvent(src, dst int, delay uint64, h Handler, arg uint6
 // same property), so walking the outboxes source-ascending reproduces the
 // canonical tie-break exactly, whichever worker produced each message.
 func (p *Partitioned) flush() {
-	for src := range p.outbox {
-		ob := p.outbox[src]
+	for src, ob := range p.outbox {
+		if len(ob) == 0 {
+			continue
+		}
 		for i := range ob {
 			p.engines[ob[i].dst].at(ob[i].when, ob[i].h, ob[i].arg)
 			ob[i] = crossMsg{} // release handler references
@@ -151,7 +153,9 @@ func (p *Partitioned) flush() {
 }
 
 // nextWindow returns the earliest pending event cycle across all
-// partitions, after outboxes have been flushed.
+// partitions, after outboxes have been flushed. It reads each engine's
+// next-event hint, which RunUntil left exact and flush lowered, so an
+// engine is scanned here only if a Step has run on it since.
 func (p *Partitioned) nextWindow() (uint64, bool) {
 	var min uint64
 	ok := false
@@ -302,11 +306,13 @@ func (p *Partitioned) workerLoop(w int) {
 // Engines with nothing queued are skipped without advancing their clock:
 // a stalled frontend's next event arrives by absolute-cycle mailbox
 // delivery, so a lagging clock is harmless and the skip saves a
-// clock-jump per window per idle partition.
+// clock-jump per window per idle partition. An engine whose hint places
+// its next event past the limit moves straight to the limit (RunUntil's
+// fast path), so a window scans each engine at most once: when it drains.
 func (p *Partitioned) runOwned(w int, limit uint64) {
 	for part, owner := range p.owner {
-		if owner == w && p.engines[part].Pending() > 0 {
-			p.engines[part].RunUntil(limit)
+		if e := p.engines[part]; owner == w && e.Pending() > 0 {
+			e.RunUntil(limit)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -188,5 +189,219 @@ func TestPartitionedRerun(t *testing.T) {
 	}
 	if p.Crossings() != 3 {
 		t.Fatalf("crossings = %d, want 3", p.Crossings())
+	}
+}
+
+// refPartitioned is the window loop written from its documented rules over
+// refEngines: a window opens at the minimum next event, every engine with
+// pending events runs to w+L-1 (an idle engine keeps its clock), and the
+// outboxes merge at the barrier in source order.
+type refPartitioned struct {
+	engines   []*refEngine
+	lookahead uint64
+	outbox    [][]refMsg
+	windows   uint64
+	crossings uint64
+}
+
+type refMsg struct {
+	when uint64
+	dst  int
+	fn   func()
+}
+
+func (p *refPartitioned) send(src, dst int, delay uint64, fn func()) {
+	p.outbox[src] = append(p.outbox[src], refMsg{when: p.engines[src].Now() + delay, dst: dst, fn: fn})
+}
+
+func (p *refPartitioned) run(onWindow func(limit uint64) bool) {
+	for {
+		for src, ob := range p.outbox {
+			for _, m := range ob {
+				p.engines[m.dst].At(m.when, m.fn)
+			}
+			p.crossings += uint64(len(ob))
+			p.outbox[src] = nil
+		}
+		var w uint64
+		ok := false
+		for _, e := range p.engines {
+			if next, has := e.NextEvent(); has && (!ok || next < w) {
+				w, ok = next, true
+			}
+		}
+		if !ok {
+			return
+		}
+		limit := w + p.lookahead - 1
+		p.windows++
+		for _, e := range p.engines {
+			if e.Pending() > 0 {
+				e.RunUntil(limit)
+			}
+		}
+		if !onWindow(limit) {
+			return
+		}
+	}
+}
+
+// windowFabric is what the random cross-partition workload needs from a
+// runner: a partition's clock, local scheduling and cross-partition sends.
+type windowFabric interface {
+	engine(part int) engineAPI
+	send(src, dst int, delay uint64, fn func())
+}
+
+type realFabric struct{ p *Partitioned }
+
+func (f realFabric) engine(part int) engineAPI { return f.p.Engine(part) }
+func (f realFabric) send(src, dst int, delay uint64, fn func()) {
+	f.p.SendEvent(src, dst, delay, Func(fn), 0)
+}
+
+type refFabric struct{ p *refPartitioned }
+
+func (f refFabric) engine(part int) engineAPI                  { return f.p.engines[part] }
+func (f refFabric) send(src, dst int, delay uint64, fn func()) { f.p.send(src, dst, delay, fn) }
+
+// windowLoad is a random cross-partition workload. Each partition draws
+// from its own stream in its own firing order, so the load is a pure
+// function of the seed and the schedule. Local follow-ups mix zero, near,
+// overflow-range and far delays, and some events schedule nothing, so
+// partitions fall idle and wait for mail behind the others' clocks.
+type windowLoad struct {
+	f      windowFabric
+	la     uint64
+	rngs   []*rand.Rand
+	budget []int
+	logs   [][]uint64
+}
+
+func newWindowLoad(f windowFabric, parts int, la uint64, seed int64) *windowLoad {
+	l := &windowLoad{f: f, la: la, logs: make([][]uint64, parts)}
+	for i := 0; i < parts; i++ {
+		l.rngs = append(l.rngs, rand.New(rand.NewSource(seed+int64(i))))
+		l.budget = append(l.budget, 300)
+	}
+	return l
+}
+
+// event returns partition part's event tagged tag.
+func (l *windowLoad) event(part int, tag uint64) func() {
+	return func() {
+		e := l.f.engine(part)
+		l.logs[part] = append(l.logs[part], e.Now()<<20|tag)
+		if l.budget[part] == 0 {
+			return
+		}
+		l.budget[part]--
+		r := l.rngs[part].Uint64()
+		next := (tag + 1) & 0xfffff
+		switch r % 8 {
+		case 0: // falls idle
+		case 1:
+			e.Schedule(0, l.event(part, next))
+		case 2:
+			e.Schedule(numBuckets+(r>>8)%3000, l.event(part, next))
+		default:
+			e.Schedule((r>>8)%40, l.event(part, next))
+		}
+		if r>>20%3 == 0 {
+			dst := int(r>>24) % len(l.logs)
+			delay := l.la + (r>>32)%50
+			if r>>40%8 == 0 {
+				delay += 2 * numBuckets
+			}
+			l.f.send(part, dst, delay, l.event(dst, next|1<<19))
+		}
+	}
+}
+
+// barrierLog records every barrier: its limit and each engine's clock.
+func barrierLog(engines func(int) engineAPI, parts int, stopAfter int, log *[]uint64) func(uint64) bool {
+	n := 0
+	return func(limit uint64) bool {
+		*log = append(*log, limit)
+		for i := 0; i < parts; i++ {
+			*log = append(*log, engines(i).Now())
+		}
+		n++
+		return n < stopAfter
+	}
+}
+
+// TestPartitionedMatchesReference runs one random cross-partition load on
+// sim.Partitioned (at 1 and 2 workers) and on refPartitioned. The runs
+// stop at random barriers, where events are scheduled from outside the
+// loop (present, near and far) before the next run resumes. The
+// per-partition firing logs, every engine's clock at every barrier, and
+// the window and crossing counts must agree.
+func TestPartitionedMatchesReference(t *testing.T) {
+	const parts, la = 5, 10
+	for _, workers := range []int{1, 2} {
+		for seed := int64(1); seed <= 6; seed++ {
+			engines := make([]*Engine, parts)
+			refs := make([]*refEngine, parts)
+			for i := range engines {
+				engines[i] = New()
+				if i%2 == 1 {
+					engines[i] = &Engine{} // the zero value must serve too
+				}
+				refs[i] = &refEngine{}
+			}
+			p := NewPartitioned(engines, la, workers)
+			rp := &refPartitioned{engines: refs, lookahead: la, outbox: make([][]refMsg, parts)}
+			real := newWindowLoad(realFabric{p}, parts, la, seed)
+			ref := newWindowLoad(refFabric{rp}, parts, la, seed)
+			for i := 0; i < parts; i++ {
+				engines[i].Schedule(uint64(i*3), real.event(i, 0))
+				refs[i].Schedule(uint64(i*3), ref.event(i, 0))
+			}
+			outside := rand.New(rand.NewSource(seed * 100))
+			var gotBarriers, wantBarriers []uint64
+			for round := 0; round < 12; round++ {
+				stop := 1 + outside.Intn(60)
+				p.Run(barrierLog(func(i int) engineAPI { return engines[i] }, parts, stop, &gotBarriers))
+				rp.run(barrierLog(func(i int) engineAPI { return refs[i] }, parts, stop, &wantBarriers))
+				part := outside.Intn(parts)
+				var when uint64
+				switch outside.Intn(3) {
+				case 0:
+					when = refs[part].Now()
+				case 1:
+					when = refs[part].Now() + uint64(outside.Intn(40))
+				default:
+					when = refs[part].Now() + numBuckets + uint64(outside.Intn(4000))
+				}
+				tag := uint64(round)<<12 | 1<<18
+				engines[part].At(when, real.event(part, tag))
+				refs[part].At(when, ref.event(part, tag))
+			}
+			// The load is finite: a bound on the last run's windows turns
+			// a runner that never drains into a failure, not a hang.
+			const maxWindows = 100000
+			p.Run(barrierLog(func(i int) engineAPI { return engines[i] }, parts, maxWindows, &gotBarriers))
+			rp.run(barrierLog(func(i int) engineAPI { return refs[i] }, parts, maxWindows, &wantBarriers))
+
+			name := fmt.Sprintf("workers=%d seed=%d", workers, seed)
+			for i := range engines {
+				if engines[i].Pending() != 0 || refs[i].Pending() != 0 {
+					t.Fatalf("%s: partition %d did not drain: %d pending, reference %d", name, i, engines[i].Pending(), refs[i].Pending())
+				}
+			}
+			if !reflect.DeepEqual(real.logs, ref.logs) {
+				t.Fatalf("%s: per-partition firing logs diverge from the reference", name)
+			}
+			if !reflect.DeepEqual(gotBarriers, wantBarriers) {
+				t.Fatalf("%s: barrier clocks diverge from the reference (%d vs %d entries)", name, len(gotBarriers), len(wantBarriers))
+			}
+			if p.Windows() != rp.windows || p.Crossings() != rp.crossings {
+				t.Fatalf("%s: windows/crossings %d/%d, reference %d/%d", name, p.Windows(), p.Crossings(), rp.windows, rp.crossings)
+			}
+			if p.Crossings() == 0 || len(gotBarriers) == 0 {
+				t.Fatalf("%s: the load sent no cross-partition traffic", name)
+			}
+		}
 	}
 }
