@@ -89,7 +89,6 @@ var apiGolden = []string{
 	"var DesignVCOptDSR",
 	"var ProgressWriter",
 	"var WithEventTrace",
-	"var WithIntraParallelism",
 	"var WithMetricsInterval",
 	"var WithMetricsSink",
 	"var WithMetricsSnapshot",

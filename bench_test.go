@@ -9,13 +9,11 @@
 package vcache
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
-	"vcache/internal/core"
 	"vcache/internal/experiments"
 	"vcache/internal/workloads"
 )
@@ -179,57 +177,6 @@ func BenchmarkSuiteParallel(b *testing.B) {
 				parallelTotal += measure(workers)
 			}
 			b.ReportMetric(serialTotal/parallelTotal, "speedup")
-		})
-	}
-}
-
-// BenchmarkSingleRun measures intra-run scaling of the partitioned event
-// engine: one large simulation (pagerank at the paper-default 16 CUs under
-// the full virtual-cache design) executed with WithIntraParallelism at 2,
-// 4 and NumCPU workers against a 1-worker reference of the identical
-// canonical schedule. events/s is total engine events over the parallel
-// wall-clock; speedup is reference wall-clock over parallel wall-clock.
-// Worker counts clamp to GOMAXPROCS, so on a single-core machine every
-// variant degenerates to the serial path and speedup reads ~1.0 — the
-// scaling numbers are only meaningful on multi-core hardware. Results are
-// byte-identical at every point; only wall-clock changes.
-func BenchmarkSingleRun(b *testing.B) {
-	g, ok := workloads.ByName("pagerank")
-	if !ok {
-		b.Fatal("pagerank workload missing")
-	}
-	tr := g.Build(workloads.DefaultParams())
-	cfg := core.DesignVCOpt()
-	measure := func(workers int) (float64, uint64) {
-		sys := core.MustNew(cfg)
-		start := time.Now()
-		if _, err := sys.RunContext(context.Background(), tr,
-			core.WithIntraParallelism(workers)); err != nil {
-			b.Fatal(err)
-		}
-		sec := time.Since(start).Seconds()
-		info, _ := sys.IntraInfo()
-		return sec, info.Events
-	}
-	counts := []int{2, 4}
-	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 {
-		counts = append(counts, n)
-	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var refTotal, parTotal float64
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				ref, _ := measure(1)
-				refTotal += ref
-				b.StartTimer()
-				par, ev := measure(workers)
-				parTotal += par
-				events += ev
-			}
-			b.ReportMetric(float64(events)/parTotal, "events/s")
-			b.ReportMetric(refTotal/parTotal, "speedup")
 		})
 	}
 }

@@ -53,7 +53,6 @@ func main() {
 	warps := flag.Int("warps", 8, "warp contexts per CU")
 	wl := flag.String("workloads", "", "comma-separated workload subset (default: all 15)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "concurrent simulations (1 = serial; results are identical either way)")
-	intraParallel := flag.Int("intra-parallel", 0, "partitioned-engine worker threads inside each simulation (0 = auto split with -parallel; results are byte-identical at any value)")
 	tenantsFlag := flag.String("tenants", "", "comma-separated tenant counts for the churn figure (default 2,8,24)")
 	quiet := flag.Bool("q", false, "suppress per-run progress on stderr")
 	csvOut := flag.String("csv", "", "also dump every simulated run's metrics to this CSV file")
@@ -85,7 +84,6 @@ func main() {
 		os.Exit(1)
 	}
 	suite.Workers = *parallel
-	suite.IntraWorkers = *intraParallel
 	if *tenantsFlag != "" {
 		for _, s := range strings.Split(*tenantsFlag, ",") {
 			var n int

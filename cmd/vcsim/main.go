@@ -73,7 +73,6 @@ func main() {
 	iommubw := flag.Int("iommubw", -1, "override IOMMU lookups/cycle (0 = unlimited)")
 	largePages := flag.Bool("largepages", false, "back the workload with 2MB pages")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "concurrent simulations when several designs are given")
-	intraParallel := flag.Int("intra-parallel", 1, "partitioned-engine worker threads inside each simulation (< 1 means 1; results are byte-identical at any value)")
 	stream := flag.Bool("stream", false, "generate and replay the workload as a chunked (v4) stream: peak memory stays bounded by the chunk budget instead of the trace size; results are byte-identical")
 	chunkBudget := flag.Int("chunk-budget", 0, "chunk byte budget for -stream (0 = default 4MB)")
 	asJSON := flag.Bool("json", false, "emit the full Results struct as JSON (one document per design)")
@@ -255,10 +254,10 @@ func main() {
 				errs[i] = err
 				return
 			}
-			opts := []core.Option{core.WithIntraParallelism(*intraParallel)}
+			var opts []core.Option
 			if procs[i] != nil {
-				// As an option (not AttachTrace) so the partitioned run
-				// serializes emitter writes to the shared trace file.
+				// The designs' runs share one trace file; its writer
+				// serializes their events.
 				opts = append(opts, core.WithEventTrace(procs[i]))
 			}
 			if *metricsOut != "" {
@@ -381,7 +380,7 @@ func chunkedStreamPath(cache *artifact.Cache, g workloads.Generator, p workloads
 
 // printSimSummary emits the one-line completion summary for the
 // simulations that ran live (cached results report nothing). Written to
-// stderr so stdout stays byte-identical across worker counts and cache
+// stderr so stdout stays byte-identical across -parallel settings and cache
 // states.
 func printSimSummary(w io.Writer, results []core.Results, infos []core.IntraInfo, live []bool, wall time.Duration) {
 	var cycles, events uint64
@@ -400,11 +399,8 @@ func printSimSummary(w io.Writer, results []core.Results, infos []core.IntraInfo
 		return
 	}
 	rate := float64(events) / wall.Seconds() / 1e6
-	fmt.Fprintf(w, "simulated %d run(s) in %.2fs: %d cycles, %d events (%.1fM events/s), %d partitions, window %d, %d worker(s)\n",
-		n, wall.Seconds(), cycles, events, rate, ref.Partitions, ref.Window, ref.Workers)
-	if ref.SerialReason != "" {
-		fmt.Fprintf(w, "note: worker count forced to 1: %s\n", ref.SerialReason)
-	}
+	fmt.Fprintf(w, "simulated %d run(s) in %.2fs: %d cycles, %d events (%.1fM events/s), %d partitions, window %d\n",
+		n, wall.Seconds(), cycles, events, rate, ref.Partitions, ref.Window)
 }
 
 // writeMetrics dumps every design's interval snapshot series, one labeled

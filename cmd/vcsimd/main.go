@@ -41,7 +41,6 @@ func main() {
 	queueCap := flag.Int("queue", 64, "max queued jobs before submissions get 429")
 	cacheDir := flag.String("cache", "", "artifact cache directory (empty = default)")
 	noCache := flag.Bool("no-cache", false, "disable the artifact cache (jobs still coalesce)")
-	intra := flag.Int("intra", 1, "partitioned-engine worker threads per simulation")
 	retain := flag.Int("retain", 0, "terminal job records kept for status/result fetches; oldest evicted beyond this (0 = default 4096)")
 	quiet := flag.Bool("quiet", false, "suppress per-job progress lines on stderr")
 	flag.Parse()
@@ -49,7 +48,6 @@ func main() {
 	opts := server.Options{
 		Workers:    *workers,
 		QueueCap:   *queueCap,
-		Intra:      *intra,
 		RetainDone: *retain,
 	}
 	if !*noCache {

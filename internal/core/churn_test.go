@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 	"testing"
 
 	"vcache/internal/workloads"
@@ -22,8 +23,18 @@ type churnLaunch struct {
 // (RetireASID) on structures still warm from the previous tenant and, on
 // designs without ASID tags, every context switch flushes the GPU
 // (FlushGPU).
-func replayChurn(t *testing.T, cfg Config, workers int) []churnLaunch {
+func replayChurn(t *testing.T, cfg Config) []churnLaunch {
 	t.Helper()
+	outs, err := churnReplay(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outs
+}
+
+// churnReplay is replayChurn without a *testing.T, so that goroutines
+// other than the test's may run it.
+func churnReplay(cfg Config) ([]churnLaunch, error) {
 	p := workloads.ChurnParams{
 		Tenants: 6, Launches: 12, ASIDSlots: 3,
 		KernelPages: 16, SharedPages: 4,
@@ -31,7 +42,7 @@ func replayChurn(t *testing.T, cfg Config, workers int) []churnLaunch {
 	}.Normalized()
 	pl := workloads.BuildChurnPlan(p)
 	if pl.Retires() == 0 {
-		t.Fatal("churn plan produced no retirements; grow Tenants or Launches")
+		return nil, fmt.Errorf("churn plan produced no retirements; grow Tenants or Launches")
 	}
 	cfg.GPU.NumCUs = p.NumCUs
 	sys := MustNew(cfg)
@@ -40,13 +51,13 @@ func replayChurn(t *testing.T, cfg Config, workers int) []churnLaunch {
 		if l.Retire != 0 {
 			outs[i].retire = sys.RetireASID(l.Retire)
 		}
-		res, err := sys.RunContext(context.Background(), pl.KernelTrace(l), WithIntraParallelism(workers))
+		res, err := sys.RunContext(context.Background(), pl.KernelTrace(l))
 		if err != nil {
-			t.Fatalf("launch %d (asid %d): %v", l.Seq, l.ASID, err)
+			return nil, fmt.Errorf("launch %d (asid %d): %v", l.Seq, l.ASID, err)
 		}
 		outs[i].res = res
 	}
-	return outs
+	return outs, nil
 }
 
 // churnDigest hashes every launch's encoded Results and RetireStats.
@@ -72,9 +83,12 @@ var churnTestDesigns = []struct {
 }
 
 // TestChurnDigest pins the churn plan's outcome on the three designs the
-// churn figure runs, at two worker counts: vc-opt flushes the whole GPU
-// (FlushGPU) on every context switch; baseline-512 and vc-opt-dsr retire
-// ASID slots (RetireASID). The digests were first recorded while every
+// churn figure runs: vc-opt flushes the whole GPU (FlushGPU) on every
+// context switch; baseline-512 and vc-opt-dsr retire ASID slots
+// (RetireASID). Each design replays the plan on 1 and on 4 Systems at
+// once, one goroutine each, as the experiments run pool does: every
+// replay must reach the same digest, so Systems share no mutable state.
+// The digests were first recorded while every
 // bulk invalidation still had a scan-based twin that differential tests
 // held byte-identical to the epoch form, so they carry that equivalence
 // forward. They carry the SimVersion 4 values into v5: they were
@@ -88,8 +102,24 @@ func TestChurnDigest(t *testing.T) {
 			workers := workers
 			t.Run(fmt.Sprintf("%s/workers=%d", d.name, workers), func(t *testing.T) {
 				t.Parallel()
-				if got := churnDigest(replayChurn(t, d.cfg(), workers)); got != d.digest {
-					t.Errorf("churn digest = %s, want %s", got, d.digest)
+				digests := make([]string, workers)
+				errs := make([]error, workers)
+				var wg sync.WaitGroup
+				for w := range digests {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						outs, err := churnReplay(d.cfg())
+						digests[w], errs[w] = churnDigest(outs), err
+					}(w)
+				}
+				wg.Wait()
+				for w, got := range digests {
+					if errs[w] != nil {
+						t.Errorf("replay %d: %v", w, errs[w])
+					} else if got != d.digest {
+						t.Errorf("replay %d: churn digest = %s, want %s", w, got, d.digest)
+					}
 				}
 			})
 		}
@@ -132,7 +162,7 @@ func TestTrackLifetimesOnlyObserves(t *testing.T) {
 			t.Parallel()
 			tracked := d.cfg()
 			tracked.TrackLifetimes = true
-			on, off := replayChurn(t, tracked, 1), replayChurn(t, d.cfg(), 1)
+			on, off := replayChurn(t, tracked), replayChurn(t, d.cfg())
 			for i := range on {
 				if on[i].retire != off[i].retire {
 					t.Errorf("launch %d: RetireStats %+v with lifetimes, %+v without", i, on[i].retire, off[i].retire)

@@ -28,6 +28,12 @@ func streamTrace(name string, chunks int) *trace.Trace {
 // the working set — the access shape the paper observes for graph
 // workloads, where virtual caches filter translations.
 func divergentTrace(name string, insts, pages int) *trace.Trace {
+	return divergentTraceMix(name, insts, pages, false)
+}
+
+// divergentTraceMix is divergentTrace with, when stores is set, every
+// other instruction a store.
+func divergentTraceMix(name string, insts, pages int, stores bool) *trace.Trace {
 	b := trace.NewBuilder(name, 1, 4, 2)
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func() uint64 {
@@ -44,7 +50,11 @@ func divergentTrace(name string, insts, pages int) *trace.Trace {
 			lineIdx := (r >> 32) % 8 // 8 hot lines per page
 			addrs[l] = memory.VAddr(page*memory.PageSize + lineIdx*memory.LineSize)
 		}
-		b.Warp().Load(addrs...)
+		if stores && i%2 == 1 {
+			b.Warp().Store(addrs...)
+		} else {
+			b.Warp().Load(addrs...)
+		}
 	}
 	return b.Build()
 }

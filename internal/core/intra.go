@@ -22,34 +22,23 @@ import (
 // first advances every CU engine to the backend clock, so a kernel that
 // follows earlier runs starts its front end where the back end stands.
 //
-// Cross-partition traffic goes through sendToBackend/sendToCU; Link
-// message counts are accumulated per partition and folded into the shared
-// Link structs only at barriers, so snapshots see the usual NoC totals
-// without the workers ever sharing a counter. The schedule is a pure
-// function of the configuration: byte-identical results and metrics for
-// every worker count, including one.
+// Cross-partition traffic goes through sendToBackend/sendToCU, which count
+// each message on its boundary Link as they send it. The schedule is a
+// pure function of the configuration.
 type intraState struct {
 	part    *sim.Partitioned
 	engines []*sim.Engine // engines[0] == System.eng (the shared backend)
 
-	// routeLat holds the two boundary routes' latencies, indexed like
-	// intraRoutes, resolved once at partition time.
-	routeLat [2]uint64
-
-	// routeMsgs defers per-partition NoC message counts for the two
-	// boundary routes ([partition][route]); flushRouteCounts folds them
-	// into the Link structs between windows.
-	routeMsgs [][2]uint64
+	// links holds the two boundary routes' Links, indexed like
+	// intraRoutes, resolved once at partition time: their latencies time
+	// the crossings, and their counters count them.
+	links [2]*noc.Link
 
 	// running is true while the windows execute. Between runs there is no
 	// window to carry a message, so backend operations that reach CU
 	// state (a shootdown's L1 flushes) apply it before they return.
 	running bool
 	ran     bool // at least one run started
-
-	// serialReason is non-empty when the last run's configuration could
-	// not be executed on more than one worker (the schedule is unchanged).
-	serialReason string
 }
 
 // intraRoutes are the partition-boundary routes, indexed by routeL2 and
@@ -64,14 +53,10 @@ const (
 // IntraInfo describes the partitioned engine (System.IntraInfo).
 type IntraInfo struct {
 	Partitions int    // partition count (CUs + shared backend)
-	Workers    int    // resolved worker threads of the last run
 	Window     uint64 // conservative window width in cycles (the lookahead)
 	Windows    uint64 // synchronization windows executed
 	Crossings  uint64 // cross-partition messages delivered
 	Events     uint64 // events fired across all partition engines
-	// SerialReason is non-empty when the configuration forced the worker
-	// count to 1 (e.g. ProbeResidency reads shared caches from CU paths).
-	SerialReason string
 }
 
 // IntraInfo reports the partitioned-engine statistics, accumulated over
@@ -79,13 +64,11 @@ type IntraInfo struct {
 func (s *System) IntraInfo() (info IntraInfo, ok bool) {
 	st := &s.intra
 	return IntraInfo{
-		Partitions:   len(st.engines),
-		Workers:      st.part.Workers(),
-		Window:       st.part.Lookahead(),
-		Windows:      st.part.Windows(),
-		Crossings:    st.part.Crossings(),
-		Events:       s.totalFired(),
-		SerialReason: st.serialReason,
+		Partitions: len(st.engines),
+		Window:     st.part.Lookahead(),
+		Windows:    st.part.Windows(),
+		Crossings:  st.part.Crossings(),
+		Events:     s.totalFired(),
 	}, st.ran
 }
 
@@ -101,47 +84,32 @@ func (s *System) partition() {
 		engines[i] = sim.New()
 	}
 	s.intra = intraState{
-		part:      sim.NewPartitioned(engines, s.net.MinLatency(intraRoutes[:]...), 1),
-		engines:   engines,
-		routeMsgs: make([][2]uint64, n),
+		part:    sim.NewPartitioned(engines, s.net.MinLatency(intraRoutes[:]...)),
+		engines: engines,
 	}
 	for i, r := range intraRoutes {
-		s.intra.routeLat[i] = s.net.Latency(r)
+		s.intra.links[i] = s.net.Link(r)
 	}
 }
 
 // startRun readies the partitions for a launch. Every CU engine catches
-// up to the backend clock — a CU engine never moves backwards, and one
-// left behind by an earlier kernel would start this kernel's front end in
-// the back end's past, compressing its service time — and the run's
-// worker count resolves.
-func (s *System) startRun(workers int, traced bool) {
+// up to the backend clock: a CU engine never moves backwards, and one left
+// behind by an earlier kernel would start this kernel's front end in the
+// back end's past, compressing its service time.
+func (s *System) startRun() {
 	now := s.eng.Now()
 	for _, e := range s.intra.engines[1:] {
 		e.RunUntil(now)
 	}
-	reason := s.intraSerialReason(s.net.MinLatency(intraRoutes[:]...), traced)
-	if reason != "" {
-		workers = 1
-	}
-	s.intra.part.SetWorkers(workers)
-	s.intra.serialReason = reason
 	s.intra.ran = true
 }
 
 // runWindows executes the launched kernel's windows to completion (or
-// until onWindow stops them) and folds the NoC counts in. Every barrier
-// first returns the records of requests that completed on the backend to
-// their CUs' pools.
+// until onWindow stops them).
 func (s *System) runWindows(onWindow func(limit uint64) bool) {
 	s.intra.running = true
 	defer func() { s.intra.running = false }()
-	s.intra.part.Run(func(limit uint64) bool {
-		s.recycleRetired()
-		return onWindow(limit)
-	})
-	s.recycleRetired()
-	s.flushRouteCounts()
+	s.intra.part.Run(onWindow)
 }
 
 // cuEng returns the engine that owns cu's front-end events.
@@ -151,15 +119,17 @@ func (s *System) cuEng(cu int) *sim.Engine { return s.intra.engines[cu+1] }
 // boundary route's latency (routeL2 or routeIOMMU). Must be called from
 // the CU's own partition.
 func (s *System) sendToBackend(cu, route int, h sim.Handler, arg uint64) {
-	s.intra.routeMsgs[cu+1][route]++
-	s.intra.part.SendEvent(cu+1, 0, s.intra.routeLat[route], h, arg)
+	l := s.intra.links[route]
+	l.Messages++
+	s.intra.part.SendEvent(cu+1, 0, l.Latency, h, arg)
 }
 
 // sendToCU delivers h.Handle(arg) on cu's partition after the boundary
 // route's latency. Must be called from the backend partition.
 func (s *System) sendToCU(cu, route int, h sim.Handler, arg uint64) {
-	s.intra.routeMsgs[0][route]++
-	s.intra.part.SendEvent(0, cu+1, s.intra.routeLat[route], h, arg)
+	l := s.intra.links[route]
+	l.Messages++
+	s.intra.part.SendEvent(0, cu+1, l.Latency, h, arg)
 }
 
 // cuArgBits is the width of the CU index packed into a backend -> CU
@@ -190,48 +160,11 @@ func (f *gpuFabric) CUEngine(cu int) *sim.Engine { return f.intra.engines[cu+1] 
 func (f *gpuFabric) CoordEngine() *sim.Engine    { return f.eng }
 
 func (f *gpuFabric) ToCoord(cu int, h sim.Handler, arg uint64) {
-	f.intra.part.SendEvent(cu+1, 0, f.intra.routeLat[routeL2], h, arg)
+	f.intra.part.SendEvent(cu+1, 0, f.intra.links[routeL2].Latency, h, arg)
 }
 
 func (f *gpuFabric) ToCU(cu int, h sim.Handler, arg uint64) {
-	f.intra.part.SendEvent(0, cu+1, f.intra.routeLat[routeL2], h, arg)
-}
-
-// flushRouteCounts folds the deferred per-partition NoC message counts
-// into the shared Link structs. Called at window barriers and at end of
-// run, where all workers are quiescent.
-func (s *System) flushRouteCounts() {
-	st := &s.intra
-	for p := range st.routeMsgs {
-		for ri := range st.routeMsgs[p] {
-			n := st.routeMsgs[p][ri]
-			if n == 0 {
-				continue
-			}
-			st.routeMsgs[p][ri] = 0
-			if l := s.net.Link(intraRoutes[ri]); l != nil {
-				l.Messages += n
-			}
-		}
-	}
-}
-
-// intraSerialReason reports why this run must execute its schedule on a
-// single worker ("" = parallel-safe). These paths read or write state
-// across the partition boundary synchronously, which is deterministic on
-// one worker but racy on several.
-func (s *System) intraSerialReason(lookahead uint64, traced bool) string {
-	switch {
-	case s.cfg.ProbeResidency:
-		return "probe-residency classification reads shared caches on CU TLB misses"
-	case s.cfg.GPU.BlockOnStore:
-		return "block-on-store retires warps from backend store completions"
-	case lookahead == 0:
-		return "zero-latency interconnect leaves no conservative lookahead"
-	case traced:
-		return "event tracing serializes writes to the shared sink"
-	}
-	return ""
+	f.intra.part.SendEvent(0, cu+1, f.intra.links[routeL2].Latency, h, arg)
 }
 
 // registerPartitionGauges exports the window runner's counters.

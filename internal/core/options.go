@@ -23,7 +23,6 @@ type options struct {
 	snapshot        func(obs.Snapshot)
 	events          obs.EventSink
 	progress        func(Progress)
-	workers         int // partition worker threads (< 1 means 1)
 
 	sinkErr error // first metrics-sink write failure
 }
@@ -33,9 +32,9 @@ func (o *options) wantsMetrics() bool {
 	return o.metricsSink != nil || o.snapshot != nil
 }
 
-// Option customizes a RunContext invocation. Options only add observers
-// or worker threads; the simulation itself is unaffected, so a run with
-// any options is cycle-for-cycle identical to System.Run.
+// Option customizes a RunContext invocation. Options only add observers;
+// the simulation itself is unaffected, so a run with any options is
+// cycle-for-cycle identical to System.Run.
 type Option func(*options)
 
 // WithMetricsSink streams interval snapshots of the system's metrics
@@ -74,15 +73,11 @@ func WithProgress(fn func(Progress)) Option {
 	return func(o *options) { o.progress = fn }
 }
 
-// WithIntraParallelism runs the System's partitions on up to n worker
-// threads: each CU's front end (warps, coalescer, L1, per-CU TLBs) is its
-// own partition, the shared back end (L2, IOMMU, FBT, page walker, DRAM)
-// another, synchronized at conservative cycle windows sized by the minimum
-// cross-partition NoC latency. Every run executes that one schedule; n
-// only trades wall-clock time, and results and metrics are byte-identical
-// for every n. n < 1 means 1; n is clamped to the partition count and
-// GOMAXPROCS, and configurations the partitioner cannot split safely (see
-// System.IntraInfo) run on one worker.
-func WithIntraParallelism(n int) Option {
-	return func(o *options) { o.workers = n }
+// WithIntraParallelism does nothing: every run executes its one windowed
+// schedule on the calling goroutine. It remains so that existing callers
+// still compile.
+//
+// Deprecated: drop the option; it has no effect.
+func WithIntraParallelism(int) Option {
+	return func(*options) {}
 }

@@ -100,7 +100,7 @@ func (r *request) lineFilled(perm memory.Perm, filled bool) {
 	case s.cfg.Kind != VirtualHierarchy:
 		if r.write {
 			s.l2.Access(r.addr, true) // write-allocate: install dirty
-			r.retire()
+			r.finish()
 			return
 		}
 		s.sendToCU(r.cu, routeL2, r, stL1Fill)
@@ -114,7 +114,7 @@ func (r *request) lineFilled(perm memory.Perm, filled bool) {
 				s.fault("perm", &s.faults.PermFaults)
 			}
 		}
-		r.retire()
+		r.finish()
 	default:
 		r.perm, r.filled = perm, filled
 		s.sendToCU(r.cu, routeL2, r, stVCDeliver)
@@ -335,7 +335,7 @@ func (r *request) physL2() {
 	s := r.s
 	if _, hit := s.l2.Access(r.addr, r.write); hit {
 		if r.write {
-			r.retire()
+			r.finish()
 		} else {
 			s.sendToCU(r.cu, routeL2, r, stL1Fill)
 		}
@@ -425,7 +425,7 @@ func (r *request) vcL2() {
 			// leading VPN.
 			s.fbt.MarkWrittenVPN(s.asid, r.line.Page())
 		}
-		r.retire()
+		r.finish()
 	case hit:
 		r.perm, r.filled = l.Perm, true
 		if !l.Perm.Allows(false) {

@@ -11,16 +11,14 @@ import (
 // needs lives in the record, so advancing a request allocates nothing.
 //
 // Records are pooled per CU. A request starts on its CU's partition and
-// takes its record from that CU's pool. It ends either there (finish: the
-// record returns to the pool at once) or on the backend (retire: the
-// record waits in System.retired until the next window barrier, where no
-// worker runs, hands it back to its CU). Either way the record is
-// recycled before done runs, so done may issue a new request at once.
+// takes its record from that CU's pool. It ends there or on the backend
+// (finish), and its record returns to the pool before done runs, so done
+// may issue a new request at once.
 //
-// A record is only ever touched by one partition at a time: it crosses
-// the boundary inside a message, and every path that continues on the
-// other side hands the record over with it. A message that can outlive
-// its request (the DSR remap update) carries its own state instead.
+// A record crosses the partition boundary inside a message, and every
+// path that continues on the other side hands the record over with it. A
+// message that can outlive its request (the DSR remap update) carries its
+// own state instead.
 type request struct {
 	s     *System
 	cu    int // the issuing CU; the record belongs to its pool for life
@@ -134,34 +132,12 @@ func (s *System) newRequest(cu int, line memory.VAddr, write bool, done func()) 
 	return r
 }
 
-// finish completes a request on its CU's partition: the record returns to
-// the pool, then done runs.
+// finish completes a request, on its CU's partition or on the backend: the
+// record returns to its CU's pool, then done runs.
 func (r *request) finish() {
 	done := r.done
 	r.done = nil
 	st := &r.s.cuStats[r.cu]
 	st.reqs = append(st.reqs, r)
 	done()
-}
-
-// retire completes a request on the backend partition. The CU's pool is
-// not the backend's to touch, so the record waits in System.retired until
-// recycleRetired runs at the next barrier; then done runs.
-func (r *request) retire() {
-	done := r.done
-	r.done = nil
-	r.s.retired = append(r.s.retired, r)
-	done()
-}
-
-// recycleRetired returns the records of requests that completed on the
-// backend to their CUs' pools. Called at window barriers and at the end of
-// a run, where no worker runs.
-func (s *System) recycleRetired() {
-	for i, r := range s.retired {
-		st := &s.cuStats[r.cu]
-		st.reqs = append(st.reqs, r)
-		s.retired[i] = nil
-	}
-	s.retired = s.retired[:0]
 }

@@ -17,39 +17,60 @@ import (
 // the same trace on the same System stays under it as well. The trace
 // spans more pages than the per-CU TLBs and the L2 hold, so the second run
 // still misses to the IOMMU and, in the baseline, still walks.
+//
+// A second trace makes every other instruction a store, so requests also
+// complete on the backend. Its warm second run is bounded the same way.
+// Its first run is only logged: stores do not block their warps, so most
+// store lines are in flight at once and the pools grow to that peak.
 func TestRequestPathAllocs(t *testing.T) {
-	tr := divergentTrace("allocs", 1500, 3000)
+	loads := divergentTrace("allocs", 1500, 3000)
+	stores := divergentTraceMix("allocs-stores", 1500, 3000, true)
 	for _, name := range []string{"ideal", "baseline-512", "vc-opt", "vc-opt-dsr", "l1-only-vc-32"} {
 		t.Run(name, func(t *testing.T) {
 			cfg, ok := DesignByName(name)
 			if !ok {
 				t.Fatalf("unknown design %q", name)
 			}
-			sys := MustNew(smallCfg(cfg))
-			var first, second Results
-			perLine := func(run string, res *Results, since uint64) {
+			// perLine runs tr on sys and returns the run's results and its
+			// allocations per line issued since the previous run.
+			perLine := func(sys *System, tr *trace.Trace, run string, since uint64) (Results, float64) {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				*res = sys.Run(tr)
+				res := sys.Run(tr)
 				runtime.ReadMemStats(&after)
 				lines := res.GPU.CoalescedReqs - since
 				if lines == 0 {
 					t.Fatalf("%s issued no lines", run)
 				}
-				perLine := float64(after.Mallocs-before.Mallocs) / float64(lines)
-				t.Logf("%s: %d lines, %.3f allocs/line", run, lines, perLine)
-				if perLine > 0.1 {
-					t.Errorf("%s allocates %.3f objects per line, want <= 0.1", run, perLine)
+				n := float64(after.Mallocs-before.Mallocs) / float64(lines)
+				t.Logf("%s: %d lines, %.3f allocs/line", run, lines, n)
+				return res, n
+			}
+			bound := func(run string, n float64) {
+				if n > 0.1 {
+					t.Errorf("%s allocates %.3f objects per line, want <= 0.1", run, n)
 				}
 			}
-			perLine("first run on a fresh System", &first, 0)
-			perLine("second run", &second, first.GPU.CoalescedReqs)
+
+			sys := MustNew(smallCfg(cfg))
+			first, n := perLine(sys, loads, "first run on a fresh System", 0)
+			bound("first run on a fresh System", n)
+			second, n := perLine(sys, loads, "second run", first.GPU.CoalescedReqs)
+			bound("second run", n)
 			if cfg.Kind != IdealMMU && second.IOMMU.Requests == first.IOMMU.Requests {
 				t.Error("second run sent no IOMMU requests: the trace no longer exercises translation")
 			}
 			if name == "baseline-512" && second.IOMMU.Walks == first.IOMMU.Walks {
 				t.Error("second run walked no page tables")
 			}
+
+			sys = MustNew(smallCfg(cfg))
+			first, _ = perLine(sys, stores, "stores: first run on a fresh System", 0)
+			if first.L1.WriteHits+first.L1.WriteMisses == 0 {
+				t.Fatal("the store trace issued no stores")
+			}
+			_, n = perLine(sys, stores, "stores: second run", first.GPU.CoalescedReqs)
+			bound("stores: second run", n)
 		})
 	}
 }

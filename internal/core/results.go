@@ -112,9 +112,7 @@ func (s *System) results(workload string) Results {
 		FBTInvalLines:  s.fbtInvalLines,
 		LineMerges:     s.lineMerges,
 	}
-	// Merge the per-CU counter slots in index order (deterministic at any
-	// partition/worker count; the totals match the pre-partitioning
-	// globals).
+	// Merge the per-CU counter slots in index order.
 	for i := range s.cuStats {
 		st := &s.cuStats[i]
 		r.Faults.PageFaults += st.faults.PageFaults

@@ -30,18 +30,18 @@ func chunkWorkload(t *testing.T, g workloads.Generator, p workloads.Params) []by
 
 // runMaterialized and runStreamed are the two sides of the differential:
 // identical configs and observability, different trace front ends.
-func runMaterialized(t *testing.T, cfg Config, tr *trace.Trace, workers int) (Results, obs.Snapshot) {
+func runMaterialized(t *testing.T, cfg Config, tr *trace.Trace) (Results, obs.Snapshot) {
 	t.Helper()
 	var last obs.Snapshot
 	res, err := RunContext(context.Background(), cfg, tr,
-		WithIntraParallelism(workers), WithMetricsSnapshot(func(s obs.Snapshot) { last = s }))
+		WithMetricsSnapshot(func(s obs.Snapshot) { last = s }))
 	if err != nil {
-		t.Fatalf("RunContext(workers=%d): %v", workers, err)
+		t.Fatalf("RunContext: %v", err)
 	}
 	return res, last
 }
 
-func runStreamed(t *testing.T, cfg Config, raw []byte, workers int) (Results, obs.Snapshot) {
+func runStreamed(t *testing.T, cfg Config, raw []byte) (Results, obs.Snapshot) {
 	t.Helper()
 	c, err := trace.NewCursor(bytes.NewReader(raw))
 	if err != nil {
@@ -50,9 +50,9 @@ func runStreamed(t *testing.T, cfg Config, raw []byte, workers int) (Results, ob
 	defer c.Close()
 	var last obs.Snapshot
 	res, err := RunCursor(context.Background(), cfg, c,
-		WithIntraParallelism(workers), WithMetricsSnapshot(func(s obs.Snapshot) { last = s }))
+		WithMetricsSnapshot(func(s obs.Snapshot) { last = s }))
 	if err != nil {
-		t.Fatalf("RunCursor(workers=%d): %v", workers, err)
+		t.Fatalf("RunCursor: %v", err)
 	}
 	return res, last
 }
@@ -61,7 +61,7 @@ func runStreamed(t *testing.T, cfg Config, raw []byte, workers int) (Results, ob
 // the streaming front end: for every workload in the catalog, replaying
 // the chunked stream must produce byte-identical Results (EncodeResults)
 // and identical final metrics snapshots as simulating the fully
-// materialized trace, at 1 and 4 partition workers.
+// materialized trace.
 func TestStreamedRunMatchesMaterialized(t *testing.T) {
 	p := streamTestParams()
 	cfg := DesignVCOpt()
@@ -71,19 +71,16 @@ func TestStreamedRunMatchesMaterialized(t *testing.T) {
 			t.Parallel()
 			tr := g.Build(p)
 			raw := chunkWorkload(t, g, p)
-			for _, workers := range []int{1, 4} {
-				wantRes, wantSnap := runMaterialized(t, cfg, tr, workers)
-				if wantRes.Cycles == 0 || wantRes.GPU.Instructions == 0 {
-					t.Fatalf("degenerate materialized run: %+v", wantRes)
-				}
-				gotRes, gotSnap := runStreamed(t, cfg, raw, workers)
-				if !bytes.Equal(EncodeResults(gotRes), EncodeResults(wantRes)) {
-					t.Errorf("workers=%d: streamed Results bytes diverge\nmaterialized: %+v\nstreamed: %+v",
-						workers, wantRes, gotRes)
-				}
-				if !reflect.DeepEqual(wantSnap, gotSnap) {
-					t.Errorf("workers=%d: final metrics snapshot diverges between front ends", workers)
-				}
+			wantRes, wantSnap := runMaterialized(t, cfg, tr)
+			if wantRes.Cycles == 0 || wantRes.GPU.Instructions == 0 {
+				t.Fatalf("degenerate materialized run: %+v", wantRes)
+			}
+			gotRes, gotSnap := runStreamed(t, cfg, raw)
+			if !bytes.Equal(EncodeResults(gotRes), EncodeResults(wantRes)) {
+				t.Errorf("streamed Results bytes diverge\nmaterialized: %+v\nstreamed: %+v", wantRes, gotRes)
+			}
+			if !reflect.DeepEqual(wantSnap, gotSnap) {
+				t.Error("final metrics snapshot diverges between front ends")
 			}
 		})
 	}
@@ -104,8 +101,8 @@ func TestStreamedRunAcrossDesigns(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			t.Parallel()
-			wantRes, _ := runMaterialized(t, cfg, tr, 1)
-			gotRes, _ := runStreamed(t, cfg, raw, 1)
+			wantRes, _ := runMaterialized(t, cfg, tr)
+			gotRes, _ := runStreamed(t, cfg, raw)
 			if !bytes.Equal(EncodeResults(gotRes), EncodeResults(wantRes)) {
 				t.Errorf("streamed Results bytes diverge\nmaterialized: %+v\nstreamed: %+v", wantRes, gotRes)
 			}

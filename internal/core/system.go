@@ -84,9 +84,8 @@ type System struct {
 	faults    FaultCounts // backend-side faults; per-CU faults live in cuStats
 	lifetimes *Lifetimes  // backend L2 CDF during the run; merged in results()
 
-	// cuStats holds every counter a CU front end increments on its own:
-	// one slot per CU so the partition workers never share a counter (or
-	// a waiter-list pool); results sum the slots in CU order.
+	// cuStats holds every counter a CU front end increments on its own,
+	// one slot per CU; results sum the slots in CU order.
 	cuStats []cuCounters
 
 	// tlbPending merges concurrent same-page TLB misses per CU; l2Pending
@@ -97,11 +96,6 @@ type System struct {
 	l2Pending  map[uint64][]*request
 	linePool   waitPool
 	lineMerges uint64
-
-	// retired holds the records of requests that completed on the backend
-	// during the current window, until the barrier returns them to their
-	// CUs' pools (request.retire).
-	retired []*request
 
 	synonymReplays uint64
 	fbtInvalLines  uint64 // L2 lines invalidated on FBT eviction/shootdown
@@ -114,11 +108,11 @@ type System struct {
 	reg *obs.Registry
 }
 
-// cuCounters is the per-CU slice of formerly-global bookkeeping: faults,
+// cuCounters is one CU's share of the System's bookkeeping: faults,
 // miss-merge and remap counters, lifetime CDFs, the TLB waiter-list pool
-// and the request-record pool. Everything here is touched only by the
-// owning CU's front end (and, for reqs, by window barriers), so in a
-// partitioned run each slot belongs to exactly one worker.
+// and the request-record pool. The CU's front end keeps them; the record
+// pool also takes back the records of requests that complete on the
+// backend.
 type cuCounters struct {
 	faults        FaultCounts
 	tlbMerges     uint64
@@ -523,7 +517,7 @@ func (s *System) Run(tr *trace.Trace) Results {
 // the System's partitions (see intra.go); cancellation, metrics snapshots
 // and progress are serviced at window barriers, so a cancelled run stops
 // mid-simulation and returns ctx.Err(). The schedule is a pure function
-// of the configuration: options only add observers or workers.
+// of the configuration: options only add observers.
 func (s *System) RunContext(ctx context.Context, tr *trace.Trace, opts ...Option) (Results, error) {
 	return s.runInput(ctx, materializedInput{tr}, opts)
 }
@@ -531,12 +525,11 @@ func (s *System) RunContext(ctx context.Context, tr *trace.Trace, opts ...Option
 // RunCursor is RunContext over a streamed chunked trace: the GPU pulls
 // instruction segments from the cursor as warps advance, so peak memory
 // stays bounded by the cursor's chunk window no matter how long the trace
-// is. The event schedule — and therefore Results, at any parallelism — is
-// byte-identical to RunContext over the materialized equivalent. A stream
-// that fails mid-run (truncation, corruption) returns the cursor's error.
-// The cursor is shared by all partition workers (its segment hand-off is
-// mutex-guarded), and refills are host work, so the schedule is
-// unchanged.
+// is. The event schedule — and therefore Results — is byte-identical to
+// RunContext over the materialized equivalent. A stream that fails mid-run
+// (truncation, corruption) returns the cursor's error. Refills are host
+// work (a prefetcher decodes the next chunk in the background), so the
+// schedule is unchanged.
 func (s *System) RunCursor(ctx context.Context, c *trace.Cursor, opts ...Option) (Results, error) {
 	return s.runInput(ctx, cursorInput{c}, opts)
 }
@@ -551,7 +544,7 @@ func (s *System) runInput(ctx context.Context, in traceInput, opts []Option) (Re
 	}
 	s.contextSwitch(in.inASID())
 	in.prepare(s)
-	s.startRun(o.workers, o.events != nil)
+	s.startRun()
 	completed := false
 	in.launch(s, func() {
 		completed = true
@@ -571,7 +564,6 @@ func (s *System) runInput(ctx context.Context, in traceInput, opts []Option) (Re
 			return false
 		}
 		if o.wantsMetrics() && limit >= nextSnap {
-			s.flushRouteCounts()
 			s.emitSnapshot(&o)
 			for nextSnap <= limit {
 				nextSnap += interval

@@ -22,7 +22,7 @@ import (
 //
 // Each grid point builds a fresh System and replays the launch schedule
 // serially, so points are independent and the figure is byte-identical at
-// any -parallel / -intra-parallel setting.
+// any -parallel setting.
 
 // ChurnPoint is one (design, tenants, IOMMU bandwidth) grid point.
 type ChurnPoint struct {

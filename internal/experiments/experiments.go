@@ -90,16 +90,9 @@ type Suite struct {
 	// concurrency. Use ProgressWriter to keep the old io.Writer behaviour.
 	Progress ProgressFunc
 	// Workers bounds the goroutine pool used by Precompute and RunAll
-	// (0 = runtime.NumCPU()); with IntraWorkers it forms the total thread
-	// budget split between concurrent runs and threads per run.
+	// (0 = runtime.NumCPU()): the number of simulations run at a time,
+	// each on one goroutine.
 	Workers int
-	// IntraWorkers sets the partitioned-engine worker threads inside each
-	// simulation (core.WithIntraParallelism). 0 lets RunAll choose: wide
-	// stages keep one thread per run (inter-run parallelism already fills
-	// the budget), narrow/tail stages give the few remaining runs the
-	// spare threads. Results are byte-identical at any setting — every
-	// suite simulation uses the canonical partitioned schedule.
-	IntraWorkers int
 	// ChurnTenants overrides the tenant-count axis of the tenant-churn
 	// figure (empty = {2, 8, 24}).
 	ChurnTenants []int
@@ -337,23 +330,6 @@ func (s *Suite) resultKey(wl string, cfg core.Config) artifact.Fingerprint {
 // suite's workload set (a programmer error — figures only request their
 // own suite's generators); use Trace to probe membership.
 func (s *Suite) Run(wl string, cfg core.Config) core.Results {
-	return s.run(wl, cfg, s.intraDefault())
-}
-
-// intraDefault resolves the per-run thread count for directly-invoked
-// runs (RunAll computes its own split).
-func (s *Suite) intraDefault() int {
-	if s.IntraWorkers > 0 {
-		return s.IntraWorkers
-	}
-	return 1
-}
-
-// run is Run with an explicit per-simulation thread count. The thread
-// count never changes the outcome — every suite run uses the canonical
-// partitioned schedule, which is byte-identical for any count — so
-// memoization and the artifact cache are oblivious to it.
-func (s *Suite) run(wl string, cfg core.Config, intra int) core.Results {
 	if _, ok := s.generator(wl); !ok {
 		panic(fmt.Errorf("experiments: workload %q not in suite", wl))
 	}
@@ -380,7 +356,7 @@ func (s *Suite) run(wl string, cfg core.Config, intra int) core.Results {
 		}
 	}
 	sys := core.MustNew(cfg)
-	opts := []core.Option{core.WithIntraParallelism(intra)}
+	var opts []core.Option
 	if s.EventTrace != nil {
 		opts = append(opts, core.WithEventTrace(s.EventTrace.Process(wl+"/"+cfg.Name)))
 	}

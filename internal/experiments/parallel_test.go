@@ -90,53 +90,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// Intra-run determinism at the suite level: a suite whose every
-// simulation runs on 4 partitioned-engine workers must produce identical
-// core.Results, identical rendered figure text and an identical CSV dump
-// to one running each simulation single-threaded. (Worker counts clamp to
-// GOMAXPROCS, so on a single-core machine this degenerates to comparing
-// two serial canonical schedules — still a meaningful guard on the
-// shared RunAll/WithIntraParallelism plumbing.)
-func TestIntraParallelMatchesSerial(t *testing.T) {
-	ids := append(Figures(), Extras()...)
-	build := func(intra int) (*Suite, map[string]core.Results, string) {
-		s, err := New(testParams(), []string{"fw_block", "kmeans"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Workers = 1
-		s.IntraWorkers = intra
-		if err := s.Precompute(ids...); err != nil {
-			t.Fatal(err)
-		}
-		var csv strings.Builder
-		if err := s.WriteCSV(&csv); err != nil {
-			t.Fatal(err)
-		}
-		return s, s.Results(), csv.String()
-	}
-	serialSuite, serial, serialCSV := build(1)
-	intraSuite, intra, intraCSV := build(4)
-	if len(serial) == 0 {
-		t.Fatal("no runs executed")
-	}
-	for k, sr := range serial {
-		ir, ok := intra[k]
-		if !ok {
-			t.Fatalf("intra-parallel suite missing %q", k)
-		}
-		if !reflect.DeepEqual(sr, ir) {
-			t.Errorf("results differ for %q", strings.ReplaceAll(k, "\x00", "/"))
-		}
-	}
-	if serialSuite.RenderAll() != intraSuite.RenderAll() {
-		t.Fatal("rendered output differs between intra worker counts")
-	}
-	if serialCSV != intraCSV {
-		t.Fatal("CSV dump differs between intra worker counts")
-	}
-}
-
 // Race safety: many goroutines hammer Run with overlapping keys (run
 // under -race). Every caller must observe the identical memoized result,
 // each key must simulate exactly once, and progress lines must stay

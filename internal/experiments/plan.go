@@ -182,35 +182,10 @@ func (s *Suite) RunAll(reqs []RunRequest) error {
 	if err != nil {
 		return err
 	}
-	// Stage 2: simulations (and cached-result loads). The thread budget
-	// splits between inter-run parallelism (the pool) and intra-run
-	// parallelism (partitioned-engine workers per simulation): a wide
-	// stage fills the budget with concurrent runs, while a narrow or
-	// mostly-cached stage hands the spare threads to the few simulations
-	// that remain. Either way every simulation runs the same canonical
-	// schedule, so the split never changes a result.
-	pending := 0
-	for _, r := range reqs {
-		if s.needsCompute(r) {
-			pending++
-		}
-	}
-	intra := s.IntraWorkers
-	if intra <= 0 {
-		intra = 1
-		if pending > 0 {
-			intra = s.workers() / pending
-		}
-		if intra < 1 {
-			intra = 1
-		}
-	}
-	outer := s.workers() / intra
-	if outer < 1 {
-		outer = 1
-	}
-	return forEachLimit(len(reqs), outer, func(i int) error {
-		s.run(reqs[i].Workload, reqs[i].Config, intra)
+	// Stage 2: simulations (and cached-result loads), s.workers() at a
+	// time.
+	return forEachLimit(len(reqs), s.workers(), func(i int) error {
+		s.Run(reqs[i].Workload, reqs[i].Config)
 		return nil
 	})
 }

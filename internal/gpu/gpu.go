@@ -41,9 +41,9 @@ type MemoryPath interface {
 // piece of (cu, warp)'s stream, or ok=false once the stream is exhausted;
 // WarpLen must report the full per-warp instruction count up front so
 // launch decisions (which warp contexts are live) match the materialized
-// trace exactly. NextSegment is called from simulation event context —
-// possibly concurrently from partitioned engines — and may block on I/O
-// or decode; that time is host time, invisible to the simulated clock.
+// trace exactly. NextSegment is called from simulation event context and
+// may block on I/O or decode; that time is host time, invisible to the
+// simulated clock.
 type StreamSource interface {
 	NumCUs() int
 	NumWarps(cu int) int
@@ -164,7 +164,7 @@ func New(cfg Config, path MemoryPath, fab Fabric) *GPU {
 }
 
 // Stats returns the counters summed over CUs (each CU counts its own
-// warps' activity, so partitioned runs never contend on shared counters).
+// warps' activity).
 func (g *GPU) Stats() Stats {
 	var t Stats
 	for _, c := range g.cus {

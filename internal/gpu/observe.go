@@ -3,9 +3,7 @@ package gpu
 import "vcache/internal/obs"
 
 // Observe registers the GPU front-end counters with an observability
-// scope. Counters are kept per CU (so partitioned runs never share
-// counters between workers) and summed at snapshot time; the exported
-// names are unchanged.
+// scope. Counters are kept per CU and summed at snapshot time.
 func (g *GPU) Observe(sc obs.Scope) {
 	sum := func(f func(*Stats) *uint64) func() float64 {
 		return func() float64 {

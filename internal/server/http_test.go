@@ -23,7 +23,7 @@ func newHTTPServer(t *testing.T) (*apiv1.Client, *Server) {
 	if err != nil {
 		t.Fatalf("artifact.Open: %v", err)
 	}
-	s := New(Options{Workers: 1, QueueCap: 16, Cache: cache, Intra: 1})
+	s := New(Options{Workers: 1, QueueCap: 16, Cache: cache})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()

@@ -14,10 +14,10 @@
 //     canonical apiv1 encoding, so two jobs with one fingerprint return
 //     literally the same bytes.
 //
-// Runs execute the simulator's one (partitioned) schedule, on
-// Options.Intra worker threads — so a result computed by the daemon is
-// byte-identical to one computed by the library, vcsim or the figure
-// suite, or found in a cache shared with them.
+// Runs execute the simulator's one (partitioned) schedule, so a result
+// computed by the daemon is byte-identical to one computed by the
+// library, vcsim or the figure suite, or found in a cache shared with
+// them.
 //
 // The HTTP surface (http.go) is a thin translation of this engine into
 // the api/v1 wire schema.
@@ -54,10 +54,6 @@ type Options struct {
 	// stored for later jobs (and for vcsim/vcfigs runs against the same
 	// directory).
 	Cache *artifact.Cache
-	// Intra is the per-run partitioned-engine worker count
-	// (core.WithIntraParallelism); values < 1 mean 1. Results are
-	// byte-identical at any setting.
-	Intra int
 	// Progress, when non-nil, receives one experiments.RunEvent per
 	// completed run or cache hit, exactly like the suite's progress feed.
 	// Calls are serialized.
@@ -100,7 +96,6 @@ type runner interface {
 // miss), then a RunContext.
 type simRunner struct {
 	cache *artifact.Cache
-	intra int
 }
 
 func (r simRunner) run(ctx context.Context, workload string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error) {
@@ -121,7 +116,7 @@ func (r simRunner) run(ctx context.Context, workload string, p workloads.Params,
 	if err != nil {
 		return core.Results{}, nil, err
 	}
-	opts := []core.Option{core.WithIntraParallelism(r.intra)}
+	var opts []core.Option
 	if progress != nil {
 		opts = append(opts, core.WithProgress(progress))
 	}
@@ -253,7 +248,7 @@ func New(opts Options) *Server {
 		queueCap:   opts.QueueCap,
 		retainDone: opts.RetainDone,
 		cache:      opts.Cache,
-		runner:     simRunner{cache: opts.Cache, intra: opts.Intra},
+		runner:     simRunner{cache: opts.Cache},
 		progress:   opts.Progress,
 		start:      time.Now(),
 		jobs:       make(map[string]*job),
@@ -474,8 +469,6 @@ func (s *Server) worker() {
 // execute runs r on the runner. A panic anywhere in the run becomes the
 // run's error, carrying the panic value and stack, so one bad job fails
 // alone instead of taking down the daemon and every job in flight.
-// Partition workers re-raise their panics on this goroutine
-// (sim.Partitioned), so intra-parallel runs are covered too.
 func (s *Server) execute(r *run) (res core.Results, metricsJSON []byte, err error) {
 	defer func() {
 		if p := recover(); p != nil {

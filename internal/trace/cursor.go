@@ -669,7 +669,7 @@ func (c *Cursor) parseChunk(payload []byte) ([]warpSegment, error) {
 // NextSegment returns the next stream segment for (cu, warp), pulling and
 // distributing decoded chunks as needed. ok is false once the warp's
 // stream is exhausted — or the stream failed; Err distinguishes. Safe for
-// concurrent use by partitioned-engine workers.
+// concurrent use, with Err and Materialize too.
 func (c *Cursor) NextSegment(cu, warp int) (Segment, bool) {
 	g := c.gw(cu, warp)
 	c.mu.Lock()

@@ -202,8 +202,8 @@ func NewTraceBuilderASID(name string, asid ASID, numCUs, warpsPerCU int) *TraceB
 // LoadTrace reads a trace saved by Trace.Save (or cmd/tracegen -o).
 func LoadTrace(path string) (*Trace, error) { return trace.LoadFile(path) }
 
-// RunContext options. Each attaches an observer (or worker threads) to the
-// run; none perturbs the simulated timing.
+// RunContext options. Each attaches an observer to the run; none perturbs
+// the simulated timing.
 var (
 	// WithMetricsSink streams interval metrics snapshots to a writer as
 	// JSONL.
@@ -217,10 +217,6 @@ var (
 	WithEventTrace = core.WithEventTrace
 	// WithProgress reports liveness during long runs.
 	WithProgress = core.WithProgress
-	// WithIntraParallelism runs the simulation's partitions on up to n
-	// worker threads (n < 1 means 1). Every run executes the same
-	// partitioned schedule, so results are byte-identical at any n.
-	WithIntraParallelism = core.WithIntraParallelism
 )
 
 // NewSystem assembles a system; use it instead of Run when you need to
