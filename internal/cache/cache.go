@@ -5,6 +5,11 @@
 // invalidation supports FBT-entry eviction and TLB shootdown. Addresses are
 // opaque uint64s; the owner decides whether they are virtual or physical.
 //
+// Lines live in flat per-slot lanes indexed set*ways+way: a tag lane of
+// line addresses, the LRU stamps and birth generations of flatmap.Sets, and
+// a payload lane with the rest, so a lookup compares tags and a fill scans
+// tags and stamps.
+//
 // Bulk invalidation (InvalidateAll / InvalidateASID) is epoch-based: a
 // generation bump retires every targeted line at once and dead lines are
 // reclaimed when their slot is next touched. Residency and dirty counts are
@@ -71,7 +76,7 @@ func (c Config) Sets() int {
 	return s
 }
 
-// Line is one cache line's metadata.
+// Line is one cache line's metadata, as lookups and OnEvict hand it out.
 type Line struct {
 	Addr  uint64 // line-aligned address (virtual or physical per owner)
 	Valid bool
@@ -79,10 +84,8 @@ type Line struct {
 	Perm  memory.Perm // page permission, used by virtual caches
 	ASID  memory.ASID
 
-	lru        uint64
 	insertedAt uint64
 	lastAccess uint64
-	born       uint32 // generation at fill (epoch invalidation)
 }
 
 // ActiveLifetime returns lastAccess - insertedAt, the paper's definition of
@@ -133,10 +136,25 @@ type asidCnt struct {
 	pages *flatmap.Map[int32] // page -> this space's live lines (TrackPages)
 }
 
+// lineMeta is a line's payload: what a lookup reads only on a hit or for
+// the victim.
+type lineMeta struct {
+	insertedAt uint64
+	lastAccess uint64
+	perm       memory.Perm
+	dirty      bool
+}
+
 // Cache is a set-associative cache.
 type Cache struct {
-	cfg       Config
-	sets      [][]Line
+	cfg Config
+	// Per-slot lanes, indexed set*ways+way. A slot holds a line while its
+	// stamp in sets is nonzero, so a tag is the bare line address, exact
+	// for every line size (1 byte included); a stale tag left in an empty
+	// slot fails the stamp check.
+	tags      []uint64
+	meta      []lineMeta
+	sets      flatmap.Sets
 	lineMask  uint64
 	lineShift uint
 	tick      uint64
@@ -179,11 +197,9 @@ func New(cfg Config) *Cache {
 	for s := cfg.LineBytes; s > 1; s >>= 1 {
 		c.lineShift++
 	}
-	sets := cfg.Sets()
-	c.sets = make([][]Line, sets)
-	for i := range c.sets {
-		c.sets[i] = make([]Line, cfg.Assoc)
-	}
+	c.sets.Init(&c.ep, cfg.Sets(), cfg.Assoc)
+	c.tags = make([]uint64, c.sets.Slots())
+	c.meta = make([]lineMeta, c.sets.Slots())
 	return c
 }
 
@@ -211,14 +227,14 @@ func (c *Cache) Bank(addr uint64) int {
 	return int((addr >> c.lineShift) % uint64(c.cfg.Banks))
 }
 
-func (c *Cache) setIndex(addr uint64) int {
-	return int((addr >> c.lineShift) % uint64(len(c.sets)))
-}
+// base returns the first slot of addr's set.
+func (c *Cache) base(addr uint64) int { return c.sets.Base(addr >> c.lineShift) }
 
-// live reports whether a valid line survived every bulk invalidation since
-// it was filled. Callers check Valid themselves.
-func (c *Cache) live(l *Line) bool {
-	return c.ep.Live(uint16(l.ASID), l.born)
+// line builds the Line held in slot i.
+func (c *Cache) line(i int) Line {
+	m := &c.meta[i]
+	return Line{Addr: c.tags[i], Valid: true, Dirty: m.dirty, Perm: m.perm,
+		ASID: memory.ASID(c.sets.ASID(i)), insertedAt: m.insertedAt, lastAccess: m.lastAccess}
 }
 
 func (c *Cache) incCount(asid memory.ASID, addr uint64, dirty bool) {
@@ -296,14 +312,15 @@ func (c *Cache) settlePages(m *flatmap.Map[int32]) {
 	c.releasePageMap(m)
 }
 
-// markDirty records a clean-to-dirty transition on a live line.
-func (c *Cache) markDirty(l *Line) {
-	if l.Dirty {
+// markDirty records a clean-to-dirty transition on the live line in slot
+// i.
+func (c *Cache) markDirty(i int) {
+	if c.meta[i].dirty {
 		return
 	}
-	l.Dirty = true
+	c.meta[i].dirty = true
 	c.dirty++
-	c.perASID.Ref(uint64(l.ASID)).dirty++
+	c.perASID.Ref(uint64(c.sets.ASID(i))).dirty++
 }
 
 // bumpGen advances the generation counter, normalizing first when the next
@@ -318,37 +335,28 @@ func (c *Cache) bumpGen() uint32 {
 // normalize physically drops dead lines and rewinds every generation to
 // zero; one full walk per 2^32 bulk invalidations.
 func (c *Cache) normalize() {
-	for _, set := range c.sets {
-		for i := range set {
-			if !set[i].Valid {
-				continue
-			}
-			if !c.live(&set[i]) {
-				set[i].Valid = false
-			} else {
-				set[i].born = 0
-			}
-		}
-	}
+	c.sets.Normalize()
 	c.ep.Reset()
 }
 
-func (c *Cache) find(addr uint64) *Line {
+// find returns the slot of addr's live line, or -1.
+func (c *Cache) find(addr uint64) int {
 	la := c.LineAddr(addr)
-	set := c.sets[c.setIndex(addr)]
-	for i := range set {
-		if set[i].Valid && set[i].Addr == la {
-			if !c.live(&set[i]) {
-				// Reclaim the dead slot on touch; a live line with the same
-				// address may still follow (filled after the bulk
-				// invalidation into another way).
-				set[i].Valid = false
-				continue
-			}
-			return &set[i]
+	base := c.base(addr)
+	for w, tag := range c.tags[base : base+c.sets.Ways()] {
+		if tag != la {
+			continue
 		}
+		i := base + w
+		if c.sets.Live(i) {
+			return i
+		}
+		// Reclaim a dead slot on touch; a live line with the same address
+		// may still follow (filled after the bulk invalidation into another
+		// way).
+		c.sets.Clear(i)
 	}
-	return nil
+	return -1
 }
 
 // Access performs a load or store lookup. On a hit it refreshes LRU and
@@ -358,18 +366,18 @@ func (c *Cache) find(addr uint64) *Line {
 // (write-through no-allocate).
 func (c *Cache) Access(addr uint64, write bool) (Line, bool) {
 	c.tick++
-	if l := c.find(addr); l != nil {
-		l.lru = c.tick
-		l.lastAccess = c.now()
+	if i := c.find(addr); i >= 0 {
+		c.sets.Touch(i, c.tick)
+		c.meta[i].lastAccess = c.now()
 		if write {
 			c.stats.WriteHits++
 			if c.cfg.Policy == WriteBack {
-				c.markDirty(l)
+				c.markDirty(i)
 			}
 		} else {
 			c.stats.ReadHits++
 		}
-		return *l, true
+		return c.line(i), true
 	}
 	if write {
 		c.stats.WriteMisses++
@@ -380,12 +388,12 @@ func (c *Cache) Access(addr uint64, write bool) (Line, bool) {
 }
 
 // Probe reports whether addr's line is resident, without side effects.
-func (c *Cache) Probe(addr uint64) bool { return c.find(addr) != nil }
+func (c *Cache) Probe(addr uint64) bool { return c.find(addr) >= 0 }
 
 // Get returns the line metadata for addr without side effects.
 func (c *Cache) Get(addr uint64) (Line, bool) {
-	if l := c.find(addr); l != nil {
-		return *l, true
+	if i := c.find(addr); i >= 0 {
+		return c.line(i), true
 	}
 	return Line{}, false
 }
@@ -398,58 +406,52 @@ func (c *Cache) Fill(addr uint64, perm memory.Perm, asid memory.ASID, dirty bool
 	c.tick++
 	c.stats.Fills++
 	la := c.LineAddr(addr)
-	set := c.sets[c.setIndex(addr)]
-	victim, vfree := 0, false
-	for i := range set {
-		li := &set[i]
-		free := !li.Valid || !c.live(li)
-		if !free && li.Addr == la {
+	base := c.base(addr)
+	for w, tag := range c.tags[base : base+c.sets.Ways()] {
+		if i := base + w; tag == la && c.sets.Live(i) {
 			// Refresh in place (e.g. racing fills).
-			li.lru = c.tick
-			li.lastAccess = c.now()
-			li.Perm = perm
+			c.sets.Touch(i, c.tick)
+			c.meta[i].lastAccess = c.now()
+			c.meta[i].perm = perm
 			if dirty {
-				c.markDirty(li)
+				c.markDirty(i)
 			}
 			return Line{}, false
 		}
-		if free {
-			victim, vfree = i, true
-		} else if !vfree && li.lru < set[victim].lru {
-			victim = i
-		}
 	}
-	if set[victim].Valid && c.live(&set[victim]) {
-		evicted = set[victim]
-		evictedValid = true
-		c.evict(&set[victim])
+	i, free := c.sets.Victim(base)
+	if !free {
+		evicted, evictedValid = c.evict(i), true
 	}
 	now := c.now()
-	set[victim] = Line{Addr: la, Valid: true, Dirty: dirty, Perm: perm, ASID: asid, lru: c.tick, insertedAt: now, lastAccess: now, born: c.ep.Gen()}
+	c.tags[i] = la
+	c.sets.Fill(i, c.tick, uint16(asid))
+	c.meta[i] = lineMeta{insertedAt: now, lastAccess: now, perm: perm, dirty: dirty}
 	c.incCount(asid, la, dirty)
 	return evicted, evictedValid
 }
 
-func (c *Cache) evict(l *Line) {
+// evict removes the live line in slot i, firing OnEvict, and returns it.
+func (c *Cache) evict(i int) Line {
+	l := c.line(i)
 	c.stats.Evictions++
 	if l.Dirty {
 		c.stats.Writebacks++
 	}
 	if c.OnEvict != nil {
-		c.OnEvict(*l)
+		c.OnEvict(l)
 	}
-	l.Valid = false
+	c.sets.Clear(i)
 	c.decCount(l.ASID, l.Addr, l.Dirty)
+	return l
 }
 
 // InvalidateLine removes addr's line if resident, reporting (wasDirty,
 // wasResident).
 func (c *Cache) InvalidateLine(addr uint64) (bool, bool) {
-	if l := c.find(addr); l != nil {
-		dirty := l.Dirty
+	if i := c.find(addr); i >= 0 {
 		c.stats.Invalidated++
-		c.evict(l)
-		return dirty, true
+		return c.evict(i).Dirty, true
 	}
 	return false, false
 }
@@ -465,9 +467,9 @@ func (c *Cache) InvalidatePage(pageAddr uint64) int {
 	base := pageAddr &^ uint64(memory.PageSize-1)
 	n := 0
 	for i := 0; i < memory.LinesPerPage; i++ {
-		if l := c.find(base + uint64(i*memory.LineSize)); l != nil {
+		if j := c.find(base + uint64(i*memory.LineSize)); j >= 0 {
 			c.stats.Invalidated++
-			c.evict(l)
+			c.evict(j)
 			n++
 		}
 	}

@@ -13,13 +13,11 @@ import (
 // what it drops instead of trusting the residency counters.
 func scanInvalidate(c *Cache, asid memory.ASID, all bool) int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].Valid && c.live(&set[i]) && (all || set[i].ASID == asid) {
-				c.stats.Invalidated++
-				c.evict(&set[i])
-				n++
-			}
+	for i := 0; i < c.sets.Slots(); i++ {
+		if c.sets.Live(i) && (all || c.sets.ASID(i) == uint16(asid)) {
+			c.stats.Invalidated++
+			c.evict(i)
+			n++
 		}
 	}
 	return n

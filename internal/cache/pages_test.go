@@ -14,19 +14,17 @@ import (
 func scanPages(c *Cache) (total map[uint64]int32, perASID map[memory.ASID]map[uint64]int32) {
 	total = map[uint64]int32{}
 	perASID = map[memory.ASID]map[uint64]int32{}
-	for _, set := range c.sets {
-		for i := range set {
-			l := &set[i]
-			if !l.Valid || !c.live(l) {
-				continue
-			}
-			page := l.Addr >> memory.PageShift
-			total[page]++
-			if perASID[l.ASID] == nil {
-				perASID[l.ASID] = map[uint64]int32{}
-			}
-			perASID[l.ASID][page]++
+	for i := 0; i < c.sets.Slots(); i++ {
+		if !c.sets.Live(i) {
+			continue
 		}
+		page := c.tags[i] >> memory.PageShift
+		asid := memory.ASID(c.sets.ASID(i))
+		total[page]++
+		if perASID[asid] == nil {
+			perASID[asid] = map[uint64]int32{}
+		}
+		perASID[asid][page]++
 	}
 	return total, perASID
 }

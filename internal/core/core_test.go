@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"vcache/internal/memory"
@@ -624,3 +625,28 @@ func TestRunDeterminism(t *testing.T) {
 // designL1OnlyVC32 adapts the parameterized preset to a nullary maker for
 // table-driven tests.
 func designL1OnlyVC32() Config { return DesignL1OnlyVC(32) }
+
+// TestNewAllocsIndependentOfSets pins that a System's set-associative
+// structures allocate once per lane, not once per set: a baseline-16K
+// System (2,048 IOMMU-TLB sets) allocates no more than a baseline-512 one
+// (64 sets), and vc-opt, which adds the 2,048-set FBT, at most a handful
+// more. GC runs during the measurement are held off, since the count is
+// process-wide.
+func TestNewAllocsIndependentOfSets(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(cfg Config) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := New(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	b512, b16k, vcopt := allocs(DesignBaseline512()), allocs(DesignBaseline16K()), allocs(DesignVCOpt())
+	t.Logf("core.New allocations: baseline-512 %v, baseline-16K %v, vc-opt %v", b512, b16k, vcopt)
+	if b16k > b512 {
+		t.Errorf("baseline-16K allocates %v times, baseline-512 %v: allocations grow with the set count", b16k, b512)
+	}
+	if vcopt > b512+16 {
+		t.Errorf("vc-opt allocates %v times, more than baseline-512's %v plus 16", vcopt, b512)
+	}
+}

@@ -91,8 +91,8 @@ func (s *System) CheckInvariants() error {
 				}
 			}
 			for vpn, n := range counts {
-				if s.filters[cu][vpn] < n {
-					return fmt.Errorf("cu %d filter undercounts page %#x: %d < %d", cu, uint64(vpn), s.filters[cu][vpn], n)
+				if f, _ := s.filters[cu].Get(uint64(vpn)); int(f) < n {
+					return fmt.Errorf("cu %d filter undercounts page %#x: %d < %d", cu, uint64(vpn), f, n)
 				}
 			}
 		}

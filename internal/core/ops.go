@@ -31,7 +31,7 @@ func (s *System) Shootdown(va memory.VAddr) {
 		// page in each of them.
 		for cu, l1 := range s.l1s {
 			if l1.InvalidatePage(s.vkey(va)) > 0 {
-				delete(s.filters[cu], vpn)
+				s.filters[cu].Delete(uint64(vpn))
 			}
 		}
 	}

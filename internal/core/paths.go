@@ -69,12 +69,12 @@ func (p *waitPool) put(list []*request) {
 // lineReady(key, ...) exactly once. Waiter lists come from a pool refilled
 // by lineReady, so merging allocates nothing at steady state.
 func (s *System) fetchLine(key uint64, r *request) (lead bool) {
-	if list, outstanding := s.l2Pending[key]; outstanding {
+	if list := s.l2Pending.Ref(key); list != nil {
 		s.lineMerges++
-		s.l2Pending[key] = append(list, r)
+		*list = append(*list, r)
 		return false
 	}
-	s.l2Pending[key] = append(s.linePool.get(), r)
+	s.l2Pending.Put(key, append(s.linePool.get(), r))
 	return true
 }
 
@@ -84,8 +84,7 @@ func (s *System) fetchLine(key uint64, r *request) (lead bool) {
 // may re-enter fetchLine; the list returns to the pool only after the last
 // one ran, so reentrant fetches never see it.
 func (s *System) lineReady(key uint64, perm memory.Perm, filled bool) {
-	list := s.l2Pending[key]
-	delete(s.l2Pending, key)
+	list, _ := s.l2Pending.Delete(key)
 	for _, w := range list {
 		w.lineFilled(perm, filled)
 	}
@@ -168,17 +167,17 @@ func (r *request) missToIOMMU() {
 	if s.cfg.ProbeResidency {
 		s.classifyTLBMiss(cu, r.line)
 	}
-	pending := s.tlbPending[cu]
-	if list, outstanding := pending[vpn]; outstanding {
+	pending := &s.tlbPending[cu]
+	if list := pending.Ref(uint64(vpn)); list != nil {
 		st := &s.cuStats[cu]
 		st.tlbMerges++
-		if list == nil {
-			list = st.tlbLists.get()
+		if *list == nil {
+			*list = st.tlbLists.get()
 		}
-		pending[vpn] = append(list, r)
+		*list = append(*list, r)
 		return
 	}
-	pending[vpn] = nil
+	pending.Put(uint64(vpn), nil)
 	s.sendToBackend(cu, routeIOMMU, r, stIOMMU)
 }
 
@@ -214,8 +213,7 @@ func (r *request) fillTLB() {
 			}
 		}
 	}
-	waiters := s.tlbPending[cu][vpn]
-	delete(s.tlbPending[cu], vpn)
+	waiters, _ := s.tlbPending[cu].Delete(uint64(vpn))
 	r.resolved(res)
 	for _, w := range waiters {
 		w.resolved(res)

@@ -1,6 +1,9 @@
 package core
 
-import "vcache/internal/memory"
+import (
+	"vcache/internal/flatmap"
+	"vcache/internal/memory"
+)
 
 // remapTable implements the dynamic synonym remapping of §4.3 (from the
 // authors' earlier ASDT design): a small per-CU table mapping a non-leading
@@ -11,43 +14,42 @@ import "vcache/internal/memory"
 // on shootdowns and context switches.
 type remapTable struct {
 	cap   int
-	m     map[memory.VPN]memory.VPN
-	order []memory.VPN // FIFO replacement
+	m     flatmap.Map[memory.VPN] // VPN -> leading VPN
+	order []memory.VPN            // FIFO replacement
 }
 
 func newRemapTable(capacity int) *remapTable {
 	if capacity <= 0 {
 		capacity = 32
 	}
-	return &remapTable{cap: capacity, m: make(map[memory.VPN]memory.VPN)}
+	return &remapTable{cap: capacity}
 }
 
 // get returns the leading VPN for vpn, if remapped.
 func (r *remapTable) get(vpn memory.VPN) (memory.VPN, bool) {
-	lead, ok := r.m[vpn]
-	return lead, ok
+	return r.m.Get(uint64(vpn))
 }
 
 // put installs vpn -> lead, evicting the oldest entry at capacity.
 func (r *remapTable) put(vpn, lead memory.VPN) {
-	if _, ok := r.m[vpn]; ok {
-		r.m[vpn] = lead
+	if p := r.m.Ref(uint64(vpn)); p != nil {
+		*p = lead
 		return
 	}
-	if len(r.m) >= r.cap {
+	if r.m.Len() >= r.cap {
 		victim := r.order[0]
 		r.order = r.order[1:]
-		delete(r.m, victim)
+		r.m.Delete(uint64(victim))
 	}
-	r.m[vpn] = lead
+	r.m.Put(uint64(vpn), lead)
 	r.order = append(r.order, vpn)
 }
 
 // clear drops every entry.
 func (r *remapTable) clear() {
-	r.m = make(map[memory.VPN]memory.VPN)
+	r.m.Reset()
 	r.order = r.order[:0]
 }
 
 // len returns the live entry count.
-func (r *remapTable) len() int { return len(r.m) }
+func (r *remapTable) len() int { return r.m.Len() }

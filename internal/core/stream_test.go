@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"vcache/internal/memory"
 	"vcache/internal/obs"
 	"vcache/internal/trace"
 	"vcache/internal/workloads"
@@ -129,5 +132,30 @@ func TestStreamedRunTruncatedStreamFails(t *testing.T) {
 	defer c.Close()
 	if _, err := RunCursor(context.Background(), DesignIdeal(), c); err == nil {
 		t.Fatal("RunCursor on corrupted stream succeeded; want error")
+	}
+}
+
+// TestWideAddressesReturnErrors: a lane address beyond the modeled 48-bit
+// virtual address space fails the run with an error instead of aliasing a
+// lower page or panicking, whether it arrives in a chunked file through
+// RunCursor or in memory through RunContext.
+func TestWideAddressesReturnErrors(t *testing.T) {
+	for _, cfg := range []Config{DesignIdeal(), DesignBaseline512(), DesignVCOpt()} {
+		c, err := trace.OpenCursorFile(filepath.Join("..", "trace", "testdata", "wide-lane.v4"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = RunCursor(context.Background(), cfg, c)
+		c.Close()
+		if err == nil || !strings.Contains(err.Error(), "beyond the 48-bit virtual address space") {
+			t.Errorf("%s: RunCursor of a wide lane = %v", cfg.Name, err)
+		}
+
+		b := trace.NewBuilder("wide", 1, 1, 1)
+		b.Warp().Load(0x10000000, 0x10000000+1<<memory.VABits)
+		_, err = RunContext(context.Background(), cfg, b.Build())
+		if err == nil || !strings.Contains(err.Error(), "cu 0 warp 0 inst 0: lane 1") {
+			t.Errorf("%s: RunContext of a wide lane = %v", cfg.Name, err)
+		}
 	}
 }

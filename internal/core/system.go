@@ -8,6 +8,7 @@ import (
 	"vcache/internal/cache"
 	"vcache/internal/dram"
 	"vcache/internal/fbt"
+	"vcache/internal/flatmap"
 	"vcache/internal/gpu"
 	"vcache/internal/iommu"
 	"vcache/internal/memory"
@@ -75,7 +76,7 @@ type System struct {
 	l1s     []*cache.Cache
 	cuTLBs  []*tlb.TLB
 	cuTLB2s []*tlb.TLB           // optional private second-level TLBs
-	filters []map[memory.VPN]int // per-CU L1 invalidation filters
+	filters []flatmap.Map[int32] // per-CU L1 invalidation filters: VPN -> lines in the L1
 	remaps  []*remapTable        // per-CU dynamic synonym remap tables
 
 	asid memory.ASID
@@ -88,12 +89,14 @@ type System struct {
 	// one slot per CU; results sum the slots in CU order.
 	cuStats []cuCounters
 
-	// tlbPending merges concurrent same-page TLB misses per CU; l2Pending
-	// merges concurrent misses to the same line (MSHR behaviour). The
-	// pools recycle drained waiter lists so steady-state miss merging does
-	// not allocate.
-	tlbPending []map[memory.VPN][]*request
-	l2Pending  map[uint64][]*request
+	// tlbPending merges concurrent same-page TLB misses per CU (keyed by
+	// VPN); l2Pending merges concurrent misses to the same line (MSHR
+	// behaviour; keyed by the line's cache address). A key is present
+	// while its miss is outstanding, with a nil list until a second miss
+	// merges behind it. The pools recycle drained waiter lists so
+	// steady-state miss merging does not allocate.
+	tlbPending []flatmap.Map[[]*request]
+	l2Pending  flatmap.Map[[]*request]
 	linePool   waitPool
 	lineMerges uint64
 
@@ -161,15 +164,14 @@ func New(cfg Config) (*System, error) {
 	}
 
 	// Per-CU L1s, TLBs, invalidation filters, and TLB-miss MSHRs.
-	s.l2Pending = make(map[uint64][]*request)
 	s.cuStats = make([]cuCounters, cfg.GPU.NumCUs)
+	s.filters = make([]flatmap.Map[int32], cfg.GPU.NumCUs)
+	s.tlbPending = make([]flatmap.Map[[]*request], cfg.GPU.NumCUs)
 	for i := 0; i < cfg.GPU.NumCUs; i++ {
 		cuEng := s.cuEng(i)
 		l1 := cache.New(cfg.L1)
 		l1.Clock = cuEng.Now
 		s.l1s = append(s.l1s, l1)
-		s.filters = append(s.filters, make(map[memory.VPN]int))
-		s.tlbPending = append(s.tlbPending, make(map[memory.VPN][]*request))
 		if cfg.DynamicSynonymRemap {
 			s.remaps = append(s.remaps, newRemapTable(cfg.RemapEntries))
 		}
@@ -385,7 +387,7 @@ func (s *System) contextSwitch(asid memory.ASID) {
 		if s.cfg.Kind == VirtualHierarchy {
 			for cu := range s.l1s {
 				s.l1s[cu].InvalidateAll()
-				s.filters[cu] = make(map[memory.VPN]int)
+				s.filters[cu].Reset()
 			}
 		}
 	}
@@ -519,6 +521,9 @@ func (s *System) Run(tr *trace.Trace) Results {
 // mid-simulation and returns ctx.Err(). The schedule is a pure function
 // of the configuration: options only add observers.
 func (s *System) RunContext(ctx context.Context, tr *trace.Trace, opts ...Option) (Results, error) {
+	if err := tr.Validate(); err != nil {
+		return Results{}, err
+	}
 	return s.runInput(ctx, materializedInput{tr}, opts)
 }
 
@@ -611,11 +616,11 @@ func (s *System) emitSnapshot(o *options) {
 // onL1Evict maintains the invalidation filter counts and lifetime CDF.
 func (s *System) onL1Evict(cu int, l cache.Line) {
 	if s.cfg.Kind == VirtualHierarchy || s.cfg.Kind == L1OnlyVirtual {
-		vpn := vunkey(l.Addr).Page()
-		if n := s.filters[cu][vpn]; n > 1 {
-			s.filters[cu][vpn] = n - 1
+		vpn := uint64(vunkey(l.Addr).Page())
+		if n := s.filters[cu].Ref(vpn); n != nil && *n > 1 {
+			*n--
 		} else {
-			delete(s.filters[cu], vpn)
+			s.filters[cu].Delete(vpn)
 		}
 	}
 	if s.lifetimes != nil {
@@ -627,7 +632,7 @@ func (s *System) onL1Evict(cu int, l cache.Line) {
 // trackL1Fill bumps the invalidation filter when a line enters an L1.
 func (s *System) trackL1Fill(cu int, va memory.VAddr) {
 	if s.cfg.Kind == VirtualHierarchy || s.cfg.Kind == L1OnlyVirtual {
-		s.filters[cu][va.Page()]++
+		*s.filters[cu].Upsert(uint64(va.Page()))++
 	}
 }
 
@@ -689,9 +694,12 @@ func (s *System) onFBTEvict(v fbt.View) {
 // its whole L1 when its invalidation filter matches the page, and always
 // without filters.
 func (s *System) invalidateL1(cu int, lvpn memory.VPN) {
-	if !s.cfg.InvFilter || s.filters[cu][lvpn] > 0 {
-		s.flushL1(cu)
+	if s.cfg.InvFilter {
+		if n, _ := s.filters[cu].Get(uint64(lvpn)); n == 0 {
+			return
+		}
 	}
+	s.flushL1(cu)
 }
 
 func (s *System) flushL1(cu int) {
@@ -700,7 +708,7 @@ func (s *System) flushL1(cu int) {
 	}
 	s.cuStats[cu].l1FullFlushes++
 	s.l1s[cu].InvalidateAll()
-	s.filters[cu] = make(map[memory.VPN]int)
+	s.filters[cu].Reset()
 }
 
 // writeback completes a dirty line's write to DRAM: nothing waits on it.

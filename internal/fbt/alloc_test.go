@@ -9,7 +9,7 @@ import (
 // TestAllocateZeroAlloc pins the point of the flat forward table: once the
 // FBT is built, the steady-state allocate/evict/shootdown cycle touches the
 // heap zero times. The FT is presized for the BT's capacity in New, BT
-// entries live in the set arrays rather than behind per-entry pointers, and
+// entries live in flat slot lanes rather than behind per-entry pointers, and
 // probe-path reclamation replaces map rebuilds — so nothing on the hot path
 // allocates.
 func TestAllocateZeroAlloc(t *testing.T) {
@@ -25,7 +25,7 @@ func TestAllocateZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(2000, func() {
 		ppn := memory.PPN(uint64(vpn) % 1024)
 		f.Shootdown(memory.ASID(1), vpn-256)
-		if e := f.findPPN(ppn); e == nil {
+		if f.findPPN(ppn) < 0 {
 			f.Allocate(ppn, memory.ASID(1), vpn, memory.PermRead, false)
 		}
 		f.TranslateVPN(memory.ASID(1), vpn)

@@ -83,12 +83,10 @@ func TestFlushASIDFilterProbeConsistent(t *testing.T) {
 // what it drops instead of trusting the residency counters.
 func scanFlushASID(f *FBT, asid memory.ASID) int {
 	n := 0
-	for _, set := range f.sets {
-		for i := range set {
-			if set[i].valid && set[i].ASID == asid && f.liveE(&set[i]) {
-				f.evict(&set[i])
-				n++
-			}
+	for i := 0; i < f.sets.Slots(); i++ {
+		if f.sets.ASID(i) == uint16(asid) && f.sets.Live(i) {
+			f.evict(i)
+			n++
 		}
 	}
 	return n

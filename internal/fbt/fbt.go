@@ -14,16 +14,21 @@
 // synonym checks arrive physical, while shootdowns, L2 evictions, and the
 // FBT-as-second-level-TLB optimization arrive virtual.
 //
-// The FT is a flat open-addressing table from packed (asid, vpn) keys to
-// BT way indices — no per-entry heap allocation, and inserts into a
-// presized table never allocate. Each bulk flush has the one form its
-// owner needs. FlushAll drains the table entry by entry through OnEvict,
-// so the owner invalidates every page's cached data. FlushASID is
-// epoch-based: a generation mark on the address space retires its entries
-// at once without OnEvict (the owner drops that space's cached data
-// itself), and dead entries — in the BT and the FT alike — are reclaimed
-// when next touched by a probe. The scan form of FlushASID survives only
-// as the reference model of the package's differential tests.
+// The BT keeps its entries in flat per-slot lanes indexed set*assoc+way: a
+// tag lane of PPNs, the LRU stamps, birth generations and ASIDs of
+// flatmap.Sets, and a payload lane with the rest. The FT is a flat
+// open-addressing table from packed (asid, vpn) keys to BT slot indices,
+// which index the lanes directly — no per-entry heap allocation, and
+// inserts into a presized table never allocate.
+//
+// Each bulk flush has the one form its owner needs. FlushAll drains the
+// table entry by entry through OnEvict, so the owner invalidates every
+// page's cached data. FlushASID is epoch-based: a generation mark on the
+// address space retires its entries at once without OnEvict (the owner
+// drops that space's cached data itself), and dead entries — in the BT and
+// the FT alike — are reclaimed when next touched by a probe. The scan form
+// of FlushASID survives only as the reference model of the package's
+// differential tests.
 package fbt
 
 import (
@@ -89,13 +94,15 @@ type View struct {
 	Written bool
 }
 
+// entry is a BT entry's payload: what a lookup reads only on a tag match
+// or for the victim.
 type entry struct {
-	View
-	valid      bool
+	lvpn       memory.VPN
+	bitVec     uint32
+	perm       memory.Perm
+	written    bool
 	locked     bool
 	synonymUse bool // a non-leading access has touched this page
-	lru        uint64
-	born       uint32 // generation at allocation (epoch invalidation)
 }
 
 // Stats counts FBT activity.
@@ -116,9 +123,13 @@ type Stats struct {
 
 // FBT is the forward-backward table.
 type FBT struct {
-	cfg  Config
-	sets [][]entry
-	ft   flatmap.Map[int32] // packed (asid, lvpn) -> global BT way index
+	cfg Config
+	// The BT's per-slot lanes, indexed set*assoc+way. A slot holds an
+	// entry while its stamp in sets is nonzero; a tag is the bare PPN.
+	ppns []memory.PPN
+	ents []entry
+	sets flatmap.Sets
+	ft   flatmap.Map[int32] // packed (asid, lvpn) -> BT slot
 	tick uint64
 	st   Stats
 
@@ -158,14 +169,13 @@ func New(cfg Config) *FBT {
 		sets = 1
 	}
 	f := &FBT{cfg: cfg}
-	f.sets = make([][]entry, sets)
-	for i := range f.sets {
-		f.sets[i] = make([]entry, cfg.Assoc)
-	}
+	f.sets.Init(&f.ep, sets, cfg.Assoc)
+	f.ppns = make([]memory.PPN, f.sets.Slots())
+	f.ents = make([]entry, f.sets.Slots())
 	f.ft.Init(&f.ep)
 	// Presize the FT for the BT's capacity: steady-state allocations then
 	// never grow the table, so the insert path stays allocation-free.
-	f.ft.Grow(sets * cfg.Assoc)
+	f.ft.Grow(f.sets.Slots())
 	return f
 }
 
@@ -175,26 +185,10 @@ func (f *FBT) Config() Config { return f.cfg }
 // Stats returns a copy of the counters.
 func (f *FBT) Stats() Stats { return f.st }
 
-func (f *FBT) setIndex(ppn memory.PPN) int {
-	return int(uint64(ppn) % uint64(len(f.sets)))
-}
-
-// entryAt resolves a global way index (set*assoc + way) from the FT.
-func (f *FBT) entryAt(idx int32) *entry {
-	return &f.sets[int(idx)/f.cfg.Assoc][int(idx)%f.cfg.Assoc]
-}
-
-// liveE reports whether a valid entry survived every bulk flush since it
-// was allocated. Callers check valid themselves.
-func (f *FBT) liveE(e *entry) bool {
-	return f.ep.Live(uint16(e.ASID), e.born)
-}
-
-// reclaim frees a dead entry's BT slot. Its FT entry (if not already
-// overwritten by a newer allocation) was born at the same generation, so it
-// is equally dead and the FT reclaims it on its own probe path.
-func (f *FBT) reclaim(e *entry) {
-	e.valid = false
+// view builds the View of the entry in slot i.
+func (f *FBT) view(i int) View {
+	e := &f.ents[i]
+	return View{PPN: f.ppns[i], ASID: memory.ASID(f.sets.ASID(i)), LVPN: e.lvpn, Perm: e.perm, BitVec: e.bitVec, Written: e.written}
 }
 
 // bumpGen advances the generation counter, normalizing first when the next
@@ -209,62 +203,56 @@ func (f *FBT) bumpGen() uint32 {
 // normalize physically drops dead entries and rewinds every generation to
 // zero; one table walk per 2^32 bulk flushes.
 func (f *FBT) normalize() {
-	for si := range f.sets {
-		set := f.sets[si]
-		for i := range set {
-			if !set[i].valid {
-				continue
-			}
-			if !f.liveE(&set[i]) {
-				f.reclaim(&set[i])
-			} else {
-				set[i].born = 0
-			}
-		}
-	}
+	f.sets.Normalize()
 	f.ft.Normalize()
 	f.ep.Reset()
 }
 
-func (f *FBT) findPPN(ppn memory.PPN) *entry {
-	set := f.sets[f.setIndex(ppn)]
-	for i := range set {
-		if set[i].valid && set[i].PPN == ppn {
-			if !f.liveE(&set[i]) {
-				// Reclaim on touch; a live entry for the same PPN may still
-				// follow (allocated after the flush into another way).
-				f.reclaim(&set[i])
-				continue
-			}
-			return &set[i]
+// findPPN returns the slot of ppn's live entry, or -1. A dead entry's slot
+// is reclaimed on touch; its FT entry (if not already overwritten by a
+// newer allocation) was born at the same generation, so it is equally dead
+// and the FT reclaims it on its own probe path.
+func (f *FBT) findPPN(ppn memory.PPN) int {
+	base := f.sets.Base(uint64(ppn))
+	for w, tag := range f.ppns[base : base+f.sets.Ways()] {
+		if tag != ppn {
+			continue
 		}
+		i := base + w
+		if f.sets.Live(i) {
+			return i
+		}
+		// A live entry for the same PPN may still follow (allocated after
+		// the flush into another way).
+		f.sets.Clear(i)
 	}
-	return nil
+	return -1
 }
 
-// ftGet returns the live BT entry whose leading virtual page is (asid,
-// vpn), letting the flat table reclaim dead residue on its probe path.
-func (f *FBT) ftGet(asid memory.ASID, vpn memory.VPN) *entry {
+// ftGet returns the slot of the live BT entry whose leading virtual page
+// is (asid, vpn), or -1, letting the flat table reclaim dead residue on its
+// probe path.
+func (f *FBT) ftGet(asid memory.ASID, vpn memory.VPN) int {
 	idx, ok := f.ft.Get(ftKey(asid, vpn))
 	if !ok {
-		return nil
+		return -1
 	}
-	e := f.entryAt(idx)
-	if !e.valid || e.ASID != asid || e.LVPN != vpn || !f.liveE(e) {
-		return nil
+	i := int(idx)
+	if f.sets.ASID(i) != uint16(asid) || f.ents[i].lvpn != vpn || !f.sets.Live(i) {
+		return -1
 	}
-	return e
+	return i
 }
 
 // LookupPPN returns the entry for ppn, if present (reverse translation for
 // coherence, and the synonym check). Counted as a BT lookup.
 func (f *FBT) LookupPPN(ppn memory.PPN) (View, bool) {
 	f.st.PPNLookups++
-	if e := f.findPPN(ppn); e != nil {
+	if i := f.findPPN(ppn); i >= 0 {
 		f.st.PPNHits++
 		f.tick++
-		e.lru = f.tick
-		return e.View, true
+		f.sets.Touch(i, f.tick)
+		return f.view(i), true
 	}
 	return View{}, false
 }
@@ -277,31 +265,32 @@ func (f *FBT) LookupPPN(ppn memory.PPN) (View, bool) {
 // page previously accessed through a synonym.
 func (f *FBT) Check(ppn memory.PPN, asid memory.ASID, vpn memory.VPN, write bool) (Outcome, View) {
 	f.st.PPNLookups++
-	e := f.findPPN(ppn)
-	if e == nil {
+	i := f.findPPN(ppn)
+	if i < 0 {
 		return Miss, View{}
 	}
 	f.st.PPNHits++
 	f.tick++
-	e.lru = f.tick
-	if e.ASID == asid && e.LVPN == vpn {
+	f.sets.Touch(i, f.tick)
+	e := &f.ents[i]
+	if f.sets.ASID(i) == uint16(asid) && e.lvpn == vpn {
 		if write {
 			if e.synonymUse {
 				f.st.RWSynonymFaults++
-				return RWFault, e.View
+				return RWFault, f.view(i)
 			}
-			e.Written = true
+			e.written = true
 		}
-		return Leading, e.View
+		return Leading, f.view(i)
 	}
 	// Non-leading (synonym) access.
 	f.st.SynonymAccesses++
-	if write || e.Written {
+	if write || e.written {
 		f.st.RWSynonymFaults++
-		return RWFault, e.View
+		return RWFault, f.view(i)
 	}
 	e.synonymUse = true
-	return Synonym, e.View
+	return Synonym, f.view(i)
 }
 
 // Allocate installs an entry making (asid, vpn) the leading virtual page
@@ -309,68 +298,64 @@ func (f *FBT) Check(ppn memory.PPN, asid memory.ASID, vpn memory.VPN, write bool
 // owner can invalidate cached data). Allocating over an existing ppn entry
 // is a programming error and panics: callers must Check first.
 func (f *FBT) Allocate(ppn memory.PPN, asid memory.ASID, vpn memory.VPN, perm memory.Perm, written bool) View {
-	if f.findPPN(ppn) != nil {
+	if f.findPPN(ppn) >= 0 {
 		panic("fbt: Allocate for resident PPN; Check first")
 	}
 	f.st.Allocations++
 	f.tick++
-	si := f.setIndex(ppn)
-	set := f.sets[si]
-	victim := -1
-	for i := range set {
-		if !set[i].valid || !f.liveE(&set[i]) {
-			victim = i
+	// The victim is the first empty or dead way, else the first unlocked
+	// way with the smallest stamp.
+	base := f.sets.Base(uint64(ppn))
+	victim, free := -1, false
+	for i := base; i < base+f.sets.Ways(); i++ {
+		if !f.sets.Live(i) {
+			victim, free = i, true
 			break
 		}
-		if set[i].locked {
+		if f.ents[i].locked {
 			continue
 		}
-		if victim < 0 || set[i].lru < set[victim].lru {
+		if victim < 0 || f.sets.Stamp(i) < f.sets.Stamp(victim) {
 			victim = i
 		}
 	}
 	if victim < 0 {
 		panic("fbt: all ways locked")
 	}
-	if set[victim].valid {
-		if f.liveE(&set[victim]) {
-			f.evict(&set[victim])
-		} else {
-			f.reclaim(&set[victim])
-		}
+	if !free {
+		f.evict(victim)
 	}
-	set[victim] = entry{
-		View:  View{PPN: ppn, ASID: asid, LVPN: vpn, Perm: perm, Written: written},
-		valid: true,
-		lru:   f.tick,
-		born:  f.ep.Gen(),
-	}
-	f.ft.Put(ftKey(asid, vpn), int32(si*f.cfg.Assoc+victim))
+	f.ppns[victim] = ppn
+	f.sets.Fill(victim, f.tick, uint16(asid))
+	f.ents[victim] = entry{lvpn: vpn, perm: perm, written: written}
+	f.ft.Put(ftKey(asid, vpn), int32(victim))
 	f.live++
 	p := f.perASID.Upsert(uint64(asid))
 	*p++
-	return set[victim].View
+	return f.view(victim)
 }
 
-func (f *FBT) evict(e *entry) {
+// evict removes the live entry in slot i, firing OnEvict.
+func (f *FBT) evict(i int) {
+	v := f.view(i)
 	f.st.Evictions++
-	f.ft.Delete(ftKey(e.ASID, e.LVPN))
-	e.valid = false
+	f.ft.Delete(ftKey(v.ASID, v.LVPN))
+	f.sets.Clear(i)
 	f.live--
-	p := f.perASID.Ref(uint64(e.ASID))
+	p := f.perASID.Ref(uint64(v.ASID))
 	*p--
 	if *p == 0 {
-		f.perASID.Delete(uint64(e.ASID))
+		f.perASID.Delete(uint64(v.ASID))
 	}
 	if f.OnEvict != nil {
-		f.OnEvict(e.View)
+		f.OnEvict(v)
 	}
 }
 
 // SetLine marks line idx (0..31) of ppn's page as cached in the L2.
 func (f *FBT) SetLine(ppn memory.PPN, idx int) bool {
-	if e := f.findPPN(ppn); e != nil {
-		e.BitVec |= 1 << uint(idx)
+	if i := f.findPPN(ppn); i >= 0 {
+		f.ents[i].bitVec |= 1 << uint(idx)
 		return true
 	}
 	return false
@@ -380,8 +365,8 @@ func (f *FBT) SetLine(ppn memory.PPN, idx int) bool {
 // (asid, vpn) — the FT path used on L2 evictions, which carry virtual
 // addresses. It reports whether an entry was found.
 func (f *FBT) ClearLine(asid memory.ASID, vpn memory.VPN, idx int) bool {
-	if e := f.ftGet(asid, vpn); e != nil {
-		e.BitVec &^= 1 << uint(idx)
+	if i := f.ftGet(asid, vpn); i >= 0 {
+		f.ents[i].bitVec &^= 1 << uint(idx)
 		return true
 	}
 	return false
@@ -391,8 +376,8 @@ func (f *FBT) ClearLine(asid memory.ASID, vpn memory.VPN, idx int) bool {
 // virtual page (L2 write hits carry no physical address; the FT resolves
 // them).
 func (f *FBT) MarkWrittenVPN(asid memory.ASID, vpn memory.VPN) {
-	if e := f.ftGet(asid, vpn); e != nil {
-		e.Written = true
+	if i := f.ftGet(asid, vpn); i >= 0 {
+		f.ents[i].written = true
 	}
 }
 
@@ -401,11 +386,11 @@ func (f *FBT) MarkWrittenVPN(asid memory.ASID, vpn memory.VPN) {
 // with a live BT entry. This is the paper's "VC With OPT" path that removes
 // most page-table walks after shared-TLB misses.
 func (f *FBT) TranslateVPN(asid memory.ASID, vpn memory.VPN) (memory.PPN, memory.Perm, bool) {
-	if e := f.ftGet(asid, vpn); e != nil {
+	if i := f.ftGet(asid, vpn); i >= 0 {
 		f.st.SecondaryTLBHits++
 		f.tick++
-		e.lru = f.tick
-		return e.PPN, e.Perm, true
+		f.sets.Touch(i, f.tick)
+		return f.ppns[i], f.ents[i].perm, true
 	}
 	f.st.SecondaryTLBMiss++
 	return 0, 0, false
@@ -416,15 +401,15 @@ func (f *FBT) TranslateVPN(asid memory.ASID, vpn memory.VPN) (memory.PPN, memory
 // invalidations), and the shootdown is acknowledged; otherwise the FT
 // filters the request. It reports whether invalidation work was needed.
 func (f *FBT) Shootdown(asid memory.ASID, vpn memory.VPN) bool {
-	e := f.ftGet(asid, vpn)
-	if e == nil {
+	i := f.ftGet(asid, vpn)
+	if i < 0 {
 		f.st.ShootdownsFiltered++
 		return false
 	}
 	f.st.ShootdownsApplied++
-	e.locked = true
-	f.evict(e)
-	e.locked = false
+	f.ents[i].locked = true
+	f.evict(i)
+	f.ents[i].locked = false
 	return true
 }
 
@@ -433,8 +418,8 @@ func (f *FBT) Shootdown(asid memory.ASID, vpn memory.VPN) bool {
 // the BT holds the page. It returns the leading virtual address (and its
 // address space) of the probed line when forwarding is needed.
 func (f *FBT) FilterProbe(pa memory.PAddr) (memory.VAddr, memory.ASID, bool) {
-	e := f.findPPN(pa.Page())
-	if e == nil {
+	i := f.findPPN(pa.Page())
+	if i < 0 {
 		f.st.CoherenceFiltered++
 		f.Trace.Emit("probe.filtered", uint64(pa))
 		return 0, 0, false
@@ -442,27 +427,24 @@ func (f *FBT) FilterProbe(pa memory.PAddr) (memory.VAddr, memory.ASID, bool) {
 	// A probe for a line the L2 doesn't hold and that can't be in the L1s
 	// either (never cached) is also filtered via the bit vector when clear.
 	idx := pa.LineIndex()
-	if e.BitVec&(1<<uint(idx)) == 0 {
+	if f.ents[i].bitVec&(1<<uint(idx)) == 0 {
 		f.st.CoherenceFiltered++
 		f.Trace.Emit("probe.filtered", uint64(pa))
 		return 0, 0, false
 	}
 	f.st.CoherenceForwarded++
 	f.Trace.Emit("probe.forwarded", uint64(pa))
-	va := e.LVPN.Base() + memory.VAddr(uint64(pa)&(memory.PageSize-1))
-	return va, e.ASID, true
+	va := f.ents[i].lvpn.Base() + memory.VAddr(uint64(pa)&(memory.PageSize-1))
+	return va, memory.ASID(f.sets.ASID(i)), true
 }
 
 // FlushAll evicts every entry (all-entry shootdown: full cache flush) one
 // by one through OnEvict, returning the live count dropped.
 func (f *FBT) FlushAll() int {
 	n := f.live
-	for si := range f.sets {
-		set := f.sets[si]
-		for i := range set {
-			if set[i].valid && f.liveE(&set[i]) {
-				f.evict(&set[i])
-			}
+	for i := 0; i < f.sets.Slots(); i++ {
+		if f.sets.Live(i) {
+			f.evict(i)
 		}
 	}
 	return n
@@ -498,8 +480,8 @@ func (f *FBT) ASIDResident(asid memory.ASID) int {
 
 // Entry returns the entry for ppn without counting a lookup (test/debug).
 func (f *FBT) Entry(ppn memory.PPN) (View, bool) {
-	if e := f.findPPN(ppn); e != nil {
-		return e.View, true
+	if i := f.findPPN(ppn); i >= 0 {
+		return f.view(i), true
 	}
 	return View{}, false
 }

@@ -1,7 +1,10 @@
 // Package flatmap provides the open-addressing hash tables behind the
-// simulator's translation hot paths: the infinite-mode TLB, the FBT forward
-// table, the page-table mirror and reverse synonym map, and the per-ASID
-// side tables used by epoch invalidation.
+// simulator's per-line paths: the infinite-mode TLB, the FBT forward
+// table, the page-table mirror and reverse synonym map, the per-ASID side
+// tables used by epoch invalidation, the miss-merge tables, the L1
+// invalidation filters and the synonym remap tables. It also holds Sets,
+// the flat per-slot bookkeeping of the set-associative caches, TLBs and
+// FBT, which share the tables' epoch liveness.
 //
 // A Map is a power-of-two, linear-probing table in SoA layout — parallel
 // control/key/generation/value arrays — with packed uint64 keys and inline
@@ -67,17 +70,33 @@ func (ep *Epoch) Bump() uint32 {
 }
 
 // Live reports whether an entry born at the given generation in the given
-// address space has survived every bulk invalidation since.
+// address space has survived every bulk invalidation since. It inlines; the
+// per-ASID probe, needed only while some address space carries a death
+// mark, stays out of line.
 func (ep *Epoch) Live(asid uint16, born uint32) bool {
-	if born < ep.deadAll {
-		return false
-	}
+	return born >= ep.deadAll && (ep.dead.used == 0 || ep.liveASID(asid, born))
+}
+
+// liveASID checks born against asid's death mark, if it has one.
+func (ep *Epoch) liveASID(asid uint16, born uint32) bool {
+	d, ok := ep.dead.Get(uint64(asid))
+	return !ok || born >= d
+}
+
+// Marked reports whether any death mark is set. While it is false every
+// entry is live, so a scan may skip the per-entry check.
+func (ep *Epoch) Marked() bool { return ep.deadAll != 0 || ep.dead.used != 0 }
+
+// Floor returns the generation below which an entry of asid is dead:
+// Live(asid, born) == (born >= Floor(asid)). A scan over entries of few
+// address spaces probes the per-ASID marks once per space this way.
+func (ep *Epoch) Floor(asid uint16) uint32 {
 	if ep.dead.used != 0 {
-		if d, ok := ep.dead.Get(uint64(asid)); ok && born < d {
-			return false
+		if d, ok := ep.dead.Get(uint64(asid)); ok && d > ep.deadAll {
+			return d
 		}
 	}
-	return true
+	return ep.deadAll
 }
 
 // MarkDeadAll retires every entry born before g. Per-ASID marks are

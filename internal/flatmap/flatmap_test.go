@@ -310,3 +310,28 @@ func TestSweepReclaimsInsteadOfGrowing(t *testing.T) {
 		t.Fatalf("capacity exploded under churn: %d -> %d", c0, m.Cap())
 	}
 }
+
+// TestEpochFloor: Floor is the generation Live compares against, for
+// every address space, across all-entry and per-ASID death marks.
+func TestEpochFloor(t *testing.T) {
+	var ep Epoch
+	rng := rand.New(rand.NewSource(5))
+	for op := 0; op < 2000; op++ {
+		switch asid := uint16(rng.Intn(6)); rng.Intn(8) {
+		case 0:
+			ep.MarkDeadAll(ep.Bump())
+		case 1, 2:
+			ep.MarkDeadASID(asid, ep.Bump())
+		default:
+			ep.Bump()
+		}
+		for asid := uint16(0); asid < 6; asid++ {
+			f := ep.Floor(asid)
+			for _, born := range []uint32{0, f - 1, f, f + 1, ep.Gen()} {
+				if got, want := born >= f, ep.Live(asid, born); got != want {
+					t.Fatalf("op %d: asid %d born %d: born >= Floor %d is %v, Live %v", op, asid, born, f, got, want)
+				}
+			}
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"vcache/internal/fbt"
+	"vcache/internal/flatmap"
 	"vcache/internal/memory"
 	"vcache/internal/obs"
 	"vcache/internal/ptw"
@@ -110,17 +111,14 @@ type IOMMU struct {
 
 	// pending merges concurrent misses to the same page into one walk,
 	// like the walker's MSHRs: duplicates attach their clients to the
-	// outstanding walk. Drained waiter lists recycle through waitPool and
-	// lookup records through free, so steady-state translation allocates
-	// nothing.
-	pending  map[pendKey][]Client
+	// outstanding walk. It is keyed by flatmap.Key(asid, vpn), and a key is
+	// present while its walk is outstanding, with a nil list until a second
+	// miss merges behind it. Drained waiter lists recycle through waitPool
+	// and lookup records through free, so steady-state translation
+	// allocates nothing.
+	pending  flatmap.Map[[]Client]
 	waitPool [][]Client
 	free     []*lookup
-}
-
-type pendKey struct {
-	asid memory.ASID
-	vpn  memory.VPN
 }
 
 // New builds an IOMMU. The walker must be constructed by the caller so it
@@ -139,7 +137,6 @@ func New(eng *sim.Engine, cfg Config, walker *ptw.Walker) *IOMMU {
 		walker:  walker,
 		sampler: stats.NewIntervalSampler(cfg.SampleWindow),
 		delays:  stats.NewHistogram(1),
-		pending: make(map[pendKey][]Client),
 	}
 	for i := 0; i < cfg.Banks; i++ {
 		io.ports = append(io.ports, sim.NewBandwidthServer(eng, cfg.LookupsPerCycle))
@@ -283,23 +280,23 @@ func (io *IOMMU) insertTLB(asid memory.ASID, vpn memory.VPN, pte memory.PTE) {
 // walk resolves a shared-TLB miss: l leads a page-table walk, or its client
 // attaches to the outstanding walk of the same page.
 func (io *IOMMU) walk(l *lookup) {
-	k := pendKey{l.asid, l.vpn}
-	if list, outstanding := io.pending[k]; outstanding {
+	k := flatmap.Key(uint16(l.asid), uint64(l.vpn))
+	if list := io.pending.Ref(k); list != nil {
 		// A walk for this page is already in flight: attach to it.
 		io.st.MergedWalks++
-		if list == nil {
+		if *list == nil {
 			if n := len(io.waitPool); n > 0 {
-				list = io.waitPool[n-1]
+				*list = io.waitPool[n-1]
 				io.waitPool = io.waitPool[:n-1]
 			} else {
-				list = make([]Client, 0, 8)
+				*list = make([]Client, 0, 8)
 			}
 		}
-		io.pending[k] = append(list, l.c)
+		*list = append(*list, l.c)
 		io.release(l)
 		return
 	}
-	io.pending[k] = nil
+	io.pending.Put(k, nil)
 	io.st.Walks++
 	io.walker.Walk(l.vpn, l)
 }
@@ -316,9 +313,7 @@ func (l *lookup) Walked(r ptw.Result) {
 		io.insertTLB(l.asid, l.vpn, r.PTE)
 		res = Result{PTE: r.PTE}
 	}
-	k := pendKey{l.asid, l.vpn}
-	waiters := io.pending[k]
-	delete(io.pending, k)
+	waiters, _ := io.pending.Delete(flatmap.Key(uint16(l.asid), uint64(l.vpn)))
 	io.deliver(l, res)
 	for _, c := range waiters {
 		c.Translated(res)

@@ -16,6 +16,15 @@ const (
 	LinesPerPage = PageSize / LineSize // 32
 )
 
+// The modeled virtual address space: the four 9-bit levels of the radix
+// page table over 4KB pages give 36-bit VPNs and 48-bit addresses. A
+// larger address would alias a smaller one in the table, so inputs
+// carrying one are rejected before they reach it.
+const (
+	VPNBits = Levels * bitsPerLevel // 36
+	VABits  = PageShift + VPNBits   // 48
+)
+
 // VAddr is a virtual byte address.
 type VAddr uint64
 

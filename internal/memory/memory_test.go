@@ -80,6 +80,31 @@ func TestPageTableMapLookupUnmap(t *testing.T) {
 	}
 }
 
+// TestMapRejectsWideVPNs: the radix table keeps 36 VPN bits, so a VPN at
+// or beyond 1<<36 would share a leaf with a smaller one (mapping
+// 0x10000000 and 0x10000000+1<<48 once left one page that Translate and
+// the walker resolved differently). Map and MapLarge panic on one instead.
+func TestMapRejectsWideVPNs(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	as := NewAddressSpace(1, NewFrameAlloc(0x1000))
+	as.EnsureMapped(0x10000000)
+	mustPanic("EnsureMapped beyond 48 bits", func() { as.EnsureMapped(0x10000000 + 1<<VABits) })
+	mustPanic("Map of VPN 1<<36", func() { as.Table.Map(1<<VPNBits, 7, PermRead) })
+	mustPanic("MapLarge of VPN 1<<36", func() { as.Table.MapLarge(1<<VPNBits, 1<<9, PermRead) })
+	as.Table.Map(1<<VPNBits-1, 7, PermRead)
+	if as.Table.Pages() != 2 {
+		t.Fatalf("Pages = %d, want 2", as.Table.Pages())
+	}
+}
+
 func TestPageTableWalkTrace(t *testing.T) {
 	fa := NewFrameAlloc(0x1000)
 	pt := NewPageTable(fa)

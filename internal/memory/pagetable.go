@@ -90,8 +90,19 @@ func entryAddr(n *node, vpn VPN, level int) PAddr {
 	return n.frame.Base() + PAddr(levelIndex(vpn, level)*8)
 }
 
-// Map installs (or replaces) a translation vpn -> ppn with perm.
+// checkVPN panics on a VPN beyond the modeled address space, which would
+// alias a smaller one in the table. Trace inputs are checked on entry, so
+// only a bug reaches it.
+func checkVPN(vpn VPN) {
+	if vpn>>VPNBits != 0 {
+		panic(fmt.Sprintf("memory: vpn %#x beyond the %d-bit VPN space", uint64(vpn), VPNBits))
+	}
+}
+
+// Map installs (or replaces) a translation vpn -> ppn with perm. It panics
+// on a VPN beyond the modeled address space.
 func (pt *PageTable) Map(vpn VPN, ppn PPN, perm Perm) {
+	checkVPN(vpn)
 	n := pt.root
 	for level := 0; level < Levels-1; level++ {
 		idx := levelIndex(vpn, level)
@@ -132,11 +143,13 @@ func (pt *PageTable) Unmap(vpn VPN) bool {
 
 // MapLarge installs a 2MB mapping: vpn and ppn must be 512-page aligned;
 // the region's translations resolve at the PD level. Panics on
-// misalignment or when 4KB mappings already occupy the slot's subtree.
+// misalignment, on a VPN beyond the modeled address space, or when 4KB
+// mappings already occupy the slot's subtree.
 func (pt *PageTable) MapLarge(vpn VPN, ppn PPN, perm Perm) {
 	if uint64(vpn)&(PagesPerLarge-1) != 0 || uint64(ppn)&(PagesPerLarge-1) != 0 {
 		panic(fmt.Sprintf("memory: MapLarge misaligned vpn=%#x ppn=%#x", uint64(vpn), uint64(ppn)))
 	}
+	checkVPN(vpn)
 	n := pt.root
 	for level := 0; level < Levels-2; level++ {
 		idx := levelIndex(vpn, level)

@@ -120,12 +120,10 @@ func scanInvalidate(tb *TLB, asid memory.ASID, all bool) int {
 			}
 		}
 	}
-	for _, set := range tb.sets {
-		for i := range set {
-			if set[i].valid && tb.live(&set[i]) && (all || set[i].ASID == asid) {
-				tb.evict(&set[i])
-				n++
-			}
+	for i := 0; i < tb.sets.Slots(); i++ {
+		if tb.sets.Live(i) && (all || tb.sets.ASID(i) == uint16(asid)) {
+			tb.evict(i)
+			n++
 		}
 	}
 	return n

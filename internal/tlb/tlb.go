@@ -5,6 +5,11 @@
 // the appendix figure comparing TLB-entry residence against cache-line
 // residence.
 //
+// A finite TLB keeps its entries in flat per-slot lanes indexed
+// set*ways+way: a tag lane of VPNs, the LRU stamps, birth generations and
+// ASIDs of flatmap.Sets, and a payload lane with the rest, so a lookup
+// compares tags and an insert scans tags and stamps.
+//
 // Bulk invalidation (InvalidateAll / InvalidateASID) is epoch-based: each
 // entry records the generation it was inserted under, a bulk invalidation
 // bumps a generation counter and defers the physical work, and dead
@@ -34,10 +39,7 @@ type Entry struct {
 	Perm  memory.Perm
 	Large bool
 
-	valid      bool
-	lru        uint64
-	insertedAt uint64
-	born       uint32 // generation at insertion (epoch invalidation)
+	insertedAt uint64 // residence start, for the OnEvict lifetime
 }
 
 // Frame returns the physical frame for vpn, which must lie in the entry's
@@ -88,10 +90,25 @@ type asidCnt struct {
 	large int // of which 2MB entries
 }
 
+// slot is a finite-mode entry's payload: what a lookup reads only on a tag
+// match or for the victim.
+type slot struct {
+	ppn        memory.PPN
+	insertedAt uint64
+	perm       memory.Perm
+	large      bool
+}
+
 // TLB is a translation lookaside buffer.
 type TLB struct {
-	cfg      Config
-	sets     [][]Entry
+	cfg Config
+	// Finite mode's per-slot lanes, indexed set*ways+way. A slot holds an
+	// entry while its stamp in sets is nonzero; a tag is the bare VPN (a
+	// 2MB entry's region base), matched together with the slot's ASID and
+	// size, so the key is exact for every (asid, vpn, large).
+	tags     []memory.VPN
+	slots    []slot
+	sets     flatmap.Sets
 	isInf    bool
 	inf      flatmap.Map[Entry] // infinite mode: 4KB entries, packed (asid, vpn) keys
 	infLarge flatmap.Map[Entry] // infinite mode: 2MB entries, keyed by region base
@@ -142,10 +159,9 @@ func New(cfg Config) *TLB {
 	if numSets < 1 {
 		numSets = 1
 	}
-	t.sets = make([][]Entry, numSets)
-	for i := range t.sets {
-		t.sets[i] = make([]Entry, assoc)
-	}
+	t.sets.Init(&t.ep, numSets, assoc)
+	t.tags = make([]memory.VPN, t.sets.Slots())
+	t.slots = make([]slot, t.sets.Slots())
 	return t
 }
 
@@ -162,20 +178,26 @@ func (t *TLB) now() uint64 {
 	return t.tick
 }
 
-func (t *TLB) setIndex(asid memory.ASID, vpn memory.VPN) int {
-	h := uint64(vpn) ^ (uint64(asid) << 13)
-	return int(h % uint64(len(t.sets)))
+// base returns the first slot of (asid, vpn)'s set.
+func (t *TLB) base(asid memory.ASID, vpn memory.VPN) int {
+	return t.sets.Base(uint64(vpn) ^ uint64(asid)<<13)
+}
+
+// entry builds the Entry held in slot i.
+func (t *TLB) entry(i int) Entry {
+	s := &t.slots[i]
+	return Entry{ASID: memory.ASID(t.sets.ASID(i)), VPN: t.tags[i], PPN: s.ppn, Perm: s.perm, Large: s.large, insertedAt: s.insertedAt}
+}
+
+// keyed reports whether slot i's entry, live or not, belongs to asid and
+// has the given size; callers compare the tag first.
+func (t *TLB) keyed(i int, asid memory.ASID, large bool) bool {
+	return t.sets.ASID(i) == uint16(asid) && t.slots[i].large == large
 }
 
 // largeBase returns the 2MB-region base of vpn.
 func largeBase(vpn memory.VPN) memory.VPN {
 	return vpn &^ memory.VPN(memory.PagesPerLarge-1)
-}
-
-// live reports whether a valid entry survived every bulk invalidation since
-// it was inserted. Callers check valid themselves.
-func (t *TLB) live(e *Entry) bool {
-	return t.ep.Live(uint16(e.ASID), e.born)
 }
 
 func (t *TLB) incCount(asid memory.ASID, large bool) {
@@ -216,40 +238,30 @@ func (t *TLB) normalize() {
 		t.inf.Normalize()
 		t.infLarge.Normalize()
 	} else {
-		for _, set := range t.sets {
-			for i := range set {
-				if !set[i].valid {
-					continue
-				}
-				if !t.live(&set[i]) {
-					set[i].valid = false
-				} else {
-					set[i].born = 0
-				}
-			}
-		}
+		t.sets.Normalize()
 	}
 	t.ep.Reset()
 }
 
-// find returns the live finite-mode entry for (asid, vpn, large),
-// reclaiming a dead match on touch. vpn must be the region base for large
-// entries.
-func (t *TLB) find(asid memory.ASID, vpn memory.VPN, large bool) *Entry {
-	set := t.sets[t.setIndex(asid, vpn)]
-	for i := range set {
-		if set[i].valid && set[i].ASID == asid && set[i].VPN == vpn && set[i].Large == large {
-			if !t.live(&set[i]) {
-				// Reclaim the dead slot on touch; a live entry with the
-				// same key may still follow (inserted after the bulk
-				// invalidation into another way).
-				set[i].valid = false
-				continue
-			}
-			return &set[i]
+// find returns the slot of the live finite-mode entry for (asid, vpn,
+// large), or -1, reclaiming a dead match on touch. vpn must be the region
+// base for large entries.
+func (t *TLB) find(asid memory.ASID, vpn memory.VPN, large bool) int {
+	base := t.base(asid, vpn)
+	for w, tag := range t.tags[base : base+t.sets.Ways()] {
+		i := base + w
+		if tag != vpn || !t.keyed(i, asid, large) {
+			continue
 		}
+		if t.sets.Live(i) {
+			return i
+		}
+		// Reclaim the dead slot on touch; a live entry with the same key
+		// may still follow (inserted after the bulk invalidation into
+		// another way).
+		t.sets.Clear(i)
 	}
-	return nil
+	return -1
 }
 
 // Lookup searches for (asid, vpn), updating LRU state and hit/miss
@@ -273,17 +285,14 @@ func (t *TLB) Lookup(asid memory.ASID, vpn memory.VPN) (Entry, bool) {
 		t.Trace.Emit("miss", uint64(vpn))
 		return Entry{}, false
 	}
-	if e := t.find(asid, vpn, false); e != nil {
-		e.lru = t.tick
-		t.stats.Hits++
-		return *e, true
+	i := t.find(asid, vpn, false)
+	if i < 0 && t.large > 0 {
+		i = t.find(asid, largeBase(vpn), true)
 	}
-	if t.large > 0 {
-		if e := t.find(asid, largeBase(vpn), true); e != nil {
-			e.lru = t.tick
-			t.stats.Hits++
-			return *e, true
-		}
+	if i >= 0 {
+		t.sets.Touch(i, t.tick)
+		t.stats.Hits++
+		return t.entry(i), true
 	}
 	t.stats.Misses++
 	t.Trace.Emit("miss", uint64(vpn))
@@ -300,13 +309,10 @@ func (t *TLB) Probe(asid memory.ASID, vpn memory.VPN) bool {
 		_, ok := t.infLarge.Get(infKey(asid, largeBase(vpn)))
 		return ok
 	}
-	if t.find(asid, vpn, false) != nil {
+	if t.find(asid, vpn, false) >= 0 {
 		return true
 	}
-	if t.large > 0 && t.find(asid, largeBase(vpn), true) != nil {
-		return true
-	}
-	return false
+	return t.large > 0 && t.find(asid, largeBase(vpn), true) >= 0
 }
 
 // Insert installs a 4KB translation, evicting the LRU entry of the set if
@@ -325,12 +331,9 @@ func (t *TLB) InsertLarge(asid memory.ASID, baseVPN memory.VPN, basePPN memory.P
 func (t *TLB) insert(e Entry) {
 	t.tick++
 	t.stats.Inserts++
-	e.valid = true
-	e.lru = t.tick
-	e.insertedAt = t.now()
-	e.born = t.ep.Gen()
 	asid, vpn := e.ASID, e.VPN
 	if t.isInf {
+		e.insertedAt = t.now()
 		m := &t.inf
 		if e.Large {
 			m = &t.infLarge
@@ -343,27 +346,22 @@ func (t *TLB) insert(e Entry) {
 		}
 		return
 	}
-	set := t.sets[t.setIndex(asid, vpn)]
-	victim, vfree := 0, false
-	for i := range set {
-		li := &set[i]
-		free := !li.valid || !t.live(li)
-		if !free && li.ASID == asid && li.VPN == vpn && li.Large == e.Large {
-			keep := li.insertedAt
-			*li = e
-			li.insertedAt = keep
+	base := t.base(asid, vpn)
+	for w, tag := range t.tags[base : base+t.sets.Ways()] {
+		if i := base + w; tag == vpn && t.keyed(i, asid, e.Large) && t.sets.Live(i) {
+			// Refresh in place, keeping the residence start.
+			t.sets.Fill(i, t.tick, uint16(asid))
+			t.slots[i].ppn, t.slots[i].perm = e.PPN, e.Perm
 			return
 		}
-		if free {
-			victim, vfree = i, true
-		} else if !vfree && li.lru < set[victim].lru {
-			victim = i
-		}
 	}
-	if set[victim].valid && t.live(&set[victim]) {
-		t.evict(&set[victim])
+	i, free := t.sets.Victim(base)
+	if !free {
+		t.evict(i)
 	}
-	set[victim] = e
+	t.tags[i] = vpn
+	t.sets.Fill(i, t.tick, uint16(asid))
+	t.slots[i] = slot{ppn: e.PPN, insertedAt: t.now(), perm: e.Perm, large: e.Large}
 	t.incCount(asid, e.Large)
 	if e.Large {
 		t.large++
@@ -379,9 +377,11 @@ func (t *TLB) evictNotify(e Entry) {
 	}
 }
 
-func (t *TLB) evict(e *Entry) {
-	t.evictNotify(*e)
-	e.valid = false
+// evict removes the live finite-mode entry in slot i.
+func (t *TLB) evict(i int) {
+	e := t.entry(i)
+	t.evictNotify(e)
+	t.sets.Clear(i)
 	if e.Large {
 		t.large--
 	}
@@ -416,13 +416,13 @@ func (t *TLB) InvalidatePage(asid memory.ASID, vpn memory.VPN) bool {
 		}
 		return hit
 	}
-	if e := t.find(asid, vpn, false); e != nil {
-		t.evict(e)
+	if i := t.find(asid, vpn, false); i >= 0 {
+		t.evict(i)
 		hit = true
 	}
 	if t.large > 0 {
-		if e := t.find(asid, largeBase(vpn), true); e != nil {
-			t.evict(e)
+		if i := t.find(asid, largeBase(vpn), true); i >= 0 {
+			t.evict(i)
 			hit = true
 		}
 	}

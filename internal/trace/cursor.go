@@ -282,7 +282,7 @@ func (c *Cursor) readFooter() error {
 	if d.err == nil && npremap > 0 {
 		c.premap = make([]memory.VPN, 0, min64(npremap, 1<<16))
 		for i := uint64(0); i < npremap && d.err == nil; i++ {
-			c.premap = append(c.premap, memory.VPN(d.uvarint("premap entry", math.MaxUint64)))
+			c.premap = append(c.premap, memory.VPN(d.uvarint("premap VPN", 1<<memory.VPNBits-1)))
 		}
 	}
 	total := 0
@@ -643,14 +643,19 @@ func (c *Cursor) parseChunk(payload []byte) ([]warpSegment, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
+	// One OR per address tells whether any lies beyond the modeled address
+	// space; only then are the lanes searched for it.
 	arena := make([]memory.VAddr, arenaLen)
+	var bits memory.VAddr
 	for i := range arena {
 		arena[i] = memory.VAddr(binary.LittleEndian.Uint64(d.buf[d.off:]))
+		bits |= arena[i]
 		d.off += 8
 	}
+	wide := bits>>memory.VABits != 0
 	for i := range segs {
 		segs[i].seg.Arena = arena
-		for _, in := range segs[i].seg.Insts {
+		for j, in := range segs[i].seg.Insts {
 			if in.Kind != Load && in.Kind != Store {
 				continue
 			}
@@ -660,6 +665,12 @@ func (c *Cursor) parseChunk(payload []byte) ([]warpSegment, error) {
 			if uint64(in.Off)+uint64(in.Lanes) > arenaLen {
 				return nil, fmt.Errorf("lane reference [%d, %d) outside chunk arena of %d",
 					in.Off, uint64(in.Off)+uint64(in.Lanes), arenaLen)
+			}
+			if wide {
+				if err := checkLanes(arena[in.Off : uint64(in.Off)+uint64(in.Lanes)]); err != nil {
+					cu, warp := c.cuWarp(segs[i].gw)
+					return nil, fmt.Errorf("cu %d warp %d inst %d of the chunk's segment: %w", cu, warp, j, err)
+				}
 			}
 		}
 	}

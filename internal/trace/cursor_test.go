@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc64"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -143,6 +144,11 @@ var oneWarp = append(append(uvs(0, 1), 'h'), uvs(1, 1, 1)...)
 // into a v4 stream whose footer declares len(frames) chunks, no premap
 // pages, the given per-warp totals and an empty summary.
 func handFile(header []byte, frames [][]byte, totals ...uint64) []byte {
+	return handFilePremap(header, frames, nil, totals...)
+}
+
+// handFilePremap is handFile with the given premap pages in the footer.
+func handFilePremap(header []byte, frames [][]byte, premap []uint64, totals ...uint64) []byte {
 	b := append(chunkFileMagic[:len(chunkFileMagic):len(chunkFileMagic)], header...)
 	b = binary.LittleEndian.AppendUint64(b, crc64.Checksum(b, crcTable))
 	var rollup uint64
@@ -152,7 +158,8 @@ func handFile(header []byte, frames [][]byte, totals ...uint64) []byte {
 	}
 	footer := len(b)
 	body := binary.LittleEndian.AppendUint64(uvs(uint64(len(frames))), rollup)
-	body = append(body, uvs(0)...)
+	body = append(body, uvs(uint64(len(premap)))...)
+	body = append(body, uvs(premap...)...)
 	body = append(body, uvs(totals...)...)
 	body = append(body, uvs(0, 0, 0, 0, 0, 0, 0)...)
 	body = append(body, make([]byte, 16)...)
@@ -241,5 +248,49 @@ func TestReadValidatesArenaRefs(t *testing.T) {
 	}
 	if err := sampleTrace().Validate(); err != nil {
 		t.Fatalf("valid trace failed validation: %v", err)
+	}
+}
+
+// wideLaneFile is a one-warp v4 stream whose only load has a lane at
+// 1<<48, beyond the modeled virtual address space, while its footer is
+// well formed. testdata/wide-lane.v4 holds these bytes for the tests of
+// the packages that replay files.
+func wideLaneFile() []byte {
+	chunk := handChunk([]Inst{{Kind: Load, Lanes: 2}}, 0x1000, 1<<memory.VABits|0x2000)
+	return handFile(oneWarp, [][]byte{handFrame(chunk)}, 1)
+}
+
+// TestWideAddressesRejected: addresses at or beyond 1<<48 (VPNs at or
+// beyond 1<<36) would alias lower ones in the radix page table, so every
+// way a trace enters is checked — Validate (and so WriteChunked), a
+// chunk's lanes and the footer's premap — and the errors name the access.
+func TestWideAddressesRejected(t *testing.T) {
+	b := NewBuilder("wide", 1, 1, 2)
+	b.Warp().Load(0x1000)
+	b.Warp().Compute(1).Load(0x3000, 0x10000000+1<<memory.VABits)
+	tr := b.Build()
+	const want = "cu 0 warp 1 inst 1: lane 1 address 0x1000010000000 beyond the 48-bit virtual address space"
+	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Validate = %v, want an error containing %q", err, want)
+	}
+	if err := tr.WriteChunked(&bytes.Buffer{}, ChunkOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("WriteChunked = %v, want an error containing %q", err, want)
+	}
+
+	err := decode(wideLaneFile())
+	if err == nil || !strings.Contains(err.Error(), "chunk 0: cu 0 warp 0 inst 0 of the chunk's segment: lane 1 address 0x1000000002000") {
+		t.Fatalf("Materialize of a wide lane = %v", err)
+	}
+	fixture, rerr := os.ReadFile(filepath.Join("testdata", "wide-lane.v4"))
+	if rerr != nil || !bytes.Equal(fixture, wideLaneFile()) {
+		t.Fatalf("testdata/wide-lane.v4 differs from wideLaneFile (read error %v)", rerr)
+	}
+
+	chunk := handChunk([]Inst{{Kind: Load, Lanes: 1}}, 0x1000)
+	for _, vpn := range []uint64{1<<memory.VPNBits - 1, 1 << memory.VPNBits} {
+		_, err := NewCursor(bytes.NewReader(handFilePremap(oneWarp, [][]byte{handFrame(chunk)}, []uint64{1, vpn}, 1)))
+		if ok := vpn < 1<<memory.VPNBits; ok != (err == nil) {
+			t.Fatalf("premap VPN %#x: open error %v", vpn, err)
+		}
 	}
 }

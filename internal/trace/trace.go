@@ -140,12 +140,21 @@ func (t *Trace) Summarize() Summary {
 }
 
 // Validate checks the trace's structural invariants: every Load/Store
-// carries 1 to maxLanes lanes, and its lane-arena reference lies inside
-// the arena. Materialize calls it on every decoded trace, so a corrupt
-// file can never provoke an out-of-bounds access during replay, and
-// WriteChunked calls it before encoding.
+// carries 1 to maxLanes lanes, its lane-arena reference lies inside the
+// arena, and its lane addresses lie inside the modeled virtual address
+// space (below 1<<memory.VABits). Materialize calls it on every decoded
+// trace, so a corrupt file can never provoke an out-of-bounds access
+// during replay, WriteChunked calls it before encoding, and a System
+// calls it before running an in-memory trace.
 func (t *Trace) Validate() error {
 	arena := uint64(len(t.Arena))
+	// One OR over the arena tells whether any address lies beyond the
+	// modeled address space; only then are the lanes searched for it.
+	var bits memory.VAddr
+	for _, a := range t.Arena {
+		bits |= a
+	}
+	wide := bits>>memory.VABits != 0
 	for c := range t.CUs {
 		for w, warp := range t.CUs[c].Warps {
 			for i, in := range warp {
@@ -160,7 +169,23 @@ func (t *Trace) Validate() error {
 					return fmt.Errorf("trace: cu %d warp %d inst %d: lane reference [%d, %d) outside arena of %d",
 						c, w, i, in.Off, uint64(in.Off)+uint64(in.Lanes), arena)
 				}
+				if wide {
+					if err := checkLanes(t.Addrs(in)); err != nil {
+						return fmt.Errorf("trace: cu %d warp %d inst %d: %w", c, w, i, err)
+					}
+				}
 			}
+		}
+	}
+	return nil
+}
+
+// checkLanes reports a lane address beyond the modeled virtual address
+// space.
+func checkLanes(addrs []memory.VAddr) error {
+	for l, a := range addrs {
+		if a>>memory.VABits != 0 {
+			return fmt.Errorf("lane %d address %#x beyond the %d-bit virtual address space", l, uint64(a), memory.VABits)
 		}
 	}
 	return nil
