@@ -399,8 +399,8 @@ func printSimSummary(w io.Writer, results []core.Results, infos []core.IntraInfo
 		return
 	}
 	rate := float64(events) / wall.Seconds() / 1e6
-	fmt.Fprintf(w, "simulated %d run(s) in %.2fs: %d cycles, %d events (%.1fM events/s), %d partitions, window %d\n",
-		n, wall.Seconds(), cycles, events, rate, ref.Partitions, ref.Window)
+	fmt.Fprintf(w, "simulated %d run(s) in %.2fs: %d cycles, %d events (%.1fM events/s), window %d\n",
+		n, wall.Seconds(), cycles, events, rate, ref.Window)
 }
 
 // writeMetrics dumps every design's interval snapshot series, one labeled

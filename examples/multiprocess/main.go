@@ -47,7 +47,7 @@ func run(name string, cfg vcache.Config) {
 	// Alternate processes on the GPU: A, B, A, then measure A's last turn.
 	sys.Run(p1)
 	sys.Run(p2)
-	start := sys.Engine().Now()
+	start := sys.Now()
 	r := sys.Run(p1)
 	turnCycles := r.Cycles - start
 

@@ -93,8 +93,10 @@ var churnTestDesigns = []struct {
 // held byte-identical to the epoch form, so they carry that equivalence
 // forward. They carry the SimVersion 4 values into v5: they were
 // re-recorded only because the Results layout shrank, after every
-// launch's surviving fields were shown equal to v4's. A deliberate
-// schedule change (a SimVersion bump) re-records them.
+// launch's surviving fields were shown equal to v4's. They hold across
+// v6 unchanged: v6 moved only the residency probe and the order of
+// lifetime observations, and churn records neither. A deliberate
+// schedule change (a SimVersion bump) that moves them re-records them.
 func TestChurnDigest(t *testing.T) {
 	for _, d := range churnTestDesigns {
 		d := d

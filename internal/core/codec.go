@@ -38,7 +38,14 @@ const (
 	//
 	// v5: the batched front end's Config and Results fields are gone;
 	// every surviving field keeps its v4 value.
-	SimVersion = 5
+	//
+	// v6: one engine. Every partition's events run on the System's one
+	// clock, so the residency probe (ProbeResidency, Figure 2) reads the
+	// L2 at the per-CU TLB miss's cycle instead of at the end of its
+	// window, and lifetime observations (TrackLifetimes) are stored in
+	// firing order (the same multiset). Every other field keeps its v5
+	// value.
+	SimVersion = 6
 
 	// resultsCodecVersion is the wire-format version of EncodeResults.
 	resultsCodecVersion = 1

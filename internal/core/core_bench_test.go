@@ -33,7 +33,7 @@ func BenchmarkRunL1OnlyVC(b *testing.B)    { benchRun(b, DesignL1OnlyVC(32)) }
 
 // Real-workload end-to-end throughput: bfs under the baseline design.
 // ns/op is the wall-clock per full simulation; events/s the event
-// throughput summed over every partition engine.
+// throughput of the System's engine.
 func benchWorkloadRun(b *testing.B, cfg Config) {
 	g, ok := workloads.ByName("bfs")
 	if !ok {

@@ -139,6 +139,33 @@ func TestResidencyProbeBreakdown(t *testing.T) {
 	}
 }
 
+// TestResidencyProbeReadsL2AtMissCycle: the Figure 2 probe sees the L2 as
+// it stands at the cycle of the per-CU TLB miss. CU 0's cold load of
+// 0x4000 fills its line into the L2 at cycle 936 (TestGoldenBaselineColdLoad's
+// 946 less the L2->CU hop: 1 + 50 + 4 + 640 + 50 + 1 + 10 + 20 + 160).
+// CU 1 computes for k cycles, then misses its own TLB on the same line at
+// k+1: before the fill the probe must count a memory access, from the
+// fill's cycle on (the fill event fires first) an L2 hit.
+func TestResidencyProbeReadsL2AtMissCycle(t *testing.T) {
+	const fill = 936
+	for k := uint64(fill - 9); k < fill; k++ {
+		cfg := DesignBaseline512()
+		cfg.GPU.NumCUs = 2
+		cfg.ProbeResidency = true
+		b := trace.NewBuilder("probe", 1, 2, 1)
+		b.Warp().Load(0x4000)            // CU 0
+		b.Warp().Compute(k).Load(0x4000) // CU 1
+		got := MustRun(cfg, b.Build()).Probe
+		want := ProbeBreakdown{TLBMisses: 2, MemAccess: 2}
+		if k+1 >= fill {
+			want = ProbeBreakdown{TLBMisses: 2, L2Hit: 1, MemAccess: 1}
+		}
+		if got != want {
+			t.Errorf("CU 1 misses at cycle %d: probe %+v, want %+v", k+1, got, want)
+		}
+	}
+}
+
 func TestPerCUTLBSweepReducesMisses(t *testing.T) {
 	tr := divergentTrace("div", 300, 100)
 	var prev float64 = 1.1
@@ -297,6 +324,116 @@ func TestVCCoherenceProbeFiltering(t *testing.T) {
 	}
 	if sys.FBT().Stats().CoherenceFiltered == 0 {
 		t.Fatal("filter count not incremented")
+	}
+}
+
+// warmProbeSystem runs one warp's loads of 16 consecutive lines from
+// 0x40000 on a small system of the given design, so CPU coherence probes
+// have cached lines to find. It returns the lines' physical addresses.
+func warmProbeSystem(t *testing.T, cfg Config) (*System, []memory.PAddr) {
+	t.Helper()
+	sys := MustNew(smallCfg(cfg))
+	addrs := make([]memory.VAddr, 16)
+	for i := range addrs {
+		addrs[i] = 0x40000 + memory.VAddr(i*memory.LineSize)
+	}
+	b := trace.NewBuilder("warm", 1, 4, 2)
+	b.Warp().Load(addrs...)
+	sys.Run(b.Build())
+	pas := make([]memory.PAddr, len(addrs))
+	for i, va := range addrs {
+		pa, _, ok := sys.Space().Translate(va)
+		if !ok {
+			t.Fatalf("line %#x not mapped after the warm run", va)
+		}
+		pas[i] = pa
+	}
+	return sys, pas
+}
+
+// TestCPUProbeForwardsCachedFiltersUncached: in the virtual hierarchy a
+// probe of each cached line is forwarded, reverse-translated to the
+// leading virtual address and invalidates the line; a second probe of the
+// just-invalidated line is filtered by the BT bit vector, and a probe of a
+// page the BT does not track is filtered too. The BT's counters agree.
+func TestCPUProbeForwardsCachedFiltersUncached(t *testing.T) {
+	sys, pas := warmProbeSystem(t, DesignVC())
+	for i, pa := range pas {
+		va := memory.VAddr(0x40000 + i*memory.LineSize)
+		if !sys.CPUProbe(pa) {
+			t.Fatalf("probe for cached line %#x filtered", va)
+		}
+		if sys.L2().Probe(sys.vkey(va)) {
+			t.Fatalf("probe did not invalidate line %#x", va)
+		}
+		if sys.CPUProbe(pa) {
+			t.Fatalf("second probe of line %#x forwarded", va)
+		}
+	}
+	if sys.CPUProbe(memory.PPN(12345).Base()) {
+		t.Fatal("probe for uncached page forwarded")
+	}
+	want := len(pas)
+	if st := sys.FBT().Stats(); st.CoherenceForwarded != uint64(want) || st.CoherenceFiltered != uint64(want+1) {
+		t.Fatalf("BT forwarded %d and filtered %d probes, want %d and %d",
+			st.CoherenceForwarded, st.CoherenceFiltered, want, want+1)
+	}
+}
+
+// TestCPUProbeAgainstPhysicalBaseline: the physical baseline has no BT, so
+// a probe goes straight to its L2 — it invalidates a cached line once, and
+// finds nothing the second time or on an uncached page.
+func TestCPUProbeAgainstPhysicalBaseline(t *testing.T) {
+	sys, pas := warmProbeSystem(t, DesignBaseline512())
+	if sys.FBT() != nil {
+		t.Fatal("physical baseline has a BT")
+	}
+	for _, pa := range pas {
+		if !sys.CPUProbe(pa) {
+			t.Fatalf("probe for cached line %#x missed in the physical L2", uint64(pa))
+		}
+		if sys.L2().Probe(uint64(pa.Line())) {
+			t.Fatalf("probe did not invalidate line %#x", uint64(pa))
+		}
+		if sys.CPUProbe(pa) {
+			t.Fatalf("second probe found already-invalidated line %#x", uint64(pa))
+		}
+	}
+	if sys.CPUProbe(memory.PPN(12345).Base()) {
+		t.Fatal("probe for uncached page hit the L2")
+	}
+}
+
+// TestCPUProbeStream: a stream of 50 probes sweeps the 16 warmed lines in
+// a fixed pseudo-random order. Each line is forwarded on its first probe
+// and filtered on every later one, and the BT's forwarded and filtered
+// counters equal the stream's.
+func TestCPUProbeStream(t *testing.T) {
+	sys, pas := warmProbeSystem(t, DesignVC())
+	seen := make(map[int]bool)
+	var forwarded, filtered uint64
+	for i, x := 0, uint64(42); i < 50; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		line := int(x % uint64(len(pas)))
+		fwd := sys.CPUProbe(pas[line])
+		if fwd == seen[line] {
+			t.Fatalf("probe %d of line %d: forwarded %v, already probed %v", i, line, fwd, seen[line])
+		}
+		seen[line] = true
+		if fwd {
+			forwarded++
+		} else {
+			filtered++
+		}
+	}
+	if forwarded == 0 || filtered == 0 {
+		t.Fatalf("stream forwarded %d and filtered %d probes, want both nonzero", forwarded, filtered)
+	}
+	if st := sys.FBT().Stats(); st.CoherenceForwarded != forwarded || st.CoherenceFiltered != filtered {
+		t.Fatalf("BT forwarded %d and filtered %d probes, stream saw %d and %d",
+			st.CoherenceForwarded, st.CoherenceFiltered, forwarded, filtered)
 	}
 }
 

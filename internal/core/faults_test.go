@@ -90,7 +90,7 @@ func TestResultHelpers(t *testing.T) {
 
 func TestAccessorsExposed(t *testing.T) {
 	sys := MustNew(smallCfg(DesignBaseline512()))
-	if sys.Engine() == nil || sys.IOMMU() == nil || sys.L2() == nil || sys.PerCUTLB(0) == nil || sys.L1(0) == nil {
+	if sys.IOMMU() == nil || sys.L2() == nil || sys.PerCUTLB(0) == nil || sys.L1(0) == nil {
 		t.Fatal("accessor returned nil")
 	}
 	if sys.FBT() != nil {

@@ -17,11 +17,11 @@ func (s *System) Access(cu int, addr memory.VAddr, write bool, done func()) {
 	case IdealMMU:
 		s.accessIdeal(cu, addr, write, done)
 	case PhysicalBaseline:
-		s.cuEng(cu).ScheduleEvent(s.cfg.Lat.PerCUTLB, s.newRequest(cu, addr, write, done), stTLB)
+		s.eng.ScheduleEvent(s.cfg.Lat.PerCUTLB, s.newRequest(cu, addr, write, done), stTLB)
 	case VirtualHierarchy:
 		s.newRequest(cu, addr.Line(), write, done).accessVirtual()
 	case L1OnlyVirtual:
-		s.cuEng(cu).ScheduleEvent(s.cfg.Lat.L1Hit, s.newRequest(cu, addr.Line(), write, done), stVirtL1)
+		s.eng.ScheduleEvent(s.cfg.Lat.L1Hit, s.newRequest(cu, addr.Line(), write, done), stVirtL1)
 	default:
 		panic("core: unknown MMU kind")
 	}
@@ -38,9 +38,8 @@ const physPerm = memory.PermRead | memory.PermWrite
 // IOMMU and DRAM with duplicates. Each merged request keeps its own record,
 // so its permission intent travels with it.
 
-// waitPool recycles the waiter lists of merged misses. The owner of the
-// merge map owns its pool: each CU pools its TLB lists, the backend its
-// line lists.
+// waitPool recycles the waiter lists of merged misses, TLB and line
+// alike.
 type waitPool [][]*request
 
 // get pops a list from the pool, or makes one.
@@ -74,7 +73,7 @@ func (s *System) fetchLine(key uint64, r *request) (lead bool) {
 		*list = append(*list, r)
 		return false
 	}
-	s.l2Pending.Put(key, append(s.linePool.get(), r))
+	s.l2Pending.Put(key, append(s.lists.get(), r))
 	return true
 }
 
@@ -88,7 +87,7 @@ func (s *System) lineReady(key uint64, perm memory.Perm, filled bool) {
 	for _, w := range list {
 		w.lineFilled(perm, filled)
 	}
-	s.linePool.put(list)
+	s.lists.put(list)
 }
 
 // lineFilled continues a request that waited on a line fill, on the
@@ -102,7 +101,7 @@ func (r *request) lineFilled(perm memory.Perm, filled bool) {
 			r.finish()
 			return
 		}
-		s.sendToCU(r.cu, routeL2, r, stL1Fill)
+		s.sendToCU(routeL2, r, stL1Fill)
 	case r.write:
 		if filled {
 			if perm.Allows(true) {
@@ -116,7 +115,7 @@ func (r *request) lineFilled(perm memory.Perm, filled bool) {
 		r.finish()
 	default:
 		r.perm, r.filled = perm, filled
-		s.sendToCU(r.cu, routeL2, r, stVCDeliver)
+		s.sendToCU(routeL2, r, stVCDeliver)
 	}
 }
 
@@ -135,7 +134,7 @@ func (r *request) lookupTLB() {
 	}
 	// Optional private second-level TLB (§3.2 multi-level alternative).
 	if len(s.cuTLB2s) > 0 {
-		s.cuEng(r.cu).ScheduleEvent(s.cfg.PerCUTLB2Latency, r, stTLB2)
+		s.eng.ScheduleEvent(s.cfg.PerCUTLB2Latency, r, stTLB2)
 		return
 	}
 	r.missToIOMMU()
@@ -169,10 +168,9 @@ func (r *request) missToIOMMU() {
 	}
 	pending := &s.tlbPending[cu]
 	if list := pending.Ref(uint64(vpn)); list != nil {
-		st := &s.cuStats[cu]
-		st.tlbMerges++
+		s.tlbMerges++
 		if *list == nil {
-			*list = st.tlbLists.get()
+			*list = s.lists.get()
 		}
 		*list = append(*list, r)
 		return
@@ -190,7 +188,7 @@ func (r *request) Translated(res iommu.Result) {
 		return
 	}
 	r.pte, r.fault = res.PTE, res.Fault
-	r.s.sendToCU(r.cu, routeIOMMU, r, stTLBFill)
+	r.s.sendToCU(routeIOMMU, r, stTLBFill)
 }
 
 // fillTLB lands an IOMMU answer at the CU: install it in the per-CU
@@ -218,14 +216,14 @@ func (r *request) fillTLB() {
 	for _, w := range waiters {
 		w.resolved(res)
 	}
-	s.cuStats[cu].tlbLists.put(waiters)
+	s.lists.put(waiters)
 }
 
 // resolved continues a request whose per-CU TLB miss was answered, the
 // one that sent it or one merged behind it.
 func (r *request) resolved(res iommu.Result) {
 	if res.Fault {
-		r.s.fault("page", &r.s.cuStats[r.cu].faults.PageFaults)
+		r.s.fault("page", &r.s.faults.PageFaults)
 		r.finish()
 		return
 	}
@@ -238,7 +236,7 @@ func (r *request) resolved(res iommu.Result) {
 
 // permFault ends a request that violated its page's permissions at the CU.
 func (r *request) permFault() {
-	r.s.fault("perm", &r.s.cuStats[r.cu].faults.PermFaults)
+	r.s.fault("perm", &r.s.faults.PermFaults)
 	r.finish()
 }
 
@@ -289,12 +287,12 @@ func (s *System) l2Bank(addr uint64, h sim.Handler, arg uint64) {
 func (s *System) accessIdeal(cu int, va memory.VAddr, write bool, done func()) {
 	pa, perm, ok := s.as.Translate(va)
 	if !ok {
-		s.fault("page", &s.cuStats[cu].faults.PageFaults)
+		s.fault("page", &s.faults.PageFaults)
 		done()
 		return
 	}
 	if !perm.Allows(write) {
-		s.fault("perm", &s.cuStats[cu].faults.PermFaults)
+		s.fault("perm", &s.faults.PermFaults)
 		done()
 		return
 	}
@@ -307,7 +305,7 @@ func (s *System) accessIdeal(cu int, va memory.VAddr, write bool, done func()) {
 // physCacheAccess runs a physically-addressed request through the L1.
 func (r *request) physCacheAccess(pa memory.PAddr) {
 	r.addr = uint64(pa)
-	r.s.cuEng(r.cu).ScheduleEvent(r.s.cfg.Lat.L1Hit, r, stPhysL1)
+	r.s.eng.ScheduleEvent(r.s.cfg.Lat.L1Hit, r, stPhysL1)
 }
 
 func (r *request) physL1() {
@@ -335,7 +333,7 @@ func (r *request) physL2() {
 		if r.write {
 			r.finish()
 		} else {
-			s.sendToCU(r.cu, routeL2, r, stL1Fill)
+			s.sendToCU(routeL2, r, stL1Fill)
 		}
 		return
 	}
@@ -376,11 +374,11 @@ func (r *request) accessVirtual() {
 	// access (no latency cost).
 	if s.cfg.DynamicSynonymRemap {
 		if lead, ok := s.remaps[cu].get(r.line.Page()); ok {
-			s.cuStats[cu].remapHits++
+			s.remapHits++
 			r.line = lead.Base() + memory.VAddr(r.line.Offset())
 		}
 	}
-	s.cuEng(cu).ScheduleEvent(s.cfg.Lat.L1Hit, r, stVirtL1)
+	s.eng.ScheduleEvent(s.cfg.Lat.L1Hit, r, stVirtL1)
 }
 
 // virtL1 runs the virtual L1 of the virtual hierarchy and the L1-only
@@ -401,7 +399,7 @@ func (r *request) virtL1() {
 		}
 	}
 	if s.cfg.Kind == L1OnlyVirtual {
-		s.cuEng(cu).ScheduleEvent(s.cfg.Lat.PerCUTLB, r, stTLB)
+		s.eng.ScheduleEvent(s.cfg.Lat.PerCUTLB, r, stTLB)
 		return
 	}
 	s.sendToBackend(cu, routeL2, r, stL2)
@@ -430,7 +428,7 @@ func (r *request) vcL2() {
 			s.fault("perm", &s.faults.PermFaults)
 			r.filled = false // the CU completes the load without the data
 		}
-		s.sendToCU(r.cu, routeL2, r, stVCDeliver)
+		s.sendToCU(routeL2, r, stVCDeliver)
 	default:
 		if s.fetchLine(r.addr, r) {
 			s.net.Send(noc.L2ToIOMMU, r, stIOMMU)
@@ -548,7 +546,7 @@ func (m *remapUpdate) Handle(uint64) { m.s.remaps[m.cu].put(m.vpn, m.lvpn) }
 
 // sendRemap tells cu to redirect vpn to its leading page lvpn.
 func (s *System) sendRemap(cu int, vpn, lvpn memory.VPN) {
-	s.sendToCU(cu, routeL2, &remapUpdate{s: s, cu: cu, vpn: vpn, lvpn: lvpn}, 0)
+	s.sendToCU(routeL2, &remapUpdate{s: s, cu: cu, vpn: vpn, lvpn: lvpn}, 0)
 }
 
 // fillL1 installs a line into a CU's L1 and maintains its invalidation

@@ -10,10 +10,10 @@ import (
 // point of a path (paths.go) is a stage, and everything a continuation
 // needs lives in the record, so advancing a request allocates nothing.
 //
-// Records are pooled per CU. A request starts on its CU's partition and
-// takes its record from that CU's pool. It ends there or on the backend
-// (finish), and its record returns to the pool before done runs, so done
-// may issue a new request at once.
+// Records come from one free list per System. A request starts on its
+// CU's partition and ends there or on the backend (finish), and its record
+// returns to the free list before done runs, so done may issue a new
+// request at once.
 //
 // A record crosses the partition boundary inside a message, and every
 // path that continues on the other side hands the record over with it. A
@@ -21,7 +21,7 @@ import (
 // own state instead.
 type request struct {
 	s     *System
-	cu    int // the issuing CU; the record belongs to its pool for life
+	cu    int // the issuing CU
 	write bool
 	done  func()
 
@@ -117,27 +117,25 @@ func (r *request) Handle(stage uint64) {
 	}
 }
 
-// newRequest takes a record from cu's pool, growing the pool when it is
-// empty. Runs on cu's partition.
+// newRequest takes a record from the free list, or makes one when it is
+// empty.
 func (s *System) newRequest(cu int, line memory.VAddr, write bool, done func()) *request {
-	st := &s.cuStats[cu]
 	var r *request
-	if n := len(st.reqs); n > 0 {
-		r = st.reqs[n-1]
-		st.reqs = st.reqs[:n-1]
+	if n := len(s.reqs); n > 0 {
+		r = s.reqs[n-1]
+		s.reqs = s.reqs[:n-1]
 	} else {
-		r = &request{s: s, cu: cu}
+		r = &request{s: s}
 	}
-	r.line, r.write, r.done = line, write, done
+	r.cu, r.line, r.write, r.done = cu, line, write, done
 	return r
 }
 
 // finish completes a request, on its CU's partition or on the backend: the
-// record returns to its CU's pool, then done runs.
+// record returns to the free list, then done runs.
 func (r *request) finish() {
 	done := r.done
 	r.done = nil
-	st := &r.s.cuStats[r.cu]
-	st.reqs = append(st.reqs, r)
+	r.s.reqs = append(r.s.reqs, r)
 	done()
 }

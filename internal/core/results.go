@@ -109,34 +109,12 @@ func (s *System) results(workload string) Results {
 		Faults:   s.faults,
 
 		SynonymReplays: s.synonymReplays,
+		RemapHits:      s.remapHits,
+		L1FullFlushes:  s.l1FullFlushes,
 		FBTInvalLines:  s.fbtInvalLines,
+		TLBMerges:      s.tlbMerges,
 		LineMerges:     s.lineMerges,
-	}
-	// Merge the per-CU counter slots in index order.
-	for i := range s.cuStats {
-		st := &s.cuStats[i]
-		r.Faults.PageFaults += st.faults.PageFaults
-		r.Faults.PermFaults += st.faults.PermFaults
-		r.Faults.RWSynonym += st.faults.RWSynonym
-		r.RemapHits += st.remapHits
-		r.L1FullFlushes += st.l1FullFlushes
-		r.TLBMerges += st.tlbMerges
-	}
-	if s.lifetimes != nil {
-		// Drain the per-CU records into the System's cumulative one, so
-		// each observation is added once however many runs collect.
-		for i := range s.cuStats {
-			st := &s.cuStats[i]
-			for _, v := range st.tlbLife.Values() {
-				s.lifetimes.TLBEntries.Add(v)
-			}
-			for _, v := range st.l1Life.Values() {
-				s.lifetimes.L1Data.Add(v)
-			}
-			st.tlbLife.Reset()
-			st.l1Life.Reset()
-		}
-		r.Lifetimes = s.lifetimes
+		Lifetimes:      s.lifetimes,
 	}
 	// The rate series is the one O(windows) step: Results carries it whole,
 	// and the summary's StdDev is two-pass over it.

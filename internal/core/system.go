@@ -82,25 +82,26 @@ type System struct {
 	asid memory.ASID
 
 	probe     ProbeBreakdown
-	faults    FaultCounts // backend-side faults; per-CU faults live in cuStats
-	lifetimes *Lifetimes  // backend L2 CDF during the run; merged in results()
-
-	// cuStats holds every counter a CU front end increments on its own,
-	// one slot per CU; results sum the slots in CU order.
-	cuStats []cuCounters
+	faults    FaultCounts
+	lifetimes *Lifetimes // cumulative over every run (TrackLifetimes)
 
 	// tlbPending merges concurrent same-page TLB misses per CU (keyed by
 	// VPN); l2Pending merges concurrent misses to the same line (MSHR
 	// behaviour; keyed by the line's cache address). A key is present
 	// while its miss is outstanding, with a nil list until a second miss
-	// merges behind it. The pools recycle drained waiter lists so
-	// steady-state miss merging does not allocate.
+	// merges behind it. lists recycles drained waiter lists of both, and
+	// reqs free request records (request.go), so steady-state requests
+	// and miss merging do not allocate.
 	tlbPending []flatmap.Map[[]*request]
 	l2Pending  flatmap.Map[[]*request]
-	linePool   waitPool
+	lists      waitPool
+	reqs       []*request
+	tlbMerges  uint64
 	lineMerges uint64
 
 	synonymReplays uint64
+	remapHits      uint64
+	l1FullFlushes  uint64
 	fbtInvalLines  uint64 // L2 lines invalidated on FBT eviction/shootdown
 	l2PagePeak     int    // max distinct pages seen in L2 (sampled on fills)
 	fillsSincePage int
@@ -109,22 +110,6 @@ type System struct {
 	intra intraState // the System's partitions (see intra.go)
 
 	reg *obs.Registry
-}
-
-// cuCounters is one CU's share of the System's bookkeeping: faults,
-// miss-merge and remap counters, lifetime CDFs, the TLB waiter-list pool
-// and the request-record pool. The CU's front end keeps them; the record
-// pool also takes back the records of requests that complete on the
-// backend.
-type cuCounters struct {
-	faults        FaultCounts
-	tlbMerges     uint64
-	remapHits     uint64
-	l1FullFlushes uint64
-	tlbLife       stats.CDF  // per-CU TLB entry residence (TrackLifetimes)
-	l1Life        stats.CDF  // L1 line active lifetime (TrackLifetimes)
-	tlbLists      waitPool   // drained tlbPending lists
-	reqs          []*request // free request records (request.go)
 }
 
 // New assembles a system from cfg. An invalid configuration returns a
@@ -164,23 +149,21 @@ func New(cfg Config) (*System, error) {
 	}
 
 	// Per-CU L1s, TLBs, invalidation filters, and TLB-miss MSHRs.
-	s.cuStats = make([]cuCounters, cfg.GPU.NumCUs)
 	s.filters = make([]flatmap.Map[int32], cfg.GPU.NumCUs)
 	s.tlbPending = make([]flatmap.Map[[]*request], cfg.GPU.NumCUs)
 	for i := 0; i < cfg.GPU.NumCUs; i++ {
-		cuEng := s.cuEng(i)
 		l1 := cache.New(cfg.L1)
-		l1.Clock = cuEng.Now
+		l1.Clock = eng.Now
 		s.l1s = append(s.l1s, l1)
 		if cfg.DynamicSynonymRemap {
 			s.remaps = append(s.remaps, newRemapTable(cfg.RemapEntries))
 		}
 		t := tlb.New(cfg.PerCUTLB)
-		t.Clock = cuEng.Now
+		t.Clock = eng.Now
 		s.cuTLBs = append(s.cuTLBs, t)
 		if cfg.PerCUTLB2 != (tlb.Config{}) {
 			t2 := tlb.New(cfg.PerCUTLB2)
-			t2.Clock = cuEng.Now
+			t2.Clock = eng.Now
 			s.cuTLB2s = append(s.cuTLB2s, t2)
 		}
 	}
@@ -202,15 +185,14 @@ func New(cfg Config) (*System, error) {
 
 	if cfg.TrackLifetimes {
 		s.lifetimes = &Lifetimes{}
-		for cu, t := range s.cuTLBs {
-			cu := cu
+		for _, t := range s.cuTLBs {
 			t.OnEvict = func(e tlb.Entry, life uint64) {
-				s.cuStats[cu].tlbLife.Add(float64(life))
+				s.lifetimes.TLBEntries.Add(float64(life))
 			}
 		}
 	}
 
-	s.gpu = gpu.New(cfg.GPU, s, (*gpuFabric)(s))
+	s.gpu = gpu.New(cfg.GPU, eng, s, (*gpuFabric)(s))
 	s.buildRegistry()
 	s.registerPartitionGauges()
 	return s, nil
@@ -235,9 +217,9 @@ func (s *System) buildRegistry() {
 	r := obs.NewRegistry()
 	s.reg = r
 
-	r.Gauge("sim.cycles", func() float64 { return float64(s.simNow()) })
-	r.Gauge("sim.fired", func() float64 { return float64(s.totalFired()) })
-	r.Gauge("sim.pending", func() float64 { return float64(s.totalPending()) })
+	r.Gauge("sim.cycles", func() float64 { return float64(s.eng.Now()) })
+	r.Gauge("sim.fired", func() float64 { return float64(s.eng.Fired()) })
+	r.Gauge("sim.pending", func() float64 { return float64(s.eng.Pending()) })
 
 	s.gpu.Observe(r.Scope("gpu"))
 	s.mem.Observe(r.Scope("dram"))
@@ -259,64 +241,16 @@ func (s *System) buildRegistry() {
 		s.fbt.Observe(r.Scope("fbt"))
 	}
 
-	// Per-CU counters are summed at snapshot time (gauges), so the
-	// exported names and values match the pre-partitioning registry.
-	sumCU := func(f func(*cuCounters) uint64) func() float64 {
-		return func() float64 {
-			var t uint64
-			for i := range s.cuStats {
-				t += f(&s.cuStats[i])
-			}
-			return float64(t)
-		}
-	}
 	c := r.Scope("core")
 	c.Counter("synonym_replays", &s.synonymReplays)
-	c.Gauge("remap_hits", sumCU(func(c *cuCounters) uint64 { return c.remapHits }))
-	c.Gauge("l1_full_flushes", sumCU(func(c *cuCounters) uint64 { return c.l1FullFlushes }))
+	c.Counter("remap_hits", &s.remapHits)
+	c.Counter("l1_full_flushes", &s.l1FullFlushes)
 	c.Counter("fbt_inval_lines", &s.fbtInvalLines)
-	c.Gauge("tlb_merges", sumCU(func(c *cuCounters) uint64 { return c.tlbMerges }))
+	c.Counter("tlb_merges", &s.tlbMerges)
 	c.Counter("line_merges", &s.lineMerges)
-	c.Gauge("faults.page", func() float64 {
-		return float64(s.faults.PageFaults) + sumCU(func(c *cuCounters) uint64 { return c.faults.PageFaults })()
-	})
-	c.Gauge("faults.perm", func() float64 {
-		return float64(s.faults.PermFaults) + sumCU(func(c *cuCounters) uint64 { return c.faults.PermFaults })()
-	})
-	c.Gauge("faults.rw_synonym", func() float64 {
-		return float64(s.faults.RWSynonym) + sumCU(func(c *cuCounters) uint64 { return c.faults.RWSynonym })()
-	})
-}
-
-// simNow returns the simulation clock: the furthest-ahead partition (at
-// window barriers all partitions agree).
-func (s *System) simNow() uint64 {
-	var max uint64
-	for _, e := range s.intra.engines {
-		if n := e.Now(); n > max {
-			max = n
-		}
-	}
-	return max
-}
-
-// totalFired returns events executed across all engines.
-func (s *System) totalFired() uint64 {
-	var t uint64
-	for _, e := range s.intra.engines {
-		t += e.Fired()
-	}
-	return t
-}
-
-// totalPending returns queued events across all engines (cross-partition
-// messages still in mailboxes are not counted).
-func (s *System) totalPending() int {
-	t := 0
-	for _, e := range s.intra.engines {
-		t += e.Pending()
-	}
-	return t
+	c.Counter("faults.page", &s.faults.PageFaults)
+	c.Counter("faults.perm", &s.faults.PermFaults)
+	c.Counter("faults.rw_synonym", &s.faults.RWSynonym)
 }
 
 // Metrics exposes the system's metrics registry: every component's live
@@ -324,34 +258,31 @@ func (s *System) totalPending() int {
 func (s *System) Metrics() *obs.Registry { return s.reg }
 
 // AttachTrace points every component event emitter at sink, stamping
-// events with the owning engine's clock (the backend clock, or the CU's
-// partition clock for per-CU TLBs). Passing nil detaches them, restoring
+// events with the System's clock. Passing nil detaches them, restoring
 // the free disabled path.
 func (s *System) AttachTrace(sink obs.EventSink) {
-	emitter := func(comp string, clock func() uint64) *obs.Emitter {
+	emitter := func(comp string) *obs.Emitter {
 		if sink == nil {
 			return nil
 		}
-		return obs.NewEmitter(sink, comp, clock)
+		return obs.NewEmitter(sink, comp, s.eng.Now)
 	}
-	s.io.Trace = emitter("iommu", s.eng.Now)
-	s.io.TLB().Trace = emitter("iommu.tlb", s.eng.Now)
-	s.walker.Trace = emitter("ptw", s.eng.Now)
+	s.io.Trace = emitter("iommu")
+	s.io.TLB().Trace = emitter("iommu.tlb")
+	s.walker.Trace = emitter("ptw")
 	if s.fbt != nil {
-		s.fbt.Trace = emitter("fbt", s.eng.Now)
+		s.fbt.Trace = emitter("fbt")
 	}
 	for i := range s.cuTLBs {
-		s.cuTLBs[i].Trace = emitter(fmt.Sprintf("tlb.cu%d", i), s.cuEng(i).Now)
+		s.cuTLBs[i].Trace = emitter(fmt.Sprintf("tlb.cu%d", i))
 	}
 	for i := range s.cuTLB2s {
-		s.cuTLB2s[i].Trace = emitter(fmt.Sprintf("tlb2.cu%d", i), s.cuEng(i).Now)
+		s.cuTLB2s[i].Trace = emitter(fmt.Sprintf("tlb2.cu%d", i))
 	}
 }
 
-// Engine exposes the backend partition's event engine, whose clock is the
-// System's clock between runs (examples and tests schedule coherence
-// probes on it and drive it directly).
-func (s *System) Engine() *sim.Engine { return s.eng }
+// Now returns the System's clock: the cycle its last run reached.
+func (s *System) Now() uint64 { return s.eng.Now() }
 
 // Space exposes the current address space so callers can install synonym
 // mappings or change permissions before (or between) runs.
@@ -549,7 +480,6 @@ func (s *System) runInput(ctx context.Context, in traceInput, opts []Option) (Re
 	}
 	s.contextSwitch(in.inASID())
 	in.prepare(s)
-	s.startRun()
 	completed := false
 	in.launch(s, func() {
 		completed = true
@@ -575,7 +505,7 @@ func (s *System) runInput(ctx context.Context, in traceInput, opts []Option) (Re
 			}
 		}
 		if o.progress != nil {
-			if f := s.totalFired(); f-lastProgress >= 1<<16 {
+			if f := s.eng.Fired(); f-lastProgress >= 1<<16 {
 				lastProgress = f
 				o.progress(Progress{Cycle: limit, Events: f})
 			}
@@ -602,7 +532,7 @@ func (s *System) runInput(ctx context.Context, in traceInput, opts []Option) (Re
 
 // emitSnapshot reads the registry once and feeds every attached consumer.
 func (s *System) emitSnapshot(o *options) {
-	snap := s.reg.Snapshot(s.simNow())
+	snap := s.reg.Snapshot(s.eng.Now())
 	if o.snapshot != nil {
 		o.snapshot(snap)
 	}
@@ -624,7 +554,7 @@ func (s *System) onL1Evict(cu int, l cache.Line) {
 		}
 	}
 	if s.lifetimes != nil {
-		s.cuStats[cu].l1Life.Add(float64(l.ActiveLifetime()))
+		s.lifetimes.L1Data.Add(float64(l.ActiveLifetime()))
 	}
 	// Write-through L1s never hold dirty data; nothing to write back.
 }
@@ -706,7 +636,7 @@ func (s *System) flushL1(cu int) {
 	if s.l1s[cu].Resident() == 0 {
 		return
 	}
-	s.cuStats[cu].l1FullFlushes++
+	s.l1FullFlushes++
 	s.l1s[cu].InvalidateAll()
 	s.filters[cu].Reset()
 }

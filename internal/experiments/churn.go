@@ -84,11 +84,11 @@ func RunChurn(cfg core.Config, p workloads.ChurnParams) ChurnPoint {
 				sp.MapFrame(workloads.ChurnSharedBase+memory.VAddr(i)*memory.PageSize, ppn, memory.PermRead)
 			}
 		}
-		start := sys.Engine().Now()
+		start := sys.Now()
 		if _, err := sys.RunContext(context.Background(), pl.KernelTrace(l)); err != nil {
 			panic(err) // ErrDeadlock: a modeling bug, matching Suite.run
 		}
-		service := sys.Engine().Now() - start
+		service := sys.Now() - start
 		pt.ServiceCycles += service
 
 		// Open-loop backlog: the kernel starts when the device frees up or

@@ -384,7 +384,7 @@ func (s *Suite) Run(wl string, cfg core.Config) core.Results {
 	c.res = res
 	if s.CaptureMetrics {
 		// Snapshot after the run so observation never adds engine events.
-		c.snap = sys.Metrics().Snapshot(sys.Engine().Now())
+		c.snap = sys.Metrics().Snapshot(sys.Now())
 	}
 	if s.cachesResults() {
 		s.Cache.PutResults(s.resultKey(wl, cfg), c.res)

@@ -8,9 +8,9 @@
 // Scratchpad accesses complete locally without touching TLBs or caches, as
 // in the baseline system.
 //
-// The GPU always runs on a partitioned simulation (see Fabric): each CU's
-// warps and issue port live on that CU's engine, and the warp-global
-// coordinator on another, reached only by messages.
+// The GPU runs on one engine but reaches its warp-global coordinator only
+// by messages (see Fabric), so the CU front ends and the coordinator can
+// sit in different partitions of a partitioned simulation.
 //
 // Warp stepping is allocation-free: each warp implements sim.Handler and
 // re-schedules itself with an action argument (step / advance / issue line
@@ -51,16 +51,14 @@ type StreamSource interface {
 	NextSegment(cu, warp int) (trace.Segment, bool)
 }
 
-// Fabric places the GPU on a partitioned simulation. Each CU front end
-// runs on its own engine; the warp-global coordinator — live-warp count,
-// barrier rendezvous, run completion — runs on CoordEngine and is reached
-// only through ToCoord (CU -> coordinator), with barrier releases flowing
-// back through ToCU (coordinator -> CU), so no warp state is ever touched
-// across partitions. Both deliver h.Handle(arg) on the destination's
-// engine; neither may allocate per message.
+// Fabric carries the messages between the CU front ends and the
+// warp-global coordinator — live-warp count, barrier rendezvous, run
+// completion. The CUs reach the coordinator only through ToCoord (CU ->
+// coordinator), and barrier releases flow back through ToCU (coordinator
+// -> CU), so the coordinator never touches warp state. Both deliver
+// h.Handle(arg) after the fabric's latency; neither may allocate per
+// message.
 type Fabric interface {
-	CUEngine(cu int) *sim.Engine
-	CoordEngine() *sim.Engine
 	ToCoord(cu int, h sim.Handler, arg uint64)
 	ToCU(cu int, h sim.Handler, arg uint64)
 }
@@ -96,13 +94,15 @@ type Stats struct {
 	Barriers      uint64
 }
 
-// GPU executes a trace against a MemoryPath, on the partitions its Fabric
-// provides.
+// GPU executes a trace against a MemoryPath, coordinating its CUs over a
+// Fabric.
 type GPU struct {
+	eng  *sim.Engine
 	fab  Fabric
 	cfg  Config
 	path MemoryPath
 	cus  []*cu
+	st   Stats
 
 	liveWarps  int
 	atBarrier  int
@@ -111,10 +111,8 @@ type GPU struct {
 
 type cu struct {
 	id    int
-	eng   *sim.Engine
 	port  *sim.BandwidthServer
 	warps []*warp
-	st    Stats
 }
 
 // Coordinator message arguments (GPU.Handle).
@@ -149,35 +147,20 @@ type warp struct {
 	lineDone func()         // completion callback, created once per warp
 }
 
-// New builds a GPU front-end over the given memory path, placing each CU
-// on its fabric engine.
-func New(cfg Config, path MemoryPath, fab Fabric) *GPU {
+// New builds a GPU front-end on eng over the given memory path.
+func New(cfg Config, eng *sim.Engine, path MemoryPath, fab Fabric) *GPU {
 	if cfg.NumCUs <= 0 || cfg.Lanes <= 0 {
 		panic("gpu: invalid config")
 	}
-	g := &GPU{fab: fab, cfg: cfg, path: path}
+	g := &GPU{eng: eng, fab: fab, cfg: cfg, path: path}
 	for i := 0; i < cfg.NumCUs; i++ {
-		eng := fab.CUEngine(i)
-		g.cus = append(g.cus, &cu{id: i, eng: eng, port: sim.NewBandwidthServer(eng, cfg.IssuePerCycle)})
+		g.cus = append(g.cus, &cu{id: i, port: sim.NewBandwidthServer(eng, cfg.IssuePerCycle)})
 	}
 	return g
 }
 
-// Stats returns the counters summed over CUs (each CU counts its own
-// warps' activity).
-func (g *GPU) Stats() Stats {
-	var t Stats
-	for _, c := range g.cus {
-		t.Instructions += c.st.Instructions
-		t.MemInsts += c.st.MemInsts
-		t.LaneAccesses += c.st.LaneAccesses
-		t.CoalescedReqs += c.st.CoalescedReqs
-		t.ScratchOps += c.st.ScratchOps
-		t.ComputeCycles += c.st.ComputeCycles
-		t.Barriers += c.st.Barriers
-	}
-	return t
-}
+// Stats returns the front-end counters, summed over CUs.
+func (g *GPU) Stats() Stats { return g.st }
 
 // Launch binds the trace's warp streams to CU contexts and schedules them
 // to begin at the current cycle. onComplete fires when every warp has
@@ -203,12 +186,12 @@ func (g *GPU) Launch(tr *trace.Trace, onComplete func()) {
 		}
 	}
 	if g.liveWarps == 0 {
-		g.fab.CoordEngine().Schedule(0, g.complete)
+		g.eng.Schedule(0, g.complete)
 		return
 	}
 	for _, c := range g.cus {
 		for _, w := range c.warps {
-			c.eng.ScheduleEvent(0, w, warpStep)
+			g.eng.ScheduleEvent(0, w, warpStep)
 		}
 	}
 }
@@ -238,12 +221,12 @@ func (g *GPU) LaunchStream(src StreamSource, onComplete func()) {
 		}
 	}
 	if g.liveWarps == 0 {
-		g.fab.CoordEngine().Schedule(0, g.complete)
+		g.eng.Schedule(0, g.complete)
 		return
 	}
 	for _, c := range g.cus {
 		for _, w := range c.warps {
-			c.eng.ScheduleEvent(0, w, warpStep)
+			g.eng.ScheduleEvent(0, w, warpStep)
 		}
 	}
 }
@@ -294,22 +277,22 @@ func (w *warp) step() {
 	}
 	in := w.stream[w.pc]
 	g, c := w.g, w.cu
-	c.st.Instructions++
+	g.st.Instructions++
 	switch in.Kind {
 	case trace.Compute:
-		c.st.ComputeCycles += in.Cycles
-		c.eng.ScheduleEvent(in.Cycles, w, warpNext)
+		g.st.ComputeCycles += in.Cycles
+		g.eng.ScheduleEvent(in.Cycles, w, warpNext)
 	case trace.ScratchLoad, trace.ScratchStore:
-		c.st.ScratchOps++
+		g.st.ScratchOps++
 		lat := in.Cycles
 		if lat == 0 {
 			lat = g.cfg.ScratchLatency
 		}
-		c.eng.ScheduleEvent(lat, w, warpNext)
+		g.eng.ScheduleEvent(lat, w, warpNext)
 	case trace.Load, trace.Store:
 		w.issueMemory(in)
 	case trace.Barrier:
-		c.st.Barriers++
+		g.st.Barriers++
 		w.waiting = true
 		g.fab.ToCoord(c.id, g, coordBarrier)
 	default:
@@ -384,7 +367,7 @@ func (c *cu) Handle(uint64) {
 	for _, w := range c.warps {
 		if w.waiting {
 			w.waiting = false
-			c.eng.ScheduleEvent(1, w, warpNext)
+			w.g.eng.ScheduleEvent(1, w, warpNext)
 		}
 	}
 }
@@ -399,10 +382,10 @@ func (w *warp) issueMemory(in trace.Inst) {
 	g, c := w.g, w.cu
 	addrs := w.arena[in.Off : uint64(in.Off)+uint64(in.Lanes)]
 	w.write = in.Kind == trace.Store
-	c.st.MemInsts++
-	c.st.LaneAccesses += uint64(len(addrs))
+	g.st.MemInsts++
+	g.st.LaneAccesses += uint64(len(addrs))
 	w.lines = trace.CoalesceLinesInto(w.lines[:0], addrs)
-	c.st.CoalescedReqs += uint64(len(w.lines))
+	g.st.CoalescedReqs += uint64(len(w.lines))
 	w.blocking = !w.write || g.cfg.BlockOnStore
 	if w.blocking {
 		w.pending = len(w.lines)
@@ -413,12 +396,12 @@ func (w *warp) issueMemory(in trace.Inst) {
 		if slot > lastSlot {
 			lastSlot = slot
 		}
-		c.eng.AtEvent(slot, w, warpIssue0+uint64(i))
+		g.eng.AtEvent(slot, w, warpIssue0+uint64(i))
 	}
 	if !w.blocking {
 		// Non-blocking store: the warp advances once the requests have
 		// been handed to the memory system.
-		c.eng.AtEvent(lastSlot+1, w, warpNext)
+		g.eng.AtEvent(lastSlot+1, w, warpNext)
 	}
 }
 

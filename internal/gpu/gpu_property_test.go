@@ -72,7 +72,7 @@ func TestRandomTraceCompletionProperty(t *testing.T) {
 		}
 		eng := sim.New()
 		p := &countingPath{eng: eng, rng: seed | 3}
-		g := New(Config{NumCUs: 3, Lanes: 32, IssuePerCycle: 1, ScratchLatency: 2}, p, oneEngine{eng})
+		g := New(Config{NumCUs: 3, Lanes: 32, IssuePerCycle: 1, ScratchLatency: 2}, eng, p, direct{})
 		completed := false
 		g.Launch(b.Build(), func() { completed = true })
 		eng.Run()

@@ -28,20 +28,17 @@ func (p *recordingPath) Access(cu int, addr memory.VAddr, write bool, done func(
 	p.eng.Schedule(p.latency, done)
 }
 
-// oneEngine is a Fabric that places every CU and the coordinator on one
-// engine and delivers coordination messages immediately.
-type oneEngine struct{ eng *sim.Engine }
+// direct is a Fabric that delivers coordination messages immediately.
+type direct struct{}
 
-func (f oneEngine) CUEngine(int) *sim.Engine                 { return f.eng }
-func (f oneEngine) CoordEngine() *sim.Engine                 { return f.eng }
-func (f oneEngine) ToCoord(_ int, h sim.Handler, arg uint64) { h.Handle(arg) }
-func (f oneEngine) ToCU(_ int, h sim.Handler, arg uint64)    { h.Handle(arg) }
+func (direct) ToCoord(_ int, h sim.Handler, arg uint64) { h.Handle(arg) }
+func (direct) ToCU(_ int, h sim.Handler, arg uint64)    { h.Handle(arg) }
 
 func run(t *testing.T, tr *trace.Trace, cfg Config, latency uint64) (*sim.Engine, *GPU, *recordingPath) {
 	t.Helper()
 	eng := sim.New()
 	p := &recordingPath{eng: eng, latency: latency}
-	g := New(cfg, p, oneEngine{eng})
+	g := New(cfg, eng, p, direct{})
 	completed := false
 	g.Launch(tr, func() { completed = true })
 	eng.Run()
@@ -168,7 +165,7 @@ func TestFinishedWarpDoesNotBlockBarrier(t *testing.T) {
 	tr.CUs[0].Warps[1] = append(tr.CUs[0].Warps[1], trace.Inst{Kind: trace.Barrier}, trace.Inst{Kind: trace.Compute, Cycles: 1})
 	eng := sim.New()
 	p := &recordingPath{eng: eng}
-	g := New(DefaultConfig(), p, oneEngine{eng})
+	g := New(DefaultConfig(), eng, p, direct{})
 	completed := false
 	g.Launch(tr, func() { completed = true })
 	eng.Run()
@@ -180,7 +177,7 @@ func TestFinishedWarpDoesNotBlockBarrier(t *testing.T) {
 func TestEmptyTraceCompletes(t *testing.T) {
 	b := trace.NewBuilder("t", 1, 2, 2)
 	eng := sim.New()
-	g := New(DefaultConfig(), &recordingPath{eng: eng}, oneEngine{eng})
+	g := New(DefaultConfig(), eng, &recordingPath{eng: eng}, direct{})
 	completed := false
 	g.Launch(b.Build(), func() { completed = true })
 	eng.Run()

@@ -125,7 +125,7 @@ func (r simRunner) run(ctx context.Context, workload string, p workloads.Params,
 		return core.Results{}, nil, err
 	}
 	// Snapshot after the run so observation never perturbs the schedule.
-	snap := sys.Metrics().Snapshot(sys.Engine().Now())
+	snap := sys.Metrics().Snapshot(sys.Now())
 	return res, snap.AppendJSON(nil), nil
 }
 

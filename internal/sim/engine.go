@@ -14,9 +14,9 @@
 // window as the clock advances. A fired event's node returns to a LIFO free
 // list, so steady-state scheduling performs no allocations and no interface
 // boxing, and the next schedule writes the cache line the last event just
-// vacated. Each engine also keeps an exact hint of its next event's cycle,
-// so the partitioned runner opens a window and skips an engine with nothing
-// due without scanning it.
+// vacated. The engine also keeps an exact hint of its next event's cycle,
+// so the partitioned runner opens a window, and RunUntil moves the clock
+// past an idle stretch, without scanning.
 package sim
 
 import "math/bits"
@@ -97,8 +97,7 @@ type Engine struct {
 	// hint is the exact cycle of the earliest pending event (noEvent when
 	// none) while hinted is set: at lowers it, RunUntil sets it on exit,
 	// Step clears hinted, and NextEvent re-derives it with a scan only
-	// then. It is engine state like the queue: only the engine's owner
-	// touches it.
+	// then. It is engine state like the queue.
 	hint   uint64
 	hinted bool
 
@@ -274,11 +273,9 @@ func (e *Engine) pullOverflow() {
 }
 
 // NextEvent returns the cycle of the earliest pending event and whether
-// one exists. The partitioned runner uses it to compute the global lower
-// bound that opens each conservative window. It returns the engine's
-// hint, scanning (and re-caching the hint) only after a Step, so like
-// scheduling it writes engine state: in a partitioned run only the leader
-// calls it, at a barrier.
+// one exists. The partitioned runner uses it to open each conservative
+// window. It returns the engine's hint, scanning (and re-caching the
+// hint) only after a Step, so like scheduling it writes engine state.
 func (e *Engine) NextEvent() (uint64, bool) {
 	if e.Pending() == 0 {
 		return 0, false

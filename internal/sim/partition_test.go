@@ -10,12 +10,12 @@ import (
 // TestPartitionedWindowAccounting checks the observability counters: at
 // least one window per run, and every cross send counted exactly once.
 func TestPartitionedWindowAccounting(t *testing.T) {
-	engines := []*Engine{New(), New()}
-	p := NewPartitioned(engines, 10)
+	eng := New()
+	p := NewPartitioned(eng, 2, 10)
 	delivered := 0
-	engines[0].Schedule(0, func() {
-		p.SendEvent(0, 1, 10, Func(func() { delivered++ }), 0)
-		p.SendEvent(0, 1, 15, Func(func() { delivered++ }), 0)
+	eng.Schedule(0, func() {
+		p.SendEvent(0, 10, Func(func() { delivered++ }), 0)
+		p.SendEvent(0, 15, Func(func() { delivered++ }), 0)
 	})
 	p.Run(nil)
 	if delivered != 2 || p.Crossings() != 2 {
@@ -24,23 +24,20 @@ func TestPartitionedWindowAccounting(t *testing.T) {
 	if p.Windows() == 0 {
 		t.Fatal("no windows executed")
 	}
-	if engines[1].Now() < 15 {
-		t.Fatalf("dst engine stopped at %d, want >= 15", engines[1].Now())
+	if eng.Now() < 15 {
+		t.Fatalf("engine stopped at %d, want >= 15", eng.Now())
 	}
 }
 
 // TestPartitionedOnWindowStops: a false return from onWindow halts the
 // run at that barrier.
 func TestPartitionedOnWindowStops(t *testing.T) {
-	engines := make([]*Engine, 4)
-	for i := range engines {
-		engines[i] = New()
-	}
-	p := NewPartitioned(engines, 10)
+	eng := New()
+	p := NewPartitioned(eng, 4, 10)
 	var tick func()
 	fired := 0
-	tick = func() { fired++; engines[0].Schedule(5, tick) }
-	engines[0].Schedule(0, tick)
+	tick = func() { fired++; eng.Schedule(5, tick) }
+	eng.Schedule(0, tick)
 	windows := 0
 	p.Run(func(uint64) bool { windows++; return windows < 3 })
 	if windows != 3 {
@@ -48,15 +45,15 @@ func TestPartitionedOnWindowStops(t *testing.T) {
 	}
 }
 
-// TestPartitionedWorkerPanicPropagates: a panic inside a partition's event
-// handler surfaces from Run.
+// TestPartitionedWorkerPanicPropagates: a panic inside an event handler
+// surfaces from Run.
 func TestPartitionedWorkerPanicPropagates(t *testing.T) {
-	engines := []*Engine{New(), New(), New()}
-	p := NewPartitioned(engines, 10)
-	engines[2].Schedule(4, func() { panic("boom") })
+	eng := New()
+	p := NewPartitioned(eng, 3, 10)
+	eng.Schedule(4, func() { panic("boom") })
 	var tick func()
-	tick = func() { engines[0].Schedule(1, tick) }
-	engines[0].Schedule(0, tick)
+	tick = func() { eng.Schedule(1, tick) }
+	eng.Schedule(0, tick)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("panic did not propagate")
@@ -66,17 +63,17 @@ func TestPartitionedWorkerPanicPropagates(t *testing.T) {
 }
 
 // TestPartitionedRerun: one runner drives several runs back to back; every
-// run resumes from the clocks the previous one left behind, and the window
+// run resumes from the clock the previous one left behind, and the window
 // and crossing counts accumulate.
 func TestPartitionedRerun(t *testing.T) {
-	engines := []*Engine{New(), New(), New()}
-	p := NewPartitioned(engines, 10)
+	eng := New()
+	p := NewPartitioned(eng, 3, 10)
 	var arrivals []uint64
 	var windows uint64
 	for run := 0; run < 3; run++ {
-		start := engines[0].Now()
-		engines[0].Schedule(0, func() {
-			p.SendEvent(0, 2, 10, Func(func() { arrivals = append(arrivals, engines[2].Now()) }), 0)
+		start := eng.Now()
+		eng.Schedule(0, func() {
+			p.SendEvent(0, 10, Func(func() { arrivals = append(arrivals, eng.Now()) }), 0)
 		})
 		p.Run(nil)
 		if n := len(arrivals); n == 0 || arrivals[n-1] != start+10 {
@@ -92,8 +89,9 @@ func TestPartitionedRerun(t *testing.T) {
 	}
 }
 
-// refPartitioned is the window loop written from its documented rules over
-// refEngines: a window opens at the minimum next event, every engine with
+// refPartitioned is the model the one-engine runner must match: the
+// window loop written from its documented rules over one refEngine per
+// partition. A window opens at the minimum next event, every engine with
 // pending events runs to w+L-1 (an idle engine keeps its clock), and the
 // outboxes merge at the barrier in source order.
 type refPartitioned struct {
@@ -112,6 +110,17 @@ type refMsg struct {
 
 func (p *refPartitioned) send(src, dst int, delay uint64, fn func()) {
 	p.outbox[src] = append(p.outbox[src], refMsg{when: p.engines[src].Now() + delay, dst: dst, fn: fn})
+}
+
+// clock returns the furthest partition clock.
+func (p *refPartitioned) clock() uint64 {
+	var max uint64
+	for _, e := range p.engines {
+		if n := e.Now(); n > max {
+			max = n
+		}
+	}
+	return max
 }
 
 func (p *refPartitioned) run(onWindow func(limit uint64) bool) {
@@ -153,11 +162,13 @@ type windowFabric interface {
 	send(src, dst int, delay uint64, fn func())
 }
 
+// realFabric places every partition on the runner's one engine; the
+// destination of a send lives in its event.
 type realFabric struct{ p *Partitioned }
 
-func (f realFabric) engine(part int) engineAPI { return f.p.Engine(part) }
-func (f realFabric) send(src, dst int, delay uint64, fn func()) {
-	f.p.SendEvent(src, dst, delay, Func(fn), 0)
+func (f realFabric) engine(int) engineAPI { return f.p.eng }
+func (f realFabric) send(src, _ int, delay uint64, fn func()) {
+	f.p.SendEvent(src, delay, Func(fn), 0)
 }
 
 type refFabric struct{ p *refPartitioned }
@@ -218,88 +229,107 @@ func (l *windowLoad) event(part int, tag uint64) func() {
 	}
 }
 
-// barrierLog records every barrier: its limit and each engine's clock.
-func barrierLog(engines func(int) engineAPI, parts int, stopAfter int, log *[]uint64) func(uint64) bool {
+// barrierLog records every barrier: its limit and the clock there (the
+// one engine's, or the reference's furthest).
+func barrierLog(clock func() uint64, stopAfter int, log *[]uint64) func(uint64) bool {
 	n := 0
 	return func(limit uint64) bool {
-		*log = append(*log, limit)
-		for i := 0; i < parts; i++ {
-			*log = append(*log, engines(i).Now())
-		}
+		*log = append(*log, limit, clock())
 		n++
 		return n < stopAfter
 	}
 }
 
-// TestPartitionedMatchesReference runs one random cross-partition load on
-// sim.Partitioned and on refPartitioned. The runs stop at random
+// checkWindowDifferential runs one random cross-partition load on the
+// one-engine Partitioned and on refPartitioned. The runs stop at random
 // barriers, where events are scheduled from outside the loop (present,
-// near and far) before the next run resumes. The per-partition firing
-// logs, every engine's clock at every barrier, and the window and
-// crossing counts must agree.
-func TestPartitionedMatchesReference(t *testing.T) {
-	const parts, la = 5, 10
-	for seed := int64(1); seed <= 6; seed++ {
-		engines := make([]*Engine, parts)
-		refs := make([]*refEngine, parts)
-		for i := range engines {
-			engines[i] = New()
-			if i%2 == 1 {
-				engines[i] = &Engine{} // the zero value must serve too
-			}
-			refs[i] = &refEngine{}
+// near and far, never before the furthest reference clock: a launch
+// starts no partition in another's past) before the next run resumes. The
+// per-partition firing logs, the barrier limits and clocks, and the
+// window and crossing counts must agree. It returns the crossing count.
+func checkWindowDifferential(t *testing.T, seed int64, parts int, la uint64, rounds int) uint64 {
+	t.Helper()
+	eng := New()
+	if seed%2 != 0 {
+		eng = &Engine{} // the zero value must serve too
+	}
+	refs := make([]*refEngine, parts)
+	for i := range refs {
+		refs[i] = &refEngine{}
+	}
+	p := NewPartitioned(eng, parts, la)
+	rp := &refPartitioned{engines: refs, lookahead: la, outbox: make([][]refMsg, parts)}
+	real := newWindowLoad(realFabric{p}, parts, la, seed)
+	ref := newWindowLoad(refFabric{rp}, parts, la, seed)
+	for i := 0; i < parts; i++ {
+		eng.Schedule(uint64(i*3), real.event(i, 0))
+		refs[i].Schedule(uint64(i*3), ref.event(i, 0))
+	}
+	outside := rand.New(rand.NewSource(seed * 100))
+	var gotBarriers, wantBarriers []uint64
+	for round := 0; round < rounds; round++ {
+		stop := 1 + outside.Intn(60)
+		p.Run(barrierLog(eng.Now, stop, &gotBarriers))
+		rp.run(barrierLog(rp.clock, stop, &wantBarriers))
+		part := outside.Intn(parts)
+		when := rp.clock()
+		switch outside.Intn(3) {
+		case 0:
+		case 1:
+			when += uint64(outside.Intn(40))
+		default:
+			when += numBuckets + uint64(outside.Intn(4000))
 		}
-		p := NewPartitioned(engines, la)
-		rp := &refPartitioned{engines: refs, lookahead: la, outbox: make([][]refMsg, parts)}
-		real := newWindowLoad(realFabric{p}, parts, la, seed)
-		ref := newWindowLoad(refFabric{rp}, parts, la, seed)
-		for i := 0; i < parts; i++ {
-			engines[i].Schedule(uint64(i*3), real.event(i, 0))
-			refs[i].Schedule(uint64(i*3), ref.event(i, 0))
-		}
-		outside := rand.New(rand.NewSource(seed * 100))
-		var gotBarriers, wantBarriers []uint64
-		for round := 0; round < 12; round++ {
-			stop := 1 + outside.Intn(60)
-			p.Run(barrierLog(func(i int) engineAPI { return engines[i] }, parts, stop, &gotBarriers))
-			rp.run(barrierLog(func(i int) engineAPI { return refs[i] }, parts, stop, &wantBarriers))
-			part := outside.Intn(parts)
-			var when uint64
-			switch outside.Intn(3) {
-			case 0:
-				when = refs[part].Now()
-			case 1:
-				when = refs[part].Now() + uint64(outside.Intn(40))
-			default:
-				when = refs[part].Now() + numBuckets + uint64(outside.Intn(4000))
-			}
-			tag := uint64(round)<<12 | 1<<18
-			engines[part].At(when, real.event(part, tag))
-			refs[part].At(when, ref.event(part, tag))
-		}
-		// The load is finite: a bound on the last run's windows turns
-		// a runner that never drains into a failure, not a hang.
-		const maxWindows = 100000
-		p.Run(barrierLog(func(i int) engineAPI { return engines[i] }, parts, maxWindows, &gotBarriers))
-		rp.run(barrierLog(func(i int) engineAPI { return refs[i] }, parts, maxWindows, &wantBarriers))
+		tag := uint64(round)<<12 | 1<<18
+		eng.At(when, real.event(part, tag))
+		refs[part].At(when, ref.event(part, tag))
+	}
+	// The load is finite: a bound on the last run's windows turns a
+	// runner that never drains into a failure, not a hang.
+	const maxWindows = 100000
+	p.Run(barrierLog(eng.Now, maxWindows, &gotBarriers))
+	rp.run(barrierLog(rp.clock, maxWindows, &wantBarriers))
 
-		name := fmt.Sprintf("seed=%d", seed)
-		for i := range engines {
-			if engines[i].Pending() != 0 || refs[i].Pending() != 0 {
-				t.Fatalf("%s: partition %d did not drain: %d pending, reference %d", name, i, engines[i].Pending(), refs[i].Pending())
-			}
-		}
-		if !reflect.DeepEqual(real.logs, ref.logs) {
-			t.Fatalf("%s: per-partition firing logs diverge from the reference", name)
-		}
-		if !reflect.DeepEqual(gotBarriers, wantBarriers) {
-			t.Fatalf("%s: barrier clocks diverge from the reference (%d vs %d entries)", name, len(gotBarriers), len(wantBarriers))
-		}
-		if p.Windows() != rp.windows || p.Crossings() != rp.crossings {
-			t.Fatalf("%s: windows/crossings %d/%d, reference %d/%d", name, p.Windows(), p.Crossings(), rp.windows, rp.crossings)
-		}
-		if p.Crossings() == 0 || len(gotBarriers) == 0 {
-			t.Fatalf("%s: the load sent no cross-partition traffic", name)
+	name := fmt.Sprintf("seed=%d parts=%d lookahead=%d", seed, parts, la)
+	if eng.Pending() != 0 {
+		t.Fatalf("%s: engine did not drain: %d pending", name, eng.Pending())
+	}
+	for i := range refs {
+		if refs[i].Pending() != 0 {
+			t.Fatalf("%s: reference partition %d did not drain: %d pending", name, i, refs[i].Pending())
 		}
 	}
+	if !reflect.DeepEqual(real.logs, ref.logs) {
+		t.Fatalf("%s: per-partition firing logs diverge from the reference", name)
+	}
+	if !reflect.DeepEqual(gotBarriers, wantBarriers) {
+		t.Fatalf("%s: barrier limits or clocks diverge from the reference (%d vs %d entries)", name, len(gotBarriers), len(wantBarriers))
+	}
+	if p.Windows() != rp.windows || p.Crossings() != rp.crossings {
+		t.Fatalf("%s: windows/crossings %d/%d, reference %d/%d", name, p.Windows(), p.Crossings(), rp.windows, rp.crossings)
+	}
+	return p.Crossings()
+}
+
+// TestPartitionedMatchesReference checks the one-engine runner against
+// the one-engine-per-partition reference on fixed seeds.
+func TestPartitionedMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		if checkWindowDifferential(t, seed, 5, 10, 12) == 0 {
+			t.Fatalf("seed=%d: the load sent no cross-partition traffic", seed)
+		}
+	}
+}
+
+// FuzzPartitionedDifferential checks the one-engine runner against the
+// one-engine-per-partition reference over a fuzzed seed, partition count
+// (1-8) and lookahead (1-20).
+func FuzzPartitionedDifferential(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint8(9))
+	f.Add(int64(2), uint8(0), uint8(0))
+	f.Add(int64(7), uint8(7), uint8(19))
+	f.Add(int64(-3), uint8(2), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, parts, la uint8) {
+		checkWindowDifferential(t, seed, 1+int(parts%8), 1+uint64(la%20), 6)
+	})
 }
