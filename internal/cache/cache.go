@@ -7,8 +7,10 @@
 //
 // Lines live in flat per-slot lanes indexed set*ways+way: a tag lane of
 // line addresses, the LRU stamps and birth generations of flatmap.Sets, and
-// a payload lane with the rest, so a lookup compares tags and a fill scans
-// tags and stamps.
+// a 2-byte payload lane with the permission and dirty bit, so a lookup
+// compares tags and a fill scans tags and stamps. A cache that opts in
+// with TrackLifetimes also keeps each line's fill and last-access cycles
+// in a lane of their own; no other cache pays for them.
 //
 // Bulk invalidation (InvalidateAll / InvalidateASID) is epoch-based: a
 // generation bump retires every targeted line at once and dead lines are
@@ -77,6 +79,8 @@ func (c Config) Sets() int {
 }
 
 // Line is one cache line's metadata, as lookups and OnEvict hand it out.
+// Its lifetime stamps read 0 unless the cache tracks lifetimes
+// (TrackLifetimes).
 type Line struct {
 	Addr  uint64 // line-aligned address (virtual or physical per owner)
 	Valid bool
@@ -89,13 +93,15 @@ type Line struct {
 }
 
 // ActiveLifetime returns lastAccess - insertedAt, the paper's definition of
-// a line's active lifetime.
+// a line's active lifetime. It reads 0 unless the cache tracks lifetimes.
 func (l Line) ActiveLifetime() uint64 { return l.lastAccess - l.insertedAt }
 
-// InsertedAt returns the cycle the line was filled.
+// InsertedAt returns the cycle the line was filled. It reads 0 unless the
+// cache tracks lifetimes.
 func (l Line) InsertedAt() uint64 { return l.insertedAt }
 
-// LastAccess returns the cycle of the line's most recent hit (or fill).
+// LastAccess returns the cycle of the line's most recent hit (or fill). It
+// reads 0 unless the cache tracks lifetimes.
 func (l Line) LastAccess() uint64 { return l.lastAccess }
 
 // Stats are the cache's event counters.
@@ -139,10 +145,14 @@ type asidCnt struct {
 // lineMeta is a line's payload: what a lookup reads only on a hit or for
 // the victim.
 type lineMeta struct {
+	perm  memory.Perm
+	dirty bool
+}
+
+// lifetime is a tracked line's fill and last-access cycles.
+type lifetime struct {
 	insertedAt uint64
 	lastAccess uint64
-	perm       memory.Perm
-	dirty      bool
 }
 
 // Cache is a set-associative cache.
@@ -154,6 +164,7 @@ type Cache struct {
 	// slot fails the stamp check.
 	tags      []uint64
 	meta      []lineMeta
+	life      []lifetime // TrackLifetimes only
 	sets      flatmap.Sets
 	lineMask  uint64
 	lineShift uint
@@ -177,8 +188,8 @@ type Cache struct {
 	pageMaps   []*flatmap.Map[int32]
 	keys       []uint64 // reused key buffer for settling
 
-	// Clock, if set, supplies the current cycle for lifetime tracking.
-	Clock func() uint64
+	clock func() uint64 // TrackLifetimes only
+
 	// OnEvict, if set, observes every line leaving the cache by capacity
 	// eviction or line/page invalidation. Dirty lines need writing back by
 	// the owner. Bulk invalidations retire lines without it.
@@ -209,13 +220,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-func (c *Cache) now() uint64 {
-	if c.Clock != nil {
-		return c.Clock()
-	}
-	return c.tick
-}
-
 // LineAddr returns the line-aligned address of addr.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr & c.lineMask }
 
@@ -232,9 +236,12 @@ func (c *Cache) base(addr uint64) int { return c.sets.Base(addr >> c.lineShift) 
 
 // line builds the Line held in slot i.
 func (c *Cache) line(i int) Line {
-	m := &c.meta[i]
-	return Line{Addr: c.tags[i], Valid: true, Dirty: m.dirty, Perm: m.perm,
-		ASID: memory.ASID(c.sets.ASID(i)), insertedAt: m.insertedAt, lastAccess: m.lastAccess}
+	m := c.meta[i]
+	l := Line{Addr: c.tags[i], Valid: true, Dirty: m.dirty, Perm: m.perm, ASID: memory.ASID(c.sets.ASID(i))}
+	if c.life != nil {
+		l.insertedAt, l.lastAccess = c.life[i].insertedAt, c.life[i].lastAccess
+	}
+	return l
 }
 
 func (c *Cache) incCount(asid memory.ASID, addr uint64, dirty bool) {
@@ -368,7 +375,9 @@ func (c *Cache) Access(addr uint64, write bool) (Line, bool) {
 	c.tick++
 	if i := c.find(addr); i >= 0 {
 		c.sets.Touch(i, c.tick)
-		c.meta[i].lastAccess = c.now()
+		if c.life != nil {
+			c.life[i].lastAccess = c.clock()
+		}
 		if write {
 			c.stats.WriteHits++
 			if c.cfg.Policy == WriteBack {
@@ -411,7 +420,9 @@ func (c *Cache) Fill(addr uint64, perm memory.Perm, asid memory.ASID, dirty bool
 		if i := base + w; tag == la && c.sets.Live(i) {
 			// Refresh in place (e.g. racing fills).
 			c.sets.Touch(i, c.tick)
-			c.meta[i].lastAccess = c.now()
+			if c.life != nil {
+				c.life[i].lastAccess = c.clock()
+			}
 			c.meta[i].perm = perm
 			if dirty {
 				c.markDirty(i)
@@ -423,10 +434,13 @@ func (c *Cache) Fill(addr uint64, perm memory.Perm, asid memory.ASID, dirty bool
 	if !free {
 		evicted, evictedValid = c.evict(i), true
 	}
-	now := c.now()
 	c.tags[i] = la
 	c.sets.Fill(i, c.tick, uint16(asid))
-	c.meta[i] = lineMeta{insertedAt: now, lastAccess: now, perm: perm, dirty: dirty}
+	c.meta[i] = lineMeta{perm: perm, dirty: dirty}
+	if c.life != nil {
+		now := c.clock()
+		c.life[i] = lifetime{insertedAt: now, lastAccess: now}
+	}
 	c.incCount(asid, la, dirty)
 	return evicted, evictedValid
 }
@@ -535,6 +549,18 @@ func (c *Cache) TrackPages() {
 		panic("cache: TrackPages on a cache that already holds lines")
 	}
 	c.trackPages = true
+}
+
+// TrackLifetimes makes the cache stamp each line with clock's cycle at its
+// fill and at every hit, so Line's lifetime accessors read real values.
+// The stamps live in a lane that only a tracking cache allocates. Call it
+// before the first Fill.
+func (c *Cache) TrackLifetimes(clock func() uint64) {
+	if c.resident != 0 {
+		panic("cache: TrackLifetimes on a cache that already holds lines")
+	}
+	c.clock = clock
+	c.life = make([]lifetime, c.sets.Slots())
 }
 
 // DistinctPages returns the number of distinct 4KB pages with at least one

@@ -166,7 +166,7 @@ func TestLRUWithinSet(t *testing.T) {
 func TestLifetimeTracking(t *testing.T) {
 	var clock uint64
 	c := New(Config{SizeBytes: 128, LineBytes: 128, Assoc: 1, Policy: WriteBack})
-	c.Clock = func() uint64 { return clock }
+	c.TrackLifetimes(func() uint64 { return clock })
 	var active uint64
 	c.OnEvict = func(l Line) { active = l.ActiveLifetime() }
 	clock = 10

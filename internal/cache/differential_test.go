@@ -54,8 +54,8 @@ func fmtRefLine(l refLine) string {
 // cache and the reference model and requires every return value, the
 // OnEvict sequence and every counter to agree after each one. mode picks
 // the geometry, the write policy, whether the caches keep page counts and
-// run on a clock, and whether the generation counter starts at its
-// ceiling.
+// track lifetimes on a clock (untracked, every lifetime stamp reads 0 in
+// both), and whether the generation counter starts at its ceiling.
 func driveCacheDifferential(t *testing.T, mode byte, ops []byte) {
 	cfg := diffGeometries[int(mode)%len(diffGeometries)]
 	if mode&0x08 != 0 {
@@ -64,8 +64,8 @@ func driveCacheDifferential(t *testing.T, mode byte, ops []byte) {
 	c, r := New(cfg), newRefCache(cfg)
 	var clock uint64
 	if mode&0x10 != 0 {
-		c.Clock = func() uint64 { return clock }
-		r.Clock = c.Clock
+		r.Clock = func() uint64 { return clock }
+		c.TrackLifetimes(r.Clock)
 	}
 	track := mode&0x20 != 0
 	if track {

@@ -35,16 +35,11 @@ func replayChurn(t *testing.T, cfg Config) []churnLaunch {
 // churnReplay is replayChurn without a *testing.T, so that goroutines
 // other than the test's may run it.
 func churnReplay(cfg Config) ([]churnLaunch, error) {
-	p := workloads.ChurnParams{
-		Tenants: 6, Launches: 12, ASIDSlots: 3,
-		KernelPages: 16, SharedPages: 4,
-		NumCUs: 4, WarpsPerCU: 2, Seed: 42, ArrivalPeriod: 1,
-	}.Normalized()
-	pl := workloads.BuildChurnPlan(p)
-	if pl.Retires() == 0 {
-		return nil, fmt.Errorf("churn plan produced no retirements; grow Tenants or Launches")
+	pl, err := churnTestPlan()
+	if err != nil {
+		return nil, err
 	}
-	cfg.GPU.NumCUs = p.NumCUs
+	cfg.GPU.NumCUs = pl.Params.NumCUs
 	sys := MustNew(cfg)
 	outs := make([]churnLaunch, len(pl.Launches))
 	for i, l := range pl.Launches {
@@ -58,6 +53,19 @@ func churnReplay(cfg Config) ([]churnLaunch, error) {
 		outs[i].res = res
 	}
 	return outs, nil
+}
+
+// churnTestPlan builds the plan replayChurn plays.
+func churnTestPlan() (workloads.ChurnPlan, error) {
+	pl := workloads.BuildChurnPlan(workloads.ChurnParams{
+		Tenants: 6, Launches: 12, ASIDSlots: 3,
+		KernelPages: 16, SharedPages: 4,
+		NumCUs: 4, WarpsPerCU: 2, Seed: 42, ArrivalPeriod: 1,
+	}.Normalized())
+	if pl.Retires() == 0 {
+		return pl, fmt.Errorf("churn plan produced no retirements; grow Tenants or Launches")
+	}
+	return pl, nil
 }
 
 // churnDigest hashes every launch's encoded Results and RetireStats.

@@ -29,11 +29,19 @@ func (s *System) CheckInvariants() error {
 		return s.checkL1Clean()
 	}
 	// Walk every resident L2 line via the pages the address spaces know.
+	// Caches without ASID tags key lines by bare virtual address, so
+	// another space's pages would alias the running space's lines; they
+	// hold only the running space's lines, as every context switch
+	// flushes them.
+	spaces := s.spaces
+	if !s.cfg.ASIDTags {
+		spaces = map[memory.ASID]*memory.AddressSpace{s.asid: s.as}
+	}
 	type lineInfo struct {
 		count int
 	}
 	physSeen := make(map[memory.PAddr]*lineInfo)
-	for _, sp := range s.spaces {
+	for _, sp := range spaces {
 		sp := sp
 		for vpnPage := range s.iterMappedPages(sp) {
 			base := vpnPage.Base()
@@ -79,7 +87,7 @@ func (s *System) CheckInvariants() error {
 	if s.cfg.InvFilter {
 		for cu, l1 := range s.l1s {
 			counts := make(map[memory.VPN]int)
-			for _, sp := range s.spaces {
+			for _, sp := range spaces {
 				for vpnPage := range s.iterMappedPages(sp) {
 					base := vpnPage.Base()
 					for idx := 0; idx < memory.LinesPerPage; idx++ {

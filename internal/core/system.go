@@ -138,7 +138,6 @@ func New(cfg Config) (*System, error) {
 
 	// Shared L2 and its banks.
 	s.l2 = cache.New(cfg.L2)
-	s.l2.Clock = eng.Now
 	s.l2.TrackPages() // L2DistinctPages
 	banks := cfg.L2.Banks
 	if banks < 1 {
@@ -153,18 +152,13 @@ func New(cfg Config) (*System, error) {
 	s.tlbPending = make([]flatmap.Map[[]*request], cfg.GPU.NumCUs)
 	for i := 0; i < cfg.GPU.NumCUs; i++ {
 		l1 := cache.New(cfg.L1)
-		l1.Clock = eng.Now
 		s.l1s = append(s.l1s, l1)
 		if cfg.DynamicSynonymRemap {
 			s.remaps = append(s.remaps, newRemapTable(cfg.RemapEntries))
 		}
-		t := tlb.New(cfg.PerCUTLB)
-		t.Clock = eng.Now
-		s.cuTLBs = append(s.cuTLBs, t)
+		s.cuTLBs = append(s.cuTLBs, tlb.New(cfg.PerCUTLB))
 		if cfg.PerCUTLB2 != (tlb.Config{}) {
-			t2 := tlb.New(cfg.PerCUTLB2)
-			t2.Clock = eng.Now
-			s.cuTLB2s = append(s.cuTLB2s, t2)
+			s.cuTLB2s = append(s.cuTLB2s, tlb.New(cfg.PerCUTLB2))
 		}
 	}
 
@@ -183,9 +177,15 @@ func New(cfg Config) (*System, error) {
 		s.l1s[cu].OnEvict = func(l cache.Line) { s.onL1Evict(cu, l) }
 	}
 
+	// Only the structures whose lifetimes Figure 12 reads keep stamps.
 	if cfg.TrackLifetimes {
 		s.lifetimes = &Lifetimes{}
+		s.l2.TrackLifetimes(eng.Now)
+		for _, l1 := range s.l1s {
+			l1.TrackLifetimes(eng.Now)
+		}
 		for _, t := range s.cuTLBs {
+			t.TrackLifetimes(eng.Now)
 			t.OnEvict = func(e tlb.Entry, life uint64) {
 				s.lifetimes.TLBEntries.Add(float64(life))
 			}

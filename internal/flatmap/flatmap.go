@@ -49,6 +49,7 @@ type Epoch struct {
 	seq     uint32
 	deadAll uint32
 	dead    Map[uint32] // per-ASID death marks, keyed by uint64(asid)
+	marked  bool        // deadAll != 0 or some per-ASID mark is set
 }
 
 // Gen returns the current generation (the value new entries are born with).
@@ -85,7 +86,7 @@ func (ep *Epoch) liveASID(asid uint16, born uint32) bool {
 
 // Marked reports whether any death mark is set. While it is false every
 // entry is live, so a scan may skip the per-entry check.
-func (ep *Epoch) Marked() bool { return ep.deadAll != 0 || ep.dead.used != 0 }
+func (ep *Epoch) Marked() bool { return ep.marked }
 
 // Floor returns the generation below which an entry of asid is dead:
 // Live(asid, born) == (born >= Floor(asid)). A scan over entries of few
@@ -104,11 +105,13 @@ func (ep *Epoch) Floor(asid uint16) uint32 {
 func (ep *Epoch) MarkDeadAll(g uint32) {
 	ep.deadAll = g
 	ep.dead.Reset()
+	ep.marked = g != 0
 }
 
 // MarkDeadASID retires every entry of one address space born before g.
 func (ep *Epoch) MarkDeadASID(asid uint16, g uint32) {
 	ep.dead.Put(uint64(asid), g)
+	ep.marked = true
 }
 
 // ClearDead drops all death marks without touching the generation counter —
@@ -117,6 +120,7 @@ func (ep *Epoch) MarkDeadASID(asid uint16, g uint32) {
 func (ep *Epoch) ClearDead() {
 	ep.deadAll = 0
 	ep.dead.Reset()
+	ep.marked = false
 }
 
 // Reset rewinds the epoch to generation zero. Only valid after the owner
@@ -125,6 +129,7 @@ func (ep *Epoch) ClearDead() {
 func (ep *Epoch) Reset() {
 	ep.seq, ep.deadAll = 0, 0
 	ep.dead.Reset()
+	ep.marked = false
 }
 
 const (

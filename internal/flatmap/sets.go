@@ -55,9 +55,19 @@ func (s *Sets) Base(h uint64) int {
 }
 
 // Live reports whether slot i holds an entry that survived every bulk
-// invalidation since its fill.
+// invalidation since its fill. It inlines; the birth check, needed only
+// while the epoch carries a death mark, stays out of line.
 func (s *Sets) Live(i int) bool {
-	return s.stamp[i] != 0 && (!s.ep.Marked() || s.ep.Live(s.birth[i].asid, s.birth[i].gen))
+	return s.stamp[i] != 0 && (!s.ep.Marked() || s.bornLive(i))
+}
+
+// bornLive reports whether slot i's entry was born after every death mark
+// that covers its address space. It stays out of line so that Live
+// inlines.
+//
+//go:noinline
+func (s *Sets) bornLive(i int) bool {
+	return s.ep.Live(s.birth[i].asid, s.birth[i].gen)
 }
 
 // Stamp returns slot i's LRU stamp, zero for an empty slot.
@@ -79,35 +89,44 @@ func (s *Sets) Fill(i int, stamp uint64, asid uint16) {
 func (s *Sets) Clear(i int) { s.stamp[i] = 0 }
 
 // Victim returns the slot a fill of the set starting at base replaces,
-// under the LRU rule the caches and TLBs share: the last empty or
-// epoch-dead slot, else the first slot with the smallest stamp. free
+// under the LRU rule every cache, TLB and page-walk cache shares: the last
+// empty or epoch-dead slot, else the slot with the smallest stamp. free
 // reports that the slot holds no live entry.
+//
+// Empty and dead slots count as stamp 0, and live stamps are unique
+// because owners stamp from a counter they advance before each use. So the
+// rule is one pass that keeps the last minimum, a compare and two
+// conditional moves per way, on clean and marked epochs alike.
 func (s *Sets) Victim(base int) (victim int, free bool) {
-	marked := s.ep.Marked()
 	stamp := s.stamp[base : base+s.ways]
-	v, low := 0, stamp[0]
-	// While the epoch is marked, floor is the death floor of floorASID,
-	// the address space of the last live-checked slot: a set holds few
-	// spaces, so the per-ASID marks are probed about once per scan.
-	var floorASID uint16
-	var floor uint32
-	haveFloor := false
-	for w, st := range stamp {
-		empty := st == 0
-		if !empty && marked {
-			b := s.birth[base+w]
-			if !haveFloor || b.asid != floorASID {
-				floorASID, floor, haveFloor = b.asid, s.ep.Floor(b.asid), true
+	v, low := 0, ^uint64(0)
+	if !s.ep.Marked() {
+		for w, st := range stamp {
+			if st <= low {
+				v, low = w, st
 			}
-			empty = b.gen < floor
 		}
-		if empty {
-			v, free = w, true
-		} else if !free && st < low {
+		return base + v, low == 0
+	}
+	// floor is the death floor of floorASID, the address space of the last
+	// slot checked: a set holds few spaces, so the per-ASID marks are
+	// probed about once per scan.
+	birth := s.birth[base : base+len(stamp)]
+	floorASID := birth[0].asid
+	floor := s.ep.Floor(floorASID)
+	for w, st := range stamp {
+		b := birth[w]
+		if b.asid != floorASID {
+			floorASID, floor = b.asid, s.ep.Floor(b.asid)
+		}
+		if b.gen < floor {
+			st = 0
+		}
+		if st <= low {
 			v, low = w, st
 		}
 	}
-	return base + v, free
+	return base + v, low == 0
 }
 
 // Normalize empties every epoch-dead slot and rewinds live births to

@@ -168,22 +168,44 @@ func (g *GPU) Stats() Stats { return g.st }
 // warp has retired, so it drops the earlier kernels' warps first. Launch
 // panics if the trace has more CUs than the GPU.
 func (g *GPU) Launch(tr *trace.Trace, onComplete func()) {
-	if len(tr.CUs) > len(g.cus) {
-		panic(fmt.Sprintf("gpu: trace wants %d CUs, GPU has %d", len(tr.CUs), len(g.cus)))
+	g.launch(len(tr.CUs), onComplete, func(c *cu) {
+		for _, ws := range tr.CUs[c.id].Warps {
+			if len(ws) > 0 {
+				g.bind(c, &warp{stream: ws, arena: tr.Arena})
+			}
+		}
+	})
+}
+
+// LaunchStream is Launch for an incrementally-fed trace: warp contexts
+// with a non-zero total instruction count are bound and scheduled exactly
+// as Launch binds materialized streams, but each warp pulls its
+// instructions segment by segment from src as it executes. The event
+// schedule is identical to a Launch of the materialized equivalent —
+// refills are pure host work inside the same warp event.
+func (g *GPU) LaunchStream(src StreamSource, onComplete func()) {
+	g.launch(src.NumCUs(), onComplete, func(c *cu) {
+		for wi := 0; wi < src.NumWarps(c.id); wi++ {
+			if src.WarpLen(c.id, wi) > 0 {
+				g.bind(c, &warp{src: src, wi: wi})
+			}
+		}
+	})
+}
+
+// launch starts a kernel on the first cus CUs, the one path behind Launch
+// and LaunchStream: it drops the earlier kernels' warps, lets bindCU bind
+// each CU's new warps in order, and schedules every new warp at the
+// current cycle, or the completion at once when no warp has an
+// instruction.
+func (g *GPU) launch(cus int, onComplete func(), bindCU func(c *cu)) {
+	if cus > len(g.cus) {
+		panic(fmt.Sprintf("gpu: trace wants %d CUs, GPU has %d", cus, len(g.cus)))
 	}
 	g.onComplete = onComplete
 	g.dropRetiredWarps()
-	for ci := range tr.CUs {
-		c := g.cus[ci]
-		for _, ws := range tr.CUs[ci].Warps {
-			if len(ws) == 0 {
-				continue
-			}
-			w := &warp{g: g, cu: c, stream: ws, arena: tr.Arena}
-			w.lineDone = w.onLineDone
-			c.warps = append(c.warps, w)
-			g.liveWarps++
-		}
+	for _, c := range g.cus[:cus] {
+		bindCU(c)
 	}
 	if g.liveWarps == 0 {
 		g.eng.Schedule(0, g.complete)
@@ -196,39 +218,12 @@ func (g *GPU) Launch(tr *trace.Trace, onComplete func()) {
 	}
 }
 
-// LaunchStream is Launch for an incrementally-fed trace: warp contexts
-// with a non-zero total instruction count are bound and scheduled exactly
-// as Launch binds materialized streams, but each warp pulls its
-// instructions segment by segment from src as it executes. The event
-// schedule is identical to a Launch of the materialized equivalent —
-// refills are pure host work inside the same warp event.
-func (g *GPU) LaunchStream(src StreamSource, onComplete func()) {
-	if src.NumCUs() > len(g.cus) {
-		panic(fmt.Sprintf("gpu: trace wants %d CUs, GPU has %d", src.NumCUs(), len(g.cus)))
-	}
-	g.onComplete = onComplete
-	g.dropRetiredWarps()
-	for ci := 0; ci < src.NumCUs(); ci++ {
-		c := g.cus[ci]
-		for wi := 0; wi < src.NumWarps(ci); wi++ {
-			if src.WarpLen(ci, wi) == 0 {
-				continue
-			}
-			w := &warp{g: g, cu: c, src: src, wi: wi}
-			w.lineDone = w.onLineDone
-			c.warps = append(c.warps, w)
-			g.liveWarps++
-		}
-	}
-	if g.liveWarps == 0 {
-		g.eng.Schedule(0, g.complete)
-		return
-	}
-	for _, c := range g.cus {
-		for _, w := range c.warps {
-			g.eng.ScheduleEvent(0, w, warpStep)
-		}
-	}
+// bind adds w, a new kernel's warp, to CU c.
+func (g *GPU) bind(c *cu, w *warp) {
+	w.g, w.cu = g, c
+	w.lineDone = w.onLineDone
+	c.warps = append(c.warps, w)
+	g.liveWarps++
 }
 
 // dropRetiredWarps empties every CU's warp list, so a launch steps (and a

@@ -141,7 +141,6 @@ func New(eng *sim.Engine, cfg Config, walker *ptw.Walker) *IOMMU {
 	for i := 0; i < cfg.Banks; i++ {
 		io.ports = append(io.ports, sim.NewBandwidthServer(eng, cfg.LookupsPerCycle))
 	}
-	io.tlb.Clock = eng.Now
 	return io
 }
 

@@ -122,7 +122,6 @@ func New(eng *sim.Engine, cfg Config, pt *memory.PageTable, mem *dram.DRAM) *Wal
 		Assoc:     8,
 		Policy:    cache.WriteBack,
 	})
-	w.pwc.Clock = eng.Now
 	return w
 }
 

@@ -52,15 +52,16 @@ func fmtRefEntry(e refEntry, ok bool) string {
 // driveTLBDifferential plays ops (three bytes each) into the lane-based
 // finite TLB and the reference model and requires every return value, the
 // OnEvict sequence with lifetimes, the counters and the residency to agree
-// after each one. mode picks the geometry, whether the TLBs run on a
-// clock and whether the generation counter starts at its ceiling.
+// after each one. mode picks the geometry, whether the TLBs track
+// lifetimes on a clock (untracked, every insert stamp and lifetime reads 0
+// in both) and whether the generation counter starts at its ceiling.
 func driveTLBDifferential(t *testing.T, mode byte, ops []byte) {
 	cfg := diffGeometries[int(mode)%len(diffGeometries)]
 	tb, r := New(cfg), newRefTLB(cfg)
 	var clock uint64
 	if mode&0x08 != 0 {
-		tb.Clock = func() uint64 { return clock }
-		r.Clock = tb.Clock
+		r.Clock = func() uint64 { return clock }
+		tb.TrackLifetimes(r.Clock)
 	}
 	if mode&0x10 != 0 {
 		tb.ep.SetGen(^uint32(0) - 3)

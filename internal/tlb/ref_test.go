@@ -8,8 +8,9 @@ import (
 
 // The reference model of the differential tests: the TLB as it stood before
 // its finite mode moved into flat per-slot lanes, with one []refEntry slice
-// per set, kept unchanged apart from the renames. Types and helpers the
-// package still defines unchanged are shared.
+// per set, kept unchanged apart from the renames and from now, which reads
+// 0 without a clock because only a TLB that tracks lifetimes stamps them.
+// Types and helpers the package still defines unchanged are shared.
 
 // refEntry is a cached translation. Large entries cover a 2MB region: VPN and
 // PPN hold the region base and Frame resolves individual 4KB pages.
@@ -101,7 +102,7 @@ func (t *refTLB) now() uint64 {
 	if t.Clock != nil {
 		return t.Clock()
 	}
-	return t.tick
+	return 0
 }
 
 func (t *refTLB) setIndex(asid memory.ASID, vpn memory.VPN) int {

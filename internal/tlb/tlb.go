@@ -8,7 +8,9 @@
 // A finite TLB keeps its entries in flat per-slot lanes indexed
 // set*ways+way: a tag lane of VPNs, the LRU stamps, birth generations and
 // ASIDs of flatmap.Sets, and a payload lane with the rest, so a lookup
-// compares tags and an insert scans tags and stamps.
+// compares tags and an insert scans tags and stamps. Only a TLB that opts
+// in with TrackLifetimes keeps each entry's insert cycle, in a lane of its
+// own.
 //
 // Bulk invalidation (InvalidateAll / InvalidateASID) is epoch-based: each
 // entry records the generation it was inserted under, a bulk invalidation
@@ -39,7 +41,7 @@ type Entry struct {
 	Perm  memory.Perm
 	Large bool
 
-	insertedAt uint64 // residence start, for the OnEvict lifetime
+	insertedAt uint64 // residence start, for the OnEvict lifetime (TrackLifetimes)
 }
 
 // Frame returns the physical frame for vpn, which must lie in the entry's
@@ -93,10 +95,9 @@ type asidCnt struct {
 // slot is a finite-mode entry's payload: what a lookup reads only on a tag
 // match or for the victim.
 type slot struct {
-	ppn        memory.PPN
-	insertedAt uint64
-	perm       memory.Perm
-	large      bool
+	ppn   memory.PPN
+	perm  memory.Perm
+	large bool
 }
 
 // TLB is a translation lookaside buffer.
@@ -108,6 +109,7 @@ type TLB struct {
 	// size, so the key is exact for every (asid, vpn, large).
 	tags     []memory.VPN
 	slots    []slot
+	born     []uint64 // finite mode: insert cycles (TrackLifetimes only)
 	sets     flatmap.Sets
 	isInf    bool
 	inf      flatmap.Map[Entry] // infinite mode: 4KB entries, packed (asid, vpn) keys
@@ -125,11 +127,12 @@ type TLB struct {
 	resident int                  // live entries (maintained, so Len is O(1))
 	perASID  flatmap.Map[asidCnt] // keyed by uint64(asid)
 
-	// Clock, if set, supplies the current cycle for lifetime tracking.
-	Clock func() uint64
+	clock func() uint64 // TrackLifetimes only
+
 	// OnEvict, if set, is called when a valid entry leaves the TLB
 	// (replacement or page invalidation) with the entry and its residence
-	// time in cycles. Bulk invalidations retire entries without it.
+	// time in cycles, which reads 0 unless the TLB tracks lifetimes. Bulk
+	// invalidations retire entries without it.
 	OnEvict func(e Entry, lifetime uint64)
 	// Trace, if set, receives a cycle-stamped "miss" event for every
 	// lookup miss, with the missing VPN as the argument. A nil emitter
@@ -171,11 +174,12 @@ func (t *TLB) Config() Config { return t.cfg }
 // Stats returns a copy of the counters.
 func (t *TLB) Stats() Stats { return t.stats }
 
+// now returns the current cycle of a TLB that tracks lifetimes, else 0.
 func (t *TLB) now() uint64 {
-	if t.Clock != nil {
-		return t.Clock()
+	if t.clock != nil {
+		return t.clock()
 	}
-	return t.tick
+	return 0
 }
 
 // base returns the first slot of (asid, vpn)'s set.
@@ -185,8 +189,12 @@ func (t *TLB) base(asid memory.ASID, vpn memory.VPN) int {
 
 // entry builds the Entry held in slot i.
 func (t *TLB) entry(i int) Entry {
-	s := &t.slots[i]
-	return Entry{ASID: memory.ASID(t.sets.ASID(i)), VPN: t.tags[i], PPN: s.ppn, Perm: s.perm, Large: s.large, insertedAt: s.insertedAt}
+	s := t.slots[i]
+	e := Entry{ASID: memory.ASID(t.sets.ASID(i)), VPN: t.tags[i], PPN: s.ppn, Perm: s.perm, Large: s.large}
+	if t.born != nil {
+		e.insertedAt = t.born[i]
+	}
+	return e
 }
 
 // keyed reports whether slot i's entry, live or not, belongs to asid and
@@ -361,7 +369,10 @@ func (t *TLB) insert(e Entry) {
 	}
 	t.tags[i] = vpn
 	t.sets.Fill(i, t.tick, uint16(asid))
-	t.slots[i] = slot{ppn: e.PPN, insertedAt: t.now(), perm: e.Perm, large: e.Large}
+	t.slots[i] = slot{ppn: e.PPN, perm: e.Perm, large: e.Large}
+	if t.born != nil {
+		t.born[i] = t.clock()
+	}
 	t.incCount(asid, e.Large)
 	if e.Large {
 		t.large++
@@ -469,6 +480,20 @@ func (t *TLB) InvalidateASID(asid memory.ASID) int {
 	t.perASID.Delete(uint64(asid))
 	t.ep.MarkDeadASID(uint16(asid), t.bumpGen())
 	return n
+}
+
+// TrackLifetimes makes the TLB stamp each entry with clock's cycle at its
+// insert, so OnEvict reports real residence times. A finite TLB keeps the
+// stamps in a lane that only a tracking TLB allocates. Call it before the
+// first insert.
+func (t *TLB) TrackLifetimes(clock func() uint64) {
+	if t.resident != 0 {
+		panic("tlb: TrackLifetimes on a TLB that already holds entries")
+	}
+	t.clock = clock
+	if !t.isInf {
+		t.born = make([]uint64, t.sets.Slots())
+	}
 }
 
 // Len returns the number of live entries currently resident.

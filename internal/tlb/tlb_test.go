@@ -137,7 +137,7 @@ func TestLifetimeHook(t *testing.T) {
 	var clock uint64
 	var lifetimes []uint64
 	tb := New(Config{Entries: 1})
-	tb.Clock = func() uint64 { return clock }
+	tb.TrackLifetimes(func() uint64 { return clock })
 	tb.OnEvict = func(e Entry, life uint64) { lifetimes = append(lifetimes, life) }
 	clock = 100
 	tb.Insert(1, 1, 1, memory.PermRead)
