@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"vcache/internal/memory"
 	"vcache/internal/workloads"
 )
 
@@ -180,6 +181,51 @@ func TestTrackLifetimesOnlyObserves(t *testing.T) {
 				if !bytes.Equal(encode(on[i].res), encode(off[i].res)) {
 					t.Errorf("launch %d: Results differ with lifetime tracking on", i)
 				}
+			}
+		})
+	}
+}
+
+// TestRolloverAllocatesNothing pins an ASID-slot rollover at zero host
+// allocations once every slot is warm: RetireASID recycles the released
+// address space (tables, reverse map and Release's key slice keep their
+// capacity) and SpaceFor reuses it. A round is the churn replay's
+// rollover: retire the slot, take its fresh space, map the shared churn
+// pages into it and demand-map a kernel's private pages.
+func TestRolloverAllocatesNothing(t *testing.T) {
+	const (
+		slots   = 4
+		shared  = 8  // workloads.DefaultChurnParams().SharedPages
+		private = 32 // workloads.DefaultChurnParams().KernelPages
+	)
+	for _, d := range []struct {
+		name string
+		cfg  func() Config
+	}{{"baseline-512", DesignBaseline512}, {"vc-opt", DesignVCOpt}, {"vc-opt-dsr", DesignVCOptDSR}} {
+		t.Run(d.name, func(t *testing.T) {
+			sys := MustNew(smallCfg(d.cfg()))
+			frames := make([]memory.PPN, shared)
+			for i := range frames {
+				frames[i] = sys.Frames().Alloc()
+			}
+			n := 0
+			round := func() {
+				asid := memory.ASID(1 + n%slots)
+				n++
+				sys.RetireASID(asid)
+				sp := sys.SpaceFor(asid)
+				for i, ppn := range frames {
+					sp.MapFrame(workloads.ChurnSharedBase+memory.VAddr(i)*memory.PageSize, ppn, memory.PermRead)
+				}
+				for i := 0; i < private; i++ {
+					sp.EnsureMapped(memory.VAddr(0x10000000 + i*memory.PageSize))
+				}
+			}
+			for i := 0; i < 3*slots; i++ {
+				round()
+			}
+			if got := testing.AllocsPerRun(4*slots, round); got != 0 {
+				t.Errorf("a warm rollover allocates %v times, want 0", got)
 			}
 		})
 	}

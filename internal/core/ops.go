@@ -59,7 +59,9 @@ func (s *System) FlushGPU() {
 // — per-CU TLBs, the shared IOMMU TLB (one ASID-wide shootdown message
 // instead of a page-by-page storm), the FBT, and the caches — and the
 // backing address space is released so the slot can be reassigned to the
-// next tenant. GPU L1s support no selective probes, so in the virtual
+// next tenant. The System keeps the released space for the next SpaceFor
+// to reuse, so a pointer to it obtained earlier must not be used again.
+// GPU L1s support no selective probes, so in the virtual
 // designs any L1 holding the space's lines conservatively flushes whole
 // (the same rule the FBT-eviction path applies); physically-tagged L1s
 // invalidate selectively. The ASID-batched form invalidates the L2
@@ -102,9 +104,10 @@ func (s *System) RetireASID(asid memory.ASID) RetireStats {
 	if sp, ok := s.spaces[asid]; ok {
 		sp.Release()
 		delete(s.spaces, asid)
+		s.idle = append(s.idle, sp)
 	}
 	if asid == s.asid {
-		s.as = s.SpaceFor(asid) // fresh, empty space under the same slot
+		s.as = s.SpaceFor(asid) // an empty space under the same slot
 		s.walker.SetTable(s.as.Table)
 	}
 	return rs

@@ -66,6 +66,7 @@ type System struct {
 	mem     *dram.DRAM
 	as      *memory.AddressSpace
 	spaces  map[memory.ASID]*memory.AddressSpace
+	idle    []*memory.AddressSpace // released by RetireASID, for SpaceFor to reuse
 	alloc   *memory.FrameAlloc
 	walker  *ptw.Walker
 	gpu     *gpu.GPU
@@ -294,12 +295,22 @@ func (s *System) Space() *memory.AddressSpace { return s.as }
 func (s *System) Frames() *memory.FrameAlloc { return s.alloc }
 
 // SpaceFor returns the address space for asid, creating it on first use.
-// All spaces share one physical frame allocator.
+// All spaces share one physical frame allocator. A new space recycles one
+// that RetireASID released, if there is one (AddressSpace.Reuse), so
+// tenant rollover allocates nothing on the host once warm; the frames,
+// PTEs and walks are those of a freshly built space either way.
 func (s *System) SpaceFor(asid memory.ASID) *memory.AddressSpace {
 	if sp, ok := s.spaces[asid]; ok {
 		return sp
 	}
-	sp := memory.NewAddressSpace(asid, s.alloc)
+	var sp *memory.AddressSpace
+	if n := len(s.idle); n > 0 {
+		sp = s.idle[n-1]
+		s.idle = s.idle[:n-1]
+		sp.Reuse(asid)
+	} else {
+		sp = memory.NewAddressSpace(asid, s.alloc)
+	}
 	s.spaces[asid] = sp
 	return sp
 }

@@ -1,6 +1,6 @@
 // Package flatmap provides the open-addressing hash tables behind the
 // simulator's per-line paths: the infinite-mode TLB, the FBT forward
-// table, the page-table mirror and reverse synonym map, the per-ASID side
+// table, the page table and reverse synonym map, the per-ASID side
 // tables used by epoch invalidation, the miss-merge tables, the L1
 // invalidation filters and the synonym remap tables. It also holds Sets,
 // the flat per-slot bookkeeping of the set-associative caches, TLBs and

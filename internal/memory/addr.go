@@ -1,5 +1,5 @@
 // Package memory provides the virtual-memory substrate: address types,
-// 4KB pages and 128B cache lines, a 4-level radix page table with
+// 4KB pages and 128B cache lines, a flat 4-level page table with
 // per-level physical node addresses (so page-walk caches can be modeled),
 // a physical frame allocator, and demand-mapped address spaces with
 // synonym support.
@@ -16,7 +16,7 @@ const (
 	LinesPerPage = PageSize / LineSize // 32
 )
 
-// The modeled virtual address space: the four 9-bit levels of the radix
+// The modeled virtual address space: the four 9-bit levels of the
 // page table over 4KB pages give 36-bit VPNs and 48-bit addresses. A
 // larger address would alias a smaller one in the table, so inputs
 // carrying one are rejected before they reach it.

@@ -6,7 +6,7 @@ import (
 	"vcache/internal/flatmap"
 )
 
-// Levels is the depth of the radix page table (x86-64 style: PML4, PDPT,
+// Levels is the depth of the page table (x86-64 style: PML4, PDPT,
 // PD, PT).
 const Levels = 4
 
@@ -40,38 +40,47 @@ func LargeBase(vpn VPN, ppn PPN) (VPN, PPN) {
 	return vpn - VPN(off), ppn - PPN(off)
 }
 
-// node is one radix page-table node. Each node occupies a physical frame so
-// that walks touch realistic physical addresses (needed by the page-walk
-// cache model).
-type node struct {
-	frame    PPN
-	children [entriesPerNode]*node // interior levels
-	leaves   [entriesPerNode]PTE   // leaf level only
-	large    map[int]PTE           // 2MB leaves at the PD level (lazy)
-	leaf     bool
-}
-
 // WalkTrace records the physical address of the page-table entry touched at
 // each level during a walk, root first. Page-walk caches key on these.
 type WalkTrace [Levels]PAddr
 
-// PageTable is a 4-level radix page table. The radix tree is the model —
-// walks touch its per-level physical frames — but functional translations
-// (Lookup) are served from flat open-addressing mirrors of the leaves, one
-// for 4KB pages and one for 2MB regions, kept in lockstep by the three leaf
-// mutators (Map, Unmap, MapLarge).
+// path holds the frames of the nodes from just below the root down to one
+// node: path[l-1] is the frame of the level-l node (the root is level 0).
+type path [Levels - 1]PPN
+
+// PageTable is a 4-level x86-64-style page table kept flat. The leaves are
+// two open-addressing maps, one for 4KB pages and one for 2MB regions, and
+// each node below the root is one entry of a third, keyed by its level and
+// the VPN prefix that selects it (dirKey), whose value holds the frames on
+// its path. Nodes still occupy physical frames — allocated top-down from
+// the FrameAlloc on the first Map or MapLarge that needs them and never
+// freed — so a Walk touches the per-level physical addresses a radix tree
+// would (page-walk caches key on them), at the cost of one node probe and
+// one leaf probe.
 type PageTable struct {
-	root  *node
+	root  PPN
 	alloc *FrameAlloc
 	pages int // count of valid leaf mappings
 
-	flat      flatmap.Map[PTE] // vpn -> 4KB leaf
-	flatLarge flatmap.Map[PTE] // 2MB region base vpn -> unadjusted large leaf
+	nodes     flatmap.Map[path] // dirKey(vpn, level) -> the node's path
+	flat      flatmap.Map[PTE]  // vpn -> 4KB leaf
+	flatLarge flatmap.Map[PTE]  // 2MB region base vpn -> unadjusted large leaf
 }
 
 // NewPageTable creates an empty table whose nodes draw frames from alloc.
 func NewPageTable(alloc *FrameAlloc) *PageTable {
-	return &PageTable{root: &node{frame: alloc.Alloc()}, alloc: alloc}
+	return &PageTable{root: alloc.Alloc(), alloc: alloc}
+}
+
+// reuse empties the table under a fresh root frame, as NewPageTable would
+// build it, keeping its maps' capacity. The old nodes' frames stay
+// allocated.
+func (pt *PageTable) reuse() {
+	pt.root = pt.alloc.Alloc()
+	pt.pages = 0
+	pt.nodes.Reset()
+	pt.flat.Reset()
+	pt.flatLarge.Reset()
 }
 
 // Pages returns the number of valid leaf mappings.
@@ -84,10 +93,39 @@ func levelIndex(vpn VPN, level int) int {
 	return int(vpn>>shift) & levelIndexMask
 }
 
-// entryAddr returns the physical address of the PTE slot for vpn within n at
-// the given level. Entries are 8 bytes.
-func entryAddr(n *node, vpn VPN, level int) PAddr {
-	return n.frame.Base() + PAddr(levelIndex(vpn, level)*8)
+// entryAddr returns the physical address of the PTE slot for vpn within the
+// level's node held in frame. Entries are 8 bytes.
+func entryAddr(frame PPN, vpn VPN, level int) PAddr {
+	return frame.Base() + PAddr(levelIndex(vpn, level)*8)
+}
+
+// dirKey keys the level-l node covering vpn (0 < l < Levels): the level
+// above the VPN bits, below them the VPN prefix the levels above l consume.
+func dirKey(vpn VPN, level int) uint64 {
+	return uint64(level)<<VPNBits | uint64(vpn)>>((Levels-level)*bitsPerLevel)
+}
+
+// node returns the path of the level-l node covering vpn, first allocating
+// every missing node on the way down, parents before children.
+func (pt *PageTable) node(vpn VPN, level int) path {
+	if p, ok := pt.nodes.Get(dirKey(vpn, level)); ok {
+		return p
+	}
+	var p path
+	if level > 1 {
+		p = pt.node(vpn, level-1)
+	}
+	p[level-1] = pt.alloc.Alloc()
+	pt.nodes.Put(dirKey(vpn, level), p)
+	return p
+}
+
+// trace fills tr[1..level] with the entry addresses vpn's walk reads in the
+// nodes on p.
+func trace(tr *WalkTrace, p *path, vpn VPN, level int) {
+	for l := 1; l <= level; l++ {
+		tr[l] = entryAddr(p[l-1], vpn, l)
+	}
 }
 
 // checkVPN panics on a VPN beyond the modeled address space, which would
@@ -103,131 +141,93 @@ func checkVPN(vpn VPN) {
 // on a VPN beyond the modeled address space.
 func (pt *PageTable) Map(vpn VPN, ppn PPN, perm Perm) {
 	checkVPN(vpn)
-	n := pt.root
-	for level := 0; level < Levels-1; level++ {
-		idx := levelIndex(vpn, level)
-		child := n.children[idx]
-		if child == nil {
-			child = &node{frame: pt.alloc.Alloc(), leaf: level == Levels-2}
-			n.children[idx] = child
-		}
-		n = child
-	}
-	idx := levelIndex(vpn, Levels-1)
-	if !n.leaves[idx].Valid {
+	pt.node(vpn, Levels-1)
+	if !pt.flat.Put(uint64(vpn), PTE{PPN: ppn, Perm: perm, Valid: true}) {
 		pt.pages++
 	}
-	n.leaves[idx] = PTE{PPN: ppn, Perm: perm, Valid: true}
-	pt.flat.Put(uint64(vpn), n.leaves[idx])
 }
 
 // Unmap removes the translation for vpn. It reports whether a valid mapping
-// existed.
+// existed. The leaf's node stays, so MapLarge still finds the region
+// occupied.
 func (pt *PageTable) Unmap(vpn VPN) bool {
-	n := pt.root
-	for level := 0; level < Levels-1; level++ {
-		n = n.children[levelIndex(vpn, level)]
-		if n == nil {
-			return false
-		}
-	}
-	idx := levelIndex(vpn, Levels-1)
-	if !n.leaves[idx].Valid {
+	if _, ok := pt.flat.Delete(uint64(vpn)); !ok {
 		return false
 	}
-	n.leaves[idx] = PTE{}
-	pt.flat.Delete(uint64(vpn))
 	pt.pages--
 	return true
 }
 
 // MapLarge installs a 2MB mapping: vpn and ppn must be 512-page aligned;
 // the region's translations resolve at the PD level. Panics on
-// misalignment, on a VPN beyond the modeled address space, or when 4KB
-// mappings already occupy the slot's subtree.
+// misalignment, on a VPN beyond the modeled address space, or when a
+// 4KB-page node already occupies the region (it stays once its pages are
+// unmapped).
 func (pt *PageTable) MapLarge(vpn VPN, ppn PPN, perm Perm) {
 	if uint64(vpn)&(PagesPerLarge-1) != 0 || uint64(ppn)&(PagesPerLarge-1) != 0 {
 		panic(fmt.Sprintf("memory: MapLarge misaligned vpn=%#x ppn=%#x", uint64(vpn), uint64(ppn)))
 	}
 	checkVPN(vpn)
-	n := pt.root
-	for level := 0; level < Levels-2; level++ {
-		idx := levelIndex(vpn, level)
-		child := n.children[idx]
-		if child == nil {
-			child = &node{frame: pt.alloc.Alloc()}
-			n.children[idx] = child
-		}
-		n = child
-	}
-	idx := levelIndex(vpn, Levels-2)
-	if n.children[idx] != nil {
+	if _, ok := pt.nodes.Get(dirKey(vpn, Levels-1)); ok {
 		panic("memory: MapLarge over existing 4KB mappings")
 	}
-	if n.large == nil {
-		n.large = make(map[int]PTE)
-	}
-	if _, ok := n.large[idx]; !ok {
+	pt.node(vpn, Levels-2)
+	if !pt.flatLarge.Put(uint64(vpn), PTE{PPN: ppn, Perm: perm, Valid: true, Large: true}) {
 		pt.pages += PagesPerLarge
 	}
-	n.large[idx] = PTE{PPN: ppn, Perm: perm, Valid: true, Large: true}
-	pt.flatLarge.Put(uint64(vpn), n.large[idx])
 }
 
-// largeAt returns the 2MB leaf covering vpn at node n (the PD level), with
-// the PPN adjusted to vpn's 4KB frame.
-func largeAt(n *node, vpn VPN) (PTE, bool) {
-	if n.large == nil {
-		return PTE{}, false
-	}
-	pte, ok := n.large[levelIndex(vpn, Levels-2)]
-	if !ok {
-		return PTE{}, false
-	}
+// large returns the 2MB leaf covering vpn, with the PPN adjusted to vpn's
+// 4KB frame. Callers skip it while no 2MB leaf exists.
+func (pt *PageTable) large(vpn VPN) (PTE, bool) {
+	pte, ok := pt.flatLarge.Get(uint64(vpn &^ VPN(PagesPerLarge-1)))
 	pte.PPN += PPN(uint64(vpn) & (PagesPerLarge - 1))
-	return pte, true
+	return pte, ok
 }
 
 // Lookup returns the PTE for vpn, if valid. Purely functional (no timing):
-// it is served from the flat leaf mirrors, not the radix tree, so the hot
-// translation path is two table probes at most. Large mappings shadow 4KB
-// leaves beneath them (as the radix walk resolves them first) and return a
-// synthesized 4KB-granular PTE with Large set.
+// two leaf probes at most. Large mappings shadow 4KB leaves beneath them
+// (as a walk resolves them first) and return a synthesized 4KB-granular
+// PTE with Large set.
 func (pt *PageTable) Lookup(vpn VPN) (PTE, bool) {
 	if pt.flatLarge.Len() != 0 {
-		base := vpn &^ VPN(PagesPerLarge-1)
-		if pte, ok := pt.flatLarge.Get(uint64(base)); ok {
-			pte.PPN += PPN(uint64(vpn) & (PagesPerLarge - 1))
+		if pte, ok := pt.large(vpn); ok {
 			return pte, true
 		}
 	}
-	pte, ok := pt.flat.Get(uint64(vpn))
-	return pte, ok
+	return pt.flat.Get(uint64(vpn))
 }
 
 // Walk performs a full walk for vpn, returning the PTE, the physical
 // addresses touched at each level (for page-walk-cache modeling), and the
 // number of levels actually traversed before the walk terminated (equal to
-// Levels on success, or 3 when a 2MB leaf resolves the walk early).
+// Levels on success, or 3 when a 2MB leaf resolves the walk early). A walk
+// that finds no node at some level ends there, having read that level's
+// entry; the deepest node present on vpn's path says where.
 func (pt *PageTable) Walk(vpn VPN) (PTE, WalkTrace, int) {
 	var tr WalkTrace
-	n := pt.root
-	for level := 0; level < Levels-1; level++ {
-		tr[level] = entryAddr(n, vpn, level)
-		if level == Levels-2 {
-			if pte, ok := largeAt(n, vpn); ok {
-				return pte, tr, level + 1
-			}
+	tr[0] = entryAddr(pt.root, vpn, 0)
+	if pt.flatLarge.Len() != 0 {
+		if pte, ok := pt.large(vpn); ok {
+			p, _ := pt.nodes.Get(dirKey(vpn, Levels-2))
+			trace(&tr, &p, vpn, Levels-2)
+			return pte, tr, Levels - 1
 		}
-		next := n.children[levelIndex(vpn, level)]
-		if next == nil {
+	}
+	if p, ok := pt.nodes.Get(dirKey(vpn, Levels-1)); ok {
+		tr[1] = entryAddr(p[0], vpn, 1)
+		tr[2] = entryAddr(p[1], vpn, 2)
+		tr[3] = entryAddr(p[2], vpn, 3)
+		pte, _ := pt.flat.Get(uint64(vpn))
+		return pte, tr, Levels
+	}
+	for level := Levels - 2; level > 0; level-- {
+		if p, ok := pt.nodes.Get(dirKey(vpn, level)); ok {
+			trace(&tr, &p, vpn, level)
 			return PTE{}, tr, level + 1
 		}
-		n = next
 	}
-	tr[Levels-1] = entryAddr(n, vpn, Levels-1)
-	pte := n.leaves[levelIndex(vpn, Levels-1)]
-	return pte, tr, Levels
+	return PTE{}, tr, 1
 }
 
 // FrameAlloc hands out physical frames. Frees are recycled LIFO.

@@ -72,6 +72,7 @@ type AddressSpace struct {
 	// synonym bookkeeping, plus the foreign-frame flag.
 	rev   flatmap.Map[revEntry]
 	arena vpnArena
+	keys  []uint64 // Release's sorted rev keys, kept for the next Release
 
 	defaultPerm Perm
 }
@@ -86,6 +87,20 @@ func NewAddressSpace(id ASID, alloc *FrameAlloc) *AddressSpace {
 		alloc:       alloc,
 		defaultPerm: PermRead | PermWrite,
 	}
+}
+
+// Reuse turns a released space into an empty one under id, exactly as
+// NewAddressSpace(id, alloc) would build it: a fresh root frame, taken
+// from the allocator at the same point, no mappings and read+write
+// default permission. Its tables keep their capacity, so an ASID-slot
+// rollover that recycles a space allocates nothing on the host. The old
+// table's node frames stay allocated, as a discarded space's would. Call
+// it only after Release, which frees the old mappings' frames and empties
+// the reverse map.
+func (as *AddressSpace) Reuse(id ASID) {
+	as.ID = id
+	as.Table.reuse()
+	as.defaultPerm = PermRead | PermWrite
 }
 
 // SetDefaultPerm sets the permission used for demand-mapped pages.
@@ -185,13 +200,15 @@ func (as *AddressSpace) MapFrame(va VAddr, ppn PPN, perm Perm) PTE {
 // Release frees every frame the space allocated for itself back to the
 // shared allocator (foreign MapFrame frames stay live) and returns how
 // many frames were freed. Frames are freed in ascending PPN order so
-// recycling — and therefore every later allocation — is deterministic.
-// The space must not be used afterwards.
+// recycling — and therefore every later allocation — is deterministic;
+// the order is sorted in a slice the space keeps, so a warm Release
+// allocates nothing. The page table's node frames are not freed. The
+// space must not be used afterwards, except to Reuse it.
 func (as *AddressSpace) Release() int {
-	keys := as.rev.AppendKeys(nil)
-	slices.Sort(keys) // ascending PPN
+	as.keys = as.rev.AppendKeys(as.keys[:0])
+	slices.Sort(as.keys) // ascending PPN
 	freed := 0
-	for _, k := range keys {
+	for _, k := range as.keys {
 		e := as.rev.Ref(k)
 		if e.foreign {
 			continue

@@ -408,15 +408,21 @@ func TestCoalescedCancelOnlyStopsRunWhenAllGone(t *testing.T) {
 	}
 }
 
+// TestSubscribeStreamsLifecycle: a subscriber that joins before its job
+// starts sees every event type of the job's life. The single worker is
+// held on another job while a is submitted and subscribed, so a cannot
+// start (and emit its progress event) before the subscription exists.
 func TestSubscribeStreamsLifecycle(t *testing.T) {
 	s, g := newTestServer(t, 16)
+	s.Submit(spec(2, 0))
+	waitStart(t, g)
 	a, _ := s.Submit(spec(1, 0))
 	ch, cancel, err := s.Subscribe(a.ID)
 	if err != nil {
 		t.Fatalf("subscribe: %v", err)
 	}
 	defer cancel()
-	waitStart(t, g)
+	g.gate <- struct{}{}
 	g.gate <- struct{}{}
 	waitTerminal(t, s, a.ID)
 	var types []string

@@ -261,7 +261,7 @@ func wideLaneFile() []byte {
 }
 
 // TestWideAddressesRejected: addresses at or beyond 1<<48 (VPNs at or
-// beyond 1<<36) would alias lower ones in the radix page table, so every
+// beyond 1<<36) would alias lower ones in the page table, so every
 // way a trace enters is checked — Validate (and so WriteChunked), a
 // chunk's lanes and the footer's premap — and the errors name the access.
 func TestWideAddressesRejected(t *testing.T) {
