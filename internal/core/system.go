@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
+	"strconv"
 
 	"vcache/internal/cache"
 	"vcache/internal/dram"
@@ -230,13 +230,13 @@ func (s *System) buildRegistry() {
 	s.l2.Observe(r.Scope("l2"))
 	r.IntGauge("l2.page_peak", &s.l2PagePeak)
 	for i := range s.l1s {
-		s.l1s[i].Observe(r.Scope(fmt.Sprintf("l1.cu%d", i)))
+		s.l1s[i].Observe(r.Scope("l1.cu" + strconv.Itoa(i)))
 	}
 	for i := range s.cuTLBs {
-		s.cuTLBs[i].Observe(r.Scope(fmt.Sprintf("tlb.cu%d", i)))
+		s.cuTLBs[i].Observe(r.Scope("tlb.cu" + strconv.Itoa(i)))
 	}
 	for i := range s.cuTLB2s {
-		s.cuTLB2s[i].Observe(r.Scope(fmt.Sprintf("tlb2.cu%d", i)))
+		s.cuTLB2s[i].Observe(r.Scope("tlb2.cu" + strconv.Itoa(i)))
 	}
 	if s.fbt != nil {
 		s.fbt.Observe(r.Scope("fbt"))
@@ -275,10 +275,10 @@ func (s *System) AttachTrace(sink obs.EventSink) {
 		s.fbt.Trace = emitter("fbt")
 	}
 	for i := range s.cuTLBs {
-		s.cuTLBs[i].Trace = emitter(fmt.Sprintf("tlb.cu%d", i))
+		s.cuTLBs[i].Trace = emitter("tlb.cu" + strconv.Itoa(i))
 	}
 	for i := range s.cuTLB2s {
-		s.cuTLB2s[i].Trace = emitter(fmt.Sprintf("tlb2.cu%d", i))
+		s.cuTLB2s[i].Trace = emitter("tlb2.cu" + strconv.Itoa(i))
 	}
 }
 
@@ -383,17 +383,29 @@ func (s *System) PerCUTLB(cu int) *tlb.TLB { return s.cuTLBs[cu] }
 // measures steady-state translation behaviour, not first-touch OS faults).
 // Pages already mapped — e.g. synonym aliases installed via Space() — are
 // left untouched.
+//
+// Lanes are walked in first-touch order (cu-major, warp-major,
+// instruction order, lane order), and a lane on the same 4KB page as the
+// lane before it is skipped without a page-table probe: that page is
+// mapped already, and mapping a mapped page does nothing, so the frames
+// assigned are those of mapping every lane.
 func (s *System) Prepare(tr *trace.Trace) {
+	prev := ^memory.VPN(0) // no page: a page number has its top PageShift bits clear
 	for _, cu := range tr.CUs {
 		for _, w := range cu.Warps {
 			for _, in := range w {
-				if in.Kind == trace.Load || in.Kind == trace.Store {
-					for _, a := range tr.Addrs(in) {
-						if s.cfg.LargePages {
-							s.as.EnsureMappedLarge(a)
-						} else {
-							s.as.EnsureMapped(a)
-						}
+				if in.Kind != trace.Load && in.Kind != trace.Store {
+					continue
+				}
+				for _, a := range tr.Addrs(in) {
+					if a.Page() == prev {
+						continue
+					}
+					prev = a.Page()
+					if s.cfg.LargePages {
+						s.as.EnsureMappedLarge(a)
+					} else {
+						s.as.EnsureMapped(a)
 					}
 				}
 			}

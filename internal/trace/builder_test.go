@@ -1,0 +1,301 @@
+package trace
+
+import (
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"vcache/internal/memory"
+)
+
+// Builder op kinds, the calls a generator makes.
+const (
+	opWarp = iota
+	opLoad
+	opStore
+	opCompute
+	opScratchLoad
+	opScratchStore
+	opBarrier
+	numOps
+)
+
+// builderOp is one generator call: lanes is a Load or Store's lane count
+// (0 to maxLanes; 0 is dropped), cycles a Compute or scratch duration.
+type builderOp struct {
+	kind   int
+	lanes  int
+	cycles uint64
+}
+
+// laneAddr is the address of the n-th lane of an op stream: distinct for
+// every n (an odd multiplier permutes the 64-bit values), so a lane
+// staged at the wrong offset shows.
+func laneAddr(n uint64) memory.VAddr { return memory.VAddr(n * 0x9e3779b97f4a7c15) }
+
+// emitter is the warp-emitter API the two builders share.
+type emitter[E any] interface {
+	Load(...memory.VAddr) E
+	Store(...memory.VAddr) E
+	Compute(uint64) E
+	ScratchLoad(uint64) E
+	ScratchStore(uint64) E
+}
+
+// drive makes ops' calls on a builder, given its Warp and Barrier
+// methods, and returns the number of lanes emitted. Lane n's address is
+// laneAddr(n).
+func drive[E emitter[E]](ops []builderOp, warp func() E, barrier func()) uint64 {
+	lanes := make([]memory.VAddr, maxLanes) // one buffer, reused: builders must copy it
+	w := warp()
+	var n uint64
+	for _, op := range ops {
+		switch op.kind {
+		case opWarp:
+			w = warp()
+		case opLoad, opStore:
+			addrs := lanes[:op.lanes]
+			for i := range addrs {
+				addrs[i] = laneAddr(n)
+				n++
+			}
+			if op.kind == opLoad {
+				w.Load(addrs...)
+			} else {
+				w.Store(addrs...)
+			}
+		case opCompute:
+			w.Compute(op.cycles)
+		case opScratchLoad:
+			w.ScratchLoad(op.cycles)
+		case opScratchStore:
+			w.ScratchStore(op.cycles)
+		case opBarrier:
+			barrier()
+		}
+	}
+	return n
+}
+
+// buildBoth drives the block-staged Builder and the append-grown
+// reference with ops and fails unless both build the same trace. It also
+// checks that a trace staged in more than one block gets an exact-size
+// arena, that one staged in a single block keeps that block as its
+// arena, and that a second Build returns the same trace.
+func buildBoth(t testing.TB, numCUs, warpsPer int, ops []builderOp) {
+	t.Helper()
+	b, ref := NewBuilder("diff", 3, numCUs, warpsPer), newRefBuilder("diff", 3, numCUs, warpsPer)
+	n := drive(ops, b.Warp, b.Barrier)
+	drive(ops, ref.Warp, ref.Barrier)
+	if b.staged != n {
+		t.Fatalf("staged %d lanes, emitted %d", b.staged, n)
+	}
+	multi, first := len(b.full) > 0, b.block
+	tr, want := b.Build(), ref.Build()
+	if !reflect.DeepEqual(tr, want) {
+		describeDiff(t, tr, want)
+	}
+	switch {
+	case multi && len(tr.Arena) != cap(tr.Arena):
+		t.Fatalf("arena of %d lanes staged in several blocks has capacity %d, want exact", len(tr.Arena), cap(tr.Arena))
+	case !multi && n > 0 && &tr.Arena[0] != &first[0]:
+		t.Fatalf("arena of %d lanes that fit the first block was copied", n)
+	}
+	if again := b.Build(); again != tr || !reflect.DeepEqual(again, want) {
+		t.Fatal("a second Build returned a different trace")
+	}
+}
+
+// describeDiff fails with the first difference between two traces.
+func describeDiff(t testing.TB, got, want *Trace) {
+	t.Helper()
+	if len(got.Arena) != len(want.Arena) {
+		t.Fatalf("arena holds %d lanes, reference %d", len(got.Arena), len(want.Arena))
+	}
+	for i := range got.Arena {
+		if got.Arena[i] != want.Arena[i] {
+			t.Fatalf("arena lane %d = %#x, reference %#x", i, uint64(got.Arena[i]), uint64(want.Arena[i]))
+		}
+	}
+	for c := range want.CUs {
+		for w := range want.CUs[c].Warps {
+			g, r := got.CUs[c].Warps[w], want.CUs[c].Warps[w]
+			if len(g) != len(r) {
+				t.Fatalf("cu %d warp %d: %d insts, reference %d", c, w, len(g), len(r))
+			}
+			for i := range r {
+				if g[i] != r[i] {
+					t.Fatalf("cu %d warp %d inst %d = %+v, reference %+v", c, w, i, g[i], r[i])
+				}
+			}
+		}
+	}
+	t.Fatalf("traces differ: %s %d, reference %s %d", got.Name, got.ASID, want.Name, want.ASID)
+}
+
+// loads returns count loads of lanes lanes each, every one from the next
+// warp context, with a barrier after every 64.
+func loads(count, lanes int) []builderOp {
+	var ops []builderOp
+	for i := 0; i < count; i++ {
+		kind := opLoad
+		if i%3 == 2 {
+			kind = opStore
+		}
+		ops = append(ops, builderOp{kind: opWarp}, builderOp{kind: kind, lanes: lanes})
+		if i%64 == 63 {
+			ops = append(ops, builderOp{kind: opBarrier})
+		}
+	}
+	return ops
+}
+
+// lcgOps returns a pseudo-random op stream of n ops.
+func lcgOps(seed uint64, n int) []builderOp {
+	ops := make([]builderOp, n)
+	for i := range ops {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		r := seed >> 16
+		ops[i] = builderOp{kind: int(r % numOps), lanes: int(r>>8) % (maxLanes + 1), cycles: r >> 32 % 100}
+		if r>>20%4 == 0 { // mostly warp-sized accesses, as the generators make
+			ops[i].lanes = 32
+		}
+	}
+	return ops
+}
+
+// TestBuilderMatchesReference holds the block-staged builder to the
+// append-grown one it replaced: the same instruction streams, offsets and
+// arena, at and across every block boundary.
+func TestBuilderMatchesReference(t *testing.T) {
+	cases := []struct {
+		name string
+		ops  []builderOp
+	}{
+		{"no memory access", []builderOp{
+			{kind: opCompute, cycles: 5}, {kind: opWarp}, {kind: opScratchLoad, cycles: 2},
+			{kind: opLoad}, {kind: opStore}, {kind: opBarrier}, {kind: opScratchStore, cycles: 3},
+			{kind: opCompute}, {kind: opScratchLoad},
+		}},
+		{"fills the first block exactly", loads(8, 32)},
+		{"fills the first block, then the next", loads(9, 32)},
+		{"one access is the first block", loads(1, firstBlock)},
+		{"straddles the first two blocks", loads(2, 200)},
+		{"longer than the first block", loads(1, 1000)},
+		{"maxLanes from the start", loads(3, maxLanes)},
+		{"fills the second block exactly", append(loads(1, firstBlock-1), loads(1, 2*firstBlock+1)...)},
+		{"past several 64K blocks", loads(130, maxLanes)},
+		{"odd lanes past several 64K blocks", loads(700, 777)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, shape := range [][2]int{{1, 1}, {4, 2}, {3, 5}} {
+				buildBoth(t, shape[0], shape[1], c.ops)
+			}
+		})
+	}
+	for seed := uint64(1); seed <= 6; seed++ {
+		buildBoth(t, int(seed%4)+1, int(seed%3)+1, lcgOps(seed, 600))
+	}
+}
+
+// fuzzMaxStaged caps the lanes a decoded op stream stages (4 MiB of
+// addresses, past several 64K blocks).
+const fuzzMaxStaged = 1 << 19
+
+// decodeBuilderOps reads a shape byte pair and then three bytes per op:
+// the op kind (low three bits, modulo numOps) with a repeat count (high
+// five bits, plus one), and a little-endian 16-bit lane count, modulo
+// maxLanes+1, that doubles as the duration.
+func decodeBuilderOps(data []byte) (numCUs, warpsPer int, ops []builderOp) {
+	if len(data) < 2 {
+		return 1, 1, nil
+	}
+	numCUs, warpsPer = int(data[0]%4)+1, int(data[1]%4)+1
+	staged := 0
+	for i := 2; i+3 <= len(data); i += 3 {
+		kind, repeat := int(data[i]&7)%numOps, int(data[i]>>3)+1
+		v := int(data[i+1]) | int(data[i+2])<<8
+		op := builderOp{kind: kind, lanes: v % (maxLanes + 1), cycles: uint64(v)}
+		for ; repeat > 0; repeat-- {
+			if kind == opLoad || kind == opStore {
+				if staged+op.lanes > fuzzMaxStaged {
+					break
+				}
+				staged += op.lanes
+			}
+			ops = append(ops, op)
+		}
+	}
+	return numCUs, warpsPer, ops
+}
+
+// FuzzBuilderDifferential drives the block-staged builder and the
+// append-grown reference with one decoded op stream; the traces must be
+// equal.
+func FuzzBuilderDifferential(f *testing.F) {
+	f.Add([]byte{0, 0})
+	// A load of 32 lanes, a warp switch, a store of 200, a barrier and a
+	// load of 100, which straddles the first two blocks.
+	f.Add([]byte{3, 1, 1, 32, 0, 0, 0, 0, 2, 200, 0, 6, 0, 0, 1, 100, 0})
+	// 33 loads of maxLanes (past the first 64K block), a barrier, 32
+	// stores of 777.
+	f.Add([]byte{1, 2, 1, 0, 0x10, 0xf9, 0, 0x10, 6, 0, 0, 0xfa, 0x09, 0x03})
+	// 96 loads of maxLanes: several 64K blocks.
+	f.Add([]byte{0, 3, 0xf9, 0, 0x10, 0, 0, 0, 0xf9, 0, 0x10, 0xf9, 0, 0x10})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		numCUs, warpsPer, ops := decodeBuilderOps(data)
+		buildBoth(t, numCUs, warpsPer, ops)
+	})
+}
+
+// TestBuildArenaAllocations pins what building costs in arena bytes: a
+// trace of 2^20 lanes allocates its staging blocks and one exact-size
+// arena, about twice the arena (an append-grown arena allocates about
+// five times it), and a trace that fits the first block allocates its
+// arena once.
+func TestBuildArenaAllocations(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	lanes := make([]memory.VAddr, maxLanes)
+	for i := range lanes {
+		lanes[i] = laneAddr(uint64(i))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := NewBuilder("big", 1, 4, 2)
+	for i := 0; i < 256; i++ {
+		b.Warp().Load(lanes...)
+	}
+	tr := b.Build()
+	runtime.ReadMemStats(&after)
+	arena := float64(len(tr.Arena) * 8)
+	if len(tr.Arena) != 1<<20 {
+		t.Fatalf("arena holds %d lanes, want %d", len(tr.Arena), 1<<20)
+	}
+	got := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("building 2^20 lanes allocated %.0f B, %.2f times the %.0f B arena", got, got/arena, arena)
+	if got > 2.1*arena {
+		t.Errorf("building 2^20 lanes allocated %.0f B, %.2f times the arena (limit 2.1)", got, got/arena)
+	}
+
+	// 224 lanes in loads of 32, as a tenant-churn kernel makes, against
+	// the same instruction streams without lanes.
+	small := func(withLanes bool) func() {
+		return func() {
+			b := NewBuilder("small", 1, 4, 2)
+			for i := 0; i < 7; i++ {
+				if withLanes {
+					b.Warp().Load(lanes[:32]...)
+				} else {
+					b.Warp().Compute(1)
+				}
+			}
+			b.Build()
+		}
+	}
+	arenaAllocs := testing.AllocsPerRun(20, small(true)) - testing.AllocsPerRun(20, small(false))
+	if arenaAllocs != 1 {
+		t.Errorf("a trace of 224 lanes made %v allocations for its arena, want 1", arenaAllocs)
+	}
+}

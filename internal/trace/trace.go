@@ -9,9 +9,10 @@
 // []Inst of fixed-size headers, and all per-lane addresses live in one
 // shared arena ([]memory.VAddr) that instructions reference by (offset,
 // lane count). Replaying a trace therefore touches two dense arrays
-// instead of chasing a per-instruction slice header, and building one
-// performs a handful of large arena growths instead of one allocation per
-// memory instruction.
+// instead of chasing a per-instruction slice header. Building one stages
+// the lane addresses in blocks that never move, each twice the last up to
+// 64K addresses, and copies them once into the exact-size arena, instead
+// of allocating once per memory instruction or regrowing the arena.
 package trace
 
 import (
@@ -252,13 +253,29 @@ func CoalesceLinesInto(dst, addrs []memory.VAddr) []memory.VAddr {
 // (NewStreamingBuilder: instructions flow straight into a ChunkWriter, so
 // generator memory stays bounded by the chunk budget). Generators are
 // written against the Builder API once and work identically against both.
+//
+// The materializing backend stages lane addresses in blocks that never
+// move: the first holds firstBlock addresses, each next one twice the
+// last, up to maxBlock. No block is regrown, so each address is copied at
+// most twice: into its block, and at Build into the arena.
 type Builder struct {
 	tr       *Trace
 	cw       *ChunkWriter // non-nil: streaming backend
 	numCUs   int
 	warpsPer int
 	next     int // round-robin cursor over all warp contexts
+
+	full   [][]memory.VAddr // filled staging blocks, in order
+	block  []memory.VAddr   // the block being filled
+	staged uint64           // lane addresses staged: the next lane's arena offset
 }
+
+// Staging block sizes, in lane addresses: the blocks staging a trace hold
+// less than its arena plus one maxBlock.
+const (
+	firstBlock = 256
+	maxBlock   = 1 << 16
+)
 
 // NewBuilder creates a builder for numCUs compute units with warpsPerCU
 // concurrent warp contexts each.
@@ -308,18 +325,54 @@ func (b *Builder) Barrier() {
 	b.next = 0
 }
 
-// Build returns the assembled trace (nil for a streaming builder).
-func (b *Builder) Build() *Trace { return b.tr }
+// Build returns the assembled trace (nil for a streaming builder). It
+// copies the staged lane addresses once into an exact-size Trace.Arena; a
+// trace that fit its first block takes that block as its arena, uncopied.
+// Build finalizes the builder: nothing is emitted after it, and a second
+// Build returns the same trace.
+func (b *Builder) Build() *Trace {
+	if b.tr == nil {
+		return nil
+	}
+	if len(b.full) > 0 {
+		arena := make([]memory.VAddr, 0, b.staged)
+		for _, blk := range b.full {
+			arena = append(arena, blk...)
+		}
+		b.full, b.block = nil, append(arena, b.block...)
+	}
+	b.tr.Arena = b.block
+	return b.tr
+}
 
-// intern appends addrs to the arena and returns their (offset, count)
-// reference.
+// intern stages addrs after every lane staged so far and returns their
+// (offset, count) reference into the arena Build assembles.
 func (b *Builder) intern(addrs []memory.VAddr) (uint32, uint16) {
-	off := len(b.tr.Arena)
-	if uint64(off)+uint64(len(addrs)) > 1<<32 {
+	off := b.staged
+	if off+uint64(len(addrs)) > 1<<32 {
 		panic("trace: arena exceeds 4G lane addresses")
 	}
-	b.tr.Arena = append(b.tr.Arena, addrs...)
+	for rest := addrs; len(rest) > 0; {
+		if len(b.block) == cap(b.block) {
+			b.nextBlock()
+		}
+		n := copy(b.block[len(b.block):cap(b.block)], rest)
+		b.block = b.block[:len(b.block)+n]
+		rest = rest[n:]
+	}
+	b.staged += uint64(len(addrs))
 	return uint32(off), uint16(len(addrs))
+}
+
+// nextBlock files the full staging block and starts the next one, twice
+// its size up to maxBlock.
+func (b *Builder) nextBlock() {
+	size := firstBlock
+	if b.block != nil {
+		b.full = append(b.full, b.block)
+		size = min(2*cap(b.block), maxBlock)
+	}
+	b.block = make([]memory.VAddr, 0, size)
 }
 
 // WarpEmitter appends instructions to one warp context.
