@@ -13,11 +13,13 @@
 // and deterministic, so the figure text is byte-identical at any
 // -parallel setting; only wall-clock time changes.
 //
-// Runs are incremental: traces and results are stored in a
+// Runs are incremental: simulation results are stored in a
 // content-addressed on-disk cache (default out/cache, or $VCACHE_DIR, or
 // -cache-dir), so re-running with unchanged inputs reloads results instead
-// of resimulating and produces byte-identical output. -no-cache disables
-// the cache, -cache-stats reports its traffic.
+// of resimulating and produces byte-identical output. Traces are rebuilt
+// whenever a result has to be simulated; only -stream keeps its chunked
+// streams in the cache. -no-cache disables the cache, -cache-stats reports
+// its traffic.
 //
 // Output is the text rendering of each table/figure; absolute numbers
 // depend on the synthetic inputs, but the shapes track the paper (see

@@ -24,17 +24,20 @@
 // that loads into chrome://tracing or the Perfetto UI. Both are off by
 // default and cost nothing when unused.
 //
-// Generated traces and simulation results are cached on disk (default
-// out/cache, or $VCACHE_DIR, or -cache-dir) keyed by workload parameters
-// and the full design config, so repeated invocations replay from the
-// cache with byte-identical output. -no-cache disables this; -metrics and
-// -events runs always simulate live.
+// Simulation results are cached on disk (default out/cache, or
+// $VCACHE_DIR, or -cache-dir) keyed by workload parameters and the full
+// design config, so repeated invocations replay from the cache with
+// byte-identical output. -no-cache disables this; -metrics and -events
+// runs always simulate live. A materialized trace is rebuilt from its
+// generator on every invocation; it is not cached.
 //
 // -stream replays the workload from a chunked (v4) trace stream instead
 // of a materialized trace: per-run memory stays bounded by -chunk-budget
 // (default 4MB) at any -scale, and results are byte-identical to the
-// materialized path. -tracefile streams a saved trace file the same way;
-// write one with tracegen -o.
+// materialized path. The stream is generated into the cache, and a later
+// -stream run over the same workload parameters replays it from there.
+// -tracefile streams a saved trace file the same way; write one with
+// tracegen -o.
 package main
 
 import (
@@ -186,10 +189,7 @@ func main() {
 		}
 		p := workloads.Params{Scale: *scale, NumCUs: *cus, WarpsPerCU: *warps, Seed: *seed}
 		traceKey, haveKey = artifact.TraceKey(g.Name, p), true
-		if tr = cache.GetTrace(traceKey); tr == nil {
-			tr = g.Build(p)
-			cache.PutTrace(traceKey, tr)
-		}
+		tr = g.Build(p)
 		s = tr.Summarize()
 	}
 	// Results can come from the cache only when nothing needs a live

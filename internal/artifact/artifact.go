@@ -1,8 +1,8 @@
-// Package artifact is a content-addressed on-disk cache for the expensive
-// artifacts of the experiment pipeline: generated workload traces and
-// simulation results. It is what makes re-runs incremental — a suite whose
-// inputs haven't changed reloads every result from disk instead of
-// regenerating traces and resimulating.
+// Package artifact is a content-addressed on-disk cache for the
+// experiment pipeline: simulation results, and the chunked trace streams
+// that streaming runs replay off disk. It is what makes re-runs
+// incremental — a suite whose inputs haven't changed reloads every result
+// from disk instead of regenerating traces and resimulating.
 //
 // Keys are fingerprints (see internal/fingerprint) over everything that
 // determines an artifact's bytes:
@@ -18,15 +18,17 @@
 // that a `rm -r` of the cache directory clears.
 //
 // Entries are stored one file per artifact, named by the key's hex
-// digest. A trace is a raw v4 stream under <dir>/ctrace/, one file for
-// materialized readers (GetTrace) and streaming ones (ChunkedTracePath)
-// alike; the format carries its own checksums. A result sits under
-// <dir>/result/ in a checksummed envelope. Reads validate an entry before
-// use: a corrupt, truncated or version-mismatched entry counts as a miss
-// (and is noted in Stats.Corrupt), never an error — the caller recomputes
-// and overwrites it. Writes go through a temp file in the same directory
-// followed by an atomic rename, so concurrent processes sharing a cache
-// directory never observe partial entries.
+// digest. A trace is a raw v4 stream under <dir>/ctrace/, written by
+// PutChunkedTrace as it is generated and handed to cursors by
+// ChunkedTracePath; the format carries its own checksums. Materialized
+// traces are not stored: their generators rebuild them about as fast as
+// a stored stream reads back, so an entry would only cost its write. A
+// result sits under <dir>/result/ in a checksummed envelope. Reads
+// validate an entry before use: a corrupt, truncated or version-mismatched
+// entry counts as a miss (and is noted in Stats.Corrupt), never an error —
+// the caller recomputes and overwrites it. Writes go through a temp file
+// in the same directory followed by an atomic rename, so concurrent
+// processes sharing a cache directory never observe partial entries.
 package artifact
 
 import (
@@ -215,58 +217,16 @@ func ResultKey(traceKey Fingerprint, cfg core.Config) Fingerprint {
 // ---------------------------------------------------------------------------
 // Typed entry points
 
-// GetTrace loads the trace cached under key by reading its stream to the
-// end, or returns nil on any miss.
-func (c *Cache) GetTrace(key Fingerprint) *trace.Trace {
-	cur, path := c.openTrace(key)
-	if cur == nil {
-		return nil
-	}
-	defer cur.Close()
-	tr, err := cur.Materialize()
-	if err != nil {
-		c.corrupt.Add(1)
-		c.traceMisses.Add(1)
-		return nil
-	}
-	if st, err := os.Stat(path); err == nil {
-		c.bytesRead.Add(uint64(st.Size()))
-	}
-	c.traceHits.Add(1)
-	return tr
-}
-
-// PutTrace stores tr under key. Errors are counted, not returned: a failed
-// write only costs a future recomputation.
-func (c *Cache) PutTrace(key Fingerprint, tr *trace.Trace) {
-	c.PutChunkedTrace(key, func(w io.Writer) error {
-		return tr.WriteChunked(w, trace.ChunkOptions{})
-	})
-}
-
 // ChunkedTracePath returns the on-disk path of the trace stream cached
 // under key, validating it first (header, footer, and chunk-frame
-// structure — an O(chunks) scan, no payload pass). Unlike GetTrace the
-// entry is not loaded into memory: callers open cursors straight off the
-// file, which is the whole point of the chunked format. A corrupt entry
-// counts as a miss; payload damage beyond the structural scan is still
-// caught by the cursor's per-chunk checksums at replay time.
+// structure — an O(chunks) scan, no payload pass). The entry is not
+// loaded into memory: callers open cursors straight off the file, which
+// is the whole point of the chunked format. A corrupt entry counts as a
+// miss; payload damage beyond the structural scan is still caught by the
+// cursor's per-chunk checksums at replay time.
 func (c *Cache) ChunkedTracePath(key Fingerprint) (string, bool) {
-	cur, path := c.openTrace(key)
-	if cur == nil {
-		return "", false
-	}
-	cur.Close()
-	c.traceHits.Add(1)
-	return path, true
-}
-
-// openTrace opens a cursor on key's trace entry, or returns a nil cursor
-// after counting the miss (and, for an entry that exists but fails to
-// open, the corruption). The caller counts the hit.
-func (c *Cache) openTrace(key Fingerprint) (*trace.Cursor, string) {
 	if c == nil {
-		return nil, ""
+		return "", false
 	}
 	path := c.path("ctrace", key)
 	cur, err := trace.OpenCursorFile(path)
@@ -275,9 +235,11 @@ func (c *Cache) openTrace(key Fingerprint) (*trace.Cursor, string) {
 			c.corrupt.Add(1)
 		}
 		c.traceMisses.Add(1)
-		return nil, ""
+		return "", false
 	}
-	return cur, path
+	cur.Close()
+	c.traceHits.Add(1)
+	return path, true
 }
 
 // PutChunkedTrace streams a trace into the cache: gen writes the v4

@@ -2,6 +2,8 @@ package artifact
 
 import (
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -22,30 +24,6 @@ func testTrace() *trace.Trace {
 func testResults() core.Results {
 	return core.Results{Workload: "t", Design: "d", Cycles: 123,
 		IOMMUSamples: []float64{1, 2.5}}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := TraceKey("t", workloads.Params{})
-	if got := c.GetTrace(key); got != nil {
-		t.Fatal("hit on empty cache")
-	}
-	tr := testTrace()
-	c.PutTrace(key, tr)
-	got := c.GetTrace(key)
-	if got == nil {
-		t.Fatal("miss after put")
-	}
-	if !reflect.DeepEqual(tr, got) {
-		t.Fatal("cache changed the trace")
-	}
-	s := c.Stats()
-	if s.TraceHits != 1 || s.TraceMisses != 1 || s.BytesWritten == 0 || s.BytesRead == 0 {
-		t.Fatalf("unexpected stats: %+v", s)
-	}
 }
 
 func TestResultsRoundTrip(t *testing.T) {
@@ -147,10 +125,6 @@ func TestKeySensitivity(t *testing.T) {
 func TestNilCache(t *testing.T) {
 	var c *Cache
 	key := TraceKey("t", workloads.Params{})
-	if c.GetTrace(key) != nil {
-		t.Fatal("nil cache hit")
-	}
-	c.PutTrace(key, testTrace())
 	if _, ok := c.GetResults(key); ok {
 		t.Fatal("nil cache hit")
 	}
@@ -172,9 +146,9 @@ func TestDefaultDirEnvOverride(t *testing.T) {
 }
 
 // TestSharedDirConcurrency races two independent Cache instances (stand-ins
-// for two processes) over one directory: concurrent put/get of the same key
-// must stay atomic — a reader sees either a miss or a complete, valid
-// entry, never a partial write.
+// for two processes) over one directory: concurrent put/get of the same
+// trace stream must stay atomic — a reader sees either a miss or a
+// complete, valid entry, never a partial write.
 func TestSharedDirConcurrency(t *testing.T) {
 	dir := t.TempDir()
 	a, err := Open(dir)
@@ -193,8 +167,19 @@ func TestSharedDirConcurrency(t *testing.T) {
 		c := c
 		go func() {
 			for i := 0; i < 50; i++ {
-				c.PutTrace(key, want)
-				if got := c.GetTrace(key); got != nil && !reflect.DeepEqual(want, got) {
+				c.PutChunkedTrace(key, func(w io.Writer) error {
+					return want.WriteChunked(w, trace.ChunkOptions{})
+				})
+				path, ok := c.ChunkedTracePath(key)
+				if !ok {
+					continue
+				}
+				got, err := trace.LoadFile(path)
+				if err != nil {
+					done <- fmt.Errorf("reader observed a partial entry: %w", err)
+					return
+				}
+				if !reflect.DeepEqual(want, got) {
 					done <- errors.New("reader observed a different trace")
 					return
 				}

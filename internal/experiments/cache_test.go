@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -41,6 +43,7 @@ func countEvents(s *Suite) (computed, cached *int) {
 // second Suite sharing the same directory on the same key: the result must
 // be computed exactly once overall — the in-suite race collapses through
 // the singleflight, and the second suite loads from disk. Run with -race.
+// The cache holds the result only: a materialized run stores no trace.
 func TestCacheConcurrency(t *testing.T) {
 	dir := t.TempDir()
 	cfg := core.DesignBaseline512()
@@ -62,6 +65,12 @@ func TestCacheConcurrency(t *testing.T) {
 	}
 	if *computed != 1 || *cached != 0 {
 		t.Fatalf("suite A: %d computed, %d cached (want 1, 0)", *computed, *cached)
+	}
+	if ents, err := os.ReadDir(filepath.Join(dir, "ctrace")); err != nil || len(ents) != 0 {
+		t.Fatalf("suite A left %d trace entries (%v); want none", len(ents), err)
+	}
+	if st := a.Cache.Stats(); st.TraceHits+st.TraceMisses != 0 {
+		t.Fatalf("suite A touched traces: %+v", st)
 	}
 
 	b := cachedSuite(t, dir)

@@ -105,11 +105,12 @@ type Suite struct {
 	// "workload/design".
 	EventTrace *obs.TraceWriter
 	// Cache, when non-nil, backs the in-memory memoization with the on-disk
-	// artifact cache: traces and results found there are loaded instead of
-	// computed, and everything computed is stored for the next process.
+	// artifact cache: results found there are loaded instead of
+	// simulated, and every computed result is stored for the next process.
 	// Results are bypassed (computed live) when CaptureMetrics or
-	// EventTrace is set, since those need an actual simulation; traces are
-	// cached regardless.
+	// EventTrace is set, since those need an actual simulation. Under
+	// StreamTraces the cache also holds each workload's stream; a
+	// materialized trace is rebuilt from its generator in every process.
 	Cache *artifact.Cache
 	// StreamTraces replays workloads from chunked (v4) streams instead of
 	// materialized traces: generation emits chunks as they are produced
@@ -215,7 +216,7 @@ func (s *Suite) workers() int {
 	return runtime.NumCPU()
 }
 
-// Trace builds (and caches) the named workload's trace. The name must
+// Trace builds (and memoizes) the named workload's trace. The name must
 // belong to the suite's workload set; anything else is an error.
 func (s *Suite) Trace(name string) (*trace.Trace, error) {
 	g, ok := s.generator(name)
@@ -231,11 +232,7 @@ func (s *Suite) Trace(name string) (*trace.Trace, error) {
 	c := &traceCall{done: make(chan struct{})}
 	s.traces[name] = c
 	s.mu.Unlock()
-	key := artifact.TraceKey(name, s.Params)
-	if c.tr = s.Cache.GetTrace(key); c.tr == nil {
-		c.tr = g.Build(s.Params)
-		s.Cache.PutTrace(key, c.tr)
-	}
+	c.tr = g.Build(s.Params)
 	close(c.done)
 	return c.tr, nil
 }

@@ -151,39 +151,3 @@ func TestStreamTracesPrecompute(t *testing.T) {
 		}
 	}
 }
-
-// TestMaterializedAndStreamedSuitesShareTraces: materialized and
-// streaming suites over one cache directory share one trace entry, in
-// either order. The second suite reads the first one's trace, generates
-// nothing, and simulates the same result.
-func TestMaterializedAndStreamedSuitesShareTraces(t *testing.T) {
-	cfg := core.DesignBaseline512()
-	for _, firstStreams := range []bool{false, true} {
-		dir := t.TempDir()
-		suite := func(stream bool) *Suite {
-			s := streamSuite(t, "kmeans")
-			s.StreamTraces = stream
-			var err error
-			if s.Cache, err = artifact.Open(dir); err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}
-		first, second := suite(firstStreams), suite(!firstStreams)
-		want := first.Run("kmeans", cfg)
-
-		second.CaptureMetrics = true // a live run, so the trace is read
-		second.Progress = func(ev RunEvent) {
-			if ev.Stage == "trace.gen" && !ev.Cached {
-				t.Errorf("first streams=%v: second suite generated the trace: %+v", firstStreams, ev)
-			}
-		}
-		got := second.Run("kmeans", cfg)
-		if st := second.Cache.Stats(); st.TraceHits != 1 || st.TraceMisses != 0 {
-			t.Errorf("first streams=%v: second suite cache stats %+v; want 1 trace hit, 0 misses", firstStreams, st)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("first streams=%v: second suite's result diverges", firstStreams)
-		}
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"vcache/internal/artifact"
 	"vcache/internal/core"
 	"vcache/internal/workloads"
 )
@@ -19,9 +18,9 @@ var (
 // BenchmarkColdJob times what a cold vcsimd job runs, in-process: one op
 // is simRunner.run over daemon-mix's 12 pairs at scale 1 with 8 CUs x 4
 // warps, each job with a seed no other job used, so each one generates its
-// trace, writes it to a temporary artifact cache, prepares it and
-// simulates. B/line is every byte allocated per coalesced line simulated,
-// daemon-mix's heap_bytes_per_line without the HTTP and JSON layers.
+// trace, prepares it and simulates. B/line is every byte allocated per
+// coalesced line simulated, daemon-mix's heap_bytes_per_line without the
+// HTTP, JSON and result-cache layers.
 func BenchmarkColdJob(b *testing.B) {
 	type pair struct {
 		workload string
@@ -37,11 +36,7 @@ func BenchmarkColdJob(b *testing.B) {
 			pairs = append(pairs, pair{wl, cfg})
 		}
 	}
-	cache, err := artifact.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := simRunner{cache: cache}
+	var r simRunner
 	var lines float64
 	var before, after runtime.MemStats
 	b.ReportAllocs()

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -85,10 +87,12 @@ func TestHTTPServedResultMatchesLocalRun(t *testing.T) {
 	}
 }
 
-// TestSecondDesignReadsCachedTrace: a job with the same workload and
-// params as an earlier one but another design reads the trace the first
-// job stored, and still serves the bytes a plain library run computes.
-func TestSecondDesignReadsCachedTrace(t *testing.T) {
+// TestSecondDesignStoresNoTrace: a job with the same workload and params
+// as an earlier one but another design builds the trace again rather than
+// reading one back: the cache holds results only, neither job stores or
+// looks up a trace, and the second job still serves the bytes a plain
+// library run computes.
+func TestSecondDesignStoresNoTrace(t *testing.T) {
 	client, s := newHTTPServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -105,8 +109,11 @@ func TestSecondDesignReadsCachedTrace(t *testing.T) {
 	if info.State != apiv1.JobDone || info.CacheHit {
 		t.Fatalf("second job state %s (%s), cache_hit=%v; want a simulated run", info.State, info.Error, info.CacheHit)
 	}
-	if st := s.cache.Stats(); st.TraceHits != 1 || st.TraceMisses != 1 {
-		t.Fatalf("cache stats %+v; want the second job to read the first job's trace", st)
+	if st := s.cache.Stats(); st.TraceHits+st.TraceMisses != 0 {
+		t.Fatalf("cache stats %+v; want no trace lookups", st)
+	}
+	if ents, err := os.ReadDir(filepath.Join(s.cache.Dir(), "ctrace")); err != nil || len(ents) != 0 {
+		t.Fatalf("jobs left %d trace entries (%v); want none", len(ents), err)
 	}
 	_, raw, err := client.Result(ctx, info.ID)
 	if err != nil {
@@ -122,7 +129,7 @@ func TestSecondDesignReadsCachedTrace(t *testing.T) {
 		t.Fatalf("local run: %v", err)
 	}
 	if string(raw) != string(apiv1.EncodeResults(local)) {
-		t.Error("result over a cached trace differs from a local run")
+		t.Error("second design's result differs from a local run")
 	}
 }
 

@@ -50,9 +50,10 @@ type Options struct {
 	// (HTTP 429). Default 64.
 	QueueCap int
 	// Cache, when non-nil, is the shared artifact cache: result hits
-	// complete without simulating, and every computed trace and result is
-	// stored for later jobs (and for vcsim/vcfigs runs against the same
-	// directory).
+	// complete without simulating, and every computed result is stored
+	// for later jobs (and for vcsim and experiments runs against the same
+	// directory). A job that simulates builds its trace from the
+	// workload's generator; traces are not stored.
 	Cache *artifact.Cache
 	// Progress, when non-nil, receives one experiments.RunEvent per
 	// completed run or cache hit, exactly like the suite's progress feed.
@@ -92,13 +93,11 @@ type runner interface {
 	run(ctx context.Context, workload string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error)
 }
 
-// simRunner is the real thing: trace via the artifact cache (generated on
-// miss), then a RunContext.
-type simRunner struct {
-	cache *artifact.Cache
-}
+// simRunner is the real thing: the workload's trace built from its
+// generator, then a RunContext.
+type simRunner struct{}
 
-func (r simRunner) run(ctx context.Context, workload string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error) {
+func (simRunner) run(ctx context.Context, workload string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error) {
 	g, ok := workloads.ByName(workload)
 	if !ok {
 		return core.Results{}, nil, fmt.Errorf("server: unknown workload %q", workload)
@@ -106,12 +105,7 @@ func (r simRunner) run(ctx context.Context, workload string, p workloads.Params,
 	if err := ctx.Err(); err != nil {
 		return core.Results{}, nil, err
 	}
-	tKey := artifact.TraceKey(workload, p)
-	tr := r.cache.GetTrace(tKey)
-	if tr == nil {
-		tr = g.Build(p)
-		r.cache.PutTrace(tKey, tr)
-	}
+	tr := g.Build(p)
 	sys, err := core.New(cfg)
 	if err != nil {
 		return core.Results{}, nil, err
@@ -248,7 +242,7 @@ func New(opts Options) *Server {
 		queueCap:   opts.QueueCap,
 		retainDone: opts.RetainDone,
 		cache:      opts.Cache,
-		runner:     simRunner{cache: opts.Cache},
+		runner:     simRunner{},
 		progress:   opts.Progress,
 		start:      time.Now(),
 		jobs:       make(map[string]*job),

@@ -11,7 +11,6 @@ import (
 	"math"
 	"math/bits"
 	"os"
-	"slices"
 	"sort"
 
 	"vcache/internal/memory"
@@ -135,10 +134,11 @@ type Segment struct {
 
 // pagePos orders page first-touches the way System.Prepare walks a
 // materialized trace: cu-major warp order, then instruction order within
-// the warp, then lane order. pos packs instruction index and lane.
+// the warp, then lane order. pos packs the instruction index and the
+// page's rank among the instruction's pages in first-lane order.
 type pagePos struct {
 	gw  uint32 // cu*warpsPerCU + warp
-	pos uint64 // instIdx<<16 | lane
+	pos uint64 // instIdx<<16 | rank
 }
 
 func (a pagePos) less(b pagePos) bool {
@@ -152,14 +152,8 @@ func (a pagePos) less(b pagePos) bool {
 // appended warp by warp in generation order; the writer cuts chunks at
 // the configured budget, accumulates the footer (premap order, per-warp
 // totals, summary) incrementally, and never holds more than one chunk's
-// worth of instruction data in memory.
-//
-// Two producers feed the one chunk encoder (flush), and only their
-// staging differs. Append copies each instruction and its lane addresses
-// into the writer. WriteChunked, encoding a trace already built in
-// memory, stages views: the chunk's segments and arena are slices of the
-// trace itself, and arenaBase, the trace arena offset the chunk starts
-// at, is subtracted from every access's Off on encode.
+// worth of instruction data in memory. Append is its one way in: a
+// streaming Builder and WriteChunked both feed it.
 //
 // Errors are sticky: after a write error every method is a no-op and
 // Close returns the first error.
@@ -173,22 +167,16 @@ type ChunkWriter struct {
 	wPerCU int
 
 	// Current chunk, indexed by global warp (cu*wPerCU+warp).
-	segs      [][]Inst
-	arena     []memory.VAddr
-	arenaBase uint32
-	views     bool // segs and arena are views into a built trace
-	curBytes  int
+	segs     [][]Inst
+	arena    []memory.VAddr
+	curBytes int
 
 	// Footer accumulation.
-	totals    []uint64 // per global warp
-	premap    map[memory.VPN]pagePos
-	chunks    int
-	rollup    uint64 // crc64 state over per-chunk crcs
-	sum       Summary
-	pageTouch uint64 // distinct pages summed per memory instruction
-
-	scratchLines []memory.VAddr
-	scratchPages []memory.VPN
+	totals []uint64 // per global warp
+	premap map[memory.VPN]pagePos
+	chunks int
+	rollup uint64 // crc64 state over per-chunk crcs
+	sum    summarizer
 
 	// Encoding: a raw payload streams through piece into the output; a
 	// compressed one is staged in zbuf, because its frame header leads
@@ -223,11 +211,11 @@ func NewChunkWriter(w io.Writer, name string, asid memory.ASID, numCUs, warpsPer
 		segs:   make([][]Inst, numCUs*warpsPerCU),
 		totals: make([]uint64, numCUs*warpsPerCU),
 		premap: make(map[memory.VPN]pagePos),
+		sum:    summarizer{sum: Summary{Name: name}},
 		piece:  make([]byte, 0, pieceBytes),
 	}
 	cw.cnt.w = w
 	cw.w = bufio.NewWriter(&cw.cnt)
-	cw.sum.Name = name
 	return cw
 }
 
@@ -298,7 +286,9 @@ func (cw *ChunkWriter) fail(err error) {
 
 // Append adds one instruction to (cu, warp)'s stream. addrs are the
 // per-lane addresses of a Load/Store (nil otherwise); the writer interns
-// them in the current chunk's arena and rewrites in.Off/in.Lanes.
+// them in the current chunk's arena and rewrites in.Off/in.Lanes. It folds
+// the instruction into the footer and cuts the chunk once it reaches the
+// budget.
 func (cw *ChunkWriter) Append(cu, warp int, in Inst, addrs []memory.VAddr) {
 	if cw.err != nil || cw.closed {
 		return
@@ -309,6 +299,7 @@ func (cw *ChunkWriter) Append(cu, warp int, in Inst, addrs []memory.VAddr) {
 		return
 	}
 	g := cw.gw(cu, warp)
+	instIdx := cw.totals[g]
 	if in.Kind == Load || in.Kind == Store {
 		if len(addrs) == 0 {
 			return // mirror WarpEmitter: empty accesses are dropped
@@ -324,92 +315,24 @@ func (cw *ChunkWriter) Append(cu, warp int, in Inst, addrs []memory.VAddr) {
 		in.Off = uint32(len(cw.arena))
 		in.Lanes = uint16(len(addrs))
 		cw.arena = append(cw.arena, addrs...)
-	}
-	cw.segs[g] = append(cw.segs[g], in)
-	cw.add(g, in, addrs)
-}
-
-// appendView is Append for instruction i of warp g's stream in a built
-// trace whose accesses reach this point in arena order: the chunk's
-// segment for g and its arena grow as views of the trace, nothing is
-// copied.
-func (cw *ChunkWriter) appendView(g int, warp WarpTrace, i int, arena []memory.VAddr) {
-	in := warp[i]
-	cw.segs[g] = warp[i-len(cw.segs[g]) : i+1]
-	var addrs []memory.VAddr
-	if in.Kind == Load || in.Kind == Store {
-		end := uint64(in.Off) + uint64(in.Lanes)
-		addrs = arena[in.Off:end]
-		cw.arena = arena[cw.arenaBase:end]
-	}
-	cw.add(g, in, addrs)
-}
-
-// ownChunk turns the current chunk's views into copies that Append can
-// extend, rebasing every access's Off onto the chunk's own arena.
-func (cw *ChunkWriter) ownChunk() {
-	for g, s := range cw.segs {
-		s = append([]Inst(nil), s...)
-		for i := range s {
-			if s[i].Kind == Load || s[i].Kind == Store {
-				s[i].Off -= cw.arenaBase
+		cw.curBytes += 8 * len(addrs)
+		cw.sum.mem(addrs)
+		for rank, p := range cw.sum.pages {
+			// The instruction's pages come in first-lane order, so their
+			// rank orders their first touches within it.
+			pos := pagePos{gw: uint32(g), pos: instIdx<<16 | uint64(rank)}
+			if prev, ok := cw.premap[p]; !ok || pos.less(prev) {
+				cw.premap[p] = pos
 			}
 		}
-		cw.segs[g] = s
-	}
-	cw.arena = append([]memory.VAddr(nil), cw.arena...)
-	cw.arenaBase = 0
-	cw.views = false
-}
-
-// add folds a staged instruction into the chunk size and the footer, and
-// cuts the chunk once it reaches the budget.
-func (cw *ChunkWriter) add(g int, in Inst, addrs []memory.VAddr) {
-	instIdx := cw.totals[g]
-	if in.Kind == Load || in.Kind == Store {
-		cw.curBytes += 8 * len(addrs)
-		cw.observeMem(g, instIdx, addrs)
 	} else {
-		cw.observeCtl(in)
+		cw.sum.ctl(in.Kind)
 	}
+	cw.segs[g] = append(cw.segs[g], in)
 	cw.totals[g] = instIdx + 1
 	cw.curBytes += instBytes
 	if cw.curBytes >= cw.opts.Budget {
 		cw.flush()
-	}
-}
-
-// observeMem folds one memory instruction into the incremental summary
-// and the premap first-touch tracking.
-func (cw *ChunkWriter) observeMem(g int, instIdx uint64, addrs []memory.VAddr) {
-	cw.sum.MemInsts++
-	cw.sum.LaneAccesses += uint64(len(addrs))
-	cw.scratchLines = CoalesceLinesInto(cw.scratchLines[:0], addrs)
-	cw.sum.CoalescedLines += uint64(len(cw.scratchLines))
-	cw.scratchPages = cw.scratchPages[:0]
-	for lane, a := range addrs {
-		p := a.Page()
-		if slices.Contains(cw.scratchPages, p) {
-			continue
-		}
-		cw.scratchPages = append(cw.scratchPages, p)
-		// A page's first lane is its earliest touch by this instruction.
-		pos := pagePos{gw: uint32(g), pos: instIdx<<16 | uint64(lane)}
-		if prev, ok := cw.premap[p]; !ok || pos.less(prev) {
-			cw.premap[p] = pos
-		}
-	}
-	cw.pageTouch += uint64(len(cw.scratchPages))
-}
-
-func (cw *ChunkWriter) observeCtl(in Inst) {
-	switch in.Kind {
-	case ScratchLoad, ScratchStore:
-		cw.sum.ScratchOps++
-	case Compute:
-		cw.sum.ComputeInsts++
-	case Barrier:
-		cw.sum.Barriers++
 	}
 }
 
@@ -432,8 +355,8 @@ func (cw *ChunkWriter) Barrier() {
 	}
 }
 
-// flush is the chunk encoder: it writes the current chunk as one frame,
-// whichever producer staged it, and empties the chunk.
+// flush is the chunk encoder: it writes the current chunk as one frame
+// and empties the chunk.
 func (cw *ChunkWriter) flush() {
 	if cw.curBytes == 0 {
 		return
@@ -462,17 +385,10 @@ func (cw *ChunkWriter) flush() {
 	if cw.opts.OnChunk != nil {
 		cw.opts.OnChunk(cw.chunks-1, stored)
 	}
-	if cw.views {
-		// Views are dropped, never appended to: they alias the trace.
-		clear(cw.segs)
-		cw.arenaBase += uint32(len(cw.arena))
-		cw.arena = nil
-	} else {
-		for g := range cw.segs {
-			cw.segs[g] = cw.segs[g][:0]
-		}
-		cw.arena = cw.arena[:0]
+	for g := range cw.segs {
+		cw.segs[g] = cw.segs[g][:0]
 	}
+	cw.arena = cw.arena[:0]
 	cw.curBytes = 0
 }
 
@@ -509,9 +425,6 @@ func (cw *ChunkWriter) encodePayload(w io.Writer, nseg int) error {
 		buf = binary.AppendUvarint(buf, uint64(g%cw.wPerCU))
 		buf = binary.AppendUvarint(buf, uint64(len(s)))
 		for _, in := range s {
-			if in.Kind == Load || in.Kind == Store {
-				in.Off -= cw.arenaBase
-			}
 			buf = append(buf, byte(in.Kind))
 			buf = binary.LittleEndian.AppendUint16(buf, in.Lanes)
 			buf = binary.LittleEndian.AppendUint32(buf, in.Off)
@@ -583,15 +496,7 @@ func (cw *ChunkWriter) writeFrameCRC(crc uint64) error {
 
 // Summary returns the incrementally-computed trace summary; complete only
 // after Close.
-func (cw *ChunkWriter) Summary() Summary {
-	s := cw.sum
-	s.DistinctPages = len(cw.premap)
-	if s.MemInsts > 0 {
-		s.Divergence = float64(s.CoalescedLines) / float64(s.MemInsts)
-		s.PagesPerInst = float64(cw.pageTouch) / float64(s.MemInsts)
-	}
-	return s
-}
+func (cw *ChunkWriter) Summary() Summary { return cw.sum.summary(len(cw.premap)) }
 
 // premapOrder returns the tracked pages in materialized first-touch
 // order.
@@ -684,18 +589,14 @@ func (cw *ChunkWriter) sticky(err error) error {
 	return cw.err
 }
 
-// WriteChunked encodes a built trace as a v4 stream through the same
-// chunk encoder a streaming Builder feeds. Instructions go out in arena
-// order (see arenaWalk). For a trace whose arena holds exactly its
-// accesses' lanes in emission order, as every Builder-made trace does,
-// that is the order the generator emitted them in: each chunk's arena is
-// a contiguous slice of t.Arena and each segment a contiguous slice of a
-// warp stream, so chunks are encoded straight from the trace without
-// staging copies, and Materialize returns a trace reflect.DeepEqual to t.
-// From the first access that breaks arena order on, the rest of the
-// trace is staged through copies like a streamed one: its replay is
-// unchanged, and its materialized arena is packed in stream order.
-// Ragged warp shapes are rejected.
+// WriteChunked encodes a built trace as a v4 stream, appending its
+// instructions to a ChunkWriter in arena order (see arenaWalk). For a
+// trace whose arena holds exactly its accesses' lanes in emission order,
+// as every Builder-made trace does, that is the order the generator
+// emitted them in, so Materialize returns a trace reflect.DeepEqual to t.
+// A trace whose accesses break arena order still replays unchanged; its
+// materialized arena is packed in stream order. Ragged warp shapes are
+// rejected.
 func (t *Trace) WriteChunked(w io.Writer, opts ChunkOptions) error {
 	if len(t.CUs) == 0 {
 		return fmt.Errorf("trace: cannot chunk a trace with no CUs")
@@ -714,28 +615,18 @@ func (t *Trace) WriteChunked(w io.Writer, opts ChunkOptions) error {
 		return err
 	}
 	cw := NewChunkWriter(w, t.Name, t.ASID, len(t.CUs), wPerCU, opts)
-	cw.views = true
 	walk := newArenaWalk(t)
 	for cw.err == nil {
 		g, lo, hi, ok := walk.next()
 		if !ok {
 			break
 		}
-		warp := walk.warps[g]
-		for i := lo; i < hi; i++ {
-			in := warp[i]
-			mem := in.Kind == Load || in.Kind == Store
-			if cw.views && mem && in.Off != cw.arenaBase+uint32(len(cw.arena)) {
-				cw.ownChunk()
+		for _, in := range walk.warps[g][lo:hi] {
+			var addrs []memory.VAddr
+			if in.Kind == Load || in.Kind == Store {
+				addrs = t.Addrs(in)
 			}
-			switch {
-			case cw.views:
-				cw.appendView(g, warp, i, t.Arena)
-			case mem:
-				cw.Append(g/wPerCU, g%wPerCU, in, t.Addrs(in))
-			default:
-				cw.Append(g/wPerCU, g%wPerCU, in, nil)
-			}
+			cw.Append(g/wPerCU, g%wPerCU, in, addrs)
 		}
 	}
 	return cw.Close()

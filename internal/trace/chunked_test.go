@@ -323,40 +323,6 @@ func TestIsChunkedFile(t *testing.T) {
 	}
 }
 
-// TestWriteChunkedViewsMatchCopies pins that a built trace has no encoder
-// of its own: chunked through views of the trace, it encodes to the same
-// bytes as the same instructions appended to a ChunkWriter as copies.
-func TestWriteChunkedViewsMatchCopies(t *testing.T) {
-	tr := buildTestTrace(t, 4, 3, 5, 40)
-	for _, opts := range []ChunkOptions{{}, {Budget: 1 << 10}, {Budget: 1 << 10, Compress: true}} {
-		var views, copies bytes.Buffer
-		if err := tr.WriteChunked(&views, opts); err != nil {
-			t.Fatal(err)
-		}
-		cw := NewChunkWriter(&copies, tr.Name, tr.ASID, len(tr.CUs), len(tr.CUs[0].Warps), opts)
-		walk := newArenaWalk(tr)
-		for {
-			g, lo, hi, ok := walk.next()
-			if !ok {
-				break
-			}
-			for _, in := range walk.warps[g][lo:hi] {
-				var addrs []memory.VAddr
-				if in.Kind == Load || in.Kind == Store {
-					addrs = tr.Addrs(in)
-				}
-				cw.Append(g/cw.WarpsPerCU(), g%cw.WarpsPerCU(), in, addrs)
-			}
-		}
-		if err := cw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(views.Bytes(), copies.Bytes()) {
-			t.Fatalf("%+v: views and copies encode differently", opts)
-		}
-	}
-}
-
 // TestWriteChunkedOutOfOrderArena covers traces whose arena is not in
 // emission order: a junk prefix no access references, and an access that
 // re-reads an earlier access's lanes. Both still encode, replay the same

@@ -17,6 +17,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"vcache/internal/memory"
 )
@@ -102,42 +103,73 @@ type Summary struct {
 
 // Summarize computes a Summary for the trace.
 func (t *Trace) Summarize() Summary {
-	s := Summary{Name: t.Name}
+	s := summarizer{sum: Summary{Name: t.Name}}
 	pages := make(map[memory.VPN]struct{})
-	var pageTouches uint64
-	var lines []memory.VAddr
 	for _, cu := range t.CUs {
 		for _, w := range cu.Warps {
 			for _, in := range w {
-				switch in.Kind {
-				case Load, Store:
-					addrs := t.Addrs(in)
-					s.MemInsts++
-					s.LaneAccesses += uint64(len(addrs))
-					lines = CoalesceLinesInto(lines[:0], addrs)
-					s.CoalescedLines += uint64(len(lines))
-					seenP := make(map[memory.VPN]struct{}, 4)
-					for _, a := range addrs {
-						pages[a.Page()] = struct{}{}
-						seenP[a.Page()] = struct{}{}
-					}
-					pageTouches += uint64(len(seenP))
-				case ScratchLoad, ScratchStore:
-					s.ScratchOps++
-				case Compute:
-					s.ComputeInsts++
-				case Barrier:
-					s.Barriers++
+				if in.Kind != Load && in.Kind != Store {
+					s.ctl(in.Kind)
+					continue
+				}
+				s.mem(t.Addrs(in))
+				for _, p := range s.pages {
+					pages[p] = struct{}{}
 				}
 			}
 		}
 	}
-	s.DistinctPages = len(pages)
-	if s.MemInsts > 0 {
-		s.Divergence = float64(s.CoalescedLines) / float64(s.MemInsts)
-		s.PagesPerInst = float64(pageTouches) / float64(s.MemInsts)
+	return s.summary(len(pages))
+}
+
+// summarizer folds instructions into a Summary one at a time. Summarize
+// and ChunkWriter both run one, so a built trace and its stream agree on
+// every field. Each caller counts the distinct pages of the whole trace
+// its own way from the pages each memory instruction leaves in pages.
+type summarizer struct {
+	sum       Summary
+	pageTouch uint64         // distinct pages summed over memory instructions
+	lines     []memory.VAddr // scratch: an instruction's coalesced lines
+	pages     []memory.VPN   // the last memory instruction's distinct pages, in first-lane order
+}
+
+// mem folds in one memory instruction's lane addresses.
+func (s *summarizer) mem(addrs []memory.VAddr) {
+	s.sum.MemInsts++
+	s.sum.LaneAccesses += uint64(len(addrs))
+	s.lines = CoalesceLinesInto(s.lines[:0], addrs)
+	s.sum.CoalescedLines += uint64(len(s.lines))
+	s.pages = s.pages[:0]
+	for _, a := range addrs {
+		if p := a.Page(); !slices.Contains(s.pages, p) {
+			s.pages = append(s.pages, p)
+		}
 	}
-	return s
+	s.pageTouch += uint64(len(s.pages))
+}
+
+// ctl folds in one instruction without lane addresses.
+func (s *summarizer) ctl(k Kind) {
+	switch k {
+	case ScratchLoad, ScratchStore:
+		s.sum.ScratchOps++
+	case Compute:
+		s.sum.ComputeInsts++
+	case Barrier:
+		s.sum.Barriers++
+	}
+}
+
+// summary returns the Summary of everything folded in, for a trace
+// touching distinctPages 4KB pages.
+func (s *summarizer) summary(distinctPages int) Summary {
+	out := s.sum
+	out.DistinctPages = distinctPages
+	if out.MemInsts > 0 {
+		out.Divergence = float64(out.CoalescedLines) / float64(out.MemInsts)
+		out.PagesPerInst = float64(s.pageTouch) / float64(out.MemInsts)
+	}
+	return out
 }
 
 // Validate checks the trace's structural invariants: every Load/Store
@@ -145,8 +177,9 @@ func (t *Trace) Summarize() Summary {
 // arena, and its lane addresses lie inside the modeled virtual address
 // space (below 1<<memory.VABits). Materialize calls it on every decoded
 // trace, so a corrupt file can never provoke an out-of-bounds access
-// during replay, WriteChunked calls it before encoding, and a System
-// calls it before running an in-memory trace.
+// during replay; WriteChunked calls it before encoding, so a malformed
+// trace is an error rather than a panic in Addrs; and a System calls it
+// before running an in-memory trace.
 func (t *Trace) Validate() error {
 	arena := uint64(len(t.Arena))
 	// One OR over the arena tells whether any address lies beyond the

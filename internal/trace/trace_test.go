@@ -140,6 +140,9 @@ func TestSummarize(t *testing.T) {
 	if s.Divergence != 3.0 {
 		t.Fatalf("divergence = %v, want 3", s.Divergence)
 	}
+	if s.PagesPerInst != 1.5 {
+		t.Fatalf("pages per inst = %v, want 1.5", s.PagesPerInst)
+	}
 }
 
 func TestKindString(t *testing.T) {

@@ -2,9 +2,7 @@ package workloads
 
 import (
 	"bytes"
-	"io"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"vcache/internal/trace"
@@ -79,33 +77,4 @@ func TestBuildChunkedPremapMatchesFirstTouch(t *testing.T) {
 		}
 		c.Close()
 	}
-}
-
-// TestWriteChunkedAllocatesLessThanStream pins the cost of storing a
-// built trace, which every cold daemon job pays: chunks are encoded
-// straight from the trace, so writing one allocates less than the stream
-// it produces.
-func TestWriteChunkedAllocatesLessThanStream(t *testing.T) {
-	g, _ := ByName("hotspot")
-	tr := g.Build(Params{Scale: 1, NumCUs: 8, WarpsPerCU: 4})
-	var stream countingDiscard
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if err := tr.WriteChunked(&stream, trace.ChunkOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	allocated := after.TotalAlloc - before.TotalAlloc
-	t.Logf("allocated %d bytes for a %d-byte stream", allocated, stream.n)
-	if allocated >= stream.n {
-		t.Fatalf("writing a %d-byte stream allocated %d bytes", stream.n, allocated)
-	}
-}
-
-// countingDiscard is io.Discard that counts what it drops.
-type countingDiscard struct{ n uint64 }
-
-func (c *countingDiscard) Write(p []byte) (int, error) {
-	c.n += uint64(len(p))
-	return io.Discard.Write(p)
 }

@@ -142,9 +142,10 @@ type (
 	RunEvent = experiments.RunEvent
 	// ProgressFunc receives one RunEvent per completed suite simulation.
 	ProgressFunc = experiments.ProgressFunc
-	// ArtifactCache is the content-addressed on-disk cache for generated
-	// traces and simulation results; assign one to ExperimentSuite.Cache to
-	// make suite runs incremental across processes.
+	// ArtifactCache is the content-addressed on-disk cache for simulation
+	// results and for the chunked trace streams that streaming suites
+	// replay; assign one to ExperimentSuite.Cache to make suite runs
+	// incremental across processes.
 	ArtifactCache = artifact.Cache
 )
 
