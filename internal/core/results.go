@@ -182,15 +182,3 @@ func RunContext(ctx context.Context, cfg Config, tr *trace.Trace, opts ...Option
 	}
 	return s.RunContext(ctx, tr, opts...)
 }
-
-// RunCursor assembles a system for cfg and replays a streamed chunked
-// trace under ctx. Results are byte-identical to RunContext over the
-// materialized equivalent, but peak memory stays bounded by the cursor's
-// chunk window instead of the whole trace.
-func RunCursor(ctx context.Context, cfg Config, c *trace.Cursor, opts ...Option) (Results, error) {
-	s, err := New(cfg)
-	if err != nil {
-		return Results{}, err
-	}
-	return s.RunCursor(ctx, c, opts...)
-}

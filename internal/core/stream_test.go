@@ -52,7 +52,7 @@ func runStreamed(t *testing.T, cfg Config, raw []byte) (Results, obs.Snapshot) {
 	}
 	defer c.Close()
 	var last obs.Snapshot
-	res, err := RunCursor(context.Background(), cfg, c,
+	res, err := MustNew(cfg).RunCursor(context.Background(), c,
 		WithMetricsSnapshot(func(s obs.Snapshot) { last = s }))
 	if err != nil {
 		t.Fatalf("RunCursor: %v", err)
@@ -130,7 +130,7 @@ func TestStreamedRunTruncatedStreamFails(t *testing.T) {
 		t.Skipf("corruption detected at open (%v); decode-time path not reachable", err)
 	}
 	defer c.Close()
-	if _, err := RunCursor(context.Background(), DesignIdeal(), c); err == nil {
+	if _, err := MustNew(DesignIdeal()).RunCursor(context.Background(), c); err == nil {
 		t.Fatal("RunCursor on corrupted stream succeeded; want error")
 	}
 }
@@ -145,7 +145,7 @@ func TestWideAddressesReturnErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = RunCursor(context.Background(), cfg, c)
+		_, err = MustNew(cfg).RunCursor(context.Background(), c)
 		c.Close()
 		if err == nil || !strings.Contains(err.Error(), "beyond the 48-bit virtual address space") {
 			t.Errorf("%s: RunCursor of a wide lane = %v", cfg.Name, err)
@@ -156,6 +156,21 @@ func TestWideAddressesReturnErrors(t *testing.T) {
 		_, err = RunContext(context.Background(), cfg, b.Build())
 		if err == nil || !strings.Contains(err.Error(), "cu 0 warp 0 inst 0: lane 1") {
 			t.Errorf("%s: RunContext of a wide lane = %v", cfg.Name, err)
+		}
+	}
+}
+
+// TestUnknownKindReturnsError: an instruction of no known kind fails the
+// run with Validate's error instead of a panic in the GPU front end.
+func TestUnknownKindReturnsError(t *testing.T) {
+	b := trace.NewBuilder("kind", 1, 1, 2)
+	b.Warp().Load(0x1000)
+	tr := b.Build()
+	tr.CUs[0].Warps[1] = append(tr.CUs[0].Warps[1], trace.Inst{Kind: 9})
+	for _, cfg := range []Config{DesignIdeal(), DesignBaseline512(), DesignVCOpt()} {
+		_, err := RunContext(context.Background(), cfg, tr)
+		if err == nil || !strings.Contains(err.Error(), "cu 0 warp 1 inst 0: unknown instruction kind 9") {
+			t.Errorf("%s: RunContext of an unknown kind = %v", cfg.Name, err)
 		}
 	}
 }

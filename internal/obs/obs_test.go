@@ -126,41 +126,6 @@ func TestSnapshotJSONL(t *testing.T) {
 	}
 }
 
-func TestRecorderSeries(t *testing.T) {
-	r := NewRegistry()
-	var c uint64
-	r.Counter("n", &c)
-	rec := NewRecorder(r)
-	for i := 1; i <= 3; i++ {
-		c = uint64(i * 10)
-		rec.Record(uint64(i * 100))
-	}
-	rows := rec.Rows()
-	if len(rows) != 3 || rows[2].Cycle != 300 {
-		t.Fatalf("rows %+v", rows)
-	}
-	if v, _ := rows[1].Value("n"); v != 20 {
-		t.Fatalf("row 1 value %v", v)
-	}
-
-	var jl strings.Builder
-	if err := rec.WriteJSONL(&jl); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(jl.String(), "\n"); got != 3 {
-		t.Fatalf("JSONL lines = %d, want 3", got)
-	}
-
-	var cs strings.Builder
-	if err := rec.WriteCSV(&cs); err != nil {
-		t.Fatal(err)
-	}
-	want := "cycle,n\n100,10\n200,20\n300,30\n"
-	if cs.String() != want {
-		t.Fatalf("CSV = %q, want %q", cs.String(), want)
-	}
-}
-
 // A nil emitter must be free: it is the always-on disabled path inside
 // component hot loops (TLB lookups, IOMMU requests).
 func TestNilEmitterZeroAlloc(t *testing.T) {

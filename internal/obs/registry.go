@@ -18,7 +18,6 @@
 package obs
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
@@ -212,63 +211,4 @@ func (s Snapshot) WriteJSONL(w io.Writer) error {
 	b = append(b, '\n')
 	_, err := w.Write(b)
 	return err
-}
-
-// Recorder captures interval snapshots of a registry over a run, for export
-// as a JSONL or CSV time series. The metric set is frozen at the first
-// Record call.
-type Recorder struct {
-	reg   *Registry
-	names []string
-	rows  []Snapshot
-}
-
-// NewRecorder returns a recorder over reg.
-func NewRecorder(reg *Registry) *Recorder { return &Recorder{reg: reg} }
-
-// Record appends one snapshot stamped with the given cycle.
-func (rc *Recorder) Record(cycle uint64) {
-	s := rc.reg.Snapshot(cycle)
-	if rc.names == nil {
-		rc.names = s.Names
-	}
-	rc.rows = append(rc.rows, s)
-}
-
-// Rows returns the recorded snapshots in record order.
-func (rc *Recorder) Rows() []Snapshot { return rc.rows }
-
-// WriteJSONL writes one JSONL record per recorded snapshot.
-func (rc *Recorder) WriteJSONL(w io.Writer) error {
-	var b []byte
-	for _, row := range rc.rows {
-		b = row.AppendJSON(b[:0])
-		b = append(b, '\n')
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteCSV writes the series as CSV: a "cycle" column followed by one
-// column per metric.
-func (rc *Recorder) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := append([]string{"cycle"}, rc.names...)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	row := make([]string, len(header))
-	for _, s := range rc.rows {
-		row[0] = strconv.FormatUint(s.Cycle, 10)
-		for i, v := range s.Values {
-			row[i+1] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -1,9 +1,12 @@
 package trace
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"vcache/internal/memory"
@@ -30,9 +33,15 @@ type builderOp struct {
 }
 
 // laneAddr is the address of the n-th lane of an op stream: distinct for
-// every n (an odd multiplier permutes the 64-bit values), so a lane
-// staged at the wrong offset shows.
-func laneAddr(n uint64) memory.VAddr { return memory.VAddr(n * 0x9e3779b97f4a7c15) }
+// every n, so a lane staged at the wrong offset shows, and inside the
+// modeled address space, so a stream of it decodes. 512 consecutive lanes
+// share a 4KB page, as a warp's accesses coalesce, and an odd multiplier
+// permutes the page numbers, so pages are first touched out of address
+// order.
+func laneAddr(n uint64) memory.VAddr {
+	page := (n >> 9) * 0x9e3779b97f4a7c15 & (1<<memory.VPNBits - 1)
+	return memory.VAddr(page<<memory.PageShift | (n&511)<<3)
+}
 
 // emitter is the warp-emitter API the two builders share.
 type emitter[E any] interface {
@@ -78,11 +87,12 @@ func drive[E emitter[E]](ops []builderOp, warp func() E, barrier func()) uint64 
 	return n
 }
 
-// buildBoth drives the block-staged Builder and the append-grown
-// reference with ops and fails unless both build the same trace. It also
-// checks that a trace staged in more than one block gets an exact-size
-// arena, that one staged in a single block keeps that block as its
-// arena, and that a second Build returns the same trace.
+// buildBoth drives the block-staged Builder, a streaming Builder and the
+// append-grown reference with ops and fails unless all three build the
+// same trace: the streamed one is its stream materialized. It also checks
+// that a trace staged in more than one block gets an exact-size arena,
+// that one staged in a single block keeps that block as its arena, and
+// that a second Build returns the same trace.
 func buildBoth(t testing.TB, numCUs, warpsPer int, ops []builderOp) {
 	t.Helper()
 	b, ref := NewBuilder("diff", 3, numCUs, warpsPer), newRefBuilder("diff", 3, numCUs, warpsPer)
@@ -105,6 +115,36 @@ func buildBoth(t testing.TB, numCUs, warpsPer int, ops []builderOp) {
 	if again := b.Build(); again != tr || !reflect.DeepEqual(again, want) {
 		t.Fatal("a second Build returned a different trace")
 	}
+	if streamed := buildStreamed(t, numCUs, warpsPer, ops); !reflect.DeepEqual(streamed, want) {
+		describeDiff(t, streamed, want)
+	}
+}
+
+// streamBudget is the streaming leg's chunk budget: small enough that
+// chunks are cut every few accesses and a barrier's Budget/4 cut fires.
+const streamBudget = 1 << 10
+
+// buildStreamed drives a streaming Builder with ops and returns its
+// stream materialized.
+func buildStreamed(t testing.TB, numCUs, warpsPer int, ops []builderOp) *Trace {
+	t.Helper()
+	var buf bytes.Buffer
+	cw := NewChunkWriter(&buf, "diff", 3, numCUs, warpsPer, ChunkOptions{Budget: streamBudget})
+	sb := NewStreamingBuilder(cw)
+	drive(ops, sb.Warp, sb.Barrier)
+	if err := cw.Close(); err != nil {
+		t.Fatalf("streaming Builder: %v", err)
+	}
+	c, err := NewCursor(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("NewCursor: %v", err)
+	}
+	defer c.Close()
+	tr, err := c.Materialize()
+	if err != nil {
+		t.Fatalf("Materialize: %v", err)
+	}
+	return tr
 }
 
 // describeDiff fails with the first difference between two traces.
@@ -165,9 +205,10 @@ func lcgOps(seed uint64, n int) []builderOp {
 	return ops
 }
 
-// TestBuilderMatchesReference holds the block-staged builder to the
-// append-grown one it replaced: the same instruction streams, offsets and
-// arena, at and across every block boundary.
+// TestBuilderMatchesReference holds the block-staged builder, and the
+// stream a streaming builder writes, to the append-grown builder they
+// replaced: the same instruction streams, offsets and arena, at and
+// across every block boundary and chunk cut.
 func TestBuilderMatchesReference(t *testing.T) {
 	cases := []struct {
 		name string
@@ -231,9 +272,9 @@ func decodeBuilderOps(data []byte) (numCUs, warpsPer int, ops []builderOp) {
 	return numCUs, warpsPer, ops
 }
 
-// FuzzBuilderDifferential drives the block-staged builder and the
-// append-grown reference with one decoded op stream; the traces must be
-// equal.
+// FuzzBuilderDifferential drives the block-staged builder, a streaming
+// builder and the append-grown reference with one decoded op stream; the
+// traces must be equal.
 func FuzzBuilderDifferential(f *testing.F) {
 	f.Add([]byte{0, 0})
 	// A load of 32 lanes, a warp switch, a store of 200, a barrier and a
@@ -297,5 +338,46 @@ func TestBuildArenaAllocations(t *testing.T) {
 	arenaAllocs := testing.AllocsPerRun(20, small(true)) - testing.AllocsPerRun(20, small(false))
 	if arenaAllocs != 1 {
 		t.Errorf("a trace of 224 lanes made %v allocations for its arena, want 1", arenaAllocs)
+	}
+}
+
+// TestAccessLaneLimits: an access's lane count is an Inst's uint16, so
+// either backend panics on more than 65,535 lanes instead of wrapping the
+// count. Up to that, an access builds, and what rejects one of more than
+// maxLanes lanes is Validate, or for a stream the chunk encoder's check.
+func TestAccessLaneLimits(t *testing.T) {
+	lanes := make([]memory.VAddr, 1<<16+64)
+	for i := range lanes {
+		lanes[i] = laneAddr(uint64(i))
+	}
+	backends := map[string]func() (*Builder, func() error){
+		"materializing": func() (*Builder, func() error) {
+			b := NewBuilder("lanes", 1, 1, 1)
+			return b, func() error { return b.Build().Validate() }
+		},
+		"streaming": func() (*Builder, func() error) {
+			cw := NewChunkWriter(&bytes.Buffer{}, "lanes", 1, 1, 1, ChunkOptions{Budget: streamBudget})
+			return NewStreamingBuilder(cw), cw.Close
+		},
+	}
+	for name, backend := range backends {
+		b, _ := backend()
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "65535 lanes") {
+					t.Errorf("%s: a load of %d lanes did not panic on the lane count: %v", name, len(lanes), r)
+				}
+			}()
+			b.Warp().Load(lanes...)
+		}()
+		for _, n := range []int{maxLanes, maxLanes + 1, 1<<16 - 1} {
+			b, finish := backend()
+			b.Warp().Load(lanes[:n]...).Compute(1)
+			err := finish()
+			want := fmt.Sprintf("load with %d lanes (want 1 to %d)", n, maxLanes)
+			if n <= maxLanes && err != nil || n > maxLanes && (err == nil || !strings.Contains(err.Error(), want)) {
+				t.Errorf("%s: a load of %d lanes: %v", name, n, err)
+			}
+		}
 	}
 }

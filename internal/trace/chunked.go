@@ -125,13 +125,6 @@ type ChunkOptions struct {
 	OnChunk func(index int, storedBytes int)
 }
 
-// Segment is a contiguous piece of one warp's instruction stream. Insts
-// reference Arena (not a whole-trace arena) via their Off fields.
-type Segment struct {
-	Insts []Inst
-	Arena []memory.VAddr
-}
-
 // pagePos orders page first-touches the way System.Prepare walks a
 // materialized trace: cu-major warp order, then instruction order within
 // the warp, then lane order. pos packs the instruction index and the
@@ -148,31 +141,23 @@ func (a pagePos) less(b pagePos) bool {
 	return a.pos < b.pos
 }
 
-// ChunkWriter streams a trace to w in format v4. Instructions are
-// appended warp by warp in generation order; the writer cuts chunks at
-// the configured budget, accumulates the footer (premap order, per-warp
-// totals, summary) incrementally, and never holds more than one chunk's
-// worth of instruction data in memory. Append is its one way in: a
-// streaming Builder and WriteChunked both feed it.
+// ChunkWriter streams a trace to w in format v4. It only encodes: its
+// Builder (NewStreamingBuilder) accumulates the current chunk and cuts it
+// at the configured budget, and the writer folds each chunk it is handed
+// into the footer (premap order, per-warp totals, summary) and writes it
+// as one frame, so no more than one chunk's worth of instruction data is
+// ever held. WriteChunked feeds a built trace through the same Builder.
 //
-// Errors are sticky: after a write error every method is a no-op and
-// Close returns the first error.
+// Errors are sticky: after the first, nothing more is written and Close
+// returns it.
 type ChunkWriter struct {
-	w      *bufio.Writer
-	cnt    countingWriter
-	opts   ChunkOptions
-	name   string
-	asid   memory.ASID
-	warps  []int // per-CU warp counts
-	wPerCU int
+	w    *bufio.Writer
+	cnt  countingWriter
+	opts ChunkOptions
+	b    *Builder // accumulates the current chunk
 
-	// Current chunk, indexed by global warp (cu*wPerCU+warp).
-	segs     [][]Inst
-	arena    []memory.VAddr
-	curBytes int
-
-	// Footer accumulation.
-	totals []uint64 // per global warp
+	// Footer accumulation, folded over each chunk as it is encoded.
+	totals []uint64 // per global warp, cu-major
 	premap map[memory.VPN]pagePos
 	chunks int
 	rollup uint64 // crc64 state over per-chunk crcs
@@ -192,28 +177,25 @@ type ChunkWriter struct {
 // NewChunkWriter starts a v4 stream on w for the given shape. Every CU
 // gets warpsPerCU warp contexts, matching NewBuilder.
 func NewChunkWriter(w io.Writer, name string, asid memory.ASID, numCUs, warpsPerCU int, opts ChunkOptions) *ChunkWriter {
-	if numCUs <= 0 || warpsPerCU <= 0 {
-		panic("trace: chunk writer needs positive CU and warp counts")
-	}
 	if opts.Budget <= 0 {
 		opts.Budget = DefaultChunkBudget
 	}
-	warps := make([]int, numCUs)
-	for i := range warps {
-		warps[i] = warpsPerCU
-	}
+	b := NewBuilder(name, asid, numCUs, warpsPerCU)
+	// A chunk is cut once it holds budget bytes at 8 per lane, so before
+	// its last access it holds fewer than budget/8 lanes, and one block of
+	// budget/8 + maxLanes addresses holds every chunk of valid accesses.
+	// The decoder caps a chunk at maxChunkBytes, and so does the block.
+	b.block = make([]memory.VAddr, 0, min(opts.Budget, maxChunkBytes)/8+maxLanes)
+	b.budget = opts.Budget
 	cw := &ChunkWriter{
 		opts:   opts,
-		name:   name,
-		asid:   asid,
-		warps:  warps,
-		wPerCU: warpsPerCU,
-		segs:   make([][]Inst, numCUs*warpsPerCU),
+		b:      b,
 		totals: make([]uint64, numCUs*warpsPerCU),
 		premap: make(map[memory.VPN]pagePos),
 		sum:    summarizer{sum: Summary{Name: name}},
 		piece:  make([]byte, 0, pieceBytes),
 	}
+	b.cw = cw
 	cw.cnt.w = w
 	cw.w = bufio.NewWriter(&cw.cnt)
 	return cw
@@ -232,16 +214,8 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// NumCUs returns the writer's CU count.
-func (cw *ChunkWriter) NumCUs() int { return len(cw.warps) }
-
-// WarpsPerCU returns the warp contexts per CU.
-func (cw *ChunkWriter) WarpsPerCU() int { return cw.wPerCU }
-
-func (cw *ChunkWriter) gw(cu, warp int) int { return cu*cw.wPerCU + warp }
-
-// writeHeader emits the file header on first append (or at Close for an
-// empty trace).
+// writeHeader emits the file header before the first chunk (or at Close
+// for an empty trace).
 func (cw *ChunkWriter) writeHeader() {
 	if cw.started || cw.err != nil {
 		return
@@ -257,13 +231,14 @@ func (cw *ChunkWriter) writeHeader() {
 	if cw.opts.Compress {
 		flags |= flagCompressed
 	}
+	t := cw.b.tr
 	writeUvarint(mw, flags)
-	writeUvarint(mw, uint64(len(cw.name)))
-	io.WriteString(mw, cw.name)
-	writeUvarint(mw, uint64(cw.asid))
-	writeUvarint(mw, uint64(len(cw.warps)))
-	for _, n := range cw.warps {
-		writeUvarint(mw, uint64(n))
+	writeUvarint(mw, uint64(len(t.Name)))
+	io.WriteString(mw, t.Name)
+	writeUvarint(mw, uint64(t.ASID))
+	writeUvarint(mw, uint64(len(t.CUs)))
+	for _, cu := range t.CUs {
+		writeUvarint(mw, uint64(len(cu.Warps)))
 	}
 	var sum [8]byte
 	binary.LittleEndian.PutUint64(sum[:], crc.Sum64())
@@ -284,96 +259,31 @@ func (cw *ChunkWriter) fail(err error) {
 	}
 }
 
-// Append adds one instruction to (cu, warp)'s stream. addrs are the
-// per-lane addresses of a Load/Store (nil otherwise); the writer interns
-// them in the current chunk's arena and rewrites in.Off/in.Lanes. It folds
-// the instruction into the footer and cuts the chunk once it reaches the
-// budget.
-func (cw *ChunkWriter) Append(cu, warp int, in Inst, addrs []memory.VAddr) {
+// encode is the chunk encoder. It checks a chunk its Builder cut, folds it
+// into the footer and writes it as one frame; the chunk's instructions
+// index its own arena.
+func (cw *ChunkWriter) encode(chunk *Trace) {
 	if cw.err != nil || cw.closed {
 		return
 	}
-	if cu < 0 || cu >= len(cw.warps) || warp < 0 || warp >= cw.warps[cu] {
-		cw.fail(fmt.Errorf("trace: append to warp (%d,%d) outside shape (%d CUs x %d warps)",
-			cu, warp, len(cw.warps), cw.wPerCU))
+	if err := chunk.check(); err != nil {
+		cw.fail(fmt.Errorf("trace: chunk %d: %w", cw.chunks, err))
 		return
 	}
-	g := cw.gw(cu, warp)
-	instIdx := cw.totals[g]
-	if in.Kind == Load || in.Kind == Store {
-		if len(addrs) == 0 {
-			return // mirror WarpEmitter: empty accesses are dropped
-		}
-		if len(addrs) > maxLanes {
-			cw.fail(fmt.Errorf("trace: %d lanes exceeds limit %d", len(addrs), maxLanes))
-			return
-		}
-		if len(cw.arena)+len(addrs) > maxArenaLen {
-			cw.fail(fmt.Errorf("trace: chunk arena exceeds %d lane addresses", maxArenaLen))
-			return
-		}
-		in.Off = uint32(len(cw.arena))
-		in.Lanes = uint16(len(addrs))
-		cw.arena = append(cw.arena, addrs...)
-		cw.curBytes += 8 * len(addrs)
-		cw.sum.mem(addrs)
-		for rank, p := range cw.sum.pages {
-			// The instruction's pages come in first-lane order, so their
-			// rank orders their first touches within it.
-			pos := pagePos{gw: uint32(g), pos: instIdx<<16 | uint64(rank)}
-			if prev, ok := cw.premap[p]; !ok || pos.less(prev) {
-				cw.premap[p] = pos
-			}
-		}
-	} else {
-		cw.sum.ctl(in.Kind)
-	}
-	cw.segs[g] = append(cw.segs[g], in)
-	cw.totals[g] = instIdx + 1
-	cw.curBytes += instBytes
-	if cw.curBytes >= cw.opts.Budget {
-		cw.flush()
-	}
-}
-
-// Barrier appends a device-wide barrier to every warp context and offers
-// the chunker a preferred cut point: every warp resynchronizes here, so a
-// chunk boundary at a barrier bounds the resident-chunk window during
-// replay. The cut threshold is a quarter of the budget so short phases
-// don't degenerate into tiny chunks.
-func (cw *ChunkWriter) Barrier() {
-	if cw.err != nil || cw.closed {
-		return
-	}
-	for cu := 0; cu < len(cw.warps); cu++ {
-		for w := 0; w < cw.warps[cu]; w++ {
-			cw.Append(cu, w, Inst{Kind: Barrier}, nil)
-		}
-	}
-	if cw.curBytes >= cw.opts.Budget/4 {
-		cw.flush()
-	}
-}
-
-// flush is the chunk encoder: it writes the current chunk as one frame
-// and empties the chunk.
-func (cw *ChunkWriter) flush() {
-	if cw.curBytes == 0 {
-		return
-	}
+	cw.fold(chunk)
 	cw.writeHeader()
 	if cw.err != nil {
 		return
 	}
-	raw, nseg := cw.payloadLen()
+	raw, nseg := payloadLen(chunk)
 	stored := raw
 	var err error
 	if cw.opts.Compress {
-		stored, err = cw.writeCompressed(raw, nseg)
+		stored, err = cw.writeCompressed(chunk, raw, nseg)
 	} else {
 		cw.writeFrameHeader(raw, raw)
 		crc := crc64.New(crcTable)
-		if err = cw.encodePayload(io.MultiWriter(cw.w, crc), nseg); err == nil {
+		if err = cw.encodePayload(io.MultiWriter(cw.w, crc), chunk, nseg); err == nil {
 			err = cw.writeFrameCRC(crc.Sum64())
 		}
 	}
@@ -385,57 +295,85 @@ func (cw *ChunkWriter) flush() {
 	if cw.opts.OnChunk != nil {
 		cw.opts.OnChunk(cw.chunks-1, stored)
 	}
-	for g := range cw.segs {
-		cw.segs[g] = cw.segs[g][:0]
-	}
-	cw.arena = cw.arena[:0]
-	cw.curBytes = 0
 }
 
-// payloadLen returns the decoded size of the current chunk's payload and
-// its segment count. Knowing the size up front lets the frame header
-// precede a payload that is encoded straight into the output.
-func (cw *ChunkWriter) payloadLen() (n, nseg int) {
-	for g, s := range cw.segs {
-		if len(s) > 0 {
-			nseg++
-			n += uvarintLen(uint64(g/cw.wPerCU)) + uvarintLen(uint64(g%cw.wPerCU)) +
-				uvarintLen(uint64(len(s))) + instBytes*len(s)
+// fold adds a chunk to the footer: its warps' instruction counts, the
+// position of each page's first touch and its summary. Every sum and
+// minimum folds the same whatever the chunking.
+func (cw *ChunkWriter) fold(chunk *Trace) {
+	g := 0
+	for _, cu := range chunk.CUs {
+		for _, warp := range cu.Warps {
+			for i, in := range warp {
+				if in.Kind != Load && in.Kind != Store {
+					cw.sum.ctl(in.Kind)
+					continue
+				}
+				cw.sum.mem(chunk.Addrs(in))
+				for rank, p := range cw.sum.pages {
+					// The instruction's pages come in first-lane order, so
+					// their rank orders their first touches within it.
+					pos := pagePos{gw: uint32(g), pos: (cw.totals[g]+uint64(i))<<16 | uint64(rank)}
+					if prev, ok := cw.premap[p]; !ok || pos.less(prev) {
+						cw.premap[p] = pos
+					}
+				}
+			}
+			cw.totals[g] += uint64(len(warp))
+			g++
 		}
 	}
-	n += uvarintLen(uint64(nseg)) + uvarintLen(uint64(len(cw.arena))) + 8*len(cw.arena)
+}
+
+// payloadLen returns the decoded size of a chunk's payload and its
+// segment count, one segment per warp with instructions. Knowing the size
+// up front lets the frame header precede a payload that is encoded
+// straight into the output.
+func payloadLen(chunk *Trace) (n, nseg int) {
+	for c, cu := range chunk.CUs {
+		for w, s := range cu.Warps {
+			if len(s) > 0 {
+				nseg++
+				n += uvarintLen(uint64(c)) + uvarintLen(uint64(w)) +
+					uvarintLen(uint64(len(s))) + instBytes*len(s)
+			}
+		}
+	}
+	n += uvarintLen(uint64(nseg)) + uvarintLen(uint64(len(chunk.Arena))) + 8*len(chunk.Arena)
 	return n, nseg
 }
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// encodePayload encodes the current chunk's payload into w, a piece
-// buffer at a time: segments in cu-major warp order, then the arena.
-func (cw *ChunkWriter) encodePayload(w io.Writer, nseg int) error {
+// encodePayload encodes a chunk's payload into w, a piece buffer at a
+// time: segments in cu-major warp order, then the arena.
+func (cw *ChunkWriter) encodePayload(w io.Writer, chunk *Trace, nseg int) error {
 	// Spilling whenever less than this headroom is left keeps every
 	// append between checks inside the buffer's capacity.
 	const headroom = 64
 	var err error
 	buf := binary.AppendUvarint(cw.piece[:0], uint64(nseg))
-	for g, s := range cw.segs {
-		if len(s) == 0 {
-			continue
-		}
-		buf = binary.AppendUvarint(buf, uint64(g/cw.wPerCU))
-		buf = binary.AppendUvarint(buf, uint64(g%cw.wPerCU))
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		for _, in := range s {
-			buf = append(buf, byte(in.Kind))
-			buf = binary.LittleEndian.AppendUint16(buf, in.Lanes)
-			buf = binary.LittleEndian.AppendUint32(buf, in.Off)
-			buf = binary.LittleEndian.AppendUint64(buf, in.Cycles)
-			if len(buf) > pieceBytes-headroom {
-				buf, err = spill(w, buf, err)
+	for c, cu := range chunk.CUs {
+		for wi, s := range cu.Warps {
+			if len(s) == 0 {
+				continue
+			}
+			buf = binary.AppendUvarint(buf, uint64(c))
+			buf = binary.AppendUvarint(buf, uint64(wi))
+			buf = binary.AppendUvarint(buf, uint64(len(s)))
+			for _, in := range s {
+				buf = append(buf, byte(in.Kind))
+				buf = binary.LittleEndian.AppendUint16(buf, in.Lanes)
+				buf = binary.LittleEndian.AppendUint32(buf, in.Off)
+				buf = binary.LittleEndian.AppendUint64(buf, in.Cycles)
+				if len(buf) > pieceBytes-headroom {
+					buf, err = spill(w, buf, err)
+				}
 			}
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(cw.arena)))
-	for _, a := range cw.arena {
+	buf = binary.AppendUvarint(buf, uint64(len(chunk.Arena)))
+	for _, a := range chunk.Arena {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(a))
 		if len(buf) > pieceBytes-headroom {
 			buf, err = spill(w, buf, err)
@@ -454,15 +392,15 @@ func spill(w io.Writer, buf []byte, err error) ([]byte, error) {
 	return buf[:0], err
 }
 
-// writeCompressed writes the current chunk as a frame with a
-// flate-compressed payload and returns the stored size. The frame header
-// leads with that size, so the compressed bytes are staged; the raw
-// payload streams into the compressor.
-func (cw *ChunkWriter) writeCompressed(raw, nseg int) (int, error) {
+// writeCompressed writes a chunk as a frame with a flate-compressed
+// payload and returns the stored size. The frame header leads with that
+// size, so the compressed bytes are staged; the raw payload streams into
+// the compressor.
+func (cw *ChunkWriter) writeCompressed(chunk *Trace, raw, nseg int) (int, error) {
 	cw.zbuf.Reset()
 	zw, err := flate.NewWriter(&cw.zbuf, flate.BestSpeed)
 	if err == nil {
-		err = cw.encodePayload(zw, nseg)
+		err = cw.encodePayload(zw, chunk, nseg)
 	}
 	if err == nil {
 		err = zw.Close()
@@ -517,14 +455,14 @@ func (cw *ChunkWriter) premapOrder() []memory.VPN {
 	return out
 }
 
-// Close flushes the final chunk, writes footer and trailer, and returns
+// Close cuts the pending chunk, writes footer and trailer, and returns
 // the first error encountered anywhere in the stream. The underlying
 // writer is not closed.
 func (cw *ChunkWriter) Close() error {
 	if cw.closed {
 		return cw.err
 	}
-	cw.flush()
+	cw.b.cut()
 	cw.writeHeader() // empty trace: header still required
 	cw.closed = true
 	if cw.err != nil {
@@ -539,10 +477,8 @@ func (cw *ChunkWriter) Close() error {
 	for _, vpn := range order {
 		body = binary.AppendUvarint(body, uint64(vpn))
 	}
-	for cu := 0; cu < len(cw.warps); cu++ {
-		for w := 0; w < cw.warps[cu]; w++ {
-			body = binary.AppendUvarint(body, cw.totals[cw.gw(cu, w)])
-		}
+	for _, n := range cw.totals {
+		body = binary.AppendUvarint(body, n)
 	}
 	s := cw.Summary()
 	body = binary.AppendUvarint(body, s.MemInsts)
@@ -589,14 +525,14 @@ func (cw *ChunkWriter) sticky(err error) error {
 	return cw.err
 }
 
-// WriteChunked encodes a built trace as a v4 stream, appending its
-// instructions to a ChunkWriter in arena order (see arenaWalk). For a
-// trace whose arena holds exactly its accesses' lanes in emission order,
-// as every Builder-made trace does, that is the order the generator
-// emitted them in, so Materialize returns a trace reflect.DeepEqual to t.
-// A trace whose accesses break arena order still replays unchanged; its
-// materialized arena is packed in stream order. Ragged warp shapes are
-// rejected.
+// WriteChunked encodes a built trace as a v4 stream, feeding its
+// instructions through the writer's Builder in arena order (see
+// arenaWalk). For a trace whose arena holds exactly its accesses' lanes
+// in emission order, as every Builder-made trace does, that is the order
+// the generator emitted them in, so Materialize returns a trace
+// reflect.DeepEqual to t. A trace whose accesses break arena order still
+// replays unchanged; its materialized arena is packed in stream order.
+// Ragged warp shapes are rejected.
 func (t *Trace) WriteChunked(w io.Writer, opts ChunkOptions) error {
 	if len(t.CUs) == 0 {
 		return fmt.Errorf("trace: cannot chunk a trace with no CUs")
@@ -621,12 +557,13 @@ func (t *Trace) WriteChunked(w io.Writer, opts ChunkOptions) error {
 		if !ok {
 			break
 		}
+		e := WarpEmitter{b: cw.b, cu: g / wPerCU, warp: g % wPerCU}
 		for _, in := range walk.warps[g][lo:hi] {
-			var addrs []memory.VAddr
 			if in.Kind == Load || in.Kind == Store {
-				addrs = t.Addrs(in)
+				e.access(in, t.Addrs(in))
+			} else {
+				e.emit(in)
 			}
-			cw.Append(g/wPerCU, g%wPerCU, in, addrs)
 		}
 	}
 	return cw.Close()

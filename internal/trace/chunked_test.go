@@ -2,11 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -234,6 +238,39 @@ func TestStreamingBuilderMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// TestStreamBytesGolden pins the v4 encoding byte for byte, cut points
+// included: what a streaming Builder writes for emitTestTrace, where
+// chunks are cut mid-phase, after a per-warp barrier and at a barrier's
+// quarter budget, and what WriteChunked writes for the built trace. Stored
+// streams and tracegen -o files are compared byte for byte across
+// versions of this package, so a moved hash is a format change.
+func TestStreamBytesGolden(t *testing.T) {
+	for _, c := range []struct {
+		budget            int
+		streamed, written string
+	}{
+		{1 << 10, "de5270250ca5ea043e7e7f758815d0003dc3d031cbe9770a791a59beebfc1d6f", "db2f6e9b97f81dc6b8a5116184c5ee5d8f5c45d9129cc7132b1705b7f41dcde1"},
+		{1 << 12, "ecb2f08257911b6b1ce532f0050c5bdf78210f98898c2471a37778a10681c3db", "3c0229a4c5c388715ea0117c70341552c03ab452201f133ecd3923e3f7eec896"},
+	} {
+		var buf bytes.Buffer
+		cw := NewChunkWriter(&buf, "chunktest", 7, 4, 3, ChunkOptions{Budget: c.budget})
+		emitTestTrace(NewStreamingBuilder(cw), 5, 40)
+		if err := cw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.streamed {
+			t.Errorf("budget %d: streamed bytes hash to %s, want %s", c.budget, got, c.streamed)
+		}
+		buf.Reset()
+		if err := buildTestTrace(t, 4, 3, 5, 40).WriteChunked(&buf, ChunkOptions{Budget: c.budget}); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.written {
+			t.Errorf("budget %d: WriteChunked bytes hash to %s, want %s", c.budget, got, c.written)
+		}
+	}
+}
+
 // TestChunkedVersionMismatchErrors: files in a retired format fail at
 // open with an error naming their version and the way to regenerate them.
 func TestChunkedVersionMismatchErrors(t *testing.T) {
@@ -452,6 +489,38 @@ func FuzzChunkRoundTrip(f *testing.F) {
 			t.Fatal("chunked round trip is not stable")
 		}
 	})
+}
+
+// TestWriteChunkedAllocations pins what encoding a built trace costs: the
+// writer allocates one lane block for a full chunk and reuses it, and the
+// chunk's instruction slices, for every chunk, so WriteChunked of 2^20
+// lanes in three default-budget chunks allocates about 1.5 times the
+// budget, a third of it instruction slices. A chunk arena grown with
+// append allocated about 5.5 times the budget.
+func TestWriteChunkedAllocations(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b := NewBuilder("enc", 1, 8, 4)
+	lanes := make([]memory.VAddr, 32)
+	for n := uint64(0); n < 1<<20; n += 32 {
+		for i := range lanes {
+			lanes[i] = laneAddr(n + uint64(i))
+		}
+		b.Warp().Load(lanes...).Compute(3)
+	}
+	tr := b.Build()
+	var before, after runtime.MemStats
+	var out countingWriter
+	out.w = io.Discard
+	runtime.ReadMemStats(&before)
+	if err := tr.WriteChunked(&out, ChunkOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got, budget := float64(after.TotalAlloc-before.TotalAlloc), float64(DefaultChunkBudget)
+	t.Logf("encoding %.0f B in %d-B chunks allocated %.0f B, %.2f times the budget", float64(out.n), DefaultChunkBudget, got, got/budget)
+	if got > 2*budget {
+		t.Errorf("encoding allocated %.0f B, %.2f times the chunk budget (limit 2)", got, got/budget)
+	}
 }
 
 func buildFuzzSeed(numCUs, warpsPerCU, phases, perPhase int) *Trace {

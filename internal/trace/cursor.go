@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 
 	"vcache/internal/memory"
@@ -23,7 +24,9 @@ var ErrCursorExhausted = errors.New("trace: chunk stream exhausted")
 // footer and trailer at open (plus a cheap structural scan over the chunk
 // frames), then decodes chunks on a background prefetch goroutine one
 // chunk ahead of consumption — the GPU front-end's event loop blocks on a
-// decoded chunk only when replay outruns the prefetcher.
+// decoded chunk only when replay outruns the prefetcher. Each chunk
+// decodes into a Trace of the stream's shape whose instructions index the
+// chunk's arena, and must pass the checks of Trace.Validate.
 //
 // NextSegment implements the gpu.StreamSource contract: per-warp segment
 // delivery in stream order, with per-chunk crc validation at decode time.
@@ -37,18 +40,18 @@ type Cursor struct {
 	r      io.ReadSeeker
 	closer io.Closer // non-nil when the cursor owns the underlying file
 
-	name   string
-	asid   memory.ASID
-	warps  []int // per-CU warp counts
-	flags  uint64
-	wPerCU int
+	name  string
+	asid  memory.ASID
+	warps []int // per-CU warp counts
+	flags uint64
 
-	chunkOffsets []int64 // frame start offsets, from the structural scan
-	numChunks    int
-	rollup       uint64
-	premap       []memory.VPN
-	totals       []uint64 // per global warp
-	summary      Summary
+	first     int64 // the first chunk frame's offset, just past the header
+	footerOff int64 // the footer's offset, from the trailer
+	numChunks int
+	rollup    uint64
+	premap    []memory.VPN
+	totals    []uint64 // per global warp
+	summary   Summary
 
 	mu        sync.Mutex
 	queues    [][]Segment // per global warp FIFO of undelivered segments
@@ -61,16 +64,17 @@ type Cursor struct {
 	wg       sync.WaitGroup
 }
 
-// prefetched is one decoded chunk: segments grouped per warp, sharing the
-// chunk's arena.
-type prefetched struct {
-	segs []warpSegment
-	err  error
+// Segment is a contiguous piece of one warp's instruction stream. Insts
+// reference Arena (not a whole-trace arena) via their Off fields.
+type Segment struct {
+	Insts []Inst
+	Arena []memory.VAddr
 }
 
-type warpSegment struct {
-	gw  int
-	seg Segment
+// prefetched is one decoded chunk, or the error that ended the stream.
+type prefetched struct {
+	chunk *Trace
+	err   error
 }
 
 // OpenCursorFile opens path as a v4 chunked trace; Close releases the
@@ -161,9 +165,6 @@ func (c *Cursor) readHeader() error {
 			return fmt.Errorf("trace: total warp contexts exceed limit %d", maxTotalWarps)
 		}
 		c.warps[i] = int(n)
-		if i == 0 {
-			c.wPerCU = int(n)
-		}
 	}
 	sum := crc.Sum64()
 	var stored [8]byte
@@ -173,7 +174,7 @@ func (c *Cursor) readHeader() error {
 	if got := binary.LittleEndian.Uint64(stored[:]); got != sum {
 		return fmt.Errorf("trace: header checksum mismatch (stored %#x, computed %#x)", got, sum)
 	}
-	c.chunkOffsets = append(c.chunkOffsets[:0], 8+sr.consumed)
+	c.first = 8 + sr.consumed
 	return nil
 }
 
@@ -253,6 +254,7 @@ func (c *Cursor) readFooter() error {
 	if footerOff < 0 || footerOff >= end {
 		return fmt.Errorf("trace: footer offset %d outside file", footerOff)
 	}
+	c.footerOff = footerOff
 	if _, err := c.r.Seek(footerOff, io.SeekStart); err != nil {
 		return fmt.Errorf("trace: seeking footer: %w", err)
 	}
@@ -280,7 +282,7 @@ func (c *Cursor) readFooter() error {
 	c.rollup = d.u64()
 	npremap := d.uvarint("premap length", maxPremap)
 	if d.err == nil && npremap > 0 {
-		c.premap = make([]memory.VPN, 0, min64(npremap, 1<<16))
+		c.premap = make([]memory.VPN, 0, min(npremap, 1<<16))
 		for i := uint64(0); i < npremap && d.err == nil; i++ {
 			c.premap = append(c.premap, memory.VPN(d.uvarint("premap VPN", 1<<memory.VPNBits-1)))
 		}
@@ -315,34 +317,15 @@ func (c *Cursor) readFooter() error {
 	return nil
 }
 
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // scanChunks walks the chunk frames without reading payloads: each frame's
 // declared length must chain exactly from the header to the footer, and
 // the frame count must match the footer's declaration. Payload contents
 // (and their crcs) are validated later, at decode time, so opening a
 // cached multi-GB trace costs O(chunks) tiny reads, not a full pass.
 func (c *Cursor) scanChunks() error {
-	off := c.chunkOffsets[0]
-	// Recompute the footer offset from the trailer (readFooter validated
-	// it); the scan must land exactly there.
-	if _, err := c.r.Seek(-trailerBytes, io.SeekEnd); err != nil {
-		return err
-	}
-	var trailer [trailerBytes]byte
-	if _, err := io.ReadFull(c.r, trailer[:]); err != nil {
-		return err
-	}
-	footerOff := int64(binary.LittleEndian.Uint64(trailer[:8]))
-
-	c.chunkOffsets = c.chunkOffsets[:1]
+	off := c.first
 	for i := 0; i < c.numChunks; i++ {
-		if off >= footerOff {
+		if off >= c.footerOff {
 			return fmt.Errorf("trace: chunk %d starts past footer (footer declares %d chunks)", i, c.numChunks)
 		}
 		if _, err := c.r.Seek(off, io.SeekStart); err != nil {
@@ -368,17 +351,16 @@ func (c *Cursor) scanChunks() error {
 			return fmt.Errorf("trace: chunk %d: size %d/%d exceeds limit %d", i, stored, raw, maxChunkBytes)
 		}
 		next := off + sr.consumed + int64(stored) + 8
-		if next > footerOff {
+		if next > c.footerOff {
 			return fmt.Errorf("trace: chunk %d overruns footer", i)
 		}
 		off = next
-		c.chunkOffsets = append(c.chunkOffsets, off)
 	}
-	if off != footerOff {
-		return fmt.Errorf("trace: %d unframed bytes between chunks and footer", footerOff-off)
+	if off != c.footerOff {
+		return fmt.Errorf("trace: %d unframed bytes between chunks and footer", c.footerOff-off)
 	}
 	// Leave the stream positioned at the first chunk for the prefetcher.
-	_, err := c.r.Seek(c.chunkOffsets[0], io.SeekStart)
+	_, err := c.r.Seek(c.first, io.SeekStart)
 	return err
 }
 
@@ -432,16 +414,9 @@ func (d *byteDecoder) u64() uint64 {
 // huge allocation.
 func readCapped(r io.Reader, n int64) ([]byte, error) {
 	const piece = 1 << 20
-	capHint := n
-	if capHint > piece {
-		capHint = piece
-	}
-	buf := make([]byte, 0, capHint)
+	buf := make([]byte, 0, min(n, piece))
 	for int64(len(buf)) < n {
-		take := n - int64(len(buf))
-		if take > piece {
-			take = piece
-		}
+		take := min(n-int64(len(buf)), piece)
 		old := len(buf)
 		buf = append(buf, make([]byte, take)...)
 		if _, err := io.ReadFull(r, buf[old:]); err != nil {
@@ -498,7 +473,7 @@ func (c *Cursor) start() {
 		defer close(c.prefetch)
 		rollup := uint64(0)
 		for i := 0; i < c.numChunks; i++ {
-			segs, crc, err := c.decodeChunk(i)
+			chunk, crc, err := c.decodeChunk(i)
 			if err != nil {
 				select {
 				case c.prefetch <- prefetched{err: err}:
@@ -510,7 +485,7 @@ func (c *Cursor) start() {
 			binary.LittleEndian.PutUint64(sum[:], crc)
 			rollup = crc64.Update(rollup, crcTable, sum[:])
 			select {
-			case c.prefetch <- prefetched{segs: segs}:
+			case c.prefetch <- prefetched{chunk: chunk}:
 			case <-c.stop:
 				return
 			}
@@ -524,10 +499,10 @@ func (c *Cursor) start() {
 	}()
 }
 
-// decodeChunk reads and decodes chunk i, returning its segments and the
-// stored payload's crc. Runs on the prefetch goroutine only, which owns
-// the stream position after open.
-func (c *Cursor) decodeChunk(i int) ([]warpSegment, uint64, error) {
+// decodeChunk reads and decodes chunk i, returning it and the stored
+// payload's crc. Runs on the prefetch goroutine only, which owns the
+// stream position after open.
+func (c *Cursor) decodeChunk(i int) (*Trace, uint64, error) {
 	sr := newSmallReader(c.r)
 	marker, err := sr.ReadByte()
 	if err != nil {
@@ -579,20 +554,25 @@ func (c *Cursor) decodeChunk(i int) ([]warpSegment, uint64, error) {
 	} else if uint64(len(payload)) != rawLen {
 		return nil, 0, fmt.Errorf("trace: chunk %d: stored %d bytes but declares %d raw", i, len(payload), rawLen)
 	}
-	segs, err := c.parseChunk(payload)
+	chunk, err := c.parseChunk(payload)
 	if err != nil {
 		return nil, 0, fmt.Errorf("trace: chunk %d: %w", i, err)
 	}
-	return segs, crc, nil
+	return chunk, crc, nil
 }
 
-// parseChunk decodes a chunk's decoded payload into per-warp segments
-// sharing one arena, validating every count and lane-arena reference.
-func (c *Cursor) parseChunk(payload []byte) ([]warpSegment, error) {
+// parseChunk decodes a chunk's decoded payload into a Trace of the
+// stream's shape whose instructions index the chunk's arena: every CU's
+// warps are carved from one backing array, and a warp's second segment in
+// the chunk appends to its first. The chunk must pass Validate's checks.
+func (c *Cursor) parseChunk(payload []byte) (*Trace, error) {
 	d := &byteDecoder{buf: payload}
-	totalWarps := len(c.totals)
-	nseg := d.uvarint("segment count", uint64(totalWarps))
-	segs := make([]warpSegment, 0, nseg)
+	t := &Trace{CUs: make([]CUTrace, len(c.warps))}
+	warps := make([]WarpTrace, len(c.totals))
+	for cu, n := range c.warps {
+		t.CUs[cu].Warps, warps = warps[:n:n], warps[n:]
+	}
+	nseg := d.uvarint("segment count", uint64(len(c.totals)))
 	for i := uint64(0); i < nseg && d.err == nil; i++ {
 		cu := d.uvarint("segment cu", uint64(len(c.warps))-1)
 		var warp uint64
@@ -611,30 +591,18 @@ func (c *Cursor) parseChunk(payload []byte) ([]warpSegment, error) {
 			d.fail("segment declares %d instructions, %d bytes remain", n, d.rem())
 			break
 		}
-		insts := make([]Inst, 0, n)
+		insts := slices.Grow(t.CUs[cu].Warps[warp], int(n))
 		for j := uint64(0); j < n; j++ {
 			rec := d.buf[d.off : d.off+instBytes]
 			d.off += instBytes
-			in := Inst{
+			insts = append(insts, Inst{
 				Kind:   Kind(rec[0]),
 				Lanes:  binary.LittleEndian.Uint16(rec[1:]),
 				Off:    binary.LittleEndian.Uint32(rec[3:]),
 				Cycles: binary.LittleEndian.Uint64(rec[7:]),
-			}
-			if in.Kind > Barrier {
-				d.fail("invalid instruction kind %d", rec[0])
-				break
-			}
-			if in.Lanes > maxLanes {
-				d.fail("lane count %d exceeds limit %d", in.Lanes, maxLanes)
-				break
-			}
-			insts = append(insts, in)
+			})
 		}
-		segs = append(segs, warpSegment{gw: c.gw(int(cu), int(warp)), seg: Segment{Insts: insts}})
-	}
-	if d.err != nil {
-		return nil, d.err
+		t.CUs[cu].Warps[warp] = insts
 	}
 	arenaLen := d.uvarint("arena length", maxArenaLen)
 	if d.err == nil && int64(d.rem()) != int64(arenaLen)*8 {
@@ -643,38 +611,12 @@ func (c *Cursor) parseChunk(payload []byte) ([]warpSegment, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	// One OR per address tells whether any lies beyond the modeled address
-	// space; only then are the lanes searched for it.
-	arena := make([]memory.VAddr, arenaLen)
-	var bits memory.VAddr
-	for i := range arena {
-		arena[i] = memory.VAddr(binary.LittleEndian.Uint64(d.buf[d.off:]))
-		bits |= arena[i]
+	t.Arena = make([]memory.VAddr, arenaLen)
+	for i := range t.Arena {
+		t.Arena[i] = memory.VAddr(binary.LittleEndian.Uint64(d.buf[d.off:]))
 		d.off += 8
 	}
-	wide := bits>>memory.VABits != 0
-	for i := range segs {
-		segs[i].seg.Arena = arena
-		for j, in := range segs[i].seg.Insts {
-			if in.Kind != Load && in.Kind != Store {
-				continue
-			}
-			if in.Lanes == 0 {
-				return nil, errors.New("load/store with zero lanes")
-			}
-			if uint64(in.Off)+uint64(in.Lanes) > arenaLen {
-				return nil, fmt.Errorf("lane reference [%d, %d) outside chunk arena of %d",
-					in.Off, uint64(in.Off)+uint64(in.Lanes), arenaLen)
-			}
-			if wide {
-				if err := checkLanes(arena[in.Off : uint64(in.Off)+uint64(in.Lanes)]); err != nil {
-					cu, warp := c.cuWarp(segs[i].gw)
-					return nil, fmt.Errorf("cu %d warp %d inst %d of the chunk's segment: %w", cu, warp, j, err)
-				}
-			}
-		}
-	}
-	return segs, nil
+	return t, t.check()
 }
 
 // NextSegment returns the next stream segment for (cu, warp), pulling and
@@ -715,8 +657,14 @@ func (c *Cursor) pullChunkLocked() bool {
 		}
 		return false
 	}
-	for _, ws := range p.segs {
-		c.queues[ws.gw] = append(c.queues[ws.gw], ws.seg)
+	g := 0
+	for _, cu := range p.chunk.CUs {
+		for _, insts := range cu.Warps {
+			if len(insts) > 0 {
+				c.queues[g] = append(c.queues[g], Segment{Insts: insts, Arena: p.chunk.Arena})
+			}
+			g++
+		}
 	}
 	return true
 }
@@ -741,14 +689,18 @@ func (c *Cursor) Close() error {
 }
 
 // Materialize reads the rest of the stream into a whole trace: a
-// materialized trace is a v4 stream read to the end. For a stream written
-// by a streaming Builder, or by WriteChunked from a Builder-made trace,
-// the result is reflect.DeepEqual to the Builder's trace.
+// materialized trace is a v4 stream read to the end. Each chunk's arena
+// is staged through a Builder's blocks and copied once into the trace's;
+// every chunk passed Validate's checks, so the trace does too. For a
+// stream written by a streaming Builder, or by WriteChunked from a
+// Builder-made trace, the result is reflect.DeepEqual to the Builder's
+// trace.
 func (c *Cursor) Materialize() (*Trace, error) {
 	t := &Trace{Name: c.name, ASID: c.asid, CUs: make([]CUTrace, len(c.warps))}
 	for i := range t.CUs {
 		t.CUs[i].Warps = make([]WarpTrace, c.warps[i])
 	}
+	b := &Builder{tr: t}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
@@ -764,20 +716,18 @@ func (c *Cursor) Materialize() (*Trace, error) {
 			}
 			return nil, p.err
 		}
-		base := uint64(len(t.Arena))
-		if len(p.segs) > 0 {
-			t.Arena = append(t.Arena, p.segs[0].seg.Arena...)
+		if b.staged+uint64(len(p.chunk.Arena)) > 1<<32 {
+			return nil, errors.New("trace: materialized arena exceeds 4G lane addresses")
 		}
-		for _, ws := range p.segs {
-			cu, warp := c.cuWarp(ws.gw)
-			for _, in := range ws.seg.Insts {
-				if in.Kind == Load || in.Kind == Store {
-					if base+uint64(in.Off)+uint64(in.Lanes) > uint64(1)<<32 {
-						return nil, errors.New("trace: materialized arena exceeds 4G lane addresses")
+		base := uint32(b.stage(p.chunk.Arena))
+		for cu := range p.chunk.CUs {
+			for w, insts := range p.chunk.CUs[cu].Warps {
+				for _, in := range insts {
+					if in.Kind == Load || in.Kind == Store {
+						in.Off += base
 					}
-					in.Off += uint32(base)
+					t.CUs[cu].Warps[w] = append(t.CUs[cu].Warps[w], in)
 				}
-				t.CUs[cu].Warps[warp] = append(t.CUs[cu].Warps[warp], in)
 			}
 		}
 	}
@@ -785,20 +735,7 @@ func (c *Cursor) Materialize() (*Trace, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func (c *Cursor) cuWarp(gw int) (int, int) {
-	for cu, n := range c.warps {
-		if gw < n {
-			return cu, gw
-		}
-		gw -= n
-	}
-	panic("trace: global warp index out of range")
+	return b.assemble(), nil
 }
 
 // LoadFile reads the trace saved at path.

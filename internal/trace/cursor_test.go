@@ -180,13 +180,22 @@ func handFrame(payload []byte) []byte {
 // handChunk is the payload of a one-segment chunk for (cu 0, warp 0)
 // holding insts, followed by an arena of the given addresses.
 func handChunk(insts []Inst, arena ...memory.VAddr) []byte {
-	b := uvs(1, 0, 0, uint64(len(insts)))
+	return handArena(handRecords(uvs(1, 0, 0, uint64(len(insts))), insts...), arena...)
+}
+
+// handRecords appends insts to b as encoded instruction records.
+func handRecords(b []byte, insts ...Inst) []byte {
 	for _, in := range insts {
 		b = append(b, byte(in.Kind))
 		b = binary.LittleEndian.AppendUint16(b, in.Lanes)
 		b = binary.LittleEndian.AppendUint32(b, in.Off)
 		b = binary.LittleEndian.AppendUint64(b, in.Cycles)
 	}
+	return b
+}
+
+// handArena appends a chunk arena of the given addresses to b.
+func handArena(b []byte, arena ...memory.VAddr) []byte {
 	b = append(b, uvs(uint64(len(arena)))...)
 	for _, a := range arena {
 		b = binary.LittleEndian.AppendUint64(b, uint64(a))
@@ -246,8 +255,64 @@ func TestReadValidatesArenaRefs(t *testing.T) {
 	if err := wide.Build().WriteChunked(&bytes.Buffer{}, ChunkOptions{}); err == nil {
 		t.Fatalf("load of %d lanes encoded", maxLanes+1)
 	}
+	// A lane count past maxLanes is refused on any instruction, even one
+	// that has no lanes to reference, by the writer as by the decoder.
+	tr = sampleTrace()
+	tr.CUs[0].Warps[0][1].Lanes = maxLanes + 1 // the compute after the first load
+	const over = "cu 0 warp 0 inst 1: compute with 4097 lanes (limit 4096)"
+	if err := tr.WriteChunked(&bytes.Buffer{}, ChunkOptions{}); err == nil || !strings.Contains(err.Error(), over) {
+		t.Fatalf("compute of %d lanes: WriteChunked = %v", maxLanes+1, err)
+	}
+	laned := handFile(oneWarp, [][]byte{handFrame(handChunk([]Inst{{Kind: Compute, Lanes: maxLanes + 1, Cycles: 1}}))}, 1)
+	if err := decode(laned); err == nil || !strings.Contains(err.Error(), "chunk 0: cu 0 warp 0 inst 0: compute with 4097 lanes") {
+		t.Fatalf("compute of %d lanes: Materialize = %v", maxLanes+1, err)
+	}
 	if err := sampleTrace().Validate(); err != nil {
 		t.Fatalf("valid trace failed validation: %v", err)
+	}
+}
+
+// TestUnknownKindsRejected: Validate rejects an instruction of no known
+// kind, so a System returns an error for it, and the chunk decoder, which
+// checks every chunk with Validate, rejects one in a file.
+func TestUnknownKindsRejected(t *testing.T) {
+	tr := sampleTrace()
+	tr.CUs[1].Warps[0] = append(tr.CUs[1].Warps[0], Inst{Kind: Barrier + 1})
+	const want = "cu 1 warp 0 inst 3: unknown instruction kind 6"
+	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Validate = %v, want an error containing %q", err, want)
+	}
+	if err := tr.WriteChunked(&bytes.Buffer{}, ChunkOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("WriteChunked = %v, want an error containing %q", err, want)
+	}
+	bad := handFile(oneWarp, [][]byte{handFrame(handChunk([]Inst{{Kind: Compute, Cycles: 1}, {Kind: 9}}))}, 2)
+	if err := decode(bad); err == nil || !strings.Contains(err.Error(), "chunk 0: cu 0 warp 0 inst 1: unknown instruction kind 9") {
+		t.Fatalf("Materialize of an unknown kind = %v", err)
+	}
+}
+
+// TestSecondSegmentAppends: a chunk may carry two segments of one warp,
+// as many segments as the stream has warps; the second continues the
+// first, and both index the chunk's arena.
+func TestSecondSegmentAppends(t *testing.T) {
+	payload := handRecords(uvs(2, 0, 0, 1), Inst{Kind: Load, Lanes: 1, Off: 1})
+	payload = handRecords(append(payload, uvs(0, 0, 2)...), Inst{Kind: Compute, Cycles: 4}, Inst{Kind: Store, Lanes: 2})
+	payload = handArena(payload, 0x1000, 0x2000)
+	twoWarps := append(append(uvs(0, 1), 'h'), uvs(1, 1, 2)...)
+	c, err := NewCursor(bytes.NewReader(handFile(twoWarps, [][]byte{handFrame(payload)}, 3, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	got, err := c.Materialize()
+	if err != nil {
+		t.Fatalf("Materialize: %v", err)
+	}
+	b := NewBuilder("h", 1, 1, 2)
+	b.Warp().Load(0x2000).Compute(4).Store(0x1000, 0x2000)
+	want := b.Build()
+	if !sameReplay(got, want) {
+		t.Fatalf("two segments of one warp replay as %+v over %#x", got.CUs[0].Warps[0], got.Arena)
 	}
 }
 
@@ -278,7 +343,7 @@ func TestWideAddressesRejected(t *testing.T) {
 	}
 
 	err := decode(wideLaneFile())
-	if err == nil || !strings.Contains(err.Error(), "chunk 0: cu 0 warp 0 inst 0 of the chunk's segment: lane 1 address 0x1000000002000") {
+	if err == nil || !strings.Contains(err.Error(), "chunk 0: cu 0 warp 0 inst 0: lane 1 address 0x1000000002000") {
 		t.Fatalf("Materialize of a wide lane = %v", err)
 	}
 	fixture, rerr := os.ReadFile(filepath.Join("testdata", "wide-lane.v4"))

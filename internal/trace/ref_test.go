@@ -4,22 +4,17 @@ package trace
 // were staged in blocks, kept as the reference model for the differential
 // tests in builder_test.go: verbatim apart from renames (Builder →
 // refBuilder, NewBuilder → newRefBuilder, WarpEmitter → refWarpEmitter),
-// less NewStreamingBuilder and NumWarps, which those tests do not call.
+// less NewStreamingBuilder and NumWarps, which those tests do not call,
+// and less its streaming backend, whose chunk writer methods are gone:
+// the streaming Builder is held to this materializing reference instead.
 
 import "vcache/internal/memory"
 
 // refBuilder assembles a Trace by distributing warp-sized work chunks across
 // a fixed pool of warp contexts (NumCUs x WarpsPerCU), round-robin, the
 // way a persistent-threads GPU kernel spreads blocks over compute units.
-//
-// A refBuilder has two backends: the default materializing one (instructions
-// accumulate in an in-memory Trace, returned by Build) and a streaming one
-// (newRefStreamingBuilder: instructions flow straight into a ChunkWriter, so
-// generator memory stays bounded by the chunk budget). Generators are
-// written against the refBuilder API once and work identically against both.
 type refBuilder struct {
 	tr       *Trace
-	cw       *ChunkWriter // non-nil: streaming backend
 	numCUs   int
 	warpsPer int
 	next     int // round-robin cursor over all warp contexts
@@ -50,20 +45,16 @@ func (b *refBuilder) Warp() *refWarpEmitter {
 // Barrier appends a device-wide barrier to every warp context (a kernel
 // boundary): no warp proceeds past it until all have reached it.
 func (b *refBuilder) Barrier() {
-	if b.cw != nil {
-		b.cw.Barrier()
-	} else {
-		for c := range b.tr.CUs {
-			for w := range b.tr.CUs[c].Warps {
-				b.tr.CUs[c].Warps[w] = append(b.tr.CUs[c].Warps[w], Inst{Kind: Barrier})
-			}
+	for c := range b.tr.CUs {
+		for w := range b.tr.CUs[c].Warps {
+			b.tr.CUs[c].Warps[w] = append(b.tr.CUs[c].Warps[w], Inst{Kind: Barrier})
 		}
 	}
 	// Restart distribution from warp 0 so the next kernel spreads evenly.
 	b.next = 0
 }
 
-// Build returns the assembled trace (nil for a streaming builder).
+// Build returns the assembled trace.
 func (b *refBuilder) Build() *Trace { return b.tr }
 
 // intern appends addrs to the arena and returns their (offset, count)
@@ -85,10 +76,6 @@ type refWarpEmitter struct {
 }
 
 func (w *refWarpEmitter) emit(in Inst) *refWarpEmitter {
-	if w.b.cw != nil {
-		w.b.cw.Append(w.cu, w.warp, in, nil)
-		return w
-	}
 	cu := &w.b.tr.CUs[w.cu]
 	cu.Warps[w.warp] = append(cu.Warps[w.warp], in)
 	return w
@@ -99,10 +86,6 @@ func (w *refWarpEmitter) Load(addrs ...memory.VAddr) *refWarpEmitter {
 	if len(addrs) == 0 {
 		return w
 	}
-	if w.b.cw != nil {
-		w.b.cw.Append(w.cu, w.warp, Inst{Kind: Load}, addrs)
-		return w
-	}
 	off, lanes := w.b.intern(addrs)
 	return w.emit(Inst{Kind: Load, Off: off, Lanes: lanes})
 }
@@ -110,10 +93,6 @@ func (w *refWarpEmitter) Load(addrs ...memory.VAddr) *refWarpEmitter {
 // Store appends a global store touching the given lane addresses.
 func (w *refWarpEmitter) Store(addrs ...memory.VAddr) *refWarpEmitter {
 	if len(addrs) == 0 {
-		return w
-	}
-	if w.b.cw != nil {
-		w.b.cw.Append(w.cu, w.warp, Inst{Kind: Store}, addrs)
 		return w
 	}
 	off, lanes := w.b.intern(addrs)

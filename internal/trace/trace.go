@@ -9,14 +9,20 @@
 // []Inst of fixed-size headers, and all per-lane addresses live in one
 // shared arena ([]memory.VAddr) that instructions reference by (offset,
 // lane count). Replaying a trace therefore touches two dense arrays
-// instead of chasing a per-instruction slice header. Building one stages
-// the lane addresses in blocks that never move, each twice the last up to
-// 64K addresses, and copies them once into the exact-size arena, instead
-// of allocating once per memory instruction or regrowing the arena.
+// instead of chasing a per-instruction slice header.
+//
+// Builder is the one place a trace accumulates. A materializing Builder
+// stages the lane addresses in blocks that never move, each twice the
+// last up to 64K addresses, and copies them once into the exact-size
+// arena. A streaming one holds a v4 stream's current chunk, itself a
+// Trace whose lanes fill one reused block, and hands each chunk it cuts to
+// the ChunkWriter's encoder. A Cursor decodes each chunk back into a
+// Trace, and every chunk written or read passes the checks of Validate.
 package trace
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"vcache/internal/memory"
@@ -123,9 +129,10 @@ func (t *Trace) Summarize() Summary {
 }
 
 // summarizer folds instructions into a Summary one at a time. Summarize
-// and ChunkWriter both run one, so a built trace and its stream agree on
-// every field. Each caller counts the distinct pages of the whole trace
-// its own way from the pages each memory instruction leaves in pages.
+// and the chunk encoder both run one, so a built trace and its stream
+// agree on every field. Each caller counts the distinct pages of the whole
+// trace its own way from the pages each memory instruction leaves in
+// pages.
 type summarizer struct {
 	sum       Summary
 	pageTouch uint64         // distinct pages summed over memory instructions
@@ -172,15 +179,25 @@ func (s *summarizer) summary(distinctPages int) Summary {
 	return out
 }
 
-// Validate checks the trace's structural invariants: every Load/Store
-// carries 1 to maxLanes lanes, its lane-arena reference lies inside the
-// arena, and its lane addresses lie inside the modeled virtual address
-// space (below 1<<memory.VABits). Materialize calls it on every decoded
-// trace, so a corrupt file can never provoke an out-of-bounds access
-// during replay; WriteChunked calls it before encoding, so a malformed
-// trace is an error rather than a panic in Addrs; and a System calls it
-// before running an in-memory trace.
+// Validate checks the trace's structural invariants: every instruction
+// has a known kind and at most maxLanes lanes, every Load/Store carries
+// at least one, its lane-arena reference lies inside the arena, and its
+// lane addresses lie inside the modeled virtual address space (below
+// 1<<memory.VABits). A Cursor checks every chunk it decodes this way, so
+// a corrupt file can never provoke an out-of-bounds access during replay;
+// the chunk encoder checks every chunk it writes, and WriteChunked the
+// whole trace first, so a malformed trace is an error rather than a panic
+// in Addrs; and a System checks an in-memory trace before running it.
 func (t *Trace) Validate() error {
+	if err := t.check(); err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	return nil
+}
+
+// check is Validate without the package prefix, for the chunk encoder and
+// decoder, which name the chunk instead.
+func (t *Trace) check() error {
 	arena := uint64(len(t.Arena))
 	// One OR over the arena tells whether any address lies beyond the
 	// modeled address space; only then are the lanes searched for it.
@@ -192,20 +209,27 @@ func (t *Trace) Validate() error {
 	for c := range t.CUs {
 		for w, warp := range t.CUs[c].Warps {
 			for i, in := range warp {
+				if in.Kind > Barrier {
+					return fmt.Errorf("cu %d warp %d inst %d: unknown instruction kind %d", c, w, i, uint8(in.Kind))
+				}
 				if in.Kind != Load && in.Kind != Store {
+					if in.Lanes > maxLanes {
+						return fmt.Errorf("cu %d warp %d inst %d: %v with %d lanes (limit %d)",
+							c, w, i, in.Kind, in.Lanes, maxLanes)
+					}
 					continue
 				}
 				if in.Lanes == 0 || in.Lanes > maxLanes {
-					return fmt.Errorf("trace: cu %d warp %d inst %d: %v with %d lanes (want 1 to %d)",
+					return fmt.Errorf("cu %d warp %d inst %d: %v with %d lanes (want 1 to %d)",
 						c, w, i, in.Kind, in.Lanes, maxLanes)
 				}
 				if uint64(in.Off)+uint64(in.Lanes) > arena {
-					return fmt.Errorf("trace: cu %d warp %d inst %d: lane reference [%d, %d) outside arena of %d",
+					return fmt.Errorf("cu %d warp %d inst %d: lane reference [%d, %d) outside arena of %d",
 						c, w, i, in.Off, uint64(in.Off)+uint64(in.Lanes), arena)
 				}
 				if wide {
 					if err := checkLanes(t.Addrs(in)); err != nil {
-						return fmt.Errorf("trace: cu %d warp %d inst %d: %w", c, w, i, err)
+						return fmt.Errorf("cu %d warp %d inst %d: %w", c, w, i, err)
 					}
 				}
 			}
@@ -280,20 +304,24 @@ func CoalesceLinesInto(dst, addrs []memory.VAddr) []memory.VAddr {
 // Builder assembles a Trace by distributing warp-sized work chunks across
 // a fixed pool of warp contexts (NumCUs x WarpsPerCU), round-robin, the
 // way a persistent-threads GPU kernel spreads blocks over compute units.
+// It is the one place instructions and lane addresses accumulate.
 //
-// A Builder has two backends: the default materializing one (instructions
-// accumulate in an in-memory Trace, returned by Build) and a streaming one
-// (NewStreamingBuilder: instructions flow straight into a ChunkWriter, so
-// generator memory stays bounded by the chunk budget). Generators are
-// written against the Builder API once and work identically against both.
+// NewBuilder's Builder holds the whole trace, and Build returns it. It
+// stages lane addresses in blocks that never move: the first holds
+// firstBlock addresses, each next one twice the last, up to maxBlock. No
+// block is regrown, so each address is copied at most twice: into its
+// block, and at Build into the arena.
 //
-// The materializing backend stages lane addresses in blocks that never
-// move: the first holds firstBlock addresses, each next one twice the
-// last, up to maxBlock. No block is regrown, so each address is copied at
-// most twice: into its block, and at Build into the arena.
+// NewStreamingBuilder's Builder holds one chunk of a v4 stream: a Trace
+// whose lanes fill one block sized for a full chunk. Once the chunk
+// reaches the writer's budget the Builder cuts it: the writer's encoder
+// folds it into the footer and writes it, and the Builder reuses the
+// chunk's slices for the next one, so generator memory stays bounded by
+// the budget. Generators are written against the Builder API once and
+// work identically either way.
 type Builder struct {
-	tr       *Trace
-	cw       *ChunkWriter // non-nil: streaming backend
+	tr       *Trace       // the trace; streaming, the current chunk
+	cw       *ChunkWriter // streaming: the writer that encodes each chunk
 	numCUs   int
 	warpsPer int
 	next     int // round-robin cursor over all warp contexts
@@ -301,6 +329,9 @@ type Builder struct {
 	full   [][]memory.VAddr // filled staging blocks, in order
 	block  []memory.VAddr   // the block being filled
 	staged uint64           // lane addresses staged: the next lane's arena offset
+
+	size   int // decoded bytes since the last cut: instBytes per instruction, 8 per lane
+	budget int // the size at which a chunk is cut; math.MaxInt when materializing
 }
 
 // Staging block sizes, in lane addresses: the blocks staging a trace hold
@@ -320,15 +351,14 @@ func NewBuilder(name string, asid memory.ASID, numCUs, warpsPerCU int) *Builder 
 	for i := range t.CUs {
 		t.CUs[i].Warps = make([]WarpTrace, warpsPerCU)
 	}
-	return &Builder{tr: t, numCUs: numCUs, warpsPer: warpsPerCU}
+	return &Builder{tr: t, numCUs: numCUs, warpsPer: warpsPerCU, budget: math.MaxInt}
 }
 
-// NewStreamingBuilder creates a builder that emits directly into cw
-// instead of materializing a Trace. Build returns nil; the caller owns
-// closing cw after generation finishes.
-func NewStreamingBuilder(cw *ChunkWriter) *Builder {
-	return &Builder{cw: cw, numCUs: cw.NumCUs(), warpsPer: cw.WarpsPerCU()}
-}
+// NewStreamingBuilder returns the Builder that accumulates cw's chunks, so
+// what a generator emits into it is encoded chunk by chunk instead of
+// materialized. Build returns nil; the caller closes cw after generation
+// finishes, which cuts and writes the last chunk.
+func NewStreamingBuilder(cw *ChunkWriter) *Builder { return cw.b }
 
 // NumWarps returns the total warp-context count.
 func (b *Builder) NumWarps() int { return b.numCUs * b.warpsPer }
@@ -343,30 +373,40 @@ func (b *Builder) Warp() *WarpEmitter {
 }
 
 // Barrier appends a device-wide barrier to every warp context (a kernel
-// boundary): no warp proceeds past it until all have reached it.
+// boundary): no warp proceeds past it until all have reached it. Every
+// warp resynchronizes here, so a streaming Builder also cuts its chunk
+// here once it holds a quarter of the budget: chunk boundaries at
+// barriers bound how many chunks a replay holds live, and short phases do
+// not degenerate into tiny chunks.
 func (b *Builder) Barrier() {
-	if b.cw != nil {
-		b.cw.Barrier()
-	} else {
-		for c := range b.tr.CUs {
-			for w := range b.tr.CUs[c].Warps {
-				b.tr.CUs[c].Warps[w] = append(b.tr.CUs[c].Warps[w], Inst{Kind: Barrier})
-			}
+	for c := range b.tr.CUs {
+		for w := range b.tr.CUs[c].Warps {
+			(&WarpEmitter{b: b, cu: c, warp: w}).emit(Inst{Kind: Barrier})
 		}
+	}
+	if b.size >= b.budget/4 {
+		b.cut()
 	}
 	// Restart distribution from warp 0 so the next kernel spreads evenly.
 	b.next = 0
 }
 
-// Build returns the assembled trace (nil for a streaming builder). It
-// copies the staged lane addresses once into an exact-size Trace.Arena; a
-// trace that fit its first block takes that block as its arena, uncopied.
-// Build finalizes the builder: nothing is emitted after it, and a second
-// Build returns the same trace.
+// Build returns the assembled trace, or nil for a streaming Builder, whose
+// chunks went to its writer. It copies the staged lane addresses once into
+// an exact-size Trace.Arena; a trace that fit its first block takes that
+// block as its arena, uncopied. Build finalizes the builder: nothing is
+// emitted after it, and a second Build returns the same trace.
 func (b *Builder) Build() *Trace {
-	if b.tr == nil {
+	if b.cw != nil {
 		return nil
 	}
+	return b.assemble()
+}
+
+// assemble points the trace's arena at the staged lanes, first copying
+// them into one exact-size block if they fill several, and returns the
+// trace.
+func (b *Builder) assemble() *Trace {
 	if len(b.full) > 0 {
 		arena := make([]memory.VAddr, 0, b.staged)
 		for _, blk := range b.full {
@@ -378,9 +418,35 @@ func (b *Builder) Build() *Trace {
 	return b.tr
 }
 
-// intern stages addrs after every lane staged so far and returns their
-// (offset, count) reference into the arena Build assembles.
+// cut hands a streaming Builder's chunk to the writer's encoder and
+// empties it for the next one, keeping its instruction slices and block.
+func (b *Builder) cut() {
+	if b.size == 0 {
+		return
+	}
+	b.cw.encode(b.assemble())
+	for c := range b.tr.CUs {
+		warps := b.tr.CUs[c].Warps
+		for w := range warps {
+			warps[w] = warps[w][:0]
+		}
+	}
+	b.block, b.staged, b.size = b.block[:0], 0, 0
+}
+
+// intern stages an access's lane addresses after every lane staged so far
+// and returns their (offset, count) reference into the arena.
 func (b *Builder) intern(addrs []memory.VAddr) (uint32, uint16) {
+	if len(addrs) > math.MaxUint16 {
+		panic("trace: access exceeds 65535 lanes")
+	}
+	b.size += 8 * len(addrs)
+	return uint32(b.stage(addrs)), uint16(len(addrs))
+}
+
+// stage copies addrs into the staging blocks after every lane staged so
+// far and returns the arena offset of the first.
+func (b *Builder) stage(addrs []memory.VAddr) uint64 {
 	off := b.staged
 	if off+uint64(len(addrs)) > 1<<32 {
 		panic("trace: arena exceeds 4G lane addresses")
@@ -394,7 +460,7 @@ func (b *Builder) intern(addrs []memory.VAddr) (uint32, uint16) {
 		rest = rest[n:]
 	}
 	b.staged += uint64(len(addrs))
-	return uint32(off), uint16(len(addrs))
+	return off
 }
 
 // nextBlock files the full staging block and starts the next one, twice
@@ -415,40 +481,36 @@ type WarpEmitter struct {
 	warp int
 }
 
+// emit appends in to the warp's stream and cuts a streaming Builder's
+// chunk once it reaches the budget.
 func (w *WarpEmitter) emit(in Inst) *WarpEmitter {
-	if w.b.cw != nil {
-		w.b.cw.Append(w.cu, w.warp, in, nil)
+	b := w.b
+	warp := &b.tr.CUs[w.cu].Warps[w.warp]
+	*warp = append(*warp, in)
+	if b.size += instBytes; b.size >= b.budget {
+		b.cut()
+	}
+	return w
+}
+
+// access appends in, a Load or Store, over the given lane addresses; an
+// access without lanes is dropped.
+func (w *WarpEmitter) access(in Inst, addrs []memory.VAddr) *WarpEmitter {
+	if len(addrs) == 0 {
 		return w
 	}
-	cu := &w.b.tr.CUs[w.cu]
-	cu.Warps[w.warp] = append(cu.Warps[w.warp], in)
-	return w
+	in.Off, in.Lanes = w.b.intern(addrs)
+	return w.emit(in)
 }
 
 // Load appends a global load touching the given lane addresses.
 func (w *WarpEmitter) Load(addrs ...memory.VAddr) *WarpEmitter {
-	if len(addrs) == 0 {
-		return w
-	}
-	if w.b.cw != nil {
-		w.b.cw.Append(w.cu, w.warp, Inst{Kind: Load}, addrs)
-		return w
-	}
-	off, lanes := w.b.intern(addrs)
-	return w.emit(Inst{Kind: Load, Off: off, Lanes: lanes})
+	return w.access(Inst{Kind: Load}, addrs)
 }
 
 // Store appends a global store touching the given lane addresses.
 func (w *WarpEmitter) Store(addrs ...memory.VAddr) *WarpEmitter {
-	if len(addrs) == 0 {
-		return w
-	}
-	if w.b.cw != nil {
-		w.b.cw.Append(w.cu, w.warp, Inst{Kind: Store}, addrs)
-		return w
-	}
-	off, lanes := w.b.intern(addrs)
-	return w.emit(Inst{Kind: Store, Off: off, Lanes: lanes})
+	return w.access(Inst{Kind: Store}, addrs)
 }
 
 // Compute appends cycles of computation.
