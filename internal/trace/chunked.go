@@ -13,6 +13,7 @@ import (
 	"os"
 	"sort"
 
+	"vcache/internal/flatmap"
 	"vcache/internal/memory"
 )
 
@@ -157,8 +158,8 @@ type ChunkWriter struct {
 	b    *Builder // accumulates the current chunk
 
 	// Footer accumulation, folded over each chunk as it is encoded.
-	totals []uint64 // per global warp, cu-major
-	premap map[memory.VPN]pagePos
+	totals []uint64             // per global warp, cu-major
+	premap flatmap.Map[pagePos] // VPN -> the page's first touch
 	chunks int
 	rollup uint64 // crc64 state over per-chunk crcs
 	sum    summarizer
@@ -191,7 +192,6 @@ func NewChunkWriter(w io.Writer, name string, asid memory.ASID, numCUs, warpsPer
 		opts:   opts,
 		b:      b,
 		totals: make([]uint64, numCUs*warpsPerCU),
-		premap: make(map[memory.VPN]pagePos),
 		sum:    summarizer{sum: Summary{Name: name}},
 		piece:  make([]byte, 0, pieceBytes),
 	}
@@ -314,8 +314,10 @@ func (cw *ChunkWriter) fold(chunk *Trace) {
 					// The instruction's pages come in first-lane order, so
 					// their rank orders their first touches within it.
 					pos := pagePos{gw: uint32(g), pos: (cw.totals[g]+uint64(i))<<16 | uint64(rank)}
-					if prev, ok := cw.premap[p]; !ok || pos.less(prev) {
-						cw.premap[p] = pos
+					if at := cw.premap.Ref(uint64(p)); at == nil {
+						cw.premap.Put(uint64(p), pos)
+					} else if pos.less(*at) {
+						*at = pos
 					}
 				}
 			}
@@ -434,18 +436,20 @@ func (cw *ChunkWriter) writeFrameCRC(crc uint64) error {
 
 // Summary returns the incrementally-computed trace summary; complete only
 // after Close.
-func (cw *ChunkWriter) Summary() Summary { return cw.sum.summary(len(cw.premap)) }
+func (cw *ChunkWriter) Summary() Summary { return cw.sum.summary(cw.premap.Len()) }
 
 // premapOrder returns the tracked pages in materialized first-touch
-// order.
+// order. No two pages share a first touch, so the order does not depend on
+// the table's.
 func (cw *ChunkWriter) premapOrder() []memory.VPN {
 	type pageAt struct {
 		vpn memory.VPN
 		at  pagePos
 	}
-	pages := make([]pageAt, 0, len(cw.premap))
-	for vpn, at := range cw.premap {
-		pages = append(pages, pageAt{vpn, at})
+	pages := make([]pageAt, 0, cw.premap.Len())
+	for _, k := range cw.premap.AppendKeys(make([]uint64, 0, cw.premap.Len())) {
+		at, _ := cw.premap.Get(k)
+		pages = append(pages, pageAt{memory.VPN(k), at})
 	}
 	sort.Slice(pages, func(i, j int) bool { return pages[i].at.less(pages[j].at) })
 	out := make([]memory.VPN, len(pages))

@@ -306,7 +306,7 @@ func (c *Cursor) readFooter() error {
 	c.summary.Divergence = math.Float64frombits(d.u64())
 	c.summary.PagesPerInst = math.Float64frombits(d.u64())
 	if d.err != nil {
-		return d.err
+		return fmt.Errorf("trace: %w", d.err)
 	}
 	if d.rem() != 0 {
 		return fmt.Errorf("trace: %d trailing footer bytes", d.rem())
@@ -364,7 +364,9 @@ func (c *Cursor) scanChunks() error {
 	return err
 }
 
-// byteDecoder is a bounds-checked decoder over an in-memory buffer.
+// byteDecoder is a bounds-checked decoder over an in-memory buffer. Its
+// errors carry no package prefix: the footer's caller adds "trace: ", and
+// a chunk's adds "trace: chunk N: ".
 type byteDecoder struct {
 	buf []byte
 	off int
@@ -375,7 +377,7 @@ func (d *byteDecoder) rem() int { return len(d.buf) - d.off }
 
 func (d *byteDecoder) fail(format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf("trace: "+format, args...)
+		d.err = fmt.Errorf(format, args...)
 	}
 }
 

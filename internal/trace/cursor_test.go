@@ -291,15 +291,21 @@ func TestUnknownKindsRejected(t *testing.T) {
 	}
 }
 
+// twoSegmentChunk is the payload of a chunk holding two segments of
+// (cu 0, warp 0) over one arena: a load of 0x2000, then a compute and a
+// store of 0x1000 and 0x2000.
+func twoSegmentChunk() []byte {
+	payload := handRecords(uvs(2, 0, 0, 1), Inst{Kind: Load, Lanes: 1, Off: 1})
+	payload = handRecords(append(payload, uvs(0, 0, 2)...), Inst{Kind: Compute, Cycles: 4}, Inst{Kind: Store, Lanes: 2})
+	return handArena(payload, 0x1000, 0x2000)
+}
+
 // TestSecondSegmentAppends: a chunk may carry two segments of one warp,
 // as many segments as the stream has warps; the second continues the
 // first, and both index the chunk's arena.
 func TestSecondSegmentAppends(t *testing.T) {
-	payload := handRecords(uvs(2, 0, 0, 1), Inst{Kind: Load, Lanes: 1, Off: 1})
-	payload = handRecords(append(payload, uvs(0, 0, 2)...), Inst{Kind: Compute, Cycles: 4}, Inst{Kind: Store, Lanes: 2})
-	payload = handArena(payload, 0x1000, 0x2000)
 	twoWarps := append(append(uvs(0, 1), 'h'), uvs(1, 1, 2)...)
-	c, err := NewCursor(bytes.NewReader(handFile(twoWarps, [][]byte{handFrame(payload)}, 3, 0)))
+	c, err := NewCursor(bytes.NewReader(handFile(twoWarps, [][]byte{handFrame(twoSegmentChunk())}, 3, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,6 +319,18 @@ func TestSecondSegmentAppends(t *testing.T) {
 	want := b.Build()
 	if !sameReplay(got, want) {
 		t.Fatalf("two segments of one warp replay as %+v over %#x", got.CUs[0].Warps[0], got.Arena)
+	}
+}
+
+// TestChunkErrorNamesPackageOnce: a chunk that fails to decode is named
+// in its error, after the package, which the error names once — here the
+// two segments TestSecondSegmentAppends accepts on a stream of two warps,
+// on a stream of one.
+func TestChunkErrorNamesPackageOnce(t *testing.T) {
+	err := decode(handFile(oneWarp, [][]byte{handFrame(twoSegmentChunk())}, 3))
+	const want = "trace: chunk 0: segment count 2 exceeds limit 1"
+	if err == nil || !strings.Contains(err.Error(), want) || strings.Count(err.Error(), "trace: ") != 1 {
+		t.Fatalf("two segments on one warp = %v, want an error containing %q that names the package once", err, want)
 	}
 }
 

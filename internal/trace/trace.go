@@ -25,6 +25,7 @@ import (
 	"math"
 	"slices"
 
+	"vcache/internal/flatmap"
 	"vcache/internal/memory"
 )
 
@@ -110,7 +111,7 @@ type Summary struct {
 // Summarize computes a Summary for the trace.
 func (t *Trace) Summarize() Summary {
 	s := summarizer{sum: Summary{Name: t.Name}}
-	pages := make(map[memory.VPN]struct{})
+	var pages flatmap.Map[struct{}] // keyed by VPN
 	for _, cu := range t.CUs {
 		for _, w := range cu.Warps {
 			for _, in := range w {
@@ -120,12 +121,12 @@ func (t *Trace) Summarize() Summary {
 				}
 				s.mem(t.Addrs(in))
 				for _, p := range s.pages {
-					pages[p] = struct{}{}
+					pages.Put(uint64(p), struct{}{})
 				}
 			}
 		}
 	}
-	return s.summary(len(pages))
+	return s.summary(pages.Len())
 }
 
 // summarizer folds instructions into a Summary one at a time. Summarize
@@ -503,12 +504,15 @@ func (w *WarpEmitter) access(in Inst, addrs []memory.VAddr) *WarpEmitter {
 	return w.emit(in)
 }
 
-// Load appends a global load touching the given lane addresses.
+// Load appends a global load touching the given lane addresses. The
+// Builder copies them before Load returns and keeps no reference to addrs,
+// so a generator may refill the same buffer for its next access.
 func (w *WarpEmitter) Load(addrs ...memory.VAddr) *WarpEmitter {
 	return w.access(Inst{Kind: Load}, addrs)
 }
 
-// Store appends a global store touching the given lane addresses.
+// Store appends a global store touching the given lane addresses. Like
+// Load, it copies them before it returns and keeps no reference to addrs.
 func (w *WarpEmitter) Store(addrs ...memory.VAddr) *WarpEmitter {
 	return w.access(Inst{Kind: Store}, addrs)
 }

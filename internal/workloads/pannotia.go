@@ -22,8 +22,10 @@ func emitPageRank(p Params, b *trace.Builder) {
 	rankOut := l.array(int(g.n), 4) // packed per-iteration output
 
 	src, dst := rankB, rankOut
+	all := g.nodes()
 	for iter := 0; iter < 3; iter++ {
-		for _, chunk := range g.warpChunks() {
+		for start := 0; start < len(all); start += warpLanes {
+			chunk := warpChunk(all, start)
 			w := b.Warp()
 			gatherPhase(w, g, chunk, rowB, colB, nil, []memory.VAddr{src})
 			w.Compute(4)
@@ -45,8 +47,10 @@ func emitPageRankSpmv(p Params, b *trace.Builder) {
 	xB := l.nodeArray(int(g.n))
 	yB := l.array(int(g.n), 4) // packed output vector
 
+	all := g.nodes()
 	for iter := 0; iter < 3; iter++ {
-		for _, chunk := range g.warpChunks() {
+		for start := 0; start < len(all); start += warpLanes {
+			chunk := warpChunk(all, start)
 			w := b.Warp()
 			gatherPhase(w, g, chunk, rowB, colB, []memory.VAddr{valB}, []memory.VAddr{xB})
 			w.Compute(4)
@@ -95,19 +99,12 @@ func emitColor(p Params, b *trace.Builder, maxmin bool) {
 		prio[i] = uint32(g.deg(int32(i)))<<24 | uint32(r.u64())&0xFFFFFF
 	}
 	colored := make([]bool, g.n)
-	active := make([]int32, 0, g.n)
-	for v := int32(0); v < g.n; v++ {
-		active = append(active, v)
-	}
+	active := g.nodes()
 
 	const maxRounds = 4
 	for round := 0; round < maxRounds && len(active) > 0; round++ {
-		for start := 0; start < len(active); start += 32 {
-			end := start + 32
-			if end > len(active) {
-				end = len(active)
-			}
-			chunk := active[start:end]
+		for start := 0; start < len(active); start += warpLanes {
+			chunk := warpChunk(active, start)
 			w := b.Warp()
 			gatherPhase(w, g, chunk, rowB, colB, nil, []memory.VAddr{prioB, stateB})
 			w.Compute(6)
@@ -169,19 +166,12 @@ func emitMIS(p Params, b *trace.Builder) {
 		out
 	)
 	status := make([]uint8, g.n)
-	active := make([]int32, 0, g.n)
-	for v := int32(0); v < g.n; v++ {
-		active = append(active, v)
-	}
+	active := g.nodes()
 
 	const maxRounds = 4
 	for round := 0; round < maxRounds && len(active) > 0; round++ {
-		for start := 0; start < len(active); start += 32 {
-			end := start + 32
-			if end > len(active) {
-				end = len(active)
-			}
-			chunk := active[start:end]
+		for start := 0; start < len(active); start += warpLanes {
+			chunk := warpChunk(active, start)
 			w := b.Warp()
 			gatherPhase(w, g, chunk, rowB, colB, nil, []memory.VAddr{statusB, prioB})
 			w.Compute(4)
@@ -258,24 +248,21 @@ func bfsLevels(g *graph, src int32) [][]int32 {
 // emitBFSLevel emits one level-synchronous traversal step: frontier nodes
 // stream their adjacency and gather/scatter per-node state.
 func emitBFSLevel(b *trace.Builder, g *graph, frontier []int32, rowB, colB memory.VAddr, gathers []memory.VAddr, scatter memory.VAddr) {
-	for start := 0; start < len(frontier); start += 32 {
-		end := start + 32
-		if end > len(frontier) {
-			end = len(frontier)
-		}
-		chunk := frontier[start:end]
+	var laneBuf [warpLanes]memory.VAddr
+	for start := 0; start < len(frontier); start += warpLanes {
+		chunk := warpChunk(frontier, start)
 		w := b.Warp()
 		gatherPhase(w, g, chunk, rowB, colB, nil, gathers)
 		w.Compute(2)
 		if scatter != 0 {
 			// Scatter updates to the discovered neighbours (divergent).
-			var addrs []memory.VAddr
+			lanes := laneBuf[:0]
 			for _, v := range chunk {
-				for e := g.rowPtr[v]; e < g.rowPtr[v+1] && len(addrs) < 32; e++ {
-					addrs = append(addrs, nodeAddr(scatter, g.col[e]))
+				for e := g.rowPtr[v]; e < g.rowPtr[v+1] && len(lanes) < warpLanes; e++ {
+					lanes = append(lanes, nodeAddr(scatter, g.col[e]))
 				}
 			}
-			w.Store(addrs...)
+			w.Store(lanes...)
 		}
 	}
 }
@@ -305,13 +292,9 @@ func emitBC(p Params, b *trace.Builder) {
 		// Backward: dependency accumulation, deepest level first.
 		for i := len(levels) - 1; i > 0; i-- {
 			emitBFSLevel(b, g, levels[i], rowB, colB, []memory.VAddr{deltaB, sigmaB}, 0)
-			for start := 0; start < len(levels[i]); start += 32 {
-				end := start + 32
-				if end > len(levels[i]) {
-					end = len(levels[i])
-				}
+			for start := 0; start < len(levels[i]); start += warpLanes {
 				w := b.Warp()
-				storeChunk(w, deltaOut, levels[i][start:end])
+				storeChunk(w, deltaOut, warpChunk(levels[i], start))
 			}
 			b.Barrier()
 		}
@@ -338,30 +321,26 @@ func emitFW(p Params, b *trace.Builder) {
 
 	const rounds = 6
 	const jBlock = 8
+	var dik, dij [warpLanes]memory.VAddr
 	for kr := 0; kr < rounds; kr++ {
 		k := kr * n / rounds
-		for i0 := 0; i0 < n; i0 += 32 {
-			lanes := 32
-			if i0+lanes > n {
-				lanes = n - i0
-			}
+		for i0 := 0; i0 < n; i0 += warpLanes {
+			lanes := min(warpLanes, n-i0)
 			for j0 := 0; j0 < n; j0 += jBlock {
 				w := b.Warp()
 				// d[i][k]: one lane per row — fully divergent.
-				dik := make([]memory.VAddr, lanes)
 				for li := 0; li < lanes; li++ {
 					dik[li] = fwAddr(dB, i0+li, k)
 				}
-				w.Load(dik...)
+				w.Load(dik[:lanes]...)
 				for j := j0; j < j0+jBlock && j < n; j++ {
 					w.Load(fwAddr(dB, k, j)) // broadcast row k
-					dij := make([]memory.VAddr, lanes)
 					for li := 0; li < lanes; li++ {
 						dij[li] = fwAddr(dB, i0+li, j)
 					}
-					w.Load(dij...)
+					w.Load(dij[:lanes]...)
 					w.Compute(1)
-					w.Store(dij...)
+					w.Store(dij[:lanes]...)
 				}
 			}
 		}
@@ -378,6 +357,7 @@ func emitFWBlock(p Params, b *trace.Builder) {
 	dB := l.array(n*memory.PageSize/4, 4)
 
 	const tile = 32
+	var lanes [tile]memory.VAddr
 	rounds := n / tile
 	for kb := 0; kb < rounds; kb++ {
 		for ti := 0; ti < n; ti += tile {
@@ -386,11 +366,11 @@ func emitFWBlock(p Params, b *trace.Builder) {
 				// Load the tile and the pivot tiles row-by-row into
 				// scratch: each row of 32 4B elements is one 128B line.
 				for rrow := 0; rrow < tile; rrow++ {
-					w.Load(coalescedRow(dB, ti+rrow, tj, tile)...)
+					w.Load(coalescedRow(lanes[:0], dB, ti+rrow, tj, tile)...)
 					w.ScratchStore(1)
 				}
 				for rrow := 0; rrow < tile; rrow++ {
-					w.Load(coalescedRow(dB, kb*tile+rrow, tj, tile)...)
+					w.Load(coalescedRow(lanes[:0], dB, kb*tile+rrow, tj, tile)...)
 					w.ScratchStore(1)
 				}
 				// Compute within scratch.
@@ -399,7 +379,7 @@ func emitFWBlock(p Params, b *trace.Builder) {
 				}
 				w.Compute(tile)
 				for rrow := 0; rrow < tile; rrow++ {
-					w.Store(coalescedRow(dB, ti+rrow, tj, tile)...)
+					w.Store(coalescedRow(lanes[:0], dB, ti+rrow, tj, tile)...)
 				}
 			}
 		}
@@ -407,12 +387,11 @@ func emitFWBlock(p Params, b *trace.Builder) {
 	}
 }
 
-// coalescedRow returns lane addresses for cols j0..j0+lanes-1 of row i of a
-// page-padded matrix.
-func coalescedRow(base memory.VAddr, i, j0, lanes int) []memory.VAddr {
-	out := make([]memory.VAddr, lanes)
+// coalescedRow appends to dst the lane addresses of cols j0..j0+lanes-1 of
+// row i of a page-padded matrix.
+func coalescedRow(dst []memory.VAddr, base memory.VAddr, i, j0, lanes int) []memory.VAddr {
 	for l := 0; l < lanes; l++ {
-		out[l] = fwAddr(base, i, j0+l)
+		dst = append(dst, fwAddr(base, i, j0+l))
 	}
-	return out
+	return dst
 }

@@ -17,6 +17,7 @@ func emitKMeans(p Params, b *trace.Builder) {
 	centB := l.array(8*dims, 4)
 	asgB := l.array(n, 4)
 
+	var lanes [warpLanes]memory.VAddr
 	for iter := 0; iter < 3; iter++ {
 		for p0 := 0; p0 < n; p0 += 32 {
 			w := b.Warp()
@@ -29,7 +30,7 @@ func emitKMeans(p Params, b *trace.Builder) {
 			}
 			w.Load(centB, centB+128, centB+256) // centroid lines (hot)
 			w.Compute(16)
-			w.Store(coalescedAddrs(asgB, int32(p0), 32)...)
+			w.Store(coalescedAddrs(lanes[:0], asgB, int32(p0), 32)...)
 		}
 		b.Barrier()
 	}
@@ -46,6 +47,7 @@ func emitBackprop(p Params, b *trace.Builder) {
 	inB := l.array(in, 4)
 	hidB := l.array(hidden, 4)
 	gradB := l.array(in*hidden, 4)
+	var lanes [warpLanes]memory.VAddr
 
 	// Forward: hidden units in warps of 32; stream all inputs' weights.
 	for h0 := 0; h0 < hidden; h0 += 32 {
@@ -61,7 +63,7 @@ func emitBackprop(p Params, b *trace.Builder) {
 				w.Compute(2)
 			}
 		}
-		w.Store(coalescedAddrs(hidB, int32(h0), 32)...)
+		w.Store(coalescedAddrs(lanes[:0], hidB, int32(h0), 32)...)
 	}
 	b.Barrier()
 	// Backward: weight gradient stores stream the same matrix.
@@ -144,17 +146,18 @@ func emitLUD(p Params, b *trace.Builder) {
 	mB := l.array(n*memory.PageSize/4, 4)
 
 	const tile = 32
+	var lanes [tile]memory.VAddr
 	for kb := 0; kb < n/tile; kb++ {
 		k0 := kb * tile
 		// Diagonal tile: through scratch.
 		w := b.Warp()
 		for rr := 0; rr < tile; rr++ {
-			w.Load(coalescedRow(mB, k0+rr, k0, tile)...)
+			w.Load(coalescedRow(lanes[:0], mB, k0+rr, k0, tile)...)
 			w.ScratchStore(1)
 		}
 		w.Compute(64)
 		for rr := 0; rr < tile; rr++ {
-			w.Store(coalescedRow(mB, k0+rr, k0, tile)...)
+			w.Store(coalescedRow(lanes[:0], mB, k0+rr, k0, tile)...)
 		}
 		b.Barrier()
 		// Row panel (coalesced) and column panel (divergent: one lane per
@@ -162,11 +165,11 @@ func emitLUD(p Params, b *trace.Builder) {
 		for tj := k0 + tile; tj < n; tj += tile {
 			w := b.Warp()
 			for rr := 0; rr < tile; rr++ {
-				w.Load(coalescedRow(mB, k0+rr, tj, tile)...)
+				w.Load(coalescedRow(lanes[:0], mB, k0+rr, tj, tile)...)
 			}
 			w.Compute(32)
 			for rr := 0; rr < tile; rr++ {
-				w.Store(coalescedRow(mB, k0+rr, tj, tile)...)
+				w.Store(coalescedRow(lanes[:0], mB, k0+rr, tj, tile)...)
 			}
 		}
 		for ti := k0 + tile; ti < n; ti += tile {
@@ -187,12 +190,12 @@ func emitLUD(p Params, b *trace.Builder) {
 			for tj := k0 + tile; tj < n; tj += tile {
 				w := b.Warp()
 				for rr := 0; rr < tile; rr += 4 {
-					w.Load(coalescedRow(mB, ti+rr, tj, tile)...)
-					w.Load(coalescedRow(mB, k0+rr, tj, tile)...)
+					w.Load(coalescedRow(lanes[:0], mB, ti+rr, tj, tile)...)
+					w.Load(coalescedRow(lanes[:0], mB, k0+rr, tj, tile)...)
 				}
 				w.Compute(32)
 				for rr := 0; rr < tile; rr += 4 {
-					w.Store(coalescedRow(mB, ti+rr, tj, tile)...)
+					w.Store(coalescedRow(lanes[:0], mB, ti+rr, tj, tile)...)
 				}
 			}
 		}
@@ -262,18 +265,19 @@ func emitPathfinder(p Params, b *trace.Builder) {
 	gridB := l.array(rows*cols, 4)
 	resB := l.array(2*cols, 4)
 
+	var lanes [warpLanes]memory.VAddr
 	for row := 0; row < rows; row++ {
 		for c0 := 0; c0+32 <= cols; c0 += 32 {
 			w := b.Warp()
-			w.Load(coalescedAddrs(gridB, int32(row*cols+c0), 32)...)
-			w.Load(coalescedAddrs(resB, int32((row%2)*cols+c0), 32)...)
+			w.Load(coalescedAddrs(lanes[:0], gridB, int32(row*cols+c0), 32)...)
+			w.Load(coalescedAddrs(lanes[:0], resB, int32((row%2)*cols+c0), 32)...)
 			w.ScratchStore(1)
 			for s := 0; s < 6; s++ {
 				w.ScratchLoad(1)
 				w.ScratchStore(1)
 			}
 			w.Compute(4)
-			w.Store(coalescedAddrs(resB, int32(((row+1)%2)*cols+c0), 32)...)
+			w.Store(coalescedAddrs(lanes[:0], resB, int32(((row+1)%2)*cols+c0), 32)...)
 		}
 		b.Barrier()
 	}

@@ -304,21 +304,26 @@ func genGraph(r *rng, n, avgDeg, maxDeg int) *graph {
 
 func (g *graph) deg(v int32) int32 { return g.rowPtr[v+1] - g.rowPtr[v] }
 
-// warpChunks partitions node ids into warp-sized (32) chunks.
-func (g *graph) warpChunks() [][]int32 {
-	var chunks [][]int32
-	for v := int32(0); v < g.n; v += 32 {
-		end := v + 32
-		if end > g.n {
-			end = g.n
-		}
-		chunk := make([]int32, 0, 32)
-		for u := v; u < end; u++ {
-			chunk = append(chunk, u)
-		}
-		chunks = append(chunks, chunk)
+// nodes returns every node id in order: the work list of a sweep over the
+// whole graph, cut into warps with warpChunk.
+func (g *graph) nodes() []int32 {
+	ids := make([]int32, g.n)
+	for i := range ids {
+		ids[i] = int32(i)
 	}
-	return chunks
+	return ids
+}
+
+// warpLanes is a warp's width. Generators fill an access's lane addresses
+// into [warpLanes] arrays on the stack, sliced to [:0] and refilled for
+// every access: the Builder copies the lanes before Load or Store returns,
+// so the buffer is free again at once. An access wider than a warp still
+// works; its append spills to the heap.
+const warpLanes = 32
+
+// warpChunk returns the warp-sized chunk of nodes starting at index start.
+func warpChunk(nodes []int32, start int) []int32 {
+	return nodes[start:min(start+warpLanes, len(nodes))]
 }
 
 // gatherPhase emits the canonical SIMT neighbor-iteration for one warp
@@ -326,16 +331,16 @@ func (g *graph) warpChunks() [][]int32 {
 // slots where active lanes load the CSR column entry, stream per-edge
 // arrays (indexed by edge id, e.g. SpMV values), and gather from per-node
 // arrays indexed by the neighbor id (the divergent accesses the paper's
-// graph workloads are dominated by). Returns the number of memory
-// instructions emitted.
-func gatherPhase(w *trace.WarpEmitter, g *graph, chunk []int32, rowBase, colBase memory.VAddr, streams, gathers []memory.VAddr) int {
-	insts := 0
-	rp := make([]memory.VAddr, 0, len(chunk))
+// graph workloads are dominated by). Every access's lanes are built in one
+// stack buffer.
+func gatherPhase(w *trace.WarpEmitter, g *graph, chunk []int32, rowBase, colBase memory.VAddr, streams, gathers []memory.VAddr) {
+	var laneBuf [warpLanes]memory.VAddr
+	var edgeBuf, idxBuf [warpLanes]int32
+	lanes := laneBuf[:0]
 	for _, v := range chunk {
-		rp = append(rp, elem4(rowBase, v))
+		lanes = append(lanes, elem4(rowBase, v))
 	}
-	w.Load(rp...) // rowPtr[v] and rowPtr[v+1] coalesce to adjacent lines
-	insts++
+	w.Load(lanes...) // rowPtr[v] and rowPtr[v+1] coalesce to adjacent lines
 	maxDeg := int32(0)
 	for _, v := range chunk {
 		if d := g.deg(v); d > maxDeg {
@@ -343,48 +348,44 @@ func gatherPhase(w *trace.WarpEmitter, g *graph, chunk []int32, rowBase, colBase
 		}
 	}
 	for k := int32(0); k < maxDeg; k++ {
-		colAddrs := make([]memory.VAddr, 0, len(chunk))
-		var edges, gatherIdx []int32
+		lanes = laneBuf[:0]
+		edges, gatherIdx := edgeBuf[:0], idxBuf[:0]
 		for _, v := range chunk {
 			if k < g.deg(v) {
 				e := g.rowPtr[v] + k
-				colAddrs = append(colAddrs, elem4(colBase, e))
+				lanes = append(lanes, elem4(colBase, e))
 				edges = append(edges, e)
 				gatherIdx = append(gatherIdx, g.col[e])
 			}
 		}
-		if len(colAddrs) == 0 {
+		if len(lanes) == 0 {
 			break
 		}
-		w.Load(colAddrs...)
-		insts++
+		w.Load(lanes...)
 		for _, base := range streams {
-			sa := make([]memory.VAddr, 0, len(edges))
+			lanes = lanes[:0]
 			for _, e := range edges {
-				sa = append(sa, elem4(base, e))
+				lanes = append(lanes, elem4(base, e))
 			}
-			w.Load(sa...)
-			insts++
+			w.Load(lanes...)
 		}
 		for _, base := range gathers {
-			ga := make([]memory.VAddr, 0, len(gatherIdx))
+			lanes = lanes[:0]
 			for _, u := range gatherIdx {
-				ga = append(ga, nodeAddr(base, u))
+				lanes = append(lanes, nodeAddr(base, u))
 			}
-			w.Load(ga...)
-			insts++
+			w.Load(lanes...)
 		}
 	}
-	return insts
 }
 
-// coalescedAddrs returns per-lane addresses for elements i..i+lanes-1.
-func coalescedAddrs(base memory.VAddr, first int32, lanes int) []memory.VAddr {
-	out := make([]memory.VAddr, lanes)
+// coalescedAddrs appends to dst the per-lane addresses of elements
+// first..first+lanes-1.
+func coalescedAddrs(dst []memory.VAddr, base memory.VAddr, first int32, lanes int) []memory.VAddr {
 	for l := 0; l < lanes; l++ {
-		out[l] = elem4(base, first+int32(l))
+		dst = append(dst, elem4(base, first+int32(l)))
 	}
-	return out
+	return dst
 }
 
 // storeChunk emits a coalesced per-node store for the chunk into a packed
@@ -392,11 +393,12 @@ func coalescedAddrs(base memory.VAddr, first int32, lanes int) []memory.VAddr {
 // per-iteration results into dense output vectors, so result stores stream
 // compactly instead of dragging the strided gather arrays through the L2.
 func storeChunk(w *trace.WarpEmitter, base memory.VAddr, chunk []int32) {
-	addrs := make([]memory.VAddr, 0, len(chunk))
+	var laneBuf [warpLanes]memory.VAddr
+	lanes := laneBuf[:0]
 	for _, v := range chunk {
-		addrs = append(addrs, elem4(base, v))
+		lanes = append(lanes, elem4(base, v))
 	}
-	w.Store(addrs...)
+	w.Store(lanes...)
 }
 
 // sortedCopy returns a sorted copy (used by generators needing stable

@@ -190,11 +190,17 @@ func TestGenGraphStructure(t *testing.T) {
 			t.Fatalf("edge target %d out of range", u)
 		}
 	}
-	chunks := g.warpChunks()
+	nodes := g.nodes()
 	total := 0
-	for _, c := range chunks {
+	for start := 0; start < len(nodes); start += warpLanes {
+		c := warpChunk(nodes, start)
 		if len(c) > 32 {
 			t.Fatal("oversized warp chunk")
+		}
+		for i, v := range c {
+			if v != int32(start+i) {
+				t.Fatalf("chunk at %d holds node %d at lane %d", start, v, i)
+			}
 		}
 		total += len(c)
 	}
