@@ -342,29 +342,15 @@ type Event struct {
 // Canonical results encoding
 
 // EncodeResults renders simulation results as the service's canonical JSON
-// byte string: a deterministic, newline-terminated document. Byte equality
-// of two encodings is the service's definition of "identical results" —
-// the duplicate-submission CI check and the warm-vs-cold acceptance test
-// both compare these bytes directly. Results is plain data, so encoding
-// cannot fail.
-func EncodeResults(r core.Results) []byte {
-	b, err := json.Marshal(r)
-	if err != nil {
-		// Unreachable: Results contains no cyclic or unmarshalable kinds;
-		// the round-trip test pins this.
-		panic(fmt.Errorf("apiv1: encoding results: %w", err))
-	}
-	return append(b, '\n')
-}
+// byte string, core.EncodeResults: a deterministic, newline-terminated,
+// lossless document, the same bytes the artifact cache stores. Byte
+// equality of two encodings is the service's definition of "identical
+// results" — the duplicate-submission CI check and the warm-vs-cold
+// acceptance test both compare these bytes directly.
+func EncodeResults(r core.Results) []byte { return core.EncodeResults(r) }
 
-// DecodeResults parses a canonical results document.
-func DecodeResults(b []byte) (core.Results, error) {
-	var r core.Results
-	if err := json.Unmarshal(b, &r); err != nil {
-		return core.Results{}, fmt.Errorf("apiv1: decoding results: %w", err)
-	}
-	return r, nil
-}
+// DecodeResults parses a canonical results document (core.DecodeResults).
+func DecodeResults(b []byte) (core.Results, error) { return core.DecodeResults(b) }
 
 // ErrNotFound is returned by the client for 404 responses.
 var ErrNotFound = errors.New("apiv1: not found")

@@ -10,12 +10,13 @@
 //   - a trace is keyed by workload name + normalized workloads.Params +
 //     trace.ChunkFormatVersion + workloads.GeneratorVersion;
 //   - a result is keyed by the trace's key + core.ConfigFingerprint (which
-//     covers every exported Config field plus core.SimVersion).
+//     covers every exported Config field plus core.SimVersion) + the
+//     layout of core.Results.
 //
-// Bumping any of the version constants, or changing any config field,
-// therefore changes the key and old entries simply stop being found — no
-// explicit invalidation step exists or is needed. Stale files are garbage
-// that a `rm -r` of the cache directory clears.
+// Bumping any of the version constants, or changing any config field or
+// the Results struct, therefore changes the key and old entries simply
+// stop being found — no explicit invalidation step exists or is needed.
+// Stale files are garbage that a `rm -r` of the cache directory clears.
 //
 // Entries are stored one file per artifact, named by the key's hex
 // digest. A trace is a raw v4 stream under <dir>/ctrace/, written by
@@ -23,12 +24,14 @@
 // ChunkedTracePath; the format carries its own checksums. Materialized
 // traces are not stored: their generators rebuild them about as fast as
 // a stored stream reads back, so an entry would only cost its write. A
-// result sits under <dir>/result/ in a checksummed envelope. Reads
-// validate an entry before use: a corrupt, truncated or version-mismatched
-// entry counts as a miss (and is noted in Stats.Corrupt), never an error —
-// the caller recomputes and overwrites it. Writes go through a temp file
-// in the same directory followed by an atomic rename, so concurrent
-// processes sharing a cache directory never observe partial entries.
+// result sits under <dir>/result/ as its canonical JSON document
+// (core.EncodeResults, the bytes the job daemon serves) in a checksummed
+// envelope. Reads validate an entry before use: a corrupt, truncated or
+// version-mismatched entry counts as a miss (and is noted in
+// Stats.Corrupt), never an error — the caller recomputes and overwrites
+// it. Writes go through a temp file in the same directory followed by an
+// atomic rename, so concurrent processes sharing a cache directory never
+// observe partial entries.
 package artifact
 
 import (
@@ -39,6 +42,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync/atomic"
 
@@ -58,8 +62,7 @@ const EnvDir = "VCACHE_DIR"
 
 // Result envelope format: magic, version, payload length, payload
 // checksum, payload. The envelope guards the file plumbing (truncation,
-// bit rot, foreign files); the results codec additionally carries its own
-// schema hash.
+// bit rot, foreign files); ResultKey covers the payload's schema.
 const (
 	envMagic   = "vcacheaf"
 	envVersion = 1
@@ -205,13 +208,19 @@ func TraceKey(workload string, p workloads.Params) Fingerprint {
 		trace.ChunkFormatVersion, workloads.GeneratorVersion)
 }
 
+// resultsLayout fingerprints the core.Results struct layout.
+var resultsLayout = fingerprint.TypeHash(reflect.TypeOf(core.Results{}))
+
 // ResultKey fingerprints everything that determines simulation results: the
 // input trace (via its cache key) and the full simulator configuration
 // (core.ConfigFingerprint covers every exported Config field and
-// core.SimVersion).
+// core.SimVersion). It also covers the Results layout, so an entry written
+// under another layout is never looked up rather than decoded into the
+// wrong fields. Each part is hashed as a byte slice: fingerprint.Hash
+// walks an array element by element.
 func ResultKey(traceKey Fingerprint, cfg core.Config) Fingerprint {
 	cfgFP := core.ConfigFingerprint(cfg)
-	return fingerprint.Hash("vcache/result", traceKey[:], cfgFP[:])
+	return fingerprint.Hash("vcache/result", traceKey[:], cfgFP[:], resultsLayout[:])
 }
 
 // ---------------------------------------------------------------------------

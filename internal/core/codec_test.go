@@ -10,10 +10,10 @@ import (
 	"vcache/internal/stats"
 )
 
-// fillDistinct sets every leaf field of v to a distinct value, so a codec
-// that drops, reorders or double-reads any field fails the round-trip
-// comparison below — including fields added after the codec was written,
-// since the walk is reflective.
+// fillDistinct sets every leaf field of v to a distinct value, so an
+// encoding that drops or mixes up any field fails the round-trip
+// comparison below — including fields added later, since the walk is
+// reflective.
 func fillDistinct(v reflect.Value, n *uint64) {
 	if v.Type() == reflect.TypeOf(stats.CDF{}) {
 		var c stats.CDF
@@ -65,21 +65,38 @@ func sampleResults() Results {
 	return r
 }
 
-// TestResultsCodecRoundTrip is the codec's coverage guard: every field of
-// Results (found reflectively, so new fields are included automatically)
-// is set to a distinct value and must survive encode/decode exactly.
+// roundTripCases are the Results every encoding test round-trips: every
+// field distinct (lifetime CDFs included), and the same with an empty
+// IOMMU series and lifetime CDF, which must not come back nil, beside a
+// nil CDF, which must.
+func roundTripCases() map[string]Results {
+	empty := sampleResults()
+	empty.IOMMUSamples = []float64{}
+	empty.Lifetimes.TLBEntries = stats.CDFOf([]float64{})
+	empty.Lifetimes.L1Data = stats.CDF{}
+	return map[string]Results{"distinct": sampleResults(), "empty": empty}
+}
+
+// RoundTripCases exports roundTripCases to the package's external tests.
+var RoundTripCases = roundTripCases
+
+// TestResultsCodecRoundTrip is the encoding's coverage guard: every field
+// of Results (found reflectively, so new fields are included
+// automatically) is set to a distinct value and must survive
+// encode/decode exactly.
 func TestResultsCodecRoundTrip(t *testing.T) {
-	r := sampleResults()
-	b := EncodeResults(r)
-	got, err := DecodeResults(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r, got) {
-		t.Fatalf("round trip changed Results:\n in: %+v\nout: %+v", r, got)
-	}
-	if !bytes.Equal(EncodeResults(r), EncodeResults(got)) {
-		t.Fatal("encoding is not deterministic across a round trip")
+	for name, r := range roundTripCases() {
+		b := EncodeResults(r)
+		got, err := DecodeResults(b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(r, got) {
+			t.Fatalf("%s: round trip changed Results:\n in: %+v\nout: %+v", name, r, got)
+		}
+		if !bytes.Equal(b, EncodeResults(got)) {
+			t.Fatalf("%s: encoding is not deterministic across a round trip", name)
+		}
 	}
 }
 
@@ -99,33 +116,25 @@ func TestResultsCodecZeroValue(t *testing.T) {
 
 func TestResultsCodecRejectsCorruption(t *testing.T) {
 	b := EncodeResults(sampleResults())
-	if _, err := DecodeResults(nil); err == nil {
-		t.Fatal("empty input accepted")
-	}
-	if _, err := DecodeResults(b[:len(b)/2]); err == nil {
-		t.Fatal("truncated input accepted")
-	}
-	if _, err := DecodeResults(append(append([]byte(nil), b...), 0)); err == nil {
-		t.Fatal("trailing garbage accepted")
-	}
-	bad := append([]byte(nil), b...)
-	bad[0] ^= 0xff // magic
-	if _, err := DecodeResults(bad); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	bad = append([]byte(nil), b...)
-	bad[5] ^= 0xff // shape hash
-	if _, err := DecodeResults(bad); err == nil {
-		t.Fatal("mismatched struct shape accepted")
+	for name, data := range map[string][]byte{
+		"empty":          nil,
+		"truncated":      b[:len(b)/2],
+		"trailing":       append(append([]byte(nil), b...), '0'),
+		"mistyped field": []byte(`{"Cycles":"many"}`),
+		"mistyped CDF":   []byte(`{"Lifetimes":{"L1Data":{}}}`),
+	} {
+		if _, err := DecodeResults(data); err == nil {
+			t.Errorf("%s input accepted", name)
+		}
 	}
 }
 
-// resultsShapeGolden pins the Results layout the codec (and every cached
-// result on disk) was written against. Adding, removing, renaming or
-// retyping an exported field changes fingerprint.Paths and fails this test
-// until the golden is updated — a deliberate acknowledgement that the new
-// field is covered by the reflective codec and that the changed shape hash
-// has invalidated existing cache entries.
+// resultsShapeGolden pins the Results layout that every cached result on
+// disk was written against; artifact.ResultKey hashes this layout.
+// Adding, removing, renaming or retyping an exported field changes
+// fingerprint.Paths and fails this test until the golden is updated — a
+// deliberate acknowledgement that the changed layout has invalidated
+// existing cache entries.
 var resultsShapeGolden = []string{
 	"Results.Cycles uint64",
 	"Results.DRAM.Reads uint64",
@@ -216,10 +225,13 @@ func TestResultsCodecShapeGolden(t *testing.T) {
 	if strings.Join(got, "\n") != strings.Join(resultsShapeGolden, "\n") {
 		t.Errorf("Results layout drifted from resultsShapeGolden.\ngot:\n%s\n\nwant:\n%s",
 			strings.Join(got, "\n"), strings.Join(resultsShapeGolden, "\n"))
-		t.Log("the reflective codec already covers the new layout; update the golden to acknowledge the cache invalidation")
+		t.Log("the JSON encoding already covers the new layout; update the golden to acknowledge the cache invalidation")
 	}
 }
 
+// FuzzResultsCodec: decoding arbitrary bytes never panics, and any
+// document that decodes re-encodes to a canonical form that is a fixed
+// point of decode→encode.
 func FuzzResultsCodec(f *testing.F) {
 	f.Add(EncodeResults(sampleResults()))
 	f.Add(EncodeResults(Results{}))

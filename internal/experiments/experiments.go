@@ -130,7 +130,7 @@ type Suite struct {
 	mu      sync.Mutex // guards the traces, ctraces and results maps
 	traces  map[string]*traceCall
 	ctraces map[string]*ctraceCall
-	results map[string]*runCall
+	results map[RunRequest]*runCall
 
 	progressMu sync.Mutex
 }
@@ -164,7 +164,7 @@ func New(p workloads.Params, subset []string) (*Suite, error) {
 		Params:  p,
 		traces:  make(map[string]*traceCall),
 		ctraces: make(map[string]*ctraceCall),
-		results: make(map[string]*runCall),
+		results: make(map[RunRequest]*runCall),
 	}
 	if len(subset) == 0 {
 		s.gens = workloads.All()
@@ -320,17 +320,17 @@ func (s *Suite) resultKey(wl string, cfg core.Config) artifact.Fingerprint {
 	return artifact.ResultKey(artifact.TraceKey(wl, s.Params), cfg)
 }
 
-// Run simulates workload wl under cfg, memoized on (wl, cfg.Name). Configs
-// with the same Name must be identical; the design presets guarantee this.
-// Concurrent callers racing on one key all receive the result computed by
-// whichever goroutine claimed it first. Run panics if wl is outside the
-// suite's workload set (a programmer error — figures only request their
-// own suite's generators); use Trace to probe membership.
+// Run simulates workload wl under cfg, memoized on (wl, cfg): distinct
+// configs never share a result, even when they share a Name. Concurrent
+// callers racing on one key all receive the result computed by whichever
+// goroutine claimed it first. Run panics if wl is outside the suite's
+// workload set (a programmer error — figures only request their own
+// suite's generators); use Trace to probe membership.
 func (s *Suite) Run(wl string, cfg core.Config) core.Results {
 	if _, ok := s.generator(wl); !ok {
 		panic(fmt.Errorf("experiments: workload %q not in suite", wl))
 	}
-	key := runKey(wl, cfg.Name)
+	key := RunRequest{wl, cfg}
 	s.mu.Lock()
 	if c, ok := s.results[key]; ok {
 		s.mu.Unlock()
@@ -392,12 +392,11 @@ func (s *Suite) Run(wl string, cfg core.Config) core.Results {
 }
 
 // Metrics returns the end-of-run metrics snapshot for a simulated
-// (workload, design) pair, waiting for an in-flight run. It reports false
-// when the pair has not been simulated or CaptureMetrics was off.
+// (workload, design name) pair, the run Results holds for it, waiting for
+// an in-flight run. It reports false when the pair has not been simulated
+// or CaptureMetrics was off.
 func (s *Suite) Metrics(wl, design string) (obs.Snapshot, bool) {
-	s.mu.Lock()
-	c, ok := s.results[runKey(wl, design)]
-	s.mu.Unlock()
+	c, ok := s.byName()[runKey(wl, design)]
 	if !ok {
 		return obs.Snapshot{}, false
 	}
@@ -405,18 +404,39 @@ func (s *Suite) Metrics(wl, design string) (obs.Snapshot, bool) {
 	return c.snap, c.snap.Names != nil
 }
 
-// runKey is the memoization key for one simulation.
+// runKey is the key of the name-keyed views, Results and Metrics.
 func runKey(wl, design string) string { return wl + "\x00" + design }
+
+// byName returns the memoized runs keyed by runKey. Distinct configs that
+// share a design name collapse to the one whose ConfigFingerprint sorts
+// first, so the views do not depend on the order runs were claimed in.
+func (s *Suite) byName() map[string]*runCall {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	picked := make(map[string]RunRequest, len(s.results))
+	for req := range s.results {
+		k := runKey(req.Workload, req.Config.Name)
+		if prev, ok := picked[k]; ok {
+			a, b := core.ConfigFingerprint(req.Config), core.ConfigFingerprint(prev.Config)
+			if bytes.Compare(a[:], b[:]) > 0 {
+				continue
+			}
+		}
+		picked[k] = req
+	}
+	out := make(map[string]*runCall, len(picked))
+	for k, req := range picked {
+		out[k] = s.results[req]
+	}
+	return out
+}
 
 // Results returns a snapshot of every memoized run, keyed by
 // workload + "\x00" + design name, waiting for in-flight simulations.
+// Where distinct configs share a design name, it holds one of them (see
+// byName).
 func (s *Suite) Results() map[string]core.Results {
-	s.mu.Lock()
-	calls := make(map[string]*runCall, len(s.results))
-	for k, c := range s.results {
-		calls[k] = c
-	}
-	s.mu.Unlock()
+	calls := s.byName()
 	out := make(map[string]core.Results, len(calls))
 	for k, c := range calls {
 		<-c.done

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"vcache/internal/core"
 	"vcache/internal/workloads"
 )
 
@@ -52,6 +54,37 @@ func TestRunMemoization(t *testing.T) {
 	after := len(s.results)
 	if after-mid > 2*2 { // at most VC + VCOpt per workload
 		t.Fatalf("Fig9 re-ran shared configs: %d new results", after-mid)
+	}
+}
+
+// TestRunKeysOnConfig: Run memoizes on the whole config, so a run of the
+// Baseline 512 preset does not stand in for the suite's residency-probed
+// variant, which keeps the preset's name. And no two runs any figure
+// plans share a (workload, design name) pair, so the name-keyed Results
+// and Metrics views, and with them -csv and -metrics, hold every one.
+func TestRunKeysOnConfig(t *testing.T) {
+	p := workloads.Params{Scale: 1, NumCUs: 4, WarpsPerCU: 2, Seed: 7}
+	suite := func() *Suite {
+		s, err := New(p, []string{"bfs"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	want, _ := suite().Fig2()
+	s := suite()
+	s.Run("bfs", core.DesignBaseline512())
+	if got, _ := s.Fig2(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Fig2 after a run of the unprobed preset:\n got %+v\nwant %+v", got, want)
+	}
+
+	names := make(map[string]RunRequest)
+	for _, r := range s.Plan(append(Figures(), Extras()...)...) {
+		k := runKey(r.Workload, r.Config.Name)
+		if prev, ok := names[k]; ok {
+			t.Errorf("planned runs %+v and %+v share a design name", prev, r)
+		}
+		names[k] = r
 	}
 }
 

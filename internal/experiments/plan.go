@@ -109,10 +109,10 @@ func (s *Suite) planEnergy() []RunRequest {
 }
 
 // Plan returns the union of the named experiments' runs, deduplicated by
-// memo key, in a stable first-requested order. Unknown ids and ids that
-// need no suite runs contribute nothing.
+// (workload, config) like Run's memo, in a stable first-requested order.
+// Unknown ids and ids that need no suite runs contribute nothing.
 func (s *Suite) Plan(ids ...string) []RunRequest {
-	seen := make(map[string]bool)
+	seen := make(map[RunRequest]bool)
 	var out []RunRequest
 	for _, id := range ids {
 		plan, ok := planners[id]
@@ -120,9 +120,8 @@ func (s *Suite) Plan(ids ...string) []RunRequest {
 			continue
 		}
 		for _, r := range plan(s) {
-			k := runKey(r.Workload, r.Config.Name)
-			if !seen[k] {
-				seen[k] = true
+			if !seen[r] {
+				seen[r] = true
 				out = append(out, r)
 			}
 		}
@@ -196,7 +195,7 @@ func (s *Suite) RunAll(reqs []RunRequest) error {
 // the authoritative decision.
 func (s *Suite) needsCompute(r RunRequest) bool {
 	s.mu.Lock()
-	_, claimed := s.results[runKey(r.Workload, r.Config.Name)]
+	_, claimed := s.results[r]
 	s.mu.Unlock()
 	if claimed {
 		return false

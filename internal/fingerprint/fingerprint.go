@@ -48,8 +48,8 @@ func Hash(parts ...any) Sum {
 // TypeHash fingerprints a type's structure only: its name, kind, and
 // (recursively) its fields' names and types, ignoring values. Two types
 // have equal TypeHashes exactly when the canonical encoding of their
-// values is interchangeable, so codecs can bake it into their headers as a
-// schema version that changes whenever the struct does.
+// values is interchangeable, so a cache key can hash it as a schema
+// version that changes whenever the struct does.
 func TypeHash(t reflect.Type) Sum {
 	h := sha256.New()
 	writeType(h, t, make(map[reflect.Type]bool))
@@ -90,7 +90,8 @@ func walkPaths(t reflect.Type, prefix string, out *[]string, depth int) {
 		}
 		if exported == 0 {
 			// Opaque struct (e.g. stats.CDF): a leaf from the caller's
-			// point of view — codecs must special-case it.
+			// point of view — it must encode itself (stats.CDF has
+			// MarshalJSON).
 			*out = append(*out, fmt.Sprintf("%s %s", prefix, t.String()))
 		}
 	default:

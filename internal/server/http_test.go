@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -84,6 +85,48 @@ func TestHTTPServedResultMatchesLocalRun(t *testing.T) {
 	}
 	if strings.TrimSpace(string(info.Result)) != strings.TrimSpace(string(raw)) {
 		t.Error("inlined wait-mode result differs from the result endpoint")
+	}
+}
+
+// TestHTTPLifetimesMatchLocalRun: a job whose full Config sets
+// TrackLifetimes returns through Client.Result the lifetime CDFs a local
+// run records, when simulated and again when served from the cache.
+func TestHTTPLifetimesMatchLocalRun(t *testing.T) {
+	client, _ := newHTTPServer(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	cfg := core.DesignBaseline512()
+	cfg.TrackLifetimes = true
+	spec := nwSpec()
+	spec.Design = apiv1.DesignSpec{Config: &cfg}
+	rcfg, p, err := spec.Resolve()
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
+	g, _ := workloads.ByName("nw")
+	local, err := core.RunContext(ctx, rcfg, g.Build(p))
+	if err != nil {
+		t.Fatalf("local run: %v", err)
+	}
+	if lt := local.Lifetimes; lt == nil || lt.TLBEntries.N() == 0 || lt.L1Data.N() == 0 {
+		t.Fatal("local run recorded no lifetimes")
+	}
+	for _, hit := range []bool{false, true} {
+		info, err := client.SubmitWait(ctx, spec)
+		if err != nil {
+			t.Fatalf("SubmitWait: %v", err)
+		}
+		if info.State != apiv1.JobDone || info.CacheHit != hit {
+			t.Fatalf("job state %s (%s), cache_hit=%v; want done, cache_hit=%v", info.State, info.Error, info.CacheHit, hit)
+		}
+		got, _, err := client.Result(ctx, info.ID)
+		if err != nil {
+			t.Fatalf("Result: %v", err)
+		}
+		if !reflect.DeepEqual(got.Lifetimes, local.Lifetimes) {
+			t.Errorf("cache_hit=%v: served lifetimes differ from a local run's", hit)
+		}
 	}
 }
 

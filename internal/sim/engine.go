@@ -36,16 +36,6 @@ type Func func()
 // Handle runs f.
 func (f Func) Handle(uint64) { f() }
 
-// Tracer observes engine activity: Fired is called for every event, with
-// the cycle it fires at, the handler receiving it, and its argument, just
-// before the handler runs. Tracers are for observability tooling (event
-// tracing, event-rate profiling); they must not schedule or mutate engine
-// state. With no tracer installed the hook is a single nil check on the
-// firing path — no allocation, no interface dispatch.
-type Tracer interface {
-	Fired(cycle uint64, h Handler, arg uint64)
-}
-
 // node is one in-window event: a link in its cycle's FIFO list. Its cycle
 // is implied by the list holding it and its FIFO rank by its position, so
 // only the handler, the argument and the next link are stored. Index 0 of
@@ -100,8 +90,6 @@ type Engine struct {
 	// then. It is engine state like the queue.
 	hint   uint64
 	hinted bool
-
-	tracer Tracer
 }
 
 // New returns a fresh engine at cycle 0.
@@ -112,9 +100,6 @@ func (e *Engine) Now() uint64 { return e.now }
 
 // Fired returns the total number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
-
-// SetTracer installs (or, with nil, removes) the engine's event tracer.
-func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.bucketed + len(e.overflow) }
@@ -222,9 +207,6 @@ func (e *Engine) Step() bool {
 	h, arg := e.pop(i)
 	if e.head[i] == 0 {
 		e.occupied[i>>6] &^= 1 << uint(i&63)
-	}
-	if e.tracer != nil {
-		e.tracer.Fired(e.now, h, arg)
 	}
 	h.Handle(arg)
 	return true
@@ -335,9 +317,6 @@ func (e *Engine) drain(limit uint64) uint64 {
 		i := int(e.now & bucketMask)
 		for e.head[i] != 0 {
 			h, arg := e.pop(i)
-			if e.tracer != nil {
-				e.tracer.Fired(e.now, h, arg)
-			}
 			h.Handle(arg)
 		}
 		e.occupied[i>>6] &^= 1 << uint(i&63)

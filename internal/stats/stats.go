@@ -5,6 +5,7 @@
 package stats
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -180,6 +181,22 @@ func (c *CDF) Values() []float64 { return c.xs }
 // CDFOf builds a CDF over the given observations, taking ownership of the
 // slice. It is the decoding counterpart of Values.
 func CDFOf(xs []float64) CDF { return CDF{xs: xs} }
+
+// MarshalJSON encodes the CDF as its observation list, Values as
+// recorded: null when nil, [] when empty. A value receiver, so a CDF
+// reached through a non-addressable value encodes the same way.
+func (c CDF) MarshalJSON() ([]byte, error) { return json.Marshal(c.xs) }
+
+// UnmarshalJSON rebuilds a CDF from the list MarshalJSON wrote, with
+// CDFOf.
+func (c *CDF) UnmarshalJSON(b []byte) error {
+	var xs []float64
+	if err := json.Unmarshal(b, &xs); err != nil {
+		return err
+	}
+	*c = CDFOf(xs)
+	return nil
+}
 
 func (c *CDF) sortIfNeeded() {
 	if !c.sorted {

@@ -366,7 +366,7 @@ func (c *Cursor) scanChunks() error {
 
 // byteDecoder is a bounds-checked decoder over an in-memory buffer. Its
 // errors carry no package prefix: the footer's caller adds "trace: ", and
-// a chunk's adds "trace: chunk N: ".
+// a chunk's adds "chunk N: " before the chunk's reader adds "trace: ".
 type byteDecoder struct {
 	buf []byte
 	off int
@@ -494,7 +494,7 @@ func (c *Cursor) start() {
 		}
 		if rollup != c.rollup {
 			select {
-			case c.prefetch <- prefetched{err: fmt.Errorf("trace: chunk-crc rollup mismatch (stored %#x, computed %#x)", c.rollup, rollup)}:
+			case c.prefetch <- prefetched{err: fmt.Errorf("chunk-crc rollup mismatch (stored %#x, computed %#x)", c.rollup, rollup)}:
 			case <-c.stop:
 			}
 		}
@@ -503,39 +503,40 @@ func (c *Cursor) start() {
 
 // decodeChunk reads and decodes chunk i, returning it and the stored
 // payload's crc. Runs on the prefetch goroutine only, which owns the
-// stream position after open.
+// stream position after open. Like every error the prefetcher sends, its
+// errors carry no package prefix: the reader that reports one adds it.
 func (c *Cursor) decodeChunk(i int) (*Trace, uint64, error) {
 	sr := newSmallReader(c.r)
 	marker, err := sr.ReadByte()
 	if err != nil {
-		return nil, 0, fmt.Errorf("trace: chunk %d: %w", i, err)
+		return nil, 0, fmt.Errorf("chunk %d: %w", i, err)
 	}
 	if marker != chunkMarker {
-		return nil, 0, fmt.Errorf("trace: chunk %d: bad marker %#x", i, marker)
+		return nil, 0, fmt.Errorf("chunk %d: bad marker %#x", i, marker)
 	}
 	storedLen, err := binary.ReadUvarint(sr)
 	if err != nil {
-		return nil, 0, fmt.Errorf("trace: chunk %d: %w", i, err)
+		return nil, 0, fmt.Errorf("chunk %d: %w", i, err)
 	}
 	rawLen, err := binary.ReadUvarint(sr)
 	if err != nil {
-		return nil, 0, fmt.Errorf("trace: chunk %d: %w", i, err)
+		return nil, 0, fmt.Errorf("chunk %d: %w", i, err)
 	}
 	if storedLen > maxChunkBytes || rawLen > maxChunkBytes {
-		return nil, 0, fmt.Errorf("trace: chunk %d: size exceeds limit", i)
+		return nil, 0, fmt.Errorf("chunk %d: size exceeds limit", i)
 	}
 	stored, err := readCapped(c.r, int64(storedLen))
 	if err != nil {
-		return nil, 0, fmt.Errorf("trace: chunk %d payload: %w", i, err)
+		return nil, 0, fmt.Errorf("chunk %d payload: %w", i, err)
 	}
 	var sum [8]byte
 	if _, err := io.ReadFull(c.r, sum[:]); err != nil {
-		return nil, 0, fmt.Errorf("trace: chunk %d checksum: %w", i, err)
+		return nil, 0, fmt.Errorf("chunk %d checksum: %w", i, err)
 	}
 	want := binary.LittleEndian.Uint64(sum[:])
 	crc := crc64.Checksum(stored, crcTable)
 	if crc != want {
-		return nil, 0, fmt.Errorf("trace: chunk %d checksum mismatch (stored %#x, computed %#x)", i, want, crc)
+		return nil, 0, fmt.Errorf("chunk %d checksum mismatch (stored %#x, computed %#x)", i, want, crc)
 	}
 
 	payload := stored
@@ -551,14 +552,14 @@ func (c *Cursor) decodeChunk(i int) (*Trace, uint64, error) {
 		}
 		fr.Close()
 		if err != nil {
-			return nil, 0, fmt.Errorf("trace: chunk %d decompress: %w", i, err)
+			return nil, 0, fmt.Errorf("chunk %d decompress: %w", i, err)
 		}
 	} else if uint64(len(payload)) != rawLen {
-		return nil, 0, fmt.Errorf("trace: chunk %d: stored %d bytes but declares %d raw", i, len(payload), rawLen)
+		return nil, 0, fmt.Errorf("chunk %d: stored %d bytes but declares %d raw", i, len(payload), rawLen)
 	}
 	chunk, err := c.parseChunk(payload)
 	if err != nil {
-		return nil, 0, fmt.Errorf("trace: chunk %d: %w", i, err)
+		return nil, 0, fmt.Errorf("chunk %d: %w", i, err)
 	}
 	return chunk, crc, nil
 }
@@ -712,11 +713,12 @@ func (c *Cursor) Materialize() (*Trace, error) {
 			break
 		}
 		if p.err != nil {
+			err := fmt.Errorf("trace: %w", p.err)
 			c.exhausted = true
 			if c.err == nil {
-				c.err = p.err
+				c.err = err
 			}
-			return nil, p.err
+			return nil, err
 		}
 		if b.staged+uint64(len(p.chunk.Arena)) > 1<<32 {
 			return nil, errors.New("trace: materialized arena exceeds 4G lane addresses")

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc64"
 	"os"
 	"path/filepath"
@@ -325,12 +326,29 @@ func TestSecondSegmentAppends(t *testing.T) {
 // TestChunkErrorNamesPackageOnce: a chunk that fails to decode is named
 // in its error, after the package, which the error names once — here the
 // two segments TestSecondSegmentAppends accepts on a stream of two warps,
-// on a stream of one.
+// on a stream of one — whether Materialize reports it or replay does
+// (NextSegment, then Err, which also matches ErrCursorExhausted).
 func TestChunkErrorNamesPackageOnce(t *testing.T) {
-	err := decode(handFile(oneWarp, [][]byte{handFrame(twoSegmentChunk())}, 3))
-	const want = "trace: chunk 0: segment count 2 exceeds limit 1"
-	if err == nil || !strings.Contains(err.Error(), want) || strings.Count(err.Error(), "trace: ") != 1 {
-		t.Fatalf("two segments on one warp = %v, want an error containing %q that names the package once", err, want)
+	file := handFile(oneWarp, [][]byte{handFrame(twoSegmentChunk())}, 3)
+	check := func(path string, err error, want string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) || strings.Count(err.Error(), "trace: ") != 1 {
+			t.Errorf("%s: two segments on one warp = %v, want an error containing %q that names the package once", path, err, want)
+		}
+	}
+	check("Materialize", decode(file), "trace: chunk 0: segment count 2 exceeds limit 1")
+
+	c, err := NewCursor(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, ok := c.NextSegment(0, 0); ok {
+		t.Fatal("NextSegment returned a segment of a corrupt chunk")
+	}
+	check("NextSegment", c.Err(), "trace: chunk stream exhausted: chunk 0: segment count 2 exceeds limit 1")
+	if !errors.Is(c.Err(), ErrCursorExhausted) {
+		t.Errorf("replay error %v does not match ErrCursorExhausted", c.Err())
 	}
 }
 
