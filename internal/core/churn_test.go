@@ -36,9 +36,17 @@ func replayChurn(t *testing.T, cfg Config) []churnLaunch {
 // churnReplay is replayChurn without a *testing.T, so that goroutines
 // other than the test's may run it.
 func churnReplay(cfg Config) ([]churnLaunch, error) {
+	outs, _, err := churnReplayCollecting(cfg, func(int) bool { return true })
+	return outs, err
+}
+
+// churnReplayCollecting replays the plan with RunContext on the launches
+// collect selects and Execute on the others, which leave a zero Results,
+// and also returns the System's clock at the end.
+func churnReplayCollecting(cfg Config, collect func(launch int) bool) ([]churnLaunch, uint64, error) {
 	pl, err := churnTestPlan()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	cfg.GPU.NumCUs = pl.Params.NumCUs
 	sys := MustNew(cfg)
@@ -47,13 +55,17 @@ func churnReplay(cfg Config) ([]churnLaunch, error) {
 		if l.Retire != 0 {
 			outs[i].retire = sys.RetireASID(l.Retire)
 		}
-		res, err := sys.RunContext(context.Background(), pl.KernelTrace(l))
-		if err != nil {
-			return nil, fmt.Errorf("launch %d (asid %d): %v", l.Seq, l.ASID, err)
+		tr := pl.KernelTrace(l)
+		if collect(i) {
+			outs[i].res, err = sys.RunContext(context.Background(), tr)
+		} else {
+			err = sys.Execute(context.Background(), tr)
 		}
-		outs[i].res = res
+		if err != nil {
+			return nil, 0, fmt.Errorf("launch %d (asid %d): %v", l.Seq, l.ASID, err)
+		}
 	}
-	return outs, nil
+	return outs, sys.Now(), nil
 }
 
 // churnTestPlan builds the plan replayChurn plays.
@@ -137,6 +149,43 @@ func TestChurnDigest(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestExecuteMatchesRunContext: Execute runs RunContext's path and leaves
+// the System in the same state. The churn test plan, replayed with Execute
+// and RunContext on every third launch, gives those launches Results
+// byte-identical to a RunContext-only replay's, the same RetireStats on
+// every rollover, and the same final cycle, on the three churn designs.
+func TestExecuteMatchesRunContext(t *testing.T) {
+	for _, d := range churnTestDesigns {
+		d := d
+		t.Run(d.name, func(t *testing.T) {
+			t.Parallel()
+			want, wantNow, err := churnReplayCollecting(d.cfg(), func(int) bool { return true })
+			if err != nil {
+				t.Fatal(err)
+			}
+			third := func(i int) bool { return i%3 == 2 }
+			got, gotNow, err := churnReplayCollecting(d.cfg(), third)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if got[i].retire != want[i].retire {
+					t.Errorf("launch %d: RetireStats %+v after Execute, %+v after RunContext", i, got[i].retire, want[i].retire)
+				}
+				if !third(i) {
+					continue
+				}
+				if g, w := EncodeResults(got[i].res), EncodeResults(want[i].res); !bytes.Equal(g, w) {
+					t.Errorf("launch %d: Results differ after Execute\ngot:  %s\nwant: %s", i, g, w)
+				}
+			}
+			if gotNow != wantNow {
+				t.Errorf("replay ends at cycle %d with Execute, %d with RunContext only", gotNow, wantNow)
+			}
+		})
 	}
 }
 

@@ -535,18 +535,31 @@ func (r *request) synFill() {
 
 // remapUpdate is the backend -> CU half of a dynamic synonym remap
 // (sim.Handler). It can land after the request that caused it has retired
-// and its record was reused, so it carries its own state.
+// and its record was reused, so it carries its own state, in a record of
+// its own from the System's free list; delivering it returns the record.
 type remapUpdate struct {
 	s         *System
 	cu        int
 	vpn, lvpn memory.VPN
 }
 
-func (m *remapUpdate) Handle(uint64) { m.s.remaps[m.cu].put(m.vpn, m.lvpn) }
+func (m *remapUpdate) Handle(uint64) {
+	s := m.s
+	s.remaps[m.cu].put(m.vpn, m.lvpn)
+	s.remapFree = append(s.remapFree, m)
+}
 
 // sendRemap tells cu to redirect vpn to its leading page lvpn.
 func (s *System) sendRemap(cu int, vpn, lvpn memory.VPN) {
-	s.sendToCU(routeL2, &remapUpdate{s: s, cu: cu, vpn: vpn, lvpn: lvpn}, 0)
+	var m *remapUpdate
+	if n := len(s.remapFree); n > 0 {
+		m = s.remapFree[n-1]
+		s.remapFree = s.remapFree[:n-1]
+	} else {
+		m = &remapUpdate{s: s}
+	}
+	m.cu, m.vpn, m.lvpn = cu, vpn, lvpn
+	s.sendToCU(routeL2, m, 0)
 }
 
 // fillL1 installs a line into a CU's L1 and maintains its invalidation

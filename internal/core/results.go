@@ -59,7 +59,7 @@ type Results struct {
 	LineMerges     uint64 // cache misses merged into outstanding line fills
 	// L2DistinctPages is the peak count of distinct 4KB pages with data
 	// resident in the L2 (the paper reports ~6000), sampled every 2048 L2
-	// fills and when results are collected. The L2 maintains the count as
+	// fills and at the end of every run. The L2 maintains the count as
 	// lines come and go, so each sample is O(1).
 	L2DistinctPages int
 
@@ -95,7 +95,8 @@ func (r Results) String() string {
 		r.Workload, r.Design, r.Cycles, 100*r.PerCUTLBMissRatio(), r.IOMMURate.Mean)
 }
 
-// results assembles the Results snapshot after a run.
+// results assembles the Results snapshot after a run. It only reads the
+// System: the run's epilogue (execute) took the last samples.
 func (s *System) results(workload string) Results {
 	r := Results{
 		Workload: workload,
@@ -145,9 +146,6 @@ func (s *System) results(workload string) Results {
 	r.L2 = s.l2.Stats()
 	if s.fbt != nil {
 		r.FBT = s.fbt.Stats()
-	}
-	if n := s.l2.DistinctPages(); n > s.l2PagePeak {
-		s.l2PagePeak = n
 	}
 	r.L2DistinctPages = s.l2PagePeak
 	return r

@@ -80,6 +80,8 @@ type System struct {
 	filters []flatmap.Map[int32] // per-CU L1 invalidation filters: VPN -> lines in the L1
 	remaps  []*remapTable        // per-CU dynamic synonym remap tables
 
+	remapFree []*remapUpdate // delivered remap messages, for sendRemap to reuse
+
 	asid memory.ASID
 
 	probe     ProbeBreakdown
@@ -107,6 +109,8 @@ type System struct {
 	l2PagePeak     int    // max distinct pages seen in L2 (sampled on fills)
 	fillsSincePage int
 	finishCycle    uint64 // cycle the last warp retired
+	completed      bool   // the launched kernel's last warp retired
+	kernelDone     func() // onKernelDone, bound once for every launch
 
 	intra intraState // the System's partitions (see intra.go)
 
@@ -194,6 +198,7 @@ func New(cfg Config) (*System, error) {
 	}
 
 	s.gpu = gpu.New(cfg.GPU, eng, s, (*gpuFabric)(s))
+	s.kernelDone = s.onKernelDone
 	s.buildRegistry()
 	s.registerPartitionGauges()
 	return s, nil
@@ -481,6 +486,20 @@ func (s *System) RunContext(ctx context.Context, tr *trace.Trace, opts ...Option
 	return s.runInput(ctx, materializedInput{tr}, opts)
 }
 
+// Execute runs tr exactly as RunContext does, on the same path, and leaves
+// the System in the same state, but collects no Results. A caller that
+// replays many kernels on one System and reads only what it accumulates
+// (the clock, the component counters) uses it: the IOMMU rate series in
+// every Results covers every window since cycle 0, so collecting Results
+// after each of n launches costs O(n^2) over the replay.
+func (s *System) Execute(ctx context.Context, tr *trace.Trace) error {
+	if err := tr.Validate(); err != nil {
+		return err
+	}
+	var o options
+	return s.execute(ctx, materializedInput{tr}, &o)
+}
+
 // RunCursor is RunContext over a streamed chunked trace: the GPU pulls
 // instruction segments from the cursor as warps advance, so peak memory
 // stays bounded by the cursor's chunk window no matter how long the trace
@@ -493,21 +512,33 @@ func (s *System) RunCursor(ctx context.Context, c *trace.Cursor, opts ...Option)
 	return s.runInput(ctx, cursorInput{c}, opts)
 }
 
+// runInput executes in and collects its Results.
 func (s *System) runInput(ctx context.Context, in traceInput, opts []Option) (Results, error) {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
+	if err := s.execute(ctx, in, &o); err != nil {
+		return Results{}, err
+	}
+	res := s.results(in.name())
+	if o.wantsMetrics() {
+		s.emitSnapshot(&o) // final totals at the end-of-run cycle
+	}
+	return res, o.sinkErr
+}
+
+// execute is the one run path: it prepares and launches in, runs the
+// windows until the kernel completes or ctx stops them, and on completion
+// ends with the epilogue that leaves every statistic results reads final.
+func (s *System) execute(ctx context.Context, in traceInput, o *options) error {
 	if o.events != nil {
 		s.AttachTrace(o.events)
 	}
 	s.contextSwitch(in.inASID())
 	in.prepare(s)
-	completed := false
-	in.launch(s, func() {
-		completed = true
-		s.finishCycle = s.eng.Now()
-	})
+	s.completed = false
+	in.launch(s, s.kernelDone)
 
 	interval := o.metricsInterval
 	if interval == 0 {
@@ -522,7 +553,7 @@ func (s *System) runInput(ctx context.Context, in traceInput, opts []Option) (Re
 			return false
 		}
 		if o.wantsMetrics() && limit >= nextSnap {
-			s.emitSnapshot(&o)
+			s.emitSnapshot(o)
 			for nextSnap <= limit {
 				nextSnap += interval
 			}
@@ -537,20 +568,24 @@ func (s *System) runInput(ctx context.Context, in traceInput, opts []Option) (Re
 	}
 	s.runWindows(onWindow)
 	if err != nil {
-		return Results{}, err
+		return err
 	}
 	if e := in.finishErr(); e != nil {
-		return Results{}, e
+		return e
 	}
-	if !completed {
-		return Results{}, ErrDeadlock
+	if !s.completed {
+		return ErrDeadlock
 	}
 	s.io.ExtendSampling()
-	res := s.results(in.name())
-	if o.wantsMetrics() {
-		s.emitSnapshot(&o) // final totals at the end-of-run cycle
-	}
-	return res, o.sinkErr
+	s.peakL2Pages()
+	return nil
+}
+
+// onKernelDone is the GPU's completion callback: the kernel's last warp
+// retired.
+func (s *System) onKernelDone() {
+	s.completed = true
+	s.finishCycle = s.eng.Now()
 }
 
 // emitSnapshot reads the registry once and feeds every attached consumer.
@@ -676,15 +711,20 @@ func (s *System) fault(kind string, c *uint64) {
 }
 
 // sampleL2Pages tracks the distinct-page peak (the paper's ~6000 pages
-// observation), sampled every 2048 L2 fills and in results. The L2
-// maintains its page count, so a sample is O(1); the peak is still taken
-// only at these sample points, which define L2DistinctPages.
+// observation), sampled every 2048 L2 fills and at the end of every run.
+// The L2 maintains its page count, so a sample is O(1); the peak is still
+// taken only at these sample points, which define L2DistinctPages.
 func (s *System) sampleL2Pages() {
 	s.fillsSincePage++
 	if s.fillsSincePage < 2048 {
 		return
 	}
 	s.fillsSincePage = 0
+	s.peakL2Pages()
+}
+
+// peakL2Pages takes one sample of the L2's distinct-page peak.
+func (s *System) peakL2Pages() {
 	if n := s.l2.DistinctPages(); n > s.l2PagePeak {
 		s.l2PagePeak = n
 	}

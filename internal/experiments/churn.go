@@ -7,6 +7,7 @@ import (
 	"vcache/internal/core"
 	"vcache/internal/memory"
 	"vcache/internal/report"
+	"vcache/internal/trace"
 	"vcache/internal/workloads"
 )
 
@@ -51,12 +52,17 @@ type ChurnPoint struct {
 
 // RunChurn replays the churn plan against one design and returns the grid
 // point. The config's CU count is forced to the plan's so every kernel's
-// warps land on real CUs.
+// warps land on real CUs. A launch costs O(launch) and, once the first has
+// warmed the Builder, the GPU's warp contexts and the System's pools,
+// allocates only its trace's name: every kernel is built into one
+// Builder, and each runs through System.Execute, which collects no
+// Results (the point reads the System's clock and counters instead).
 func RunChurn(cfg core.Config, p workloads.ChurnParams) ChurnPoint {
 	p = p.Normalized()
 	cfg.GPU.NumCUs = p.NumCUs
 	pl := workloads.BuildChurnPlan(p)
 	sys := core.MustNew(cfg)
+	kernel := trace.NewBuilder("", 0, p.NumCUs, p.WarpsPerCU)
 
 	// The cross-tenant read-only pages: one frame each, installed into
 	// every fresh slot's space at the shared base (synonym stress — many
@@ -70,8 +76,12 @@ func RunChurn(cfg core.Config, p workloads.ChurnParams) ChurnPoint {
 		Design: cfg.Name, Tenants: p.Tenants, IOMMUBW: cfg.IOMMU.LookupsPerCycle,
 		Launches: len(pl.Launches), Retires: pl.Retires(),
 	}
+	// Arrivals only grow and completions never fall, so the launches
+	// still in the system at an arrival are a suffix of completions,
+	// starting at queued.
 	completions := make([]uint64, 0, len(pl.Launches))
-	var waits []float64
+	queued := 0
+	var waitSum float64
 	var prevDone uint64
 	for _, l := range pl.Launches {
 		if l.Retire != 0 {
@@ -85,7 +95,7 @@ func RunChurn(cfg core.Config, p workloads.ChurnParams) ChurnPoint {
 			}
 		}
 		start := sys.Now()
-		if _, err := sys.RunContext(context.Background(), pl.KernelTrace(l)); err != nil {
+		if err := sys.Execute(context.Background(), pl.KernelInto(kernel, l)); err != nil {
 			panic(err) // ErrDeadlock: a modeling bug, matching Suite.run
 		}
 		service := sys.Now() - start
@@ -93,25 +103,20 @@ func RunChurn(cfg core.Config, p workloads.ChurnParams) ChurnPoint {
 
 		// Open-loop backlog: the kernel starts when the device frees up or
 		// at its arrival, whichever is later.
-		begin := l.Arrival
-		if prevDone > begin {
-			begin = prevDone
-		}
+		begin := max(l.Arrival, prevDone)
 		done := begin + service
-		waits = append(waits, float64(begin-l.Arrival))
-		depth := 1 // this launch
-		for _, c := range completions {
-			if c > l.Arrival {
-				depth++
-			}
+		waitSum += float64(begin - l.Arrival)
+		for queued < len(completions) && completions[queued] <= l.Arrival {
+			queued++
 		}
+		depth := 1 + len(completions) - queued // this launch and those queued
 		if depth > pt.PeakQueueDepth {
 			pt.PeakQueueDepth = depth
 		}
 		completions = append(completions, done)
 		prevDone = done
 	}
-	pt.MeanWaitCycles = mean(waits)
+	pt.MeanWaitCycles = waitSum / float64(len(pl.Launches))
 	pt.Shootdowns = sys.IOMMU().TLB().Stats().Shootdowns
 	pt.IOMMUQueueDelay = sys.IOMMU().Stats().QueueDelay
 	return pt

@@ -61,3 +61,26 @@ func BenchmarkChurn(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkChurnReplay times RunChurn over the tenant-churn plan vcbench
+// replays (the default churn scenario at 480 launches) on baseline-512 and
+// vc-opt-dsr. One op is one replay on each design; lines/s counts the
+// coalesced lines both replays issue.
+func BenchmarkChurnReplay(b *testing.B) {
+	p := workloads.DefaultChurnParams()
+	p.Launches = 480
+	pl := workloads.BuildChurnPlan(p)
+	var lines uint64
+	for _, l := range pl.Launches {
+		lines += pl.KernelTrace(l).Summarize().CoalescedLines
+	}
+	designs := []core.Config{core.DesignBaseline512(), core.DesignVCOptDSR()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, cfg := range designs {
+			RunChurn(cfg, p)
+		}
+	}
+	b.ReportMetric(float64(uint64(b.N*len(designs))*lines)/b.Elapsed().Seconds(), "lines/s")
+}

@@ -16,7 +16,12 @@
 // re-schedules itself with an action argument (step / advance / issue line
 // i), and coalesced lines land in a per-warp buffer reused across
 // instructions, so replaying an instruction allocates nothing beyond what
-// the memory path itself does.
+// the memory path itself does. Launching is too, once warm: a launch
+// recycles the previous kernel's retired warp contexts, with their line
+// buffers and completion callbacks, so a GPU that runs kernel after kernel
+// (tenant churn) allocates a warp context only when a launch binds more
+// warps than it has retired contexts to reuse. A warp a cancelled or
+// deadlocked run left unretired is never reused.
 package gpu
 
 import (
@@ -107,6 +112,8 @@ type GPU struct {
 	liveWarps  int
 	atBarrier  int
 	onComplete func()
+
+	spare []*warp // retired warp contexts, for the next launch to bind
 }
 
 type cu struct {
@@ -171,7 +178,8 @@ func (g *GPU) Launch(tr *trace.Trace, onComplete func()) {
 	g.launch(len(tr.CUs), onComplete, func(c *cu) {
 		for _, ws := range tr.CUs[c.id].Warps {
 			if len(ws) > 0 {
-				g.bind(c, &warp{stream: ws, arena: tr.Arena})
+				w := g.bind(c)
+				w.stream, w.arena = ws, tr.Arena
 			}
 		}
 	})
@@ -187,23 +195,24 @@ func (g *GPU) LaunchStream(src StreamSource, onComplete func()) {
 	g.launch(src.NumCUs(), onComplete, func(c *cu) {
 		for wi := 0; wi < src.NumWarps(c.id); wi++ {
 			if src.WarpLen(c.id, wi) > 0 {
-				g.bind(c, &warp{src: src, wi: wi})
+				w := g.bind(c)
+				w.src, w.wi = src, wi
 			}
 		}
 	})
 }
 
 // launch starts a kernel on the first cus CUs, the one path behind Launch
-// and LaunchStream: it drops the earlier kernels' warps, lets bindCU bind
-// each CU's new warps in order, and schedules every new warp at the
-// current cycle, or the completion at once when no warp has an
-// instruction.
+// and LaunchStream: it drops the earlier kernels' warps, recycling the
+// retired ones, lets bindCU bind each CU's new warps in order, and
+// schedules every new warp at the current cycle, or the completion at
+// once when no warp has an instruction.
 func (g *GPU) launch(cus int, onComplete func(), bindCU func(c *cu)) {
 	if cus > len(g.cus) {
 		panic(fmt.Sprintf("gpu: trace wants %d CUs, GPU has %d", cus, len(g.cus)))
 	}
 	g.onComplete = onComplete
-	g.dropRetiredWarps()
+	g.dropWarps()
 	for _, c := range g.cus[:cus] {
 		bindCU(c)
 	}
@@ -218,19 +227,40 @@ func (g *GPU) launch(cus int, onComplete func(), bindCU func(c *cu)) {
 	}
 }
 
-// bind adds w, a new kernel's warp, to CU c.
-func (g *GPU) bind(c *cu, w *warp) {
+// bind adds a warp context for the new kernel to CU c and returns it for
+// the caller to point at its stream: a retired context when one is
+// spare, else a new one with its completion callback bound.
+func (g *GPU) bind(c *cu) *warp {
+	var w *warp
+	if n := len(g.spare); n > 0 {
+		w = g.spare[n-1]
+		g.spare = g.spare[:n-1]
+	} else {
+		w = &warp{}
+		w.lineDone = w.onLineDone
+	}
 	w.g, w.cu = g, c
-	w.lineDone = w.onLineDone
 	c.warps = append(c.warps, w)
 	g.liveWarps++
+	return w
 }
 
-// dropRetiredWarps empties every CU's warp list, so a launch steps (and a
-// barrier release walks) only the new kernel's warps, and earlier traces
-// become unreachable.
-func (g *GPU) dropRetiredWarps() {
+// dropWarps empties every CU's warp list, so a launch steps (and a barrier
+// release walks) only the new kernel's warps, and earlier traces become
+// unreachable. A retired warp goes to the spare list zeroed but for its
+// line buffer's capacity and its completion callback: no event names it
+// (it finished after its last line completed and its last issue event
+// fired, and a non-blocking store completes through nopDone). A warp a
+// cancelled or deadlocked run left unretired may still be named by queued
+// events, so it is dropped, never reused.
+func (g *GPU) dropWarps() {
 	for _, c := range g.cus {
+		for _, w := range c.warps {
+			if w.done {
+				*w = warp{lines: w.lines[:0], lineDone: w.lineDone}
+				g.spare = append(g.spare, w)
+			}
+		}
 		clear(c.warps)
 		c.warps = c.warps[:0]
 	}

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"slices"
 	"testing"
 
 	"vcache/internal/memory"
@@ -202,4 +203,137 @@ func TestMultiCUDistribution(t *testing.T) {
 	if len(cus) != 4 {
 		t.Fatalf("requests came from %d CUs, want 4", len(cus))
 	}
+}
+
+// boundWarps returns the warp contexts the GPU has bound, CU by CU.
+func boundWarps(g *GPU) []*warp {
+	var ws []*warp
+	for _, c := range g.cus {
+		ws = append(ws, c.warps...)
+	}
+	return ws
+}
+
+// TestRelaunchRecyclesWarps: a launch binds the previous kernel's retired
+// warp contexts instead of allocating, a recycled warp starts clean even
+// when a store of the previous kernel completes after it is rebound, and a
+// warp a stopped run left unretired is never rebound.
+func TestRelaunchRecyclesWarps(t *testing.T) {
+	t.Run("warm relaunch allocates no warp", func(t *testing.T) {
+		b := trace.NewBuilder("k", 1, 2, 2)
+		for i := 0; i < 4; i++ {
+			b.Warp().Load(memory.VAddr(i*memory.PageSize), memory.VAddr(i*memory.PageSize+memory.LineSize)).
+				Store(memory.VAddr(i * memory.PageSize)).Compute(3)
+		}
+		tr := b.Build()
+		eng := sim.New()
+		p := &recordingPath{eng: eng, latency: 20}
+		g := New(DefaultConfig(), eng, p, direct{})
+		completed := false
+		done := func() { completed = true }
+		relaunch := func() {
+			p.reqs, completed = p.reqs[:0], false
+			g.Launch(tr, done)
+			eng.Run()
+		}
+		relaunch()
+		first := boundWarps(g)
+		if got := testing.AllocsPerRun(10, relaunch); got != 0 {
+			t.Errorf("a warm relaunch allocates %v times, want 0", got)
+		}
+		if !completed || len(p.reqs) != 12 {
+			t.Fatalf("relaunch completed=%v with %d requests, want true and 12", completed, len(p.reqs))
+		}
+		again := boundWarps(g)
+		for _, w := range first {
+			if !slices.Contains(again, w) {
+				t.Fatal("a relaunch bound a new warp context in place of a retired one")
+			}
+		}
+	})
+
+	t.Run("late store completion", func(t *testing.T) {
+		const latency = 100
+		// The first kernel's only warp stores and retires at cycle 1; the
+		// store completes at cycle 100, while the second kernel, bound to
+		// the recycled warp, waits on a two-line load.
+		sb := trace.NewBuilder("store", 1, 1, 1)
+		sb.Warp().Store(0x0)
+		lb := trace.NewBuilder("load", 1, 1, 1)
+		lb.Warp().Load(0x1000, 0x1080).Compute(1)
+		load := lb.Build()
+
+		freshEng, _, fresh := run(t, load, DefaultConfig(), latency)
+		freshEnd := freshEng.Now()
+
+		eng := sim.New()
+		p := &recordingPath{eng: eng, latency: latency}
+		g := New(DefaultConfig(), eng, p, direct{})
+		stored := false
+		g.Launch(sb.Build(), func() { stored = true })
+		for !stored && eng.Step() {
+		}
+		if !stored || eng.Pending() == 0 {
+			t.Fatalf("store kernel completed=%v with %d events pending, want its store still in flight", stored, eng.Pending())
+		}
+		retired := boundWarps(g)[0]
+		start := eng.Now()
+		var end uint64
+		g.Launch(load, func() { end = eng.Now() })
+		if boundWarps(g)[0] != retired {
+			t.Fatal("the second kernel did not reuse the retired warp")
+		}
+		eng.Run()
+		if end-start != freshEnd {
+			t.Errorf("second kernel took %d cycles on a recycled warp, %d on a fresh GPU", end-start, freshEnd)
+		}
+		got := p.reqs[1:]
+		if len(got) != len(fresh.reqs) {
+			t.Fatalf("second kernel issued %d requests, %d on a fresh GPU", len(got), len(fresh.reqs))
+		}
+		for i, r := range got {
+			want := fresh.reqs[i]
+			want.at += start
+			if r != want {
+				t.Errorf("request %d: %+v, want %+v", i, r, want)
+			}
+		}
+	})
+
+	t.Run("unretired warp not recycled", func(t *testing.T) {
+		// Two warps: one retires at once, the other waits on a load the
+		// run is stopped before.
+		b := trace.NewBuilder("k", 1, 1, 2)
+		b.Warp().Compute(1)
+		b.Warp().Load(0x0).Compute(1)
+		tr := b.Build()
+		eng := sim.New()
+		p := &recordingPath{eng: eng, latency: 1000}
+		g := New(DefaultConfig(), eng, p, direct{})
+		g.Launch(tr, func() { t.Error("the stopped kernel completed") })
+		eng.RunUntil(10)
+		old := boundWarps(g)
+		var retired, live *warp
+		for _, w := range old {
+			if w.done {
+				retired = w
+			} else {
+				live = w
+			}
+		}
+		if retired == nil || live == nil {
+			t.Fatalf("stopped run left warps done=%v/%v, want one retired and one live", old[0].done, old[1].done)
+		}
+		g.Launch(tr, func() {})
+		now := boundWarps(g)
+		if !slices.Contains(now, retired) {
+			t.Error("the retired warp was not recycled")
+		}
+		if slices.Contains(now, live) || slices.Contains(g.spare, live) {
+			t.Error("the unretired warp was recycled")
+		}
+		if live.pending != 1 || live.stream == nil {
+			t.Errorf("the unretired warp was reset: pending %d, stream %v", live.pending, live.stream)
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,8 +92,9 @@ func drive[E emitter[E]](ops []builderOp, warp func() E, barrier func()) uint64 
 // append-grown reference with ops and fails unless all three build the
 // same trace: the streamed one is its stream materialized. It also checks
 // that a trace staged in more than one block gets an exact-size arena,
-// that one staged in a single block keeps that block as its arena, and
-// that a second Build returns the same trace.
+// that one staged in a single block keeps that block as its arena, that a
+// second Build returns the same trace, and that a Builder Reset halfway
+// through another stream, or after a Build, builds the same trace again.
 func buildBoth(t testing.TB, numCUs, warpsPer int, ops []builderOp) {
 	t.Helper()
 	b, ref := NewBuilder("diff", 3, numCUs, warpsPer), newRefBuilder("diff", 3, numCUs, warpsPer)
@@ -118,6 +120,30 @@ func buildBoth(t testing.TB, numCUs, warpsPer int, ops []builderOp) {
 	if streamed := buildStreamed(t, numCUs, warpsPer, ops); !reflect.DeepEqual(streamed, want) {
 		describeDiff(t, streamed, want)
 	}
+	r := NewBuilder("other", 9, numCUs, warpsPer)
+	drive(ops[len(ops)/2:], r.Warp, r.Barrier)
+	for i := 0; i < 2; i++ {
+		r.Reset("diff", 3)
+		drive(ops, r.Warp, r.Barrier)
+		if tr := r.Build(); !sameTrace(tr, want) {
+			describeDiff(t, tr, want)
+		}
+	}
+}
+
+// sameTrace reports whether two traces hold the same name, ASID,
+// instructions and lanes. Unlike reflect.DeepEqual it takes an empty
+// slice for a nil one: a Reset Builder keeps an emptied warp's slice.
+func sameTrace(a, b *Trace) bool {
+	if a.Name != b.Name || a.ASID != b.ASID || len(a.CUs) != len(b.CUs) || !slices.Equal(a.Arena, b.Arena) {
+		return false
+	}
+	for c := range a.CUs {
+		if !slices.EqualFunc(a.CUs[c].Warps, b.CUs[c].Warps, slices.Equal) {
+			return false
+		}
+	}
+	return true
 }
 
 // streamBudget is the streaming leg's chunk budget: small enough that
@@ -339,6 +365,41 @@ func TestBuildArenaAllocations(t *testing.T) {
 	if arenaAllocs != 1 {
 		t.Errorf("a trace of 224 lanes made %v allocations for its arena, want 1", arenaAllocs)
 	}
+}
+
+// TestResetKeepsStorage: a Builder Reset for another trace of the same
+// shape and size builds it without allocating, whether the last trace fit
+// its first block or was copied from several into an exact-size arena;
+// and a streaming Builder, whose chunks its writer owns, cannot be Reset.
+func TestResetKeepsStorage(t *testing.T) {
+	lanes := make([]memory.VAddr, 32)
+	for i := range lanes {
+		lanes[i] = laneAddr(uint64(i))
+	}
+	for _, accesses := range []int{7, 300} { // 224 lanes, one block; 9,600, several
+		b := NewBuilder("reset", 1, 4, 2)
+		build := func() {
+			b.Reset("reset", 2)
+			for i := 0; i < accesses; i++ {
+				b.Warp().Load(lanes...).Compute(1)
+			}
+			b.Barrier()
+			b.Build()
+		}
+		build()
+		if got := testing.AllocsPerRun(10, build); got != 0 {
+			t.Errorf("rebuilding %d accesses after Reset allocates %v times, want 0", accesses, got)
+		}
+		if tr := b.Build(); tr.Name != "reset" || tr.ASID != 2 || len(tr.Arena) != 32*accesses {
+			t.Errorf("rebuilt trace %q asid %d with %d lanes, want \"reset\" asid 2 with %d", tr.Name, tr.ASID, len(tr.Arena), 32*accesses)
+		}
+	}
+	defer func() {
+		if r := recover(); r == nil {
+			t.Error("Reset of a streaming Builder did not panic")
+		}
+	}()
+	NewStreamingBuilder(NewChunkWriter(&bytes.Buffer{}, "s", 1, 1, 1, ChunkOptions{})).Reset("s", 1)
 }
 
 // TestAccessLaneLimits: an access's lane count is an Inst's uint16, so

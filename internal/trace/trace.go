@@ -311,7 +311,8 @@ func CoalesceLinesInto(dst, addrs []memory.VAddr) []memory.VAddr {
 // stages lane addresses in blocks that never move: the first holds
 // firstBlock addresses, each next one twice the last, up to maxBlock. No
 // block is regrown, so each address is copied at most twice: into its
-// block, and at Build into the arena.
+// block, and at Build into the arena. Reset empties it for another trace
+// of the same shape and keeps that storage.
 //
 // NewStreamingBuilder's Builder holds one chunk of a v4 stream: a Trace
 // whose lanes fill one block sized for a full chunk. Once the chunk
@@ -396,12 +397,31 @@ func (b *Builder) Barrier() {
 // chunks went to its writer. It copies the staged lane addresses once into
 // an exact-size Trace.Arena; a trace that fit its first block takes that
 // block as its arena, uncopied. Build finalizes the builder: nothing is
-// emitted after it, and a second Build returns the same trace.
+// emitted after it until Reset, and a second Build returns the same trace.
 func (b *Builder) Build() *Trace {
 	if b.cw != nil {
 		return nil
 	}
 	return b.assemble()
+}
+
+// Reset empties a materializing Builder for the next trace of the same
+// shape, named name and run under asid. It keeps each warp's instruction
+// slice and the lane block, which after Build is the last trace's arena,
+// so a Builder that builds a run of same-sized traces one after another
+// allocates for the first only. The Trace the last Build returned shares
+// that storage (it is the Builder's own Trace): it is invalid after
+// Reset. Reset panics on a streaming Builder, whose chunks its writer
+// owns.
+func (b *Builder) Reset(name string, asid memory.ASID) {
+	if b.cw != nil {
+		panic("trace: Reset of a streaming Builder")
+	}
+	b.tr.Name, b.tr.ASID, b.tr.Arena = name, asid, nil
+	clear(b.full)
+	b.full = b.full[:0]
+	b.empty()
+	b.next = 0
 }
 
 // assemble points the trace's arena at the staged lanes, first copying
@@ -420,12 +440,18 @@ func (b *Builder) assemble() *Trace {
 }
 
 // cut hands a streaming Builder's chunk to the writer's encoder and
-// empties it for the next one, keeping its instruction slices and block.
+// empties it for the next one.
 func (b *Builder) cut() {
 	if b.size == 0 {
 		return
 	}
 	b.cw.encode(b.assemble())
+	b.empty()
+}
+
+// empty drops every instruction and staged lane, keeping the warps'
+// instruction slices and the current block for what is emitted next.
+func (b *Builder) empty() {
 	for c := range b.tr.CUs {
 		warps := b.tr.CUs[c].Warps
 		for w := range warps {
