@@ -288,20 +288,29 @@ func (c *Cache) PutChunkedTrace(key Fingerprint, gen func(io.Writer) error) (str
 
 // GetResults loads the results cached under key; ok reports a hit.
 func (c *Cache) GetResults(key Fingerprint) (core.Results, bool) {
+	res, _, ok := c.GetResultsDoc(key)
+	return res, ok
+}
+
+// GetResultsDoc is GetResults that also returns the entry's document: its
+// validated payload as read, the core.EncodeResults bytes of res. A
+// caller that serves results (the job daemon) sends doc rather than
+// encoding res again. A payload that does not decode is a miss, counted
+// as corrupt.
+func (c *Cache) GetResultsDoc(key Fingerprint) (res core.Results, doc []byte, ok bool) {
 	if c == nil {
-		return core.Results{}, false
+		return core.Results{}, nil, false
 	}
-	payload := c.get(key)
-	if payload != nil {
-		res, err := core.DecodeResults(payload)
-		if err == nil {
+	if doc = c.get(key); doc != nil {
+		var err error
+		if res, err = core.DecodeResults(doc); err == nil {
 			c.resultHits.Add(1)
-			return res, true
+			return res, doc, true
 		}
 		c.corrupt.Add(1)
 	}
 	c.resultMisses.Add(1)
-	return core.Results{}, false
+	return core.Results{}, nil, false
 }
 
 // PutResults stores res under key.
@@ -310,6 +319,16 @@ func (c *Cache) PutResults(key Fingerprint, res core.Results) {
 		return
 	}
 	c.put(key, core.EncodeResults(res))
+}
+
+// PutResultsDoc stores doc, the core.EncodeResults document of a run's
+// results, under key. A caller that also serves the document (the job
+// daemon) encodes it once for both.
+func (c *Cache) PutResultsDoc(key Fingerprint, doc []byte) {
+	if c == nil {
+		return
+	}
+	c.put(key, doc)
 }
 
 // HasResult reports whether a result entry exists for key without reading

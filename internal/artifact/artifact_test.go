@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -50,6 +51,11 @@ func TestResultsRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(res, got) {
 		t.Fatal("cache changed the results")
 	}
+	// The stored document comes back as written: the bytes a daemon
+	// serves from a cache hit.
+	if got, doc, ok := c.GetResultsDoc(key); !ok || !reflect.DeepEqual(res, got) || !bytes.Equal(doc, core.EncodeResults(res)) {
+		t.Fatalf("GetResultsDoc = ok %v, document %q; want the results and their canonical document", ok, doc)
+	}
 }
 
 // TestCorruptEntriesRecompute is the fallback guarantee: flip any byte of a
@@ -87,6 +93,16 @@ func TestCorruptEntriesRecompute(t *testing.T) {
 	}
 	if c.Stats().Corrupt == 0 {
 		t.Fatal("corruption not counted")
+	}
+	// An intact envelope around a payload that does not decode is a miss
+	// too, and corrupt.
+	corrupt := c.Stats().Corrupt
+	c.PutResultsDoc(key, []byte("{not json\n"))
+	if _, doc, ok := c.GetResultsDoc(key); ok || doc != nil {
+		t.Fatalf("an undecodable payload was a hit (document %q)", doc)
+	}
+	if c.Stats().Corrupt != corrupt+1 {
+		t.Fatal("an undecodable payload was not counted as corrupt")
 	}
 
 	// Recompute-and-overwrite restores the entry.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -157,6 +158,67 @@ func TestWideAddressesReturnErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "cu 0 warp 0 inst 0: lane 1") {
 			t.Errorf("%s: RunContext of a wide lane = %v", cfg.Name, err)
 		}
+	}
+}
+
+// TestStoppedSystemRefusesRuns: a run that ends without completing leaves
+// its kernel's warps live and its events queued, so every later run on
+// that System, through RunContext, Execute or RunCursor, returns
+// ErrStopped wrapping the error that ended it; run among those leftovers,
+// a second RunContext after a cancelled bfs ends in ErrDeadlock. A stream
+// that fails mid-run stops its System the same way, and a fresh System
+// runs the trace to completion.
+func TestStoppedSystemRefusesRuns(t *testing.T) {
+	p := workloads.Params{Scale: 1, NumCUs: 4, WarpsPerCU: 2, Seed: 42}
+	g, _ := workloads.ByName("bfs")
+	tr := g.Build(p)
+	raw := chunkWorkload(t, g, p)
+	cfg := DesignBaseline512()
+	refused := func(sys *System, cause error) {
+		t.Helper()
+		_, errRun := sys.RunContext(context.Background(), tr)
+		errExec := sys.Execute(context.Background(), tr)
+		c, err := trace.NewCursor(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		_, errCursor := sys.RunCursor(context.Background(), c)
+		for name, err := range map[string]error{"RunContext": errRun, "Execute": errExec, "RunCursor": errCursor} {
+			if !errors.Is(err, ErrStopped) || !errors.Is(err, cause) {
+				t.Errorf("%s on a stopped System = %v, want ErrStopped wrapping %v", name, err, cause)
+			}
+		}
+	}
+
+	sys := MustNew(cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := sys.RunContext(ctx, tr, WithProgress(func(pr Progress) {
+		if pr.Cycle > 60000 {
+			cancel()
+		}
+	}))
+	if err != context.Canceled || sys.Now() <= 60000 {
+		t.Fatalf("cancelled run = %v at cycle %d, want context.Canceled past cycle 60000", err, sys.Now())
+	}
+	refused(sys, context.Canceled)
+
+	wide, err := trace.OpenCursorFile(filepath.Join("..", "trace", "testdata", "wide-lane.v4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wide.Close()
+	sys = MustNew(cfg)
+	_, streamErr := sys.RunCursor(context.Background(), wide)
+	if streamErr == nil || errors.Is(streamErr, ErrStopped) {
+		t.Fatalf("RunCursor of a wide lane = %v, want the stream's error", streamErr)
+	}
+	refused(sys, streamErr)
+
+	res, err := MustNew(cfg).RunContext(context.Background(), tr)
+	if err != nil || res.Cycles <= 60000 {
+		t.Fatalf("a fresh System ran the trace to %d cycles, %v", res.Cycles, err)
 	}
 }
 

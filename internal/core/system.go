@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strconv"
 
 	"vcache/internal/cache"
@@ -24,6 +25,13 @@ import (
 // ErrDeadlock is returned (or wrapped) when the event queue drains before
 // the GPU retires every warp — a modeling bug, not a workload property.
 var ErrDeadlock = errors.New("core: engine drained before GPU completed (deadlock)")
+
+// ErrStopped is returned by every run on a System after one of its runs
+// ended without completing (cancelled, failed mid-stream or deadlocked),
+// wrapping the error that ended it. Such a run leaves its kernel's warps
+// live and its events queued, so a later run on the System would start
+// among them; run the next trace on a new System.
+var ErrStopped = errors.New("core: system stopped by an earlier run")
 
 // FaultCounts records exceptional events during a run.
 type FaultCounts struct {
@@ -111,6 +119,7 @@ type System struct {
 	finishCycle    uint64 // cycle the last warp retired
 	completed      bool   // the launched kernel's last warp retired
 	kernelDone     func() // onKernelDone, bound once for every launch
+	stopped        error  // ErrStopped and what ended a run that did not complete
 
 	intra intraState // the System's partitions (see intra.go)
 
@@ -477,8 +486,10 @@ func (s *System) Run(tr *trace.Trace) Results {
 // and the given options. Execution proceeds in conservative windows over
 // the System's partitions (see intra.go); cancellation, metrics snapshots
 // and progress are serviced at window barriers, so a cancelled run stops
-// mid-simulation and returns ctx.Err(). The schedule is a pure function
-// of the configuration: options only add observers.
+// mid-simulation and returns ctx.Err(). A run that does not complete
+// stops the System: every later run on it returns ErrStopped. The
+// schedule is a pure function of the configuration: options only add
+// observers.
 func (s *System) RunContext(ctx context.Context, tr *trace.Trace, opts ...Option) (Results, error) {
 	if err := tr.Validate(); err != nil {
 		return Results{}, err
@@ -531,7 +542,12 @@ func (s *System) runInput(ctx context.Context, in traceInput, opts []Option) (Re
 // execute is the one run path: it prepares and launches in, runs the
 // windows until the kernel completes or ctx stops them, and on completion
 // ends with the epilogue that leaves every statistic results reads final.
+// A run that ends otherwise stops the System, and execute refuses every
+// later run with ErrStopped.
 func (s *System) execute(ctx context.Context, in traceInput, o *options) error {
+	if s.stopped != nil {
+		return s.stopped
+	}
 	if o.events != nil {
 		s.AttachTrace(o.events)
 	}
@@ -567,14 +583,15 @@ func (s *System) execute(ctx context.Context, in traceInput, o *options) error {
 		return true
 	}
 	s.runWindows(onWindow)
+	if err == nil {
+		err = in.finishErr()
+	}
+	if err == nil && !s.completed {
+		err = ErrDeadlock
+	}
 	if err != nil {
+		s.stopped = fmt.Errorf("%w: %w", ErrStopped, err)
 		return err
-	}
-	if e := in.finishErr(); e != nil {
-		return e
-	}
-	if !s.completed {
-		return ErrDeadlock
 	}
 	s.io.ExtendSampling()
 	s.peakL2Pages()

@@ -10,14 +10,17 @@
 //     immediately, without occupying a queue slot or worker;
 //   - coalescing: a submission identical to a queued or running job
 //     attaches to that run (singleflight) instead of simulating twice;
-//   - byte-identical replies: results are stored and served in the
-//     canonical apiv1 encoding, so two jobs with one fingerprint return
-//     literally the same bytes.
+//   - byte-identical replies: results are stored and served as their
+//     canonical JSON document (core.EncodeResults), encoded once per run
+//     and served from a cache hit as stored, so two jobs with one
+//     fingerprint return literally the same bytes.
 //
 // Runs execute the simulator's one (partitioned) schedule, so a result
 // computed by the daemon is byte-identical to one computed by the
 // library, vcsim or the figure suite, or found in a cache shared with
-// them.
+// them. Each worker builds every job's trace into one trace.Builder it
+// owns, so a cold job on a warm worker allocates nothing to generate its
+// trace.
 //
 // The HTTP surface (http.go) is a thin translation of this engine into
 // the api/v1 wire schema.
@@ -37,6 +40,7 @@ import (
 	"vcache/internal/core"
 	"vcache/internal/experiments"
 	"vcache/internal/obs"
+	"vcache/internal/trace"
 	"vcache/internal/workloads"
 )
 
@@ -89,15 +93,18 @@ var ErrUnknownJob = errors.New("server: unknown job")
 // coalescing and cancellation are exercised without real simulations.
 type runner interface {
 	// run returns the results plus a final metrics-registry snapshot in
-	// obs JSON form. It must honor ctx.
-	run(ctx context.Context, workload string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error)
+	// obs JSON form. It builds the job's trace into b, the calling
+	// worker's Builder, which nothing may hold once run returns. It must
+	// honor ctx.
+	run(ctx context.Context, b *trace.Builder, workload string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error)
 }
 
 // simRunner is the real thing: the workload's trace built from its
-// generator, then a RunContext.
+// generator into the worker's Builder, then a RunContext. Neither the
+// System, dropped on return, nor the Results hold the trace.
 type simRunner struct{}
 
-func (simRunner) run(ctx context.Context, workload string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error) {
+func (simRunner) run(ctx context.Context, b *trace.Builder, workload string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error) {
 	g, ok := workloads.ByName(workload)
 	if !ok {
 		return core.Results{}, nil, fmt.Errorf("server: unknown workload %q", workload)
@@ -105,7 +112,7 @@ func (simRunner) run(ctx context.Context, workload string, p workloads.Params, c
 	if err := ctx.Err(); err != nil {
 		return core.Results{}, nil, err
 	}
-	tr := g.Build(p)
+	tr := g.BuildInto(b, p)
 	sys, err := core.New(cfg)
 	if err != nil {
 		return core.Results{}, nil, err
@@ -157,17 +164,24 @@ type job struct {
 	cacheHit  bool
 	coalesced bool
 	errMsg    string
-	cycles    uint64
 	wallMS    float64
-	// resultJSON is the canonical apiv1 results encoding; every job with
-	// the same fingerprint holds (and serves) identical bytes.
-	resultJSON  []byte
-	metricsJSON []byte
+	outcome   // set when done
 
 	run  *run
 	done chan struct{} // closed on terminal state
 
 	subs map[*subscriber]struct{}
+}
+
+// outcome is what a done job serves: its run's cycle count, canonical
+// results document (core.EncodeResults) and final metrics snapshot. Every
+// job attached to one run shares the run's outcome, and a cache hit's
+// document is the entry's payload as read, so every job with the same
+// fingerprint serves identical bytes.
+type outcome struct {
+	cycles      uint64
+	resultJSON  []byte
+	metricsJSON []byte
 }
 
 // subscriber is one event-stream consumer. Progress events are dropped
@@ -304,7 +318,7 @@ func (s *Server) Close(ctx context.Context) error {
 		r := heap.Pop(&s.queue).(*run)
 		delete(s.runs, r.key)
 		r.cancel()
-		s.finalizeLocked(r, apiv1.JobCanceled, core.Results{}, nil, context.Canceled)
+		s.finalizeLocked(r, apiv1.JobCanceled, outcome{}, context.Canceled)
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -331,10 +345,11 @@ func (s *Server) Submit(spec apiv1.JobSpec) (apiv1.JobInfo, error) {
 
 	// Cache probe before taking the lock: it reads the disk. A racing
 	// identical submission is still safe — it either coalesces onto a run
-	// below or probes the cache itself.
-	var cached *core.Results
-	if res, ok := s.cache.GetResults(key); ok {
-		cached = &res
+	// below or probes the cache itself. A hit serves the stored document
+	// as read; decoding it only validates it and reads its cycle count.
+	var cached *outcome
+	if res, doc, ok := s.cache.GetResultsDoc(key); ok {
+		cached = &outcome{cycles: res.Cycles, resultJSON: doc}
 	}
 
 	s.mu.Lock()
@@ -377,11 +392,11 @@ func (s *Server) Submit(spec apiv1.JobSpec) (apiv1.JobInfo, error) {
 
 	if cached != nil {
 		j.cacheHit = true
-		s.completeJobLocked(j, apiv1.JobDone, *cached, nil, "")
+		s.completeJobLocked(j, apiv1.JobDone, *cached, "")
 		s.ctr.CacheHits++
 		s.emitProgress(experiments.RunEvent{
 			Workload: j.workload, Design: j.design,
-			Cycles: cached.Cycles, Wall: time.Since(j.submitted), Cached: true,
+			Cycles: cached.cycles, Wall: time.Since(j.submitted), Cached: true,
 		})
 		return s.infoLocked(j), nil
 	}
@@ -408,9 +423,14 @@ func (s *Server) Submit(spec apiv1.JobSpec) (apiv1.JobInfo, error) {
 	return s.infoLocked(j), nil
 }
 
-// worker pops runs in (priority desc, FIFO) order and executes them.
+// worker pops runs in (priority desc, FIFO) order and executes them. It
+// builds every run's trace into one Builder, which grows to the largest
+// trace the worker has built and is released when the worker returns at
+// Close. A run that simulated is encoded, and written to the cache, once,
+// before the server lock is taken.
 func (s *Server) worker() {
 	defer s.wg.Done()
+	b := trace.NewBuilder("", 0, 1, 1)
 	for {
 		s.mu.Lock()
 		for len(s.queue) == 0 && !s.closed {
@@ -432,7 +452,12 @@ func (s *Server) worker() {
 		s.mu.Unlock()
 
 		started := time.Now()
-		res, metricsJSON, err := s.execute(r)
+		res, metricsJSON, err := s.execute(r, b)
+		var out outcome
+		if err == nil {
+			out = outcome{cycles: res.Cycles, resultJSON: core.EncodeResults(res), metricsJSON: metricsJSON}
+			s.cache.PutResultsDoc(r.key, out.resultJSON)
+		}
 
 		s.mu.Lock()
 		s.busy--
@@ -443,33 +468,32 @@ func (s *Server) worker() {
 		}
 		switch {
 		case err == nil:
-			if s.cache != nil {
-				s.cache.PutResults(r.key, res)
-			}
-			s.finalizeLocked(r, apiv1.JobDone, res, metricsJSON, nil)
+			s.finalizeLocked(r, apiv1.JobDone, out, nil)
 			s.emitProgress(experiments.RunEvent{
 				Workload: r.workload, Design: r.design,
-				Cycles: res.Cycles, Wall: time.Since(started),
+				Cycles: out.cycles, Wall: time.Since(started),
 			})
 		case errors.Is(err, context.Canceled):
-			s.finalizeLocked(r, apiv1.JobCanceled, core.Results{}, nil, err)
+			s.finalizeLocked(r, apiv1.JobCanceled, outcome{}, err)
 		default:
-			s.finalizeLocked(r, apiv1.JobFailed, core.Results{}, nil, err)
+			s.finalizeLocked(r, apiv1.JobFailed, outcome{}, err)
 		}
 		s.mu.Unlock()
 	}
 }
 
-// execute runs r on the runner. A panic anywhere in the run becomes the
-// run's error, carrying the panic value and stack, so one bad job fails
-// alone instead of taking down the daemon and every job in flight.
-func (s *Server) execute(r *run) (res core.Results, metricsJSON []byte, err error) {
+// execute runs r on the runner, building its trace into b. A panic
+// anywhere in the run becomes the run's error, carrying the panic value
+// and stack, so one bad job fails alone instead of taking down the daemon
+// and every job in flight; the next run resets b, whatever state the
+// panic left it in.
+func (s *Server) execute(r *run, b *trace.Builder) (res core.Results, metricsJSON []byte, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("server: run panicked: %v\n%s", p, debug.Stack())
 		}
 	}()
-	return s.runner.run(r.ctx, r.workload, r.params, r.cfg, func(p core.Progress) {
+	return s.runner.run(r.ctx, b, r.workload, r.params, r.cfg, func(p core.Progress) {
 		s.fanoutProgress(r, p)
 	})
 }
@@ -489,8 +513,9 @@ func (s *Server) fanoutProgress(r *run, p core.Progress) {
 	}
 }
 
-// finalizeLocked retires every non-terminal job attached to r.
-func (s *Server) finalizeLocked(r *run, state apiv1.JobState, res core.Results, metricsJSON []byte, err error) {
+// finalizeLocked retires every non-terminal job attached to r; a done run
+// hands every job the same outcome.
+func (s *Server) finalizeLocked(r *run, state apiv1.JobState, out outcome, err error) {
 	msg := ""
 	if err != nil && state == apiv1.JobFailed {
 		msg = err.Error()
@@ -499,21 +524,19 @@ func (s *Server) finalizeLocked(r *run, state apiv1.JobState, res core.Results, 
 		if j.state.Terminal() {
 			continue
 		}
-		s.completeJobLocked(j, state, res, metricsJSON, msg)
+		s.completeJobLocked(j, state, out, msg)
 	}
 }
 
 // completeJobLocked moves one job to a terminal state and notifies
-// waiters and subscribers.
-func (s *Server) completeJobLocked(j *job, state apiv1.JobState, res core.Results, metricsJSON []byte, errMsg string) {
+// waiters and subscribers. A done job keeps out, which it serves.
+func (s *Server) completeJobLocked(j *job, state apiv1.JobState, out outcome, errMsg string) {
 	j.state = state
 	j.errMsg = errMsg
 	j.wallMS = float64(time.Since(j.submitted).Microseconds()) / 1e3
 	switch state {
 	case apiv1.JobDone:
-		j.cycles = res.Cycles
-		j.resultJSON = apiv1.EncodeResults(res)
-		j.metricsJSON = metricsJSON
+		j.outcome = out
 		s.ctr.Done++
 	case apiv1.JobFailed:
 		s.ctr.Failed++
@@ -560,7 +583,7 @@ func (s *Server) Cancel(id string) error {
 		return nil // idempotent
 	}
 	r := j.run
-	s.completeJobLocked(j, apiv1.JobCanceled, core.Results{}, nil, "")
+	s.completeJobLocked(j, apiv1.JobCanceled, outcome{}, "")
 	if r == nil {
 		return nil
 	}

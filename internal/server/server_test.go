@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,7 +11,9 @@ import (
 	"time"
 
 	apiv1 "vcache/api/v1"
+	"vcache/internal/artifact"
 	"vcache/internal/core"
+	"vcache/internal/trace"
 	"vcache/internal/workloads"
 )
 
@@ -29,7 +32,7 @@ func newGateRunner() *gateRunner {
 	return &gateRunner{started: make(chan string, 64), gate: make(chan struct{}, 64)}
 }
 
-func (g *gateRunner) run(ctx context.Context, wl string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error) {
+func (g *gateRunner) run(ctx context.Context, _ *trace.Builder, wl string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error) {
 	g.mu.Lock()
 	g.calls++
 	g.mu.Unlock()
@@ -540,7 +543,7 @@ func TestCloseCancelsEverything(t *testing.T) {
 // panicRunner panics on seed 1 and completes every other run at once.
 type panicRunner struct{}
 
-func (panicRunner) run(ctx context.Context, wl string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error) {
+func (panicRunner) run(ctx context.Context, _ *trace.Builder, wl string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error) {
 	if p.Seed == 1 {
 		panic("modelling invariant broken")
 	}
@@ -578,5 +581,65 @@ func TestPanickingRunFailsAlone(t *testing.T) {
 	defer cancel()
 	if err := s.Close(ctx); err != nil {
 		t.Fatalf("close after a panicked run: %v", err)
+	}
+}
+
+// TestWorkerJobsMatchLibrary: one worker builds every job's trace into its
+// one Builder, across workloads and shapes, a larger trace after a smaller
+// one and back, and each job it simulates serves the bytes of a fresh
+// library run; a resubmission serves the cached document, the same bytes.
+func TestWorkerJobsMatchLibrary(t *testing.T) {
+	cache, err := artifact.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Workers: 1, QueueCap: 16, Cache: cache})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Close(ctx)
+	})
+	jobs := []struct {
+		workload, design string
+		cus, warps       int
+	}{
+		{"nw", "vc-opt", 4, 2},
+		{"hotspot", "baseline-512", 8, 4},
+		{"bfs", "vc-opt", 16, 8},
+		{"kmeans", "baseline-512", 2, 1},
+		{"nw", "baseline-512", 8, 4},
+	}
+	for i, jb := range jobs {
+		spec := apiv1.JobSpec{
+			APIVersion: apiv1.Version,
+			Workload: apiv1.WorkloadSpec{Name: jb.workload, Params: workloads.Params{
+				Scale: 1, NumCUs: jb.cus, WarpsPerCU: jb.warps, Seed: uint64(i + 1),
+			}},
+			Design: apiv1.DesignSpec{Preset: jb.design},
+		}
+		cfg, p, err := spec.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _ := workloads.ByName(jb.workload)
+		local, err := core.RunContext(context.Background(), cfg, g.Build(p))
+		if err != nil {
+			t.Fatalf("%s: local run: %v", jb.workload, err)
+		}
+		want := core.EncodeResults(local)
+		for _, hit := range []bool{false, true} {
+			info, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info = waitTerminal(t, s, info.ID); info.State != apiv1.JobDone || info.CacheHit != hit {
+				t.Fatalf("%s on %s at %dx%d: state %s (%s), cache_hit=%v; want done, cache_hit=%v",
+					jb.workload, jb.design, jb.cus, jb.warps, info.State, info.Error, info.CacheHit, hit)
+			}
+			if got, err := s.Result(info.ID); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s on %s at %dx%d (cache_hit=%v): served bytes differ from a fresh library run (%v)",
+					jb.workload, jb.design, jb.cus, jb.warps, hit, err)
+			}
+		}
 	}
 }

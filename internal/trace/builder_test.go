@@ -94,7 +94,8 @@ func drive[E emitter[E]](ops []builderOp, warp func() E, barrier func()) uint64 
 // that a trace staged in more than one block gets an exact-size arena,
 // that one staged in a single block keeps that block as its arena, that a
 // second Build returns the same trace, and that a Builder Reset halfway
-// through another stream, or after a Build, builds the same trace again.
+// through another stream at another shape (what a job that panicked leaves
+// behind), or after a Build, builds the same trace again.
 func buildBoth(t testing.TB, numCUs, warpsPer int, ops []builderOp) {
 	t.Helper()
 	b, ref := NewBuilder("diff", 3, numCUs, warpsPer), newRefBuilder("diff", 3, numCUs, warpsPer)
@@ -120,10 +121,10 @@ func buildBoth(t testing.TB, numCUs, warpsPer int, ops []builderOp) {
 	if streamed := buildStreamed(t, numCUs, warpsPer, ops); !reflect.DeepEqual(streamed, want) {
 		describeDiff(t, streamed, want)
 	}
-	r := NewBuilder("other", 9, numCUs, warpsPer)
+	r := NewBuilder("other", 9, warpsPer+2, numCUs)
 	drive(ops[len(ops)/2:], r.Warp, r.Barrier)
 	for i := 0; i < 2; i++ {
-		r.Reset("diff", 3)
+		r.Reset("diff", 3, numCUs, warpsPer)
 		drive(ops, r.Warp, r.Barrier)
 		if tr := r.Build(); !sameTrace(tr, want) {
 			describeDiff(t, tr, want)
@@ -184,7 +185,13 @@ func describeDiff(t testing.TB, got, want *Trace) {
 			t.Fatalf("arena lane %d = %#x, reference %#x", i, uint64(got.Arena[i]), uint64(want.Arena[i]))
 		}
 	}
+	if len(got.CUs) != len(want.CUs) {
+		t.Fatalf("%d CUs, reference %d", len(got.CUs), len(want.CUs))
+	}
 	for c := range want.CUs {
+		if len(got.CUs[c].Warps) != len(want.CUs[c].Warps) {
+			t.Fatalf("cu %d: %d warps, reference %d", c, len(got.CUs[c].Warps), len(want.CUs[c].Warps))
+		}
 		for w := range want.CUs[c].Warps {
 			g, r := got.CUs[c].Warps[w], want.CUs[c].Warps[w]
 			if len(g) != len(r) {
@@ -369,8 +376,11 @@ func TestBuildArenaAllocations(t *testing.T) {
 
 // TestResetKeepsStorage: a Builder Reset for another trace of the same
 // shape and size builds it without allocating, whether the last trace fit
-// its first block or was copied from several into an exact-size arena;
-// and a streaming Builder, whose chunks its writer owns, cannot be Reset.
+// its first block or was copied from several into an exact-size arena; a
+// Builder Reset across shapes builds what a fresh Builder of each shape
+// builds, and once it has built at each shape, rebuilding at any of them
+// allocates nothing; and a streaming Builder, whose chunks its writer
+// owns, cannot be Reset.
 func TestResetKeepsStorage(t *testing.T) {
 	lanes := make([]memory.VAddr, 32)
 	for i := range lanes {
@@ -379,7 +389,7 @@ func TestResetKeepsStorage(t *testing.T) {
 	for _, accesses := range []int{7, 300} { // 224 lanes, one block; 9,600, several
 		b := NewBuilder("reset", 1, 4, 2)
 		build := func() {
-			b.Reset("reset", 2)
+			b.Reset("reset", 2, 4, 2)
 			for i := 0; i < accesses; i++ {
 				b.Warp().Load(lanes...).Compute(1)
 			}
@@ -394,12 +404,46 @@ func TestResetKeepsStorage(t *testing.T) {
 			t.Errorf("rebuilt trace %q asid %d with %d lanes, want \"reset\" asid 2 with %d", tr.Name, tr.ASID, len(tr.Arena), 32*accesses)
 		}
 	}
+
+	// 300 accesses of 32 lanes, each with its own first lane, in three
+	// kernels: 9,600 lanes, several blocks.
+	emit := func(b *Builder) {
+		for i := 0; i < 300; i++ {
+			lanes[0] = laneAddr(uint64(1000 + i))
+			b.Warp().Load(lanes...).Compute(uint64(i % 7))
+			if i%100 == 99 {
+				b.Barrier()
+			}
+		}
+	}
+	shapes := [][2]int{{4, 2}, {16, 8}, {1, 1}, {4, 2}}
+	b := NewBuilder("", 0, 1, 1)
+	for _, sh := range shapes {
+		b.Reset("reshape", 4, sh[0], sh[1])
+		emit(b)
+		fresh := NewBuilder("reshape", 4, sh[0], sh[1])
+		emit(fresh)
+		if got, want := b.Build(), fresh.Build(); !sameTrace(got, want) {
+			describeDiff(t, got, want)
+		}
+	}
+	rebuild := func() {
+		for _, sh := range shapes {
+			b.Reset("reshape", 4, sh[0], sh[1])
+			emit(b)
+			b.Build()
+		}
+	}
+	if got := testing.AllocsPerRun(5, rebuild); got != 0 {
+		t.Errorf("rebuilding at every shape again allocates %v times, want 0", got)
+	}
+
 	defer func() {
 		if r := recover(); r == nil {
 			t.Error("Reset of a streaming Builder did not panic")
 		}
 	}()
-	NewStreamingBuilder(NewChunkWriter(&bytes.Buffer{}, "s", 1, 1, 1, ChunkOptions{})).Reset("s", 1)
+	NewStreamingBuilder(NewChunkWriter(&bytes.Buffer{}, "s", 1, 1, 1, ChunkOptions{})).Reset("s", 1, 1, 1)
 }
 
 // TestAccessLaneLimits: an access's lane count is an Inst's uint16, so

@@ -311,8 +311,8 @@ func CoalesceLinesInto(dst, addrs []memory.VAddr) []memory.VAddr {
 // stages lane addresses in blocks that never move: the first holds
 // firstBlock addresses, each next one twice the last, up to maxBlock. No
 // block is regrown, so each address is copied at most twice: into its
-// block, and at Build into the arena. Reset empties it for another trace
-// of the same shape and keeps that storage.
+// block, and at Build into the arena. Reset empties it for another trace,
+// of any shape, and keeps that storage.
 //
 // NewStreamingBuilder's Builder holds one chunk of a v4 stream: a Trace
 // whose lanes fill one block sized for a full chunk. Once the chunk
@@ -346,14 +346,9 @@ const (
 // NewBuilder creates a builder for numCUs compute units with warpsPerCU
 // concurrent warp contexts each.
 func NewBuilder(name string, asid memory.ASID, numCUs, warpsPerCU int) *Builder {
-	if numCUs <= 0 || warpsPerCU <= 0 {
-		panic("trace: builder needs positive CU and warp counts")
-	}
-	t := &Trace{Name: name, ASID: asid, CUs: make([]CUTrace, numCUs)}
-	for i := range t.CUs {
-		t.CUs[i].Warps = make([]WarpTrace, warpsPerCU)
-	}
-	return &Builder{tr: t, numCUs: numCUs, warpsPer: warpsPerCU, budget: math.MaxInt}
+	b := &Builder{tr: &Trace{}, budget: math.MaxInt}
+	b.Reset(name, asid, numCUs, warpsPerCU)
+	return b
 }
 
 // NewStreamingBuilder returns the Builder that accumulates cw's chunks, so
@@ -405,23 +400,44 @@ func (b *Builder) Build() *Trace {
 	return b.assemble()
 }
 
-// Reset empties a materializing Builder for the next trace of the same
-// shape, named name and run under asid. It keeps each warp's instruction
-// slice and the lane block, which after Build is the last trace's arena,
-// so a Builder that builds a run of same-sized traces one after another
-// allocates for the first only. The Trace the last Build returned shares
-// that storage (it is the Builder's own Trace): it is invalid after
-// Reset. Reset panics on a streaming Builder, whose chunks its writer
-// owns.
-func (b *Builder) Reset(name string, asid memory.ASID) {
+// Reset empties a materializing Builder for the next trace: named name,
+// run under asid, over numCUs x warpsPerCU warp contexts. It keeps the
+// lane block, which after Build is the last trace's arena, and the
+// instruction slices of every warp context it has held, including those
+// outside the new shape, for a later Reset back to a larger one. So a
+// Builder that builds traces one after another allocates only for a trace
+// larger than every one before it: in lanes, in shape, or in the
+// instructions of one warp context. The Trace the last Build returned shares that storage (it
+// is the Builder's own Trace): it is invalid after Reset. Reset panics on
+// a streaming Builder, whose chunks its writer owns, and on a shape
+// without warp contexts.
+func (b *Builder) Reset(name string, asid memory.ASID, numCUs, warpsPerCU int) {
 	if b.cw != nil {
 		panic("trace: Reset of a streaming Builder")
 	}
+	if numCUs <= 0 || warpsPerCU <= 0 {
+		panic("trace: builder needs positive CU and warp counts")
+	}
 	b.tr.Name, b.tr.ASID, b.tr.Arena = name, asid, nil
+	b.tr.CUs = reshape(b.tr.CUs, numCUs)
+	for c := range b.tr.CUs {
+		b.tr.CUs[c].Warps = reshape(b.tr.CUs[c].Warps, warpsPerCU)
+	}
+	b.numCUs, b.warpsPer = numCUs, warpsPerCU
 	clear(b.full)
 	b.full = b.full[:0]
 	b.empty()
 	b.next = 0
+}
+
+// reshape returns s resliced to n elements. The elements past n stay in
+// its capacity, for a later reshape to reach them again; new elements are
+// zero.
+func reshape[S ~[]E, E any](s S, n int) S {
+	if n > cap(s) {
+		s = slices.Grow(s[:cap(s)], n-cap(s))
+	}
+	return s[:n]
 }
 
 // assemble points the trace's arena at the staged lanes, first copying

@@ -2,10 +2,41 @@ package workloads
 
 import (
 	"io"
+	"slices"
 	"testing"
 
 	"vcache/internal/trace"
 )
+
+// TestBuildIntoMatchesBuild: one Builder reset from generator to
+// generator and from shape to shape, as a vcsimd worker's is, builds the
+// trace Build builds every time.
+func TestBuildIntoMatchesBuild(t *testing.T) {
+	b := trace.NewBuilder("", 0, 1, 1)
+	for _, shape := range [][2]int{{8, 4}, {4, 2}, {16, 8}, {8, 4}} {
+		p := Params{Scale: 1, NumCUs: shape[0], WarpsPerCU: shape[1], Seed: 42}
+		for _, g := range All() {
+			if got, want := g.BuildInto(b, p), g.Build(p); !sameTrace(got, want) {
+				t.Errorf("%s at %dx%d: BuildInto into a reused Builder differs from Build", g.Name, shape[0], shape[1])
+			}
+		}
+	}
+}
+
+// sameTrace reports whether two traces hold the same name, ASID,
+// instructions and lanes, taking an empty warp stream for a nil one: a
+// reset Builder keeps an emptied warp's slice.
+func sameTrace(a, b *trace.Trace) bool {
+	if a.Name != b.Name || a.ASID != b.ASID || len(a.CUs) != len(b.CUs) || !slices.Equal(a.Arena, b.Arena) {
+		return false
+	}
+	for c := range a.CUs {
+		if !slices.EqualFunc(a.CUs[c].Warps, b.CUs[c].Warps, func(x, y trace.WarpTrace) bool { return slices.Equal(x, y) }) {
+			return false
+		}
+	}
+	return true
+}
 
 // TestGenerationAllocatesNothingPerAccess: generators refill stack lane
 // buffers, so what a Build allocates (the graph and work lists, the

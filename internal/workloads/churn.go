@@ -192,14 +192,15 @@ func (pl ChurnPlan) KernelTrace(l ChurnLaunch) *trace.Trace {
 }
 
 // KernelInto builds launch l's kernel, the trace KernelTrace returns, into
-// b, a materializing Builder of NumCUs x WarpsPerCU warp contexts: it
-// resets b and returns b's Build. Every kernel of a plan has the same
-// shape and lane count, so a replay that builds each launch into one
-// Builder allocates its instruction slices and lane block for the first
-// launch only; the trace of one launch is invalid once the next is built.
+// b, a materializing Builder of any shape: it resets b to NumCUs x
+// WarpsPerCU warp contexts and returns b's Build. Every kernel of a plan
+// has the same shape and lane count, so a replay that builds each launch
+// into one Builder allocates its instruction slices and lane block for the
+// first launch only; the trace of one launch is invalid once the next is
+// built.
 func (pl ChurnPlan) KernelInto(b *trace.Builder, l ChurnLaunch) *trace.Trace {
 	p := pl.Params
-	b.Reset(fmt.Sprintf("churn.t%02d.k%03d", l.Tenant, l.Seq), l.ASID)
+	b.Reset(fmt.Sprintf("churn.t%02d.k%03d", l.Tenant, l.Seq), l.ASID, p.NumCUs, p.WarpsPerCU)
 	r := newRNG(p.Seed ^ uint64(l.Tenant)*0x9e3779b97f4a7c15 ^ uint64(l.Seq)*0xbf58476d1ce4e5b9)
 	warps := b.NumWarps()
 	for wi := 0; wi < warps; wi++ {

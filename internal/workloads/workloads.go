@@ -84,10 +84,22 @@ type Generator struct {
 	emit          func(Params, *trace.Builder)
 }
 
-// Build materializes the workload's trace for the given parameters.
+// Build materializes the workload's trace for the given parameters: it is
+// BuildInto on a fresh Builder.
 func (g Generator) Build(p Params) *trace.Trace {
 	p = p.normalized()
-	b := trace.NewBuilder(g.Name, 1, p.NumCUs, p.WarpsPerCU)
+	return g.BuildInto(trace.NewBuilder(g.Name, 1, p.NumCUs, p.WarpsPerCU), p)
+}
+
+// BuildInto materializes the workload's trace into b, a materializing
+// Builder of any shape: it resets b to the trace's name and warp-context
+// pool, emits into it and returns b's Build. A caller that builds trace
+// after trace into one Builder, as each vcsimd worker does, allocates only
+// for a trace larger than every one before it; each trace is invalid once
+// the next is built.
+func (g Generator) BuildInto(b *trace.Builder, p Params) *trace.Trace {
+	p = p.normalized()
+	b.Reset(g.Name, 1, p.NumCUs, p.WarpsPerCU)
 	g.emit(p, b)
 	return b.Build()
 }
