@@ -223,9 +223,7 @@ func writeMetrics(suite *experiments.Suite, path string) error {
 		if !ok {
 			continue
 		}
-		b = append(b[:0], fmt.Sprintf(`{"workload":%q,"design":%q,"snapshot":`, wl, design)...)
-		b = snap.AppendJSON(b)
-		b = append(b, "}\n"...)
+		b = snap.AppendRecord(b[:0], wl, design)
 		if _, err := f.Write(b); err != nil {
 			f.Close()
 			return err

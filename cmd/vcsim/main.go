@@ -414,9 +414,7 @@ func writeMetrics(path, workload string, cfgs []core.Config, snaps [][]obs.Snaps
 	n := 0
 	for i, cfg := range cfgs {
 		for _, snap := range snaps[i] {
-			b = append(b[:0], fmt.Sprintf(`{"workload":%q,"design":%q,"snapshot":`, workload, cfg.Name)...)
-			b = snap.AppendJSON(b)
-			b = append(b, "}\n"...)
+			b = snap.AppendRecord(b[:0], workload, cfg.Name)
 			if _, err := f.Write(b); err != nil {
 				f.Close()
 				return err

@@ -39,19 +39,13 @@ const (
 	L1OnlyVirtual
 )
 
+// String returns the kind's canonical wire name (kindNames), or
+// MMUKind(n) for an unknown kind.
 func (k MMUKind) String() string {
-	switch k {
-	case IdealMMU:
-		return "ideal-mmu"
-	case PhysicalBaseline:
-		return "physical-baseline"
-	case VirtualHierarchy:
-		return "virtual-hierarchy"
-	case L1OnlyVirtual:
-		return "l1-only-virtual"
-	default:
-		return fmt.Sprintf("MMUKind(%d)", int(k))
+	if n, ok := kindNames[k]; ok {
+		return n
 	}
+	return fmt.Sprintf("MMUKind(%d)", int(k))
 }
 
 // FaultPolicy says what the system does when a read-write synonym or

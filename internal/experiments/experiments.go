@@ -3,13 +3,18 @@
 // figures that share configurations (e.g. the Baseline 512 runs used by
 // Figures 2, 3, 4, 8 and 9) simulate each combination once.
 //
+// One catalog (plan.go) lists every table, figure and extra study in
+// render order. Each entry declares the runs its render reads, as a
+// workload set crossed with a list of configs, so adding an experiment
+// takes one entry plus its render method.
+//
 // Every simulation is a self-contained, single-threaded, deterministic
 // event loop over an immutable trace, so independent (workload, design)
-// pairs are embarrassingly parallel. The suite exploits that: each figure
-// declares the runs it needs (see plan.go), and Precompute executes the
-// union of the requested figures' plans on a worker pool — traces first,
-// then simulations — while the render methods read the memoized results.
-// Results are bit-identical to serial execution; only scheduling changes.
+// pairs are embarrassingly parallel. The suite exploits that: Precompute
+// executes the union of the requested entries' runs on a worker pool —
+// traces first, then simulations — while the render methods read the
+// memoized results. Results are bit-identical to serial execution; only
+// scheduling changes.
 package experiments
 
 import (

@@ -11,14 +11,6 @@ import (
 	"vcache/internal/trace"
 )
 
-// Extras lists experiment ids beyond the paper's figures: the §4.3 area
-// accounting and ablations of the design points §3.2/§4.3 discuss
-// qualitatively (banked shared TLBs, large pages, dynamic synonym
-// remapping, invalidation filters).
-func Extras() []string {
-	return []string{"area", "banked", "largepages", "dsr", "energy", "churn"}
-}
-
 // Area renders the §4.3 storage accounting.
 func Area() string {
 	r := area.Model(area.DefaultParams())

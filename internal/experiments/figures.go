@@ -6,6 +6,7 @@ import (
 
 	"vcache/internal/core"
 	"vcache/internal/report"
+	"vcache/internal/workloads"
 )
 
 // perCUTLBSizes is the Figure 2 sweep (0 = infinite).
@@ -473,15 +474,15 @@ type Fig12Row struct {
 	L2Data     float64
 }
 
-// fig12Workload picks Figure 12's subject: bfs, or the suite's first
+// fig12Workloads is Figure 12's one subject: bfs, or the suite's first
 // workload when bfs is not selected.
-func (s *Suite) fig12Workload() string {
-	for _, g := range s.gens {
+func (s *Suite) fig12Workloads() []workloads.Generator {
+	for i, g := range s.gens {
 		if g.Name == "bfs" {
-			return g.Name
+			return s.gens[i : i+1]
 		}
 	}
-	return s.gens[0].Name
+	return s.gens[:1]
 }
 
 // fig12Config is Baseline 512 with lifetime tracking on.
@@ -495,7 +496,7 @@ func fig12Config() core.Config {
 // Fig12 records residence-time CDFs for the bfs workload (or the suite's
 // first workload if bfs is not selected).
 func (s *Suite) Fig12() ([]Fig12Row, string) {
-	wl := s.fig12Workload()
+	wl := s.fig12Workloads()[0].Name
 	r := s.Run(wl, fig12Config())
 	const cyclesPerNs = 0.7 // 700 MHz
 	var rows []Fig12Row
@@ -522,72 +523,20 @@ func (s *Suite) Fig12() ([]Fig12Row, string) {
 
 // ---------------------------------------------------------------------------
 
-// Figures lists the available experiment ids in order.
-func Figures() []string {
-	return []string{"table1", "table2", "2", "3", "4", "5", "8", "9", "10", "11", "12"}
-}
-
-// Render runs one experiment by id and returns its text. The figure's
+// Render runs one experiment by id and returns its text. The entry's
 // simulations execute on the suite's worker pool first (see Precompute),
 // so even a single figure's independent runs go wide; the serial render
-// below then reads memoized results in a deterministic order.
+// then reads memoized results in a deterministic order.
 func (s *Suite) Render(id string) (string, error) {
-	if err := s.Precompute(id); err != nil {
-		return "", err
-	}
-	switch id {
-	case "table1":
-		return Table1(), nil
-	case "table2":
-		return Table2(), nil
-	case "2":
-		_, out := s.Fig2()
-		return out, nil
-	case "3":
-		_, out := s.Fig3()
-		return out, nil
-	case "4":
-		_, out := s.Fig4()
-		return out, nil
-	case "5":
-		_, out := s.Fig5()
-		return out, nil
-	case "8":
-		_, out := s.Fig8()
-		return out, nil
-	case "9":
-		_, out := s.Fig9()
-		return out, nil
-	case "10":
-		_, out := s.Fig10()
-		return out, nil
-	case "11":
-		_, out := s.Fig11()
-		return out, nil
-	case "12":
-		_, out := s.Fig12()
-		return out, nil
-	case "area":
-		return Area(), nil
-	case "banked":
-		_, out := s.Banked()
-		return out, nil
-	case "largepages":
-		_, out := s.LargePages()
-		return out, nil
-	case "dsr":
-		_, out := s.DSR()
-		return out, nil
-	case "energy":
-		_, out := s.Energy()
-		return out, nil
-	case "churn":
-		_, out := s.Churn()
-		return out, nil
-	default:
+	e, ok := lookup(id)
+	if !ok {
 		return "", fmt.Errorf("experiments: unknown figure %q (have %s; extras: %s)",
 			id, strings.Join(Figures(), ", "), strings.Join(Extras(), ", "))
 	}
+	if err := s.Precompute(id); err != nil {
+		return "", err
+	}
+	return e.render(s), nil
 }
 
 // RenderAll runs every experiment and concatenates the reports. The

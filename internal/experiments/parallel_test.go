@@ -3,6 +3,7 @@ package experiments
 import (
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -158,25 +159,34 @@ func TestRunConcurrentHammer(t *testing.T) {
 	}
 }
 
-// Every figure's plan must cover every run its render method performs:
-// after Precompute(id), rendering id must simulate nothing new.
+// Every catalog entry's declared runs must cover every run its render
+// reads: after Precompute(id), rendering id must simulate nothing new.
+// Ids are unique, and Figures then Extras list them in catalog order.
 func TestPlansCoverFigures(t *testing.T) {
-	for _, id := range append(Figures(), Extras()...) {
+	var ids []string
+	for _, e := range catalog {
+		if slices.Contains(ids, e.id) {
+			t.Errorf("catalog id %q appears twice", e.id)
+		}
+		ids = append(ids, e.id)
 		s, err := New(testParams(), []string{"fw_block", "kmeans"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.Workers = 4
-		if err := s.Precompute(id); err != nil {
-			t.Fatalf("%s: %v", id, err)
+		if err := s.Precompute(e.id); err != nil {
+			t.Fatalf("%s: %v", e.id, err)
 		}
 		n := s.RunCount()
-		if _, err := s.Render(id); err != nil {
-			t.Fatalf("%s: %v", id, err)
+		if _, err := s.Render(e.id); err != nil {
+			t.Fatalf("%s: %v", e.id, err)
 		}
 		if got := s.RunCount(); got != n {
-			t.Errorf("figure %s: plan incomplete, render added %d runs", id, got-n)
+			t.Errorf("figure %s: plan incomplete, render added %d runs", e.id, got-n)
 		}
+	}
+	if got := append(Figures(), Extras()...); !slices.Equal(got, ids) {
+		t.Errorf("Figures then Extras = %v, catalog order %v", got, ids)
 	}
 }
 

@@ -15,114 +15,135 @@ type RunRequest struct {
 	Config   core.Config
 }
 
-// planners maps experiment ids to the (workload, config) pairs the
-// figure's render method will request, so Precompute can execute the
-// union of several figures' runs on a worker pool before any rendering
-// happens. Ids that run no suite simulations (table1, table2, area, and
-// dsr, which builds its own synthetic system) are absent.
-// TestPlansCoverFigures keeps this table in lockstep with the render
-// methods: rendering a precomputed figure must add zero new runs.
-var planners = map[string]func(*Suite) []RunRequest{
-	"2":          (*Suite).planFig2,
-	"3":          (*Suite).planFig3,
-	"4":          (*Suite).planFig4,
-	"5":          (*Suite).planFig5,
-	"8":          (*Suite).planFig8,
-	"9":          (*Suite).planFig9,
-	"10":         (*Suite).planFig10,
-	"11":         (*Suite).planFig11,
-	"12":         (*Suite).planFig12,
-	"banked":     (*Suite).planBanked,
-	"largepages": (*Suite).planLargePages,
-	"energy":     (*Suite).planEnergy,
+// An experiment is one catalog entry: a table, figure or extra study.
+type experiment struct {
+	id    string
+	extra bool // beyond the paper's evaluation: listed by Extras, not Figures
+	// The runs render reads: every workload wls returns under every config
+	// in configs, workload-major. A nil wls means render reads no suite
+	// runs: it builds no System, or builds its own.
+	wls     func(*Suite) []workloads.Generator
+	configs []core.Config
+	render  func(*Suite) string
 }
 
-// cross pairs every generator with every config.
-func cross(gens []workloads.Generator, cfgs ...core.Config) []RunRequest {
-	out := make([]RunRequest, 0, len(gens)*len(cfgs))
-	for _, g := range gens {
-		for _, c := range cfgs {
-			out = append(out, RunRequest{Workload: g.Name, Config: c})
+// catalog lists every experiment in render order, the paper's tables and
+// figures first. Render precomputes the runs an entry declares before it
+// calls the entry's render, and TestPlansCoverFigures checks that the
+// declared runs cover every run the render reads: rendering a
+// precomputed entry must add zero new runs.
+var catalog = []experiment{
+	{id: "table1", render: static(Table1)},
+	{id: "table2", render: static(Table2)},
+	{id: "2", render: text((*Suite).Fig2),
+		wls: (*Suite).Workloads, configs: sweep(fig2Config, perCUTLBSizes)},
+	{id: "3", render: text((*Suite).Fig3),
+		wls: (*Suite).Workloads, configs: []core.Config{fig3Config()}},
+	{id: "4", render: text((*Suite).Fig4),
+		wls: (*Suite).Workloads, configs: []core.Config{
+			core.DesignIdeal(), baseline512Probed(), core.DesignBaseline16K()}},
+	{id: "5", render: text((*Suite).Fig5),
+		wls: (*Suite).highBandwidth, configs: append([]core.Config{core.DesignIdeal()},
+			sweep(fig5Config, fig5Bandwidths)...)},
+	{id: "8", render: text((*Suite).Fig8),
+		wls: (*Suite).Workloads, configs: []core.Config{
+			baseline512Probed(), core.DesignVCOpt()}},
+	{id: "9", render: text((*Suite).Fig9),
+		wls: (*Suite).Workloads, configs: []core.Config{
+			core.DesignIdeal(), baseline512Probed(), core.DesignBaseline16K(),
+			core.DesignVC(), core.DesignVCOpt()}},
+	{id: "10", render: text((*Suite).Fig10),
+		wls: (*Suite).highBandwidth, configs: []core.Config{
+			core.DesignBaselineLargePerCU(), core.DesignVCOpt()}},
+	{id: "11", render: text((*Suite).Fig11),
+		wls: (*Suite).Workloads, configs: []core.Config{
+			core.DesignBaseline16K(), core.DesignL1OnlyVC(32),
+			core.DesignL1OnlyVC(128), core.DesignVCOpt()}},
+	{id: "12", render: text((*Suite).Fig12),
+		wls: (*Suite).fig12Workloads, configs: []core.Config{fig12Config()}},
+	{id: "area", extra: true, render: static(Area)},
+	{id: "banked", extra: true, render: text((*Suite).Banked),
+		wls: (*Suite).highBandwidth, configs: append(bankedDesigns(), core.DesignIdeal())},
+	{id: "largepages", extra: true, render: text((*Suite).LargePages),
+		wls: (*Suite).highBandwidth, configs: []core.Config{
+			baseline512Probed(), largePagesConfig(), core.DesignVCOpt()}},
+	{id: "dsr", extra: true, render: text((*Suite).DSR)},
+	{id: "energy", extra: true, render: text((*Suite).Energy),
+		wls: (*Suite).highBandwidth, configs: []core.Config{
+			baseline512Probed(), core.DesignVCOpt()}},
+	{id: "churn", extra: true, render: text((*Suite).Churn)},
+}
+
+// text adapts a figure method, which returns its rows and its text, to a
+// render.
+func text[R any](fig func(*Suite) (R, string)) func(*Suite) string {
+	return func(s *Suite) string {
+		_, out := fig(s)
+		return out
+	}
+}
+
+// static adapts a render that reads no suite state.
+func static(render func() string) func(*Suite) string {
+	return func(*Suite) string { return render() }
+}
+
+// sweep builds one config per swept value.
+func sweep(config func(int) core.Config, values []int) []core.Config {
+	out := make([]core.Config, len(values))
+	for i, v := range values {
+		out[i] = config(v)
+	}
+	return out
+}
+
+// lookup finds the catalog entry with the given id.
+func lookup(id string) (experiment, bool) {
+	for _, e := range catalog {
+		if e.id == id {
+			return e, true
+		}
+	}
+	return experiment{}, false
+}
+
+// Figures lists the paper's tables and figures in render order.
+func Figures() []string { return catalogIDs(false) }
+
+// Extras lists experiment ids beyond the paper's figures: the §4.3 area
+// accounting, ablations of the design points §3.2/§4.3 discuss
+// qualitatively (banked shared TLBs, large pages, dynamic synonym
+// remapping), the dynamic-energy estimate and the tenant-churn study.
+func Extras() []string { return catalogIDs(true) }
+
+func catalogIDs(extra bool) []string {
+	var out []string
+	for _, e := range catalog {
+		if e.extra == extra {
+			out = append(out, e.id)
 		}
 	}
 	return out
 }
 
-func (s *Suite) planFig2() []RunRequest {
-	var out []RunRequest
-	for _, g := range s.gens {
-		for _, size := range perCUTLBSizes {
-			out = append(out, RunRequest{g.Name, fig2Config(size)})
-		}
-	}
-	return out
-}
-
-func (s *Suite) planFig3() []RunRequest {
-	return cross(s.gens, fig3Config())
-}
-
-func (s *Suite) planFig4() []RunRequest {
-	return cross(s.gens, core.DesignIdeal(), baseline512Probed(), core.DesignBaseline16K())
-}
-
-func (s *Suite) planFig5() []RunRequest {
-	out := cross(s.highBandwidth(), core.DesignIdeal())
-	for _, bw := range fig5Bandwidths {
-		out = append(out, cross(s.highBandwidth(), fig5Config(bw))...)
-	}
-	return out
-}
-
-func (s *Suite) planFig8() []RunRequest {
-	return cross(s.gens, baseline512Probed(), core.DesignVCOpt())
-}
-
-func (s *Suite) planFig9() []RunRequest {
-	return cross(s.gens, core.DesignIdeal(), baseline512Probed(),
-		core.DesignBaseline16K(), core.DesignVC(), core.DesignVCOpt())
-}
-
-func (s *Suite) planFig10() []RunRequest {
-	return cross(s.highBandwidth(), core.DesignBaselineLargePerCU(), core.DesignVCOpt())
-}
-
-func (s *Suite) planFig11() []RunRequest {
-	return cross(s.gens, core.DesignBaseline16K(), core.DesignL1OnlyVC(32),
-		core.DesignL1OnlyVC(128), core.DesignVCOpt())
-}
-
-func (s *Suite) planFig12() []RunRequest {
-	return []RunRequest{{s.fig12Workload(), fig12Config()}}
-}
-
-func (s *Suite) planBanked() []RunRequest {
-	return cross(s.highBandwidth(), append(bankedDesigns(), core.DesignIdeal())...)
-}
-
-func (s *Suite) planLargePages() []RunRequest {
-	return cross(s.highBandwidth(), baseline512Probed(), largePagesConfig(), core.DesignVCOpt())
-}
-
-func (s *Suite) planEnergy() []RunRequest {
-	return cross(s.highBandwidth(), baseline512Probed(), core.DesignVCOpt())
-}
-
-// Plan returns the union of the named experiments' runs, deduplicated by
+// Plan returns the union of the runs the named catalog entries declare,
+// each entry's workloads crossed with its configs, deduplicated by
 // (workload, config) like Run's memo, in a stable first-requested order.
 // Unknown ids and ids that need no suite runs contribute nothing.
 func (s *Suite) Plan(ids ...string) []RunRequest {
 	seen := make(map[RunRequest]bool)
 	var out []RunRequest
 	for _, id := range ids {
-		plan, ok := planners[id]
-		if !ok {
+		e, ok := lookup(id)
+		if !ok || e.wls == nil {
 			continue
 		}
-		for _, r := range plan(s) {
-			if !seen[r] {
-				seen[r] = true
-				out = append(out, r)
+		for _, g := range e.wls(s) {
+			for _, cfg := range e.configs {
+				if r := (RunRequest{g.Name, cfg}); !seen[r] {
+					seen[r] = true
+					out = append(out, r)
+				}
 			}
 		}
 	}

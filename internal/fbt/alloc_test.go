@@ -35,4 +35,11 @@ func TestAllocateZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state FBT cycle allocates %.1f times per run, want 0", allocs)
 	}
+	// The presize is two FT slots per BT entry, and the churn never grew it.
+	if got := f.ft.Cap(); got != 512 {
+		t.Errorf("forward table has %d slots after the churn, want 512", got)
+	}
+	if got := New(DefaultConfig()).ft.Cap(); got != 32768 {
+		t.Errorf("default forward table has %d slots, want 32768", got)
+	}
 }

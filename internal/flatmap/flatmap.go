@@ -192,10 +192,11 @@ func (m *Map[V]) alloc(capacity int) {
 }
 
 // capFor returns the smallest power-of-two capacity that holds n entries
-// under the load threshold.
+// under the load threshold: an insert grows the table only past cap/2
+// entries, so 2n slots hold n.
 func capFor(n int) int {
 	c := minCap
-	for c*loadNum/loadDen <= n {
+	for c*loadNum/loadDen < n {
 		c <<= 1
 	}
 	return c
@@ -224,19 +225,37 @@ func (m *Map[V]) Reset() {
 	m.used = 0
 }
 
-// ensure makes room for one more entry: sweep dead residue when the load
-// threshold is hit, and only grow if the table is still too full.
-func (m *Map[V]) ensure() {
-	if m.slots == nil {
-		m.alloc(minCap)
-		return
-	}
-	if (m.used+1)*loadDen > len(m.slots)*loadNum {
+// full reports whether one more entry would cross the load threshold.
+func (m *Map[V]) full() bool { return (m.used+1)*loadDen > len(m.slots)*loadNum }
+
+// find returns k's slot, reporting whether k occupies it (live or dead).
+// When k is absent the slot is the empty one an insert of k fills, after
+// making room if the insert would cross the load threshold: sweep dead
+// residue, and only grow if the table is still too full. Only inserts
+// count, so a table Grow sized for n entries never grows while it holds n.
+func (m *Map[V]) find(k uint64) (uint64, bool) {
+	if m.slots != nil {
+		i := m.home(k)
+		for ; m.slots[i].used != 0; i = (i + 1) & m.mask {
+			if m.slots[i].key == k {
+				return i, true
+			}
+		}
+		if !m.full() {
+			return i, false
+		}
 		m.sweep()
-		if (m.used+1)*loadDen > len(m.slots)*loadNum {
+		if m.full() {
 			m.rehash(len(m.slots) * 2)
 		}
+	} else {
+		m.alloc(minCap)
 	}
+	i := m.home(k)
+	for m.slots[i].used != 0 {
+		i = (i + 1) & m.mask
+	}
+	return i, false
 }
 
 func (m *Map[V]) rehash(capacity int) {
@@ -339,29 +358,21 @@ func (m *Map[V]) Ref(k uint64) *V {
 // whether it replaced a live entry (a dead entry under the same key counts
 // as absent, exactly as its owner already accounted it).
 func (m *Map[V]) Put(k uint64, v V) bool {
-	m.ensure()
 	var b uint32
 	if m.ep != nil {
 		b = m.ep.seq
 	}
-	i := m.home(k)
-	for {
-		s := &m.slots[i]
-		if s.used == 0 {
-			break
-		}
-		if s.key == k {
-			// A dead entry under k is overwritten in place but counts as a
-			// fresh insert, exactly as its owner already accounted it.
-			live := m.ep == nil || m.ep.Live(KeyASID(s.key), s.born)
-			m.vals[i] = v
-			s.born = b
-			return live
-		}
-		i = (i + 1) & m.mask
-	}
-	m.slots[i] = slot{key: k, born: b, used: 1}
+	i, found := m.find(k)
+	s := &m.slots[i]
 	m.vals[i] = v
+	if found {
+		// A dead entry under k is overwritten in place but counts as a
+		// fresh insert, exactly as its owner already accounted it.
+		live := m.ep == nil || m.ep.Live(KeyASID(s.key), s.born)
+		s.born = b
+		return live
+	}
+	*s = slot{key: k, born: b, used: 1}
 	m.used++
 	return false
 }
@@ -370,29 +381,22 @@ func (m *Map[V]) Put(k uint64, v V) bool {
 // at the current generation) if absent. The pointer is valid only until the
 // next mutating call.
 func (m *Map[V]) Upsert(k uint64) *V {
-	m.ensure()
-	i := m.home(k)
-	for {
-		s := &m.slots[i]
-		if s.used == 0 {
-			break
+	i, found := m.find(k)
+	s := &m.slots[i]
+	if found {
+		if m.ep != nil && !m.ep.Live(KeyASID(s.key), s.born) {
+			// Reuse the dead slot as a fresh zero-valued insert.
+			s.born = m.ep.seq
+			var zero V
+			m.vals[i] = zero
 		}
-		if s.key == k {
-			if m.ep != nil && !m.ep.Live(KeyASID(s.key), s.born) {
-				// Reuse the dead slot as a fresh zero-valued insert.
-				s.born = m.ep.seq
-				var zero V
-				m.vals[i] = zero
-			}
-			return &m.vals[i]
-		}
-		i = (i + 1) & m.mask
+		return &m.vals[i]
 	}
 	var b uint32
 	if m.ep != nil {
 		b = m.ep.seq
 	}
-	m.slots[i] = slot{key: k, born: b, used: 1}
+	*s = slot{key: k, born: b, used: 1}
 	m.used++
 	return &m.vals[i]
 }

@@ -1,6 +1,7 @@
 package flatmap
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -256,34 +257,40 @@ func TestUpsertAndRef(t *testing.T) {
 }
 
 // TestGrowPresizes pins the 0-allocation contract the FBT relies on: after
-// Grow(n), n inserts interleaved with deletes and epoch kills never
-// reallocate.
+// Grow(n), rounds of n puts (updates of live keys among them) interleaved
+// with deletes and epoch kills never reallocate. Grow asks for no more
+// than it needs: the smallest power of two of at least 2n slots (the
+// FBT's Grow(16384) is 32,768 slots).
 func TestGrowPresizes(t *testing.T) {
-	var ep Epoch
-	var m Map[int]
-	m.Init(&ep)
-	const n = 1000
-	m.Grow(n)
-	c := m.Cap()
-	rng := rand.New(rand.NewSource(11))
-	for round := 0; round < 20; round++ {
-		for i := 0; i < n; i++ {
-			m.Put(Key(uint16(i%4), uint64(i)), i)
+	for _, n := range []int{3, 1000, 16384} {
+		var ep Epoch
+		var m Map[int]
+		m.Init(&ep)
+		m.Grow(n)
+		c := m.Cap()
+		if want := max(minCap, 1<<bits.Len(uint(2*n-1))); c != want {
+			t.Fatalf("n=%d: Grow sized %d slots, want %d", n, c, want)
 		}
-		switch round % 3 {
-		case 0:
-			g := ep.Bump()
-			ep.MarkDeadAll(g)
-		case 1:
-			g := ep.Bump()
-			ep.MarkDeadASID(uint16(rng.Intn(4)), g)
-		case 2:
-			for i := 0; i < n; i += 2 {
-				m.Delete(Key(uint16(i%4), uint64(i)))
+		rng := rand.New(rand.NewSource(11))
+		for round := 0; round < 20; round++ {
+			for i := 0; i < n; i++ {
+				m.Put(Key(uint16(i%4), uint64(i)), i)
 			}
-		}
-		if m.Cap() != c {
-			t.Fatalf("round %d: capacity grew %d -> %d despite presize", round, c, m.Cap())
+			switch round % 3 {
+			case 0:
+				g := ep.Bump()
+				ep.MarkDeadAll(g)
+			case 1:
+				g := ep.Bump()
+				ep.MarkDeadASID(uint16(rng.Intn(4)), g)
+			case 2:
+				for i := 0; i < n; i += 2 {
+					m.Delete(Key(uint16(i%4), uint64(i)))
+				}
+			}
+			if m.Cap() != c {
+				t.Fatalf("n=%d round %d: capacity grew %d -> %d despite presize", n, round, c, m.Cap())
+			}
 		}
 	}
 }

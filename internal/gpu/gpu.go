@@ -40,22 +40,6 @@ type MemoryPath interface {
 	Access(cu int, addr memory.VAddr, write bool, done func())
 }
 
-// StreamSource feeds warp instruction streams incrementally, so a trace
-// far larger than memory can replay in bounded space (trace.Cursor is the
-// canonical implementation). NextSegment returns the next contiguous
-// piece of (cu, warp)'s stream, or ok=false once the stream is exhausted;
-// WarpLen must report the full per-warp instruction count up front so
-// launch decisions (which warp contexts are live) match the materialized
-// trace exactly. NextSegment is called from simulation event context and
-// may block on I/O or decode; that time is host time, invisible to the
-// simulated clock.
-type StreamSource interface {
-	NumCUs() int
-	NumWarps(cu int) int
-	WarpLen(cu, warp int) uint64
-	NextSegment(cu, warp int) (trace.Segment, bool)
-}
-
 // Fabric carries the messages between the CU front ends and the
 // warp-global coordinator — live-warp count, barrier rendezvous, run
 // completion. The CUs reach the coordinator only through ToCoord (CU ->
@@ -141,7 +125,7 @@ type warp struct {
 	cu      *cu
 	stream  trace.WarpTrace
 	arena   []memory.VAddr // owning trace's (or current segment's) arena
-	src     StreamSource   // non-nil: refill stream/arena segment by segment
+	src     *trace.Cursor  // non-nil: refill stream/arena segment by segment
 	wi      int            // warp index within the CU (for src refills)
 	pc      int
 	pending int
@@ -185,13 +169,16 @@ func (g *GPU) Launch(tr *trace.Trace, onComplete func()) {
 	})
 }
 
-// LaunchStream is Launch for an incrementally-fed trace: warp contexts
-// with a non-zero total instruction count are bound and scheduled exactly
-// as Launch binds materialized streams, but each warp pulls its
-// instructions segment by segment from src as it executes. The event
-// schedule is identical to a Launch of the materialized equivalent —
-// refills are pure host work inside the same warp event.
-func (g *GPU) LaunchStream(src StreamSource, onComplete func()) {
+// LaunchStream is Launch for a chunked trace replayed through a cursor, so
+// a trace far larger than memory replays in bounded space: warp contexts
+// with a non-zero total instruction count (read up front from the
+// stream) are bound and scheduled exactly as Launch binds materialized
+// streams, but each warp pulls its instructions segment by segment from
+// src as it executes. The event schedule is identical to a Launch of the
+// materialized equivalent — refills are pure host work inside the same
+// warp event, and a refill that blocks on I/O or decode costs host time
+// only, invisible to the simulated clock.
+func (g *GPU) LaunchStream(src *trace.Cursor, onComplete func()) {
 	g.launch(src.NumCUs(), onComplete, func(c *cu) {
 		for wi := 0; wi < src.NumWarps(c.id); wi++ {
 			if src.WarpLen(c.id, wi) > 0 {

@@ -124,6 +124,16 @@ func TestSnapshotJSONL(t *testing.T) {
 	if doc.Cycle != 9 || doc.Metrics["dram.reads"] != 42 {
 		t.Fatalf("decoded %+v", doc)
 	}
+
+	rec := r.Snapshot(9).AppendRecord(nil, "bfs", "vc-opt")
+	var labeled struct {
+		Workload, Design string
+		Snapshot         struct{ Cycle uint64 }
+	}
+	if err := json.Unmarshal(rec, &labeled); err != nil || !strings.HasSuffix(string(rec), "}\n") ||
+		labeled.Workload != "bfs" || labeled.Design != "vc-opt" || labeled.Snapshot.Cycle != 9 {
+		t.Fatalf("labeled record %q decoded %+v (%v)", rec, labeled, err)
+	}
 }
 
 // A nil emitter must be free: it is the always-on disabled path inside

@@ -197,6 +197,19 @@ func (s Snapshot) AppendJSON(b []byte) []byte {
 	return b
 }
 
+// AppendRecord appends the snapshot as one JSONL record labeled with the
+// workload and design it measured:
+// {"workload":"…","design":"…","snapshot":{…}} and a newline.
+func (s Snapshot) AppendRecord(b []byte, workload, design string) []byte {
+	b = append(b, `{"workload":`...)
+	b = strconv.AppendQuote(b, workload)
+	b = append(b, `,"design":`...)
+	b = strconv.AppendQuote(b, design)
+	b = append(b, `,"snapshot":`...)
+	b = s.AppendJSON(b)
+	return append(b, "}\n"...)
+}
+
 // appendJSONFloat formats v compactly and JSON-safely (no NaN/Inf).
 func appendJSONFloat(b []byte, v float64) []byte {
 	if v != v || v > 1e308 || v < -1e308 {

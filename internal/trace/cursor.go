@@ -28,7 +28,7 @@ var ErrCursorExhausted = errors.New("trace: chunk stream exhausted")
 // decodes into a Trace of the stream's shape whose instructions index the
 // chunk's arena, and must pass the checks of Trace.Validate.
 //
-// NextSegment implements the gpu.StreamSource contract: per-warp segment
+// NextSegment feeds the GPU front end's streamed launch: per-warp segment
 // delivery in stream order, with per-chunk crc validation at decode time.
 // A decode failure is sticky — every subsequent NextSegment reports
 // exhaustion and Err returns the failure — so a corrupt mid-file chunk
@@ -434,13 +434,13 @@ func (c *Cursor) Name() string { return c.name }
 // ASID returns the trace's address-space id.
 func (c *Cursor) ASID() memory.ASID { return c.asid }
 
-// NumCUs returns the CU count (gpu.StreamSource).
+// NumCUs returns the CU count.
 func (c *Cursor) NumCUs() int { return len(c.warps) }
 
-// NumWarps returns cu's warp-context count (gpu.StreamSource).
+// NumWarps returns cu's warp-context count.
 func (c *Cursor) NumWarps(cu int) int { return c.warps[cu] }
 
-// WarpLen returns the warp's total instruction count (gpu.StreamSource).
+// WarpLen returns the warp's total instruction count.
 func (c *Cursor) WarpLen(cu, warp int) uint64 { return c.totals[c.gw(cu, warp)] }
 
 // NumChunks returns the stream's chunk count.
