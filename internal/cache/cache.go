@@ -502,6 +502,13 @@ func (c *Cache) InvalidateAll() int {
 	c.stats.Evictions += uint64(n)
 	c.stats.Writebacks += uint64(c.dirty)
 	c.ep.MarkDeadAll(c.bumpGen())
+	c.dropCounts()
+	return n
+}
+
+// dropCounts zeroes the residency, dirty, per-space and page counts,
+// recycling the per-space page maps.
+func (c *Cache) dropCounts() {
 	c.resident = 0
 	c.dirty = 0
 	if c.trackPages {
@@ -514,7 +521,19 @@ func (c *Cache) InvalidateAll() int {
 		c.pageLines.Reset()
 	}
 	c.perASID.Reset()
-	return n
+}
+
+// Reset empties the cache and zeroes its counters and clock, returning it
+// to the state New, and TrackPages or TrackLifetimes if the owner called
+// them, left it in. It keeps every lane and table, so it allocates
+// nothing, and it fires no OnEvict: the owner drops the state those
+// lines stood for itself.
+func (c *Cache) Reset() {
+	c.sets.Reset()
+	c.ep.Reset()
+	c.tick = 0
+	c.stats = Stats{}
+	c.dropCounts()
 }
 
 // InvalidateASID removes every line belonging to one address space (ASID

@@ -55,33 +55,43 @@ func fmtRefLine(l refLine) string {
 // OnEvict sequence and every counter to agree after each one. mode picks
 // the geometry, the write policy, whether the caches keep page counts and
 // track lifetimes on a clock (untracked, every lifetime stamp reads 0 in
-// both), and whether the generation counter starts at its ceiling.
+// both), and whether the generation counter starts at its ceiling. One op
+// Resets the cache and replaces the reference with a freshly built one,
+// which the reset cache must then track.
 func driveCacheDifferential(t *testing.T, mode byte, ops []byte) {
 	cfg := diffGeometries[int(mode)%len(diffGeometries)]
 	if mode&0x08 != 0 {
 		cfg.Policy = WriteBack
 	}
-	c, r := New(cfg), newRefCache(cfg)
 	var clock uint64
+	track := mode&0x20 != 0
+	var cLog, rLog evictLog
+	newRef := func() *refCache {
+		r := newRefCache(cfg)
+		if mode&0x10 != 0 {
+			r.Clock = func() uint64 { return clock }
+		}
+		if track {
+			r.TrackPages()
+		}
+		r.OnEvict = func(l refLine) {
+			rLog.add(l.Addr, l.Valid, l.Dirty, l.Perm, l.ASID, l.InsertedAt(), l.LastAccess(), l.ActiveLifetime())
+		}
+		return r
+	}
+	c, r := New(cfg), newRef()
 	if mode&0x10 != 0 {
-		r.Clock = func() uint64 { return clock }
 		c.TrackLifetimes(r.Clock)
 	}
-	track := mode&0x20 != 0
 	if track {
 		c.TrackPages()
-		r.TrackPages()
 	}
 	if mode&0x40 != 0 {
 		c.ep.SetGen(^uint32(0) - 3)
 		r.ep.SetGen(^uint32(0) - 3)
 	}
-	var cLog, rLog evictLog
 	c.OnEvict = func(l Line) {
 		cLog.add(l.Addr, l.Valid, l.Dirty, l.Perm, l.ASID, l.InsertedAt(), l.LastAccess(), l.ActiveLifetime())
-	}
-	r.OnEvict = func(l refLine) {
-		rLog.add(l.Addr, l.Valid, l.Dirty, l.Perm, l.ASID, l.InsertedAt(), l.LastAccess(), l.ActiveLifetime())
 	}
 	addrs := diffAddrs(cfg.LineBytes)
 	for n := 0; n+2 < len(ops); n += 3 {
@@ -99,8 +109,12 @@ func driveCacheDifferential(t *testing.T, mode byte, ops []byte) {
 		case 0:
 			got, want = fmt.Sprint(c.InvalidateASID(asid)), fmt.Sprint(r.InvalidateASID(asid))
 		case 1:
-			if arg%4 == 0 {
+			switch {
+			case arg%4 == 0:
 				got, want = fmt.Sprint(c.InvalidateAll()), fmt.Sprint(r.InvalidateAll())
+			case arg%32 == 1:
+				c.Reset()
+				r = newRef()
 			}
 		case 2:
 			got, want = fmt.Sprint(c.InvalidateLine(addr)), fmt.Sprint(r.InvalidateLine(addr))

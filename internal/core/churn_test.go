@@ -49,7 +49,13 @@ func churnReplayCollecting(cfg Config, collect func(launch int) bool) ([]churnLa
 		return nil, 0, err
 	}
 	cfg.GPU.NumCUs = pl.Params.NumCUs
-	sys := MustNew(cfg)
+	return churnReplayOn(MustNew(cfg), pl, collect)
+}
+
+// churnReplayOn is churnReplayCollecting's replay of pl on sys, whose
+// configuration has the plan's CU count.
+func churnReplayOn(sys *System, pl workloads.ChurnPlan, collect func(launch int) bool) ([]churnLaunch, uint64, error) {
+	var err error
 	outs := make([]churnLaunch, len(pl.Launches))
 	for i, l := range pl.Launches {
 		if l.Retire != 0 {

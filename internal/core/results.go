@@ -64,8 +64,8 @@ type Results struct {
 	L2DistinctPages int
 
 	// Lifetimes is the System's cumulative lifetime record (TrackLifetimes),
-	// shared by every Results the System returns: a later run on the same
-	// System adds to it.
+	// shared by every Results the System returns until it is Reset: a
+	// later run on the same System adds to it, and Reset starts a new one.
 	Lifetimes *Lifetimes
 }
 

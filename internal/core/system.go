@@ -30,7 +30,7 @@ var ErrDeadlock = errors.New("core: engine drained before GPU completed (deadloc
 // ended without completing (cancelled, failed mid-stream or deadlocked),
 // wrapping the error that ended it. Such a run leaves its kernel's warps
 // live and its events queued, so a later run on the System would start
-// among them; run the next trace on a new System.
+// among them; Reset the System (or build a new one) to run the next trace.
 var ErrStopped = errors.New("core: system stopped by an earlier run")
 
 // FaultCounts records exceptional events during a run.
@@ -66,7 +66,10 @@ type Lifetimes struct {
 	L2Data     stats.CDF // L2 line active lifetime
 }
 
-// System is a fully assembled SoC ready to run one trace.
+// System is a fully assembled SoC. It runs trace after trace, each run
+// starting from the state the last one left (warm caches and TLBs, the
+// clock where it stopped), until Reset returns it to the state New leaves
+// it in, so one System serves many independent runs of its configuration.
 type System struct {
 	cfg     Config
 	eng     *sim.Engine
@@ -94,7 +97,7 @@ type System struct {
 
 	probe     ProbeBreakdown
 	faults    FaultCounts
-	lifetimes *Lifetimes // cumulative over every run (TrackLifetimes)
+	lifetimes *Lifetimes // cumulative over every run since Reset (TrackLifetimes)
 
 	// tlbPending merges concurrent same-page TLB misses per CU (keyed by
 	// VPN); l2Pending merges concurrent misses to the same line (MSHR
@@ -126,12 +129,22 @@ type System struct {
 	reg *obs.Registry
 }
 
-// New assembles a system from cfg. An invalid configuration returns a
-// *ConfigError instead of a system.
+// New assembles a system from cfg, ready for its first run. An invalid
+// configuration returns a *ConfigError instead of a system. New allocates
+// and wires the components, then calls Reset, so every run starts from
+// state that one path initializes.
 func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	s := assemble(cfg)
+	s.Reset()
+	return s, nil
+}
+
+// assemble allocates the System's components for cfg and wires them
+// together; Reset sets the state a run starts from.
+func assemble(cfg Config) *System {
 	eng := sim.New()
 	s := &System{cfg: cfg, eng: eng}
 
@@ -144,8 +157,7 @@ func New(cfg Config) (*System, error) {
 	s.mem = dram.New(eng, cfg.DRAM)
 	s.alloc = memory.NewFrameAlloc(1 << 20)
 	s.as = memory.NewAddressSpace(1, s.alloc)
-	s.asid = s.as.ID
-	s.spaces = map[memory.ASID]*memory.AddressSpace{s.asid: s.as}
+	s.spaces = make(map[memory.ASID]*memory.AddressSpace)
 
 	s.walker = ptw.New(eng, cfg.IOMMU.Walker, s.as.Table, s.mem)
 	s.io = iommu.New(eng, cfg.IOMMU, s.walker)
@@ -178,9 +190,6 @@ func New(cfg Config) (*System, error) {
 
 	if cfg.Kind == VirtualHierarchy {
 		s.fbt = fbt.New(cfg.FBT)
-		if cfg.UseFBTSecondLevel {
-			s.io.SecondLevel = s.fbt
-		}
 		s.fbt.OnEvict = s.onFBTEvict
 		s.l2.OnEvict = s.onVirtualL2Evict
 	} else {
@@ -193,7 +202,6 @@ func New(cfg Config) (*System, error) {
 
 	// Only the structures whose lifetimes Figure 12 reads keep stamps.
 	if cfg.TrackLifetimes {
-		s.lifetimes = &Lifetimes{}
 		s.l2.TrackLifetimes(eng.Now)
 		for _, l1 := range s.l1s {
 			l1.TrackLifetimes(eng.Now)
@@ -210,7 +218,86 @@ func New(cfg Config) (*System, error) {
 	s.kernelDone = s.onKernelDone
 	s.buildRegistry()
 	s.registerPartitionGauges()
-	return s, nil
+	return s
+}
+
+// Reset returns the System to exactly the state New leaves it in, whether
+// its last run completed, failed or was cancelled, so a stopped System
+// runs again: the clock at cycle 0, every cache, TLB, FBT and page-walk
+// cache empty, every counter zero, no event or message queued, no warp
+// bound, one empty address space (ASID 1) over a frame allocator back at
+// its first frame, and the event emitters detached. A run after Reset
+// gives the bytes a run on a new System of the same configuration gives.
+//
+// Reset keeps the storage of every table, pool and queue, so it allocates
+// nothing, except the new lifetime record of a TrackLifetimes System: the
+// Results of earlier runs keep theirs. The metrics registry stays as
+// built, reading the same counters. Pointers into the System's address
+// spaces obtained before Reset (Space, SpaceFor) must not be used after.
+func (s *System) Reset() {
+	s.eng.Reset()
+	s.intra.part.Reset()
+	s.intra.running, s.intra.ran = false, false
+	s.net.Reset()
+	s.mem.Reset()
+	s.resetSpaces()
+	s.walker.Reset(s.as.Table)
+	s.io.Reset()
+	s.io.SecondLevel = nil
+	if s.cfg.UseFBTSecondLevel {
+		s.io.SecondLevel = s.fbt
+	}
+	if s.fbt != nil {
+		s.fbt.Reset()
+	}
+	s.l2.Reset()
+	for _, b := range s.l2banks {
+		b.Reset()
+	}
+	for cu := range s.l1s {
+		s.l1s[cu].Reset()
+		s.cuTLBs[cu].Reset()
+		s.filters[cu].Reset()
+		s.tlbPending[cu].Reset()
+	}
+	for _, t := range s.cuTLB2s {
+		t.Reset()
+	}
+	s.clearRemaps()
+	s.gpu.Reset()
+	s.AttachTrace(nil)
+
+	s.probe = ProbeBreakdown{}
+	s.faults = FaultCounts{}
+	if s.cfg.TrackLifetimes {
+		s.lifetimes = &Lifetimes{}
+	}
+	s.l2Pending.Reset()
+	s.tlbMerges, s.lineMerges = 0, 0
+	s.synonymReplays, s.remapHits = 0, 0
+	s.l1FullFlushes, s.fbtInvalLines = 0, 0
+	s.l2PagePeak, s.fillsSincePage = 0, 0
+	s.finishCycle = 0
+	s.completed = false
+	s.stopped = nil
+}
+
+// resetSpaces drops every address space's mappings, takes every frame
+// back and rebuilds ASID 1 as New does, its root on the allocator's first
+// frame; the other spaces wait on the idle list for SpaceFor.
+func (s *System) resetSpaces() {
+	for _, sp := range s.spaces {
+		if sp != s.as {
+			sp.Discard()
+			s.idle = append(s.idle, sp)
+		}
+	}
+	clear(s.spaces)
+	s.as.Discard()
+	s.alloc.Reset()
+	s.as.Reuse(1)
+	s.asid = s.as.ID
+	s.spaces[s.asid] = s.as
 }
 
 // MustNew is New for callers with a known-good configuration; it panics on
@@ -274,25 +361,28 @@ func (s *System) Metrics() *obs.Registry { return s.reg }
 
 // AttachTrace points every component event emitter at sink, stamping
 // events with the System's clock. Passing nil detaches them, restoring
-// the free disabled path.
+// the free disabled path; detaching allocates nothing.
 func (s *System) AttachTrace(sink obs.EventSink) {
-	emitter := func(comp string) *obs.Emitter {
+	emitter := func(comp string, cu int) *obs.Emitter {
 		if sink == nil {
 			return nil
 		}
+		if cu >= 0 {
+			comp += strconv.Itoa(cu)
+		}
 		return obs.NewEmitter(sink, comp, s.eng.Now)
 	}
-	s.io.Trace = emitter("iommu")
-	s.io.TLB().Trace = emitter("iommu.tlb")
-	s.walker.Trace = emitter("ptw")
+	s.io.Trace = emitter("iommu", -1)
+	s.io.TLB().Trace = emitter("iommu.tlb", -1)
+	s.walker.Trace = emitter("ptw", -1)
 	if s.fbt != nil {
-		s.fbt.Trace = emitter("fbt")
+		s.fbt.Trace = emitter("fbt", -1)
 	}
 	for i := range s.cuTLBs {
-		s.cuTLBs[i].Trace = emitter("tlb.cu" + strconv.Itoa(i))
+		s.cuTLBs[i].Trace = emitter("tlb.cu", i)
 	}
 	for i := range s.cuTLB2s {
-		s.cuTLB2s[i].Trace = emitter("tlb2.cu" + strconv.Itoa(i))
+		s.cuTLB2s[i].Trace = emitter("tlb2.cu", i)
 	}
 }
 
@@ -543,13 +633,15 @@ func (s *System) runInput(ctx context.Context, in traceInput, opts []Option) (Re
 // windows until the kernel completes or ctx stops them, and on completion
 // ends with the epilogue that leaves every statistic results reads final.
 // A run that ends otherwise stops the System, and execute refuses every
-// later run with ErrStopped.
+// later run with ErrStopped until Reset. An event trace the options
+// attached is detached when the run returns, however it ends.
 func (s *System) execute(ctx context.Context, in traceInput, o *options) error {
 	if s.stopped != nil {
 		return s.stopped
 	}
 	if o.events != nil {
 		s.AttachTrace(o.events)
+		defer s.AttachTrace(nil)
 	}
 	s.contextSwitch(in.inASID())
 	in.prepare(s)

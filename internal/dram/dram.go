@@ -46,6 +46,13 @@ func New(eng *sim.Engine, cfg Config) *DRAM {
 	return &DRAM{eng: eng, cfg: cfg, server: sim.NewBandwidthServer(eng, cfg.LinesPerCycle)}
 }
 
+// Reset zeroes the traffic counters and empties the bandwidth queue, as
+// New leaves them.
+func (d *DRAM) Reset() {
+	d.stats = Stats{}
+	d.server.Reset()
+}
+
 // Stats returns a copy of the traffic counters.
 func (d *DRAM) Stats() Stats { return d.stats }
 

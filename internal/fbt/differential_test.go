@@ -44,17 +44,22 @@ func recovered(f func()) (p any) {
 // included), the OnEvict sequence, the counters and the residency to agree
 // after each one. mode picks the geometry and whether the generation
 // counter starts at its ceiling; one op locks or unlocks a resident entry's
-// way.
+// way, and one Resets the FBT and replaces the reference with a freshly
+// built one, which the reset FBT must then track.
 func driveFBTDifferential(t *testing.T, mode byte, ops []byte) {
 	cfg := diffGeometries[int(mode)%len(diffGeometries)]
-	f, r := New(cfg), newRefFBT(cfg)
+	var fLog, rLog []View
+	newRef := func() *refFBT {
+		r := newRefFBT(cfg)
+		r.OnEvict = func(v View) { rLog = append(rLog, v) }
+		return r
+	}
+	f, r := New(cfg), newRef()
 	if mode&0x08 != 0 {
 		f.ep.SetGen(^uint32(0) - 3)
 		r.ep.SetGen(^uint32(0) - 3)
 	}
-	var fLog, rLog []View
 	f.OnEvict = func(v View) { fLog = append(fLog, v) }
-	r.OnEvict = func(v View) { rLog = append(rLog, v) }
 	ppns := diffPPNs()
 	for n := 0; n+3 < len(ops); n += 4 {
 		b, arg, arg2, arg3 := ops[n], ops[n+1], ops[n+2], ops[n+3]
@@ -68,8 +73,12 @@ func driveFBTDifferential(t *testing.T, mode byte, ops []byte) {
 		case 0:
 			got, want = fmt.Sprint(f.FlushASID(asid)), fmt.Sprint(r.FlushASID(asid))
 		case 1:
-			if arg%4 == 0 {
+			switch {
+			case arg%4 == 0:
 				got, want = fmt.Sprint(f.FlushAll()), fmt.Sprint(r.FlushAll())
+			case arg%32 == 1:
+				f.Reset()
+				r = newRef()
 			}
 		case 2:
 			got, want = fmt.Sprint(f.Shootdown(asid, vpn)), fmt.Sprint(r.Shootdown(asid, vpn))

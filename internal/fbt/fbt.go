@@ -179,6 +179,19 @@ func New(cfg Config) *FBT {
 	return f
 }
 
+// Reset empties the BT and the FT and zeroes the counters and clock, as
+// New leaves them, keeping every lane and the presized FT, so it allocates
+// nothing. It fires no OnEvict: the owner drops the cached data the
+// entries stood for itself.
+func (f *FBT) Reset() {
+	f.sets.Reset()
+	f.ft.Reset()
+	f.ep.Reset()
+	f.tick, f.live = 0, 0
+	f.st = Stats{}
+	f.perASID.Reset()
+}
+
 // Config returns the table's configuration.
 func (f *FBT) Config() Config { return f.cfg }
 

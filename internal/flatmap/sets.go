@@ -39,6 +39,12 @@ func (s *Sets) Init(ep *Epoch, sets, ways int) {
 	s.birth = make([]birth, sets*ways)
 }
 
+// Reset empties every slot, as Init leaves them, keeping the lanes.
+func (s *Sets) Reset() {
+	clear(s.stamp)
+	clear(s.birth)
+}
+
 // Ways returns the associativity.
 func (s *Sets) Ways() int { return s.ways }
 

@@ -150,6 +150,20 @@ func New(cfg Config, eng *sim.Engine, path MemoryPath, fab Fabric) *GPU {
 	return g
 }
 
+// Reset returns the GPU to the state New leaves it in: no kernel launched,
+// idle CU ports and zeroed counters. Like a launch, it drops every
+// warp, recycling the retired ones, so the GPU holds no trace afterwards,
+// and a warp a stopped run left unretired is dropped, never reused.
+func (g *GPU) Reset() {
+	g.dropWarps()
+	for _, c := range g.cus {
+		c.port.Reset()
+	}
+	g.st = Stats{}
+	g.liveWarps, g.atBarrier = 0, 0
+	g.onComplete = nil
+}
+
 // Stats returns the front-end counters, summed over CUs.
 func (g *GPU) Stats() Stats { return g.st }
 

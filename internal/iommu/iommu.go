@@ -144,6 +144,21 @@ func New(eng *sim.Engine, cfg Config, walker *ptw.Walker) *IOMMU {
 	return io
 }
 
+// Reset returns the IOMMU to the state New leaves it in: an empty shared
+// TLB, idle lookup ports, no walk outstanding, an empty rate series and
+// delay histogram, and zeroed counters. It keeps every table and pool, and
+// it leaves the walker, SecondLevel and Trace to the owner.
+func (io *IOMMU) Reset() {
+	io.tlb.Reset()
+	for _, p := range io.ports {
+		p.Reset()
+	}
+	io.sampler.Reset()
+	io.delays.Reset()
+	io.st = Stats{}
+	io.pending.Reset()
+}
+
 // TLB exposes the shared TLB (for shootdowns and tests).
 func (io *IOMMU) TLB() *tlb.TLB { return io.tlb }
 

@@ -46,11 +46,15 @@ func catch(f func()) (msg string) {
 // drivePageTableDifferential decodes ops, nine bytes each (see diffOp),
 // and applies each to the flat PageTable and to the radix reference, each
 // drawing node frames from its own FrameAlloc at the same base. Kinds 0–2
-// Map, 3 Unmaps, 4 MapLarge, 5 Lookup, 6–7 Walk. Flags%8 == 1 misaligns a
-// MapLarge's VPN, 2 its PPN, and 3 widens a Map or MapLarge VPN beyond the
-// modeled space. After every op it compares the two tables' answers, the
-// Lookup and the Walk (PTE, trace, levels) of the op's VPN, Pages() and
-// the allocators' next frames.
+// Map, 3 Unmaps, 4 MapLarge, 5 Lookup, 6–7 Walk, except that kind 7 with
+// flags 4 resets: the flat table's allocator takes every frame back
+// (FrameAlloc.Reset) and the table empties under a fresh root (reuse), as
+// a System's Reset rebuilds its address space, while the reference is
+// built anew on a new allocator. Flags%8 == 1 misaligns a MapLarge's VPN,
+// 2 its PPN, and 3 widens a Map or MapLarge VPN beyond the modeled space.
+// After every op it compares the two tables' answers, the Lookup and the
+// Walk (PTE, trace, levels) of the op's VPN, Pages() and the allocators'
+// next frames.
 func drivePageTableDifferential(t *testing.T, ops []byte) {
 	t.Helper()
 	fa, ra := NewFrameAlloc(0x1000), NewFrameAlloc(0x1000)
@@ -86,6 +90,15 @@ func drivePageTableDifferential(t *testing.T, ops []byte) {
 			pe, pok := pt.Lookup(vpn)
 			re, rok := ref.Lookup(vpn)
 			got, want = fmt.Sprint(pe, pok), fmt.Sprint(re, rok)
+		case 7:
+			if flags == 4 {
+				fa.Reset()
+				pt.reuse()
+				ra = NewFrameAlloc(0x1000)
+				ref = newRefPageTable(ra)
+				break
+			}
+			fallthrough
 		default:
 			pe, ptr, pl := pt.Walk(vpn)
 			re, rtr, rl := ref.Walk(vpn)
@@ -154,6 +167,12 @@ func FuzzPageTableDifferential(f *testing.F) {
 	f.Add(cat(
 		diffOp(6, 0, 6, 1<<35, 0), diffOp(0, 0, 4, 77, 5), diffOp(6, 0, 5, 77, 0),
 		diffOp(6, 0, 4, 1<<9|3, 0), diffOp(6, 0, 4, 78, 0), diffOp(6, 0, 7, 1<<30, 0),
+	))
+	// A reset between mappings, a large page and an unmap.
+	f.Add(cat(
+		diffOp(0, 0, 0, 5, 0x1234), diffOp(4, 0, 1, 0, 9), diffOp(7, 4, 0, 0, 0),
+		diffOp(0, 0, 0, 5, 0x1235), diffOp(4, 0, 2, 0, 10), diffOp(3, 0, 0, 5, 0),
+		diffOp(7, 4, 0, 0, 0), diffOp(6, 0, 0, 5, 0),
 	))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 9<<12 {

@@ -232,6 +232,7 @@ func (pt *PageTable) Walk(vpn VPN) (PTE, WalkTrace, int) {
 
 // FrameAlloc hands out physical frames. Frees are recycled LIFO.
 type FrameAlloc struct {
+	base PPN
 	next PPN
 	free []PPN
 	used int
@@ -239,7 +240,17 @@ type FrameAlloc struct {
 
 // NewFrameAlloc returns an allocator whose first frame is base.
 func NewFrameAlloc(base PPN) *FrameAlloc {
-	return &FrameAlloc{next: base}
+	return &FrameAlloc{base: base, next: base}
+}
+
+// Reset takes back every frame, returning the allocator to the state
+// NewFrameAlloc left it in: the next frame is base again. It keeps the
+// free list's storage. Whoever holds frames from it must drop them
+// (AddressSpace.Discard).
+func (fa *FrameAlloc) Reset() {
+	fa.next = fa.base
+	fa.free = fa.free[:0]
+	fa.used = 0
 }
 
 // AllocContig returns n physically contiguous fresh frames, aligned to n

@@ -94,13 +94,21 @@ func NewAddressSpace(id ASID, alloc *FrameAlloc) *AddressSpace {
 // from the allocator at the same point, no mappings and read+write
 // default permission. Its tables keep their capacity, so an ASID-slot
 // rollover that recycles a space allocates nothing on the host. The old
-// table's node frames stay allocated, as a discarded space's would. Call
+// table's node frames stay allocated, as a dropped space's would. Call
 // it only after Release, which frees the old mappings' frames and empties
-// the reverse map.
+// the reverse map, or after Discard.
 func (as *AddressSpace) Reuse(id ASID) {
 	as.ID = id
 	as.Table.reuse()
 	as.defaultPerm = PermRead | PermWrite
+}
+
+// Discard drops every mapping without freeing a frame, for an owner that
+// takes every frame back at once (FrameAlloc.Reset). Like Release, it
+// leaves the space fit only for Reuse, and it keeps the tables' storage.
+func (as *AddressSpace) Discard() {
+	as.rev.Reset()
+	as.arena.reset()
 }
 
 // SetDefaultPerm sets the permission used for demand-mapped pages.

@@ -54,6 +54,15 @@ func (n *Network) AddLink(r Route, latency uint64, perCycle int) *Link {
 	return l
 }
 
+// Reset zeroes every link's message count and empties its bandwidth
+// queue, keeping the configured links.
+func (n *Network) Reset() {
+	for _, l := range n.links {
+		l.Messages = 0
+		l.server.Reset()
+	}
+}
+
 // Link returns the link for r, or nil.
 func (n *Network) Link(r Route) *Link { return n.links[r] }
 

@@ -128,6 +128,19 @@ func New(eng *sim.Engine, cfg Config, pt *memory.PageTable, mem *dram.DRAM) *Wal
 // Stats returns a copy of the counters.
 func (w *Walker) Stats() Stats { return w.stats }
 
+// Reset returns the walker to the state New leaves it in, walking pt: no
+// walk in flight or queued, an empty page-walk cache and zeroed counters.
+// It keeps the wait queue's storage and the recycled walk threads; a walk
+// that a stopped run left in flight is dropped with the engine's events.
+func (w *Walker) Reset(pt *memory.PageTable) {
+	w.pt = pt
+	w.busy = 0
+	clear(w.queue)
+	w.queue, w.qhead = w.queue[:0], 0
+	w.pwc.Reset()
+	w.stats = Stats{}
+}
+
 // SetTable rebinds the walker to another page table (context switch). The
 // page-walk cache is physically tagged, so it needs no flush.
 func (w *Walker) SetTable(pt *memory.PageTable) { w.pt = pt }

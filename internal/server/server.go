@@ -20,7 +20,9 @@
 // library, vcsim or the figure suite, or found in a cache shared with
 // them. Each worker builds every job's trace into one trace.Builder it
 // owns, so a cold job on a warm worker allocates nothing to generate its
-// trace.
+// trace, and simulates it on an idle System of the job's configuration,
+// Reset by the run that last used it, building one only when none is
+// idle.
 //
 // The HTTP surface (http.go) is a thin translation of this engine into
 // the api/v1 wire schema.
@@ -32,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -39,6 +42,7 @@ import (
 	"vcache/internal/artifact"
 	"vcache/internal/core"
 	"vcache/internal/experiments"
+	"vcache/internal/fingerprint"
 	"vcache/internal/obs"
 	"vcache/internal/trace"
 	"vcache/internal/workloads"
@@ -94,17 +98,19 @@ var ErrUnknownJob = errors.New("server: unknown job")
 type runner interface {
 	// run returns the results plus a final metrics-registry snapshot in
 	// obs JSON form. It builds the job's trace into b, the calling
-	// worker's Builder, which nothing may hold once run returns. It must
-	// honor ctx.
-	run(ctx context.Context, b *trace.Builder, workload string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error)
+	// worker's Builder, which nothing may hold once run returns, and runs
+	// it on sys, a new or Reset System of configuration cfg. It must honor
+	// ctx.
+	run(ctx context.Context, b *trace.Builder, sys *core.System, workload string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error)
 }
 
 // simRunner is the real thing: the workload's trace built from its
-// generator into the worker's Builder, then a RunContext. Neither the
-// System, dropped on return, nor the Results hold the trace.
+// generator into the worker's Builder, then a RunContext on the worker's
+// System. Neither the System, Reset before it is kept, nor the Results
+// hold the trace.
 type simRunner struct{}
 
-func (simRunner) run(ctx context.Context, b *trace.Builder, workload string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error) {
+func (simRunner) run(ctx context.Context, b *trace.Builder, sys *core.System, workload string, p workloads.Params, _ core.Config, progress func(core.Progress)) (core.Results, []byte, error) {
 	g, ok := workloads.ByName(workload)
 	if !ok {
 		return core.Results{}, nil, fmt.Errorf("server: unknown workload %q", workload)
@@ -113,10 +119,6 @@ func (simRunner) run(ctx context.Context, b *trace.Builder, workload string, p w
 		return core.Results{}, nil, err
 	}
 	tr := g.BuildInto(b, p)
-	sys, err := core.New(cfg)
-	if err != nil {
-		return core.Results{}, nil, err
-	}
 	var opts []core.Option
 	if progress != nil {
 		opts = append(opts, core.WithProgress(progress))
@@ -130,10 +132,75 @@ func (simRunner) run(ctx context.Context, b *trace.Builder, workload string, p w
 	return res, snap.AppendJSON(nil), nil
 }
 
+// simulate runs one job on sys, or on a System it builds when sys is nil,
+// and encodes its outcome. A run that completed also returns its System,
+// Reset for the next run of the configuration; the Results are encoded
+// first, since their lifetime record is the System's until Reset. A run
+// that failed returns no System: whatever state it left is dropped.
+func simulate(ctx context.Context, rn runner, b *trace.Builder, sys *core.System, workload string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, outcome, *core.System, error) {
+	if sys == nil {
+		var err error
+		if sys, err = core.New(cfg); err != nil {
+			return core.Results{}, outcome{}, nil, err
+		}
+	}
+	res, metricsJSON, err := rn.run(ctx, b, sys, workload, p, cfg, progress)
+	if err != nil {
+		return core.Results{}, outcome{}, nil, err
+	}
+	out := outcome{cycles: res.Cycles, resultJSON: core.EncodeResults(res), metricsJSON: metricsJSON}
+	sys.Reset()
+	return res, out, sys, nil
+}
+
+// systemPool holds the Systems of completed runs, each Reset, for later
+// runs of the same configuration, keyed by core.ConfigFingerprint: a
+// worker takes one instead of calling core.New. It keeps at most max,
+// dropping the oldest beyond that, so the daemon keeps no more idle
+// Systems than it has workers. Not safe for concurrent use: the server
+// holds s.mu.
+type systemPool struct {
+	max    int
+	idle   []idleSystem // oldest first
+	reused uint64       // takes that found an idle System
+	built  uint64       // takes that found none, so the caller builds one
+}
+
+// idleSystem is one idle System and its configuration's fingerprint.
+type idleSystem struct {
+	key fingerprint.Sum
+	sys *core.System
+}
+
+// take removes and returns the most recently kept System of the
+// configuration key names, or returns nil when none is idle.
+func (p *systemPool) take(key fingerprint.Sum) *core.System {
+	for i := len(p.idle) - 1; i >= 0; i-- {
+		if p.idle[i].key == key {
+			sys := p.idle[i].sys
+			p.idle = slices.Delete(p.idle, i, i+1)
+			p.reused++
+			return sys
+		}
+	}
+	p.built++
+	return nil
+}
+
+// keep adds a Reset System of the configuration key names, dropping the
+// oldest idle System beyond max.
+func (p *systemPool) keep(key fingerprint.Sum, sys *core.System) {
+	p.idle = append(p.idle, idleSystem{key: key, sys: sys})
+	if len(p.idle) > p.max {
+		p.idle = slices.Delete(p.idle, 0, 1)
+	}
+}
+
 // run is one simulation the pool will execute, shared by every job whose
 // spec fingerprints to its key.
 type run struct {
 	key      artifact.Fingerprint
+	sysKey   fingerprint.Sum // core.ConfigFingerprint(cfg): the idle Systems it may take
 	workload string
 	design   string
 	params   workloads.Params
@@ -222,12 +289,13 @@ type Server struct {
 
 	reg *obs.Registry
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	closed bool
-	jobs   map[string]*job
-	runs   map[artifact.Fingerprint]*run // queued + running
-	queue  runHeap
+	mu      sync.Mutex
+	cond    *sync.Cond
+	closed  bool
+	jobs    map[string]*job
+	runs    map[artifact.Fingerprint]*run // queued + running
+	queue   runHeap
+	systems systemPool // idle Systems, at most one per worker
 	// doneOrder lists retained terminal job IDs oldest-first; once it
 	// exceeds retainDone the head is evicted from jobs.
 	doneOrder []string
@@ -261,6 +329,7 @@ func New(opts Options) *Server {
 		start:      time.Now(),
 		jobs:       make(map[string]*job),
 		runs:       make(map[artifact.Fingerprint]*run),
+		systems:    systemPool{max: opts.Workers},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
@@ -297,6 +366,8 @@ func (s *Server) buildRegistry() {
 	sc.Gauge("queue.cap", func() float64 { return float64(s.queueCap) })
 	sc.Gauge("workers.busy", read(func() float64 { return float64(s.busy) }))
 	sc.Gauge("workers.total", func() float64 { return float64(s.workers) })
+	sc.Gauge("systems.reused", read(func() float64 { return float64(s.systems.reused) }))
+	sc.Gauge("systems.built", read(func() float64 { return float64(s.systems.built) }))
 }
 
 // MetricsSnapshot reads the server's metrics registry.
@@ -304,8 +375,8 @@ func (s *Server) MetricsSnapshot() obs.Snapshot {
 	return s.reg.Snapshot(uint64(time.Since(s.start).Milliseconds()))
 }
 
-// Close stops accepting jobs, cancels queued and running runs, and waits
-// for the workers (or ctx).
+// Close stops accepting jobs, cancels queued and running runs, drops the
+// idle Systems, and waits for the workers (or ctx).
 func (s *Server) Close(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -313,6 +384,7 @@ func (s *Server) Close(ctx context.Context) error {
 		return nil
 	}
 	s.closed = true
+	s.systems.idle = nil
 	// Queued runs never reach a worker now; retire them as canceled.
 	for len(s.queue) > 0 {
 		r := heap.Pop(&s.queue).(*run)
@@ -342,6 +414,7 @@ func (s *Server) Submit(spec apiv1.JobSpec) (apiv1.JobInfo, error) {
 		return apiv1.JobInfo{}, err
 	}
 	key := artifact.ResultKey(artifact.TraceKey(spec.Workload.Name, p), cfg)
+	sysKey := core.ConfigFingerprint(cfg)
 
 	// Cache probe before taking the lock: it reads the disk. A racing
 	// identical submission is still safe — it either coalesces onto a run
@@ -410,7 +483,7 @@ func (s *Server) Submit(spec apiv1.JobSpec) (apiv1.JobInfo, error) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	s.seq++
 	r := &run{
-		key: key, workload: spec.Workload.Name, design: cfg.Name,
+		key: key, sysKey: sysKey, workload: spec.Workload.Name, design: cfg.Name,
 		params: p, cfg: cfg,
 		priority: spec.Priority, seq: s.seq,
 		jobs: []*job{j}, active: 1,
@@ -426,8 +499,10 @@ func (s *Server) Submit(spec apiv1.JobSpec) (apiv1.JobInfo, error) {
 // worker pops runs in (priority desc, FIFO) order and executes them. It
 // builds every run's trace into one Builder, which grows to the largest
 // trace the worker has built and is released when the worker returns at
-// Close. A run that simulated is encoded, and written to the cache, once,
-// before the server lock is taken.
+// Close, and takes each run's System from the idle Systems of its
+// configuration as it pops the run. A run that simulated is encoded, and
+// written to the cache, once, and its System Reset, before the server
+// lock is taken; then the System goes back to the idle list.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	b := trace.NewBuilder("", 0, 1, 1)
@@ -441,6 +516,7 @@ func (s *Server) worker() {
 			return
 		}
 		r := heap.Pop(&s.queue).(*run)
+		sys := s.systems.take(r.sysKey)
 		r.running = true
 		s.busy++
 		for _, j := range r.jobs {
@@ -452,15 +528,16 @@ func (s *Server) worker() {
 		s.mu.Unlock()
 
 		started := time.Now()
-		res, metricsJSON, err := s.execute(r, b)
-		var out outcome
+		out, sys, err := s.execute(r, b, sys)
 		if err == nil {
-			out = outcome{cycles: res.Cycles, resultJSON: core.EncodeResults(res), metricsJSON: metricsJSON}
 			s.cache.PutResultsDoc(r.key, out.resultJSON)
 		}
 
 		s.mu.Lock()
 		s.busy--
+		if sys != nil && !s.closed {
+			s.systems.keep(r.sysKey, sys)
+		}
 		// A canceled run already left the index, and its fingerprint may
 		// now map to a fresh resubmission — only unindex our own run.
 		if cur, ok := s.runs[r.key]; ok && cur == r {
@@ -482,20 +559,24 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs r on the runner, building its trace into b. A panic
-// anywhere in the run becomes the run's error, carrying the panic value
-// and stack, so one bad job fails alone instead of taking down the daemon
-// and every job in flight; the next run resets b, whatever state the
-// panic left it in.
-func (s *Server) execute(r *run, b *trace.Builder) (res core.Results, metricsJSON []byte, err error) {
+// execute simulates r on sys, or on a new System when sys is nil,
+// building its trace into b, and returns the System to keep when the run
+// completed. A panic anywhere in the run becomes the run's error,
+// carrying the panic value and stack, so one bad job fails alone instead
+// of taking down the daemon and every job in flight; its System is
+// dropped, and the next run resets b, whatever state the panic left it
+// in.
+func (s *Server) execute(r *run, b *trace.Builder, sys *core.System) (out outcome, kept *core.System, err error) {
 	defer func() {
 		if p := recover(); p != nil {
+			out, kept = outcome{}, nil
 			err = fmt.Errorf("server: run panicked: %v\n%s", p, debug.Stack())
 		}
 	}()
-	return s.runner.run(r.ctx, b, r.workload, r.params, r.cfg, func(p core.Progress) {
+	_, out, kept, err = simulate(r.ctx, s.runner, b, sys, r.workload, r.params, r.cfg, func(p core.Progress) {
 		s.fanoutProgress(r, p)
 	})
+	return out, kept, err
 }
 
 // fanoutProgress fans a core.Progress report out to every attached job's

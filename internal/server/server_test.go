@@ -32,7 +32,7 @@ func newGateRunner() *gateRunner {
 	return &gateRunner{started: make(chan string, 64), gate: make(chan struct{}, 64)}
 }
 
-func (g *gateRunner) run(ctx context.Context, _ *trace.Builder, wl string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error) {
+func (g *gateRunner) run(ctx context.Context, _ *trace.Builder, _ *core.System, wl string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error) {
 	g.mu.Lock()
 	g.calls++
 	g.mu.Unlock()
@@ -543,7 +543,7 @@ func TestCloseCancelsEverything(t *testing.T) {
 // panicRunner panics on seed 1 and completes every other run at once.
 type panicRunner struct{}
 
-func (panicRunner) run(ctx context.Context, _ *trace.Builder, wl string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error) {
+func (panicRunner) run(ctx context.Context, _ *trace.Builder, _ *core.System, wl string, p workloads.Params, cfg core.Config, progress func(core.Progress)) (core.Results, []byte, error) {
 	if p.Seed == 1 {
 		panic("modelling invariant broken")
 	}
@@ -584,16 +584,20 @@ func TestPanickingRunFailsAlone(t *testing.T) {
 	}
 }
 
-// TestWorkerJobsMatchLibrary: one worker builds every job's trace into its
-// one Builder, across workloads and shapes, a larger trace after a smaller
-// one and back, and each job it simulates serves the bytes of a fresh
-// library run; a resubmission serves the cached document, the same bytes.
+// TestWorkerJobsMatchLibrary: the workers build every job's trace into
+// their Builders and run it on Systems they reuse, Reset, across designs,
+// workloads and shapes, a larger trace after a smaller one and back, and
+// each job they simulate serves the bytes of a fresh library run; a
+// resubmission serves the cached document, the same bytes. Systems are
+// reused, the idle list never holds more than one System per worker, and
+// Close drops it.
 func TestWorkerJobsMatchLibrary(t *testing.T) {
 	cache, err := artifact.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Options{Workers: 1, QueueCap: 16, Cache: cache})
+	const workers = 2
+	s := New(Options{Workers: workers, QueueCap: 16, Cache: cache})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -608,6 +612,11 @@ func TestWorkerJobsMatchLibrary(t *testing.T) {
 		{"bfs", "vc-opt", 16, 8},
 		{"kmeans", "baseline-512", 2, 1},
 		{"nw", "baseline-512", 8, 4},
+		{"pathfinder", "vc-opt", 2, 1},
+		{"backprop", "ideal", 8, 4},
+		{"nw", "vc-opt", 8, 4},
+		{"hotspot", "baseline-512", 4, 2},
+		{"kmeans", "vc-opt", 16, 8},
 	}
 	for i, jb := range jobs {
 		spec := apiv1.JobSpec{
@@ -641,5 +650,86 @@ func TestWorkerJobsMatchLibrary(t *testing.T) {
 					jb.workload, jb.design, jb.cus, jb.warps, hit, err)
 			}
 		}
+		s.mu.Lock()
+		idle := len(s.systems.idle)
+		s.mu.Unlock()
+		if idle > workers {
+			t.Errorf("after job %d: %d idle Systems, more than the %d workers", i, idle, workers)
+		}
+	}
+	snap := s.MetricsSnapshot()
+	reused, _ := snap.Value("server.systems.reused")
+	built, _ := snap.Value("server.systems.built")
+	t.Logf("Systems: %v reused, %v built for %d simulated jobs", reused, built, len(jobs))
+	if reused == 0 || reused+built != float64(len(jobs)) {
+		t.Errorf("systems.reused = %v and systems.built = %v over %d simulated jobs; want some reused, summing to the jobs", reused, built, len(jobs))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.systems.idle) != 0 {
+		t.Errorf("Close kept %d idle Systems", len(s.systems.idle))
+	}
+}
+
+// TestSystemPool: the pool hands back the most recently kept System of a
+// configuration, counts takes that found one and takes that did not, and
+// beyond its bound drops the oldest idle System.
+func TestSystemPool(t *testing.T) {
+	keyA := core.ConfigFingerprint(core.DesignBaseline512())
+	keyB := core.ConfigFingerprint(core.DesignVCOpt())
+	a1, a2, b1 := new(core.System), new(core.System), new(core.System)
+	p := systemPool{max: 2}
+	if p.take(keyA) != nil {
+		t.Fatal("an empty pool returned a System")
+	}
+	p.keep(keyA, a1)
+	p.keep(keyA, a2)
+	if got := p.take(keyA); got != a2 {
+		t.Fatal("take did not return the most recently kept System")
+	}
+	p.keep(keyA, a2)
+	p.keep(keyB, b1) // drops a1, the oldest
+	if len(p.idle) != 2 {
+		t.Fatalf("%d idle Systems, want the bound 2", len(p.idle))
+	}
+	if got := p.take(keyA); got != a2 {
+		t.Fatal("take after the bound did not return the kept System")
+	}
+	if p.take(keyA) != nil {
+		t.Fatal("the oldest System was not dropped beyond the bound")
+	}
+	if got := p.take(keyB); got != b1 {
+		t.Fatal("take did not find the other configuration's System")
+	}
+	if p.reused != 3 || p.built != 2 {
+		t.Errorf("reused %d, built %d; want 3 and 2", p.reused, p.built)
+	}
+}
+
+// TestFailedRunDropsItsSystem: a run that panics gives no System back, as
+// no failed run does, and the next run of the configuration builds one.
+func TestFailedRunDropsItsSystem(t *testing.T) {
+	s := New(Options{Workers: 1, QueueCap: 16})
+	s.runner = panicRunner{}
+	for _, seed := range []uint64{2, 1, 3} { // done, panicked, done
+		info, err := s.Submit(spec(seed, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, s, info.ID)
+	}
+	s.mu.Lock()
+	reused, built, idle := s.systems.reused, s.systems.built, len(s.systems.idle)
+	s.mu.Unlock()
+	if reused != 1 || built != 2 || idle != 1 {
+		t.Errorf("reused %d, built %d, idle %d; want 1, 2 and 1: the panicked run kept its System", reused, built, idle)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -27,6 +27,12 @@ func NewBandwidthServer(eng *Engine, perCycle int) *BandwidthServer {
 	return &BandwidthServer{eng: eng, perCycle: perCycle}
 }
 
+// Reset empties the queue and zeroes the statistics, as
+// NewBandwidthServer leaves them.
+func (s *BandwidthServer) Reset() {
+	*s = BandwidthServer{eng: s.eng, perCycle: s.perCycle}
+}
+
 // Admit reserves the next available slot and returns the cycle at which the
 // operation begins (>= the current cycle). Queueing statistics are updated.
 func (s *BandwidthServer) Admit() uint64 {

@@ -347,7 +347,9 @@ func (s *fuzzSide) add(depth int) func() {
 
 // runEngineOps applies the op stream in data to a zero-value Engine and to
 // refEngine in lockstep. Every 3 bytes are one op; after each op the
-// firing logs, Now, Pending, Fired and the next event must agree.
+// firing logs, Now, Pending, Fired and the next event must agree. One op
+// Resets the engine and replaces the reference with a new one, which the
+// reset engine must then track.
 func runEngineOps(t *testing.T, data []byte) {
 	var eng Engine
 	var seed uint64
@@ -407,8 +409,16 @@ func runEngineOps(t *testing.T, data []byte) {
 					res[k] = next + 1
 				}
 			case 5:
-				if a%4 == 0 {
+				switch {
+				case a%4 == 0:
 					res[k] = e.Run()
+				case a%16 == 1:
+					if k == 0 {
+						eng.Reset()
+					} else {
+						s.eng = &refEngine{}
+						ref = s.eng
+					}
 				}
 			default:
 				// A handler that schedules at the current cycle while its
@@ -466,11 +476,13 @@ func checkAgainstRef(t *testing.T, step func() string, eng *Engine, ref engineAP
 // one random op stream: Schedule and At (past clamping, the window edge,
 // overflow-range and far-future delays), Step, Run, RunUntil at arbitrary
 // horizons (limit < now, exactly at the next event, far jumps), NextEvent,
-// and handlers that schedule children, some at delay zero.
+// Reset with events pending, and handlers that schedule children, some at
+// delay zero.
 func FuzzEngineDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7, 0, 0, 3, 3, 200, 4, 0, 0})
 	f.Add([]byte{1, 6, 9, 0, 7, 3, 3, 1, 5, 3, 0, 0, 2, 0, 3, 3, 2, 1})
+	f.Add([]byte{0, 6, 9, 0, 3, 3, 3, 1, 5, 5, 1, 0, 0, 2, 2, 3, 3, 1})
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 24; i++ {
 		b := make([]byte, 3*(20+rng.Intn(200)))

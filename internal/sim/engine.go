@@ -95,6 +95,23 @@ type Engine struct {
 // New returns a fresh engine at cycle 0.
 func New() *Engine { return &Engine{hint: noEvent, hinted: true} }
 
+// Reset returns the engine to the state New leaves it in, at cycle 0 with
+// no event pending, whatever a run left queued, and keeps its node pool
+// and overflow heap for the next run: pending events are dropped with
+// their handlers, so Reset allocates nothing.
+func (e *Engine) Reset() {
+	e.head, e.tail, e.occupied = [numBuckets]int32{}, [numBuckets]int32{}, [wordCount]uint64{}
+	if len(e.pool) > 0 {
+		clear(e.pool)
+		e.pool = e.pool[:1] // the sentinel
+	}
+	clear(e.overflow)
+	e.overflow = e.overflow[:0]
+	e.free, e.bucketed = 0, 0
+	e.now, e.seq, e.fired = 0, 0, 0
+	e.hint, e.hinted = noEvent, true
+}
+
 // Now returns the current simulation cycle.
 func (e *Engine) Now() uint64 { return e.now }
 

@@ -54,6 +54,17 @@ func NewPartitioned(eng *Engine, parts int, lookahead uint64) *Partitioned {
 	}
 }
 
+// Reset drops every buffered message and zeroes the window and crossing
+// counts, as NewPartitioned leaves them, keeping the outboxes' storage.
+// Reset the engine with it.
+func (p *Partitioned) Reset() {
+	for src, ob := range p.outbox {
+		clear(ob)
+		p.outbox[src] = ob[:0]
+	}
+	p.windows, p.crossings = 0, 0
+}
+
 // Lookahead returns the window width in cycles.
 func (p *Partitioned) Lookahead() uint64 { return p.lookahead }
 

@@ -73,6 +73,13 @@ func NewIntervalSampler(window uint64) *IntervalSampler {
 	return &IntervalSampler{window: window}
 }
 
+// Reset drops every recorded event and the horizon, keeping the window
+// storage.
+func (s *IntervalSampler) Reset() {
+	s.counts = s.counts[:0]
+	s.total, s.horizon = 0, 0
+}
+
 // Record counts one event at the given cycle.
 func (s *IntervalSampler) Record(cycle uint64) {
 	w := cycle / s.window
@@ -247,6 +254,12 @@ func NewHistogram(w float64) *Histogram {
 		panic("stats: non-positive histogram width")
 	}
 	return &Histogram{Width: w}
+}
+
+// Reset drops every observation, keeping the bucket storage.
+func (h *Histogram) Reset() {
+	h.Buckets = h.Buckets[:0]
+	h.Count = 0
 }
 
 // Add records one observation (negative values clamp to bucket 0).

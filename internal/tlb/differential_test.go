@@ -54,22 +54,30 @@ func fmtRefEntry(e refEntry, ok bool) string {
 // OnEvict sequence with lifetimes, the counters and the residency to agree
 // after each one. mode picks the geometry, whether the TLBs track
 // lifetimes on a clock (untracked, every insert stamp and lifetime reads 0
-// in both) and whether the generation counter starts at its ceiling.
+// in both) and whether the generation counter starts at its ceiling. One
+// op Resets the TLB and replaces the reference with a freshly built one,
+// which the reset TLB must then track.
 func driveTLBDifferential(t *testing.T, mode byte, ops []byte) {
 	cfg := diffGeometries[int(mode)%len(diffGeometries)]
-	tb, r := New(cfg), newRefTLB(cfg)
 	var clock uint64
+	var tLog, rLog []string
+	newRef := func() *refTLB {
+		r := newRefTLB(cfg)
+		if mode&0x08 != 0 {
+			r.Clock = func() uint64 { return clock }
+		}
+		r.OnEvict = func(e refEntry, life uint64) { rLog = append(rLog, fmtRefEntry(e, true)+fmt.Sprint(" life", life)) }
+		return r
+	}
+	tb, r := New(cfg), newRef()
 	if mode&0x08 != 0 {
-		r.Clock = func() uint64 { return clock }
 		tb.TrackLifetimes(r.Clock)
 	}
 	if mode&0x10 != 0 {
 		tb.ep.SetGen(^uint32(0) - 3)
 		r.ep.SetGen(^uint32(0) - 3)
 	}
-	var tLog, rLog []string
 	tb.OnEvict = func(e Entry, life uint64) { tLog = append(tLog, fmtEntry(e, true)+fmt.Sprint(" life", life)) }
-	r.OnEvict = func(e refEntry, life uint64) { rLog = append(rLog, fmtRefEntry(e, true)+fmt.Sprint(" life", life)) }
 	vpns := diffVPNs()
 	for n := 0; n+2 < len(ops); n += 3 {
 		b, arg := ops[n], ops[n+1]
@@ -86,8 +94,12 @@ func driveTLBDifferential(t *testing.T, mode byte, ops []byte) {
 		case 0:
 			got, want = fmt.Sprint(tb.InvalidateASID(asid)), fmt.Sprint(r.InvalidateASID(asid))
 		case 1:
-			if arg%4 == 0 {
+			switch {
+			case arg%4 == 0:
 				got, want = fmt.Sprint(tb.InvalidateAll()), fmt.Sprint(r.InvalidateAll())
+			case arg%32 == 1:
+				tb.Reset()
+				r = newRef()
 			}
 		case 2:
 			got, want = fmt.Sprint(tb.InvalidatePage(asid, vpn)), fmt.Sprint(r.InvalidatePage(asid, vpn))

@@ -482,6 +482,23 @@ func (t *TLB) InvalidateASID(asid memory.ASID) int {
 	return n
 }
 
+// Reset empties the TLB and zeroes its counters and clock, returning it to
+// the state New, and TrackLifetimes if the owner called it, left it in. It
+// keeps every lane and table, so it allocates nothing, and it fires no
+// OnEvict.
+func (t *TLB) Reset() {
+	if t.isInf {
+		t.inf.Reset()
+		t.infLarge.Reset()
+	} else {
+		t.sets.Reset()
+	}
+	t.ep.Reset()
+	t.large, t.resident, t.tick = 0, 0, 0
+	t.stats = Stats{}
+	t.perASID.Reset()
+}
+
 // TrackLifetimes makes the TLB stamp each entry with clock's cycle at its
 // insert, so OnEvict reports real residence times. A finite TLB keeps the
 // stamps in a lane that only a tracking TLB allocates. Call it before the

@@ -1,7 +1,8 @@
 package workloads
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 
 	"vcache/internal/memory"
 	"vcache/internal/trace"
@@ -113,6 +114,11 @@ type ChurnLaunch struct {
 	// Arrival is the open-loop arrival time in cycles; arrivals never wait
 	// for service.
 	Arrival uint64
+	// Name is the launch's kernel trace name, "churn.t<tenant>.k<seq>"
+	// with the tenant at least two digits and the sequence at least three.
+	// BuildChurnPlan formats every launch's name into one string that the
+	// launches slice, so building a kernel formats nothing.
+	Name string
 }
 
 // ChurnPlan is a deterministic multi-tenant launch schedule.
@@ -135,7 +141,7 @@ func BuildChurnPlan(p ChurnParams) ChurnPlan {
 	for i := range slots {
 		slots[i].tenant = -1
 	}
-	pl := ChurnPlan{Params: p}
+	pl := ChurnPlan{Params: p, Launches: make([]ChurnLaunch, 0, p.Launches)}
 	var clock uint64
 	for seq := 0; seq < p.Launches; seq++ {
 		clock += 1 + uint64(r.n(int(2*p.ArrivalPeriod)))
@@ -166,7 +172,39 @@ func BuildChurnPlan(p ChurnParams) ChurnPlan {
 		l.ASID = memory.ASID(pick + 1)
 		pl.Launches = append(pl.Launches, l)
 	}
+	var names strings.Builder
+	names.Grow(len(pl.Launches) * len("churn.t00.k000"))
+	var scratch [32]byte
+	for _, l := range pl.Launches {
+		names.Write(appendLaunchName(scratch[:0], l))
+	}
+	all := names.String()
+	for i := range pl.Launches {
+		n := len(appendLaunchName(scratch[:0], pl.Launches[i]))
+		pl.Launches[i].Name, all = all[:n], all[n:]
+	}
 	return pl
+}
+
+// appendLaunchName appends l's kernel trace name to b: "churn.t%02d.k%03d"
+// of its tenant and sequence number.
+func appendLaunchName(b []byte, l ChurnLaunch) []byte {
+	b = append(b, "churn.t"...)
+	b = appendPadded(b, l.Tenant, 2)
+	b = append(b, ".k"...)
+	return appendPadded(b, l.Seq, 3)
+}
+
+// appendPadded appends the decimal form of n >= 0, zero-padded to width
+// digits, as fmt's %0<width>d does.
+func appendPadded(b []byte, n, width int) []byte {
+	for w, lim := width, 1; w > 1; w-- {
+		lim *= 10
+		if n < lim {
+			b = append(b, '0')
+		}
+	}
+	return strconv.AppendInt(b, int64(n), 10)
 }
 
 // Retires counts the launches that roll an ASID slot over.
@@ -193,14 +231,14 @@ func (pl ChurnPlan) KernelTrace(l ChurnLaunch) *trace.Trace {
 
 // KernelInto builds launch l's kernel, the trace KernelTrace returns, into
 // b, a materializing Builder of any shape: it resets b to NumCUs x
-// WarpsPerCU warp contexts and returns b's Build. Every kernel of a plan
-// has the same shape and lane count, so a replay that builds each launch
-// into one Builder allocates its instruction slices and lane block for the
-// first launch only; the trace of one launch is invalid once the next is
-// built.
+// WarpsPerCU warp contexts under l's name and returns b's Build. Every
+// kernel of a plan has the same shape and lane count, so a replay that
+// builds each launch into one Builder allocates its instruction slices
+// and lane block for the first launch only, and nothing for the name; the
+// trace of one launch is invalid once the next is built.
 func (pl ChurnPlan) KernelInto(b *trace.Builder, l ChurnLaunch) *trace.Trace {
 	p := pl.Params
-	b.Reset(fmt.Sprintf("churn.t%02d.k%03d", l.Tenant, l.Seq), l.ASID, p.NumCUs, p.WarpsPerCU)
+	b.Reset(l.Name, l.ASID, p.NumCUs, p.WarpsPerCU)
 	r := newRNG(p.Seed ^ uint64(l.Tenant)*0x9e3779b97f4a7c15 ^ uint64(l.Seq)*0xbf58476d1ce4e5b9)
 	warps := b.NumWarps()
 	for wi := 0; wi < warps; wi++ {

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"testing"
 
 	"vcache/internal/memory"
@@ -299,4 +300,20 @@ func TestTraceUsesConfiguredPool(t *testing.T) {
 		}
 	}
 	var _ trace.Trace = *tr
+}
+
+// TestChurnLaunchNames: the names BuildChurnPlan formats once per plan are
+// fmt's "churn.t%02d.k%03d" of every launch's tenant and sequence number,
+// past the padding widths too, and KernelInto names its trace with them.
+func TestChurnLaunchNames(t *testing.T) {
+	pl := BuildChurnPlan(ChurnParams{Tenants: 150, Launches: 1200, ASIDSlots: 4})
+	for _, l := range pl.Launches {
+		if want := fmt.Sprintf("churn.t%02d.k%03d", l.Tenant, l.Seq); l.Name != want {
+			t.Fatalf("launch %d: name %q, want %q", l.Seq, l.Name, want)
+		}
+	}
+	l := pl.Launches[len(pl.Launches)-1]
+	if tr := pl.KernelTrace(l); tr.Name != l.Name {
+		t.Errorf("kernel trace named %q, want %q", tr.Name, l.Name)
+	}
 }

@@ -64,7 +64,8 @@ type (
 	// Config describes a full simulated SoC (GPU, caches, TLBs, IOMMU,
 	// FBT, DRAM, latencies) and the MMU design to use.
 	Config = core.Config
-	// System is an assembled SoC ready to run one trace.
+	// System is an assembled SoC that runs trace after trace; Reset
+	// returns it to its freshly built state for the next independent run.
 	System = core.System
 	// Results captures a run's measurements.
 	Results = core.Results
