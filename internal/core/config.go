@@ -15,7 +15,6 @@ import (
 	"vcache/internal/fbt"
 	"vcache/internal/gpu"
 	"vcache/internal/iommu"
-	"vcache/internal/ptw"
 	"vcache/internal/tlb"
 )
 
@@ -344,6 +343,3 @@ func (c Config) Validate() error {
 
 // Walkers returns the configured PTW thread count.
 func (c Config) Walkers() int { return c.IOMMU.Walker.Threads }
-
-// DefaultWalker re-exports the walker defaults for table printing.
-func DefaultWalker() ptw.Config { return ptw.DefaultConfig() }

@@ -95,26 +95,31 @@ func TestRequestConservationProperty(t *testing.T) {
 					return false
 				}
 			}
-			// 5. Every message across the CU/backend boundary is counted
-			// on its NoC link once. A per-CU TLB miss sent to the IOMMU
-			// crosses cu-iommu out and back. On cu-l2, an L1 read miss
-			// crosses out and its data back, and a store crosses out once.
-			// An FBT eviction would add one L1 invalidation per CU; these
-			// traces evict nothing. Results has no NoC counts; the metrics
+			// 5. Every message over a NoC route is counted on it once. A
+			// per-CU TLB miss sent to the IOMMU crosses cu-iommu out and
+			// back. On cu-l2, an L1 read miss crosses out and its data
+			// back, and a store crosses out once. An FBT eviction would
+			// add one L1 invalidation per CU; these traces evict nothing.
+			// Inside the backend, l2-iommu carries each virtual L2 miss
+			// that leads its line to the IOMMU, and each synonym replay
+			// back to the L2. Results has no NoC counts; the metrics
 			// registry does.
 			if r.FBT.Evictions != 0 {
 				t.Logf("%s: %d FBT evictions; law 5 assumes none", r.Design, r.FBT.Evictions)
 				return false
 			}
-			var wantIOMMU uint64
-			if r.Kind == PhysicalBaseline || r.Kind == L1OnlyVirtual {
+			var wantIOMMU, wantL2IOMMU uint64
+			switch r.Kind {
+			case PhysicalBaseline, L1OnlyVirtual:
 				wantIOMMU = 2 * r.IOMMU.Requests
+			case VirtualHierarchy:
+				wantL2IOMMU = r.IOMMU.Requests + r.SynonymReplays
 			}
 			wantL2 = 2*r.L1.ReadMisses + r.L1.WriteHits + r.L1.WriteMisses
 			for _, law := range []struct {
 				name string
 				want uint64
-			}{{"noc.cu-iommu.messages", wantIOMMU}, {"noc.cu-l2.messages", wantL2}} {
+			}{{"noc.cu-iommu.messages", wantIOMMU}, {"noc.cu-l2.messages", wantL2}, {"noc.l2-iommu.messages", wantL2IOMMU}} {
 				if got, ok := final.Value(law.name); !ok || uint64(got) != law.want {
 					t.Logf("%s: %s = %v (present %v), want %d", r.Design, law.name, got, ok, law.want)
 					return false

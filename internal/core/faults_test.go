@@ -102,7 +102,7 @@ func TestAccessorsExposed(t *testing.T) {
 	if DesignBaselineLargePerCU().PerCUTLB.Entries != 128 {
 		t.Fatal("large per-CU preset wrong")
 	}
-	if DefaultWalker().Threads != 16 {
+	if DefaultConfig().IOMMU.Walker.Threads != 16 {
 		t.Fatal("walker defaults wrong")
 	}
 }

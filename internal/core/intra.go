@@ -2,7 +2,6 @@ package core
 
 import (
 	"vcache/internal/memory"
-	"vcache/internal/noc"
 	"vcache/internal/sim"
 )
 
@@ -10,26 +9,20 @@ import (
 //
 // New splits a system into NumCUs+1 partitions — one per CU front end
 // (warps, coalescer, L1, per-CU TLBs, invalidation filter, remap table)
-// plus one shared back end (L2 and banks, IOMMU, FBT, page walker, DRAM,
-// the NoC servers, and the GPU's warp-global coordinator). Every
-// partition's events run on the System's one engine, in cycle order; a
-// partition is kept only as the source of the messages that cross the
-// boundary. sim.Partitioned delivers those messages at conservative
-// window barriers. The window width (lookahead) is the minimum latency of
-// the two routes that cross the partition boundary, CU<->L2 and
-// CU<->IOMMU, so no cross-partition message can land inside the window it
-// was sent from.
+// plus one shared back end (L2 and banks, IOMMU, FBT, page walker, DRAM
+// and the GPU's warp-global coordinator). Every partition's events run on
+// the System's one engine, in cycle order; a partition is kept only as the
+// source of the messages that cross the boundary. sim.Partitioned
+// delivers those messages at conservative window barriers. The window
+// width (lookahead) is the minimum latency of the two routes that cross
+// the partition boundary, CU<->L2 and CU<->IOMMU, so no cross-partition
+// message can land inside the window it was sent from.
 //
 // Cross-partition traffic goes through sendToBackend/sendToCU, which count
-// each message on its boundary Link as they send it. The schedule is a
-// pure function of the configuration.
+// each message on its route as they send it. The schedule is a pure
+// function of the configuration.
 type intraState struct {
 	part *sim.Partitioned
-
-	// links holds the two boundary routes' Links, indexed like
-	// intraRoutes, resolved once at partition time: their latencies time
-	// the crossings, and their counters count them.
-	links [2]*noc.Link
 
 	// running is true while the windows execute. Between runs there is no
 	// window to carry a message, so backend operations that reach CU
@@ -38,14 +31,25 @@ type intraState struct {
 	ran     bool // at least one run started
 }
 
-// intraRoutes are the partition-boundary routes, indexed by routeL2 and
-// routeIOMMU.
-var intraRoutes = [2]noc.Route{noc.CUToL2, noc.CUToIOMMU}
+// route is one of the interconnect's one-way segments: a fixed traversal
+// latency from Config.Lat and a count of the messages sent over it. Routes
+// have no bandwidth limit, so a message arrives its route's latency after
+// it was sent.
+type route struct {
+	latency  uint64
+	messages uint64
+}
 
+// The System's routes (System.routes), named in the metrics registry as
+// "noc.<name>.messages".
 const (
-	routeL2    = 0 // noc.CUToL2: the GPU network between the CUs and the L2
-	routeIOMMU = 1 // noc.CUToIOMMU: per-CU TLB misses to the IOMMU
+	routeL2      = iota // the GPU network between the CUs and the L2
+	routeIOMMU          // per-CU TLB misses to the IOMMU, with the PCIe adder
+	routeL2IOMMU        // the virtual L2 and the IOMMU: misses out, synonym replays back
+	numRoutes
 )
+
+var routeNames = [numRoutes]string{routeL2: "cu-l2", routeIOMMU: "cu-iommu", routeL2IOMMU: "l2-iommu"}
 
 // IntraInfo describes the partitioned schedule (System.IntraInfo).
 type IntraInfo struct {
@@ -68,14 +72,11 @@ func (s *System) IntraInfo() (info IntraInfo, ok bool) {
 }
 
 // partition builds the window runner over the System's engine, with one
-// partition per CU front end plus the backend and the NoC-derived
-// lookahead. Called once, from New, after the network.
+// partition per CU front end plus the backend, and the boundary routes'
+// smaller latency as the lookahead. Called once, from New.
 func (s *System) partition() {
 	s.intra = intraState{
-		part: sim.NewPartitioned(s.eng, s.cfg.GPU.NumCUs+1, s.net.MinLatency(intraRoutes[:]...)),
-	}
-	for i, r := range intraRoutes {
-		s.intra.links[i] = s.net.Link(r)
+		part: sim.NewPartitioned(s.eng, s.cfg.GPU.NumCUs+1, min(s.cfg.Lat.CUToL2, s.cfg.Lat.CUToIOMMU)),
 	}
 }
 
@@ -88,22 +89,30 @@ func (s *System) runWindows(onWindow func(limit uint64) bool) {
 	s.intra.part.Run(onWindow)
 }
 
+// send delivers h.Handle(arg) over a route inside the backend, the
+// route's latency from now.
+func (s *System) send(rt int, h sim.Handler, arg uint64) {
+	r := &s.routes[rt]
+	r.messages++
+	s.eng.ScheduleEvent(r.latency, h, arg)
+}
+
 // sendToBackend delivers h.Handle(arg) on the backend partition after the
 // boundary route's latency (routeL2 or routeIOMMU). Must be called from
 // the CU's own partition.
-func (s *System) sendToBackend(cu, route int, h sim.Handler, arg uint64) {
-	l := s.intra.links[route]
-	l.Messages++
-	s.intra.part.SendEvent(cu+1, l.Latency, h, arg)
+func (s *System) sendToBackend(cu, rt int, h sim.Handler, arg uint64) {
+	r := &s.routes[rt]
+	r.messages++
+	s.intra.part.SendEvent(cu+1, r.latency, h, arg)
 }
 
 // sendToCU delivers h.Handle(arg) to a CU's partition after the boundary
 // route's latency; the handler (or its argument) names the CU. Must be
 // called from the backend partition.
-func (s *System) sendToCU(route int, h sim.Handler, arg uint64) {
-	l := s.intra.links[route]
-	l.Messages++
-	s.intra.part.SendEvent(0, l.Latency, h, arg)
+func (s *System) sendToCU(rt int, h sim.Handler, arg uint64) {
+	r := &s.routes[rt]
+	r.messages++
+	s.intra.part.SendEvent(0, r.latency, h, arg)
 }
 
 // cuArgBits is the width of the CU index packed into a backend -> CU
@@ -132,11 +141,11 @@ func (s *System) sendL1Inval(cu int, lvpn memory.VPN) {
 type gpuFabric System
 
 func (f *gpuFabric) ToCoord(cu int, h sim.Handler, arg uint64) {
-	f.intra.part.SendEvent(cu+1, f.intra.links[routeL2].Latency, h, arg)
+	f.intra.part.SendEvent(cu+1, f.routes[routeL2].latency, h, arg)
 }
 
 func (f *gpuFabric) ToCU(_ int, h sim.Handler, arg uint64) {
-	f.intra.part.SendEvent(0, f.intra.links[routeL2].Latency, h, arg)
+	f.intra.part.SendEvent(0, f.routes[routeL2].latency, h, arg)
 }
 
 // registerPartitionGauges exports the window runner's counters.

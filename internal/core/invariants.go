@@ -84,7 +84,7 @@ func (s *System) CheckInvariants() error {
 		}
 	}
 	// Filter soundness per CU.
-	if s.cfg.InvFilter {
+	if s.filtersL1() {
 		for cu, l1 := range s.l1s {
 			counts := make(map[memory.VPN]int)
 			for _, sp := range spaces {

@@ -29,10 +29,8 @@ func (s *System) Shootdown(va memory.VAddr) {
 	case L1OnlyVirtual:
 		// Virtual L1s hold lines under virtual addresses: invalidate the
 		// page in each of them.
-		for cu, l1 := range s.l1s {
-			if l1.InvalidatePage(s.vkey(va)) > 0 {
-				s.filters[cu].Delete(uint64(vpn))
-			}
+		for _, l1 := range s.l1s {
+			l1.InvalidatePage(s.vkey(va))
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"vcache/internal/fbt"
 	"vcache/internal/iommu"
 	"vcache/internal/memory"
-	"vcache/internal/noc"
 	"vcache/internal/sim"
 )
 
@@ -32,66 +31,42 @@ func (s *System) Access(cu int, addr memory.VAddr, write bool, done func()) {
 const physPerm = memory.PermRead | memory.PermWrite
 
 // ---------------------------------------------------------------------------
-// Miss-merging infrastructure. Concurrent misses to the same cache line
-// (or, for translations, the same page) merge into one outstanding request,
-// as hardware MSHRs do; without this, the wide GPU front-end floods the
-// IOMMU and DRAM with duplicates. Each merged request keeps its own record,
-// so its permission intent travels with it.
+// Miss merging. Concurrent misses to the same cache line (or, for
+// translations, the same page) merge into one outstanding request, as
+// hardware MSHRs do; without this, the wide GPU front-end floods the IOMMU
+// and DRAM with duplicates. Each merged request keeps its own record, so
+// its permission intent travels with it.
 
-// waitPool recycles the waiter lists of merged misses, TLB and line
-// alike.
-type waitPool [][]*request
-
-// get pops a list from the pool, or makes one.
-func (p *waitPool) get() []*request {
-	if n := len(*p); n > 0 {
-		list := (*p)[n-1]
-		*p = (*p)[:n-1]
-		return list
+// fetchLine coalesces misses on r's line: r joins the outstanding fill of
+// r.addr, or starts a new one and reports that it leads it. The leader
+// must start the fill, which must eventually call its lineReady exactly
+// once.
+func (r *request) fetchLine() (lead bool) {
+	lead = r.s.l2Pending.Lead(r.addr, r)
+	if !lead {
+		r.s.lineMerges++
 	}
-	return make([]*request, 0, 8)
+	return lead
 }
 
-// put returns a drained list to the pool, releasing its records. A nil
-// list (a miss nothing merged behind) is not pooled.
-func (p *waitPool) put(list []*request) {
-	if list == nil {
-		return
-	}
-	clear(list)
-	*p = append(*p, list[:0])
-}
-
-// fetchLine coalesces misses on key (a line address): r joins the
-// outstanding fill of key, or starts a new one and reports that it leads
-// it. The leader must start the fill, which must eventually call
-// lineReady(key, ...) exactly once. Waiter lists come from a pool refilled
-// by lineReady, so merging allocates nothing at steady state.
-func (s *System) fetchLine(key uint64, r *request) (lead bool) {
-	if list := s.l2Pending.Ref(key); list != nil {
-		s.lineMerges++
-		*list = append(*list, r)
-		return false
-	}
-	s.l2Pending.Put(key, append(s.lists.get(), r))
-	return true
-}
-
-// lineReady resolves all waiters for key and recycles their list.
-// filled=false means the line was not installed under the requested
-// address (fault, or synonym resolved under the leading address). Waiters
-// may re-enter fetchLine; the list returns to the pool only after the last
-// one ran, so reentrant fetches never see it.
-func (s *System) lineReady(key uint64, perm memory.Perm, filled bool) {
-	list, _ := s.l2Pending.Delete(key)
-	for _, w := range list {
+// lineReady resolves the line fill r leads: r first, then every request
+// merged behind it in merge order. filled=false means the line was not
+// installed under the requested address (fault, or synonym resolved under
+// the leading address). Waiters may re-enter fetchLine; the list returns
+// to the pool only after the last one ran, so reentrant fetches never see
+// it.
+func (r *request) lineReady(perm memory.Perm, filled bool) {
+	s := r.s
+	waiters := s.l2Pending.Done(r.addr)
+	r.lineFilled(perm, filled)
+	for _, w := range waiters {
 		w.lineFilled(perm, filled)
 	}
-	s.lists.put(list)
+	s.l2Pending.Recycle(waiters)
 }
 
-// lineFilled continues a request that waited on a line fill, on the
-// backend.
+// lineFilled continues a request whose line fill resolved, the one that
+// led it or one merged behind it, on the backend.
 func (r *request) lineFilled(perm memory.Perm, filled bool) {
 	s := r.s
 	switch {
@@ -166,16 +141,10 @@ func (r *request) missToIOMMU() {
 	if s.cfg.ProbeResidency {
 		s.classifyTLBMiss(cu, r.line)
 	}
-	pending := &s.tlbPending[cu]
-	if list := pending.Ref(uint64(vpn)); list != nil {
+	if !s.tlbPending[cu].Lead(uint64(vpn), r) {
 		s.tlbMerges++
-		if *list == nil {
-			*list = s.lists.get()
-		}
-		*list = append(*list, r)
 		return
 	}
-	pending.Put(uint64(vpn), nil)
 	s.sendToBackend(cu, routeIOMMU, r, stIOMMU)
 }
 
@@ -211,12 +180,12 @@ func (r *request) fillTLB() {
 			}
 		}
 	}
-	waiters, _ := s.tlbPending[cu].Delete(uint64(vpn))
+	waiters := s.tlbPending[cu].Done(uint64(vpn))
 	r.resolved(res)
 	for _, w := range waiters {
 		w.resolved(res)
 	}
-	s.lists.put(waiters)
+	s.tlbPending[cu].Recycle(waiters)
 }
 
 // resolved continues a request whose per-CU TLB miss was answered, the
@@ -337,7 +306,7 @@ func (r *request) physL2() {
 		}
 		return
 	}
-	if s.fetchLine(r.addr, r) {
+	if r.fetchLine() {
 		s.mem.Access(false, r, stFill)
 	}
 }
@@ -347,7 +316,7 @@ func (r *request) physFill() {
 	s := r.s
 	s.l2.Fill(r.addr, physPerm, s.asid, false)
 	s.sampleL2Pages()
-	s.lineReady(r.addr, physPerm, true)
+	r.lineReady(physPerm, true)
 }
 
 // l1Fill lands a physical line's data at the CU: the physical L1, or the
@@ -430,8 +399,8 @@ func (r *request) vcL2() {
 		}
 		s.sendToCU(routeL2, r, stVCDeliver)
 	default:
-		if s.fetchLine(r.addr, r) {
-			s.net.Send(noc.L2ToIOMMU, r, stIOMMU)
+		if r.fetchLine() {
+			s.send(routeL2IOMMU, r, stIOMMU)
 		}
 	}
 }
@@ -443,12 +412,12 @@ func (r *request) vcTranslated(res iommu.Result) {
 	s := r.s
 	if res.Fault {
 		s.fault("page", &s.faults.PageFaults)
-		s.lineReady(r.addr, 0, false)
+		r.lineReady(0, false)
 		return
 	}
 	if !res.PTE.Perm.Allows(r.write) {
 		s.fault("perm", &s.faults.PermFaults)
-		s.lineReady(r.addr, 0, false)
+		r.lineReady(0, false)
 		return
 	}
 	r.pte = res.PTE
@@ -479,10 +448,10 @@ func (r *request) fbtCheck() {
 			s.sendRemap(r.cu, vpn, view.LVPN)
 		}
 		r.view = view
-		s.net.Send(noc.L2ToIOMMU, r, stSynBank) // response travels back to the L2
+		s.send(routeL2IOMMU, r, stSynBank) // response travels back to the L2
 	case fbt.RWFault:
 		s.fault("rw-synonym", &s.faults.RWSynonym)
-		s.lineReady(r.addr, 0, false)
+		r.lineReady(0, false)
 	}
 }
 
@@ -495,7 +464,7 @@ func (r *request) vcFill() {
 		s.fbt.SetLine(r.pte.PPN, r.line.LineIndex())
 		s.sampleL2Pages()
 	}
-	s.lineReady(key, perm, true)
+	r.lineReady(perm, true)
 }
 
 // A synonym replay re-runs a read under the page's leading virtual
@@ -516,7 +485,7 @@ func (r *request) synL2() {
 	s, lline := r.s, r.synLine()
 	if r.view.BitVec&(1<<uint(lline.LineIndex())) != 0 {
 		if _, hit := s.l2.Access(r.synKey(), false); hit {
-			s.net.Send(noc.CUToL2, r, stSynHit)
+			s.send(routeL2, r, stSynHit)
 			return
 		}
 	}
@@ -530,7 +499,7 @@ func (r *request) synFill() {
 		s.fbt.SetLine(r.view.PPN, lline.LineIndex())
 		s.sampleL2Pages()
 	}
-	s.lineReady(r.addr, r.view.Perm, false)
+	r.lineReady(r.view.Perm, false)
 }
 
 // remapUpdate is the backend -> CU half of a dynamic synonym remap

@@ -104,7 +104,7 @@ func (r *request) Handle(stage uint64) {
 	case stSynL2:
 		r.synL2()
 	case stSynHit:
-		r.s.lineReady(r.addr, r.view.Perm, false)
+		r.lineReady(r.view.Perm, false)
 	case stSynFill:
 		r.synFill()
 	case stVCDeliver:

@@ -13,7 +13,6 @@ import (
 	"vcache/internal/gpu"
 	"vcache/internal/iommu"
 	"vcache/internal/memory"
-	"vcache/internal/noc"
 	"vcache/internal/obs"
 	"vcache/internal/ptw"
 	"vcache/internal/sim"
@@ -73,7 +72,7 @@ type Lifetimes struct {
 type System struct {
 	cfg     Config
 	eng     *sim.Engine
-	net     *noc.Network
+	routes  [numRoutes]route // the interconnect (intra.go)
 	mem     *dram.DRAM
 	as      *memory.AddressSpace
 	spaces  map[memory.ASID]*memory.AddressSpace
@@ -88,7 +87,7 @@ type System struct {
 	l1s     []*cache.Cache
 	cuTLBs  []*tlb.TLB
 	cuTLB2s []*tlb.TLB           // optional private second-level TLBs
-	filters []flatmap.Map[int32] // per-CU L1 invalidation filters: VPN -> lines in the L1
+	filters []flatmap.Map[int32] // per-CU L1 invalidation filters: VPN -> lines in the L1 (filtersL1)
 	remaps  []*remapTable        // per-CU dynamic synonym remap tables
 
 	remapFree []*remapUpdate // delivered remap messages, for sendRemap to reuse
@@ -101,14 +100,11 @@ type System struct {
 
 	// tlbPending merges concurrent same-page TLB misses per CU (keyed by
 	// VPN); l2Pending merges concurrent misses to the same line (MSHR
-	// behaviour; keyed by the line's cache address). A key is present
-	// while its miss is outstanding, with a nil list until a second miss
-	// merges behind it. lists recycles drained waiter lists of both, and
-	// reqs free request records (request.go), so steady-state requests
-	// and miss merging do not allocate.
-	tlbPending []flatmap.Map[[]*request]
-	l2Pending  flatmap.Map[[]*request]
-	lists      waitPool
+	// behaviour; keyed by the line's cache address). reqs holds free
+	// request records (request.go), so steady-state requests and miss
+	// merging do not allocate.
+	tlbPending []flatmap.Merge[*request]
+	l2Pending  flatmap.Merge[*request]
 	reqs       []*request
 	tlbMerges  uint64
 	lineMerges uint64
@@ -148,10 +144,11 @@ func assemble(cfg Config) *System {
 	eng := sim.New()
 	s := &System{cfg: cfg, eng: eng}
 
-	s.net = noc.New(eng)
-	s.net.AddLink(noc.CUToL2, cfg.Lat.CUToL2, 0)
-	s.net.AddLink(noc.CUToIOMMU, cfg.Lat.CUToIOMMU, 0)
-	s.net.AddLink(noc.L2ToIOMMU, cfg.Lat.L2ToIOMMU, 0)
+	s.routes = [numRoutes]route{
+		routeL2:      {latency: cfg.Lat.CUToL2},
+		routeIOMMU:   {latency: cfg.Lat.CUToIOMMU},
+		routeL2IOMMU: {latency: cfg.Lat.L2ToIOMMU},
+	}
 	s.partition()
 
 	s.mem = dram.New(eng, cfg.DRAM)
@@ -175,7 +172,7 @@ func assemble(cfg Config) *System {
 
 	// Per-CU L1s, TLBs, invalidation filters, and TLB-miss MSHRs.
 	s.filters = make([]flatmap.Map[int32], cfg.GPU.NumCUs)
-	s.tlbPending = make([]flatmap.Map[[]*request], cfg.GPU.NumCUs)
+	s.tlbPending = make([]flatmap.Merge[*request], cfg.GPU.NumCUs)
 	for i := 0; i < cfg.GPU.NumCUs; i++ {
 		l1 := cache.New(cfg.L1)
 		s.l1s = append(s.l1s, l1)
@@ -238,7 +235,9 @@ func (s *System) Reset() {
 	s.eng.Reset()
 	s.intra.part.Reset()
 	s.intra.running, s.intra.ran = false, false
-	s.net.Reset()
+	for i := range s.routes {
+		s.routes[i].messages = 0
+	}
 	s.mem.Reset()
 	s.resetSpaces()
 	s.walker.Reset(s.as.Table)
@@ -325,7 +324,10 @@ func (s *System) buildRegistry() {
 
 	s.gpu.Observe(r.Scope("gpu"))
 	s.mem.Observe(r.Scope("dram"))
-	s.net.Observe(r.Scope("noc"))
+	noc := r.Scope("noc")
+	for i := range s.routes {
+		noc.Scope(routeNames[i]).Counter("messages", &s.routes[i].messages)
+	}
 	s.walker.Observe(r.Scope("ptw"))
 	s.io.Observe(r.Scope("iommu"))
 	s.l2.Observe(r.Scope("l2"))
@@ -712,7 +714,7 @@ func (s *System) emitSnapshot(o *options) {
 
 // onL1Evict maintains the invalidation filter counts and lifetime CDF.
 func (s *System) onL1Evict(cu int, l cache.Line) {
-	if s.cfg.Kind == VirtualHierarchy || s.cfg.Kind == L1OnlyVirtual {
+	if s.filtersL1() {
 		vpn := uint64(vunkey(l.Addr).Page())
 		if n := s.filters[cu].Ref(vpn); n != nil && *n > 1 {
 			*n--
@@ -728,7 +730,7 @@ func (s *System) onL1Evict(cu int, l cache.Line) {
 
 // trackL1Fill bumps the invalidation filter when a line enters an L1.
 func (s *System) trackL1Fill(cu int, va memory.VAddr) {
-	if s.cfg.Kind == VirtualHierarchy || s.cfg.Kind == L1OnlyVirtual {
+	if s.filtersL1() {
 		*s.filters[cu].Upsert(uint64(va.Page()))++
 	}
 }
@@ -787,11 +789,16 @@ func (s *System) onFBTEvict(v fbt.View) {
 	}
 }
 
+// filtersL1 reports whether the per-CU L1 invalidation filters are kept:
+// only the virtual hierarchy's FBT evictions read them, and only with
+// InvFilter set.
+func (s *System) filtersL1() bool { return s.cfg.Kind == VirtualHierarchy && s.cfg.InvFilter }
+
 // invalidateL1 applies an FBT eviction of page lvpn at cu: the CU flushes
 // its whole L1 when its invalidation filter matches the page, and always
 // without filters.
 func (s *System) invalidateL1(cu int, lvpn memory.VPN) {
-	if s.cfg.InvFilter {
+	if s.filtersL1() {
 		if n, _ := s.filters[cu].Get(uint64(lvpn)); n == 0 {
 			return
 		}

@@ -1,10 +1,11 @@
 // Package flatmap provides the open-addressing hash tables behind the
 // simulator's per-line paths: the infinite-mode TLB, the FBT forward
 // table, the page table and reverse synonym map, the per-ASID side
-// tables used by epoch invalidation, the miss-merge tables, the L1
-// invalidation filters and the synonym remap tables. It also holds Sets,
-// the flat per-slot bookkeeping of the set-associative caches, TLBs and
-// FBT, which share the tables' epoch liveness.
+// tables used by epoch invalidation, the L1 invalidation filters and the
+// synonym remap tables. It also holds Merge, the one miss-merge table of
+// the per-CU TLBs, the L2 line fills and the IOMMU's walks, and Sets, the
+// flat per-slot bookkeeping of the set-associative caches, TLBs and FBT,
+// which share the tables' epoch liveness.
 //
 // A Map is a power-of-two, linear-probing table in SoA layout — parallel
 // control/key/generation/value arrays — with packed uint64 keys and inline

@@ -111,14 +111,11 @@ type IOMMU struct {
 
 	// pending merges concurrent misses to the same page into one walk,
 	// like the walker's MSHRs: duplicates attach their clients to the
-	// outstanding walk. It is keyed by flatmap.Key(asid, vpn), and a key is
-	// present while its walk is outstanding, with a nil list until a second
-	// miss merges behind it. Drained waiter lists recycle through waitPool
-	// and lookup records through free, so steady-state translation
-	// allocates nothing.
-	pending  flatmap.Map[[]Client]
-	waitPool [][]Client
-	free     []*lookup
+	// outstanding walk. It is keyed by flatmap.Key(asid, vpn). Lookup
+	// records recycle through free, so steady-state translation allocates
+	// nothing.
+	pending flatmap.Merge[Client]
+	free    []*lookup
 }
 
 // New builds an IOMMU. The walker must be constructed by the caller so it
@@ -294,23 +291,13 @@ func (io *IOMMU) insertTLB(asid memory.ASID, vpn memory.VPN, pte memory.PTE) {
 // walk resolves a shared-TLB miss: l leads a page-table walk, or its client
 // attaches to the outstanding walk of the same page.
 func (io *IOMMU) walk(l *lookup) {
-	k := flatmap.Key(uint16(l.asid), uint64(l.vpn))
-	if list := io.pending.Ref(k); list != nil {
-		// A walk for this page is already in flight: attach to it.
+	if !io.pending.Lead(flatmap.Key(uint16(l.asid), uint64(l.vpn)), l.c) {
+		// A walk for this page is already in flight: l's client attached
+		// to it.
 		io.st.MergedWalks++
-		if *list == nil {
-			if n := len(io.waitPool); n > 0 {
-				*list = io.waitPool[n-1]
-				io.waitPool = io.waitPool[:n-1]
-			} else {
-				*list = make([]Client, 0, 8)
-			}
-		}
-		*list = append(*list, l.c)
 		io.release(l)
 		return
 	}
-	io.pending.Put(k, nil)
 	io.st.Walks++
 	io.walker.Walk(l.vpn, l)
 }
@@ -327,15 +314,12 @@ func (l *lookup) Walked(r ptw.Result) {
 		io.insertTLB(l.asid, l.vpn, r.PTE)
 		res = Result{PTE: r.PTE}
 	}
-	waiters, _ := io.pending.Delete(flatmap.Key(uint16(l.asid), uint64(l.vpn)))
+	waiters := io.pending.Done(flatmap.Key(uint16(l.asid), uint64(l.vpn)))
 	io.deliver(l, res)
 	for _, c := range waiters {
 		c.Translated(res)
 	}
-	if waiters != nil {
-		clear(waiters)
-		io.waitPool = append(io.waitPool, waiters[:0])
-	}
+	io.pending.Recycle(waiters)
 }
 
 // Shootdown invalidates (asid, vpn) in the shared TLB.

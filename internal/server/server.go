@@ -29,6 +29,7 @@
 package server
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"errors"
@@ -768,12 +769,12 @@ func (s *Server) Queue() apiv1.QueueInfo {
 // sortRuns orders running-job infos by ID and queued runs in drain order
 // (priority desc, seq asc).
 func sortRuns(running []apiv1.JobInfo, queued []*run) {
-	sortSlice(running, func(a, b apiv1.JobInfo) bool { return a.ID < b.ID })
-	sortSlice(queued, func(a, b *run) bool {
-		if a.priority != b.priority {
-			return a.priority > b.priority
+	slices.SortFunc(running, func(a, b apiv1.JobInfo) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(queued, func(a, b *run) int {
+		if c := cmp.Compare(b.priority, a.priority); c != 0 {
+			return c
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 }
 
@@ -950,15 +951,4 @@ func (h *runHeap) Pop() any {
 	r.heapIdx = -1
 	*h = old[:len(old)-1]
 	return r
-}
-
-// sortSlice is sort.Slice without the interface churn at call sites.
-func sortSlice[T any](xs []T, less func(a, b T) bool) {
-	// Insertion sort: introspection lists are small and already mostly
-	// ordered.
-	for i := 1; i < len(xs); i++ {
-		for k := i; k > 0 && less(xs[k], xs[k-1]); k-- {
-			xs[k], xs[k-1] = xs[k-1], xs[k]
-		}
-	}
 }

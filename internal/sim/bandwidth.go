@@ -10,10 +10,8 @@ type BandwidthServer struct {
 	eng      *Engine
 	perCycle int
 	cycle    uint64 // cycle the tail of the queue occupies
-	used     int    // operations already admitted in that cycle
+	used     int    // operations already admitted in that cycle, always < perCycle
 
-	// Admitted counts total operations admitted.
-	Admitted uint64
 	// QueueDelay accumulates cycles requests spent waiting for a slot.
 	QueueDelay uint64
 	// MaxDelay is the worst single-request queueing delay observed.
@@ -37,21 +35,12 @@ func (s *BandwidthServer) Reset() {
 // operation begins (>= the current cycle). Queueing statistics are updated.
 func (s *BandwidthServer) Admit() uint64 {
 	now := s.eng.Now()
-	s.Admitted++
 	if s.perCycle <= 0 {
 		return now
 	}
 	if s.cycle < now {
 		s.cycle = now
 		s.used = 0
-	}
-	if s.used >= s.perCycle {
-		s.cycle += uint64((s.used) / s.perCycle)
-		s.used = s.used % s.perCycle
-		if s.used >= s.perCycle {
-			s.cycle++
-			s.used = 0
-		}
 	}
 	at := s.cycle
 	s.used++

@@ -166,22 +166,34 @@ func TestServerUnlimited(t *testing.T) {
 	}
 }
 
-// Property: with perCycle=k, no more than k admissions share a cycle.
+// Property: with perCycle=k, the admissions of one cycle take their slots
+// in order, k per cycle: on an idle server the i-th lands at now + i/k, and
+// QueueDelay sums the waits. Each batch arrives after the one before it
+// has drained, a cycle or more after its last slot.
 func TestServerCapacityProperty(t *testing.T) {
-	f := func(n uint8, k uint8) bool {
+	f := func(batches []uint8, k uint8, gap uint8) bool {
 		if k == 0 {
 			k = 1
 		}
 		e := New()
 		s := NewBandwidthServer(e, int(k))
-		perCycle := make(map[uint64]int)
-		for i := 0; i < int(n); i++ {
-			perCycle[s.Admit()]++
-		}
-		for _, c := range perCycle {
-			if c > int(k) {
-				return false
+		var wait uint64
+		for b, n := range batches {
+			now := e.Now()
+			for i := 0; i < int(n); i++ {
+				want := now + uint64(i/int(k))
+				if got := s.Admit(); got != want {
+					t.Logf("k=%d: batch %d at cycle %d: admission %d at %d, want %d", k, b, now, i, got, want)
+					return false
+				}
+				wait += want - now
 			}
+			e.At(now+s.Backlog()+1+uint64(gap%4), func() {})
+			e.Run()
+		}
+		if s.QueueDelay != wait {
+			t.Logf("k=%d: QueueDelay %d, want %d", k, s.QueueDelay, wait)
+			return false
 		}
 		return true
 	}

@@ -301,11 +301,3 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	panic("stats: histogram bucket counts disagree with Count")
 }
-
-// Ratio returns a/b, or 0 when b is zero. Handy for miss ratios.
-func Ratio(a, b uint64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}

@@ -99,15 +99,6 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	if Ratio(1, 0) != 0 {
-		t.Fatal("Ratio with zero denominator should be 0")
-	}
-	if !almostEqual(Ratio(1, 4), 0.25) {
-		t.Fatal("Ratio(1,4) wrong")
-	}
-}
-
 // Property: CDF.At is monotonic nondecreasing and bounded in [0,1].
 func TestCDFMonotonicProperty(t *testing.T) {
 	f := func(xs []float64, probes []float64) bool {
