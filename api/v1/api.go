@@ -17,6 +17,9 @@
 // overrides. New Config/Params fields join the wire automatically, and the
 // round-trip guard tests in this package (driven by
 // fingerprint.MutateLeaves) fail if a field is ever excluded from JSON.
+// Cache keys hash the same JSON (core.ConfigFingerprint,
+// artifact.TraceKey), so the guards also prove every field reaches the
+// keys.
 package apiv1
 
 import (

@@ -149,7 +149,9 @@ func TestDesignOverrides(t *testing.T) {
 // automatically), mutate it, marshal, strictly unmarshal, and require the
 // fingerprint — which the guard tests in internal/artifact prove covers
 // every leaf — to be preserved. A field with a wrong/missing JSON mapping
-// would come back unmutated and keep the base fingerprint.
+// would come back unmutated and keep the base fingerprint. The
+// fingerprint hashes the Config's JSON, so such a field would also leave
+// the fingerprint unmoved by its mutation, which fails here first.
 func TestConfigJSONRoundTrip(t *testing.T) {
 	cfg := core.DesignVCOpt()
 	base := core.ConfigFingerprint(cfg)

@@ -18,8 +18,8 @@
 // -cache-dir), so re-running with unchanged inputs reloads results instead
 // of resimulating and produces byte-identical output. Traces are rebuilt
 // whenever a result has to be simulated; only -stream keeps its chunked
-// streams in the cache. -no-cache disables the cache, -cache-stats reports
-// its traffic.
+// streams in the cache, and so it needs the cache. -no-cache disables the
+// cache, -cache-stats reports its traffic.
 //
 // Output is the text rendering of each table/figure; absolute numbers
 // depend on the synthetic inputs, but the shapes track the paper (see
@@ -64,9 +64,13 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "artifact cache directory (default $VCACHE_DIR or out/cache)")
 	noCache := flag.Bool("no-cache", false, "disable the on-disk artifact cache")
 	cacheStats := flag.Bool("cache-stats", false, "print artifact-cache traffic to stderr on exit")
-	stream := flag.Bool("stream", false, "replay workloads from chunked (v4) streams: per-run memory stays bounded by the chunk budget; results are byte-identical")
+	stream := flag.Bool("stream", false, "replay workloads from chunked (v4) streams kept in the artifact cache (not with -no-cache): per-run memory stays bounded by the chunk budget; results are byte-identical")
 	chunkBudget := flag.Int("chunk-budget", 0, "chunk byte budget for -stream (0 = default 4MB)")
 	flag.Parse()
+	if *stream && *noCache {
+		fmt.Fprintln(os.Stderr, "experiments: -stream keeps its streams in the artifact cache, so it cannot run with -no-cache")
+		os.Exit(1)
+	}
 
 	stopProf, err := prof.Start()
 	if err != nil {

@@ -5,17 +5,20 @@
 // from disk instead of regenerating traces and resimulating.
 //
 // Keys are fingerprints (see internal/fingerprint) over everything that
-// determines an artifact's bytes:
+// determines an artifact's bytes, each struct hashed as its JSON document:
 //
-//   - a trace is keyed by workload name + normalized workloads.Params +
-//     trace.ChunkFormatVersion + workloads.GeneratorVersion;
-//   - a result is keyed by the trace's key + core.ConfigFingerprint (which
-//     covers every exported Config field plus core.SimVersion) + the
-//     layout of core.Results.
+//   - a trace is keyed by workload name + the JSON of normalized
+//     workloads.Params + trace.ChunkFormatVersion +
+//     workloads.GeneratorVersion;
+//   - a result is keyed by the trace's key + core.ConfigFingerprint (the
+//     Config's JSON, which carries every exported field, plus
+//     core.SimVersion) + the layout of core.Results.
 //
-// Bumping any of the version constants, or changing any config field or
-// the Results struct, therefore changes the key and old entries simply
+// Bumping any of the version constants, or changing any config value or
+// the Results layout, therefore changes the key and old entries simply
 // stop being found — no explicit invalidation step exists or is needed.
+// Retyping a field without changing its values, or moving a type to
+// another package, leaves keys alone; a behaviour change bumps a version.
 // Stale files are garbage that a `rm -r` of the cache directory clears.
 //
 // Entries are stored one file per artifact, named by the key's hex
@@ -36,6 +39,7 @@ package artifact
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -44,6 +48,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"vcache/internal/core"
@@ -96,10 +102,6 @@ type Stats struct {
 	// recomputation, it doesn't fail the run.
 	Errors uint64
 }
-
-// Hits and Misses sum both artifact kinds.
-func (s Stats) Hits() uint64   { return s.TraceHits + s.ResultHits }
-func (s Stats) Misses() uint64 { return s.TraceMisses + s.ResultMisses }
 
 func (s Stats) String() string {
 	return fmt.Sprintf("traces %d/%d hit, results %d/%d hit, %s read, %s written, %d corrupt, %d errors",
@@ -198,26 +200,31 @@ func (c *Cache) Observe(sc obs.Scope) {
 // Keys
 
 // TraceKey fingerprints everything that determines a generated trace:
-// workload identity, normalized generation parameters, the on-disk trace
-// format, and the generator implementation version. The chunk budget is
-// deliberately absent: chunk geometry is a storage detail that never
-// changes simulation results (the streaming differential tests pin this),
-// so streams cut at different budgets are interchangeable.
+// workload identity, the JSON of the normalized generation parameters, the
+// on-disk trace format, and the generator implementation version. The
+// chunk budget is deliberately absent: chunk geometry is a storage detail
+// that never changes simulation results (the streaming differential tests
+// pin this), so streams cut at different budgets are interchangeable.
 func TraceKey(workload string, p workloads.Params) Fingerprint {
-	return fingerprint.Hash("vcache/trace", workload, p.Normalized(),
-		trace.ChunkFormatVersion, workloads.GeneratorVersion)
+	params, err := json.Marshal(p.Normalized())
+	if err != nil {
+		panic(fmt.Errorf("artifact: encoding params: %w", err)) // unreachable: Params holds four integers
+	}
+	return fingerprint.Hash("vcache/trace", []byte(workload), params,
+		[]byte(strconv.Itoa(trace.ChunkFormatVersion)), []byte(strconv.Itoa(workloads.GeneratorVersion)))
 }
 
-// resultsLayout fingerprints the core.Results struct layout.
-var resultsLayout = fingerprint.TypeHash(reflect.TypeOf(core.Results{}))
+// resultsLayout fingerprints the core.Results layout: every exported leaf
+// path and its type. JSON decoding ignores unknown fields and zero-fills
+// missing ones, so an entry written under another layout would decode
+// into wrong values; keying on the layout means it is never looked up.
+var resultsLayout = fingerprint.Hash("core.Results",
+	[]byte(strings.Join(fingerprint.Paths(reflect.TypeOf(core.Results{})), "\n")))
 
 // ResultKey fingerprints everything that determines simulation results: the
-// input trace (via its cache key) and the full simulator configuration
-// (core.ConfigFingerprint covers every exported Config field and
-// core.SimVersion). It also covers the Results layout, so an entry written
-// under another layout is never looked up rather than decoded into the
-// wrong fields. Each part is hashed as a byte slice: fingerprint.Hash
-// walks an array element by element.
+// input trace (via its cache key), the full simulator configuration
+// (core.ConfigFingerprint hashes the Config's JSON and core.SimVersion) and
+// the Results layout.
 func ResultKey(traceKey Fingerprint, cfg core.Config) Fingerprint {
 	cfgFP := core.ConfigFingerprint(cfg)
 	return fingerprint.Hash("vcache/result", traceKey[:], cfgFP[:], resultsLayout[:])
@@ -257,7 +264,8 @@ func (c *Cache) ChunkedTracePath(key Fingerprint) (string, bool) {
 // v4 bytes are stored without the result envelope — the format carries
 // its own per-chunk and footer checksums, and wrapping would force cursor
 // opens through a copy. Errors are counted, not returned ("", false): the
-// caller regenerates in memory instead.
+// caller decides (vcsim streams from a temp file instead, the experiment
+// suite fails the run).
 func (c *Cache) PutChunkedTrace(key Fingerprint, gen func(io.Writer) error) (string, bool) {
 	if c == nil {
 		return "", false

@@ -18,9 +18,10 @@ import (
 //
 //   - TestFingerprintCoversEveryConfigField mutates each leaf field in turn
 //     (found reflectively, so fields added later are covered automatically)
-//     and asserts the fingerprint moves. This can only fail if the hasher
-//     itself skips data — but it fails loudly if someone "optimizes" the
-//     key derivation to hash a subset.
+//     and asserts the fingerprint moves. Keys hash the structs' JSON, so
+//     this fails if a field ever drops out of the encoding (a json:"-"
+//     tag, an unexported mirror) or if the key derivation is "optimized"
+//     to hash a subset.
 //
 //   - The golden path lists pin the exact key-relevant surface. Adding an
 //     exported field to core.Config or workloads.Params fails the golden
@@ -51,6 +52,26 @@ func TestFingerprintCoversEveryParamsField(t *testing.T) {
 			t.Errorf("%s: mutating the field did not change TraceKey", path)
 		}
 	})
+}
+
+// TestKeyAllocations pins the cost of deriving keys, which every daemon
+// Submit pays twice (the result key and the idle-System key): each hashes
+// a json.Marshal document, a few allocations. The means run over 1,000
+// calls because the race detector makes sync.Pool drop a quarter of its
+// puts, so json.Marshal rebuilds its pooled encoder state at random there
+// (5–6 and 10 allocations against 3 and 5).
+func TestKeyAllocations(t *testing.T) {
+	cfg := core.DesignVCOpt()
+	p := workloads.DefaultParams()
+	cf := testing.AllocsPerRun(1000, func() { core.ConfigFingerprint(cfg) })
+	rk := testing.AllocsPerRun(1000, func() { ResultKey(TraceKey("bfs", p), cfg) })
+	t.Logf("allocations: core.ConfigFingerprint %.0f, ResultKey(TraceKey(...)) %.0f", cf, rk)
+	if cf > 8 {
+		t.Errorf("core.ConfigFingerprint made %.0f allocations, want <= 8", cf)
+	}
+	if rk > 12 {
+		t.Errorf("ResultKey(TraceKey(...)) made %.0f allocations, want <= 12", rk)
+	}
 }
 
 var configShapeGolden = []string{

@@ -246,8 +246,8 @@ func TestTrackLifetimesOnlyObserves(t *testing.T) {
 
 // TestRolloverAllocatesNothing pins an ASID-slot rollover at zero host
 // allocations once every slot is warm: RetireASID recycles the released
-// address space (tables, reverse map and Release's key slice keep their
-// capacity) and SpaceFor reuses it. A round is the churn replay's
+// address space (tables, frame references and Release's key slice keep
+// their capacity) and SpaceFor reuses it. A round is the churn replay's
 // rollover: retire the slot, take its fresh space, map the shared churn
 // pages into it and demand-map a kernel's private pages.
 func TestRolloverAllocatesNothing(t *testing.T) {

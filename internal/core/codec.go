@@ -6,6 +6,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"vcache/internal/fingerprint"
 )
@@ -40,13 +41,20 @@ const (
 	SimVersion = 6
 )
 
-// ConfigFingerprint canonically hashes a Config plus the simulator
-// version. Every exported field (including nested component configs) is
-// incorporated by reflection, so a Config field that changes simulation
-// behaviour can never be silently left out of a cache key; see
-// TestFingerprintCoversConfig in internal/artifact for the guard.
+// ConfigFingerprint hashes a Config's JSON document plus the simulator
+// version. JSON carries every exported field (including nested component
+// configs), so a Config field that changes simulation behaviour can never
+// be silently left out of a cache key; see
+// TestFingerprintCoversEveryConfigField in internal/artifact for the
+// guard.
 func ConfigFingerprint(c Config) fingerprint.Sum {
-	return fingerprint.Hash("core.Config", c, SimVersion)
+	doc, err := json.Marshal(c)
+	if err != nil {
+		// Unreachable: Config holds only plain data; MMUKind encodes every
+		// value.
+		panic(fmt.Errorf("core: encoding config: %w", err))
+	}
+	return fingerprint.Hash("core.Config", doc, []byte(strconv.Itoa(SimVersion)))
 }
 
 // EncodeResults renders r as its canonical JSON document: json.Marshal's

@@ -535,7 +535,8 @@ func TestUnmapPage(t *testing.T) {
 	sys := MustNew(cfg)
 	b := trace.NewBuilder("w", 1, 4, 2)
 	b.Warp().Load(0x40000)
-	sys.Run(b.Build())
+	tr := b.Build()
+	sys.Run(tr)
 	if !sys.UnmapPage(0x40000) {
 		t.Fatal("UnmapPage failed")
 	}
@@ -544,6 +545,22 @@ func TestUnmapPage(t *testing.T) {
 	}
 	if sys.UnmapPage(0x40000) {
 		t.Fatal("double unmap succeeded")
+	}
+	// A page that a 2MB mapping serves stays mapped and takes no
+	// shootdown: the model splits no large page.
+	lp := smallCfg(DesignVCOpt())
+	lp.LargePages = true
+	sys = MustNew(lp)
+	sys.Run(tr)
+	before := sys.FBT().Stats()
+	if sys.UnmapPage(0x40000) {
+		t.Fatal("UnmapPage of a page a 2MB mapping serves succeeded")
+	}
+	if _, _, ok := sys.Space().Translate(0x40000); !ok {
+		t.Fatal("the 2MB mapping lost a page")
+	}
+	if after := sys.FBT().Stats(); after != before {
+		t.Fatalf("the refused unmap shot the page down: FBT stats %+v, before %+v", after, before)
 	}
 }
 

@@ -28,11 +28,11 @@ func (s *System) CheckInvariants() error {
 	if s.cfg.Kind != VirtualHierarchy {
 		return s.checkL1Clean()
 	}
-	// Walk every resident L2 line via the pages the address spaces know.
-	// Caches without ASID tags key lines by bare virtual address, so
-	// another space's pages would alias the running space's lines; they
-	// hold only the running space's lines, as every context switch
-	// flushes them.
+	// Walk every resident L2 line via the pages the address spaces map,
+	// each page of a 2MB mapping included. Caches without ASID tags key
+	// lines by bare virtual address, so another space's pages would alias
+	// the running space's lines; they hold only the running space's
+	// lines, as every context switch flushes them.
 	spaces := s.spaces
 	if !s.cfg.ASIDTags {
 		spaces = map[memory.ASID]*memory.AddressSpace{s.asid: s.as}
@@ -43,7 +43,7 @@ func (s *System) CheckInvariants() error {
 	physSeen := make(map[memory.PAddr]*lineInfo)
 	for _, sp := range spaces {
 		sp := sp
-		for vpnPage := range s.iterMappedPages(sp) {
+		for _, vpnPage := range sp.Table.AppendPages(nil) {
 			base := vpnPage.Base()
 			pa, _, ok := sp.Translate(base)
 			if !ok {
@@ -88,7 +88,7 @@ func (s *System) CheckInvariants() error {
 		for cu, l1 := range s.l1s {
 			counts := make(map[memory.VPN]int)
 			for _, sp := range spaces {
-				for vpnPage := range s.iterMappedPages(sp) {
+				for _, vpnPage := range sp.Table.AppendPages(nil) {
 					base := vpnPage.Base()
 					for idx := 0; idx < memory.LinesPerPage; idx++ {
 						va := base + memory.VAddr(idx*memory.LineSize)
@@ -106,19 +106,6 @@ func (s *System) CheckInvariants() error {
 		}
 	}
 	return s.checkL1Clean()
-}
-
-// iterMappedPages yields every mapped VPN of the space. Implemented over a
-// channel-free closure map for simplicity: the address space's reverse map
-// holds every mapped page (one entry per synonym).
-func (s *System) iterMappedPages(sp *memory.AddressSpace) map[memory.VPN]struct{} {
-	out := make(map[memory.VPN]struct{})
-	for _, vpns := range sp.AllMappings() {
-		for _, v := range vpns {
-			out[v] = struct{}{}
-		}
-	}
-	return out
 }
 
 func (s *System) checkL1Clean() error {

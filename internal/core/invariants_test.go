@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"math/bits"
+	"strings"
 	"testing"
 
+	"vcache/internal/memory"
 	"vcache/internal/workloads"
 )
 
@@ -53,4 +56,33 @@ func TestInvariantsOnWorkloads(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestInvariantsWalkEveryLargePage: CheckInvariants walks every page of a
+// 2MB mapping, not only its base page, so a BT bit cleared under a
+// resident L2 line on a non-base page is reported.
+func TestInvariantsWalkEveryLargePage(t *testing.T) {
+	cfg := smallCfg(DesignVCOpt())
+	cfg.LargePages = true
+	sys := MustNew(cfg)
+	sys.Run(divergentTrace("div", 250, 150)) // pages 0..149: one 2MB mapping
+	if err := sys.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, vpn := range sys.Space().Table.AppendPages(nil) {
+		if vpn%memory.PagesPerLarge == 0 {
+			continue
+		}
+		pa, _, _ := sys.Space().Translate(vpn.Base())
+		v, ok := sys.fbt.Entry(pa.Page())
+		if !ok || v.BitVec == 0 || v.LVPN != vpn {
+			continue
+		}
+		sys.fbt.ClearLine(v.ASID, vpn, bits.TrailingZeros32(v.BitVec))
+		if err := sys.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "BT bit") {
+			t.Fatalf("cleared a BT bit under a resident L2 line of page %#x; CheckInvariants returned %v", uint64(vpn), err)
+		}
+		return
+	}
+	t.Fatal("no resident L2 line on a non-base page of the 2MB mapping")
 }

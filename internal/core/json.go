@@ -26,12 +26,13 @@ var kindValues = func() map[string]MMUKind {
 }()
 
 // MarshalJSON encodes known MMU kinds by name ("virtual-hierarchy") and
-// unknown ones as their integer value.
+// unknown ones as their integer value. The names need no JSON escaping,
+// so quoting them is what json.Marshal would write.
 func (k MMUKind) MarshalJSON() ([]byte, error) {
 	if n, ok := kindNames[k]; ok {
-		return json.Marshal(n)
+		return strconv.AppendQuote(nil, n), nil
 	}
-	return json.Marshal(int(k))
+	return strconv.AppendInt(nil, int64(k), 10), nil
 }
 
 // UnmarshalJSON accepts both the canonical name and the integer form.

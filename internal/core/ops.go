@@ -156,8 +156,10 @@ func (s *System) ChangePermission(va memory.VAddr, perm memory.Perm) bool {
 }
 
 // UnmapPage removes a page's mapping and performs the required shootdown.
+// A page that a 2MB mapping serves stays mapped, as AddressSpace.Unmap
+// leaves it, and takes no shootdown.
 func (s *System) UnmapPage(va memory.VAddr) bool {
-	if _, _, ok := s.as.Translate(va); !ok {
+	if pte, ok := s.as.Table.Lookup(va.Page()); !ok || pte.Large {
 		return false
 	}
 	s.Shootdown(va)

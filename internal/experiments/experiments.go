@@ -20,6 +20,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -118,13 +119,13 @@ type Suite struct {
 	// materialized trace is rebuilt from its generator in every process.
 	Cache *artifact.Cache
 	// StreamTraces replays workloads from chunked (v4) streams instead of
-	// materialized traces: generation emits chunks as they are produced
-	// (bounded by ChunkBudget, with per-chunk Progress events) and each
-	// simulation reads one chunk ahead through a cursor, so peak memory is
-	// bounded by the chunk window rather than the trace size. With a Cache
-	// attached the stream lives on disk and cache hits replay straight off
-	// the file; without one it is held in memory. Results are
-	// byte-identical to materialized replay at any budget.
+	// materialized traces: generation writes chunks into the Cache as
+	// they are produced (bounded by ChunkBudget, with per-chunk Progress
+	// events) and each simulation reads one chunk ahead through a cursor
+	// over the cached file, so peak memory is bounded by the chunk window
+	// rather than the trace size. It needs a Cache: Precompute fails
+	// without one, and a stream the cache cannot store is an error.
+	// Results are byte-identical to materialized replay at any budget.
 	StreamTraces bool
 	// ChunkBudget is the per-chunk byte target for StreamTraces
 	// (0 = trace.DefaultChunkBudget).
@@ -155,13 +156,17 @@ type runCall struct {
 }
 
 // ctraceCall is the singleflight slot for one workload's chunked stream:
-// a file path when the stream lives in the artifact cache, raw bytes when
-// the suite has no cache to stream from.
+// the artifact-cache file it lives in, or why the cache could not store
+// it.
 type ctraceCall struct {
 	done chan struct{}
 	path string
-	raw  []byte
+	err  error
 }
+
+// errStreamNeedsCache reports a streaming suite without a cache to keep
+// its streams in.
+var errStreamNeedsCache = errors.New("experiments: StreamTraces needs a Cache: the suite's streams live in the artifact cache")
 
 // New builds a suite over the named workloads (empty = the full catalog).
 func New(p workloads.Params, subset []string) (*Suite, error) {
@@ -242,20 +247,23 @@ func (s *Suite) Trace(name string) (*trace.Trace, error) {
 	return c.tr, nil
 }
 
-// chunkedStream builds (and memoizes) the named workload's chunked (v4)
-// stream. With a cache attached the stream is generated straight into the
-// cache file — a later process streams it off disk without regenerating —
-// and per-chunk Progress events fire as generation proceeds.
-func (s *Suite) chunkedStream(name string) (*ctraceCall, error) {
+// chunkedStream returns the path of the named workload's chunked (v4)
+// stream in the artifact cache, generating it there on first use with
+// per-chunk Progress events; a later process streams it off disk without
+// regenerating.
+func (s *Suite) chunkedStream(name string) (string, error) {
 	g, ok := s.generator(name)
 	if !ok {
-		return nil, fmt.Errorf("experiments: workload %q not in suite", name)
+		return "", fmt.Errorf("experiments: workload %q not in suite", name)
+	}
+	if s.Cache == nil {
+		return "", errStreamNeedsCache
 	}
 	s.mu.Lock()
 	if c, ok := s.ctraces[name]; ok {
 		s.mu.Unlock()
 		<-c.done
-		return c, nil
+		return c.path, c.err
 	}
 	c := &ctraceCall{done: make(chan struct{})}
 	s.ctraces[name] = c
@@ -270,7 +278,7 @@ func (s *Suite) chunkedStream(name string) (*ctraceCall, error) {
 			size = st.Size()
 		}
 		s.emit(RunEvent{Workload: name, Stage: "trace.gen", Cached: true, Bytes: size})
-		return c, nil
+		return c.path, nil
 	}
 	var written int64
 	opts := trace.ChunkOptions{
@@ -280,36 +288,25 @@ func (s *Suite) chunkedStream(name string) (*ctraceCall, error) {
 			s.emit(RunEvent{Workload: name, Stage: "trace.gen", Chunk: index, Bytes: written})
 		},
 	}
-	if s.Cache != nil {
-		if path, ok := s.Cache.PutChunkedTrace(key, func(w io.Writer) error {
-			_, err := g.BuildChunked(s.Params, w, opts)
-			return err
-		}); ok {
-			c.path = path
-			return c, nil
-		}
-		// A failed cache write (read-only or full directory) degrades to an
-		// in-memory stream, like every other artifact Put failure.
+	path, ok := s.Cache.PutChunkedTrace(key, func(w io.Writer) error {
+		_, err := g.BuildChunked(s.Params, w, opts)
+		return err
+	})
+	if !ok {
+		c.err = fmt.Errorf("experiments: streaming %s: the artifact cache in %s could not store the stream", name, s.Cache.Dir())
 	}
-	var buf bytes.Buffer
-	if _, err := g.BuildChunked(s.Params, &buf, opts); err != nil {
-		return nil, fmt.Errorf("experiments: streaming %s: %w", name, err)
-	}
-	c.raw = buf.Bytes()
-	return c, nil
+	c.path = path
+	return c.path, c.err
 }
 
-// openCursor opens a fresh cursor over the workload's chunked stream
-// (each simulation consumes its own cursor).
+// openCursor opens a fresh cursor over the workload's cached chunked
+// stream (each simulation consumes its own cursor).
 func (s *Suite) openCursor(name string) (*trace.Cursor, error) {
-	c, err := s.chunkedStream(name)
+	path, err := s.chunkedStream(name)
 	if err != nil {
 		return nil, err
 	}
-	if c.path != "" {
-		return trace.OpenCursorFile(c.path)
-	}
-	return trace.NewCursor(bytes.NewReader(c.raw))
+	return trace.OpenCursorFile(path)
 }
 
 // cachesResults reports whether Run may serve results from the artifact

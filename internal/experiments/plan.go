@@ -162,7 +162,8 @@ func (s *Suite) Precompute(ids ...string) error {
 // workload's trace is generated (also independent per workload), then the
 // simulations run. The memoized results are bit-identical to serial
 // execution — each simulation stays single-threaded and deterministic;
-// only the scheduling changes.
+// only the scheduling changes. A streaming suite without a Cache fails in
+// the first stage, before any simulation.
 func (s *Suite) RunAll(reqs []RunRequest) error {
 	// Validate membership first so unknown workloads surface as errors
 	// before any work starts (and Run below cannot panic on membership).

@@ -22,6 +22,18 @@ func streamSuite(t *testing.T, names ...string) *Suite {
 	return s
 }
 
+// streaming turns s into a streaming suite over a fresh artifact cache,
+// where its streams live.
+func streaming(t *testing.T, s *Suite) *Suite {
+	t.Helper()
+	c, err := artifact.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.StreamTraces, s.Cache = true, c
+	return s
+}
+
 // TestStreamTracesMatchesMaterialized pins the suite-level differential:
 // a streaming suite and a materialized suite produce identical Results
 // for the same (workload, design) pairs, even at a budget small enough to
@@ -29,8 +41,7 @@ func streamSuite(t *testing.T, names ...string) *Suite {
 func TestStreamTracesMatchesMaterialized(t *testing.T) {
 	names := []string{"pagerank", "kmeans"}
 	base := streamSuite(t, names...)
-	str := streamSuite(t, names...)
-	str.StreamTraces = true
+	str := streaming(t, streamSuite(t, names...))
 	str.ChunkBudget = 1 << 12
 	for _, wl := range names {
 		for _, cfg := range []core.Config{core.DesignBaseline512(), core.DesignVCOpt()} {
@@ -47,8 +58,7 @@ func TestStreamTracesMatchesMaterialized(t *testing.T) {
 // per-chunk trace.gen events, that ProgressWriter renders them, and that
 // a second run of the same workload reuses the memoized stream.
 func TestStreamTracesProgressEvents(t *testing.T) {
-	s := streamSuite(t, "pagerank")
-	s.StreamTraces = true
+	s := streaming(t, streamSuite(t, "pagerank"))
 	s.ChunkBudget = 1 << 12
 	var genChunks, simEvents int
 	var buf bytes.Buffer
@@ -135,8 +145,7 @@ func TestStreamTracesCacheRoundTrip(t *testing.T) {
 // cross-checks a sample against materialized execution.
 func TestStreamTracesPrecompute(t *testing.T) {
 	names := []string{"pagerank", "bfs"}
-	s := streamSuite(t, names...)
-	s.StreamTraces = true
+	s := streaming(t, streamSuite(t, names...))
 	s.ChunkBudget = 1 << 12
 	s.Workers = 2
 	if err := s.Precompute("3"); err != nil {
@@ -149,5 +158,20 @@ func TestStreamTracesPrecompute(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("%s: precomputed streamed result diverges", k)
 		}
+	}
+}
+
+// TestStreamTracesNeedCache: a streaming suite keeps its streams in the
+// artifact cache, so Precompute without one fails and simulates nothing.
+func TestStreamTracesNeedCache(t *testing.T) {
+	s := streamSuite(t, "kmeans")
+	s.StreamTraces = true
+	var events int
+	s.Progress = func(RunEvent) { events++ }
+	if err := s.Precompute("3"); err == nil || !strings.Contains(err.Error(), "needs a Cache") {
+		t.Fatalf("Precompute of a streaming suite without a cache returned %v", err)
+	}
+	if events != 0 || s.RunCount() != 0 {
+		t.Fatalf("the failed Precompute emitted %d events and memoized %d runs", events, s.RunCount())
 	}
 }

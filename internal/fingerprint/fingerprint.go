@@ -1,18 +1,17 @@
-// Package fingerprint derives stable, canonical hashes of Go values for
-// content-addressed caching. The hash covers both the *shape* of a value
-// (type names, field names, kinds, in declaration order) and its contents,
-// so renaming a field, changing its type, or changing its value all
-// produce a different fingerprint. That self-describing framing is what
-// makes the artifact cache safe: a cache key derived from a config struct
-// automatically incorporates every field the struct ever grows, and any
-// structural drift invalidates old entries instead of silently matching
-// them.
+// Package fingerprint derives the content-addressed keys of the artifact
+// cache and of the job daemon's run coalescing. A key is a SHA-256 over a
+// domain string and byte parts, each length-prefixed, so no two
+// different part lists hash the same byte stream. The parts are canonical
+// encodings their callers choose: core.ConfigFingerprint hashes a Config's
+// JSON document, artifact.TraceKey the JSON of normalized
+// workloads.Params. JSON carries every exported field, so a field a
+// config struct grows joins its key without a change here; the
+// mutate-every-leaf guards (MutateLeaves) prove it field by field.
 //
-// The walker deliberately supports only plain data: booleans, integers,
-// floats, strings, structs, arrays, slices and pointers. Maps (iteration
-// order), functions and channels have no canonical byte representation and
-// panic — a config struct holding one is a design error, and the panic is
-// what the coverage guard tests lean on.
+// Paths lists a type's exported leaf fields. The shape goldens compare it
+// against committed lists, and the result key hashes the Results layout
+// through it: JSON decoding ignores unknown fields and zero-fills missing
+// ones, so an entry written under another layout must not match.
 package fingerprint
 
 import (
@@ -20,8 +19,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
-	"math"
 	"reflect"
 	"sort"
 )
@@ -32,29 +29,23 @@ type Sum [32]byte
 // String returns the fingerprint in lowercase hex.
 func (s Sum) String() string { return hex.EncodeToString(s[:]) }
 
-// Hash fingerprints the given parts in order. Each part is framed with its
-// full type identity, so Hash(1) differs from Hash(int64(1)) and from
-// Hash(1, 2)'s prefix.
-func Hash(parts ...any) Sum {
+// Hash fingerprints domain and parts in order. The domain and each part
+// are framed by their length, so Hash("d", []byte("ab"), []byte("c"))
+// differs from Hash("d", []byte("a"), []byte("bc")), and keys of
+// different domains hash different byte streams.
+func Hash(domain string, parts ...[]byte) Sum {
 	h := sha256.New()
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(domain)))
+	h.Write(n[:])
+	h.Write([]byte(domain))
 	for _, p := range parts {
-		writeValue(h, reflect.ValueOf(p))
+		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
+		h.Write(n[:])
+		h.Write(p)
 	}
 	var out Sum
-	copy(out[:], h.Sum(nil))
-	return out
-}
-
-// TypeHash fingerprints a type's structure only: its name, kind, and
-// (recursively) its fields' names and types, ignoring values. Two types
-// have equal TypeHashes exactly when the canonical encoding of their
-// values is interchangeable, so a cache key can hash it as a schema
-// version that changes whenever the struct does.
-func TypeHash(t reflect.Type) Sum {
-	h := sha256.New()
-	writeType(h, t, make(map[reflect.Type]bool))
-	var out Sum
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
 }
 
@@ -97,93 +88,4 @@ func walkPaths(t reflect.Type, prefix string, out *[]string, depth int) {
 	default:
 		*out = append(*out, fmt.Sprintf("%s %s", prefix, t.String()))
 	}
-}
-
-// writeType emits a type's canonical structural description.
-func writeType(w io.Writer, t reflect.Type, seen map[reflect.Type]bool) {
-	if seen[t] {
-		io.WriteString(w, "(cycle)")
-		return
-	}
-	io.WriteString(w, t.String())
-	writeByte(w, byte(t.Kind()))
-	switch t.Kind() {
-	case reflect.Ptr, reflect.Slice, reflect.Array:
-		seen[t] = true
-		writeType(w, t.Elem(), seen)
-		delete(seen, t)
-	case reflect.Struct:
-		seen[t] = true
-		writeUint(w, uint64(t.NumField()))
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			io.WriteString(w, f.Name)
-			writeType(w, f.Type, seen)
-		}
-		delete(seen, t)
-	}
-}
-
-// writeValue emits a value's canonical encoding: type framing followed by
-// contents.
-func writeValue(w io.Writer, v reflect.Value) {
-	if !v.IsValid() {
-		io.WriteString(w, "(nil-any)")
-		return
-	}
-	t := v.Type()
-	io.WriteString(w, t.String())
-	writeByte(w, byte(t.Kind()))
-	switch v.Kind() {
-	case reflect.Bool:
-		if v.Bool() {
-			writeByte(w, 1)
-		} else {
-			writeByte(w, 0)
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		writeUint(w, uint64(v.Int()))
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		writeUint(w, v.Uint())
-	case reflect.Float32, reflect.Float64:
-		writeUint(w, math.Float64bits(v.Float()))
-	case reflect.String:
-		s := v.String()
-		writeUint(w, uint64(len(s)))
-		io.WriteString(w, s)
-	case reflect.Ptr:
-		if v.IsNil() {
-			writeByte(w, 0)
-		} else {
-			writeByte(w, 1)
-			writeValue(w, v.Elem())
-		}
-	case reflect.Slice, reflect.Array:
-		if v.Kind() == reflect.Slice && v.Type().Elem().Kind() == reflect.Uint8 {
-			// Fast path for []byte (fingerprints composed of fingerprints).
-			writeUint(w, uint64(v.Len()))
-			w.Write(v.Bytes())
-			return
-		}
-		writeUint(w, uint64(v.Len()))
-		for i := 0; i < v.Len(); i++ {
-			writeValue(w, v.Index(i))
-		}
-	case reflect.Struct:
-		writeUint(w, uint64(t.NumField()))
-		for i := 0; i < t.NumField(); i++ {
-			io.WriteString(w, t.Field(i).Name)
-			writeValue(w, v.Field(i))
-		}
-	default:
-		panic(fmt.Sprintf("fingerprint: unsupported kind %s (type %s) — maps, funcs, chans and interfaces have no canonical encoding", v.Kind(), t))
-	}
-}
-
-func writeByte(w io.Writer, b byte) { w.Write([]byte{b}) }
-
-func writeUint(w io.Writer, x uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], x)
-	w.Write(buf[:])
 }

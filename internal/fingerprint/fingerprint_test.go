@@ -21,71 +21,31 @@ type outer struct {
 	Bytes []byte
 }
 
-func TestHashDeterministic(t *testing.T) {
-	v := outer{X: 1, Y: 2.5, In: inner{A: 3, B: "b"}, Ptr: &inner{A: 4}, List: []int{1, 2}, Flag: true, Bytes: []byte{9}}
-	if Hash(v) != Hash(v) {
-		t.Fatal("same value hashed differently")
+// TestHashFramesParts: the domain and every part boundary are framed, so
+// moving bytes across a boundary, between the domain and the first part,
+// or into an extra empty part changes the sum.
+func TestHashFramesParts(t *testing.T) {
+	b := func(s string) []byte { return []byte(s) }
+	sums := map[string]Sum{
+		"d|ab|c":  Hash("d", b("ab"), b("c")),
+		"d|a|bc":  Hash("d", b("a"), b("bc")),
+		"d|abc":   Hash("d", b("abc")),
+		"da|bc":   Hash("da", b("bc")),
+		"d|ab|c|": Hash("d", b("ab"), b("c"), nil),
+		"e|ab|c":  Hash("e", b("ab"), b("c")),
+		"d":       Hash("d"),
+		"d|":      Hash("d", nil),
+		"":        Hash(""),
 	}
-	w := v
-	w.Ptr = &inner{A: 4} // different pointer, same contents
-	if Hash(v) != Hash(w) {
-		t.Fatal("pointer identity leaked into the hash")
-	}
-}
-
-func TestHashSensitivity(t *testing.T) {
-	base := outer{X: 1, Y: 2.5, In: inner{A: 3, B: "b"}, List: []int{1, 2}}
-	h := Hash(base)
-	mutations := []outer{
-		{X: 2, Y: 2.5, In: inner{A: 3, B: "b"}, List: []int{1, 2}},
-		{X: 1, Y: 2.6, In: inner{A: 3, B: "b"}, List: []int{1, 2}},
-		{X: 1, Y: 2.5, In: inner{A: 4, B: "b"}, List: []int{1, 2}},
-		{X: 1, Y: 2.5, In: inner{A: 3, B: "c"}, List: []int{1, 2}},
-		{X: 1, Y: 2.5, In: inner{A: 3, B: "b"}, List: []int{1, 3}},
-		{X: 1, Y: 2.5, In: inner{A: 3, B: "b"}, List: []int{1, 2, 3}},
-		{X: 1, Y: 2.5, In: inner{A: 3, B: "b"}, List: []int{1, 2}, Flag: true},
-		{X: 1, Y: 2.5, In: inner{A: 3, B: "b"}, List: []int{1, 2}, Ptr: &inner{}},
-	}
-	for i, m := range mutations {
-		if Hash(m) == h {
-			t.Errorf("mutation %d did not change the hash", i)
+	seen := make(map[Sum]string)
+	for name, s := range sums {
+		if prev, ok := seen[s]; ok {
+			t.Errorf("Hash(%s) == Hash(%s)", name, prev)
 		}
+		seen[s] = name
 	}
-}
-
-func TestHashTypeFraming(t *testing.T) {
-	if Hash(int32(1)) == Hash(int64(1)) {
-		t.Fatal("different integer types hashed equal")
-	}
-	if Hash("ab", "c") == Hash("a", "bc") {
-		t.Fatal("part boundaries not framed")
-	}
-	if Hash(uint64(0)) == Hash(false) {
-		t.Fatal("zero values of different types hashed equal")
-	}
-}
-
-func TestHashRejectsMaps(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("map hashed without panic")
-		}
-	}()
-	Hash(map[string]int{"a": 1})
-}
-
-func TestTypeHashChangesWithShape(t *testing.T) {
-	type v1 struct{ A int }
-	type v2 struct{ A, B int }
-	type v3 struct{ B int }
-	h1 := TypeHash(reflect.TypeOf(v1{}))
-	h2 := TypeHash(reflect.TypeOf(v2{}))
-	h3 := TypeHash(reflect.TypeOf(v3{}))
-	if h1 == h2 || h1 == h3 || h2 == h3 {
-		t.Fatal("struct shape changes did not change TypeHash")
-	}
-	if TypeHash(reflect.TypeOf(v1{})) != h1 {
-		t.Fatal("TypeHash not deterministic")
+	if Hash("d", b("ab"), b("c")) != sums["d|ab|c"] {
+		t.Fatal("Hash is not deterministic")
 	}
 }
 

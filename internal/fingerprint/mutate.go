@@ -13,9 +13,11 @@ import (
 // This is the shared engine behind the repo's mutate-every-leaf guards: the
 // artifact cache uses it to prove every config field moves the cache key,
 // and the api/v1 wire schema uses it to prove every config field survives a
-// JSON round trip — so a newly added field can neither silently miss the
-// cache key nor silently miss the wire. Unsupported leaf kinds (maps,
-// funcs, chans, interfaces) panic, exactly like the hasher itself.
+// JSON round trip. Keys hash that JSON, so a field the wire drops would
+// also drop out of the key: either guard catches a newly added field that
+// misses the encoding. Unsupported leaf kinds (maps, funcs, chans,
+// interfaces) panic, so a field of such a kind gets a mutation rule here
+// before it joins a key.
 func MutateLeaves(template any, f func(path string, mutated any)) int {
 	tv := reflect.ValueOf(template)
 	n := 0

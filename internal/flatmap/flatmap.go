@@ -1,6 +1,6 @@
 // Package flatmap provides the open-addressing hash tables behind the
 // simulator's per-line paths: the infinite-mode TLB, the FBT forward
-// table, the page table and reverse synonym map, the per-ASID side
+// table, the page table and frame reference counts, the per-ASID side
 // tables used by epoch invalidation, the L1 invalidation filters and the
 // synonym remap tables. It also holds Merge, the one miss-merge table of
 // the per-CU TLBs, the L2 line fills and the IOMMU's walks, and Sets, the

@@ -2,6 +2,8 @@ package memory
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -236,9 +238,9 @@ func TestReuseMatchesNew(t *testing.T) {
 	}
 	fresh := NewAddressSpace(2, fa1)
 	old2.Reuse(2)
-	if old2.ID != 2 || old2.Table.root != fresh.Table.root || old2.Table.Pages() != 0 || len(old2.AllMappings()) != 0 {
-		t.Fatalf("reused space: id %d, root %#x, pages %d, %d mappings; want id 2, root %#x, empty",
-			old2.ID, uint64(old2.Table.root), old2.Table.Pages(), len(old2.AllMappings()), uint64(fresh.Table.root))
+	if old2.ID != 2 || old2.Table.root != fresh.Table.root || old2.Table.Pages() != 0 || old2.refs.Len() != 0 {
+		t.Fatalf("reused space: id %d, root %#x, pages %d, %d frame references; want id 2, root %#x, empty",
+			old2.ID, uint64(old2.Table.root), old2.Table.Pages(), old2.refs.Len(), uint64(fresh.Table.root))
 	}
 	want, got := next(fresh, fa1), next(old2, fa2)
 	for i := range want {
@@ -246,10 +248,32 @@ func TestReuseMatchesNew(t *testing.T) {
 			t.Fatalf("answer %d: reused space %+v, new space %+v", i, got[i], want[i])
 		}
 	}
-	if fmt.Sprint(old2.AllMappings()) != fmt.Sprint(fresh.AllMappings()) {
-		t.Fatalf("reverse maps differ: reused %v, new %v", old2.AllMappings(), fresh.AllMappings())
+	if a, b := frameRefs(old2), frameRefs(fresh); a != b {
+		t.Fatalf("frame references differ: reused %s, new %s", a, b)
+	}
+	if a, b := sortedPages(old2.Table), sortedPages(fresh.Table); !slices.Equal(a, b) {
+		t.Fatalf("mapped pages differ: reused %v, new %v", a, b)
 	}
 	if a, b := fresh.Release(), old2.Release(); a != b || fa1.next != fa2.next || fa1.InUse() != fa2.InUse() {
 		t.Fatalf("second release: freed %d and %d, allocators %v and %v", b, a, fa2, fa1)
 	}
+}
+
+// frameRefs renders the space's frame references in ascending PPN order.
+func frameRefs(as *AddressSpace) string {
+	keys := as.refs.AppendKeys(nil)
+	slices.Sort(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		r, _ := as.refs.Get(k)
+		fmt.Fprintf(&b, "%#x:%+v ", k, r)
+	}
+	return b.String()
+}
+
+// sortedPages lists the table's mapped pages in ascending order.
+func sortedPages(pt *PageTable) []VPN {
+	pages := pt.AppendPages(nil)
+	slices.Sort(pages)
+	return pages
 }

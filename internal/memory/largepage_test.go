@@ -1,6 +1,9 @@
 package memory
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestMapLargeLookup(t *testing.T) {
 	fa := NewFrameAlloc(0x1000)
@@ -25,6 +28,25 @@ func TestMapLargeLookup(t *testing.T) {
 	}
 	if pt.Pages() != PagesPerLarge {
 		t.Fatalf("Pages = %d, want %d", pt.Pages(), PagesPerLarge)
+	}
+}
+
+// TestAppendPages: every mapped 4KB page, each page of a 2MB mapping
+// included, Pages() of them; an unmapped page is gone.
+func TestAppendPages(t *testing.T) {
+	fa := NewFrameAlloc(0x1000)
+	pt := NewPageTable(fa)
+	pt.Map(3, 7, PermRead)
+	pt.Map(5, 8, PermRead)
+	pt.Unmap(5)
+	base := VPN(2 * PagesPerLarge)
+	pt.MapLarge(base, fa.AllocContig(PagesPerLarge), PermRead)
+	want := []VPN{3}
+	for i := VPN(0); i < PagesPerLarge; i++ {
+		want = append(want, base+i)
+	}
+	if got := sortedPages(pt); !slices.Equal(got, want) || len(got) != pt.Pages() {
+		t.Fatalf("AppendPages listed %d pages (%v...), Pages() %d; want %d: 3 and the 2MB mapping's", len(got), got[:min(len(got), 4)], pt.Pages(), len(want))
 	}
 }
 

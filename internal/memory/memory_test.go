@@ -198,9 +198,8 @@ func TestAddressSpaceSynonyms(t *testing.T) {
 		t.Fatalf("synonym translations differ: %#x vs %#x", uint64(p1), uint64(p2))
 	}
 	ppn := p1.Page()
-	syns := as.Synonyms(ppn)
-	if len(syns) != 2 {
-		t.Fatalf("Synonyms = %v, want 2 entries", syns)
+	if r, _ := as.refs.Get(uint64(ppn)); r.n != 2 {
+		t.Fatalf("frame %#x has %d references, want 2", uint64(ppn), r.n)
 	}
 	// Unmapping one synonym keeps the frame alive.
 	inUse := fa.InUse()
@@ -211,6 +210,35 @@ func TestAddressSpaceSynonyms(t *testing.T) {
 	as.Unmap(0x10000)
 	if fa.InUse() != inUse-1 {
 		t.Fatal("frame not freed after last mapping removed")
+	}
+}
+
+// TestUnmapInsideLargePage: Unmap of a page that a 2MB mapping serves
+// reports false and changes nothing: the translation stays and no frame is
+// freed, so the next demand-mapped page gets a fresh frame, not one the
+// large mapping still serves.
+func TestUnmapInsideLargePage(t *testing.T) {
+	fa := NewFrameAlloc(0x1000)
+	as := NewAddressSpace(1, fa)
+	large := as.EnsureMappedLarge(0x40000000)
+	for _, va := range []VAddr{0x40000000, 0x40003000} {
+		before, _ := as.Table.Lookup(va.Page())
+		inUse := fa.InUse()
+		if as.Unmap(va) {
+			t.Errorf("Unmap(%#x) inside a 2MB mapping reported true", uint64(va))
+		}
+		if after, ok := as.Table.Lookup(va.Page()); !ok || after != before {
+			t.Errorf("Unmap(%#x): translation %+v %v, want %+v", uint64(va), after, ok, before)
+		}
+		if fa.InUse() != inUse {
+			t.Errorf("Unmap(%#x): %d frames in use, want %d", uint64(va), fa.InUse(), inUse)
+		}
+	}
+	if pte := as.EnsureMapped(0x80000000); pte.PPN >= large.PPN && pte.PPN < large.PPN+PagesPerLarge {
+		t.Fatalf("EnsureMapped got frame %#x, which the 2MB mapping at frame %#x still serves", uint64(pte.PPN), uint64(large.PPN))
+	}
+	if n := as.Release(); n != PagesPerLarge+1 {
+		t.Fatalf("Release freed %d frames, want %d", n, PagesPerLarge+1)
 	}
 }
 

@@ -86,6 +86,21 @@ func (pt *PageTable) reuse() {
 // Pages returns the number of valid leaf mappings.
 func (pt *PageTable) Pages() int { return pt.pages }
 
+// AppendPages appends every mapped 4KB page to dst, each page of a 2MB
+// mapping included, in no particular order, and returns it: Pages()
+// entries.
+func (pt *PageTable) AppendPages(dst []VPN) []VPN {
+	for _, k := range pt.flat.AppendKeys(nil) {
+		dst = append(dst, VPN(k))
+	}
+	for _, k := range pt.flatLarge.AppendKeys(nil) {
+		for i := VPN(0); i < PagesPerLarge; i++ {
+			dst = append(dst, VPN(k)+i)
+		}
+	}
+	return dst
+}
+
 func levelIndex(vpn VPN, level int) int {
 	// level 0 is the root; the root consumes the highest 9 bits of the
 	// 36-bit VPN space we model.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -205,6 +206,19 @@ func TestHTTPWarmCacheHitIsByteIdentical(t *testing.T) {
 	}
 	if string(rawA) != string(rawB) {
 		t.Error("cache-hit result bytes differ from the cold run's")
+	}
+	// The artifact cache's counters reach /v1/metrics: one result hit.
+	resp, err := http.Get(client.BaseURL + "/v1/metrics")
+	if err != nil {
+		t.Fatalf("GET /v1/metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	var doc struct{ Metrics map[string]float64 }
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatalf("decoding /v1/metrics: %v", err)
+	}
+	if got, ok := doc.Metrics["artifact.result_hits"]; !ok || got != 1 {
+		t.Errorf("/v1/metrics artifact.result_hits = %v (present %v), want 1", got, ok)
 	}
 }
 

@@ -369,6 +369,7 @@ func (s *Server) buildRegistry() {
 	sc.Gauge("workers.total", func() float64 { return float64(s.workers) })
 	sc.Gauge("systems.reused", read(func() float64 { return float64(s.systems.reused) }))
 	sc.Gauge("systems.built", read(func() float64 { return float64(s.systems.built) }))
+	s.cache.Observe(s.reg.Scope("artifact"))
 }
 
 // MetricsSnapshot reads the server's metrics registry.
